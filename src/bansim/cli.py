@@ -31,6 +31,7 @@ from bansim.phy.rates import (
 )
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
+from bansim.textio import text_stream
 
 
 # ------------------------------------------------------------------ helpers
@@ -56,13 +57,6 @@ def _add_phy_flags(parser: argparse.ArgumentParser) -> None:
                         help="narrowband payload rate tier")
     parser.add_argument("--channel", type=int, default=2, help="ultra-wideband channel number")
     parser.add_argument("--center", type=int, default=16, help="body-coupled center frequency, MHz")
-
-
-def _out_handle(path):
-    """Writable handle for --out, standard output when the flag is absent."""
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
 
 
 def _parse_payloads(spec: str) -> list[int]:
@@ -152,8 +146,7 @@ def cmd_efficiency(args) -> int:
             raise ConfigError(f"no rate-table configuration matches band {args.band!r}")
     payloads = _parse_payloads(args.payloads)
     points = sweep(configs, payloads)
-    fh, own = _out_handle(args.out)
-    try:
+    with text_stream(args.out) as fh:
         if args.format == "csv":
             write_efficiency_csv(points, fh)
         else:
@@ -164,9 +157,6 @@ def cmd_efficiency(args) -> int:
                     f" {pt.efficiency:>10.4f}",
                     file=fh,
                 )
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
@@ -193,8 +183,7 @@ def cmd_frame_build(args) -> int:
     else:
         body = bytes(i % 256 for i in range(args.body_len))
     ppdu = build_ppdu(cfg, mac_header, body)
-    fh, own = _out_handle(args.out)
-    try:
+    with text_stream(args.out) as fh:
         print(hexdump(ppdu, cfg), file=fh)
         _print_frame_fields(ppdu, cfg, fh)
         image = bits_to_bytes(
@@ -203,9 +192,6 @@ def cmd_frame_build(args) -> int:
             )
         )
         print(f"image={image.hex()} bits={len(ppdu.bits)}", file=fh)
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
@@ -218,12 +204,8 @@ def cmd_frame_parse(args) -> int:
             raise ConfigError(f"--bits {args.bits} exceeds the {len(bits)} bits supplied")
         bits = bits[: args.bits]
     ppdu = parse_ppdu(bits, cfg)
-    fh, own = _out_handle(args.out)
-    try:
+    with text_stream(args.out) as fh:
         _print_frame_fields(ppdu, cfg, fh)
-    finally:
-        if own:
-            fh.close()
     return 0
 
 
@@ -232,8 +214,7 @@ def cmd_frame_parse(args) -> int:
 
 def cmd_rates(args) -> int:
     rows = load_rate_table()
-    fh, own = _out_handle(args.out)
-    try:
+    with text_stream(args.out) as fh:
         if args.format == "csv":
             write_rate_csv(rows, fh)
         else:
@@ -250,9 +231,6 @@ def cmd_rates(args) -> int:
                     f" {row.rate_kbps:>7.1f}",
                     file=fh,
                 )
-    finally:
-        if own:
-            fh.close()
     return 0
 
 

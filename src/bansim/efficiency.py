@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable
 
 from bansim.mac.csma import MacTimingConstants, PriorityClass, PRIORITY_TABLE
@@ -30,6 +29,7 @@ from bansim.phy.rates import (
     info_data_rate,
     nb_config,
 )
+from bansim.textio import text_stream
 
 __all__ = [
     "DEFAULT_CONTENTION_CLASS",
@@ -155,25 +155,17 @@ _FIELDS = ["band", "rate_kbps", "payload_bytes", "efficiency"]
 def write_efficiency_csv(points: Iterable[EfficiencyPoint], out) -> None:
     """CSV with fixed decimal formatting (one decimal for Kbps, six for
     efficiency) so equal inputs always produce byte-equal files."""
-    own = isinstance(out, (str, Path))
-    fh = open(out, "w", newline="") if own else out
-    try:
+    with text_stream(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(_FIELDS)
         for pt in points:
             writer.writerow(
                 [pt.band, f"{pt.rate_kbps:.1f}", pt.payload_bytes, f"{pt.efficiency:.6f}"]
             )
-    finally:
-        if own:
-            fh.close()
 
 
 def read_efficiency_csv(source) -> list[EfficiencyPoint]:
-    own = isinstance(source, (str, Path))
-    fh = open(source, newline="") if own else source
-    try:
-        reader = csv.DictReader(fh)
+    with text_stream(source, "r") as fh:
         return [
             EfficiencyPoint(
                 row["band"],
@@ -181,8 +173,5 @@ def read_efficiency_csv(source) -> list[EfficiencyPoint]:
                 int(row["payload_bytes"]),
                 float(row["efficiency"]),
             )
-            for row in reader
+            for row in csv.DictReader(fh)
         ]
-    finally:
-        if own:
-            fh.close()

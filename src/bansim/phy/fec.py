@@ -1,17 +1,16 @@
-"""Block coding modeled as rate expansion with pluggable parity.
+"""Block coding modeled as rate expansion with checksum parity.
 
 Only the (n, k) geometry matters to the rest of the stack: k information
 bits expand to an n-bit codeword, the last block zero-padded to a whole
-codeword. The (n - k) parity bits come from an injectable function; the
-default is a 12-bit checksum per codeword, which makes every single-bit
-corruption of a codeword detectable. Decoding is detect-only: a parity
-mismatch raises, nothing is corrected.
+codeword. The (n - k) parity bits are a 12-bit checksum of the codeword's
+information bits, which makes every single-bit corruption of a codeword
+detectable. Decoding is detect-only: a parity mismatch raises, nothing is
+corrected.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -22,16 +21,14 @@ from bansim.phy.checksums import crc12_bits
 __all__ = ["BlockCode", "crc_parity", "encode_blocks", "decode_blocks", "coded_length"]
 
 # (n, k) code geometry; both stack codes have n - k = 12, which is why a
-# 12-bit checksum can serve as the default parity for either.
+# 12-bit checksum serves as the parity for either.
 BlockCode = tuple[int, int]
-
-ParityFn = Callable[[np.ndarray, int], np.ndarray]
 
 
 def crc_parity(info_bits: np.ndarray, width: int) -> np.ndarray:
-    """Default parity: a `width`-bit checksum of the information bits."""
+    """Codeword parity: a 12-bit checksum of the information bits."""
     if width != 12:
-        raise ValueError(f"default parity is 12 bits wide, codeword needs {width}")
+        raise ValueError(f"parity is 12 bits wide, codeword needs {width}")
     return int_to_bits(crc12_bits(int(b) for b in info_bits), 12)
 
 
@@ -41,9 +38,7 @@ def coded_length(info_bit_count: int, code: BlockCode) -> int:
     return math.ceil(info_bit_count / k) * n if info_bit_count else 0
 
 
-def encode_blocks(
-    bits: np.ndarray, code: BlockCode, parity: ParityFn = crc_parity
-) -> np.ndarray:
+def encode_blocks(bits: np.ndarray, code: BlockCode) -> np.ndarray:
     """Expand information bits into n-bit codewords.
 
     The final partial block is padded with zero bits up to k before its
@@ -63,13 +58,11 @@ def encode_blocks(
         if n == k:
             blocks.append(info)
         else:
-            blocks.append(np.concatenate([info, parity(info, n - k)]))
+            blocks.append(np.concatenate([info, crc_parity(info, n - k)]))
     return np.concatenate(blocks)
 
 
-def decode_blocks(
-    image: np.ndarray, code: BlockCode, info_bit_count: int, parity: ParityFn = crc_parity
-) -> np.ndarray:
+def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np.ndarray:
     """Recover information bits, validating parity and pad bits.
 
     `info_bit_count` is the true payload size; capacity bits beyond it in
@@ -88,7 +81,7 @@ def decode_blocks(
     for idx, off in enumerate(range(0, len(image), n)):
         word = image[off : off + n]
         info = word[:k]
-        if n > k and not np.array_equal(word[k:], parity(info, n - k)):
+        if n > k and not np.array_equal(word[k:], crc_parity(info, n - k)):
             raise CodewordError(f"parity mismatch in codeword {idx}")
         out.append(info)
     info_bits = np.concatenate(out) if out else np.zeros(0, dtype=np.uint8)

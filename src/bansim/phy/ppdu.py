@@ -9,22 +9,25 @@ header carries the body length, so a parser given the operating config can
 recover every field and validate the frame end to end. Decoding is
 detect-only: any inconsistency raises a distinct FrameError subclass.
 
-Sync patterns, shown here in build order:
+The families differ only in data, held in one format table (`_FORMATS`)
+that a single build, parse and hexdump walk:
 
-* narrowband: a 90-bit pseudo-noise preamble, no delimiter;
-* pulse radio: four repetitions of spreading code 0 followed by one
-  complemented copy as the start-frame delimiter;
-* body-coupled: a 32-bit preamble unit sent exactly four times, then one
-  16-bit delimiter.
-
-The patterns are fixed constants of this implementation (the frame format
-requires fixed patterns without prescribing them); builders and parsers
-accept replacements for experimentation.
+* sync: a preamble unit sent a fixed number of times, then an optional
+  start-frame delimiter. Narrowband sends a 90-bit pseudo-noise preamble
+  once, with no delimiter; pulse radio sends spreading code 0 four times,
+  then its complement as the delimiter; body-coupled sends a 32-bit unit
+  four times, then a 16-bit delimiter. The patterns are fixed constants of
+  this implementation (the frame format requires fixed patterns without
+  prescribing them).
+* header: a (field, width) layout, MSB first. Unnamed entries are reserved
+  or pad bits sent as zero; pulse radio rejects set pad bits, narrowband
+  covers its reserved bits only by the 4-bit check that follows its layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +74,6 @@ MAC_HEADER_LEN = 7
 FCS_LEN = 2
 MAX_BODY_LEN = 255
 
-# Information bits carried by each PHY header (check/pad bits included).
-HEADER_INFO_BITS = {PhyKind.NB: 19, PhyKind.UWB: 16, PhyKind.HBC: 11}
-
 # Narrowband sync: the first 90 bits of the degree-7 maximal sequence.
 NB_PREAMBLE = mseq(7, (7, 1), 0b1111111)[:90].copy()
 
@@ -87,26 +87,27 @@ HBC_PREAMBLE_UNIT = np.concatenate([mseq(5, (5, 2), 0b11111), [0]]).astype(np.ui
 HBC_SFD = np.concatenate([mseq(4, (4, 1), 0b1111), [1]]).astype(np.uint8)
 
 
+# PHY header fields (`length` counts body bytes); widths and order: `_FORMATS`.
 @dataclass(frozen=True)
 class NbPlcpHeader:
-    rate_index: int  # 3 bits
-    length: int  # 8 bits, body byte count
-    scrambler: int  # 1 bit
-    burst_mode: int  # 1 bit
-    hcs: int  # 4-bit check over the 15 bits above + 2 reserved
+    rate_index: int
+    length: int
+    scrambler: int
+    burst_mode: int
+    hcs: int  # 4-bit check over the 15 layout bits, reserved bits included
 
 
 @dataclass(frozen=True)
 class UwbPhr:
-    rate_index: int  # 4 bits
-    length: int  # 8 bits
-    scrambler_seed: int  # 2 bits
+    rate_index: int
+    length: int
+    scrambler_seed: int
 
 
 @dataclass(frozen=True)
 class HbcPhyHeader:
-    length: int  # 8 bits
-    rate_index: int  # 3 bits
+    length: int
+    rate_index: int
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,42 @@ class Ppdu:
     @property
     def psdu_bytes(self) -> bytes:
         return self.mac_header + self.body + self.fcs.to_bytes(FCS_LEN, "big")
+
+
+@dataclass(frozen=True)
+class _Format:
+    """One signal family's frame format, walked by the shared codec."""
+
+    unit: np.ndarray  # preamble unit, sent `reps` times
+    reps: int
+    sfd: np.ndarray  # start-frame delimiter; empty when the family has none
+    layout: tuple[tuple[str | None, int], ...]  # header (field, width); None: sent as 0
+    crc4: bool  # a 4-bit check `hcs` over the layout bits follows them
+    zero_pad: bool  # the None bits must read zero on parse
+    header: type
+
+    @cached_property
+    def info_bits(self) -> int:
+        return sum(width for _, width in self.layout) + 4 * self.crc4
+
+
+_FORMATS = {
+    PhyKind.NB: _Format(
+        NB_PREAMBLE, 1, np.zeros(0, dtype=np.uint8),
+        (("rate_index", 3), ("length", 8), ("scrambler", 1), ("burst_mode", 1), (None, 2)),
+        crc4=True, zero_pad=False, header=NbPlcpHeader,
+    ),
+    PhyKind.UWB: _Format(
+        UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS, UWB_SFD,
+        (("rate_index", 4), ("length", 8), ("scrambler_seed", 2), (None, 2)),
+        crc4=False, zero_pad=True, header=UwbPhr,
+    ),
+    PhyKind.HBC: _Format(
+        HBC_PREAMBLE_UNIT, HBC_PREAMBLE_REPS, HBC_SFD,
+        (("length", 8), ("rate_index", 3)),
+        crc4=False, zero_pad=False, header=HbcPhyHeader,
+    ),
+}
 
 
 def _check_psdu_args(mac_header: bytes, body: bytes) -> None:
@@ -183,255 +220,150 @@ def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
     return bits[offset : offset + count]
 
 
-# ---------------------------------------------------------------- narrowband
+# -------------------------------------------------------------------- codec
+
+
+def _format(kind: PhyKind, cfg: PhyConfig) -> _Format:
+    if cfg.kind != kind:
+        raise ConfigError(f"config is {cfg.kind.value}, not {kind.value}")
+    return _FORMATS[kind]
+
+
+def _preamble_label(fmt: _Format, rep: int) -> str:
+    return f"preamble block {rep + 1}/{fmt.reps}" if fmt.reps > 1 else "preamble"
+
+
+def _build(kind: PhyKind, cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
+    _check_psdu_args(mac_header, body)
+    fmt = _format(kind, cfg)
+    values = {name: fields.get(name, 0) for name, _ in fmt.layout if name}
+    values.update(rate_index=cfg.rate_index, length=len(body))
+    header_bits = np.concatenate(
+        [int_to_bits(values.get(name, 0), width) for name, width in fmt.layout]
+    )
+    if fmt.crc4:
+        values["hcs"] = crc4_bits(int(b) for b in header_bits)
+        header_bits = np.concatenate([header_bits, int_to_bits(values["hcs"], 4)])
+    fcs = crc16(mac_header + body)
+    psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
+    preamble = np.tile(fmt.unit, fmt.reps)
+    image = np.concatenate(
+        [preamble, fmt.sfd, fec.encode_blocks(header_bits, cfg.header_fec), _encode_psdu(cfg, psdu)]
+    )
+    return Ppdu(kind, preamble, fmt.sfd, fmt.header(**values), mac_header, body, fcs, image)
+
+
+def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
+    fmt = _format(kind, cfg)
+    bits = np.asarray(bits, dtype=np.uint8)
+    unit = len(fmt.unit)
+    for rep in range(fmt.reps):
+        if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
+            raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
+    off = fmt.reps * unit
+    if not np.array_equal(_take(bits, off, len(fmt.sfd), "start-frame delimiter"), fmt.sfd):
+        raise SfdMismatch("start-frame delimiter mismatch")
+    off += len(fmt.sfd)
+    n_info = fmt.info_bits
+    n_hdr = fec.coded_length(n_info, cfg.header_fec)
+    header_bits = fec.decode_blocks(_take(bits, off, n_hdr, "header"), cfg.header_fec, n_info)
+    values, pos = {}, 0
+    for name, width in fmt.layout:
+        value = bits_to_int(header_bits[pos : pos + width])
+        pos += width
+        if name:
+            values[name] = value
+        elif value and fmt.zero_pad:
+            raise HeaderCheckError("nonzero header pad bits")
+    if fmt.crc4:
+        values["hcs"] = bits_to_int(header_bits[pos:])
+        if values["hcs"] != crc4_bits(int(b) for b in header_bits[:pos]):
+            raise HeaderCheckError("header check bits mismatch")
+    header = fmt.header(**values)
+    psdu = _decode_psdu(cfg, bits[off + n_hdr :], MAC_HEADER_LEN + header.length + FCS_LEN)
+    mac_header, body, fcs = _split_psdu(psdu)
+    return Ppdu(kind, np.tile(fmt.unit, fmt.reps), fmt.sfd, header, mac_header, body, fcs, bits)
 
 
 def build_nb_ppdu(
-    cfg: PhyConfig,
-    mac_header: bytes,
-    body: bytes,
-    scrambler: int = 0,
-    burst_mode: int = 0,
-    preamble: np.ndarray = NB_PREAMBLE,
+    cfg: PhyConfig, mac_header: bytes, body: bytes, scrambler: int = 0, burst_mode: int = 0
 ) -> Ppdu:
-    _check_psdu_args(mac_header, body)
-    if cfg.kind != PhyKind.NB:
-        raise ConfigError(f"config is {cfg.kind.value}, not nb")
-    fields = np.concatenate(
-        [
-            int_to_bits(cfg.rate_index, 3),
-            int_to_bits(len(body), 8),
-            int_to_bits(scrambler, 1),
-            int_to_bits(burst_mode, 1),
-            int_to_bits(0, 2),  # reserved
-        ]
-    )
-    hcs = crc4_bits(int(b) for b in fields)
-    header_bits = np.concatenate([fields, int_to_bits(hcs, 4)])
-    fcs = crc16(mac_header + body)
-    psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
-    image = np.concatenate(
-        [preamble, fec.encode_blocks(header_bits, cfg.header_fec), _encode_psdu(cfg, psdu)]
-    )
-    header = NbPlcpHeader(cfg.rate_index, len(body), scrambler, burst_mode, hcs)
-    return Ppdu(
-        PhyKind.NB, preamble, np.zeros(0, dtype=np.uint8), header,
-        mac_header, body, fcs, image,
-    )
+    return _build(PhyKind.NB, cfg, mac_header, body, scrambler=scrambler, burst_mode=burst_mode)
 
 
-def parse_nb_ppdu(bits: np.ndarray, cfg: PhyConfig, preamble: np.ndarray = NB_PREAMBLE) -> Ppdu:
-    if cfg.kind != PhyKind.NB:
-        raise ConfigError(f"config is {cfg.kind.value}, not nb")
-    bits = np.asarray(bits, dtype=np.uint8)
-    got = _take(bits, 0, len(preamble), "preamble")
-    if not np.array_equal(got, preamble):
-        raise PreambleMismatch("sync pattern mismatch")
-    n_hdr = fec.coded_length(19, cfg.header_fec)
-    coded_header = _take(bits, len(preamble), n_hdr, "header")
-    header_bits = fec.decode_blocks(coded_header, cfg.header_fec, 19)
-    fields, hcs = header_bits[:15], bits_to_int(header_bits[15:19])
-    if hcs != crc4_bits(int(b) for b in fields):
-        raise HeaderCheckError("header check bits mismatch")
-    header = NbPlcpHeader(
-        rate_index=bits_to_int(fields[0:3]),
-        length=bits_to_int(fields[3:11]),
-        scrambler=int(fields[11]),
-        burst_mode=int(fields[12]),
-        hcs=hcs,
-    )
-    psdu_len = MAC_HEADER_LEN + header.length + FCS_LEN
-    psdu = _decode_psdu(cfg, bits[len(preamble) + n_hdr :], psdu_len)
-    mac_header, body, fcs = _split_psdu(psdu)
-    return Ppdu(
-        PhyKind.NB, preamble, np.zeros(0, dtype=np.uint8), header,
-        mac_header, body, fcs, bits,
-    )
+def parse_nb_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
+    return _parse(PhyKind.NB, bits, cfg)
 
 
-# --------------------------------------------------------------- pulse radio
-
-
-def build_uwb_ppdu(
-    cfg: PhyConfig,
-    mac_header: bytes,
-    body: bytes,
-    scrambler_seed: int = 0,
-) -> Ppdu:
-    _check_psdu_args(mac_header, body)
-    if cfg.kind != PhyKind.UWB:
-        raise ConfigError(f"config is {cfg.kind.value}, not uwb")
-    preamble = np.tile(UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS)
-    phr_bits = np.concatenate(
-        [
-            int_to_bits(cfg.rate_index, 4),
-            int_to_bits(len(body), 8),
-            int_to_bits(scrambler_seed, 2),
-            int_to_bits(0, 2),  # pad to a whole number of bytes
-        ]
-    )
-    fcs = crc16(mac_header + body)
-    psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
-    image = np.concatenate(
-        [preamble, UWB_SFD, fec.encode_blocks(phr_bits, cfg.header_fec), _encode_psdu(cfg, psdu)]
-    )
-    header = UwbPhr(cfg.rate_index, len(body), scrambler_seed)
-    return Ppdu(PhyKind.UWB, preamble, UWB_SFD, header, mac_header, body, fcs, image)
+def build_uwb_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, scrambler_seed: int = 0) -> Ppdu:
+    return _build(PhyKind.UWB, cfg, mac_header, body, scrambler_seed=scrambler_seed)
 
 
 def parse_uwb_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    if cfg.kind != PhyKind.UWB:
-        raise ConfigError(f"config is {cfg.kind.value}, not uwb")
-    bits = np.asarray(bits, dtype=np.uint8)
-    off = 0
-    for rep in range(UWB_PREAMBLE_REPS):
-        got = _take(bits, off, 63, "preamble")
-        if not np.array_equal(got, UWB_PREAMBLE_CODE):
-            raise PreambleMismatch(f"sync code repetition {rep} mismatch")
-        off += 63
-    sfd = _take(bits, off, 63, "start-frame delimiter")
-    if not np.array_equal(sfd, UWB_SFD):
-        raise SfdMismatch("start-frame delimiter mismatch")
-    off += 63
-    n_hdr = fec.coded_length(16, cfg.header_fec)
-    phr_bits = fec.decode_blocks(_take(bits, off, n_hdr, "header"), cfg.header_fec, 16)
-    off += n_hdr
-    if phr_bits[14:16].any():
-        raise HeaderCheckError("nonzero header pad bits")
-    header = UwbPhr(
-        rate_index=bits_to_int(phr_bits[0:4]),
-        length=bits_to_int(phr_bits[4:12]),
-        scrambler_seed=bits_to_int(phr_bits[12:14]),
-    )
-    psdu_len = MAC_HEADER_LEN + header.length + FCS_LEN
-    psdu = _decode_psdu(cfg, bits[off:], psdu_len)
-    mac_header, body, fcs = _split_psdu(psdu)
-    preamble = np.tile(UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS)
-    return Ppdu(PhyKind.UWB, preamble, UWB_SFD, header, mac_header, body, fcs, bits)
-
-
-# -------------------------------------------------------------- body-coupled
+    return _parse(PhyKind.UWB, bits, cfg)
 
 
 def build_hbc_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
-    _check_psdu_args(mac_header, body)
-    if cfg.kind != PhyKind.HBC:
-        raise ConfigError(f"config is {cfg.kind.value}, not hbc")
-    preamble = np.tile(HBC_PREAMBLE_UNIT, HBC_PREAMBLE_REPS)
-    header_bits = np.concatenate(
-        [int_to_bits(len(body), 8), int_to_bits(cfg.rate_index, 3)]
-    )
-    fcs = crc16(mac_header + body)
-    psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
-    image = np.concatenate(
-        [preamble, HBC_SFD, fec.encode_blocks(header_bits, cfg.header_fec), _encode_psdu(cfg, psdu)]
-    )
-    header = HbcPhyHeader(len(body), cfg.rate_index)
-    return Ppdu(PhyKind.HBC, preamble, HBC_SFD, header, mac_header, body, fcs, image)
+    return _build(PhyKind.HBC, cfg, mac_header, body)
 
 
 def parse_hbc_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    if cfg.kind != PhyKind.HBC:
-        raise ConfigError(f"config is {cfg.kind.value}, not hbc")
-    bits = np.asarray(bits, dtype=np.uint8)
-    unit = len(HBC_PREAMBLE_UNIT)
-    off = 0
-    for rep in range(HBC_PREAMBLE_REPS):
-        got = _take(bits, off, unit, "preamble")
-        if not np.array_equal(got, HBC_PREAMBLE_UNIT):
-            raise PreambleMismatch(f"preamble copy {rep} mismatch")
-        off += unit
-    sfd = _take(bits, off, len(HBC_SFD), "start-frame delimiter")
-    if not np.array_equal(sfd, HBC_SFD):
-        raise SfdMismatch("start-frame delimiter mismatch")
-    off += len(HBC_SFD)
-    n_hdr = fec.coded_length(11, cfg.header_fec)
-    header_bits = fec.decode_blocks(_take(bits, off, n_hdr, "header"), cfg.header_fec, 11)
-    off += n_hdr
-    header = HbcPhyHeader(
-        length=bits_to_int(header_bits[0:8]), rate_index=bits_to_int(header_bits[8:11])
-    )
-    psdu_len = MAC_HEADER_LEN + header.length + FCS_LEN
-    psdu = _decode_psdu(cfg, bits[off:], psdu_len)
-    mac_header, body, fcs = _split_psdu(psdu)
-    preamble = np.tile(HBC_PREAMBLE_UNIT, HBC_PREAMBLE_REPS)
-    return Ppdu(PhyKind.HBC, preamble, HBC_SFD, header, mac_header, body, fcs, bits)
-
-
-# ----------------------------------------------------------------- dispatch
-
-
-_BUILDERS = {PhyKind.NB: build_nb_ppdu, PhyKind.UWB: build_uwb_ppdu, PhyKind.HBC: build_hbc_ppdu}
-_PARSERS = {PhyKind.NB: parse_nb_ppdu, PhyKind.UWB: parse_uwb_ppdu, PhyKind.HBC: parse_hbc_ppdu}
+    return _parse(PhyKind.HBC, bits, cfg)
 
 
 def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
-    return _BUILDERS[cfg.kind](cfg, mac_header, body)
+    return _build(cfg.kind, cfg, mac_header, body)
 
 
 def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    return _PARSERS[cfg.kind](bits, cfg)
+    return _parse(cfg.kind, bits, cfg)
 
 
 # ------------------------------------------------------------------ airtime
 
 
-def ppdu_airtime(ppdu: Ppdu, cfg: PhyConfig) -> AirtimeBreakdown:
+def _airtime(cfg: PhyConfig, psdu_bits: int) -> AirtimeBreakdown:
     """Transmission time split by region, in microseconds.
 
     Sync symbols go out at the raw symbol rate; header and frame regions
     take information_bits / information_rate, so coding and spreading
     stretch them through the rate, not through the bit image.
     """
+    return AirtimeBreakdown(
+        preamble_us=cfg.preamble_symbols / cfg.symbol_rate * 1000.0,
+        header_us=_FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0,
+        psdu_us=psdu_bits / info_data_rate(cfg, "psdu") * 1000.0,
+    )
+
+
+def ppdu_airtime(ppdu: Ppdu, cfg: PhyConfig) -> AirtimeBreakdown:
+    """Transmission time of a built frame, split by region."""
     if ppdu.kind != cfg.kind:
         raise ConfigError(f"frame is {ppdu.kind.value}, config is {cfg.kind.value}")
-    sync_symbols = len(ppdu.preamble_bits) + len(ppdu.sfd_bits)
-    return AirtimeBreakdown(
-        preamble_us=sync_symbols / cfg.symbol_rate * 1000.0,
-        header_us=HEADER_INFO_BITS[cfg.kind] / info_data_rate(cfg, "header") * 1000.0,
-        psdu_us=len(ppdu.psdu_bytes) * 8 / info_data_rate(cfg, "psdu") * 1000.0,
-    )
+    return _airtime(cfg, len(ppdu.psdu_bytes) * 8)
 
 
 def frame_airtime_us(cfg: PhyConfig, body_len: int) -> float:
     """Airtime of a frame with `body_len` body bytes, without building it."""
     if body_len < 0 or body_len > MAX_BODY_LEN:
         raise FrameTooLong(f"body of {body_len} bytes exceeds {MAX_BODY_LEN}")
-    psdu_bits = (MAC_HEADER_LEN + body_len + FCS_LEN) * 8
-    return (
-        cfg.preamble_symbols / cfg.symbol_rate * 1000.0
-        + HEADER_INFO_BITS[cfg.kind] / info_data_rate(cfg, "header") * 1000.0
-        + psdu_bits / info_data_rate(cfg, "psdu") * 1000.0
-    )
+    return _airtime(cfg, (MAC_HEADER_LEN + body_len + FCS_LEN) * 8).total_us
 
 
 # ------------------------------------------------------------------ hexdump
 
 
-_PREAMBLE_REPS = {PhyKind.UWB: UWB_PREAMBLE_REPS, PhyKind.HBC: HBC_PREAMBLE_REPS}
-
-
 def _regions(ppdu: Ppdu, cfg: PhyConfig) -> list[tuple[str, np.ndarray]]:
-    pre = len(ppdu.preamble_bits)
-    sfd = len(ppdu.sfd_bits)
-    n_hdr = fec.coded_length(HEADER_INFO_BITS[cfg.kind], cfg.header_fec)
-    bits = ppdu.bits
-    reps = _PREAMBLE_REPS.get(cfg.kind, 1)
-    if reps > 1:
-        unit = pre // reps
-        out = [
-            (f"preamble block {i + 1}/{reps}", bits[i * unit : (i + 1) * unit])
-            for i in range(reps)
-        ]
-    else:
-        out = [("preamble", bits[:pre])]
-    off = pre
+    fmt = _FORMATS[cfg.kind]
+    bits, unit, sfd = ppdu.bits, len(fmt.unit), len(fmt.sfd)
+    out = [(_preamble_label(fmt, i), bits[i * unit : (i + 1) * unit]) for i in range(fmt.reps)]
+    off = fmt.reps * unit
     if sfd:
         out.append(("sfd", bits[off : off + sfd]))
         off += sfd
-    out.append((f"phy_header ({HEADER_INFO_BITS[cfg.kind]} info bits)", bits[off : off + n_hdr]))
-    off += n_hdr
-    out.append((f"psdu ({len(ppdu.psdu_bytes)} bytes coded)", bits[off:]))
+    n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
+    out.append((f"phy_header ({fmt.info_bits} info bits)", bits[off : off + n_hdr]))
+    out.append((f"psdu ({len(ppdu.psdu_bytes)} bytes coded)", bits[off + n_hdr :]))
     return out
 
 

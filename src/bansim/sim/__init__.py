@@ -2,7 +2,6 @@
 
 from bansim.sim.kernel import (
     EventKind,
-    SimEvent,
     Simulation,
     run,
     run_to_files,
@@ -28,7 +27,6 @@ __all__ = [
     "STATS_FIELDS",
     "Scenario",
     "SecuritySpec",
-    "SimEvent",
     "Simulation",
     "load_scenario",
     "parse_scenario",

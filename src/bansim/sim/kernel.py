@@ -66,7 +66,7 @@ from bansim.security import (
 from bansim.sim.scenario import NodeSpec, Scenario, SecuritySpec
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 
-__all__ = ["EventKind", "SimEvent", "Simulation", "run", "run_to_files", "write_trace"]
+__all__ = ["EventKind", "Simulation", "run", "run_to_files", "write_trace"]
 
 BEACON_BODY_LEN = 17
 HUB_ID = "hub"
@@ -75,20 +75,11 @@ HUB_ID = "hub"
 class EventKind(Enum):
     PHASE_START = auto()
     SLOT_TICK = auto()
-    TX_START = auto()
     TX_END = auto()
     ACK_DUE = auto()
     POLL_GRANT = auto()
     BEACON_TX = auto()
     TRAFFIC_ARRIVAL = auto()
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time_us: int
-    sequence: int
-    kind: EventKind
-    data: tuple = ()
 
 
 def _round_us(t: float) -> int:
@@ -431,7 +422,7 @@ class Simulation:
         assert t <= exchange.phase_end, "transmission crossed its phase boundary"
         self._emit(t, node_id, "tx_end", node.backoff, exchange.kind)
         node.stats.tx_airtime_us += node.airtime_us
-        self.stats.busy_us += node.airtime_us
+        self.stats.add_busy(node.airtime_us)
         if exchange.collided:
             timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
             exchange.max_end = max(exchange.max_end, timeout)
@@ -446,7 +437,7 @@ class Simulation:
         node = self.nodes[node_id]
         t = self.now
         if outcome == "ack":
-            self.stats.busy_us += self.ack_airtime_us
+            self.stats.add_busy(self.ack_airtime_us)
             self.stats.ack_airtime_us += self.ack_airtime_us
             self._emit(t, node_id, "ack", node.backoff, exchange.kind)
             self._push(t + self.ack_int, EventKind.ACK_DUE, (node_id, "success"))
@@ -510,7 +501,7 @@ class Simulation:
 
     def _on_beacon(self) -> None:
         t = self.now
-        self.stats.busy_us += self.beacon_airtime_us
+        self.stats.add_busy(self.beacon_airtime_us)
         self.stats.beacon_airtime_us += self.beacon_airtime_us
         self.stats.beacons += 1
         self._emit(t, HUB_ID, "tx_start", self._hub_state, PhaseKind.BEACON)

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
-from pathlib import Path
+
+from bansim.errors import SimulationError
+from bansim.textio import text_stream
 
 __all__ = ["NodeStats", "RunStats", "STATS_FIELDS", "write_stats_csv"]
 
@@ -42,6 +45,11 @@ class RunStats:
     ack_airtime_us: float = 0.0
     beacon_airtime_us: float = 0.0
     beacons: int = 0
+    transmissions: int = 0  # airtimes summed into busy_us
+
+    def add_busy(self, airtime_us: float) -> None:
+        self.busy_us += airtime_us
+        self.transmissions += 1
 
     @property
     def idle_us(self) -> float:
@@ -73,17 +81,26 @@ class RunStats:
 
     def check_conservation(self) -> None:
         """Channel-busy time must equal the sum of all transmission
-        airtimes, and no frame may be both delivered and still queued."""
+        airtimes, and no frame may be both delivered and still queued.
+
+        Both sides sum the same airtimes in different orders. A running sum
+        over k additions is within k * eps/2 * S of the exact total S, so
+        they may differ by k * eps * S, where k counts the transmissions
+        plus the additions that join the per-node, ack and beacon sums. The
+        tolerance is twice that, to cover second-order terms.
+        """
         total = (
             sum(n.tx_airtime_us for n in self.nodes.values())
             + self.ack_airtime_us
             + self.beacon_airtime_us
         )
-        if abs(total - self.busy_us) > 1e-6:
-            raise AssertionError(f"busy {self.busy_us} != airtime sum {total}")
+        additions = self.transmissions + len(self.nodes) + 2
+        tolerance = 2 * additions * sys.float_info.epsilon * max(total, self.busy_us)
+        if abs(total - self.busy_us) > tolerance:
+            raise SimulationError(f"busy {self.busy_us} != airtime sum {total}")
         for n in self.nodes.values():
             if n.delivered + n.queued != n.offered:
-                raise AssertionError(
+                raise SimulationError(
                     f"{n.node_id}: delivered {n.delivered} + queued {n.queued} "
                     f"!= offered {n.offered}"
                 )
@@ -110,9 +127,7 @@ STATS_FIELDS = [
 def write_stats_csv(stats: RunStats, out) -> None:
     """One row per node plus an aggregate row named `all`. Fixed decimal
     formatting keeps equal runs byte-identical."""
-    own = isinstance(out, (str, Path))
-    fh = open(out, "w", newline="") if own else out
-    try:
+    with text_stream(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(STATS_FIELDS)
         for node_id in sorted(stats.nodes):
@@ -155,6 +170,3 @@ def write_stats_csv(stats: RunStats, out) -> None:
                 stats.elapsed_us,
             ]
         )
-    finally:
-        if own:
-            fh.close()
