@@ -1,10 +1,13 @@
 """Bit-array helpers shared by the frame codecs.
 
 Frames are manipulated as numpy uint8 arrays of 0/1 values, MSB first
-within every field and every byte.
+within every field and every byte. Integers pass through their big-endian
+bytes and numpy's `unpackbits`/`packbits`, with no per-bit Python loop.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -15,26 +18,22 @@ def int_to_bits(value: int, width: int) -> np.ndarray:
     """Unsigned value as `width` bits, MSB first."""
     if value < 0 or value >= (1 << width):
         raise ValueError(f"value {value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
+    n_bytes = (width + 7) // 8
+    data = operator.index(value).to_bytes(n_bytes, "big")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[8 * n_bytes - width :]
 
 
 def bits_to_int(bits: np.ndarray) -> int:
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+    """Unsigned value of a bit sequence, MSB first."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
 
 
 def bytes_to_bits(data: bytes) -> np.ndarray:
-    if not data:
-        return np.zeros(0, dtype=np.uint8)
-    arr = np.frombuffer(data, dtype=np.uint8)
-    return np.unpackbits(arr)
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
 def bits_to_bytes(bits: np.ndarray) -> bytes:
     if len(bits) % 8:
         raise ValueError(f"bit count {len(bits)} is not a whole number of bytes")
-    if len(bits) == 0:
-        return b""
     return np.packbits(bits.astype(np.uint8)).tobytes()

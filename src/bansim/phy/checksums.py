@@ -1,14 +1,16 @@
 """Error-detection checksums used across the frame formats.
 
-Three generators, all bitwise MSB-first with no reflection:
+Three generators, all MSB-first with no reflection:
 
-* 16-bit frame check over the MAC frame body (poly 0x1021, init 0xFFFF),
+* 16-bit frame check over the MAC frame body (CRC-CCITT: poly 0x1021,
+  init 0xFFFF), computed by the standard library's C `binascii.crc_hqx`,
 * 4-bit header check folded into PLCP headers (ITU poly x^4 + x + 1),
 * 12-bit per-codeword parity used by the block coder (poly 0x80F).
 """
 
 from __future__ import annotations
 
+import binascii
 from typing import Iterable
 
 __all__ = ["crc16", "crc4_bits", "crc12_bits"]
@@ -16,15 +18,7 @@ __all__ = ["crc16", "crc4_bits", "crc12_bits"]
 
 def crc16(data: bytes) -> int:
     """16-bit FCS over a byte string. crc16(b"123456789") == 0x29B1."""
-    reg = 0xFFFF
-    for byte in data:
-        reg ^= byte << 8
-        for _ in range(8):
-            if reg & 0x8000:
-                reg = ((reg << 1) ^ 0x1021) & 0xFFFF
-            else:
-                reg = (reg << 1) & 0xFFFF
-    return reg
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 def _crc_bits(bits: Iterable[int], width: int, poly: int) -> int:

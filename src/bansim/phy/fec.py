@@ -2,34 +2,54 @@
 
 Only the (n, k) geometry matters to the rest of the stack: k information
 bits expand to an n-bit codeword, the last block zero-padded to a whole
-codeword. The (n - k) parity bits are a 12-bit checksum of the codeword's
-information bits, which makes every single-bit corruption of a codeword
-detectable. Decoding is detect-only: a parity mismatch raises, nothing is
-corrected.
+codeword. The n - k = 12 parity bits (none when n == k) are the 12-bit
+checksum `crc12_bits` of the codeword's information bits, which makes
+every single-bit corruption of a codeword detectable. Decoding is
+detect-only: a parity mismatch raises, nothing is corrected.
+
+That checksum has init 0 and no final XOR, so it is linear over GF(2): the
+parity of information row u is u @ G mod 2, where row i of the k x 12
+generator matrix G is the checksum of unit vector i. Both directions
+reshape the bits to (blocks, k) and take every parity row in one product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from bansim.errors import CodewordError, TruncatedFrame
+from bansim.errors import CodewordError, ConfigError, TruncatedFrame
 from bansim.phy.bitfields import int_to_bits
 from bansim.phy.checksums import crc12_bits
 
-__all__ = ["BlockCode", "crc_parity", "encode_blocks", "decode_blocks", "coded_length"]
+__all__ = ["BlockCode", "encode_blocks", "decode_blocks", "coded_length"]
 
-# (n, k) code geometry; both stack codes have n - k = 12, which is why a
-# 12-bit checksum serves as the parity for either.
-BlockCode = tuple[int, int]
+BlockCode = tuple[int, int]  # (n, k)
+PARITY_BITS = 12
 
 
-def crc_parity(info_bits: np.ndarray, width: int) -> np.ndarray:
-    """Codeword parity: a 12-bit checksum of the information bits."""
-    if width != 12:
-        raise ValueError(f"parity is 12 bits wide, codeword needs {width}")
-    return int_to_bits(crc12_bits(int(b) for b in info_bits), 12)
+def _check_code(code: BlockCode) -> BlockCode:
+    n, k = code
+    if k < 1 or n - k not in (0, PARITY_BITS):
+        raise ConfigError(f"block code ({n},{k}) needs k >= 1 and n - k of 0 or {PARITY_BITS}")
+    return n, k
+
+
+@functools.cache
+def _generator(k: int) -> np.ndarray:
+    """k x 12 GF(2) generator: row i is the parity of unit vector i. float32
+    lets the product run in BLAS, and its sums of at most k ones are exact."""
+    rows = [int_to_bits(crc12_bits(unit.tolist()), PARITY_BITS) for unit in np.eye(k, dtype=int)]
+    matrix = np.array(rows, dtype=np.float32)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _parity(info: np.ndarray) -> np.ndarray:
+    """Parity rows of a (blocks, k) information matrix."""
+    return ((info @ _generator(info.shape[1])) % 2).astype(np.uint8)
 
 
 def coded_length(info_bit_count: int, code: BlockCode) -> int:
@@ -44,47 +64,32 @@ def encode_blocks(bits: np.ndarray, code: BlockCode) -> np.ndarray:
     The final partial block is padded with zero bits up to k before its
     parity is computed; the pad is checked on decode.
     """
-    n, k = code
-    if n < k or k < 1:
-        raise ValueError(f"bad code geometry ({n},{k})")
+    n, k = _check_code(code)
     bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) == 0:
-        return np.zeros(0, dtype=np.uint8)
-    blocks = []
-    for off in range(0, len(bits), k):
-        info = bits[off : off + k]
-        if len(info) < k:
-            info = np.concatenate([info, np.zeros(k - len(info), dtype=np.uint8)])
-        if n == k:
-            blocks.append(info)
-        else:
-            blocks.append(np.concatenate([info, crc_parity(info, n - k)]))
-    return np.concatenate(blocks)
+    info = np.concatenate([bits, np.zeros(-len(bits) % k, dtype=np.uint8)]).reshape(-1, k)
+    return (np.concatenate([info, _parity(info)], axis=1) if n > k else info).ravel()
 
 
 def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np.ndarray:
     """Recover information bits, validating parity and pad bits.
 
     `info_bit_count` is the true payload size; capacity bits beyond it in
-    the final codeword must be zero.
+    the final codeword must be zero. Parity errors name the first bad codeword.
     """
-    n, k = code
+    n, k = _check_code(code)
     image = np.asarray(image, dtype=np.uint8)
     expected = coded_length(info_bit_count, code)
     if len(image) < expected:
-        raise TruncatedFrame(
-            f"coded region holds {len(image)} bits, needs {expected}"
-        )
+        raise TruncatedFrame(f"coded region holds {len(image)} bits, needs {expected}")
     if len(image) > expected:
         raise CodewordError(f"coded region holds {len(image)} bits, expected {expected}")
-    out = []
-    for idx, off in enumerate(range(0, len(image), n)):
-        word = image[off : off + n]
-        info = word[:k]
-        if n > k and not np.array_equal(word[k:], crc_parity(info, n - k)):
-            raise CodewordError(f"parity mismatch in codeword {idx}")
-        out.append(info)
-    info_bits = np.concatenate(out) if out else np.zeros(0, dtype=np.uint8)
+    words = image.reshape(-1, n)
+    info = words[:, :k]
+    if n > k:
+        bad = np.flatnonzero((words[:, k:] != _parity(info)).any(axis=1))
+        if len(bad):
+            raise CodewordError(f"parity mismatch in codeword {bad[0]}")
+    info_bits = info.flatten()
     if info_bits[info_bit_count:].any():
         raise CodewordError("nonzero pad bits in final codeword")
     return info_bits[:info_bit_count]

@@ -416,10 +416,12 @@ class Simulation:
 
     def _on_tx_end(self, node_id: str) -> None:
         exchange = self.exchange
-        assert exchange is not None, "transmission ended outside an exchange"
+        if exchange is None:
+            raise SimulationError("transmission ended outside an exchange")
         node = self.nodes[node_id]
         t = self.now
-        assert t <= exchange.phase_end, "transmission crossed its phase boundary"
+        if t > exchange.phase_end:
+            raise SimulationError("transmission crossed its phase boundary")
         self._emit(t, node_id, "tx_end", node.backoff, exchange.kind)
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
@@ -433,7 +435,8 @@ class Simulation:
 
     def _on_ack_due(self, node_id: str, outcome: str) -> None:
         exchange = self.exchange
-        assert exchange is not None, "acknowledgement due outside an exchange"
+        if exchange is None:
+            raise SimulationError("acknowledgement due outside an exchange")
         node = self.nodes[node_id]
         t = self.now
         if outcome == "ack":
@@ -462,7 +465,8 @@ class Simulation:
         wire = exchange.wires.get(node.spec.node_id)
         if wire is not None:
             body = admit_frame(wire, node.session)
-            assert body == bytes(node.spec.payload_bytes), "secured round trip altered the body"
+            if body != bytes(node.spec.payload_bytes):
+                raise SimulationError("secured round trip altered the body")
         stats = node.stats
         stats.delivered += 1
         stats.payload_bits += 8 * node.spec.payload_bytes

@@ -119,6 +119,8 @@ _MODES = {
 }
 
 _SECTIONS = ("phy", "superframe", "csma", "nodes", "security", "run")
+# Smallest legal value of each allocation key that has one (offset has none).
+_ALLOCATION_MINIMA = {"slot_start": 0, "slot_len": 1, "period": 1}
 
 
 def _fail(line: int, message: str) -> ScenarioError:
@@ -134,9 +136,12 @@ def _to_int(raw: str, line: int, key: str) -> int:
 
 def _to_float(raw: str, line: int, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise _fail(line, f"{key} wants a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise _fail(line, f"{key} wants a finite number, got {raw!r}")
+    return value
 
 
 def _to_bool(raw: str, line: int, key: str) -> bool:
@@ -201,6 +206,9 @@ def _parse_node(node_id: str, raw: str, line: int) -> NodeSpec:
             spec["access"] = value
         elif key in ("slot_start", "slot_len", "period", "offset"):
             spec[key] = _to_int(value, line, key)
+            low = _ALLOCATION_MINIMA.get(key)
+            if low is not None and spec[key] < low:
+                raise _fail(line, f"{key} must be at least {low}, got {spec[key]}")
         else:
             raise _fail(line, f"unknown node key {key!r}")
     return NodeSpec(**spec)

@@ -52,3 +52,24 @@ def test_crc12_single_bit_flip_always_detected():
                 flipped = list(bits)
                 flipped[i] ^= 1
                 assert crc12_bits(flipped) != base
+
+
+def reference_crc16(data: bytes) -> int:
+    """Bitwise CRC-CCITT (poly 0x1021, init 0xFFFF, MSB first), the loop
+    the C implementation behind `crc16` replaced."""
+    reg = 0xFFFF
+    for byte in data:
+        reg ^= byte << 8
+        for _ in range(8):
+            reg = ((reg << 1) ^ 0x1021) & 0xFFFF if reg & 0x8000 else (reg << 1) & 0xFFFF
+    return reg
+
+
+def test_crc16_equals_the_bitwise_reference():
+    assert reference_crc16(b"123456789") == crc16(b"123456789") == 0x29B1
+    rng = random.Random(22)
+    for length in list(range(0, 20)) + [rng.randrange(270) for _ in range(300)] + [269]:
+        data = rng.randbytes(length)
+        assert crc16(data) == reference_crc16(data)
+    for data in (b"", b"\x00" * 64, b"\xff" * 64, bytes(range(256))):
+        assert crc16(data) == reference_crc16(data)

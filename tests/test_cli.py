@@ -201,3 +201,22 @@ class TestSimulate:
         scn.write_text("[phy]\nkind = nb\nantenna = dish\n")
         assert main(["simulate", str(scn)]) == 1
         assert "line 3" in capsys.readouterr().err
+
+
+class TestScenarioDiagnostics:
+    NODE = "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\nn0 = {}\n[run]\nduration_ms = 100\n"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "traffic=poisson:nan",
+            "traffic=poisson:inf",
+            "access=scheduled, slot_start=10, slot_len=0",
+        ],
+    )
+    def test_bad_value_fails_with_kind_and_line(self, entry, tmp_path, capsys):
+        # poisson:inf used to hang and the others to print a bare message.
+        scn = tmp_path / "bad.scn"
+        scn.write_text(self.NODE.format(entry))
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ScenarioError: line 5: ")

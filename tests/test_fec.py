@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from bansim.errors import CodewordError, TruncatedFrame
+from bansim.errors import CodewordError, ConfigError, TruncatedFrame
+from bansim.phy.checksums import crc12_bits
 from bansim.phy.fec import coded_length, decode_blocks, encode_blocks
 
 
@@ -77,3 +78,126 @@ def test_identity_code_is_a_passthrough():
     image = encode_blocks(bits, (63, 63))
     assert np.array_equal(image, bits)
     assert np.array_equal(decode_blocks(image, (63, 63), 63), bits)
+
+
+# ---------------------------------------------------- reference equality
+#
+# The coder computes every codeword's parity in one GF(2) matrix product.
+# These references are the per-codeword loop it replaced: pad, then append
+# `crc12_bits` of each information word. Outputs must be exactly equal.
+
+CODES = [(31, 19), (63, 51), (63, 63)]
+
+
+def reference_encode(bits, code):
+    n, k = code
+    bits = [int(b) for b in bits]
+    out = []
+    for off in range(0, len(bits), k):
+        info = bits[off : off + k]
+        info += [0] * (k - len(info))
+        out += info
+        if n > k:
+            parity = crc12_bits(info)
+            out += [(parity >> (n - k - 1 - i)) & 1 for i in range(n - k)]
+    return np.array(out, dtype=np.uint8)
+
+
+def reference_decode(image, code, info_bit_count):
+    n, k = code
+    image = [int(b) for b in image]
+    expected = math.ceil(info_bit_count / k) * n if info_bit_count else 0
+    if len(image) < expected:
+        raise TruncatedFrame(f"coded region holds {len(image)} bits, needs {expected}")
+    if len(image) > expected:
+        raise CodewordError(f"coded region holds {len(image)} bits, expected {expected}")
+    info_bits = []
+    for idx, off in enumerate(range(0, len(image), n)):
+        word = image[off : off + n]
+        if n > k:
+            parity = crc12_bits(word[:k])
+            if word[k:] != [(parity >> (n - k - 1 - i)) & 1 for i in range(n - k)]:
+                raise CodewordError(f"parity mismatch in codeword {idx}")
+        info_bits += word[:k]
+    if any(info_bits[info_bit_count:]):
+        raise CodewordError("nonzero pad bits in final codeword")
+    return np.array(info_bits[:info_bit_count], dtype=np.uint8)
+
+
+def outcome(fn, *args):
+    """The result array, or the error class and message it raised."""
+    try:
+        result = fn(*args)
+    except (CodewordError, TruncatedFrame) as exc:
+        return type(exc), str(exc)
+    return result.dtype, result.tolist()
+
+
+def reference_lengths(code, rng):
+    k = code[1]
+    return [0, 1, k - 1, k, k + 1] + [rng.randrange(400) for _ in range(20)]
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_encode_equals_the_per_codeword_loop(code):
+    rng = random.Random(f"ref-encode-{code}")
+    for n_bits in reference_lengths(code, rng):
+        bits = random_bits(rng, n_bits)
+        assert outcome(encode_blocks, bits, code) == outcome(reference_encode, bits, code)
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_decode_equals_the_per_codeword_loop(code):
+    rng = random.Random(f"ref-decode-{code}")
+    for n_bits in reference_lengths(code, rng):
+        image = reference_encode(random_bits(rng, n_bits), code)
+        cases = [image, image[:-1], np.concatenate([image, [0]])]
+        if len(image):
+            flipped = image.copy()
+            flipped[rng.randrange(len(image))] ^= 1
+            cases.append(flipped)
+        for case in cases:
+            assert outcome(decode_blocks, case, code, n_bits) == outcome(
+                reference_decode, case, code, n_bits
+            )
+
+
+@pytest.mark.parametrize("code", [(31, 19), (63, 51)])
+def test_several_corrupted_codewords_name_the_first(code):
+    n, k = code
+    rng = random.Random(f"ref-multi-{code}")
+    n_bits = 9 * k - 3
+    image = encode_blocks(random_bits(rng, n_bits), code)
+    for _ in range(20):
+        bad_words = sorted(rng.sample(range(9), rng.randrange(2, 5)))
+        mutated = image.copy()
+        for word in bad_words:
+            mutated[word * n + rng.randrange(n)] ^= 1
+        with pytest.raises(CodewordError) as info:
+            decode_blocks(mutated, code, n_bits)
+        assert str(info.value) == f"parity mismatch in codeword {bad_words[0]}"
+        assert outcome(decode_blocks, mutated, code, n_bits) == outcome(
+            reference_decode, mutated, code, n_bits
+        )
+
+
+def test_pad_check_runs_after_every_parity_check():
+    # A forged final word with valid parity but set pad bits, and a corrupt
+    # first word: the parity failure is reported, as the loop did.
+    code = (63, 51)
+    padded = np.concatenate([random_bits(random.Random(6), 60), np.zeros(42, dtype=np.uint8)])
+    padded[-1] = 1
+    forged = encode_blocks(padded, code)
+    assert outcome(decode_blocks, forged, code, 60) == (CodewordError, "nonzero pad bits in final codeword")
+    forged[0] ^= 1
+    assert outcome(decode_blocks, forged, code, 60) == (CodewordError, "parity mismatch in codeword 0")
+    assert outcome(decode_blocks, forged, code, 60) == outcome(reference_decode, forged, code, 60)
+
+
+@pytest.mark.parametrize("code", [(40, 19), (63, 52), (19, 31), (12, 0), (0, 0)])
+def test_bad_geometry_is_a_config_error_even_without_data(code):
+    for bits in (np.zeros(0, dtype=np.uint8), np.ones(30, dtype=np.uint8)):
+        with pytest.raises(ConfigError):
+            encode_blocks(bits, code)
+    with pytest.raises(ConfigError):
+        decode_blocks(np.zeros(0, dtype=np.uint8), code, 0)

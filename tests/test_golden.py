@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bansim.phy.ppdu import build_ppdu
+from bansim.errors import FrameError
+from bansim.phy.ppdu import build_ppdu, parse_ppdu
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
@@ -41,6 +42,10 @@ CODEC_CONFIGS = [
 ]
 FRAMES_PER_CONFIG = 40
 IMAGES_DIGEST = "79b79c44a1a68448225cd55c6b5dec64d25da8cb4f8afa79331654970e77e82f"
+# (bit index, error class, message) of every single-bit flip and every
+# truncation of one short frame per config: pins which check fires first
+# and the codeword index that parity failures name.
+OUTCOMES_DIGEST = "a06fb326ba8381c46fe447eae4671e11c4720fe23a374adf3468493b1cf99afa"
 
 
 def _sha256(path: Path) -> str:
@@ -75,3 +80,24 @@ def test_sync_pattern_length_matches_config(cfg):
     # sync pattern the codec emits must be exactly that long.
     ppdu = build_ppdu(cfg, bytes(7), b"")
     assert len(ppdu.preamble_bits) + len(ppdu.sfd_bits) == cfg.preamble_symbols
+
+
+def _outcome(tag: str, index: int, bits: np.ndarray, cfg) -> bytes:
+    try:
+        parse_ppdu(bits, cfg)
+    except FrameError as exc:
+        return f"{tag} {index} {type(exc).__name__} {exc}\n".encode()
+    return f"{tag} {index} accepted\n".encode()
+
+
+def test_flip_and_truncation_outcomes_are_pinned():
+    h = hashlib.sha256()
+    for cfg in CODEC_CONFIGS:
+        image = build_ppdu(cfg, bytes(range(7)), b"flip").bits
+        for i in range(len(image)):
+            flipped = image.copy()
+            flipped[i] ^= 1
+            h.update(_outcome("flip", i, flipped, cfg))
+        for n in range(len(image)):
+            h.update(_outcome("cut", n, image[:n], cfg))
+    assert h.hexdigest() == OUTCOMES_DIGEST

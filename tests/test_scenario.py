@@ -357,3 +357,30 @@ class TestLoadScenario:
         path.write_text(BASIC)
         sc = load_scenario(path)
         assert sc.nodes[0].node_id == "n0"
+
+
+class TestNumericRanges:
+    NODE = "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\nn0 = {}\n"
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_nonfinite_poisson_rate_names_its_line(self, rate):
+        line, msg = error_line(self.NODE.format(f"traffic=poisson:{rate}"))
+        assert line == 5 and "finite" in msg
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_rate_override_names_its_line(self, value):
+        line, msg = error_line(f"[phy]\nrate_override_kbps = {value}\n")
+        assert line == 2 and "rate_override_kbps" in msg
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ("access=scheduled, slot_start=10, slot_len=0", "slot_len"),
+            ("access=scheduled, slot_start=10, slot_len=-2", "slot_len"),
+            ("access=scheduled, slot_start=10, slot_len=5, period=0", "period"),
+            ("access=scheduled, slot_start=-3, slot_len=5", "slot_start"),
+        ],
+    )
+    def test_allocation_geometry_rejected_at_its_line(self, entry, key):
+        line, msg = error_line(self.NODE.format(entry))
+        assert line == 5 and key in msg

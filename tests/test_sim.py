@@ -2,14 +2,19 @@
 phase containment, all three access kinds, security on the wire."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bansim
 from bansim.efficiency import analytic_efficiency, reference_configs
-from bansim.errors import ScenarioError
+from bansim.errors import ScenarioError, SimulationError
 from bansim.mac.csma import PRIORITY_TABLE
 from bansim.phy.ppdu import frame_airtime_us
-from bansim.sim.kernel import BEACON_BODY_LEN, run, run_to_files
+from bansim.sim.kernel import BEACON_BODY_LEN, Simulation, run, run_to_files
 from bansim.sim.scenario import parse_scenario
 from bansim.sim.stats import write_stats_csv
 
@@ -416,3 +421,34 @@ class TestRunToFiles:
         assert trace_path.exists()  # scenario trace path still honored
         header = cli_stats.read_text().splitlines()[0]
         assert header.startswith("node,offered,delivered")
+
+
+class TestKernelInvariants:
+    """Internal consistency checks raise SimulationError, so `python -O`
+    keeps them."""
+
+    CHECK = (
+        "from bansim.errors import SimulationError\n"
+        "from bansim.sim.kernel import Simulation\n"
+        "from bansim.sim.scenario import parse_scenario\n"
+        "sim = Simulation(parse_scenario({text!r}))\n"
+        "try:\n"
+        "    sim._on_tx_end('n0')\n"
+        "except SimulationError as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+
+    def test_tx_end_outside_an_exchange_raises(self):
+        sim = Simulation(parse_scenario(OPEN_RAP.format(payload=50, seed=1, duration_ms=10)))
+        with pytest.raises(SimulationError, match="transmission ended outside an exchange"):
+            sim._on_tx_end("n0")
+
+    def test_check_survives_optimized_mode(self):
+        src = str(Path(bansim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = self.CHECK.format(text=OPEN_RAP.format(payload=50, seed=1, duration_ms=10))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False transmission ended outside an exchange\n"
