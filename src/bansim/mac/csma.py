@@ -8,9 +8,9 @@ cannot fit one more slot plus a full frame exchange and the nominal guard
 time. CW doubles only on every second consecutive failure, capped at
 CW_max, and resets to CW_min on success.
 
-The module also carries a scripted replay driver that walks a single node
-through an explicit phase/outcome timeline and emits the canonical trace
-line per event: `time_us,node,event,counter,cw,failures,phase`.
+replay_contention runs a single node through an explicit phase/outcome
+timeline on the simulation kernel's slot grid and returns the canonical
+trace line per event: `time_us,node,event,counter,cw,failures,phase`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
+from bansim.mac.superframe import PhaseKind
 
 __all__ = [
     "PriorityClass",
@@ -221,55 +221,10 @@ def replay_contention(
     boundary the guard check runs first; a locked counter keeps its value
     until the next admissible phase.
     """
-    state = BackoffState(priority)
-    rng = ScriptedDraws(draws)
-    lines: list[str] = []
-    tx_index = 0
-    drawn = False
+    from bansim.sim.kernel import ScriptedReplay  # the kernel imports this module
 
-    for kind, start_us, end_us in phases:
-        t = start_us
-        lines.append(trace_line(t, node_id, "enter", state, kind))
-        if not admissible(kind, priority.user_priority, TrafficKind.CONTENTION):
-            continue
-        if state.locked:
-            state.locked = False
-            lines.append(trace_line(t, node_id, "unlock", state, kind))
-        lines.append(trace_line(t, node_id, "sifs", state, kind))
-        t += timing.psifs_us
-        if not drawn:
-            draw_backoff(state, rng)
-            drawn = True
-            lines.append(trace_line(t, node_id, "draw", state, kind))
-
-        while True:
-            if t >= end_us:
-                break
-            if not guard_check(state, t, end_us, data_tx_us, ack_tx_us, timing):
-                lines.append(trace_line(t, node_id, "lock", state, kind))
-                break
-            t += timing.csma_slot_us
-            due = on_idle_slot(state)
-            lines.append(trace_line(t, node_id, "count", state, kind))
-            if not due:
-                continue
-            lines.append(trace_line(t, node_id, "tx_start", state, kind))
-            t += data_tx_us
-            lines.append(trace_line(t, node_id, "tx_end", state, kind))
-            if tx_index >= len(ack_outcomes):
-                raise IndexError("scripted acknowledgement outcomes exhausted")
-            acked = ack_outcomes[tx_index]
-            tx_index += 1
-            if acked:
-                t += timing.psifs_us
-                lines.append(trace_line(t, node_id, "ack", state, kind))
-                t += ack_tx_us
-                on_success(state)
-                lines.append(trace_line(t, node_id, "success", state, kind))
-                return lines
-            t += timing.psifs_us + ack_tx_us + timing.gtn_us
-            on_failure(state)
-            lines.append(trace_line(t, node_id, "fail", state, kind))
-            draw_backoff(state, rng)
-            lines.append(trace_line(t, node_id, "draw", state, kind))
-    return lines
+    replay = ScriptedReplay(
+        phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id
+    )
+    replay.run()
+    return replay.trace

@@ -25,6 +25,7 @@ __all__ = [
     "ScheduledAllocation",
     "build_layout",
     "phase_at",
+    "phases_covered",
     "admissible",
     "schedule_polls",
     "place_scheduled",
@@ -192,6 +193,16 @@ def phase_at(layout: PhaseLayout, t_us: int) -> tuple[PhaseKind, int]:
         if start <= t_us < end:
             return phase.kind, end - t_us
     raise AssertionError("validated layout left a gap")  # unreachable
+
+
+def phases_covered(layout: PhaseLayout, start_slot: int, length_slots: int) -> list[PhaseKind]:
+    """Kinds of the phases that slots [start_slot, start_slot + length_slots) overlap."""
+    end_slot = start_slot + length_slots
+    return [
+        span.kind
+        for span in layout.phases
+        if max(start_slot, span.start_slot) < min(end_slot, span.start_slot + span.length_slots)
+    ]
 
 
 def admissible(phase: PhaseKind, user_priority: int, traffic: TrafficKind) -> bool:

@@ -90,8 +90,8 @@ class BandInfo:
     kind: PhyKind
     center_freq: float  # MHz
     bandwidth: float  # MHz
-    # Regulations forbid beacons in the implant band; the superframe
-    # scheduler consults this flag.
+    # Regulations forbid beacons in the implant band. Nothing enforces
+    # this flag yet: a beacon-mode scenario in such a band still runs.
     beacon_prohibited: bool = False
 
 
@@ -108,10 +108,6 @@ _BAND_INFO = {
     Band.HBC_16: BandInfo(PhyKind.HBC, 16.0, 4.0),
     Band.HBC_27: BandInfo(PhyKind.HBC, 27.0, 4.0),
 }
-
-
-def band_info(band: Band) -> BandInfo:
-    return _BAND_INFO[band]
 
 
 @dataclass(frozen=True)
@@ -183,14 +179,6 @@ class PhyConfig:
     @property
     def kind(self) -> PhyKind:
         return _BAND_INFO[self.band_id].kind
-
-    @property
-    def header_rate_kbps(self) -> float:
-        return info_data_rate(self, "header")
-
-    @property
-    def psdu_rate_kbps(self) -> float:
-        return info_data_rate(self, "psdu")
 
 
 def info_data_rate(cfg: PhyConfig, component: str) -> float:

@@ -16,7 +16,8 @@ ends and a counter reaching zero transmits at once. Overlapping
 transmissions fail everyone in collision mode and are a scenario error
 in ideal mode; a lone transmission is always delivered (zero bit
 errors). Polled and scheduled traffic runs inside the shared phases on
-pre-computed grants, one frame exchange per grant.
+pre-computed grants, one frame exchange per grant. ScriptedReplay runs
+one node on this same grid from a scripted timeline, for the CSMA replay.
 
 Every transmission passes the security gate: a node whose session is at
 an authenticated level must hold an active pairwise key, its payload
@@ -27,6 +28,7 @@ counter and tag handling are exercised on every simulated frame.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum, auto
@@ -36,6 +38,7 @@ from bansim.errors import ScenarioError, SimulationError
 from bansim.mac.csma import (
     BackoffState,
     PRIORITY_TABLE,
+    ScriptedDraws,
     draw_backoff,
     guard_check,
     on_busy,
@@ -51,6 +54,7 @@ from bansim.mac.superframe import (
     admissible,
     build_layout,
     phase_at,
+    phases_covered,
     place_scheduled,
     schedule_polls,
 )
@@ -66,7 +70,7 @@ from bansim.security import (
 from bansim.sim.scenario import NodeSpec, Scenario, SecuritySpec
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 
-__all__ = ["EventKind", "Simulation", "run", "run_to_files", "write_trace"]
+__all__ = ["EventKind", "ScriptedReplay", "Simulation", "run", "run_to_files", "write_trace"]
 
 BEACON_BODY_LEN = 17
 HUB_ID = "hub"
@@ -121,22 +125,11 @@ class Simulation:
     def __init__(self, scenario: Scenario, collect_trace: bool = False):
         self.sc = scenario
         self.layout: PhaseLayout = build_layout(scenario.superframe)
-        self.timing = scenario.timing
-        self.end_time = scenario.run.duration_us
-        self.collect_trace = collect_trace
-        self.trace: list[str] = []
-
-        self.now = 0
-        self._heap: list[tuple[int, int, int, EventKind, tuple]] = []
-        self._seq = 0
-
-        self.ack_airtime_us = frame_airtime_us(scenario.phy, 0)
-        self.ack_int = _round_us(self.ack_airtime_us)
         self.beacon_airtime_us = frame_airtime_us(scenario.phy, BEACON_BODY_LEN)
         psdu_rate = info_data_rate(scenario.phy, "psdu")
 
         self.security = SecurityManager(HUB_ID)
-        self.nodes: dict[str, _Node] = {}
+        nodes: list[_Node] = []
         for spec in scenario.nodes:
             sec = scenario.security.get(spec.node_id, SecuritySpec())
             body_len = spec.payload_bytes + SECURITY_WIRE_OVERHEAD[sec.level]
@@ -153,7 +146,9 @@ class Simulation:
             )
             if sec.level >= SecurityLevel.AUTHENTICATED:
                 node.session = self.security.associate(spec.node_id, sec.level, sec.mk)
-            self.nodes[spec.node_id] = node
+            nodes.append(node)
+        ack_airtime_us = frame_airtime_us(scenario.phy, 0)
+        self._init_engine(scenario.timing, scenario.run.duration_us, ack_airtime_us, nodes, collect_trace)
         groups: dict[str, list[str]] = {}
         for node_id, sec in scenario.security.items():
             if sec.group:
@@ -161,20 +156,12 @@ class Simulation:
         for group_id in sorted(groups):
             self.security.distribute_gtk(group_id, sorted(groups[group_id]))
 
-        self._contention = [
-            n for n in sorted(self.nodes) if self.nodes[n].spec.access == "contention"
-        ]
         self._polled = [
             n for n in sorted(self.nodes) if self.nodes[n].spec.access == "polled"
         ]
         self._scheduled = [
             n for n in sorted(self.nodes) if self.nodes[n].spec.access == "scheduled"
         ]
-
-        self.exchange: _Exchange | None = None
-        self.stats = RunStats(elapsed_us=self.end_time)
-        for node_id, node in self.nodes.items():
-            self.stats.nodes[node_id] = node.stats
 
         # Hub trace lines borrow the node line format with zeroed
         # contention fields.
@@ -189,6 +176,34 @@ class Simulation:
                     f"beacon airtime {self.beacon_airtime_us:.0f} us exceeds the "
                     f"{span_us} us beacon phase"
                 )
+
+    def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], collect_trace) -> None:
+        """Event loop, channel and contention state, shared by scenario
+        runs and scripted replays."""
+        self.timing = timing
+        self.end_time = end_time
+        self.collect_trace = collect_trace
+        self.trace: list[str] = []
+
+        self.now = 0
+        self._heap: list[tuple[int, int, int, EventKind, tuple]] = []
+        self._seq = 0
+
+        self.ack_airtime_us = ack_airtime_us
+        self.ack_int = _round_us(ack_airtime_us)
+        self.nodes: dict[str, _Node] = {node.spec.node_id: node for node in nodes}
+        self.exchange: _Exchange | None = None
+        self.stats = RunStats(elapsed_us=end_time)
+        for node_id, node in self.nodes.items():
+            self.stats.nodes[node_id] = node.stats
+
+        # Priorities and access modes never change during a run, so each
+        # phase's contenders are found once.
+        contention = [n for _, n in sorted(self.nodes.items()) if n.spec.access == "contention"]
+        self._contenders = {
+            kind: [n for n in contention if admissible(kind, n.spec.priority, TrafficKind.CONTENTION)]
+            for kind in PhaseKind
+        }
 
     # ------------------------------------------------------------ plumbing
 
@@ -211,9 +226,7 @@ class Simulation:
         taken = set()
         for node_id in self._scheduled:
             spec = self.nodes[node_id].spec
-            for slot in (spec.slot_start, spec.slot_start + spec.slot_len - 1):
-                kind, _ = phase_at(self.layout, slot * self.layout.slot_length_us)
-                taken.add(kind)
+            taken.update(phases_covered(self.layout, spec.slot_start, spec.slot_len))
         return {PhaseKind.TYPE_A, PhaseKind.TYPE_B} - taken
 
     def _schedule_superframes(self) -> None:
@@ -310,15 +323,8 @@ class Simulation:
 
     # ------------------------------------------------------------- phases
 
-    def _participants(self, kind: PhaseKind) -> list[_Node]:
-        return [
-            self.nodes[n]
-            for n in self._contention
-            if admissible(kind, self.nodes[n].spec.priority, TrafficKind.CONTENTION)
-        ]
-
     def _on_phase_start(self, kind: PhaseKind, start: int, end: int) -> None:
-        participants = self._participants(kind)
+        participants = self._contenders[kind]
         if not participants:
             return
         for node in participants:
@@ -340,7 +346,7 @@ class Simulation:
         t = self.now
         if t >= phase_end or self.exchange is not None:
             return
-        participants = self._participants(kind)
+        participants = self._contenders[kind]
 
         if unlock:
             for node in participants:
@@ -406,7 +412,7 @@ class Simulation:
             self._emit(t, node.spec.node_id, "tx_start", node.backoff, kind)
             self._push(t + node.airtime_int, EventKind.TX_END, (node.spec.node_id,))
         busy_ids = {n.spec.node_id for n in transmitters}
-        for node in self._participants(kind):
+        for node in self._contenders[kind]:
             if node.spec.node_id in busy_ids:
                 continue
             if node.drawn and not node.backoff.locked:
@@ -523,6 +529,42 @@ class Simulation:
         node.stats.offered += 1
         if node.spec.traffic[0] == "poisson":
             self._push_arrival(node, self.now)
+
+
+class ScriptedReplay(Simulation):
+    """One contention node on the kernel's slot grid, run from a script:
+    (kind, start_us, end_us) phases stand in for the layout, scripted draws
+    for the RNG, fixed airtimes for the PHY, and `ack_outcomes[i]` for the
+    channel's verdict on attempt i. Inadmissible phases are logged on
+    entry; the run ends at the first delivery."""
+
+    def __init__(self, phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id):
+        spec = NodeSpec(node_id, priority.user_priority, ("scripted", (0,)))
+        self._node = _Node(spec, BackoffState(priority), ScriptedDraws(draws), NodeStats(node_id),
+                           airtime_us=data_tx_us, airtime_int=data_tx_us, payload_airtime_us=0.0)
+        self._init_engine(timing, math.inf, ack_tx_us, [self._node], collect_trace=True)
+        self._phases = phases
+        self._acks = list(ack_outcomes)
+
+    def _schedule_superframes(self) -> None:
+        for kind, start, end in self._phases:
+            self._push(start, EventKind.PHASE_START, (kind, start, end))
+
+    def _on_phase_start(self, kind: PhaseKind, start: int, end: int) -> None:
+        if not self._contenders[kind]:
+            self._emit(start, self._node.spec.node_id, "enter", self._node.backoff, kind)
+        super()._on_phase_start(kind, start, end)
+
+    def _begin_exchange(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
+        super()._begin_exchange(transmitters, t, kind, phase_end)
+        if not self._acks:
+            raise IndexError("scripted acknowledgement outcomes exhausted")
+        self.exchange.collided = not self._acks.pop(0)
+
+    def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
+        super()._complete_delivery(node, t, exchange)
+        self._heap.clear()
+        self.end_time = t  # also drops the resume tick pushed next
 
 
 # ------------------------------------------------------------- front door

@@ -32,7 +32,7 @@ from bansim.mac.superframe import (
     TrafficKind,
     admissible,
     build_layout,
-    phase_at,
+    phases_covered,
     place_scheduled,
 )
 from bansim.phy.ppdu import MAX_BODY_LEN
@@ -446,9 +446,9 @@ def validate_scenario(sc: Scenario, section_lines: dict[str, int] | None = None)
                 raise ScenarioError(
                     f"{node.node_id}: allocation runs past the superframe", line=node_line
                 )
-            for slot in (alloc.start_slot, end_slot - 1):
-                kind, _ = phase_at(layout, slot * layout.slot_length_us)
+            for kind in phases_covered(layout, alloc.start_slot, alloc.length_slots):
                 if not admissible(kind, node.priority, TrafficKind.SCHEDULED):
+                    slot = max(alloc.start_slot, layout.span(kind).start_slot)
                     raise ScenarioError(
                         f"{node.node_id}: slot {slot} falls in {kind.value}, "
                         "which takes no scheduled traffic",

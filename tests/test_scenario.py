@@ -1,6 +1,7 @@
 """Scenario text format: parsing, line-numbered rejection, semantic checks."""
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -384,3 +385,31 @@ class TestNumericRanges:
     def test_allocation_geometry_rejected_at_its_line(self, entry, key):
         line, msg = error_line(self.NODE.format(entry))
         assert line == 5 and key in msg
+
+
+class TestAllocationCoverage:
+    MIXED = Path(__file__).resolve().parent.parent / "scenarios" / "mixed_access.scn"
+
+    def test_allocation_crossing_contention_phases_is_refused(self):
+        # Slots 140..199 start in the type I phase and end in the type II
+        # phase, but cross EAP2 and RAP2 on the way.
+        text = self.MIXED.read_text()
+        assert "slot_start=70, slot_len=20" in text
+        text = text.replace("slot_start=70, slot_len=20", "slot_start=140, slot_len=60")
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(text)
+        assert "infusion: slot 144 falls in EAP2, which takes no scheduled traffic" in str(info.value)
+
+    def test_allocation_across_adjacent_shared_phases_is_accepted(self):
+        sc = scn(
+            """
+            [superframe]
+            beacon_slots = 4
+            rap1_slots = 60
+            type_a_slots = 96
+            type_b_slots = 96
+            [nodes]
+            n0 = access=scheduled, slot_start=150, slot_len=20
+            """
+        )
+        assert sc.nodes[0].slot_start == 150

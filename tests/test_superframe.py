@@ -17,6 +17,7 @@ from bansim.mac import (
     place_scheduled,
     schedule_polls,
 )
+from bansim.mac.superframe import phases_covered
 
 FULL_SLOTS = {
     PhaseKind.BEACON: 4,
@@ -301,3 +302,27 @@ class TestScheduledAllocations:
             ScheduledAllocation("a", 0, 0)
         with pytest.raises(ValueError):
             ScheduledAllocation("a", 0, 1, direction="sideways")
+
+
+class TestPhasesCovered:
+    # full_layout: Beacon 0-3, EAP1 4-13, RAP1 14-63, TypeI_II_a 64-143,
+    # EAP2 144-153, RAP2 154-193, TypeI_II_b 194-243, CAP 244-255.
+    @pytest.mark.parametrize(
+        "start, length, kinds",
+        [
+            (70, 20, [PhaseKind.TYPE_A]),
+            (64, 80, [PhaseKind.TYPE_A]),
+            (143, 2, [PhaseKind.TYPE_A, PhaseKind.EAP2]),
+            (140, 60, [PhaseKind.TYPE_A, PhaseKind.EAP2, PhaseKind.RAP2, PhaseKind.TYPE_B]),
+            (0, 256, PHASE_ORDER),
+            (255, 1, [PhaseKind.CAP]),
+        ],
+    )
+    def test_every_phase_the_range_touches(self, start, length, kinds):
+        assert phases_covered(full_layout(), start, length) == kinds
+
+    def test_disabled_phases_are_never_covered(self):
+        slots = dict(FULL_SLOTS, **{PhaseKind.EAP2: 0, PhaseKind.RAP2: 0})
+        slots[PhaseKind.TYPE_B] += 50
+        layout = build_layout(SuperframeConfig(phase_slots=slots))
+        assert phases_covered(layout, 140, 10) == [PhaseKind.TYPE_A, PhaseKind.TYPE_B]
