@@ -34,6 +34,7 @@ __all__ = [
     "on_failure",
     "on_success",
     "trace_line",
+    "trace_lines",
     "replay_contention",
 ]
 
@@ -188,13 +189,25 @@ class ScriptedDraws:
         return value
 
 
+# Phase names as they appear in trace lines, so that no line reads the
+# enum's value property.
+_PHASE_NAMES = {kind: kind.value for kind in PhaseKind}
+
+
+def trace_lines(time_us: int, phase: PhaseKind, entries) -> list[str]:
+    """The canonical trace line of each (node id, event, backoff state)
+    entry, all at one instant of one phase."""
+    t, name = str(time_us), _PHASE_NAMES[phase]
+    return [
+        ",".join((t, node, event, str(s.counter), str(s.cw), str(s.consecutive_failures), name))
+        for node, event, s in entries
+    ]
+
+
 def trace_line(
     time_us: int, node: str, event: str, state: BackoffState, phase: PhaseKind
 ) -> str:
-    return (
-        f"{time_us},{node},{event},{state.counter},{state.cw},"
-        f"{state.consecutive_failures},{phase.value}"
-    )
+    return trace_lines(time_us, phase, ((node, event, state),))[0]
 
 
 def replay_contention(

@@ -2,9 +2,13 @@
 
 The kernel joins the superframe layout, the CSMA engine, codec airtimes,
 and security sessions into end-to-end runs. Time is a 64-bit microsecond
-clock; events dispatch in (time, class, insertion order), with phase
-starts sorting ahead of anything else at the same instant, so a run is a
-pure function of (scenario, seed).
+clock; events dispatch in (time, class, insertion order), so a run is a
+pure function of (scenario, seed). At one instant phase starts come
+first, then the rest of the schedule (beacons, grants), then dynamic
+events (ticks, transmissions, arrivals). The schedule is generated one
+superframe ahead: superframe i+1 is pushed when the run reaches its
+start, which keeps the heap small and, thanks to the class order, gives
+the same order as a schedule filled for the whole run up front.
 
 Contention runs on one global slot grid per access phase. The grid
 starts one interframe space after phase entry, pauses while a frame
@@ -12,7 +16,11 @@ exchange occupies the channel, and resumes one interframe space after an
 acknowledgement (immediately after a timeout, whose guard time already
 covers the gap). At every grid instant pending draws happen first, then
 each contender checks the phase-fit guard; counters decrement at slot
-ends and a counter reaching zero transmits at once. Overlapping
+ends and a counter reaching zero transmits at once. The grid never ticks
+at or past the phase end, and it stops once every contender of the phase
+has drawn and is locked: nothing can count, draw or unlock until the
+next phase start, and an arrival only grows a drawn node's queue. Ticks
+that only wait for an arrival keep running. Overlapping
 transmissions fail everyone in collision mode and are a scenario error
 in ideal mode; a lone transmission is always delivered (zero bit
 errors). Polled and scheduled traffic runs inside the shared phases on
@@ -45,7 +53,7 @@ from bansim.mac.csma import (
     on_failure,
     on_idle_slot,
     on_success,
-    trace_line,
+    trace_lines,
 )
 from bansim.mac.superframe import (
     PhaseKind,
@@ -84,13 +92,16 @@ class EventKind(Enum):
     POLL_GRANT = auto()
     BEACON_TX = auto()
     TRAFFIC_ARRIVAL = auto()
+    SUPERFRAME = auto()  # generate the schedule of the next superframe
 
 
 def _round_us(t: float) -> int:
     return int(t + 0.5)
 
 
-@dataclass
+# eq=False: nodes compare by identity, so a membership test never walks
+# every field.
+@dataclass(eq=False)
 class _Node:
     spec: NodeSpec
     backoff: BackoffState
@@ -105,6 +116,10 @@ class _Node:
     service_start: int | None = None
     security: SecuritySpec = field(default_factory=SecuritySpec)
     session: object = None  # SecuritySession when level >= 1
+    node_id: str = field(init=False)
+
+    def __post_init__(self):
+        self.node_id = self.spec.node_id
 
 
 class _Exchange:
@@ -162,6 +177,10 @@ class Simulation:
         self._scheduled = [
             n for n in sorted(self.nodes) if self.nodes[n].spec.access == "scheduled"
         ]
+        # What every superframe's schedule is built from.
+        self._poll_kinds = self._poll_spans()
+        self._poll_grant = self._grant_us()
+        self._allocations = [self.nodes[n].spec.allocation() for n in self._scheduled]
 
         # Hub trace lines borrow the node line format with zeroed
         # contention fields.
@@ -191,7 +210,7 @@ class Simulation:
 
         self.ack_airtime_us = ack_airtime_us
         self.ack_int = _round_us(ack_airtime_us)
-        self.nodes: dict[str, _Node] = {node.spec.node_id: node for node in nodes}
+        self.nodes: dict[str, _Node] = {node.node_id: node for node in nodes}
         self.exchange: _Exchange | None = None
         self.stats = RunStats(elapsed_us=end_time)
         for node_id, node in self.nodes.items():
@@ -208,15 +227,26 @@ class Simulation:
     # ------------------------------------------------------------ plumbing
 
     def _push(self, time_us: int, kind: EventKind, data: tuple = ()) -> None:
-        if time_us >= self.end_time:
-            return
-        rank = 0 if kind == EventKind.PHASE_START else 1
-        self._seq += 1
-        heapq.heappush(self._heap, (time_us, rank, self._seq, kind, data))
+        """Queue a dynamic event; it sorts after every schedule event at
+        its instant."""
+        if time_us < self.end_time:
+            self._seq += 1
+            heapq.heappush(self._heap, (time_us, 2, self._seq, kind, data))
 
-    def _emit(self, time_us: int, node_id: str, event: str, state: BackoffState, kind: PhaseKind) -> None:
-        if self.collect_trace:
-            self.trace.append(trace_line(time_us, node_id, event, state, kind))
+    def _push_schedule(self, time_us: int, kind: EventKind, data: tuple) -> None:
+        """Queue a schedule event. Phase starts sort first at their instant,
+        then the other schedule events, then dynamic events: the order that
+        generating the whole run's schedule before the first event gives."""
+        if time_us < self.end_time:
+            self._seq += 1
+            rank = 0 if kind is EventKind.PHASE_START else 1
+            heapq.heappush(self._heap, (time_us, rank, self._seq, kind, data))
+
+    def _emit(self, time_us: int, kind: PhaseKind, entries) -> None:
+        """Trace the (node id, event, backoff state) entries, in order.
+        Lines are formatted here, from each state as it is now."""
+        if self.collect_trace and entries:
+            self.trace += trace_lines(time_us, kind, entries)
 
     # --------------------------------------------------------------- setup
 
@@ -229,43 +259,36 @@ class Simulation:
             taken.update(phases_covered(self.layout, spec.slot_start, spec.slot_len))
         return {PhaseKind.TYPE_A, PhaseKind.TYPE_B} - taken
 
-    def _schedule_superframes(self) -> None:
-        duration = self.layout.duration_us
-        poll_spans = self._poll_spans()
-        index = 0
-        while index * duration < self.end_time:
-            base = index * duration
-            for span in self.layout.phases:
-                if span.length_slots == 0:
-                    continue
-                start = base + span.start_slot * self.layout.slot_length_us
-                end = start + span.length_slots * self.layout.slot_length_us
-                self._push(start, EventKind.PHASE_START, (span.kind, start, end))
-                if span.kind == PhaseKind.BEACON and self.layout.beacon_in(index):
-                    self._push(start, EventKind.BEACON_TX, (end,))
-                if self._polled and span.kind in poll_spans:
-                    for grant in schedule_polls(
-                        self.layout, self._polled, span.kind, self._grant_us(), base
-                    ):
-                        self._push(
-                            grant.start_us,
-                            EventKind.POLL_GRANT,
-                            (grant.node_id, grant.duration_us, end),
-                        )
-            if self._scheduled:
-                allocs = [self.nodes[n].spec.allocation() for n in self._scheduled]
-                placed = place_scheduled(allocs, self.layout, index)
-                starts: dict[str, int] = {}
-                for slot in sorted(placed):
-                    starts.setdefault(placed[slot], slot)
-                for node_id, slot in sorted(starts.items()):
-                    node = self.nodes[node_id]
-                    start = base + slot * self.layout.slot_length_us
-                    length = node.spec.slot_len * self.layout.slot_length_us
-                    self._push(
-                        start, EventKind.POLL_GRANT, (node_id, length, start + length)
+    def _schedule_superframe(self, index: int) -> None:
+        """Push superframe `index`'s phase starts, beacon and grants, and
+        the event that generates the next superframe at its start."""
+        layout = self.layout
+        base = index * layout.duration_us
+        for span in layout.phases:
+            if span.length_slots == 0:
+                continue
+            start = base + span.start_slot * layout.slot_length_us
+            end = start + span.length_slots * layout.slot_length_us
+            self._push_schedule(start, EventKind.PHASE_START, (span.kind, start, end))
+            if span.kind == PhaseKind.BEACON and layout.beacon_in(index):
+                self._push_schedule(start, EventKind.BEACON_TX, (end,))
+            if self._polled and span.kind in self._poll_kinds:
+                for grant in schedule_polls(layout, self._polled, span.kind, self._poll_grant, base):
+                    self._push_schedule(
+                        grant.start_us,
+                        EventKind.POLL_GRANT,
+                        (grant.node_id, grant.duration_us, end),
                     )
-            index += 1
+        if self._scheduled:
+            placed = place_scheduled(self._allocations, layout, index)
+            starts: dict[str, int] = {}
+            for slot in sorted(placed):
+                starts.setdefault(placed[slot], slot)
+            for node_id, slot in sorted(starts.items()):
+                start = base + slot * layout.slot_length_us
+                length = self.nodes[node_id].spec.slot_len * layout.slot_length_us
+                self._push_schedule(start, EventKind.POLL_GRANT, (node_id, length, start + length))
+        self._push_schedule(base + layout.duration_us, EventKind.SUPERFRAME, (index + 1,))
 
     def _grant_us(self) -> int:
         if self.sc.poll_grant_us is not None:
@@ -292,30 +315,33 @@ class Simulation:
     def _push_arrival(self, node: _Node, after_us: int) -> None:
         rate_per_s = node.spec.traffic[1]
         gap = node.rng.expovariate(rate_per_s) * 1_000_000
-        self._push(after_us + _round_us(gap), EventKind.TRAFFIC_ARRIVAL, (node.spec.node_id,))
+        self._push(after_us + _round_us(gap), EventKind.TRAFFIC_ARRIVAL, (node.node_id,))
 
     # ----------------------------------------------------------- main loop
 
     def run(self) -> RunStats:
-        self._schedule_superframes()
+        self._schedule_superframe(0)
         self._seed_traffic()
-        while self._heap:
-            time_us, _, _, kind, data = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time_us, _, _, kind, data = heapq.heappop(heap)
             self.now = time_us
-            if kind == EventKind.PHASE_START:
-                self._on_phase_start(*data)
-            elif kind == EventKind.SLOT_TICK:
+            if kind is EventKind.SLOT_TICK:
                 self._on_slot_tick(*data)
-            elif kind == EventKind.TX_END:
+            elif kind is EventKind.TX_END:
                 self._on_tx_end(*data)
-            elif kind == EventKind.ACK_DUE:
+            elif kind is EventKind.ACK_DUE:
                 self._on_ack_due(*data)
-            elif kind == EventKind.POLL_GRANT:
-                self._on_poll_grant(*data)
-            elif kind == EventKind.BEACON_TX:
-                self._on_beacon()
-            elif kind == EventKind.TRAFFIC_ARRIVAL:
+            elif kind is EventKind.PHASE_START:
+                self._on_phase_start(*data)
+            elif kind is EventKind.TRAFFIC_ARRIVAL:
                 self._on_arrival(*data)
+            elif kind is EventKind.POLL_GRANT:
+                self._on_poll_grant(*data)
+            elif kind is EventKind.BEACON_TX:
+                self._on_beacon()
+            elif kind is EventKind.SUPERFRAME:
+                self._schedule_superframe(*data)
         for node in self.nodes.values():
             node.stats.queued = len(node.queue)
         self.stats.check_conservation()
@@ -327,65 +353,84 @@ class Simulation:
         participants = self._contenders[kind]
         if not participants:
             return
+        entries = []
         for node in participants:
-            self._emit(start, node.spec.node_id, "enter", node.backoff, kind)
-            if node.backoff.locked:
-                node.backoff.locked = False
+            state = node.backoff
+            entries.append((node.node_id, "enter", state))
+            if state.locked:
+                state.locked = False
                 node.lock_reason = None
-                self._emit(start, node.spec.node_id, "unlock", node.backoff, kind)
-            self._emit(start, node.spec.node_id, "sifs", node.backoff, kind)
-        self._push(
-            start + self.timing.psifs_us,
-            EventKind.SLOT_TICK,
-            (kind, end, False, False),
-        )
+                entries.append((node.node_id, "unlock", state))
+            entries.append((node.node_id, "sifs", state))
+        self._emit(start, kind, entries)
+        if start + self.timing.psifs_us < end:
+            self._push(start + self.timing.psifs_us, EventKind.SLOT_TICK, (kind, end, False, False))
 
     # ----------------------------------------------------------- the grid
 
     def _on_slot_tick(self, kind: PhaseKind, phase_end: int, slot_ends: bool, unlock: bool) -> None:
-        t = self.now
-        if t >= phase_end or self.exchange is not None:
+        if self.exchange is not None:
             return
+        t = self.now
         participants = self._contenders[kind]
 
         if unlock:
+            entries = []
             for node in participants:
-                if node.backoff.locked and node.lock_reason == "busy":
-                    node.backoff.locked = False
+                state = node.backoff
+                if state.locked and node.lock_reason == "busy":
+                    state.locked = False
                     node.lock_reason = None
-                    self._emit(t, node.spec.node_id, "unlock", node.backoff, kind)
+                    entries.append((node.node_id, "unlock", state))
+            self._emit(t, kind, entries)
 
         transmitters: list[_Node] = []
         if slot_ends:
+            entries = []
             for node in participants:
                 state = node.backoff
                 if node.drawn and not state.locked and state.counter > 0:
                     due = on_idle_slot(state)
-                    self._emit(t, node.spec.node_id, "count", state, kind)
+                    entries.append((node.node_id, "count", state))
                     if due:
                         transmitters.append(node)
+            self._emit(t, kind, entries)
         if transmitters:
             self._begin_exchange(transmitters, t, kind, phase_end)
             return
 
+        entries = []
         for node in participants:
-            if node.queue and not node.drawn and not node.backoff.locked:
-                draw_backoff(node.backoff, node.rng)
+            state = node.backoff
+            if node.queue and not node.drawn and not state.locked:
+                draw_backoff(state, node.rng)
                 node.drawn = True
                 if node.service_start is None:
                     node.service_start = t
-                self._emit(t, node.spec.node_id, "draw", node.backoff, kind)
+                entries.append((node.node_id, "draw", state))
+        self._emit(t, kind, entries)
 
+        # The grid goes on while some contender can act: one that has not
+        # drawn may draw after an arrival, a running counter counts. A
+        # locked one waits for a resume tick or the next phase start, and
+        # no exchange (hence no resume tick) begins without a running
+        # counter.
+        can_act = False
+        entries = []
         for node in participants:
             state = node.backoff
-            if node.drawn and not state.locked:
-                if not guard_check(
-                    state, t, phase_end, node.airtime_int, self.ack_int, self.timing
-                ):
+            if not node.drawn:
+                can_act = True
+            elif not state.locked:
+                if guard_check(state, t, phase_end, node.airtime_int, self.ack_int, self.timing):
+                    can_act = True
+                else:
                     node.lock_reason = "guard"
-                    self._emit(t, node.spec.node_id, "lock", state, kind)
+                    entries.append((node.node_id, "lock", state))
+        self._emit(t, kind, entries)
 
-        self._push(t + self.timing.csma_slot_us, EventKind.SLOT_TICK, (kind, phase_end, True, False))
+        if can_act and t + self.timing.csma_slot_us < phase_end:
+            self._push(t + self.timing.csma_slot_us, EventKind.SLOT_TICK, (kind, phase_end, True, False))
 
     # ---------------------------------------------------------- exchanges
 
@@ -394,7 +439,7 @@ class Simulation:
             return None
         if not node.session.ptk_active:
             raise SimulationError(
-                f"{node.spec.node_id}: secured transmission without an active pairwise key"
+                f"{node.node_id}: secured transmission without an active pairwise key"
             )
         return secure_frame(bytes(node.spec.payload_bytes), node.session)
 
@@ -407,18 +452,17 @@ class Simulation:
         exchange.collided = len(transmitters) > 1
         exchange.pending = len(transmitters)
         self.exchange = exchange
+        entries = []
         for node in transmitters:
-            exchange.wires[node.spec.node_id] = self._secure_payload(node)
-            self._emit(t, node.spec.node_id, "tx_start", node.backoff, kind)
-            self._push(t + node.airtime_int, EventKind.TX_END, (node.spec.node_id,))
-        busy_ids = {n.spec.node_id for n in transmitters}
+            exchange.wires[node.node_id] = self._secure_payload(node)
+            entries.append((node.node_id, "tx_start", node.backoff))
+            self._push(t + node.airtime_int, EventKind.TX_END, (node.node_id,))
         for node in self._contenders[kind]:
-            if node.spec.node_id in busy_ids:
-                continue
-            if node.drawn and not node.backoff.locked:
+            if node.drawn and not node.backoff.locked and node not in transmitters:
                 on_busy(node.backoff)
                 node.lock_reason = "busy"
-                self._emit(t, node.spec.node_id, "lock", node.backoff, kind)
+                entries.append((node.node_id, "lock", node.backoff))
+        self._emit(t, kind, entries)
 
     def _on_tx_end(self, node_id: str) -> None:
         exchange = self.exchange
@@ -428,7 +472,7 @@ class Simulation:
         t = self.now
         if t > exchange.phase_end:
             raise SimulationError("transmission crossed its phase boundary")
-        self._emit(t, node_id, "tx_end", node.backoff, exchange.kind)
+        self._emit(t, exchange.kind, ((node_id, "tx_end", node.backoff),))
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
         if exchange.collided:
@@ -448,7 +492,7 @@ class Simulation:
         if outcome == "ack":
             self.stats.add_busy(self.ack_airtime_us)
             self.stats.ack_airtime_us += self.ack_airtime_us
-            self._emit(t, node_id, "ack", node.backoff, exchange.kind)
+            self._emit(t, exchange.kind, ((node_id, "ack", node.backoff),))
             self._push(t + self.ack_int, EventKind.ACK_DUE, (node_id, "success"))
             return
         if outcome == "success":
@@ -457,18 +501,19 @@ class Simulation:
             node.stats.failed += 1
             node.stats.collided += 1
             on_failure(node.backoff)
-            self._emit(t, node_id, "fail", node.backoff, exchange.kind)
+            self._emit(t, exchange.kind, ((node_id, "fail", node.backoff),))
             draw_backoff(node.backoff, node.rng)
-            self._emit(t, node_id, "draw", node.backoff, exchange.kind)
+            self._emit(t, exchange.kind, ((node_id, "draw", node.backoff),))
         exchange.pending -= 1
         if exchange.pending == 0:
             self.exchange = None
             if exchange.contention:
                 resume = exchange.max_end if exchange.collided else t + self.timing.psifs_us
-                self._push(resume, EventKind.SLOT_TICK, (exchange.kind, exchange.phase_end, False, True))
+                if resume < exchange.phase_end:
+                    self._push(resume, EventKind.SLOT_TICK, (exchange.kind, exchange.phase_end, False, True))
 
     def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
-        wire = exchange.wires.get(node.spec.node_id)
+        wire = exchange.wires.get(node.node_id)
         if wire is not None:
             body = admit_frame(wire, node.session)
             if body != bytes(node.spec.payload_bytes):
@@ -484,7 +529,7 @@ class Simulation:
         node.service_start = None
         if exchange.contention:
             on_success(node.backoff)
-        self._emit(t, node.spec.node_id, "success", node.backoff, exchange.kind)
+        self._emit(t, exchange.kind, ((node.node_id, "success", node.backoff),))
         if node.spec.traffic[0] == "saturated":
             node.queue.append(t)
             stats.offered += 1
@@ -506,7 +551,7 @@ class Simulation:
         exchange.pending = 1
         exchange.wires[node_id] = self._secure_payload(node)
         self.exchange = exchange
-        self._emit(t, node_id, "tx_start", node.backoff, kind)
+        self._emit(t, kind, ((node_id, "tx_start", node.backoff),))
         self._push(t + node.airtime_int, EventKind.TX_END, (node_id,))
 
     def _on_beacon(self) -> None:
@@ -514,13 +559,11 @@ class Simulation:
         self.stats.add_busy(self.beacon_airtime_us)
         self.stats.beacon_airtime_us += self.beacon_airtime_us
         self.stats.beacons += 1
-        self._emit(t, HUB_ID, "tx_start", self._hub_state, PhaseKind.BEACON)
+        self._emit(t, PhaseKind.BEACON, ((HUB_ID, "tx_start", self._hub_state),))
         self._emit(
             t + _round_us(self.beacon_airtime_us),
-            HUB_ID,
-            "tx_end",
-            self._hub_state,
             PhaseKind.BEACON,
+            ((HUB_ID, "tx_end", self._hub_state),),
         )
 
     def _on_arrival(self, node_id: str) -> None:
@@ -546,13 +589,14 @@ class ScriptedReplay(Simulation):
         self._phases = phases
         self._acks = list(ack_outcomes)
 
-    def _schedule_superframes(self) -> None:
+    def _schedule_superframe(self, index: int) -> None:
+        """All scripted phases at once, in place of the layout."""
         for kind, start, end in self._phases:
-            self._push(start, EventKind.PHASE_START, (kind, start, end))
+            self._push_schedule(start, EventKind.PHASE_START, (kind, start, end))
 
     def _on_phase_start(self, kind: PhaseKind, start: int, end: int) -> None:
         if not self._contenders[kind]:
-            self._emit(start, self._node.spec.node_id, "enter", self._node.backoff, kind)
+            self._emit(start, kind, ((self._node.node_id, "enter", self._node.backoff),))
         super()._on_phase_start(kind, start, end)
 
     def _begin_exchange(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
@@ -579,7 +623,7 @@ def run(scenario: Scenario, collect_trace: bool = False) -> tuple[RunStats, list
 
 
 def write_trace(lines: list[str], out) -> None:
-    Path(out).write_text("".join(line + "\n" for line in lines))
+    Path(out).write_text("\n".join(lines) + "\n" if lines else "")
 
 
 def run_to_files(

@@ -12,8 +12,8 @@ a comma-separated list of sub-assignments, for example:
 
 Unknown sections, keys, and sub-keys are rejected with their line
 number. Semantic checks (phase arithmetic, channel rules, payload
-bounds) run after parsing and report the section's line where one is
-known.
+bounds) run after parsing; a check on one node reports that node's line,
+the others their section's line where one is known.
 """
 
 from __future__ import annotations
@@ -251,6 +251,7 @@ def parse_scenario(text: str) -> Scenario:
     csma_fields: dict[str, tuple[str, int]] = {}
     run_fields: dict[str, tuple[str, int]] = {}
     nodes: list[NodeSpec] = []
+    node_lines: dict[str, int] = {}
     security: dict[str, SecuritySpec] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -276,6 +277,7 @@ def parse_scenario(text: str) -> Scenario:
             if any(n.node_id == key for n in nodes):
                 raise _fail(lineno, f"duplicate node {key!r}")
             nodes.append(_parse_node(key, value, lineno))
+            node_lines[key] = lineno
         elif section == "security":
             if key in security:
                 raise _fail(lineno, f"duplicate security entry {key!r}")
@@ -299,7 +301,7 @@ def parse_scenario(text: str) -> Scenario:
         run=run,
         poll_grant_us=poll_grant_us,
     )
-    validate_scenario(scenario, section_lines)
+    validate_scenario(scenario, section_lines, node_lines)
     return scenario
 
 
@@ -408,18 +410,24 @@ def load_scenario(path) -> Scenario:
 # ------------------------------------------------------------- validation
 
 
-def validate_scenario(sc: Scenario, section_lines: dict[str, int] | None = None) -> None:
-    """Semantic checks; raises ScenarioError before any event runs."""
+def validate_scenario(
+    sc: Scenario,
+    section_lines: dict[str, int] | None = None,
+    node_lines: dict[str, int] | None = None,
+) -> None:
+    """Semantic checks; raises ScenarioError before any event runs. A
+    check on one node reports its line from `node_lines`."""
     lines = section_lines or {}
+    node_lines = node_lines or {}
 
     try:
         layout = build_layout(sc.superframe)
     except InvalidLayoutError as exc:
         raise ScenarioError(str(exc), line=lines.get("superframe")) from exc
 
-    node_line = lines.get("nodes")
     contention = 0
     for node in sc.nodes:
+        node_line = node_lines.get(node.node_id, lines.get("nodes"))
         if not 0 <= node.priority <= 7:
             raise ScenarioError(
                 f"{node.node_id}: priority {node.priority} outside 0..7", line=node_line
@@ -464,7 +472,8 @@ def validate_scenario(sc: Scenario, section_lines: dict[str, int] | None = None)
             try:
                 place_scheduled(scheduled, layout, index)
             except AllocationConflict as exc:
-                raise ScenarioError(str(exc), line=node_line) from exc
+                line = node_lines.get(exc.node_id, lines.get("nodes"))
+                raise ScenarioError(str(exc), line=line) from exc
 
     if sc.run.channel == "ideal" and contention > 1:
         raise ScenarioError(

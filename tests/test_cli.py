@@ -3,9 +3,14 @@ reproducible from one library call, and failures exit nonzero with a
 named diagnostic."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bansim
 from bansim.cli import main
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.phy.rates import builtin_rate_table, write_rate_csv
@@ -212,6 +217,8 @@ class TestScenarioDiagnostics:
             "traffic=poisson:nan",
             "traffic=poisson:inf",
             "access=scheduled, slot_start=10, slot_len=0",
+            "priority=99",
+            "payload=300",
         ],
     )
     def test_bad_value_fails_with_kind_and_line(self, entry, tmp_path, capsys):
@@ -220,3 +227,13 @@ class TestScenarioDiagnostics:
         scn.write_text(self.NODE.format(entry))
         assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 1
         assert capsys.readouterr().err.startswith("error: ScenarioError: line 5: ")
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(bansim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bansim", "rates"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -1,13 +1,14 @@
 """Golden outputs pinned as SHA-256 digests of stored bytes.
 
-The stats CSV and event trace of both bundled scenarios and the bit images
-of seeded frames of every signal family must stay byte-identical: a faster
-or refactored path has to reproduce them exactly, not only agree with
-itself within one process.
+The stats CSV and event trace of both bundled scenarios and of stress
+scenarios, and the bit images of seeded frames of every signal family,
+must stay byte-identical: a faster or refactored path has to reproduce
+them exactly, not only agree with itself within one process.
 """
 
 import hashlib
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from bansim.errors import FrameError
 from bansim.phy.ppdu import build_ppdu, parse_ppdu
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.sim.kernel import run_to_files
-from bansim.sim.scenario import load_scenario
+from bansim.sim.scenario import load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -32,6 +33,164 @@ SCENARIO_DIGESTS = {
         "5ef4fa739e0257b99b95c96182b4f9b2821617f50364b7db59142fdaf6738219",
     ),
 }
+
+# The eight-phase layout of mixed_access.scn: 128 ms superframes; Beacon
+# 0-2000 us, EAP1 2000-7000, RAP1 7000-32000, type I 32000-72000, EAP2
+# 72000-77000, RAP2 77000-97000, type II 97000-122000, CAP 122000-128000.
+_NB = "[phy]\nkind = nb\nband = 2400-2483.5\nrate = high\n"
+_EIGHT_PHASES = """\
+[superframe]
+slot_length_us = 500
+slots = 256
+beacon_slots = 4
+eap1_slots = 10
+rap1_slots = 50
+type_a_slots = 80
+eap2_slots = 10
+rap2_slots = 40
+type_b_slots = 50
+cap_slots = 12
+"""
+
+
+def _saturated_32() -> str:
+    # Priorities 0..6 and one priority 7 node, which has the exclusive
+    # phases to itself.
+    nodes = "\n".join(
+        f"n{i:02d} = priority={7 if i == 31 else i % 7}, traffic=saturated, "
+        f"payload={20 + (37 * i) % 211}"
+        for i in range(32)
+    )
+    return f"{_NB}{_EIGHT_PHASES}[nodes]\n{nodes}\n[run]\nseed = 32\nduration_ms = 3000\nchannel = collision\n"
+
+
+# Every access kind, beacons every second superframe and two scheduled
+# allocations sharing slots 70..89 on alternate superframes.
+_EVERY_ACCESS_MODE = f"""\
+{_NB}{_EIGHT_PHASES}beacon_period_multiplier = 2
+[nodes]
+hi = priority=7, traffic=poisson:150, payload=50
+mid = priority=4, traffic=poisson:40, payload=120
+lo = priority=2, traffic=saturated, payload=30
+p1 = priority=5, traffic=poisson:30, payload=60, access=polled
+p2 = priority=1, traffic=poisson:20, payload=20, access=polled
+even = priority=5, traffic=poisson:12, payload=40, access=scheduled, slot_start=70, slot_len=20, period=2
+odd = priority=5, traffic=saturated, payload=40, access=scheduled, slot_start=70, slot_len=20, period=2, offset=1
+steady = priority=6, traffic=poisson:6, payload=90, access=scheduled, slot_start=100, slot_len=12
+[security]
+hi = level=1
+p1 = level=2, group=ward
+odd = level=2, group=ward
+steady = level=1
+[run]
+seed = 5
+duration_ms = 1024
+channel = collision
+"""
+
+_UWB = """\
+[phy]
+kind = uwb
+channel = 7
+[superframe]
+beacon_slots = 4
+rap1_slots = 120
+type_b_slots = 60
+cap_slots = 72
+[nodes]
+a = priority=6, traffic=saturated, payload=200
+b = priority=3, traffic=poisson:80, payload=60
+c = priority=4, traffic=poisson:25, payload=100, access=polled
+[security]
+b = level=2
+[run]
+seed = 9
+duration_ms = 640
+channel = collision
+"""
+
+_HBC = """\
+[phy]
+kind = hbc
+center = 16
+[superframe]
+slot_length_us = 1000
+beacon_slots = 8
+rap1_slots = 100
+type_a_slots = 60
+cap_slots = 88
+[nodes]
+a = priority=5, traffic=saturated, payload=40
+b = priority=5, traffic=poisson:10, payload=120
+s = priority=3, traffic=poisson:5, payload=30, access=scheduled, slot_start=120, slot_len=30
+[run]
+seed = 12
+duration_ms = 1024
+channel = collision
+"""
+
+# Arrivals exactly on phase starts (0, 2000, 7000, 72000, 77000, 122000,
+# 128000), on slot-grid instants (phase start + 50 + k * 125 us), on the
+# scheduled allocation's start (35000 us) and on poll grant starts
+# (97000 + k * 2500 us).
+_SAME_INSTANT = f"""\
+{_NB}{_EIGHT_PHASES}poll_grant_us = 2500
+[nodes]
+ex = priority=7, traffic=scripted:0;2000;2050;2175;72000;72050;130050;200050;200175, payload=60
+ra = priority=3, traffic=scripted:7000;7050;7175;7300;77000;77050;122000;122050;128000;135050, payload=90
+rb = priority=4, traffic=scripted:7050;7175;77050;77175;122175;263050, payload=30
+pol = priority=5, traffic=scripted:97000;99500;102000;225000, payload=60, access=polled
+sch = priority=5, traffic=scripted:35000;163000;291000, payload=40, access=scheduled, slot_start=70, slot_len=20
+[run]
+seed = 3
+duration_ms = 384
+channel = collision
+"""
+
+# name -> (scenario, stats digest, trace digest or None for stats only).
+# Recorded before the lean kernel loop (batched trace lines, the grid
+# stopping early, one superframe at a time) changed the kernel; the
+# mixed_access run is 120 s long (about 940 superframes).
+STRESS_DIGESTS = {
+    "saturated_32": (
+        _saturated_32(),
+        "cad1d4d2c59adcdf952a331307781bd782ad96896242a41813641b8ee7ac8dba",
+        "5f18580848790e3f110544cf2ad5003c9410089b35eb3471e87bd8a7b01e713c",
+    ),
+    "every_access_mode": (
+        _EVERY_ACCESS_MODE,
+        "36435d2053f3f8373062a16e30d2ae82d157f031d7ed04905d351b7ff3e5434c",
+        "51cd9a2c2f0a4cb0f88f50f17becd2b2040dce5a80089b5c43511fbea2cb90b4",
+    ),
+    "uwb": (
+        _UWB,
+        "83094f9354443766f2e3668bea1c715784c84114c8ba0e5f28030681646d6ead",
+        "63713d271f159c75c5e7b277a9692507ebea66c289a05c11780f78f9c4d475a6",
+    ),
+    "hbc": (
+        _HBC,
+        "0774c254de4c00cd597bb902af57f169b6ce9af7d3255370b806dd87d5f3f9f7",
+        "37e64750e3e347d7ddc5fde901918babb12bbb2c5401dbdd8f4599b4ec34fc87",
+    ),
+    "same_instant": (
+        _SAME_INSTANT,
+        "8a079910f5c22834ba532c418fb719329bdc2b993ef4cc95083ac9f5549ddadb",
+        "e981ddb3b16888ff307f10bcbe948702a231bf09b2bfacf042859188cc0a192e",
+    ),
+    "mixed_access_120s": (
+        None,
+        "8c51fd6dad99d81b5131eb7a604f8847f0a7face67af38b93e1550f67015b49f",
+        None,
+    ),
+}
+
+
+def _stress_scenario(name: str, text):
+    if text is not None:
+        return parse_scenario(text)
+    sc = load_scenario(SCENARIO_DIR / "mixed_access.scn")
+    return replace(sc, run=replace(sc.run, duration_us=120_000_000))
+
 
 # Narrowband with and without payload spreading, pulse radio, body-coupled.
 CODEC_CONFIGS = [
@@ -57,6 +216,16 @@ def test_bundled_scenario_bytes_are_pinned(name, tmp_path):
     stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
     run_to_files(load_scenario(SCENARIO_DIR / f"{name}.scn"), stats, trace)
     assert (_sha256(stats), _sha256(trace)) == SCENARIO_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", list(STRESS_DIGESTS))
+def test_stress_scenario_bytes_are_pinned(name, tmp_path):
+    text, stats_digest, trace_digest = STRESS_DIGESTS[name]
+    stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
+    run_to_files(_stress_scenario(name, text), stats, trace if trace_digest else None)
+    assert _sha256(stats) == stats_digest
+    if trace_digest:
+        assert _sha256(trace) == trace_digest
 
 
 def test_frame_bit_images_are_pinned():

@@ -226,7 +226,7 @@ class TestSemantics:
         line, _ = error_line(
             "[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n[nodes]\nn0 = priority=9\n"
         )
-        assert line == 4  # the [nodes] header line
+        assert line == 5  # the node's own line, not the [nodes] header
 
     def test_ideal_channel_contention_limit(self):
         _, msg = error_line(
@@ -317,6 +317,31 @@ class TestSemantics:
             """
         )
         assert "a vs b" in msg
+
+    def test_conflict_names_the_later_nodes_line(self):
+        line, _ = error_line(
+            "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\n"
+            "a = access=scheduled, slot_start=10, slot_len=10\n"
+            "c = access=scheduled, slot_start=40, slot_len=10\n"
+            "b = access=scheduled, slot_start=15, slot_len=10\n"
+        )
+        assert line == 7
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "payload=300",
+            "access=scheduled, slot_start=250, slot_len=10",
+            "access=scheduled, slot_start=2, slot_len=10",
+            "access=scheduled",
+        ],
+    )
+    def test_node_checks_name_the_nodes_line(self, entry):
+        line, _ = error_line(
+            "[superframe]\nbeacon_slots = 4\ntype_a_slots = 252\n[nodes]\n"
+            f"ok = access=polled\nn0 = {entry}\n"
+        )
+        assert line == 6
 
     def test_staggered_periodic_allocations_coexist(self):
         sc = scn(

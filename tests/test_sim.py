@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from bansim.efficiency import analytic_efficiency, reference_configs
 from bansim.errors import ScenarioError, SimulationError
 from bansim.mac.csma import PRIORITY_TABLE
 from bansim.phy.ppdu import frame_airtime_us
-from bansim.sim.kernel import BEACON_BODY_LEN, Simulation, run, run_to_files
-from bansim.sim.scenario import parse_scenario
+from bansim.sim.kernel import BEACON_BODY_LEN, Simulation, run, run_to_files, write_trace
+from bansim.sim.scenario import load_scenario, parse_scenario
 from bansim.sim.stats import write_stats_csv
 
 # One giant contention phase: a superframe long enough that a saturated
@@ -63,6 +64,9 @@ seed = 11
 duration_ms = 1500
 channel = collision
 """
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def parse_trace(lines):
@@ -422,6 +426,12 @@ class TestRunToFiles:
         header = cli_stats.read_text().splitlines()[0]
         assert header.startswith("node,offered,delivered")
 
+    def test_trace_file_is_one_line_per_entry(self, tmp_path):
+        write_trace(["1,a", "2,b"], tmp_path / "two.txt")
+        write_trace([], tmp_path / "empty.txt")
+        assert (tmp_path / "two.txt").read_bytes() == b"1,a\n2,b\n"
+        assert (tmp_path / "empty.txt").read_bytes() == b""
+
 
 class TestKernelInvariants:
     """Internal consistency checks raise SimulationError, so `python -O`
@@ -452,3 +462,57 @@ class TestKernelInvariants:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False transmission ended outside an exchange\n"
+
+
+class _TickCounter(Simulation):
+    """Counts slot ticks, those at or past their phase's end, and those
+    run while every contender of the phase is guard-locked."""
+
+    ticks = past_end = all_guard_locked = 0
+
+    def _on_slot_tick(self, kind, phase_end, slot_ends, unlock):
+        self.ticks += 1
+        if self.now >= phase_end:
+            self.past_end += 1
+        elif self.exchange is None and all(
+            n.drawn and n.backoff.locked and n.lock_reason == "guard" for n in self._contenders[kind]
+        ):
+            self.all_guard_locked += 1
+        super()._on_slot_tick(kind, phase_end, slot_ends, unlock)
+
+
+class _HeapWatch(Simulation):
+    """Records the largest length the event heap reaches."""
+
+    largest = 0
+
+    def _push(self, *args):
+        super()._push(*args)
+        self.largest = max(self.largest, len(self._heap))
+
+    def _push_schedule(self, *args):
+        super()._push_schedule(*args)
+        self.largest = max(self.largest, len(self._heap))
+
+
+class TestLeanLoop:
+    def test_no_tick_at_or_past_the_phase_end(self):
+        sim = _TickCounter(load_scenario(SCENARIO_DIR / "contention_pair.scn"))
+        sim.run()
+        assert sim.ticks > 0
+        assert sim.past_end == 0
+
+    def test_no_tick_while_every_contender_is_guard_locked(self):
+        # Nothing can count, draw or unlock until the next phase start.
+        sim = _TickCounter(load_scenario(SCENARIO_DIR / "contention_pair.scn"))
+        sim.run()
+        assert sim.all_guard_locked == 0
+
+    def test_largest_heap_does_not_grow_with_run_length(self):
+        sc = load_scenario(SCENARIO_DIR / "mixed_access.scn")
+        largest = []
+        for seconds in (60, 600):
+            sim = _HeapWatch(replace(sc, run=replace(sc.run, duration_us=seconds * 1_000_000)))
+            sim.run()
+            largest.append(sim.largest)
+        assert largest[0] == largest[1]
