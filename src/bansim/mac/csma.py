@@ -30,6 +30,7 @@ __all__ = [
     "draw_backoff",
     "on_idle_slot",
     "on_busy",
+    "exchange_us",
     "guard_check",
     "on_failure",
     "on_success",
@@ -121,6 +122,12 @@ def on_busy(state: BackoffState) -> BackoffState:
     return state
 
 
+def exchange_us(data_tx_us: float, ack_tx_us: float, timing: MacTimingConstants) -> float:
+    """Time one frame exchange needs: the data transmission, one
+    interframe space, the acknowledgement, and the nominal guard time."""
+    return data_tx_us + timing.psifs_us + ack_tx_us + timing.gtn_us
+
+
 def guard_check(
     state: BackoffState,
     now_us: float,
@@ -131,16 +138,13 @@ def guard_check(
 ) -> bool:
     """Decide at a slot boundary whether the exchange still fits the phase.
 
-    Proceeding requires the upcoming slot plus the data transmission, one
-    interframe space, the acknowledgement, and the nominal guard time to
-    finish by `phase_end_us`; an exact fit proceeds. Returns True to
-    proceed, False after locking the counter.
+    Proceeding requires the upcoming slot plus one frame exchange
+    (`exchange_us`) to finish by `phase_end_us`; an exact fit proceeds.
+    Returns True to proceed, False after locking the counter.
     """
     if phase_end_us is None or phase_end_us == math.inf:
         return True
-    needed = (
-        timing.csma_slot_us + pending_tx_us + timing.psifs_us + ack_tx_us + timing.gtn_us
-    )
+    needed = timing.csma_slot_us + exchange_us(pending_tx_us, ack_tx_us, timing)
     if now_us + needed > phase_end_us:
         state.locked = True
         return False

@@ -200,12 +200,16 @@ class SecurityManager:
 
 
 def _keystream(key: bytes, counter: int, length: int) -> bytes:
-    out = b""
-    block = 0
-    while len(out) < length:
-        out += _digest(b"stream", key, counter.to_bytes(COUNTER_LEN, "big"), block.to_bytes(4, "big"))
-        block += 1
-    return out[:length]
+    nonce = counter.to_bytes(COUNTER_LEN, "big")
+    blocks = -(-length // 32)  # one SHA-256 digest per 32 bytes
+    stream = b"".join(_digest(b"stream", key, nonce, block.to_bytes(4, "big")) for block in range(blocks))
+    return stream[:length]
+
+
+def _mask(body: bytes, key: bytes, counter: int) -> bytes:
+    """XOR the body with the keystream, as one integer operation."""
+    stream = _keystream(key, counter, len(body))
+    return (int.from_bytes(body, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(body), "big")
 
 
 def _tag(key: bytes, level: int, counter: int, body: bytes) -> bytes:
@@ -224,8 +228,7 @@ def secure_frame(body: bytes, session: SecuritySession) -> bytes:
     session.tx_counter = counter
     sent = bytes(body)
     if session.level == SecurityLevel.ENCRYPTED:
-        stream = _keystream(session.ptk.key, counter, len(sent))
-        sent = bytes(a ^ b for a, b in zip(sent, stream))
+        sent = _mask(sent, session.ptk.key, counter)
     tag = _tag(session.ptk.key, session.level, counter, sent)
     return bytes([session.level]) + counter.to_bytes(COUNTER_LEN, "big") + sent + tag
 
@@ -256,6 +259,5 @@ def admit_frame(wire: bytes, session: SecuritySession) -> bytes:
         raise ReplayRejection(f"counter {counter} not above {session.rx_counter}")
     session.rx_counter = counter
     if session.level == SecurityLevel.ENCRYPTED:
-        stream = _keystream(session.ptk.key, counter, len(sent))
-        sent = bytes(a ^ b for a, b in zip(sent, stream))
+        sent = _mask(sent, session.ptk.key, counter)
     return sent

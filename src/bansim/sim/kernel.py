@@ -5,8 +5,8 @@ and security sessions into end-to-end runs. Time is a 64-bit microsecond
 clock; events dispatch in (time, class, insertion order), so a run is a
 pure function of (scenario, seed). At one instant phase starts come
 first, then the rest of the schedule (beacons, grants), then dynamic
-events (ticks, transmissions, arrivals). The schedule is generated one
-superframe ahead: superframe i+1 is pushed when the run reaches its
+events (grid ticks, transmissions, arrivals). The schedule is generated
+one superframe ahead: superframe i+1 is pushed when the run reaches its
 start, which keeps the heap small and, thanks to the class order, gives
 the same order as a schedule filled for the whole run up front.
 
@@ -16,11 +16,21 @@ exchange occupies the channel, and resumes one interframe space after an
 acknowledgement (immediately after a timeout, whose guard time already
 covers the gap). At every grid instant pending draws happen first, then
 each contender checks the phase-fit guard; counters decrement at slot
-ends and a counter reaching zero transmits at once. The grid never ticks
-at or past the phase end, and it stops once every contender of the phase
-has drawn and is locked: nothing can count, draw or unlock until the
-next phase start, and an arrival only grows a drawn node's queue. Ticks
-that only wait for an arrival keep running. Overlapping
+ends and a counter reaching zero transmits at once. A contender locks
+at t exactly when t + slot + its frame exchange passes the phase end.
+The grid never ticks at or past the phase end, and it stops once every
+contender of the phase has drawn and is locked: nothing can count, draw
+or unlock until the next phase start, and an arrival only grows a drawn
+node's queue.
+
+The grid is a second event stream beside the heap: at most one pending
+tick, keyed like a dynamic event, and run() takes whichever of it and the
+heap's head sorts first. When a tick sets the next one, the slot ends
+after it in which counters only count and idle contenders only wait for
+an arrival are taken in one step. The step stops one slot before a
+counter would reach zero, before a guard lock, before the phase end, and
+before the heap's next instant; the trace still gets one count line per
+node and slot. Overlapping
 transmissions fail everyone in collision mode and are a scenario error
 in ideal mode; a lone transmission is always delivered (zero bit
 errors). Polled and scheduled traffic runs inside the shared phases on
@@ -48,7 +58,7 @@ from bansim.mac.csma import (
     PRIORITY_TABLE,
     ScriptedDraws,
     draw_backoff,
-    guard_check,
+    exchange_us,
     on_busy,
     on_failure,
     on_idle_slot,
@@ -75,7 +85,7 @@ from bansim.security import (
     admit_frame,
     secure_frame,
 )
-from bansim.sim.scenario import NodeSpec, Scenario, SecuritySpec
+from bansim.sim.scenario import NodeSpec, Scenario, SecuritySpec, clock_us
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 
 __all__ = ["EventKind", "ScriptedReplay", "Simulation", "run", "run_to_files", "write_trace"]
@@ -86,17 +96,12 @@ HUB_ID = "hub"
 
 class EventKind(Enum):
     PHASE_START = auto()
-    SLOT_TICK = auto()
     TX_END = auto()
     ACK_DUE = auto()
     POLL_GRANT = auto()
     BEACON_TX = auto()
     TRAFFIC_ARRIVAL = auto()
     SUPERFRAME = auto()  # generate the schedule of the next superframe
-
-
-def _round_us(t: float) -> int:
-    return int(t + 0.5)
 
 
 # eq=False: nodes compare by identity, so a membership test never walks
@@ -110,6 +115,7 @@ class _Node:
     airtime_us: float  # data frame, security overhead included
     airtime_int: int
     payload_airtime_us: float  # the user-payload share, exact
+    exchange_us: int = 0  # data, interframe space, ack and guard time
     queue: list[int] = field(default_factory=list)  # arrival times
     drawn: bool = False  # a backoff counter is in progress
     lock_reason: str | None = None  # "busy" | "guard" while locked
@@ -155,7 +161,7 @@ class Simulation:
                 rng=random.Random(f"{scenario.run.seed}:{spec.node_id}"),
                 stats=NodeStats(spec.node_id),
                 airtime_us=airtime,
-                airtime_int=_round_us(airtime),
+                airtime_int=clock_us(airtime),
                 payload_airtime_us=8 * spec.payload_bytes / psdu_rate * 1000.0,
                 security=sec,
             )
@@ -207,9 +213,14 @@ class Simulation:
         self.now = 0
         self._heap: list[tuple[int, int, int, EventKind, tuple]] = []
         self._seq = 0
+        # The pending grid tick: (time, 2, seq, phase kind, phase end,
+        # slot ends, unlock), or None.
+        self._tick: tuple | None = None
 
         self.ack_airtime_us = ack_airtime_us
-        self.ack_int = _round_us(ack_airtime_us)
+        self.ack_int = clock_us(ack_airtime_us)
+        for node in nodes:
+            node.exchange_us = exchange_us(node.airtime_int, self.ack_int, timing)
         self.nodes: dict[str, _Node] = {node.node_id: node for node in nodes}
         self.exchange: _Exchange | None = None
         self.stats = RunStats(elapsed_us=end_time)
@@ -241,6 +252,15 @@ class Simulation:
             self._seq += 1
             rank = 0 if kind is EventKind.PHASE_START else 1
             heapq.heappush(self._heap, (time_us, rank, self._seq, kind, data))
+
+    def _push_tick(self, time_us: int, kind: PhaseKind, phase_end: int, slot_ends: bool, unlock: bool) -> None:
+        """Hold the grid's next instant. It draws the seq a dynamic event
+        pushed now would, so it sorts against the heap exactly."""
+        if time_us < self.end_time:
+            if self._tick is not None:
+                raise SimulationError(f"a second grid tick pending at t={time_us}")
+            self._seq += 1
+            self._tick = (time_us, 2, self._seq, kind, phase_end, slot_ends, unlock)
 
     def _emit(self, time_us: int, kind: PhaseKind, entries) -> None:
         """Trace the (node id, event, backoff state) entries, in order.
@@ -293,11 +313,7 @@ class Simulation:
     def _grant_us(self) -> int:
         if self.sc.poll_grant_us is not None:
             return self.sc.poll_grant_us
-        need = [
-            self.nodes[n].airtime_int + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
-            for n in self._polled
-        ]
-        return max(need) if need else 0
+        return max((self.nodes[n].exchange_us for n in self._polled), default=0)
 
     def _seed_traffic(self) -> None:
         for node_id in sorted(self.nodes):
@@ -315,7 +331,7 @@ class Simulation:
     def _push_arrival(self, node: _Node, after_us: int) -> None:
         rate_per_s = node.spec.traffic[1]
         gap = node.rng.expovariate(rate_per_s) * 1_000_000
-        self._push(after_us + _round_us(gap), EventKind.TRAFFIC_ARRIVAL, (node.node_id,))
+        self._push(after_us + clock_us(gap), EventKind.TRAFFIC_ARRIVAL, (node.node_id,))
 
     # ----------------------------------------------------------- main loop
 
@@ -323,12 +339,19 @@ class Simulation:
         self._schedule_superframe(0)
         self._seed_traffic()
         heap = self._heap
-        while heap:
+        while True:
+            tick = self._tick
+            if tick is not None and (not heap or tick < heap[0]):
+                self._tick = None
+                time_us, _, _, kind, phase_end, slot_ends, unlock = tick
+                self.now = time_us
+                self._on_slot_tick(kind, phase_end, slot_ends, unlock)
+                continue
+            if not heap:
+                break
             time_us, _, _, kind, data = heapq.heappop(heap)
             self.now = time_us
-            if kind is EventKind.SLOT_TICK:
-                self._on_slot_tick(*data)
-            elif kind is EventKind.TX_END:
+            if kind is EventKind.TX_END:
                 self._on_tx_end(*data)
             elif kind is EventKind.ACK_DUE:
                 self._on_ack_due(*data)
@@ -364,7 +387,7 @@ class Simulation:
             entries.append((node.node_id, "sifs", state))
         self._emit(start, kind, entries)
         if start + self.timing.psifs_us < end:
-            self._push(start + self.timing.psifs_us, EventKind.SLOT_TICK, (kind, end, False, False))
+            self._push_tick(start + self.timing.psifs_us, kind, end, False, False)
 
     # ----------------------------------------------------------- the grid
 
@@ -374,18 +397,8 @@ class Simulation:
         t = self.now
         participants = self._contenders[kind]
 
-        if unlock:
-            entries = []
-            for node in participants:
-                state = node.backoff
-                if state.locked and node.lock_reason == "busy":
-                    state.locked = False
-                    node.lock_reason = None
-                    entries.append((node.node_id, "unlock", state))
-            self._emit(t, kind, entries)
-
-        transmitters: list[_Node] = []
         if slot_ends:
+            transmitters: list[_Node] = []
             entries = []
             for node in participants:
                 state = node.backoff
@@ -395,42 +408,96 @@ class Simulation:
                     if due:
                         transmitters.append(node)
             self._emit(t, kind, entries)
-        if transmitters:
-            self._begin_exchange(transmitters, t, kind, phase_end)
-            return
+            if transmitters:
+                self._begin_exchange(transmitters, t, kind, phase_end)
+                return
 
-        entries = []
+        # One pass in the order each contender goes through: a busy lock
+        # lifts on a resume tick, a frame with no counter draws one, and
+        # the guard locks a counter whose exchange no longer fits after
+        # the upcoming slot. The lines keep that order too (all unlocks,
+        # then draws, then locks); a lock changes no traced field, so they
+        # are formatted after the pass. The grid goes on while some
+        # contender can act: one that has not drawn may draw after an
+        # arrival, a running counter counts. A locked one waits for a
+        # resume tick or the next phase start, and no exchange (hence no
+        # resume tick) begins without a running counter.
+        unlocks, draws, locks = [], [], []
+        running: list[_Node] = []
+        low = math.inf  # the smallest running counter
+        widest = 0  # the longest running exchange
+        can_act = False
+        fits_us = phase_end - self.timing.csma_slot_us - t
         for node in participants:
             state = node.backoff
-            if node.queue and not node.drawn and not state.locked:
+            if unlock and state.locked and node.lock_reason == "busy":
+                state.locked = False
+                node.lock_reason = None
+                unlocks.append((node.node_id, "unlock", state))
+            if not node.drawn:
+                if not node.queue or state.locked:
+                    can_act = True
+                    continue
                 draw_backoff(state, node.rng)
                 node.drawn = True
                 if node.service_start is None:
                     node.service_start = t
-                entries.append((node.node_id, "draw", state))
-        self._emit(t, kind, entries)
-
-        # The grid goes on while some contender can act: one that has not
-        # drawn may draw after an arrival, a running counter counts. A
-        # locked one waits for a resume tick or the next phase start, and
-        # no exchange (hence no resume tick) begins without a running
-        # counter.
-        can_act = False
-        entries = []
-        for node in participants:
-            state = node.backoff
-            if not node.drawn:
-                can_act = True
-            elif not state.locked:
-                if guard_check(state, t, phase_end, node.airtime_int, self.ack_int, self.timing):
-                    can_act = True
-                else:
+                draws.append((node.node_id, "draw", state))
+            if not state.locked:
+                if node.exchange_us > fits_us:
+                    state.locked = True
                     node.lock_reason = "guard"
-                    entries.append((node.node_id, "lock", state))
-        self._emit(t, kind, entries)
+                    locks.append((node.node_id, "lock", state))
+                else:
+                    can_act = True
+                    running.append(node)
+                    if state.counter < low:
+                        low = state.counter
+                    if node.exchange_us > widest:
+                        widest = node.exchange_us
+        if self.collect_trace:
+            self._emit(t, kind, unlocks + draws + locks)
+        if can_act:
+            self._next_slots(t, kind, phase_end, running, low, widest)
 
-        if can_act and t + self.timing.csma_slot_us < phase_end:
-            self._push(t + self.timing.csma_slot_us, EventKind.SLOT_TICK, (kind, phase_end, True, False))
+    def _next_slots(
+        self, t: int, kind: PhaseKind, phase_end: int, running: list[_Node], low: int, widest: int
+    ) -> None:
+        """Set the grid's next tick after the instant t. The k slot ends
+        from t + slot on in which the running counters only count and the
+        others only wait happen here at once: none of them takes a counter
+        to zero, meets the guard, or is the last before the phase or run
+        ends, and each comes before the heap's next instant. Nothing else
+        is pushed within them, so the strict time bound is exact. The trace
+        still gets one count line per running node and slot."""
+        slot_us = self.timing.csma_slot_us
+        t += slot_us
+        stop = min(phase_end, self.end_time)
+        if t >= stop:
+            return
+        heap = self._heap
+        k = min(
+            (stop - 1 - t) // slot_us,
+            -((t - heap[0][0]) // slot_us) if heap else math.inf,
+            low - 1,
+            (phase_end - slot_us - widest - t) // slot_us + 1,
+        )
+        if k > 0:
+            k = int(k)
+            if running:
+                states = [node.backoff for node in running]
+                if self.collect_trace:
+                    entries = [(node.node_id, "count", node.backoff) for node in running]
+                    for j in range(k):
+                        for state in states:
+                            state.counter -= 1
+                        self.trace += trace_lines(t + j * slot_us, kind, entries)
+                else:
+                    for state in states:
+                        state.counter -= k
+            self._seq += k  # the ticks those slot ends would have pushed
+            t += k * slot_us
+        self._push_tick(t, kind, phase_end, True, False)
 
     # ---------------------------------------------------------- exchanges
 
@@ -510,7 +577,7 @@ class Simulation:
             if exchange.contention:
                 resume = exchange.max_end if exchange.collided else t + self.timing.psifs_us
                 if resume < exchange.phase_end:
-                    self._push(resume, EventKind.SLOT_TICK, (exchange.kind, exchange.phase_end, False, True))
+                    self._push_tick(resume, exchange.kind, exchange.phase_end, False, True)
 
     def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
         wire = exchange.wires.get(node.node_id)
@@ -541,9 +608,10 @@ class Simulation:
         if not node.queue or self.exchange is not None:
             return
         t = self.now
-        needed = node.airtime_int + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
-        if needed > duration:
-            return
+        if node.exchange_us > duration:
+            raise SimulationError(
+                f"{node_id}: a {node.exchange_us} us frame exchange does not fit its {duration} us grant"
+            )
         if node.service_start is None:
             node.service_start = t
         kind, _ = phase_at(self.layout, t % self.layout.duration_us)
@@ -561,7 +629,7 @@ class Simulation:
         self.stats.beacons += 1
         self._emit(t, PhaseKind.BEACON, ((HUB_ID, "tx_start", self._hub_state),))
         self._emit(
-            t + _round_us(self.beacon_airtime_us),
+            t + clock_us(self.beacon_airtime_us),
             PhaseKind.BEACON,
             ((HUB_ID, "tx_end", self._hub_state),),
         )
@@ -608,6 +676,7 @@ class ScriptedReplay(Simulation):
     def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
         super()._complete_delivery(node, t, exchange)
         self._heap.clear()
+        self._tick = None
         self.end_time = t  # also drops the resume tick pushed next
 
 

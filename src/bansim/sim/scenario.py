@@ -12,8 +12,10 @@ a comma-separated list of sub-assignments, for example:
 
 Unknown sections, keys, and sub-keys are rejected with their line
 number. Semantic checks (phase arithmetic, channel rules, payload
-bounds) run after parsing; a check on one node reports that node's line,
-the others their section's line where one is known.
+bounds, grants that fit a frame exchange) run after parsing; a check on
+one node or security entry reports that entry's line, a check on
+poll_grant_us its line, the others their section's line where one is
+known.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from bansim.errors import AllocationConflict, InvalidLayoutError, ScenarioError
-from bansim.mac.csma import MacTimingConstants
+from bansim.mac.csma import MacTimingConstants, exchange_us
 from bansim.mac.superframe import (
     OperationalMode,
     PhaseKind,
@@ -35,7 +37,7 @@ from bansim.mac.superframe import (
     phases_covered,
     place_scheduled,
 )
-from bansim.phy.ppdu import MAX_BODY_LEN
+from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
 from bansim.phy.rates import Band, PhyConfig, hbc_config, nb_config, uwb_config
 from bansim.security import SECURITY_WIRE_OVERHEAD, SecurityLevel
 
@@ -125,6 +127,11 @@ _ALLOCATION_MINIMA = {"slot_start": 0, "slot_len": 1, "period": 1}
 
 def _fail(line: int, message: str) -> ScenarioError:
     return ScenarioError(message, line=line)
+
+
+def clock_us(t: float) -> int:
+    """A duration on the simulation clock: whole microseconds, half up."""
+    return int(t + 0.5)
 
 
 def _to_int(raw: str, line: int, key: str) -> int:
@@ -253,6 +260,7 @@ def parse_scenario(text: str) -> Scenario:
     nodes: list[NodeSpec] = []
     node_lines: dict[str, int] = {}
     security: dict[str, SecuritySpec] = {}
+    security_lines: dict[str, int] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -282,6 +290,7 @@ def parse_scenario(text: str) -> Scenario:
             if key in security:
                 raise _fail(lineno, f"duplicate security entry {key!r}")
             security[key] = _parse_security(value, lineno)
+            security_lines[key] = lineno
         else:
             target = {"phy": phy_fields, "superframe": sf_fields, "csma": csma_fields, "run": run_fields}[section]
             if key in target:
@@ -289,6 +298,7 @@ def parse_scenario(text: str) -> Scenario:
             target[key] = (value, lineno)
 
     phy = _build_phy(phy_fields)
+    grant_line = sf_fields.get("poll_grant_us", (None, None))[1]
     superframe, poll_grant_us = _build_superframe(sf_fields)
     timing = _build_timing(csma_fields)
     run = _build_run(run_fields)
@@ -301,7 +311,9 @@ def parse_scenario(text: str) -> Scenario:
         run=run,
         poll_grant_us=poll_grant_us,
     )
-    validate_scenario(scenario, section_lines, node_lines)
+    if grant_line is not None:
+        section_lines["poll_grant_us"] = grant_line
+    validate_scenario(scenario, section_lines, node_lines, security_lines)
     return scenario
 
 
@@ -375,10 +387,17 @@ def _build_timing(fields: dict) -> MacTimingConstants:
     slot, s_line = _pop(fields, "slot_us", "125")
     gtn, g_line = _pop(fields, "gtn_us", "85")
     _reject_leftovers(fields, "csma")
+    values = {}
+    for key, raw, line, low in (
+        ("psifs_us", psifs, p_line, 0),
+        ("slot_us", slot, s_line, 1),
+        ("gtn_us", gtn, g_line, 0),
+    ):
+        values[key] = _to_int(raw, line, key)
+        if values[key] < low:
+            raise _fail(line, f"{key} must be at least {low}, got {values[key]}")
     return MacTimingConstants(
-        psifs_us=_to_int(psifs, p_line, "psifs_us"),
-        csma_slot_us=_to_int(slot, s_line, "slot_us"),
-        gtn_us=_to_int(gtn, g_line, "gtn_us"),
+        psifs_us=values["psifs_us"], csma_slot_us=values["slot_us"], gtn_us=values["gtn_us"]
     )
 
 
@@ -414,11 +433,16 @@ def validate_scenario(
     sc: Scenario,
     section_lines: dict[str, int] | None = None,
     node_lines: dict[str, int] | None = None,
+    security_lines: dict[str, int] | None = None,
 ) -> None:
     """Semantic checks; raises ScenarioError before any event runs. A
-    check on one node reports its line from `node_lines`."""
+    check on one node reports its line from `node_lines`, on a security
+    entry its line from `security_lines`, and on the poll grant the line
+    that `section_lines` holds under "poll_grant_us"."""
     lines = section_lines or {}
     node_lines = node_lines or {}
+    security_lines = security_lines or {}
+    ack_us = clock_us(frame_airtime_us(sc.phy, 0))
 
     try:
         layout = build_layout(sc.superframe)
@@ -440,6 +464,15 @@ def validate_scenario(
                 f"security bytes leaves the 1..{MAX_BODY_LEN} body range",
                 line=node_line,
             )
+        # The kernel's exchange: airtimes on its whole-microsecond clock.
+        data_us = clock_us(frame_airtime_us(sc.phy, node.payload_bytes + overhead))
+        need_us = exchange_us(data_us, ack_us, sc.timing)
+        if node.access == "polled" and sc.poll_grant_us is not None and sc.poll_grant_us < need_us:
+            raise ScenarioError(
+                f"poll_grant_us {sc.poll_grant_us} is shorter than the {need_us} us "
+                f"frame exchange of polled node {node.node_id}",
+                line=lines.get("poll_grant_us", lines.get("superframe")),
+            )
         if node.access == "contention":
             contention += 1
         elif node.access == "scheduled":
@@ -453,6 +486,13 @@ def validate_scenario(
             if end_slot > layout.slots_per_superframe:
                 raise ScenarioError(
                     f"{node.node_id}: allocation runs past the superframe", line=node_line
+                )
+            span_us = alloc.length_slots * layout.slot_length_us
+            if span_us < need_us:
+                raise ScenarioError(
+                    f"{node.node_id}: {alloc.length_slots}-slot allocation ({span_us} us) "
+                    f"is shorter than one {need_us} us frame exchange",
+                    line=node_line,
                 )
             for kind in phases_covered(layout, alloc.start_slot, alloc.length_slots):
                 if not admissible(kind, node.priority, TrafficKind.SCHEDULED):
@@ -484,12 +524,10 @@ def validate_scenario(
 
     known = {n.node_id for n in sc.nodes}
     for node_id, spec in sc.security.items():
+        entry_line = security_lines.get(node_id, lines.get("security"))
         if node_id not in known:
-            raise ScenarioError(
-                f"security entry for unknown node {node_id!r}", line=lines.get("security")
-            )
+            raise ScenarioError(f"security entry for unknown node {node_id!r}", line=entry_line)
         if spec.group is not None and spec.level == SecurityLevel.UNSECURED:
             raise ScenarioError(
-                f"{node_id}: group membership needs security level 1 or 2",
-                line=lines.get("security"),
+                f"{node_id}: group membership needs security level 1 or 2", line=entry_line
             )

@@ -377,6 +377,49 @@ class TestSemantics:
         assert "group membership" in msg
 
 
+class TestEntryLines:
+    def test_security_checks_name_the_entrys_line(self):
+        head = "[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n[nodes]\nn0 = payload=10\n[security]\n"
+        line, msg = error_line(head + "n0 = level=1\n\nghost = level=1\n")
+        assert line == 9 and "unknown node 'ghost'" in msg
+        line, msg = error_line(head + "\nn0 = level=0, group=ward\n")
+        assert line == 8 and "group membership" in msg
+
+    @pytest.mark.parametrize("entry, low", [("slot_us = 0", 1), ("psifs_us = -1", 0), ("gtn_us = -5", 0)])
+    def test_timing_below_its_floor_names_its_line(self, entry, low):
+        line, msg = error_line(f"[csma]\n# timing\n{entry}\n")
+        assert line == 3 and f"must be at least {low}" in msg
+
+
+class TestExchangeFit:
+    """A grant must hold one frame exchange (data, pSIFS, ack, guard time),
+    timed as the kernel times it; otherwise its node could never send."""
+
+    SCHEDULED = "[superframe]\nmode = nonbeacon\nslots = 256\n[nodes]\nn0 = access=scheduled, slot_start=10, slot_len=5{}\n"
+    POLLED = (
+        "[superframe]\nbeacon_slots = 4\nrap1_slots = 120\ntype_b_slots = 132\n{}"
+        "[nodes]\np = traffic=poisson:20, payload=60, access=polled\n"
+    )
+
+    def test_allocation_shorter_than_an_exchange_names_the_nodes_line(self):
+        line, msg = error_line(self.SCHEDULED.format(""))
+        assert line == 5
+        assert "n0: 5-slot allocation (2500 us) is shorter than one" in msg
+        scn(self.SCHEDULED.format(", payload=10"))  # a short frame fits the same slots
+
+    def test_poll_grant_shorter_than_an_exchange_names_its_line(self):
+        line, msg = error_line(self.POLLED.format("poll_grant_us = 2000\n"))
+        assert line == 5 and "frame exchange of polled node p" in msg
+
+    def test_poll_grant_bound_is_the_kernels_exchange(self):
+        from bansim.sim.kernel import Simulation
+
+        need = Simulation(scn(self.POLLED.format(""))).nodes["p"].exchange_us
+        scn(self.POLLED.format(f"poll_grant_us = {need}\n"))
+        line, msg = error_line(self.POLLED.format(f"poll_grant_us = {need - 1}\n"))
+        assert line == 5 and f"the {need} us frame exchange" in msg
+
+
 class TestLoadScenario:
     def test_reads_from_a_file(self, tmp_path):
         path = tmp_path / "one.scn"

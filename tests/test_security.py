@@ -1,5 +1,7 @@
 """Key lifecycle and per-frame protection: establishment order, uniqueness,
-tamper and replay rejection, group key distribution."""
+tamper and replay rejection, group key distribution, pinned wire bytes."""
+
+import hashlib
 
 import pytest
 
@@ -147,6 +149,38 @@ class TestFraming:
         bare = SecuritySession("n0", "hub", SecurityLevel.AUTHENTICATED)
         with pytest.raises(KeyStateError):
             secure_frame(b"no key yet", bare)
+
+
+class TestKnownAnswers:
+    """Exact wire bytes of the first frame of a fresh pre-shared session
+    for node n0, body byte i = (7i + 3) mod 256. Short wires are pinned in
+    full, the others by SHA-256; a body of 32 bytes or more takes a second
+    keystream block at level 2."""
+
+    WIRES = {
+        (1, 0): "0100000001471534175f9136e7",
+        (1, 1): "010000000103e2a464c8b7527b77",
+        (1, 31): "a97ca98f9f6d40380042dde658eed9e31d424dc7cac07c0af49d61b3a52fd67a",
+        (1, 32): "9a9a23db31b7d45f6e52a3598c322c06e6137f16a8e43e9e0d64399f3647ea35",
+        (1, 33): "ace360c3632f4a80244b02d1a96f67ca3d3fc93da3a77923220d85d757c59c7f",
+        (1, 120): "fe9cc2eee115bcf917e968371cd73ac1a24132fa1dff8aafbfb38d0a9e7def21",
+        (2, 0): "020000000120bfbbdd5913a82c",
+        (2, 1): "0200000001b3dea7a2cc2bea7eb0",
+        (2, 31): "9f637dd98d45a1da0cdbae21315d95473fe0d722636692aeff845bc91a9b211d",
+        (2, 32): "4a2ba539682f5512b61659b51f88e1ff6c41041ae6acc46e0e616b2474f923ab",
+        (2, 33): "83c63a5c0cad5eb319a5fbab1163e3745f2f18d5b74e0e1266bc440c367d63f1",
+        (2, 120): "1d70ddd915fd7c9fba485830e4e50e55b699412d1897c1cfc903fb0daeeb414d",
+    }
+
+    @pytest.mark.parametrize("level, length", sorted(WIRES))
+    def test_first_frame_wire_bytes(self, level, length):
+        _, s = paired(level)
+        body = bytes((7 * i + 3) % 256 for i in range(length))
+        wire = secure_frame(body, s)
+        assert len(wire) == length + SECURITY_WIRE_OVERHEAD[level]
+        pinned = wire.hex() if length <= 1 else hashlib.sha256(wire).hexdigest()
+        assert pinned == self.WIRES[level, length]
+        assert admit_frame(wire, s) == body
 
 
 class TestRejection:

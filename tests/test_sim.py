@@ -1,6 +1,8 @@
 """End-to-end kernel behavior: oracle agreement, determinism, conservation,
-phase containment, all three access kinds, security on the wire."""
+phase containment, all three access kinds, security on the wire, and the
+lazy slot grid against a slot-by-slot reference."""
 
+import heapq
 import io
 import os
 import subprocess
@@ -9,13 +11,15 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bansim
 from bansim.efficiency import analytic_efficiency, reference_configs
 from bansim.errors import ScenarioError, SimulationError
-from bansim.mac.csma import PRIORITY_TABLE
+from bansim.mac.csma import PRIORITY_TABLE, draw_backoff, guard_check, on_idle_slot
 from bansim.phy.ppdu import frame_airtime_us
-from bansim.sim.kernel import BEACON_BODY_LEN, Simulation, run, run_to_files, write_trace
+from bansim.sim.kernel import BEACON_BODY_LEN, EventKind, Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import load_scenario, parse_scenario
 from bansim.sim.stats import write_stats_csv
 
@@ -228,27 +232,6 @@ class TestPolledAccess:
         events = {r[2] for r in parse_trace(trace) if r[1] == "pump"}
         assert "draw" not in events and "enter" not in events
         assert {"tx_start", "tx_end", "ack", "success"} <= events
-
-    def test_undersized_grants_starve_the_node(self):
-        sc = parse_scenario(
-            """
-            [superframe]
-            beacon_slots = 4
-            type_a_slots = 132
-            cap_slots = 120
-            poll_grant_us = 100
-
-            [nodes]
-            pump = traffic=saturated, payload=60, access=polled
-
-            [run]
-            duration_ms = 500
-            """
-        )
-        stats, _ = run(sc)
-        node = stats.nodes["pump"]
-        assert node.delivered == 0
-        assert node.queued == node.offered == 1
 
 
 class TestScheduledAccess:
@@ -463,6 +446,40 @@ class TestKernelInvariants:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False transmission ended outside an exchange\n"
 
+    # A grant shorter than its node's exchange (the scenario check refuses
+    # such grants) and a second pending grid tick.
+    GRID_AND_GRANT = (
+        "from bansim.errors import SimulationError\n"
+        "from bansim.mac.superframe import PhaseKind\n"
+        "from bansim.sim.kernel import Simulation\n"
+        "from bansim.sim.scenario import parse_scenario\n"
+        "sim = Simulation(parse_scenario({text!r}))\n"
+        "sim.nodes['n0'].queue.append(0)\n"
+        "def second_tick():\n"
+        "    sim._push_tick(100, PhaseKind.RAP1, 9000, True, False)\n"
+        "    sim._push_tick(200, PhaseKind.RAP1, 9000, True, False)\n"
+        "for check in (lambda: sim._on_poll_grant('n0', 99, 99), second_tick):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except SimulationError as exc:\n"
+        "        print(__debug__, exc)\n"
+    )
+
+    def test_grant_and_grid_checks_survive_optimized_mode(self):
+        src = str(Path(bansim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        sc = OPEN_RAP.format(payload=50, seed=1, duration_ms=10)
+        need = Simulation(parse_scenario(sc)).nodes["n0"].exchange_us
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.GRID_AND_GRANT.format(text=sc)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"False n0: a {need} us frame exchange does not fit its 99 us grant",
+            "False a second grid tick pending at t=200",
+        ]
+
 
 class _TickCounter(Simulation):
     """Counts slot ticks, those at or past their phase's end, and those
@@ -516,3 +533,183 @@ class TestLeanLoop:
             sim.run()
             largest.append(sim.largest)
         assert largest[0] == largest[1]
+
+
+# ------------------------------------------- the grid against its reference
+
+SLOT_TICK = "slot tick"  # the reference grid's heap event kind
+
+
+class SlotBySlot(Simulation):
+    """The slot grid as it ran before it became a lazy event stream: every
+    grid instant is a heap event, every slot end is its own tick, and each
+    tick checks the guard with guard_check. Nothing is batched. Kept as the
+    reference that the kernel's stats and trace must match byte for byte."""
+
+    def _push_tick(self, time_us, kind, phase_end, slot_ends, unlock):
+        self._push(time_us, SLOT_TICK, (kind, phase_end, slot_ends, unlock))
+
+    def run(self):
+        self._schedule_superframe(0)
+        self._seed_traffic()
+        handlers = {
+            SLOT_TICK: self._on_slot_tick,
+            EventKind.TX_END: self._on_tx_end,
+            EventKind.ACK_DUE: self._on_ack_due,
+            EventKind.PHASE_START: self._on_phase_start,
+            EventKind.TRAFFIC_ARRIVAL: self._on_arrival,
+            EventKind.POLL_GRANT: self._on_poll_grant,
+            EventKind.BEACON_TX: lambda end: self._on_beacon(),
+            EventKind.SUPERFRAME: self._schedule_superframe,
+        }
+        while self._heap:
+            time_us, _, _, kind, data = heapq.heappop(self._heap)
+            self.now = time_us
+            handlers[kind](*data)
+        for node in self.nodes.values():
+            node.stats.queued = len(node.queue)
+        self.stats.check_conservation()
+        return self.stats
+
+    def _on_slot_tick(self, kind, phase_end, slot_ends, unlock):
+        if self.exchange is not None:
+            return
+        t = self.now
+        participants = self._contenders[kind]
+
+        if unlock:
+            entries = []
+            for node in participants:
+                state = node.backoff
+                if state.locked and node.lock_reason == "busy":
+                    state.locked = False
+                    node.lock_reason = None
+                    entries.append((node.node_id, "unlock", state))
+            self._emit(t, kind, entries)
+
+        transmitters = []
+        if slot_ends:
+            entries = []
+            for node in participants:
+                state = node.backoff
+                if node.drawn and not state.locked and state.counter > 0:
+                    due = on_idle_slot(state)
+                    entries.append((node.node_id, "count", state))
+                    if due:
+                        transmitters.append(node)
+            self._emit(t, kind, entries)
+        if transmitters:
+            self._begin_exchange(transmitters, t, kind, phase_end)
+            return
+
+        entries = []
+        for node in participants:
+            state = node.backoff
+            if node.queue and not node.drawn and not state.locked:
+                draw_backoff(state, node.rng)
+                node.drawn = True
+                if node.service_start is None:
+                    node.service_start = t
+                entries.append((node.node_id, "draw", state))
+        self._emit(t, kind, entries)
+
+        can_act = False
+        entries = []
+        for node in participants:
+            state = node.backoff
+            if not node.drawn:
+                can_act = True
+            elif not state.locked:
+                if guard_check(state, t, phase_end, node.airtime_int, self.ack_int, self.timing):
+                    can_act = True
+                else:
+                    node.lock_reason = "guard"
+                    entries.append((node.node_id, "lock", state))
+        self._emit(t, kind, entries)
+
+        if can_act and t + self.timing.csma_slot_us < phase_end:
+            self._push(t + self.timing.csma_slot_us, SLOT_TICK, (kind, phase_end, True, False))
+
+
+def stats_and_trace(sim):
+    sim.run()
+    out = io.StringIO()
+    write_stats_csv(sim.stats, out)
+    return out.getvalue(), sim.trace
+
+
+# Phases that take contention traffic, and the shared ones.
+_CONTENTION_KEYS = ("eap1_slots", "rap1_slots", "eap2_slots", "rap2_slots", "cap_slots")
+_ALL_KEYS = ("eap1_slots", "rap1_slots", "type_a_slots", "eap2_slots", "rap2_slots", "type_b_slots", "cap_slots")
+
+
+@st.composite
+def small_scenarios(draw):
+    """1-8 contention nodes (priorities 0-7, saturated, Poisson or scripted
+    traffic, 1-200 B) and now and then a polled node, on a beacon,
+    beacon-free or non-beacon layout with random phase lengths and MAC
+    timing. Scripted arrivals fall on whole 100 us, and the slot and
+    interframe space often divide that, so arrivals land on grid instants."""
+    duration_ms = draw(st.integers(20, 250))
+    layout = draw(st.sampled_from(["beacon", "no beacon", "nonbeacon"]))
+    slots = draw(st.integers(16, 96))
+    if layout == "nonbeacon":
+        superframe = f"mode = nonbeacon\nslots = {slots}\nfill_phase_type = {draw(st.sampled_from('I II'.split()))}\n"
+    else:
+        beacon = 4 if layout == "beacon" else 0
+        keys = draw(st.lists(st.sampled_from(_ALL_KEYS), min_size=1, max_size=5, unique=True))
+        if not any(k in _CONTENTION_KEYS for k in keys):
+            keys.append("rap1_slots")
+        cuts = sorted(draw(st.lists(st.integers(0, slots), min_size=len(keys) - 1, max_size=len(keys) - 1)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [slots])]
+        superframe = f"slots = {slots + beacon}\n"
+        superframe += f"beacon_slots = {beacon}\n" if beacon else "beacon_prohibited = true\n"
+        superframe += "".join(f"{k} = {n}\n" for k, n in zip(keys, sizes))
+    nodes = []
+    for i in range(draw(st.integers(1, 8))):
+        traffic = draw(st.sampled_from(["saturated", "poisson:5", "poisson:60", "poisson:400", "scripted"]))
+        if traffic == "scripted":
+            times = draw(st.lists(st.integers(0, duration_ms * 10), min_size=1, max_size=8, unique=True))
+            traffic = "scripted:" + ";".join(str(100 * t) for t in sorted(times))
+        nodes.append(
+            f"n{i} = priority={draw(st.integers(0, 7))}, traffic={traffic}, "
+            f"payload={draw(st.integers(1, 200))}, access=contention"
+        )
+    if draw(st.booleans()):
+        nodes.append(f"p = traffic=poisson:{draw(st.sampled_from([20, 200]))}, payload={draw(st.integers(1, 200))}, access=polled")
+    channel = "ideal" if len(nodes) == 1 and draw(st.booleans()) else "collision"
+    return parse_scenario(
+        "[phy]\nband = 2400-2483.5\nrate = high\n"
+        f"[superframe]\nslot_length_us = 500\n{superframe}"
+        f"[csma]\npsifs_us = {draw(st.sampled_from([0, 50]) | st.integers(0, 80))}\n"
+        f"slot_us = {draw(st.sampled_from([20, 25, 50, 100]) | st.integers(20, 200))}\n"
+        f"gtn_us = {draw(st.sampled_from([0, 1, 85, 120]))}\n"
+        "[nodes]\n" + "\n".join(nodes) + "\n"
+        f"[run]\nseed = {draw(st.integers(1, 10**6))}\nduration_ms = {duration_ms}\n"
+        f"channel = {channel}\n"
+    )
+
+
+class TestLazyGrid:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_scenarios())
+    def test_matches_the_slot_by_slot_grid(self, sc):
+        want = stats_and_trace(SlotBySlot(sc, collect_trace=True))
+        assert stats_and_trace(Simulation(sc, collect_trace=True)) == want
+        assert stats_and_trace(Simulation(sc))[0] == want[0]
+
+    @pytest.mark.parametrize("name", ["contention_pair", "mixed_access"])
+    def test_bundled_scenarios_match_the_slot_by_slot_grid(self, name):
+        sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
+        got = stats_and_trace(Simulation(sc, collect_trace=True))
+        assert got == stats_and_trace(SlotBySlot(sc, collect_trace=True))
+
+    def test_idle_slots_take_one_step(self):
+        class CountedReference(_TickCounter, SlotBySlot):
+            pass
+
+        sc = load_scenario(SCENARIO_DIR / "mixed_access.scn")
+        lazy, reference = _TickCounter(sc), CountedReference(sc)
+        assert stats_and_trace(lazy) == stats_and_trace(reference)
+        assert 0 < lazy.ticks < reference.ticks
