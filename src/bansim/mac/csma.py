@@ -11,6 +11,15 @@ CW_max, and resets to CW_min on success.
 replay_contention runs a single node through an explicit phase/outcome
 timeline on the simulation kernel's slot grid and returns the canonical
 trace line per event: `time_us,node,event,counter,cw,failures,phase`.
+
+Trace lines are rendered here and nowhere else. trace_batch appends the
+lines of one instant of one phase straight from node ids and backoff
+states: one event for many nodes (a busy lock, a resume unlock, a slot's
+counts) or a few events per node (a phase entry). trace_event appends
+one node's one event, the exchange lines. The decimal text of counters,
+windows and failure counts comes from a cache that fills on first use,
+so each line is one f-string. trace_lines and trace_line render
+(node id, event, state) entries through trace_event.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ __all__ = [
     "guard_check",
     "on_failure",
     "on_success",
+    "trace_batch",
+    "trace_event",
     "trace_line",
     "trace_lines",
     "replay_contention",
@@ -193,25 +204,77 @@ class ScriptedDraws:
         return value
 
 
-# Phase names as they appear in trace lines, so that no line reads the
-# enum's value property.
-_PHASE_NAMES = {kind: kind.value for kind in PhaseKind}
+# The end of every line in each phase: a comma and the phase name.
+_PHASE_TAILS = {kind: f",{kind.value}" for kind in PhaseKind}
+
+# Decimal text of the integers trace lines have shown so far. It holds at
+# most one entry per distinct counter, window and failure count, so it is
+# bounded by the largest window and failure run a process meets.
+_DECIMAL: dict[int, str] = {}
+
+
+def _learn(missing: KeyError) -> None:
+    """Cache the text of the number a line lacked."""
+    (number,) = missing.args
+    _DECIMAL[number] = str(number)
+
+
+def trace_batch(
+    lines: list[str], time_us: int, phase: PhaseKind, events: tuple[str, ...], node_ids, states
+) -> None:
+    """Append the canonical trace lines of one instant in one phase to
+    `lines`: for each node id and its backoff state (two sequences of one
+    length), in order, one line per event in `events`. Fields are read from
+    each state as it is now."""
+    head, tail, text = f"{time_us},", _PHASE_TAILS[phase], _DECIMAL
+    start, add = len(lines), lines.append
+    while True:
+        try:
+            for node, s in zip(node_ids, states):
+                for event in events:
+                    add(
+                        f"{head}{node},{event},{text[s.counter]},{text[s.cw]},"
+                        f"{text[s.consecutive_failures]}{tail}"
+                    )
+            return
+        except KeyError as missing:  # a number not shown before: learn it, start again
+            _learn(missing)
+            del lines[start:]
+
+
+def trace_event(
+    lines: list[str], time_us: int, phase: PhaseKind, event: str, node_id: str, state: BackoffState
+) -> None:
+    """Append the line of one node's event to `lines`: trace_batch for one
+    node and one event, written out because a batch of one costs about
+    twice a single f-string. The renderer tests hold both to one format."""
+    text = _DECIMAL
+    while True:
+        try:
+            lines.append(
+                f"{time_us},{node_id},{event},{text[state.counter]},{text[state.cw]},"
+                f"{text[state.consecutive_failures]}{_PHASE_TAILS[phase]}"
+            )
+            return
+        except KeyError as missing:
+            _learn(missing)
 
 
 def trace_lines(time_us: int, phase: PhaseKind, entries) -> list[str]:
     """The canonical trace line of each (node id, event, backoff state)
     entry, all at one instant of one phase."""
-    t, name = str(time_us), _PHASE_NAMES[phase]
-    return [
-        ",".join((t, node, event, str(s.counter), str(s.cw), str(s.consecutive_failures), name))
-        for node, event, s in entries
-    ]
+    lines: list[str] = []
+    for node, event, state in entries:
+        trace_event(lines, time_us, phase, event, node, state)
+    return lines
 
 
 def trace_line(
     time_us: int, node: str, event: str, state: BackoffState, phase: PhaseKind
 ) -> str:
-    return trace_lines(time_us, phase, ((node, event, state),))[0]
+    lines: list[str] = []
+    trace_event(lines, time_us, phase, event, node, state)
+    return lines[0]
 
 
 def replay_contention(

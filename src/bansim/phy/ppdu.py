@@ -322,17 +322,18 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
 # ------------------------------------------------------------------ airtime
 
 
-def _airtime(cfg: PhyConfig, psdu_bits: int) -> AirtimeBreakdown:
-    """Transmission time split by region, in microseconds.
+def _airtime(cfg: PhyConfig, psdu_bits: int) -> tuple[float, float, float]:
+    """Transmission time of the preamble, header and PSDU regions, in
+    microseconds.
 
     Sync symbols go out at the raw symbol rate; header and frame regions
     take information_bits / information_rate, so coding and spreading
     stretch them through the rate, not through the bit image.
     """
-    return AirtimeBreakdown(
-        preamble_us=cfg.preamble_symbols / cfg.symbol_rate * 1000.0,
-        header_us=_FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0,
-        psdu_us=psdu_bits / info_data_rate(cfg, "psdu") * 1000.0,
+    return (
+        cfg.preamble_symbols / cfg.symbol_rate * 1000.0,
+        _FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0,
+        psdu_bits / info_data_rate(cfg, "psdu") * 1000.0,
     )
 
 
@@ -340,14 +341,16 @@ def ppdu_airtime(ppdu: Ppdu, cfg: PhyConfig) -> AirtimeBreakdown:
     """Transmission time of a built frame, split by region."""
     if ppdu.kind != cfg.kind:
         raise ConfigError(f"frame is {ppdu.kind.value}, config is {cfg.kind.value}")
-    return _airtime(cfg, len(ppdu.psdu_bytes) * 8)
+    return AirtimeBreakdown(*_airtime(cfg, len(ppdu.psdu_bytes) * 8))
 
 
 def frame_airtime_us(cfg: PhyConfig, body_len: int) -> float:
-    """Airtime of a frame with `body_len` body bytes, without building it."""
+    """Airtime of a frame with `body_len` body bytes, without building it;
+    the sum is taken in AirtimeBreakdown.total_us's order."""
     if body_len < 0 or body_len > MAX_BODY_LEN:
         raise FrameTooLong(f"body of {body_len} bytes exceeds {MAX_BODY_LEN}")
-    return _airtime(cfg, (MAC_HEADER_LEN + body_len + FCS_LEN) * 8).total_us
+    preamble_us, header_us, psdu_us = _airtime(cfg, (MAC_HEADER_LEN + body_len + FCS_LEN) * 8)
+    return preamble_us + header_us + psdu_us
 
 
 # ------------------------------------------------------------------ hexdump

@@ -68,11 +68,8 @@ MK_MODES = ("preshared", "unauthenticated")
 
 
 def _digest(*parts: bytes) -> bytes:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(len(part).to_bytes(4, "big"))
-        h.update(part)
-    return h.digest()
+    """SHA-256 of the parts, each led by its length as 4 big-endian bytes."""
+    return hashlib.sha256(b"".join([len(part).to_bytes(4, "big") + part for part in parts])).digest()
 
 
 def default_kdf(mk: bytes, ordinal: int) -> bytes:

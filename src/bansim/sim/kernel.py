@@ -30,12 +30,20 @@ after it in which counters only count and idle contenders only wait for
 an arrival are taken in one step. The step stops one slot before a
 counter would reach zero, before a guard lock, before the phase end, and
 before the heap's next instant; the trace still gets one count line per
-node and slot. Overlapping
-transmissions fail everyone in collision mode and are a scenario error
-in ideal mode; a lone transmission is always delivered (zero bit
-errors). Polled and scheduled traffic runs inside the shared phases on
-pre-computed grants, one frame exchange per grant. ScriptedReplay runs
-one node on this same grid from a scripted timeline, for the CSMA replay.
+node and slot. Overlapping transmissions fail everyone in collision mode
+and are a scenario error in ideal mode; a lone transmission is always
+delivered (zero bit errors). Polled and scheduled traffic runs inside
+the shared phases on pre-computed grants, one frame exchange per grant.
+ScriptedReplay runs one node on this same grid from a scripted timeline,
+for the CSMA replay.
+
+The kernel decides which lines a run traces and in what order; csma
+renders them. A storm (one event for many contenders at one instant: a
+slot's counts, the busy locks when an exchange begins, the unlocks on a
+resume tick, the enter/unlock/sifs lines of a phase entry) goes to
+csma.trace_batch as node ids and states, and each exchange line goes to
+csma.trace_event. Without a trace the kernel collects no list of nodes to
+trace and renders nothing.
 
 Every transmission passes the security gate: a node whose session is at
 an authenticated level must hold an active pairwise key, its payload
@@ -50,7 +58,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from pathlib import Path
+from itertools import groupby
 
 from bansim.errors import ScenarioError, SimulationError
 from bansim.mac.csma import (
@@ -63,7 +71,8 @@ from bansim.mac.csma import (
     on_failure,
     on_idle_slot,
     on_success,
-    trace_lines,
+    trace_batch,
+    trace_event,
 )
 from bansim.mac.superframe import (
     PhaseKind,
@@ -87,11 +96,17 @@ from bansim.security import (
 )
 from bansim.sim.scenario import NodeSpec, Scenario, SecuritySpec, clock_us
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
+from bansim.textio import text_stream
 
 __all__ = ["EventKind", "ScriptedReplay", "Simulation", "run", "run_to_files", "write_trace"]
 
 BEACON_BODY_LEN = 17
 HUB_ID = "hub"
+
+# A contender's lines on phase entry: a locked counter unlocks between
+# the two, and unlocking changes no traced field.
+_ENTRY = ("enter", "sifs")
+_ENTRY_UNLOCK = ("enter", "unlock", "sifs")
 
 
 class EventKind(Enum):
@@ -262,11 +277,16 @@ class Simulation:
             self._seq += 1
             self._tick = (time_us, 2, self._seq, kind, phase_end, slot_ends, unlock)
 
-    def _emit(self, time_us: int, kind: PhaseKind, entries) -> None:
-        """Trace the (node id, event, backoff state) entries, in order.
-        Lines are formatted here, from each state as it is now."""
-        if self.collect_trace and entries:
-            self.trace += trace_lines(time_us, kind, entries)
+    def _emit(self, time_us: int, kind: PhaseKind, event: str, node: _Node) -> None:
+        """Trace one event of one node, from its backoff state as it is now."""
+        if self.collect_trace:
+            trace_event(self.trace, time_us, kind, event, node.node_id, node.backoff)
+
+    def _emit_batch(self, time_us: int, kind: PhaseKind, events: tuple[str, ...], nodes: list[_Node]) -> None:
+        """Trace each event in `events` for each node, node by node."""
+        if self.collect_trace and nodes:
+            ids, states = [n.node_id for n in nodes], [n.backoff for n in nodes]
+            trace_batch(self.trace, time_us, kind, events, ids, states)
 
     # --------------------------------------------------------------- setup
 
@@ -376,16 +396,15 @@ class Simulation:
         participants = self._contenders[kind]
         if not participants:
             return
-        entries = []
-        for node in participants:
-            state = node.backoff
-            entries.append((node.node_id, "enter", state))
-            if state.locked:
-                state.locked = False
-                node.lock_reason = None
-                entries.append((node.node_id, "unlock", state))
-            entries.append((node.node_id, "sifs", state))
-        self._emit(start, kind, entries)
+        # Contenders in a row that are alike in being locked are traced as
+        # one batch.
+        for locked, run in groupby(participants, key=lambda n: n.backoff.locked):
+            run = list(run)
+            if locked:
+                for node in run:
+                    node.backoff.locked = False
+                    node.lock_reason = None
+            self._emit_batch(start, kind, _ENTRY_UNLOCK if locked else _ENTRY, run)
         if start + self.timing.psifs_us < end:
             self._push_tick(start + self.timing.psifs_us, kind, end, False, False)
 
@@ -396,18 +415,19 @@ class Simulation:
             return
         t = self.now
         participants = self._contenders[kind]
+        tracing = self.collect_trace  # lists of nodes to trace stay empty otherwise
 
         if slot_ends:
             transmitters: list[_Node] = []
-            entries = []
+            counted: list[_Node] = []
             for node in participants:
                 state = node.backoff
                 if node.drawn and not state.locked and state.counter > 0:
-                    due = on_idle_slot(state)
-                    entries.append((node.node_id, "count", state))
-                    if due:
+                    if on_idle_slot(state):
                         transmitters.append(node)
-            self._emit(t, kind, entries)
+                    if tracing:
+                        counted.append(node)
+            self._emit_batch(t, kind, ("count",), counted)
             if transmitters:
                 self._begin_exchange(transmitters, t, kind, phase_end)
                 return
@@ -433,7 +453,8 @@ class Simulation:
             if unlock and state.locked and node.lock_reason == "busy":
                 state.locked = False
                 node.lock_reason = None
-                unlocks.append((node.node_id, "unlock", state))
+                if tracing:
+                    unlocks.append(node)
             if not node.drawn:
                 if not node.queue or state.locked:
                     can_act = True
@@ -442,12 +463,14 @@ class Simulation:
                 node.drawn = True
                 if node.service_start is None:
                     node.service_start = t
-                draws.append((node.node_id, "draw", state))
+                if tracing:
+                    draws.append(node)
             if not state.locked:
                 if node.exchange_us > fits_us:
                     state.locked = True
                     node.lock_reason = "guard"
-                    locks.append((node.node_id, "lock", state))
+                    if tracing:
+                        locks.append(node)
                 else:
                     can_act = True
                     running.append(node)
@@ -455,8 +478,9 @@ class Simulation:
                         low = state.counter
                     if node.exchange_us > widest:
                         widest = node.exchange_us
-        if self.collect_trace:
-            self._emit(t, kind, unlocks + draws + locks)
+        self._emit_batch(t, kind, ("unlock",), unlocks)
+        self._emit_batch(t, kind, ("draw",), draws)
+        self._emit_batch(t, kind, ("lock",), locks)
         if can_act:
             self._next_slots(t, kind, phase_end, running, low, widest)
 
@@ -487,11 +511,11 @@ class Simulation:
             if running:
                 states = [node.backoff for node in running]
                 if self.collect_trace:
-                    entries = [(node.node_id, "count", node.backoff) for node in running]
+                    ids = [node.node_id for node in running]
                     for j in range(k):
                         for state in states:
                             state.counter -= 1
-                        self.trace += trace_lines(t + j * slot_us, kind, entries)
+                        trace_batch(self.trace, t + j * slot_us, kind, ("count",), ids, states)
                 else:
                     for state in states:
                         state.counter -= k
@@ -519,17 +543,19 @@ class Simulation:
         exchange.collided = len(transmitters) > 1
         exchange.pending = len(transmitters)
         self.exchange = exchange
-        entries = []
         for node in transmitters:
             exchange.wires[node.node_id] = self._secure_payload(node)
-            entries.append((node.node_id, "tx_start", node.backoff))
             self._push(t + node.airtime_int, EventKind.TX_END, (node.node_id,))
+        locked: list[_Node] = []
+        tracing = self.collect_trace
         for node in self._contenders[kind]:
             if node.drawn and not node.backoff.locked and node not in transmitters:
                 on_busy(node.backoff)
                 node.lock_reason = "busy"
-                entries.append((node.node_id, "lock", node.backoff))
-        self._emit(t, kind, entries)
+                if tracing:
+                    locked.append(node)
+        self._emit_batch(t, kind, ("tx_start",), transmitters)
+        self._emit_batch(t, kind, ("lock",), locked)
 
     def _on_tx_end(self, node_id: str) -> None:
         exchange = self.exchange
@@ -539,7 +565,7 @@ class Simulation:
         t = self.now
         if t > exchange.phase_end:
             raise SimulationError("transmission crossed its phase boundary")
-        self._emit(t, exchange.kind, ((node_id, "tx_end", node.backoff),))
+        self._emit(t, exchange.kind, "tx_end", node)
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
         if exchange.collided:
@@ -559,7 +585,7 @@ class Simulation:
         if outcome == "ack":
             self.stats.add_busy(self.ack_airtime_us)
             self.stats.ack_airtime_us += self.ack_airtime_us
-            self._emit(t, exchange.kind, ((node_id, "ack", node.backoff),))
+            self._emit(t, exchange.kind, "ack", node)
             self._push(t + self.ack_int, EventKind.ACK_DUE, (node_id, "success"))
             return
         if outcome == "success":
@@ -568,9 +594,9 @@ class Simulation:
             node.stats.failed += 1
             node.stats.collided += 1
             on_failure(node.backoff)
-            self._emit(t, exchange.kind, ((node_id, "fail", node.backoff),))
+            self._emit(t, exchange.kind, "fail", node)
             draw_backoff(node.backoff, node.rng)
-            self._emit(t, exchange.kind, ((node_id, "draw", node.backoff),))
+            self._emit(t, exchange.kind, "draw", node)
         exchange.pending -= 1
         if exchange.pending == 0:
             self.exchange = None
@@ -596,7 +622,7 @@ class Simulation:
         node.service_start = None
         if exchange.contention:
             on_success(node.backoff)
-        self._emit(t, exchange.kind, ((node.node_id, "success", node.backoff),))
+        self._emit(t, exchange.kind, "success", node)
         if node.spec.traffic[0] == "saturated":
             node.queue.append(t)
             stats.offered += 1
@@ -619,7 +645,7 @@ class Simulation:
         exchange.pending = 1
         exchange.wires[node_id] = self._secure_payload(node)
         self.exchange = exchange
-        self._emit(t, kind, ((node_id, "tx_start", node.backoff),))
+        self._emit(t, kind, "tx_start", node)
         self._push(t + node.airtime_int, EventKind.TX_END, (node_id,))
 
     def _on_beacon(self) -> None:
@@ -627,12 +653,10 @@ class Simulation:
         self.stats.add_busy(self.beacon_airtime_us)
         self.stats.beacon_airtime_us += self.beacon_airtime_us
         self.stats.beacons += 1
-        self._emit(t, PhaseKind.BEACON, ((HUB_ID, "tx_start", self._hub_state),))
-        self._emit(
-            t + clock_us(self.beacon_airtime_us),
-            PhaseKind.BEACON,
-            ((HUB_ID, "tx_end", self._hub_state),),
-        )
+        if self.collect_trace:
+            end = t + clock_us(self.beacon_airtime_us)
+            trace_event(self.trace, t, PhaseKind.BEACON, "tx_start", HUB_ID, self._hub_state)
+            trace_event(self.trace, end, PhaseKind.BEACON, "tx_end", HUB_ID, self._hub_state)
 
     def _on_arrival(self, node_id: str) -> None:
         node = self.nodes[node_id]
@@ -664,7 +688,7 @@ class ScriptedReplay(Simulation):
 
     def _on_phase_start(self, kind: PhaseKind, start: int, end: int) -> None:
         if not self._contenders[kind]:
-            self._emit(start, kind, ((self._node.node_id, "enter", self._node.backoff),))
+            self._emit(start, kind, "enter", self._node)
         super()._on_phase_start(kind, start, end)
 
     def _begin_exchange(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
@@ -692,7 +716,9 @@ def run(scenario: Scenario, collect_trace: bool = False) -> tuple[RunStats, list
 
 
 def write_trace(lines: list[str], out) -> None:
-    Path(out).write_text("\n".join(lines) + "\n" if lines else "")
+    """One line per entry, each ended by a newline; no lines, no bytes."""
+    with text_stream(out) as fh:
+        fh.write("\n".join(lines) + "\n" if lines else "")
 
 
 def run_to_files(

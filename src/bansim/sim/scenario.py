@@ -121,6 +121,10 @@ _MODES = {
 }
 
 _SECTIONS = ("phy", "superframe", "csma", "nodes", "security", "run")
+# Highest Poisson rate, frames/s. Above it the mean gap between arrivals
+# is under the kernel's 1 us clock, so gaps round to zero and simulated
+# time stops advancing.
+MAX_POISSON_RATE_PER_S = 1e6
 # Smallest legal value of each allocation key that has one (offset has none).
 _ALLOCATION_MINIMA = {"slot_start": 0, "slot_len": 1, "period": 1}
 
@@ -182,6 +186,12 @@ def _parse_traffic(raw: str, line: int) -> tuple:
         rate = _to_float(raw[len("poisson:") :], line, "poisson rate")
         if rate <= 0:
             raise _fail(line, "poisson rate must be positive")
+        if rate > MAX_POISSON_RATE_PER_S:
+            raise _fail(
+                line,
+                f"poisson rate {rate:g} /s is above {MAX_POISSON_RATE_PER_S:g} /s: "
+                "its mean gap is under the 1 us clock",
+            )
         return ("poisson", rate)
     if raw.startswith("scripted:"):
         times = tuple(

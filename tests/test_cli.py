@@ -229,11 +229,33 @@ class TestScenarioDiagnostics:
         assert capsys.readouterr().err.startswith("error: ScenarioError: line 5: ")
 
 
-def test_python_dash_m_runs_the_command_line():
+    @pytest.mark.parametrize("rate", ["1e9", "1000001"])
+    def test_poisson_rate_under_the_clock_fails_at_its_line(self, rate, tmp_path):
+        # Gaps under 1 us round to zero, so simulated time stood still and
+        # the run never ended; the subprocess timeout turns a hang into a
+        # failure.
+        scn = tmp_path / "fast.scn"
+        scn.write_text(self.NODE.format(f"traffic=poisson:{rate}"))
+        proc = run_cli("simulate", str(scn), "--out", str(tmp_path / "s.csv"), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ScenarioError: line 5: poisson rate")
+
+    def test_poisson_rate_at_the_bound_is_accepted(self, tmp_path):
+        scn = tmp_path / "edge.scn"
+        scn.write_text(self.NODE.format("traffic=poisson:1e6").replace("duration_ms = 100", "duration_ms = 1"))
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 0
+
+
+def run_cli(*args: str, timeout: float) -> subprocess.CompletedProcess:
+    """`python -m bansim *args` with this checkout's package on the path."""
     src = str(Path(bansim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bansim", "rates"], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-m", "bansim", *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def test_python_dash_m_runs_the_command_line():
+    proc = run_cli("rates", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bansim.mac import (
     BackoffState,
@@ -24,7 +26,14 @@ from bansim.mac import (
     on_idle_slot,
     on_success,
 )
-from bansim.mac.csma import ScriptedDraws, replay_contention, trace_line
+from bansim.mac.csma import (
+    ScriptedDraws,
+    replay_contention,
+    trace_batch,
+    trace_event,
+    trace_line,
+    trace_lines,
+)
 from bansim.mac.superframe import TrafficKind, admissible
 
 GOLDEN = Path(__file__).parent / "data" / "contention_replay.csv"
@@ -435,6 +444,66 @@ def outcome_after_phase_entry(walk: list[str], kernel: list[str]) -> bool:
         and walk[at].split(",")[:3] in ([t, "n0", "fail"], [t, "n0", "success"])
         and any(e in ("fail", "success") for e in same_instant)
     )
+
+
+def joined_line(time_us, node, event, state, phase):
+    """A trace line as the fields joined one by one: the format that the
+    cached renderers must reproduce."""
+    return ",".join(
+        (str(time_us), node, event, str(state.counter), str(state.cw), str(state.consecutive_failures), phase.value)
+    )
+
+
+@st.composite
+def trace_instants(draw):
+    """One instant of one phase: a few events for up to six nodes (none for
+    an empty batch) whose windows come from custom priority classes up to
+    10**6, with failure counts up to 10**4."""
+    node_ids, states = [], []
+    for i in range(draw(st.integers(0, 6))):
+        cw_min = draw(st.integers(1, 10**6))
+        cw_max = draw(st.integers(cw_min, 10**6))
+        state = BackoffState(PriorityClass(draw(st.integers(0, 7)), cw_min, cw_max))
+        state.cw = draw(st.integers(cw_min, cw_max))
+        state.counter = draw(st.integers(0, state.cw))
+        state.consecutive_failures = draw(st.integers(0, 10**4))
+        node_ids.append(draw(st.sampled_from(["n0", "hub", "s03", "pump"])) + str(i))
+        states.append(state)
+    events = draw(st.lists(st.sampled_from(["enter", "unlock", "sifs", "count", "lock", "draw", "fail"]),
+                           min_size=1, max_size=3))
+    return draw(st.integers(0, 10**12)), draw(st.sampled_from(list(PhaseKind))), tuple(events), node_ids, states
+
+
+class TestTraceRendering:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(trace_instants())
+    def test_cached_renderers_match_the_joined_fields(self, instant):
+        time_us, phase, events, node_ids, states = instant
+        want = [
+            joined_line(time_us, node, event, state, phase)
+            for node, state in zip(node_ids, states)
+            for event in events
+        ]
+        # The batch appends after what the list holds, even when it meets
+        # a number it has not shown before and starts again.
+        lines = ["kept"]
+        trace_batch(lines, time_us, phase, events, node_ids, states)
+        assert lines == ["kept"] + want
+
+        entries = [(node, event, state) for node, state in zip(node_ids, states) for event in events]
+        one_by_one: list[str] = []
+        for node, event, state in entries:
+            trace_event(one_by_one, time_us, phase, event, node, state)
+        assert one_by_one == want
+        assert trace_lines(time_us, phase, entries) == want
+        assert [trace_line(time_us, node, event, state, phase) for node, event, state in entries] == want
+
+    def test_every_phase_name(self):
+        state = BackoffState(PRIORITY_TABLE[0])
+        for phase in PhaseKind:
+            lines: list[str] = []
+            trace_batch(lines, 7, phase, ("enter", "sifs"), ["a", "b"], [state, state])
+            assert lines == [joined_line(7, node, event, state, phase) for node in "ab" for event in ("enter", "sifs")]
 
 
 class TestReplayOnTheKernel:

@@ -16,6 +16,7 @@ from bansim.errors import (
     TrailingBitsError,
     TruncatedFrame,
 )
+from bansim.efficiency import sweep_configs
 from bansim.phy import fec
 from bansim.phy.bitfields import bytes_to_bits
 from bansim.phy.checksums import crc16
@@ -24,6 +25,7 @@ from bansim.phy.ppdu import (
     HBC_PREAMBLE_UNIT,
     HBC_SFD,
     MAC_HEADER_LEN,
+    MAX_BODY_LEN,
     NB_PREAMBLE,
     UWB_PREAMBLE_CODE,
     UWB_PREAMBLE_REPS,
@@ -219,6 +221,13 @@ def test_airtime_is_additive_and_matches_helper():
                 air.preamble_us + air.header_us + air.psdu_us
             )
             assert frame_airtime_us(cfg, body_len) == pytest.approx(air.total_us)
+
+
+def test_frame_airtime_is_bit_equal_to_the_built_frames_total():
+    for _, cfg in sweep_configs():
+        for body_len in range(MAX_BODY_LEN + 1):
+            built = ppdu_airtime(build_ppdu(cfg, b"\x11" * 7, bytes(body_len)), cfg).total_us
+            assert frame_airtime_us(cfg, body_len) == built, (cfg, body_len)
 
 
 def test_doubling_spreading_doubles_frame_region_time():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import bansim
 from bansim.efficiency import analytic_efficiency, reference_configs
 from bansim.errors import ScenarioError, SimulationError
-from bansim.mac.csma import PRIORITY_TABLE, draw_backoff, guard_check, on_idle_slot
+from bansim.mac.csma import PRIORITY_TABLE, draw_backoff, guard_check, on_idle_slot, trace_lines
 from bansim.phy.ppdu import frame_airtime_us
 from bansim.sim.kernel import BEACON_BODY_LEN, EventKind, Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import load_scenario, parse_scenario
@@ -543,8 +543,14 @@ SLOT_TICK = "slot tick"  # the reference grid's heap event kind
 class SlotBySlot(Simulation):
     """The slot grid as it ran before it became a lazy event stream: every
     grid instant is a heap event, every slot end is its own tick, and each
-    tick checks the guard with guard_check. Nothing is batched. Kept as the
-    reference that the kernel's stats and trace must match byte for byte."""
+    tick checks the guard with guard_check. Nothing is batched, and its own
+    lines go out as (node id, event, state) entries through trace_lines.
+    Kept as the reference that the kernel's stats and trace must match byte
+    for byte."""
+
+    def _emit_entries(self, t, kind, entries):
+        if self.collect_trace:
+            self.trace += trace_lines(t, kind, entries)
 
     def _push_tick(self, time_us, kind, phase_end, slot_ends, unlock):
         self._push(time_us, SLOT_TICK, (kind, phase_end, slot_ends, unlock))
@@ -585,7 +591,7 @@ class SlotBySlot(Simulation):
                     state.locked = False
                     node.lock_reason = None
                     entries.append((node.node_id, "unlock", state))
-            self._emit(t, kind, entries)
+            self._emit_entries(t, kind, entries)
 
         transmitters = []
         if slot_ends:
@@ -597,7 +603,7 @@ class SlotBySlot(Simulation):
                     entries.append((node.node_id, "count", state))
                     if due:
                         transmitters.append(node)
-            self._emit(t, kind, entries)
+            self._emit_entries(t, kind, entries)
         if transmitters:
             self._begin_exchange(transmitters, t, kind, phase_end)
             return
@@ -611,7 +617,7 @@ class SlotBySlot(Simulation):
                 if node.service_start is None:
                     node.service_start = t
                 entries.append((node.node_id, "draw", state))
-        self._emit(t, kind, entries)
+        self._emit_entries(t, kind, entries)
 
         can_act = False
         entries = []
@@ -625,7 +631,7 @@ class SlotBySlot(Simulation):
                 else:
                     node.lock_reason = "guard"
                     entries.append((node.node_id, "lock", state))
-        self._emit(t, kind, entries)
+        self._emit_entries(t, kind, entries)
 
         if can_act and t + self.timing.csma_slot_us < phase_end:
             self._push(t + self.timing.csma_slot_us, SLOT_TICK, (kind, phase_end, True, False))
