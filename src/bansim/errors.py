@@ -85,12 +85,7 @@ class InvalidLayoutError(BansimError):
 
 
 class AllocationConflict(BansimError):
-    """Two scheduled allocations claim the same slots in one superframe;
-    `node_id` names the later of the two."""
-
-    def __init__(self, message: str, node_id: str | None = None):
-        super().__init__(message)
-        self.node_id = node_id
+    """Two scheduled allocations claim the same slots in one superframe."""
 
 
 class ScenarioError(BansimError):

@@ -304,8 +304,7 @@ def place_scheduled(
             if slot in taken and taken[slot] != alloc.node_id:
                 raise AllocationConflict(
                     f"slot {slot} of superframe {superframe_index}: "
-                    f"{taken[slot]} vs {alloc.node_id}",
-                    node_id=alloc.node_id,
+                    f"{taken[slot]} vs {alloc.node_id}"
                 )
             taken[slot] = alloc.node_id
     return taken

@@ -9,12 +9,13 @@ from bansim.sim.kernel import (
 )
 from bansim.sim.scenario import (
     NodeSpec,
+    Plan,
     RunSpec,
     Scenario,
     SecuritySpec,
+    compile_scenario,
     load_scenario,
     parse_scenario,
-    validate_scenario,
 )
 from bansim.sim.stats import NodeStats, RunStats, STATS_FIELDS, write_stats_csv
 
@@ -22,17 +23,18 @@ __all__ = [
     "EventKind",
     "NodeSpec",
     "NodeStats",
+    "Plan",
     "RunSpec",
     "RunStats",
     "STATS_FIELDS",
     "Scenario",
     "SecuritySpec",
     "Simulation",
+    "compile_scenario",
     "load_scenario",
     "parse_scenario",
     "run",
     "run_to_files",
-    "validate_scenario",
     "write_stats_csv",
     "write_trace",
 ]

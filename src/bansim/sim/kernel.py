@@ -1,14 +1,19 @@
 """Deterministic discrete-event kernel.
 
-The kernel joins the superframe layout, the CSMA engine, codec airtimes,
-and security sessions into end-to-end runs. Time is a 64-bit microsecond
-clock; events dispatch in (time, class, insertion order), so a run is a
-pure function of (scenario, seed). At one instant phase starts come
-first, then the rest of the schedule (beacons, grants), then dynamic
-events (grid ticks, transmissions, arrivals). The schedule is generated
-one superframe ahead: superframe i+1 is pushed when the run reaches its
-start, which keeps the heap small and, thanks to the class order, gives
-the same order as a schedule filled for the whole run up front.
+The kernel runs a compiled plan. Simulation hands its scenario to
+sim.scenario.compile_scenario, which checks every static rule (a
+ScenarioError before any event) and derives the layout, the airtimes,
+each node's frame exchange, the poll grant, the poll phases and the
+allocations; the kernel only reads them and joins them with the CSMA
+engine and the security sessions. A broken invariant of its own raises
+SimulationError. Time is a 64-bit microsecond clock; events dispatch in
+(time, class, insertion order), so a run is a pure function of
+(scenario, seed). At one instant phase starts come first, then the rest
+of the schedule (beacons, grants), then dynamic events (grid ticks,
+transmissions, arrivals). The schedule is generated one superframe
+ahead: superframe i+1 is pushed when the run reaches its start, which
+keeps the heap small and, thanks to the class order, gives the same
+order as a schedule filled for the whole run up front.
 
 Contention runs on one global slot grid per access phase. The grid
 starts one interframe space after phase entry, pauses while a frame
@@ -33,7 +38,9 @@ before the heap's next instant; the trace still gets one count line per
 node and slot. Overlapping transmissions fail everyone in collision mode
 and are a scenario error in ideal mode; a lone transmission is always
 delivered (zero bit errors). Polled and scheduled traffic runs inside
-the shared phases on pre-computed grants, one frame exchange per grant.
+the shared phases on grants, one frame exchange per grant: a superframe
+gets the poll grants of the plan's poll phases and one grant per
+allocation active in it.
 ScriptedReplay runs one node on this same grid from a scripted timeline,
 for the CSMA replay.
 
@@ -60,7 +67,7 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from itertools import groupby
 
-from bansim.errors import ScenarioError, SimulationError
+from bansim.errors import SimulationError
 from bansim.mac.csma import (
     BackoffState,
     PRIORITY_TABLE,
@@ -74,33 +81,15 @@ from bansim.mac.csma import (
     trace_batch,
     trace_event,
 )
-from bansim.mac.superframe import (
-    PhaseKind,
-    PhaseLayout,
-    TrafficKind,
-    admissible,
-    build_layout,
-    phase_at,
-    phases_covered,
-    place_scheduled,
-    schedule_polls,
-)
-from bansim.phy.ppdu import frame_airtime_us
-from bansim.phy.rates import info_data_rate
-from bansim.security import (
-    SECURITY_WIRE_OVERHEAD,
-    SecurityLevel,
-    SecurityManager,
-    admit_frame,
-    secure_frame,
-)
-from bansim.sim.scenario import NodeSpec, Scenario, SecuritySpec, clock_us
+from bansim.mac.superframe import PhaseKind, TrafficKind, admissible, phase_at, schedule_polls
+from bansim.security import SecurityLevel, SecurityManager, admit_frame, secure_frame
+from bansim.sim.scenario import BEACON_BODY_LEN  # noqa: F401  re-exported
+from bansim.sim.scenario import NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import text_stream
 
 __all__ = ["EventKind", "ScriptedReplay", "Simulation", "run", "run_to_files", "write_trace"]
 
-BEACON_BODY_LEN = 17
 HUB_ID = "hub"
 
 # A contender's lines on phase entry: a locked counter unlocks between
@@ -128,19 +117,19 @@ class _Node:
     rng: random.Random
     stats: NodeStats
     airtime_us: float  # data frame, security overhead included
-    airtime_int: int
     payload_airtime_us: float  # the user-payload share, exact
-    exchange_us: int = 0  # data, interframe space, ack and guard time
+    exchange_us: int  # data, interframe space, ack and guard time
     queue: list[int] = field(default_factory=list)  # arrival times
     drawn: bool = False  # a backoff counter is in progress
     lock_reason: str | None = None  # "busy" | "guard" while locked
     service_start: int | None = None
-    security: SecuritySpec = field(default_factory=SecuritySpec)
     session: object = None  # SecuritySession when level >= 1
     node_id: str = field(init=False)
+    airtime_int: int = field(init=False)  # the data frame on the clock
 
     def __post_init__(self):
         self.node_id = self.spec.node_id
+        self.airtime_int = clock_us(self.airtime_us)
 
 
 class _Exchange:
@@ -160,31 +149,24 @@ class _Exchange:
 class Simulation:
     def __init__(self, scenario: Scenario, collect_trace: bool = False):
         self.sc = scenario
-        self.layout: PhaseLayout = build_layout(scenario.superframe)
-        self.beacon_airtime_us = frame_airtime_us(scenario.phy, BEACON_BODY_LEN)
-        psdu_rate = info_data_rate(scenario.phy, "psdu")
-
+        self.plan = plan = compile_scenario(scenario)
         self.security = SecurityManager(HUB_ID)
         nodes: list[_Node] = []
         for spec in scenario.nodes:
-            sec = scenario.security.get(spec.node_id, SecuritySpec())
-            body_len = spec.payload_bytes + SECURITY_WIRE_OVERHEAD[sec.level]
-            airtime = frame_airtime_us(scenario.phy, body_len)
             node = _Node(
                 spec=spec,
                 backoff=BackoffState(PRIORITY_TABLE[spec.priority]),
                 rng=random.Random(f"{scenario.run.seed}:{spec.node_id}"),
                 stats=NodeStats(spec.node_id),
-                airtime_us=airtime,
-                airtime_int=clock_us(airtime),
-                payload_airtime_us=8 * spec.payload_bytes / psdu_rate * 1000.0,
-                security=sec,
+                airtime_us=plan.airtime_us[spec.node_id],
+                payload_airtime_us=plan.payload_us[spec.node_id],
+                exchange_us=plan.exchange_us[spec.node_id],
             )
-            if sec.level >= SecurityLevel.AUTHENTICATED:
+            sec = scenario.security.get(spec.node_id)
+            if sec is not None and sec.level >= SecurityLevel.AUTHENTICATED:
                 node.session = self.security.associate(spec.node_id, sec.level, sec.mk)
             nodes.append(node)
-        ack_airtime_us = frame_airtime_us(scenario.phy, 0)
-        self._init_engine(scenario.timing, scenario.run.duration_us, ack_airtime_us, nodes, collect_trace)
+        self._init_engine(scenario.timing, scenario.run.duration_us, plan.ack_us, nodes, collect_trace)
         groups: dict[str, list[str]] = {}
         for node_id, sec in scenario.security.items():
             if sec.group:
@@ -192,30 +174,10 @@ class Simulation:
         for group_id in sorted(groups):
             self.security.distribute_gtk(group_id, sorted(groups[group_id]))
 
-        self._polled = [
-            n for n in sorted(self.nodes) if self.nodes[n].spec.access == "polled"
-        ]
-        self._scheduled = [
-            n for n in sorted(self.nodes) if self.nodes[n].spec.access == "scheduled"
-        ]
-        # What every superframe's schedule is built from.
-        self._poll_kinds = self._poll_spans()
-        self._poll_grant = self._grant_us()
-        self._allocations = [self.nodes[n].spec.allocation() for n in self._scheduled]
-
         # Hub trace lines borrow the node line format with zeroed
         # contention fields.
         self._hub_state = BackoffState(PRIORITY_TABLE[0])
         self._hub_state.cw = 0
-
-        beacon_span = self.layout.span(PhaseKind.BEACON)
-        if beacon_span is not None:
-            span_us = beacon_span.length_slots * self.layout.slot_length_us
-            if self.beacon_airtime_us > span_us:
-                raise ScenarioError(
-                    f"beacon airtime {self.beacon_airtime_us:.0f} us exceeds the "
-                    f"{span_us} us beacon phase"
-                )
 
     def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], collect_trace) -> None:
         """Event loop, channel and contention state, shared by scenario
@@ -234,8 +196,6 @@ class Simulation:
 
         self.ack_airtime_us = ack_airtime_us
         self.ack_int = clock_us(ack_airtime_us)
-        for node in nodes:
-            node.exchange_us = exchange_us(node.airtime_int, self.ack_int, timing)
         self.nodes: dict[str, _Node] = {node.node_id: node for node in nodes}
         self.exchange: _Exchange | None = None
         self.stats = RunStats(elapsed_us=end_time)
@@ -290,19 +250,11 @@ class Simulation:
 
     # --------------------------------------------------------------- setup
 
-    def _poll_spans(self) -> set[PhaseKind]:
-        """Shared phases available for polling: spans holding a scheduled
-        allocation are reserved for it, the hub polls only in the rest."""
-        taken = set()
-        for node_id in self._scheduled:
-            spec = self.nodes[node_id].spec
-            taken.update(phases_covered(self.layout, spec.slot_start, spec.slot_len))
-        return {PhaseKind.TYPE_A, PhaseKind.TYPE_B} - taken
-
     def _schedule_superframe(self, index: int) -> None:
         """Push superframe `index`'s phase starts, beacon and grants, and
         the event that generates the next superframe at its start."""
-        layout = self.layout
+        plan = self.plan
+        layout = plan.layout
         base = index * layout.duration_us
         for span in layout.phases:
             if span.length_slots == 0:
@@ -312,28 +264,19 @@ class Simulation:
             self._push_schedule(start, EventKind.PHASE_START, (span.kind, start, end))
             if span.kind == PhaseKind.BEACON and layout.beacon_in(index):
                 self._push_schedule(start, EventKind.BEACON_TX, (end,))
-            if self._polled and span.kind in self._poll_kinds:
-                for grant in schedule_polls(layout, self._polled, span.kind, self._poll_grant, base):
+            if span.kind in plan.poll_phases:
+                for grant in schedule_polls(layout, plan.polled, span.kind, plan.poll_grant_us, base):
                     self._push_schedule(
                         grant.start_us,
                         EventKind.POLL_GRANT,
                         (grant.node_id, grant.duration_us, end),
                     )
-        if self._scheduled:
-            placed = place_scheduled(self._allocations, layout, index)
-            starts: dict[str, int] = {}
-            for slot in sorted(placed):
-                starts.setdefault(placed[slot], slot)
-            for node_id, slot in sorted(starts.items()):
-                start = base + slot * layout.slot_length_us
-                length = self.nodes[node_id].spec.slot_len * layout.slot_length_us
-                self._push_schedule(start, EventKind.POLL_GRANT, (node_id, length, start + length))
+        for alloc in plan.allocations:
+            if alloc.active_in(index):
+                start = base + alloc.start_slot * layout.slot_length_us
+                length = alloc.length_slots * layout.slot_length_us
+                self._push_schedule(start, EventKind.POLL_GRANT, (alloc.node_id, length, start + length))
         self._push_schedule(base + layout.duration_us, EventKind.SUPERFRAME, (index + 1,))
-
-    def _grant_us(self) -> int:
-        if self.sc.poll_grant_us is not None:
-            return self.sc.poll_grant_us
-        return max((self.nodes[n].exchange_us for n in self._polled), default=0)
 
     def _seed_traffic(self) -> None:
         for node_id in sorted(self.nodes):
@@ -640,7 +583,7 @@ class Simulation:
             )
         if node.service_start is None:
             node.service_start = t
-        kind, _ = phase_at(self.layout, t % self.layout.duration_us)
+        kind, _ = phase_at(self.plan.layout, t % self.plan.layout.duration_us)
         exchange = _Exchange(kind, phase_end, contention=False)
         exchange.pending = 1
         exchange.wires[node_id] = self._secure_payload(node)
@@ -650,11 +593,11 @@ class Simulation:
 
     def _on_beacon(self) -> None:
         t = self.now
-        self.stats.add_busy(self.beacon_airtime_us)
-        self.stats.beacon_airtime_us += self.beacon_airtime_us
+        self.stats.add_busy(self.plan.beacon_us)
+        self.stats.beacon_airtime_us += self.plan.beacon_us
         self.stats.beacons += 1
         if self.collect_trace:
-            end = t + clock_us(self.beacon_airtime_us)
+            end = t + clock_us(self.plan.beacon_us)
             trace_event(self.trace, t, PhaseKind.BEACON, "tx_start", HUB_ID, self._hub_state)
             trace_event(self.trace, end, PhaseKind.BEACON, "tx_end", HUB_ID, self._hub_state)
 
@@ -676,7 +619,8 @@ class ScriptedReplay(Simulation):
     def __init__(self, phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id):
         spec = NodeSpec(node_id, priority.user_priority, ("scripted", (0,)))
         self._node = _Node(spec, BackoffState(priority), ScriptedDraws(draws), NodeStats(node_id),
-                           airtime_us=data_tx_us, airtime_int=data_tx_us, payload_airtime_us=0.0)
+                           airtime_us=data_tx_us, payload_airtime_us=0.0,
+                           exchange_us=exchange_us(data_tx_us, ack_tx_us, timing))
         self._init_engine(timing, math.inf, ack_tx_us, [self._node], collect_trace=True)
         self._phases = phases
         self._acks = list(ack_outcomes)

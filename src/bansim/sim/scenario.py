@@ -10,12 +10,17 @@ a comma-separated list of sub-assignments, for example:
     n1 = priority=2, traffic=poisson:40, payload=50, access=polled
     n2 = priority=3, traffic=scripted:1000;250000, payload=20, access=scheduled, slot_start=70, slot_len=10
 
-Unknown sections, keys, and sub-keys are rejected with their line
-number. Semantic checks (phase arithmetic, channel rules, payload
-bounds, grants that fit a frame exchange) run after parsing; a check on
-one node or security entry reports that entry's line, a check on
-poll_grant_us its line, the others their section's line where one is
-known.
+Parsing rejects unknown sections, keys and sub-keys and malformed or
+out-of-range values at their line. compile_scenario then checks every
+static rule once and derives the Plan a run reads: phase arithmetic (in
+mac.superframe.build_layout), the beacon's fit in its phase, payload
+bounds with security bytes, grants and allocations that hold one frame
+exchange, allocations inside shared phases and free of conflicts, the
+channel rule and the security entries. A check on one node or security
+entry reports that entry's line, on poll_grant_us its line, the others
+their section's line where one is known. parse_scenario compiles with
+its line maps and Simulation compiles what it is given, so a scenario
+changed after parsing is checked again before its first event.
 """
 
 from __future__ import annotations
@@ -24,21 +29,22 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from bansim.errors import AllocationConflict, InvalidLayoutError, ScenarioError
+from bansim.errors import InvalidLayoutError, ScenarioError
 from bansim.mac.csma import MacTimingConstants, exchange_us
 from bansim.mac.superframe import (
+    SHARED_PHASES,
     OperationalMode,
     PhaseKind,
+    PhaseLayout,
     ScheduledAllocation,
     SuperframeConfig,
     TrafficKind,
     admissible,
     build_layout,
     phases_covered,
-    place_scheduled,
 )
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
-from bansim.phy.rates import Band, PhyConfig, hbc_config, nb_config, uwb_config
+from bansim.phy.rates import Band, PhyConfig, hbc_config, info_data_rate, nb_config, uwb_config
 from bansim.security import SECURITY_WIRE_OVERHEAD, SecurityLevel
 
 __all__ = [
@@ -48,7 +54,8 @@ __all__ = [
     "Scenario",
     "parse_scenario",
     "load_scenario",
-    "validate_scenario",
+    "Plan",
+    "compile_scenario",
 ]
 
 ACCESS_KINDS = ("contention", "polled", "scheduled")
@@ -259,8 +266,8 @@ def _band_by_value(raw: str, line: int) -> Band:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario text; raises ScenarioError with the
-    offending line number for format problems."""
+    """Parse and compile scenario text; raises ScenarioError with the
+    offending line number."""
     section = None
     section_lines: dict[str, int] = {}
     phy_fields: dict[str, tuple[str, int]] = {}
@@ -308,7 +315,8 @@ def parse_scenario(text: str) -> Scenario:
             target[key] = (value, lineno)
 
     phy = _build_phy(phy_fields)
-    grant_line = sf_fields.get("poll_grant_us", (None, None))[1]
+    if "poll_grant_us" in sf_fields:
+        section_lines["poll_grant_us"] = sf_fields["poll_grant_us"][1]
     superframe, poll_grant_us = _build_superframe(sf_fields)
     timing = _build_timing(csma_fields)
     run = _build_run(run_fields)
@@ -321,9 +329,7 @@ def parse_scenario(text: str) -> Scenario:
         run=run,
         poll_grant_us=poll_grant_us,
     )
-    if grant_line is not None:
-        section_lines["poll_grant_us"] = grant_line
-    validate_scenario(scenario, section_lines, node_lines, security_lines)
+    compile_scenario(scenario, section_lines, node_lines, security_lines)
     return scenario
 
 
@@ -436,108 +442,150 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(Path(path).read_text())
 
 
-# ------------------------------------------------------------- validation
+# ------------------------------------------------------------- compiling
+
+# Body of the hub's beacon frame, bytes.
+BEACON_BODY_LEN = 17
 
 
-def validate_scenario(
+@dataclass(frozen=True)
+class Plan:
+    """What a run needs of a legal scenario, derived once. Airtimes are
+    exact microseconds, frame exchanges are on the 1 us clock, and the
+    per-node maps are keyed by node id."""
+
+    layout: PhaseLayout
+    ack_us: float
+    beacon_us: float
+    airtime_us: dict[str, float]  # data frame, security bytes included
+    payload_us: dict[str, float]  # the user-payload share of it
+    exchange_us: dict[str, int]  # data, interframe space, ack and guard time
+    polled: tuple[str, ...]  # by node id
+    poll_grant_us: int
+    poll_phases: frozenset[PhaseKind]  # shared phases the hub polls in
+    allocations: tuple[ScheduledAllocation, ...]  # by node id
+
+
+def compile_scenario(
     sc: Scenario,
     section_lines: dict[str, int] | None = None,
     node_lines: dict[str, int] | None = None,
     security_lines: dict[str, int] | None = None,
-) -> None:
-    """Semantic checks; raises ScenarioError before any event runs. A
-    check on one node reports its line from `node_lines`, on a security
-    entry its line from `security_lines`, and on the poll grant the line
-    that `section_lines` holds under "poll_grant_us"."""
+) -> Plan:
+    """Check every static rule and derive the run's Plan; raises
+    ScenarioError before any event runs. A check on one node reports its
+    line from `node_lines`, on a security entry its line from
+    `security_lines`, on the poll grant the line that `section_lines`
+    holds under "poll_grant_us", and the others their section's line."""
     lines = section_lines or {}
     node_lines = node_lines or {}
     security_lines = security_lines or {}
-    ack_us = clock_us(frame_airtime_us(sc.phy, 0))
-
     try:
         layout = build_layout(sc.superframe)
     except InvalidLayoutError as exc:
-        raise ScenarioError(str(exc), line=lines.get("superframe")) from exc
+        raise _fail(lines.get("superframe"), str(exc)) from exc
+    beacon_us = frame_airtime_us(sc.phy, BEACON_BODY_LEN)
+    beacon = layout.span(PhaseKind.BEACON)
+    if beacon is not None and beacon_us > beacon.length_slots * layout.slot_length_us:
+        raise _fail(
+            lines.get("superframe"),
+            f"beacon airtime {beacon_us:.0f} us exceeds the "
+            f"{beacon.length_slots * layout.slot_length_us} us beacon phase",
+        )
 
-    contention = 0
+    ack_us = frame_airtime_us(sc.phy, 0)
+    psdu_kbps = info_data_rate(sc.phy, "psdu")
+    airtime, payload, exchange = {}, {}, {}
+    polled: list[str] = []
+    scheduled: list[ScheduledAllocation] = []
+    taken: set[PhaseKind] = set()  # shared phases a scheduled allocation covers
     for node in sc.nodes:
-        node_line = node_lines.get(node.node_id, lines.get("nodes"))
+        node_id = node.node_id
+        node_line = node_lines.get(node_id, lines.get("nodes"))
         if not 0 <= node.priority <= 7:
-            raise ScenarioError(
-                f"{node.node_id}: priority {node.priority} outside 0..7", line=node_line
-            )
-        sec = sc.security.get(node.node_id, SecuritySpec())
-        overhead = SECURITY_WIRE_OVERHEAD[sec.level]
+            raise _fail(node_line, f"{node_id}: priority {node.priority} outside 0..7")
+        overhead = SECURITY_WIRE_OVERHEAD[sc.security.get(node_id, SecuritySpec()).level]
         if not 1 <= node.payload_bytes + overhead <= MAX_BODY_LEN:
-            raise ScenarioError(
-                f"{node.node_id}: payload {node.payload_bytes} plus {overhead} "
+            raise _fail(
+                node_line,
+                f"{node_id}: payload {node.payload_bytes} plus {overhead} "
                 f"security bytes leaves the 1..{MAX_BODY_LEN} body range",
-                line=node_line,
             )
-        # The kernel's exchange: airtimes on its whole-microsecond clock.
-        data_us = clock_us(frame_airtime_us(sc.phy, node.payload_bytes + overhead))
-        need_us = exchange_us(data_us, ack_us, sc.timing)
-        if node.access == "polled" and sc.poll_grant_us is not None and sc.poll_grant_us < need_us:
-            raise ScenarioError(
-                f"poll_grant_us {sc.poll_grant_us} is shorter than the {need_us} us "
-                f"frame exchange of polled node {node.node_id}",
-                line=lines.get("poll_grant_us", lines.get("superframe")),
+        data_us = airtime[node_id] = frame_airtime_us(sc.phy, node.payload_bytes + overhead)
+        payload[node_id] = 8 * node.payload_bytes / psdu_kbps * 1000.0
+        need_us = exchange[node_id] = exchange_us(clock_us(data_us), clock_us(ack_us), sc.timing)
+        if node.access == "polled":
+            polled.append(node_id)
+            if sc.poll_grant_us is not None and sc.poll_grant_us < need_us:
+                raise _fail(
+                    lines.get("poll_grant_us", lines.get("superframe")),
+                    f"poll_grant_us {sc.poll_grant_us} is shorter than the {need_us} us "
+                    f"frame exchange of polled node {node_id}",
+                )
+        if node.access != "scheduled":
+            continue
+        if node.slot_start is None or node.slot_len is None:
+            raise _fail(node_line, f"{node_id}: scheduled access needs slot_start and slot_len")
+        alloc = node.allocation()  # validates its own fields
+        end = alloc.start_slot + alloc.length_slots
+        if end > layout.slots_per_superframe:
+            raise _fail(node_line, f"{node_id}: allocation runs past the superframe")
+        span_us = alloc.length_slots * layout.slot_length_us
+        if span_us < need_us:
+            raise _fail(
+                node_line,
+                f"{node_id}: {alloc.length_slots}-slot allocation ({span_us} us) "
+                f"is shorter than one {need_us} us frame exchange",
             )
-        if node.access == "contention":
-            contention += 1
-        elif node.access == "scheduled":
-            if node.slot_start is None or node.slot_len is None:
-                raise ScenarioError(
-                    f"{node.node_id}: scheduled access needs slot_start and slot_len",
-                    line=node_line,
+        for kind in phases_covered(layout, alloc.start_slot, alloc.length_slots):
+            if not admissible(kind, node.priority, TrafficKind.SCHEDULED):
+                slot = max(alloc.start_slot, layout.span(kind).start_slot)
+                raise _fail(
+                    node_line,
+                    f"{node_id}: slot {slot} falls in {kind.value}, which takes no scheduled traffic",
                 )
-            alloc = node.allocation()  # validates its own fields
-            end_slot = alloc.start_slot + alloc.length_slots
-            if end_slot > layout.slots_per_superframe:
-                raise ScenarioError(
-                    f"{node.node_id}: allocation runs past the superframe", line=node_line
+            taken.add(kind)
+        # Two nodes' allocations meet in some superframe exactly when their
+        # slots overlap and their offsets agree modulo the gcd of their
+        # periods (the two residue classes of indices then share a member).
+        for other in scheduled:
+            first = max(alloc.start_slot, other.start_slot)
+            if (
+                other.node_id != node_id
+                and first < min(end, other.start_slot + other.length_slots)
+                and (alloc.offset - other.offset) % math.gcd(alloc.periodicity, other.periodicity) == 0
+            ):
+                raise _fail(
+                    node_line,
+                    f"slot {first} of the superframes both use: {other.node_id} vs {node_id}",
                 )
-            span_us = alloc.length_slots * layout.slot_length_us
-            if span_us < need_us:
-                raise ScenarioError(
-                    f"{node.node_id}: {alloc.length_slots}-slot allocation ({span_us} us) "
-                    f"is shorter than one {need_us} us frame exchange",
-                    line=node_line,
-                )
-            for kind in phases_covered(layout, alloc.start_slot, alloc.length_slots):
-                if not admissible(kind, node.priority, TrafficKind.SCHEDULED):
-                    slot = max(alloc.start_slot, layout.span(kind).start_slot)
-                    raise ScenarioError(
-                        f"{node.node_id}: slot {slot} falls in {kind.value}, "
-                        "which takes no scheduled traffic",
-                        line=node_line,
-                    )
+        scheduled.append(alloc)
 
-    scheduled = [n.allocation() for n in sc.nodes if n.access == "scheduled"]
-    if scheduled:
-        horizon = 1
-        for alloc in scheduled:
-            horizon = math.lcm(horizon, alloc.periodicity)
-        for index in range(horizon):
-            try:
-                place_scheduled(scheduled, layout, index)
-            except AllocationConflict as exc:
-                line = node_lines.get(exc.node_id, lines.get("nodes"))
-                raise ScenarioError(str(exc), line=line) from exc
-
+    contention = sum(node.access == "contention" for node in sc.nodes)
     if sc.run.channel == "ideal" and contention > 1:
-        raise ScenarioError(
-            "ideal channel admits at most one contention node; "
-            f"scenario has {contention}",
-            line=lines.get("run"),
+        raise _fail(
+            lines.get("run"),
+            f"ideal channel admits at most one contention node; scenario has {contention}",
         )
 
     known = {n.node_id for n in sc.nodes}
     for node_id, spec in sc.security.items():
         entry_line = security_lines.get(node_id, lines.get("security"))
         if node_id not in known:
-            raise ScenarioError(f"security entry for unknown node {node_id!r}", line=entry_line)
+            raise _fail(entry_line, f"security entry for unknown node {node_id!r}")
         if spec.group is not None and spec.level == SecurityLevel.UNSECURED:
-            raise ScenarioError(
-                f"{node_id}: group membership needs security level 1 or 2", line=entry_line
-            )
+            raise _fail(entry_line, f"{node_id}: group membership needs security level 1 or 2")
+
+    default_grant_us = max((exchange[node_id] for node_id in polled), default=0)
+    return Plan(
+        layout=layout,
+        ack_us=ack_us,
+        beacon_us=beacon_us,
+        airtime_us=airtime,
+        payload_us=payload,
+        exchange_us=exchange,
+        polled=tuple(sorted(polled)),
+        poll_grant_us=default_grant_us if sc.poll_grant_us is None else sc.poll_grant_us,
+        poll_phases=frozenset(SHARED_PHASES - taken if polled else ()),
+        allocations=tuple(sorted(scheduled, key=lambda alloc: alloc.node_id)),
+    )

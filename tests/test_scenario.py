@@ -1,14 +1,29 @@
 """Scenario text format: parsing, line-numbered rejection, semantic checks."""
 
+import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bansim.errors import ScenarioError
-from bansim.mac.superframe import OperationalMode, PhaseKind
+import bansim
+from bansim.errors import AllocationConflict, ScenarioError
+from bansim.mac.superframe import (
+    OperationalMode,
+    PhaseKind,
+    ScheduledAllocation,
+    SuperframeConfig,
+    build_layout,
+    place_scheduled,
+)
+from bansim.phy.rates import Band, nb_config
 from bansim.security import SecurityLevel
-from bansim.sim.scenario import load_scenario, parse_scenario
+from bansim.sim.scenario import NodeSpec, Scenario, compile_scenario, load_scenario, parse_scenario
 
 BASIC = """\
 [phy]
@@ -19,9 +34,9 @@ rate = low
 [superframe]
 slot_length_us = 500
 slots = 256
-beacon_slots = 4
+beacon_slots = 8
 rap1_slots = 120
-cap_slots = 132
+cap_slots = 128
 
 [nodes]
 n0 = priority=4, traffic=saturated, payload=120, access=contention
@@ -481,3 +496,84 @@ class TestAllocationCoverage:
             """
         )
         assert sc.nodes[0].slot_start == 150
+
+
+@st.composite
+def allocation_sets(draw):
+    """Two to four allocations of distinct nodes within 32 slots."""
+    allocs = []
+    for i in range(draw(st.integers(2, 4))):
+        start = draw(st.integers(0, 31))
+        allocs.append(ScheduledAllocation(
+            f"n{i}",
+            start,
+            draw(st.integers(1, 32 - start)),
+            draw(st.integers(1, 6)),
+            draw(st.integers(-20, 20) | st.integers(-10**12, 10**12)),
+        ))
+    return allocs
+
+
+class TestPairwiseConflicts:
+    """Two nodes' allocations conflict exactly when their slots overlap and
+    their offsets agree modulo the gcd of their periods, with no walk over
+    superframe indices."""
+
+    COPRIME = (
+        "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\n"
+        "a = access=scheduled, slot_start=10, slot_len=10, period=10007\n"
+        "b = access=scheduled, slot_start={}, slot_len=10, period=10009, offset=3\n"
+    )
+
+    def test_large_coprime_periods_compile_at_once(self):
+        # Their lcm is about 10**8 superframes; a check that walks it hangs.
+        script = (
+            "import sys, time\n"
+            "from bansim.errors import ScenarioError\n"
+            "from bansim.sim.scenario import parse_scenario\n"
+            "accepted, refused = sys.stdin.read().split('---')\n"
+            "t = time.perf_counter()\n"
+            "parse_scenario(accepted)\n"
+            "try:\n"
+            "    parse_scenario(refused)\n"
+            "except ScenarioError as exc:\n"
+            "    print(exc)\n"
+            "print(time.perf_counter() - t)\n"
+        )
+        src = str(Path(bansim.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            input=self.COPRIME.format(30) + "---" + self.COPRIME.format(15),
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 0, proc.stderr
+        refusal, seconds = proc.stdout.splitlines()
+        assert refusal.startswith("line 6:") and "a vs b" in refusal
+        assert float(seconds) < 0.5
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(allocation_sets())
+    def test_same_verdict_as_placing_the_whole_lcm_horizon(self, allocs):
+        config = SuperframeConfig(
+            slot_length_us=10_000, slots_per_superframe=32, mode=OperationalMode.NONBEACON_BOUNDED
+        )
+        layout = build_layout(config)
+        try:
+            for index in range(math.lcm(*(a.periodicity for a in allocs))):
+                place_scheduled(allocs, layout, index)
+            legal = True
+        except AllocationConflict:
+            legal = False
+        nodes = tuple(
+            NodeSpec(a.node_id, payload_bytes=10, access="scheduled", slot_start=a.start_slot,
+                     slot_len=a.length_slots, period=a.periodicity, offset=a.offset)
+            for a in allocs
+        )
+        sc = Scenario(phy=nb_config(Band.NB_402_405, "high"), superframe=config, nodes=nodes)
+        try:
+            plan = compile_scenario(sc)
+        except ScenarioError as exc:
+            assert not legal and " vs " in str(exc)
+        else:
+            assert legal and plan.allocations == tuple(sorted(allocs, key=lambda a: a.node_id))

@@ -378,20 +378,20 @@ duration_ms = 768
         assert run(third)[0].beacons == 2  # superframes 0 and 3
 
     def test_beacon_must_fit_its_phase(self):
-        sc = parse_scenario(
-            """
-            [superframe]
-            slot_length_us = 100
-            slots = 256
-            beacon_slots = 1
-            rap1_slots = 255
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(
+                """
+                [superframe]
+                slot_length_us = 100
+                slots = 256
+                beacon_slots = 1
+                rap1_slots = 255
 
-            [run]
-            duration_ms = 100
-            """
-        )
-        with pytest.raises(ScenarioError):
-            run(sc)
+                [run]
+                duration_ms = 100
+                """
+            )
+        assert info.value.line == 2 and "beacon phase" in str(info.value)
 
 
 class TestRunToFiles:
@@ -719,3 +719,25 @@ class TestLazyGrid:
         lazy, reference = _TickCounter(sc), CountedReference(sc)
         assert stats_and_trace(lazy) == stats_and_trace(reference)
         assert 0 < lazy.ticks < reference.ticks
+
+
+class TestChangedScenarios:
+    """A scenario changed after parsing is compiled again when run, so an
+    illegal one fails before its first event."""
+
+    POLLED = (
+        "[superframe]\nbeacon_slots = 4\nrap1_slots = 120\ntype_b_slots = 132\n"
+        "[nodes]\nn0 = access=contention\np = traffic=poisson:20, payload=60, access=polled\n"
+    )
+
+    def test_poll_grant_shorter_than_an_exchange(self):
+        sc = parse_scenario(self.POLLED)
+        need = Simulation(sc).nodes["p"].exchange_us
+        with pytest.raises(ScenarioError, match=f"shorter than the {need} us frame exchange"):
+            Simulation(replace(sc, poll_grant_us=need - 1))
+
+    def test_second_contention_node_on_the_ideal_channel(self):
+        sc = parse_scenario(self.POLLED)
+        assert sc.run.channel == "ideal"
+        with pytest.raises(ScenarioError, match="at most one contention node"):
+            Simulation(replace(sc, nodes=sc.nodes + (replace(sc.nodes[0], node_id="n1"),)))
