@@ -15,35 +15,17 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import BansimError, ConfigError
-from bansim.phy.bitfields import bits_to_bytes, bytes_to_bits
+from bansim.phy.bitfields import bytes_to_bits, padded_bytes
 from bansim.phy.ppdu import MAC_HEADER_LEN, build_ppdu, frame_airtime_us, hexdump, parse_ppdu
-from bansim.phy.rates import (
-    Band,
-    hbc_config,
-    load_rate_table,
-    nb_config,
-    uwb_config,
-    write_rate_csv,
-)
+from bansim.phy.rates import load_rate_table, phy_config, write_rate_csv
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
 from bansim.textio import text_stream
 
 
 # ------------------------------------------------------------------ helpers
-
-
-def _phy_config(args):
-    """PhyConfig from the shared --phy/--band/--rate/--channel/--center flags."""
-    if args.phy == "nb":
-        return nb_config(Band(args.band), args.rate)
-    if args.phy == "uwb":
-        return uwb_config(args.channel)
-    return hbc_config(args.center)
 
 
 def _add_phy_flags(parser: argparse.ArgumentParser) -> None:
@@ -174,7 +156,7 @@ def _print_frame_fields(ppdu, cfg, fh) -> None:
 
 
 def cmd_frame_build(args) -> int:
-    cfg = _phy_config(args)
+    cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
     mac_header = bytes.fromhex(args.mac_header)
     if len(mac_header) != MAC_HEADER_LEN:
         raise ConfigError(f"--mac-header must be {MAC_HEADER_LEN} bytes of hex")
@@ -186,17 +168,13 @@ def cmd_frame_build(args) -> int:
     with text_stream(args.out) as fh:
         print(hexdump(ppdu, cfg), file=fh)
         _print_frame_fields(ppdu, cfg, fh)
-        image = bits_to_bytes(
-            np.concatenate(
-                [ppdu.bits, np.zeros((-len(ppdu.bits)) % 8, dtype=np.uint8)]
-            )
-        )
+        image = padded_bytes(ppdu.bits)
         print(f"image={image.hex()} bits={len(ppdu.bits)}", file=fh)
     return 0
 
 
 def cmd_frame_parse(args) -> int:
-    cfg = _phy_config(args)
+    cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
     image = bytes.fromhex(args.image)
     bits = bytes_to_bits(image)
     if args.bits is not None:

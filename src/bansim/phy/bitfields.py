@@ -11,7 +11,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["int_to_bits", "bits_to_int", "bytes_to_bits", "bits_to_bytes"]
+__all__ = ["int_to_bits", "bits_to_int", "bytes_to_bits", "bits_to_bytes", "padded_bytes"]
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
@@ -36,4 +36,9 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
 def bits_to_bytes(bits: np.ndarray) -> bytes:
     if len(bits) % 8:
         raise ValueError(f"bit count {len(bits)} is not a whole number of bytes")
-    return np.packbits(bits.astype(np.uint8)).tobytes()
+    return padded_bytes(bits)
+
+
+def padded_bytes(bits: np.ndarray) -> bytes:
+    """Bits packed MSB first; a last partial byte is filled out with zeros."""
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()

@@ -43,7 +43,7 @@ from bansim.errors import (
     TruncatedFrame,
 )
 from bansim.phy import fec
-from bansim.phy.bitfields import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
+from bansim.phy.bitfields import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits, padded_bytes
 from bansim.phy.checksums import crc4_bits, crc16
 from bansim.phy.kasami import kasami63_bits, mseq
 from bansim.phy.rates import PhyConfig, PhyKind, info_data_rate
@@ -379,9 +379,7 @@ def hexdump(ppdu: Ppdu, cfg: PhyConfig) -> str:
     lines = []
     offset = 0
     for label, bits in _regions(ppdu, cfg):
-        data = bits_to_bytes(
-            np.concatenate([bits, np.zeros((-len(bits)) % 8, dtype=np.uint8)])
-        )
+        data = padded_bytes(bits)
         for i in range(0, max(len(data), 1), 16):
             chunk = data[i : i + 16]
             hexpart = " ".join(f"{b:02x}" for b in chunk)

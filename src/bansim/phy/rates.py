@@ -38,6 +38,7 @@ __all__ = [
     "nb_config",
     "uwb_config",
     "hbc_config",
+    "phy_config",
     "band_configs",
     "write_rate_csv",
     "CONFIG_DIR_ENV",
@@ -265,6 +266,22 @@ def hbc_config(center_mhz: int = 16) -> PhyConfig:
         header_spreading=4,
         preamble_symbols=HBC_PREAMBLE_SYMBOLS,
     )
+
+
+def phy_config(kind: str, band: str, rate: str, channel: int, center: int) -> PhyConfig:
+    """The config of one family: nb reads `band` (a band name) and `rate`,
+    uwb `channel`, hbc `center`; the others are ignored."""
+    if kind == "nb":
+        try:
+            band_id = Band(band)
+        except ValueError:
+            raise ConfigError(f"unknown band {band!r}") from None
+        return nb_config(band_id, rate)
+    if kind == "uwb":
+        return uwb_config(channel)
+    if kind == "hbc":
+        return hbc_config(center)
+    raise ConfigError(f"phy kind must be nb, uwb, or hbc, got {kind!r}")
 
 
 def band_configs(band: Band) -> list[PhyConfig]:

@@ -81,16 +81,14 @@ from bansim.mac.csma import (
     trace_batch,
     trace_event,
 )
-from bansim.mac.superframe import PhaseKind, TrafficKind, admissible, phase_at, schedule_polls
+from bansim.mac.superframe import PhaseKind, TrafficKind, admissible, schedule_polls
 from bansim.security import SecurityLevel, SecurityManager, admit_frame, secure_frame
 from bansim.sim.scenario import BEACON_BODY_LEN  # noqa: F401  re-exported
-from bansim.sim.scenario import NodeSpec, Scenario, clock_us, compile_scenario
+from bansim.sim.scenario import HUB_ID, NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import text_stream
 
 __all__ = ["EventKind", "ScriptedReplay", "Simulation", "run", "run_to_files", "write_trace"]
-
-HUB_ID = "hub"
 
 # A contender's lines on phase entry: a locked counter unlocks between
 # the two, and unlocking changes no traced field.
@@ -269,13 +267,14 @@ class Simulation:
                     self._push_schedule(
                         grant.start_us,
                         EventKind.POLL_GRANT,
-                        (grant.node_id, grant.duration_us, end),
+                        (grant.node_id, grant.duration_us, end, span.kind),
                     )
         for alloc in plan.allocations:
             if alloc.active_in(index):
                 start = base + alloc.start_slot * layout.slot_length_us
                 length = alloc.length_slots * layout.slot_length_us
-                self._push_schedule(start, EventKind.POLL_GRANT, (alloc.node_id, length, start + length))
+                data = (alloc.node_id, length, start + length, plan.allocation_phases[alloc.node_id])
+                self._push_schedule(start, EventKind.POLL_GRANT, data)
         self._push_schedule(base + layout.duration_us, EventKind.SUPERFRAME, (index + 1,))
 
     def _seed_traffic(self) -> None:
@@ -294,7 +293,10 @@ class Simulation:
     def _push_arrival(self, node: _Node, after_us: int) -> None:
         rate_per_s = node.spec.traffic[1]
         gap = node.rng.expovariate(rate_per_s) * 1_000_000
-        self._push(after_us + clock_us(gap), EventKind.TRAFFIC_ARRIVAL, (node.node_id,))
+        # A gap that reaches the run end pushes nothing either way; dropping
+        # it before rounding keeps an infinite gap (a tiny rate) off the clock.
+        if gap < self.end_time - after_us:
+            self._push(after_us + clock_us(gap), EventKind.TRAFFIC_ARRIVAL, (node.node_id,))
 
     # ----------------------------------------------------------- main loop
 
@@ -572,7 +574,7 @@ class Simulation:
 
     # ------------------------------------------------- grants and beacons
 
-    def _on_poll_grant(self, node_id: str, duration: int, phase_end: int) -> None:
+    def _on_poll_grant(self, node_id: str, duration: int, phase_end: int, kind: PhaseKind) -> None:
         node = self.nodes[node_id]
         if not node.queue or self.exchange is not None:
             return
@@ -583,7 +585,6 @@ class Simulation:
             )
         if node.service_start is None:
             node.service_start = t
-        kind, _ = phase_at(self.plan.layout, t % self.plan.layout.duration_us)
         exchange = _Exchange(kind, phase_end, contention=False)
         exchange.pending = 1
         exchange.wires[node_id] = self._secure_payload(node)

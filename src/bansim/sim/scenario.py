@@ -10,13 +10,19 @@ a comma-separated list of sub-assignments, for example:
     n1 = priority=2, traffic=poisson:40, payload=50, access=polled
     n2 = priority=3, traffic=scripted:1000;250000, payload=20, access=scheduled, slot_start=70, slot_len=10
 
-Parsing rejects unknown sections, keys and sub-keys and malformed or
-out-of-range values at their line. compile_scenario then checks every
+One table (_KEYS) holds every key of every section, node and security
+sub-keys included, with its typed default and its converter; one reader
+converts each given value at its own line, so unknown keys and malformed
+or out-of-range values fail there. Named values match in any case. The
+[phy] family (phy.rates.phy_config) reads only its own keys: a key of
+another family, and a band, channel or center the family lacks, fail at
+their line. compile_scenario then checks every
 static rule once and derives the Plan a run reads: phase arithmetic (in
 mac.superframe.build_layout), the beacon's fit in its phase, payload
 bounds with security bytes, grants and allocations that hold one frame
 exchange, allocations inside shared phases and free of conflicts, the
-channel rule and the security entries. A check on one node or security
+channel rule, node ids that fit one trace field, and the security
+entries. A check on one node or security
 entry reports that entry's line, on poll_grant_us its line, the others
 their section's line where one is known. parse_scenario compiles with
 its line maps and Simulation compiles what it is given, so a scenario
@@ -26,10 +32,11 @@ changed after parsing is checked again before its first event.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from bansim.errors import InvalidLayoutError, ScenarioError
+from bansim.errors import ConfigError, InvalidLayoutError, ScenarioError
 from bansim.mac.csma import MacTimingConstants, exchange_us
 from bansim.mac.superframe import (
     SHARED_PHASES,
@@ -44,7 +51,7 @@ from bansim.mac.superframe import (
     phases_covered,
 )
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
-from bansim.phy.rates import Band, PhyConfig, hbc_config, info_data_rate, nb_config, uwb_config
+from bansim.phy.rates import PhyConfig, info_data_rate, phy_config
 from bansim.security import SECURITY_WIRE_OVERHEAD, SecurityLevel
 
 __all__ = [
@@ -127,13 +134,13 @@ _MODES = {
     "unbounded": OperationalMode.NONBEACON_UNBOUNDED,
 }
 
-_SECTIONS = ("phy", "superframe", "csma", "nodes", "security", "run")
+# The [phy] keys each family reads; a key of another family is refused.
+_PHY_FAMILIES = {"nb": ("band", "rate"), "uwb": ("channel",), "hbc": ("center",)}
+
 # Highest Poisson rate, frames/s. Above it the mean gap between arrivals
 # is under the kernel's 1 us clock, so gaps round to zero and simulated
 # time stops advancing.
 MAX_POISSON_RATE_PER_S = 1e6
-# Smallest legal value of each allocation key that has one (offset has none).
-_ALLOCATION_MINIMA = {"slot_start": 0, "slot_len": 1, "period": 1}
 
 
 def _fail(line: int, message: str) -> ScenarioError:
@@ -145,32 +152,144 @@ def clock_us(t: float) -> int:
     return int(t + 0.5)
 
 
-def _to_int(raw: str, line: int, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise _fail(line, f"{key} wants an integer, got {raw!r}") from None
+# A converter reads one raw value: (raw, line, key) -> the typed value,
+# or a ScenarioError at that line.
 
 
-def _to_float(raw: str, line: int, key: str) -> float:
+def _positive(raw: str, line: int, key: str) -> float:
     try:
         value = float(raw)
     except ValueError:
         raise _fail(line, f"{key} wants a number, got {raw!r}") from None
     if not math.isfinite(value):
         raise _fail(line, f"{key} wants a finite number, got {raw!r}")
+    if value <= 0:
+        raise _fail(line, f"{key} must be positive")
     return value
 
 
-def _to_bool(raw: str, line: int, key: str) -> bool:
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    raise _fail(line, f"{key} wants true/false, got {raw!r}")
+def _text(raw: str, line: int, key: str) -> str:
+    return raw
 
 
-def _split_assignments(raw: str, line: int) -> dict[str, str]:
+def _integer(low: int | None = None):
+    """Converter to an integer, with `low` as its floor when given."""
+
+    def convert(raw: str, line: int, key: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise _fail(line, f"{key} wants an integer, got {raw!r}") from None
+        if low is not None and value < low:
+            raise _fail(line, f"{key} must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
+def _choice(options):
+    """Converter to one of `options`, named in any case: a tuple of names,
+    or a dict of name -> value."""
+    named = options if isinstance(options, dict) else {name: name for name in options}
+
+    def convert(raw: str, line: int, key: str):
+        if raw.lower() not in named:
+            raise _fail(line, f"{key} must be one of {' | '.join(named)}, got {raw!r}")
+        return named[raw.lower()]
+
+    return convert
+
+
+def _traffic(raw: str, line: int, key: str) -> tuple:
+    if raw == "saturated":
+        return ("saturated",)
+    if raw.startswith("poisson:"):
+        rate = _positive(raw[len("poisson:") :], line, "poisson rate")
+        if rate > MAX_POISSON_RATE_PER_S:
+            raise _fail(
+                line,
+                f"poisson rate {rate:g} /s is above {MAX_POISSON_RATE_PER_S:g} /s: "
+                "its mean gap is under the 1 us clock",
+            )
+        return ("poisson", rate)
+    if raw.startswith("scripted:"):
+        whole = _integer()
+        times = tuple(whole(t, line, "scripted time") for t in raw[len("scripted:") :].split(";") if t)
+        if not times:
+            raise _fail(line, "scripted traffic needs at least one time")
+        if any(t < 0 for t in times) or list(times) != sorted(times):
+            raise _fail(line, "scripted times must be sorted and non-negative")
+        return ("scripted", times)
+    raise _fail(line, f"unknown traffic model {raw!r}")
+
+
+# Every key of the format: section -> key -> (typed default, converter).
+# A node or security entry reads its sub-keys from its section's table.
+_KEYS = {
+    "phy": {
+        "kind": ("nb", _choice(tuple(_PHY_FAMILIES))),
+        "band": ("402-405", _text),
+        "rate": ("high", _choice(("low", "high"))),
+        "channel": (2, _integer()),
+        "center": (16, _integer()),
+        "rate_override_kbps": (None, _positive),
+    },
+    "superframe": {
+        "slot_length_us": (500, _integer()),
+        "slots": (256, _integer()),
+        "mode": (OperationalMode.BEACON_BOUNDED, _choice(_MODES)),
+        "fill_phase_type": ("I", _text),
+        "beacon_period_multiplier": (1, _integer()),
+        "beacon_prohibited": (
+            False,
+            _choice({"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}),
+        ),
+        "poll_grant_us": (None, _integer()),
+        **{key: (None, _integer()) for key in _PHASE_KEYS},
+    },
+    "csma": {
+        "psifs_us": (50, _integer(0)),
+        "slot_us": (125, _integer(1)),
+        "gtn_us": (85, _integer(0)),
+    },
+    "nodes": {
+        "priority": (4, _integer()),
+        "traffic": (("saturated",), _traffic),
+        "payload": (100, _integer()),
+        "access": ("contention", _choice(ACCESS_KINDS)),
+        "slot_start": (None, _integer(0)),
+        "slot_len": (None, _integer(1)),
+        "period": (1, _integer(1)),
+        "offset": (0, _integer()),
+    },
+    "security": {
+        "level": (SecurityLevel.UNSECURED, _choice({str(int(level)): level for level in SecurityLevel})),
+        "mk": ("preshared", _choice(("preshared", "unauthenticated"))),
+        "group": (None, _text),
+    },
+    "run": {
+        "seed": (1, _integer()),
+        "duration_ms": (1000, _integer(1)),
+        "channel": ("ideal", _choice(CHANNEL_MODELS)),
+        "stats_out": (None, _text),
+        "trace_out": (None, _text),
+    },
+}
+
+
+def _read(section: str, fields: dict[str, tuple[str, int]]) -> dict:
+    """Every key of `section`'s table: each given one converted at its own
+    line, the others at their default. An unknown key fails at its line."""
+    table = _KEYS[section]
+    values = {key: default for key, (default, _) in table.items()}
+    for key, (raw, line) in fields.items():
+        if key not in table:
+            raise _fail(line, f"unknown [{section}] key {key!r}")
+        values[key] = table[key][1](raw, line, key)
+    return values
+
+
+def _split_assignments(raw: str, line: int) -> dict[str, tuple[str, int]]:
     out = {}
     for part in raw.split(","):
         part = part.strip()
@@ -182,87 +301,30 @@ def _split_assignments(raw: str, line: int) -> dict[str, str]:
         key, value = key.strip(), value.strip()
         if key in out:
             raise _fail(line, f"duplicate sub-key {key!r}")
-        out[key] = value
+        out[key] = (value, line)
     return out
 
 
-def _parse_traffic(raw: str, line: int) -> tuple:
-    if raw == "saturated":
-        return ("saturated",)
-    if raw.startswith("poisson:"):
-        rate = _to_float(raw[len("poisson:") :], line, "poisson rate")
-        if rate <= 0:
-            raise _fail(line, "poisson rate must be positive")
-        if rate > MAX_POISSON_RATE_PER_S:
-            raise _fail(
-                line,
-                f"poisson rate {rate:g} /s is above {MAX_POISSON_RATE_PER_S:g} /s: "
-                "its mean gap is under the 1 us clock",
-            )
-        return ("poisson", rate)
-    if raw.startswith("scripted:"):
-        times = tuple(
-            _to_int(t, line, "scripted time")
-            for t in raw[len("scripted:") :].split(";")
-            if t
-        )
-        if not times:
-            raise _fail(line, "scripted traffic needs at least one time")
-        if any(t < 0 for t in times) or list(times) != sorted(times):
-            raise _fail(line, "scripted times must be sorted and non-negative")
-        return ("scripted", times)
-    raise _fail(line, f"unknown traffic model {raw!r}")
-
-
-def _parse_node(node_id: str, raw: str, line: int) -> NodeSpec:
-    fields = _split_assignments(raw, line)
-    spec = {"node_id": node_id}
-    for key, value in fields.items():
-        if key == "priority":
-            spec["priority"] = _to_int(value, line, key)
-        elif key == "traffic":
-            spec["traffic"] = _parse_traffic(value, line)
-        elif key == "payload":
-            spec["payload_bytes"] = _to_int(value, line, key)
-        elif key == "access":
-            if value not in ACCESS_KINDS:
-                raise _fail(line, f"access must be one of {ACCESS_KINDS}, got {value!r}")
-            spec["access"] = value
-        elif key in ("slot_start", "slot_len", "period", "offset"):
-            spec[key] = _to_int(value, line, key)
-            low = _ALLOCATION_MINIMA.get(key)
-            if low is not None and spec[key] < low:
-                raise _fail(line, f"{key} must be at least {low}, got {spec[key]}")
-        else:
-            raise _fail(line, f"unknown node key {key!r}")
-    return NodeSpec(**spec)
-
-
-def _parse_security(raw: str, line: int) -> SecuritySpec:
-    fields = _split_assignments(raw, line)
-    spec = {}
-    for key, value in fields.items():
-        if key == "level":
-            n = _to_int(value, line, key)
-            if n not in (0, 1, 2):
-                raise _fail(line, f"security level must be 0, 1, or 2, got {n}")
-            spec["level"] = SecurityLevel(n)
-        elif key == "mk":
-            if value not in ("preshared", "unauthenticated"):
-                raise _fail(line, f"unknown master-key mode {value!r}")
-            spec["mk"] = value
-        elif key == "group":
-            spec["group"] = value
-        else:
-            raise _fail(line, f"unknown security key {key!r}")
-    return SecuritySpec(**spec)
-
-
-def _band_by_value(raw: str, line: int) -> Band:
-    for band in Band:
-        if band.value == raw:
-            return band
-    raise _fail(line, f"unknown band {raw!r}")
+def _phy(fields: dict[str, tuple[str, int]], section_line: int | None) -> PhyConfig:
+    values = _read("phy", fields)
+    kind = values["kind"]
+    family = _PHY_FAMILIES[kind]
+    for key, (_, line) in fields.items():
+        if key not in family and any(key in keys for keys in _PHY_FAMILIES.values()):
+            raise _fail(line, f"{key} does not apply to kind {kind}")
+    try:
+        cfg = phy_config(kind, values["band"], values["rate"], values["channel"], values["center"])
+    except ConfigError as exc:
+        # kind and rate are checked by their converters, so the fault lies
+        # with the family's first key.
+        raise _fail(fields.get(family[0], (None, section_line))[1], str(exc)) from None
+    override = values["rate_override_kbps"]
+    if override is not None:
+        cfg = replace(cfg, rate_override_kbps=override)
+        if not math.isfinite(frame_airtime_us(cfg, MAX_BODY_LEN)):
+            line = fields["rate_override_kbps"][1]
+            raise _fail(line, f"rate_override_kbps {override:g} leaves no finite airtime")
+    return cfg
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -270,10 +332,8 @@ def parse_scenario(text: str) -> Scenario:
     offending line number."""
     section = None
     section_lines: dict[str, int] = {}
-    phy_fields: dict[str, tuple[str, int]] = {}
-    sf_fields: dict[str, tuple[str, int]] = {}
-    csma_fields: dict[str, tuple[str, int]] = {}
-    run_fields: dict[str, tuple[str, int]] = {}
+    # The [phy], [superframe], [csma] and [run] entries: key -> (raw, line).
+    fields: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in ("phy", "superframe", "csma", "run")}
     nodes: list[NodeSpec] = []
     node_lines: dict[str, int] = {}
     security: dict[str, SecuritySpec] = {}
@@ -287,7 +347,7 @@ def parse_scenario(text: str) -> Scenario:
             if not line.endswith("]"):
                 raise _fail(lineno, f"malformed section header {line!r}")
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in _KEYS:
                 raise _fail(lineno, f"unknown section [{name}]")
             section = name
             section_lines[name] = lineno
@@ -299,143 +359,46 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if section == "nodes":
-            if any(n.node_id == key for n in nodes):
+            if key in node_lines:
                 raise _fail(lineno, f"duplicate node {key!r}")
-            nodes.append(_parse_node(key, value, lineno))
+            spec = _read("nodes", _split_assignments(value, lineno))
+            nodes.append(NodeSpec(node_id=key, payload_bytes=spec.pop("payload"), **spec))
             node_lines[key] = lineno
         elif section == "security":
             if key in security:
                 raise _fail(lineno, f"duplicate security entry {key!r}")
-            security[key] = _parse_security(value, lineno)
+            security[key] = SecuritySpec(**_read("security", _split_assignments(value, lineno)))
             security_lines[key] = lineno
         else:
-            target = {"phy": phy_fields, "superframe": sf_fields, "csma": csma_fields, "run": run_fields}[section]
-            if key in target:
+            if key in fields[section]:
                 raise _fail(lineno, f"duplicate key {key!r}")
-            target[key] = (value, lineno)
+            fields[section][key] = (value, lineno)
 
-    phy = _build_phy(phy_fields)
-    if "poll_grant_us" in sf_fields:
-        section_lines["poll_grant_us"] = sf_fields["poll_grant_us"][1]
-    superframe, poll_grant_us = _build_superframe(sf_fields)
-    timing = _build_timing(csma_fields)
-    run = _build_run(run_fields)
+    phy = _phy(fields["phy"], section_lines.get("phy"))
+    sf = _read("superframe", fields["superframe"])
+    if "poll_grant_us" in fields["superframe"]:
+        section_lines["poll_grant_us"] = fields["superframe"]["poll_grant_us"][1]
+    csma = _read("csma", fields["csma"])
+    run = _read("run", fields["run"])
     scenario = Scenario(
         phy=phy,
-        superframe=superframe,
-        timing=timing,
+        superframe=SuperframeConfig(
+            slot_length_us=sf["slot_length_us"],
+            slots_per_superframe=sf["slots"],
+            mode=sf["mode"],
+            phase_slots={kind: sf[key] for key, kind in _PHASE_KEYS.items() if sf[key] is not None},
+            fill_phase_type=sf["fill_phase_type"],
+            beacon_period_multiplier=sf["beacon_period_multiplier"],
+            beacon_prohibited=sf["beacon_prohibited"],
+        ),
+        timing=MacTimingConstants(csma_slot_us=csma.pop("slot_us"), **csma),
         nodes=tuple(nodes),
         security=security,
-        run=run,
-        poll_grant_us=poll_grant_us,
+        run=RunSpec(duration_us=run.pop("duration_ms") * 1000, **run),
+        poll_grant_us=sf["poll_grant_us"],
     )
     compile_scenario(scenario, section_lines, node_lines, security_lines)
     return scenario
-
-
-def _pop(fields: dict, key: str, default=None):
-    return fields.pop(key, (default, None))
-
-
-def _reject_leftovers(fields: dict, section: str) -> None:
-    if fields:
-        key, (_, line) = next(iter(fields.items()))
-        raise _fail(line, f"unknown {section} key {key!r}")
-
-
-def _build_phy(fields: dict) -> PhyConfig:
-    kind, line = _pop(fields, "kind", "nb")
-    if kind == "nb":
-        band_raw, band_line = _pop(fields, "band", "402-405")
-        band = _band_by_value(band_raw, band_line)
-        rate, rate_line = _pop(fields, "rate", "high")
-        if rate not in ("low", "high"):
-            raise _fail(rate_line, f"rate must be low or high, got {rate!r}")
-        cfg = nb_config(band, rate)
-    elif kind == "uwb":
-        channel, ch_line = _pop(fields, "channel", "2")
-        cfg = uwb_config(_to_int(channel, ch_line, "channel"))
-    elif kind == "hbc":
-        center, c_line = _pop(fields, "center", "16")
-        cfg = hbc_config(_to_int(center, c_line, "center"))
-    else:
-        raise _fail(line, f"phy kind must be nb, uwb, or hbc, got {kind!r}")
-    override, o_line = _pop(fields, "rate_override_kbps", None)
-    if override is not None:
-        cfg = replace(cfg, rate_override_kbps=_to_float(override, o_line, "rate_override_kbps"))
-    _reject_leftovers(fields, "phy")
-    return cfg
-
-
-def _build_superframe(fields: dict) -> tuple[SuperframeConfig, int | None]:
-    slot_length, sl_line = _pop(fields, "slot_length_us", "500")
-    slots, s_line = _pop(fields, "slots", "256")
-    mode_raw, m_line = _pop(fields, "mode", "beacon")
-    if mode_raw not in _MODES:
-        raise _fail(m_line, f"mode must be one of {sorted(_MODES)}, got {mode_raw!r}")
-    fill, f_line = _pop(fields, "fill_phase_type", "I")
-    multiplier, bp_line = _pop(fields, "beacon_period_multiplier", "1")
-    prohibited, pr_line = _pop(fields, "beacon_prohibited", "false")
-    grant, g_line = _pop(fields, "poll_grant_us", None)
-
-    phase_slots = {}
-    for key, kind in _PHASE_KEYS.items():
-        raw, line = _pop(fields, key, None)
-        if raw is not None:
-            phase_slots[kind] = _to_int(raw, line, key)
-    _reject_leftovers(fields, "superframe")
-
-    config = SuperframeConfig(
-        slot_length_us=_to_int(slot_length, sl_line, "slot_length_us"),
-        slots_per_superframe=_to_int(slots, s_line, "slots"),
-        mode=_MODES[mode_raw],
-        phase_slots=phase_slots,
-        fill_phase_type=fill,
-        beacon_period_multiplier=_to_int(multiplier, bp_line, "beacon_period_multiplier"),
-        beacon_prohibited=_to_bool(prohibited, pr_line, "beacon_prohibited"),
-    )
-    poll_grant = _to_int(grant, g_line, "poll_grant_us") if grant is not None else None
-    return config, poll_grant
-
-
-def _build_timing(fields: dict) -> MacTimingConstants:
-    psifs, p_line = _pop(fields, "psifs_us", "50")
-    slot, s_line = _pop(fields, "slot_us", "125")
-    gtn, g_line = _pop(fields, "gtn_us", "85")
-    _reject_leftovers(fields, "csma")
-    values = {}
-    for key, raw, line, low in (
-        ("psifs_us", psifs, p_line, 0),
-        ("slot_us", slot, s_line, 1),
-        ("gtn_us", gtn, g_line, 0),
-    ):
-        values[key] = _to_int(raw, line, key)
-        if values[key] < low:
-            raise _fail(line, f"{key} must be at least {low}, got {values[key]}")
-    return MacTimingConstants(
-        psifs_us=values["psifs_us"], csma_slot_us=values["slot_us"], gtn_us=values["gtn_us"]
-    )
-
-
-def _build_run(fields: dict) -> RunSpec:
-    seed, se_line = _pop(fields, "seed", "1")
-    duration, d_line = _pop(fields, "duration_ms", "1000")
-    channel, c_line = _pop(fields, "channel", "ideal")
-    if channel not in CHANNEL_MODELS:
-        raise _fail(c_line, f"channel must be one of {CHANNEL_MODELS}, got {channel!r}")
-    stats_out, _ = _pop(fields, "stats_out", None)
-    trace_out, _ = _pop(fields, "trace_out", None)
-    _reject_leftovers(fields, "run")
-    duration_ms = _to_int(duration, d_line, "duration_ms")
-    if duration_ms <= 0:
-        raise _fail(d_line, "duration_ms must be positive")
-    return RunSpec(
-        seed=_to_int(seed, se_line, "seed"),
-        duration_us=duration_ms * 1000,
-        channel=channel,
-        stats_out=stats_out,
-        trace_out=trace_out,
-    )
 
 
 def load_scenario(path) -> Scenario:
@@ -446,6 +409,10 @@ def load_scenario(path) -> Scenario:
 
 # Body of the hub's beacon frame, bytes.
 BEACON_BODY_LEN = 17
+# The hub's id on trace lines, which no node may take.
+HUB_ID = "hub"
+# A node id is one trace field: no separator, never empty.
+_NODE_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass(frozen=True)
@@ -464,6 +431,7 @@ class Plan:
     poll_grant_us: int
     poll_phases: frozenset[PhaseKind]  # shared phases the hub polls in
     allocations: tuple[ScheduledAllocation, ...]  # by node id
+    allocation_phases: dict[str, PhaseKind]  # the phase each allocation starts in
 
 
 def compile_scenario(
@@ -499,9 +467,15 @@ def compile_scenario(
     polled: list[str] = []
     scheduled: list[ScheduledAllocation] = []
     taken: set[PhaseKind] = set()  # shared phases a scheduled allocation covers
+    allocation_phases: dict[str, PhaseKind] = {}
     for node in sc.nodes:
         node_id = node.node_id
         node_line = node_lines.get(node_id, lines.get("nodes"))
+        if not _NODE_ID.fullmatch(node_id) or node_id == HUB_ID:
+            raise _fail(
+                node_line,
+                f"node id {node_id!r} must be letters, digits, '_', '-' or '.', and not {HUB_ID!r}",
+            )
         if not 0 <= node.priority <= 7:
             raise _fail(node_line, f"{node_id}: priority {node.priority} outside 0..7")
         overhead = SECURITY_WIRE_OVERHEAD[sc.security.get(node_id, SecuritySpec()).level]
@@ -537,7 +511,9 @@ def compile_scenario(
                 f"{node_id}: {alloc.length_slots}-slot allocation ({span_us} us) "
                 f"is shorter than one {need_us} us frame exchange",
             )
-        for kind in phases_covered(layout, alloc.start_slot, alloc.length_slots):
+        covered = phases_covered(layout, alloc.start_slot, alloc.length_slots)
+        allocation_phases[node_id] = covered[0]
+        for kind in covered:
             if not admissible(kind, node.priority, TrafficKind.SCHEDULED):
                 slot = max(alloc.start_slot, layout.span(kind).start_slot)
                 raise _fail(
@@ -588,4 +564,5 @@ def compile_scenario(
         poll_grant_us=default_grant_us if sc.poll_grant_us is None else sc.poll_grant_us,
         poll_phases=frozenset(SHARED_PHASES - taken if polled else ()),
         allocations=tuple(sorted(scheduled, key=lambda alloc: alloc.node_id)),
+        allocation_phases=allocation_phases,
     )

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from bansim.phy.bitfields import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
+from bansim.phy.bitfields import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits, padded_bytes
 
 
 def reference_int_to_bits(value: int, width: int) -> np.ndarray:
@@ -69,3 +69,11 @@ def test_byte_round_trip_including_empty():
         assert bits_to_bytes(bits) == data
     with pytest.raises(ValueError):
         bits_to_bytes(np.zeros(7, dtype=np.uint8))
+
+
+def test_padded_bytes_fill_the_last_byte_with_zeros():
+    rng = random.Random("pad")
+    for n in range(0, 25):
+        bits = np.array([rng.randrange(2) for _ in range(n)], dtype=np.uint8)
+        reference = np.concatenate([bits, np.zeros(-n % 8, dtype=np.uint8)])
+        assert padded_bytes(bits) == bits_to_bytes(reference)

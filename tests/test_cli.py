@@ -245,6 +245,43 @@ class TestScenarioDiagnostics:
         scn.write_text(self.NODE.format("traffic=poisson:1e6").replace("duration_ms = 100", "duration_ms = 1"))
         assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 0
 
+    def test_tiny_poisson_rate_runs_with_nothing_offered(self, tmp_path, capsys):
+        # Its first gap is infinite; rounding it onto the clock overflowed.
+        scn = tmp_path / "slow.scn"
+        scn.write_text(self.NODE.format("traffic=poisson:1e-320"))
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 0
+        assert " offered=0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "head, line",
+        [
+            # A zero rate divided by zero; a negative one made airtimes and
+            # the default poll grant negative.
+            ("[phy]\nrate_override_kbps = 0\n", 2),
+            ("[phy]\nrate_override_kbps = -5\n", 2),
+            ("[phy]\nkind = uwb\n# channel plan\nchannel = 99\n", 4),
+            ("[phy]\nkind = hbc\ncenter = 5\n", 3),
+            ("[phy]\nband = uwb-low\nrate = low\n", 2),
+        ],
+    )
+    def test_phy_value_fails_at_its_own_line(self, head, line, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text(head + self.NODE.format("access=polled"))
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ScenarioError: line {line}: ")
+
+    def test_negative_rate_override_with_a_contention_node_fails_at_its_line(self, tmp_path):
+        # Negative airtimes kept the slot grid from ever advancing; the
+        # subprocess timeout turns a hang into a failure.
+        scn = tmp_path / "negative.scn"
+        scn.write_text(
+            "[phy]\nrate_override_kbps = -5\n[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n"
+            "[nodes]\nn0 = access=contention\n[run]\nduration_ms = 10\n"
+        )
+        proc = run_cli("simulate", str(scn), "--out", str(tmp_path / "s.csv"), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ScenarioError: line 2: rate_override_kbps")
+
 
 def run_cli(*args: str, timeout: float) -> subprocess.CompletedProcess:
     """`python -m bansim *args` with this checkout's package on the path."""

@@ -1,7 +1,9 @@
 """Scenario text format: parsing, line-numbered rejection, semantic checks."""
 
+import copy
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -23,7 +25,8 @@ from bansim.mac.superframe import (
 )
 from bansim.phy.rates import Band, nb_config
 from bansim.security import SecurityLevel
-from bansim.sim.scenario import NodeSpec, Scenario, compile_scenario, load_scenario, parse_scenario
+from bansim.sim.kernel import Simulation
+from bansim.sim.scenario import _KEYS, NodeSpec, Scenario, compile_scenario, load_scenario, parse_scenario
 
 BASIC = """\
 [phy]
@@ -406,6 +409,16 @@ class TestEntryLines:
         assert line == 3 and f"must be at least {low}" in msg
 
 
+class TestNodeIds:
+    def test_ids_that_break_a_trace_line_fail_at_their_entry(self):
+        # A comma splits the trace field, an empty id leaves it empty, and
+        # "hub" is the id of the hub's beacon lines.
+        head = "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\nok-1.b_2 = access=polled\n"
+        for node_id in ("a,b", "", "hub"):
+            line, msg = error_line(head + f"{node_id} = access=polled\n")
+            assert line == 6 and f"node id {node_id!r}" in msg
+
+
 class TestExchangeFit:
     """A grant must hold one frame exchange (data, pSIFS, ack, guard time),
     timed as the kernel times it; otherwise its node could never send."""
@@ -577,3 +590,85 @@ class TestPairwiseConflicts:
             assert not legal and " vs " in str(exc)
         else:
             assert legal and plan.allocations == tuple(sorted(allocs, key=lambda a: a.node_id))
+
+
+# Values a scenario fuzz draws for any key: edge cases, and names that
+# some keys take (so keys of one PHY family meet the kind of another).
+FUZZ_VALUES = [
+    "", "0", "-1", "nan", "1e-320", "99", "banana",
+    "nb", "uwb", "hbc", "uwb-low", "2400-2483.5", "7", "27", "low", "nonbeacon", "unbounded", "II",
+    "true", "polled", "scheduled", "poisson:5", "scripted:0;100", "2", "140", "collision", "unauthenticated",
+]
+# A scenario that parses: two contenders, a polled node in the type II
+# phase and a scheduled one in the type I phase.
+FUZZ_BASE = {
+    "phy": {},
+    "superframe": {"beacon_slots": "4", "rap1_slots": "124", "type_a_slots": "64", "type_b_slots": "64"},
+    "csma": {},
+    "nodes": {
+        "n0": {"priority": "4"},
+        "n1": {"access": "polled", "traffic": "poisson:20"},
+        "n2": {"access": "scheduled", "slot_start": "140", "slot_len": "20", "payload": "40"},
+        "n3": {"traffic": "poisson:50", "payload": "30"},
+    },
+    "security": {"n1": {"level": "2", "group": "ward"}},
+    "run": {"duration_ms": "100", "channel": "collision"},
+}
+
+
+def render(sections: dict) -> str:
+    """Scenario text of section -> key -> value, or -> entry -> sub-key -> value."""
+    lines = []
+    for section, entries in sections.items():
+        lines.append(f"[{section}]")
+        for key, value in entries.items():
+            if isinstance(value, dict):
+                value = ", ".join(f"{sub}={v}" for sub, v in value.items())
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """FUZZ_BASE with one to four keys of the key table set to drawn values."""
+    sections = copy.deepcopy(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 4))):
+        section = draw(st.sampled_from(sorted(_KEYS)))
+        key = draw(st.sampled_from(sorted(_KEYS[section])))
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        if section in ("nodes", "security"):
+            sections[section].setdefault(draw(st.sampled_from(sorted(FUZZ_BASE["nodes"]))), {})[key] = value
+        else:
+            sections[section][key] = value
+    return render(sections)
+
+
+class TestKeyTableFuzz:
+    """The parse half of the scenario fuzz: whatever the keys hold, a
+    scenario either parses and builds or fails with a line."""
+
+    def test_base_scenario_parses(self):
+        assert len(parse_scenario(render(FUZZ_BASE)).nodes) == 4
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fuzzed_scenarios())
+    def test_every_input_parses_and_builds_or_fails_at_a_line(self, text):
+        try:
+            sc = parse_scenario(text)
+        except ScenarioError as exc:
+            assert exc.line is not None, str(exc)
+        else:
+            Simulation(sc)
+
+
+class TestReadmeExample:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
+    def test_the_scenario_example_parses_and_names_every_key(self):
+        block = self.README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        sc = parse_scenario(block)
+        assert [node.node_id for node in sc.nodes] == ["n0", "n1", "n2", "n3"]
+        for section, table in _KEYS.items():
+            separator = "=" if section in ("nodes", "security") else r"\s*="
+            for key in table:
+                assert re.search(rf"\b{key}{separator}", block), f"[{section}] {key} missing from the README"

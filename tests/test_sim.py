@@ -458,7 +458,7 @@ class TestKernelInvariants:
         "def second_tick():\n"
         "    sim._push_tick(100, PhaseKind.RAP1, 9000, True, False)\n"
         "    sim._push_tick(200, PhaseKind.RAP1, 9000, True, False)\n"
-        "for check in (lambda: sim._on_poll_grant('n0', 99, 99), second_tick):\n"
+        "for check in (lambda: sim._on_poll_grant('n0', 99, 99, PhaseKind.TYPE_A), second_tick):\n"
         "    try:\n"
         "        check()\n"
         "    except SimulationError as exc:\n"
