@@ -11,15 +11,20 @@ import operator
 
 import numpy as np
 
-__all__ = ["int_to_bits", "bits_to_int", "bytes_to_bits", "bits_to_bytes", "padded_bytes"]
+__all__ = ["checked_uint", "int_to_bits", "bits_to_int", "bytes_to_bits", "bits_to_bytes", "padded_bytes"]
+
+
+def checked_uint(value: int, width: int) -> int:
+    """`value` as an int; ValueError unless it fits in `width` unsigned bits."""
+    if value < 0 or value >= (1 << width):
+        raise ValueError(f"value {value} does not fit in {width} bits")
+    return operator.index(value)
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Unsigned value as `width` bits, MSB first."""
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
     n_bytes = (width + 7) // 8
-    data = operator.index(value).to_bytes(n_bytes, "big")
+    data = checked_uint(value, width).to_bytes(n_bytes, "big")
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[8 * n_bytes - width :]
 
 

@@ -9,8 +9,9 @@ detect-only: a parity mismatch raises, nothing is corrected.
 
 That checksum has init 0 and no final XOR, so it is linear over GF(2): the
 parity of information row u is u @ G mod 2, where row i of the k x 12
-generator matrix G is the checksum of unit vector i. Both directions
-reshape the bits to (blocks, k) and take every parity row in one product.
+generator matrix G is the checksum of unit vector i. Encoding takes all
+parity rows in one product, decoding checks all 0/1 codewords in one
+syndrome product with [G; I12], and mod 2 is the low bit of int32 sums.
 """
 
 from __future__ import annotations
@@ -39,17 +40,17 @@ def _check_code(code: BlockCode) -> BlockCode:
 
 @functools.cache
 def _generator(k: int) -> np.ndarray:
-    """k x 12 GF(2) generator: row i is the parity of unit vector i. float32
-    lets the product run in BLAS, and its sums of at most k ones are exact."""
+    """[G; I12] over GF(2), row i < k the parity of unit vector i. float32 runs
+    the products in BLAS, exact for k < 2**24; a cast to uint8 is undefined past 255."""
     rows = [int_to_bits(crc12_bits(unit.tolist()), PARITY_BITS) for unit in np.eye(k, dtype=int)]
-    matrix = np.array(rows, dtype=np.float32)
+    matrix = np.vstack([np.array(rows, dtype=np.float32), np.eye(PARITY_BITS, dtype=np.float32)])
     matrix.flags.writeable = False
     return matrix
 
 
 def _parity(info: np.ndarray) -> np.ndarray:
     """Parity rows of a (blocks, k) information matrix."""
-    return ((info @ _generator(info.shape[1])) % 2).astype(np.uint8)
+    return ((info @ _generator(info.shape[1])[:-PARITY_BITS]).astype(np.int32) & 1).astype(np.uint8)
 
 
 def coded_length(info_bit_count: int, code: BlockCode) -> int:
@@ -84,12 +85,11 @@ def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np
     if len(image) > expected:
         raise CodewordError(f"coded region holds {len(image)} bits, expected {expected}")
     words = image.reshape(-1, n)
-    info = words[:, :k]
     if n > k:
-        bad = np.flatnonzero((words[:, k:] != _parity(info)).any(axis=1))
-        if len(bad):
-            raise CodewordError(f"parity mismatch in codeword {bad[0]}")
-    info_bits = info.flatten()
+        syndrome = (words @ _generator(k)).astype(np.int32) & 1
+        if syndrome.any():
+            raise CodewordError(f"parity mismatch in codeword {syndrome.any(axis=1).argmax()}")
+    info_bits = words[:, :k].flatten()
     if info_bits[info_bit_count:].any():
         raise CodewordError("nonzero pad bits in final codeword")
     return info_bits[:info_bit_count]

@@ -18,10 +18,12 @@ that a single build, parse and hexdump walk:
   then its complement as the delimiter; body-coupled sends a 32-bit unit
   four times, then a 16-bit delimiter. The patterns are fixed constants of
   this implementation (the frame format requires fixed patterns without
-  prescribing them).
+  prescribing them). Each sync is built once, read-only; parse compares it
+  in one step and walks its blocks only to name a failure.
 * header: a (field, width) layout, MSB first. Unnamed entries are reserved
   or pad bits sent as zero; pulse radio rejects set pad bits, narrowband
   covers its reserved bits only by the 4-bit check that follows its layout.
+  Build and parse handle the header as one integer, by shift and mask.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from bansim.errors import (
     TrailingBitsError,
     TruncatedFrame,
 )
-from bansim.phy import fec
+from bansim.phy import bitfields, fec
 from bansim.phy.bitfields import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits, padded_bytes
 from bansim.phy.checksums import crc4_bits, crc16
 from bansim.phy.kasami import kasami63_bits, mseq
@@ -155,6 +157,16 @@ class _Format:
     def info_bits(self) -> int:
         return sum(width for _, width in self.layout) + 4 * self.crc4
 
+    @cached_property
+    def sync(self) -> np.ndarray:
+        sync = np.concatenate([np.tile(self.unit, self.reps), self.sfd])
+        sync.flags.writeable = False
+        return sync
+
+    @cached_property
+    def preamble(self) -> np.ndarray:
+        return self.sync[: self.reps * len(self.unit)]
+
 
 _FORMATS = {
     PhyKind.NB: _Format(
@@ -229,6 +241,11 @@ def _format(kind: PhyKind, cfg: PhyConfig) -> _Format:
     return _FORMATS[kind]
 
 
+def _hcs(layout_word: int, width: int) -> int:
+    """The 4-bit header check over the `width` layout bits of `layout_word`."""
+    return crc4_bits(map(int, format(layout_word, f"0{width}b")))
+
+
 def _preamble_label(fmt: _Format, rep: int) -> str:
     return f"preamble block {rep + 1}/{fmt.reps}" if fmt.reps > 1 else "preamble"
 
@@ -238,51 +255,49 @@ def _build(kind: PhyKind, cfg: PhyConfig, mac_header: bytes, body: bytes, **fiel
     fmt = _format(kind, cfg)
     values = {name: fields.get(name, 0) for name, _ in fmt.layout if name}
     values.update(rate_index=cfg.rate_index, length=len(body))
-    header_bits = np.concatenate(
-        [int_to_bits(values.get(name, 0), width) for name, width in fmt.layout]
-    )
+    word = 0
+    for name, width in fmt.layout:
+        word = word << width | bitfields.checked_uint(values.get(name, 0), width)
     if fmt.crc4:
-        values["hcs"] = crc4_bits(int(b) for b in header_bits)
-        header_bits = np.concatenate([header_bits, int_to_bits(values["hcs"], 4)])
+        values["hcs"] = _hcs(word, fmt.info_bits - 4)
+        word = word << 4 | values["hcs"]
     fcs = crc16(mac_header + body)
     psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
-    preamble = np.tile(fmt.unit, fmt.reps)
-    image = np.concatenate(
-        [preamble, fmt.sfd, fec.encode_blocks(header_bits, cfg.header_fec), _encode_psdu(cfg, psdu)]
-    )
-    return Ppdu(kind, preamble, fmt.sfd, fmt.header(**values), mac_header, body, fcs, image)
+    header_bits = fec.encode_blocks(int_to_bits(word, fmt.info_bits), cfg.header_fec)
+    image = np.concatenate([fmt.sync, header_bits, _encode_psdu(cfg, psdu)])
+    return Ppdu(kind, fmt.preamble, fmt.sfd, fmt.header(**values), mac_header, body, fcs, image)
 
 
 def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     fmt = _format(kind, cfg)
     bits = np.asarray(bits, dtype=np.uint8)
-    unit = len(fmt.unit)
-    for rep in range(fmt.reps):
-        if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
-            raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
-    off = fmt.reps * unit
-    if not np.array_equal(_take(bits, off, len(fmt.sfd), "start-frame delimiter"), fmt.sfd):
+    off = len(fmt.sync)
+    if not np.array_equal(bits[:off], fmt.sync):
+        unit = len(fmt.unit)
+        for rep in range(fmt.reps):
+            if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
+                raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
+        _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
         raise SfdMismatch("start-frame delimiter mismatch")
-    off += len(fmt.sfd)
     n_info = fmt.info_bits
     n_hdr = fec.coded_length(n_info, cfg.header_fec)
-    header_bits = fec.decode_blocks(_take(bits, off, n_hdr, "header"), cfg.header_fec, n_info)
-    values, pos = {}, 0
+    word = bits_to_int(fec.decode_blocks(_take(bits, off, n_hdr, "header"), cfg.header_fec, n_info))
+    values, pos = {}, n_info
     for name, width in fmt.layout:
-        value = bits_to_int(header_bits[pos : pos + width])
-        pos += width
+        pos -= width
+        value = word >> pos & ((1 << width) - 1)
         if name:
             values[name] = value
         elif value and fmt.zero_pad:
             raise HeaderCheckError("nonzero header pad bits")
     if fmt.crc4:
-        values["hcs"] = bits_to_int(header_bits[pos:])
-        if values["hcs"] != crc4_bits(int(b) for b in header_bits[:pos]):
+        values["hcs"] = word & 0xF
+        if values["hcs"] != _hcs(word >> 4, n_info - 4):
             raise HeaderCheckError("header check bits mismatch")
     header = fmt.header(**values)
     psdu = _decode_psdu(cfg, bits[off + n_hdr :], MAC_HEADER_LEN + header.length + FCS_LEN)
     mac_header, body, fcs = _split_psdu(psdu)
-    return Ppdu(kind, np.tile(fmt.unit, fmt.reps), fmt.sfd, header, mac_header, body, fcs, bits)
+    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)
 
 
 def build_nb_ppdu(

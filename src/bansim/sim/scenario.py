@@ -20,9 +20,9 @@ their line. compile_scenario then checks every
 static rule once and derives the Plan a run reads: phase arithmetic (in
 mac.superframe.build_layout), the beacon's fit in its phase, payload
 bounds with security bytes, grants and allocations that hold one frame
-exchange, allocations inside shared phases and free of conflicts, the
-channel rule, node ids that fit one trace field, and the security
-entries. A check on one node or security
+exchange, a poll phase that holds a poll grant, allocations inside shared
+phases and free of conflicts, the channel rule, node ids that fit one
+trace field, and the security entries. A check on one node or security
 entry reports that entry's line, on poll_grant_us its line, the others
 their section's line where one is known. parse_scenario compiles with
 its line maps and Simulation compiles what it is given, so a scenario
@@ -238,7 +238,7 @@ _KEYS = {
         "slot_length_us": (500, _integer()),
         "slots": (256, _integer()),
         "mode": (OperationalMode.BEACON_BOUNDED, _choice(_MODES)),
-        "fill_phase_type": ("I", _text),
+        "fill_phase_type": ("I", _choice({"i": "I", "ii": "II"})),
         "beacon_period_multiplier": (1, _integer()),
         "beacon_prohibited": (
             False,
@@ -553,7 +553,7 @@ def compile_scenario(
             raise _fail(entry_line, f"{node_id}: group membership needs security level 1 or 2")
 
     default_grant_us = max((exchange[node_id] for node_id in polled), default=0)
-    return Plan(
+    plan = Plan(
         layout=layout,
         ack_us=ack_us,
         beacon_us=beacon_us,
@@ -566,3 +566,8 @@ def compile_scenario(
         allocations=tuple(sorted(scheduled, key=lambda alloc: alloc.node_id)),
         allocation_phases=allocation_phases,
     )
+    poll_slots = max((span.length_slots for span in layout.phases if span.kind in plan.poll_phases), default=0)
+    if polled and poll_slots * layout.slot_length_us < plan.poll_grant_us:
+        line = lines.get("poll_grant_us", node_lines.get(polled[0], lines.get("nodes")))
+        raise _fail(line, f"{polled[0]}: never polled, as no poll phase holds a {plan.poll_grant_us} us grant")
+    return plan

@@ -86,7 +86,7 @@ def test_identity_code_is_a_passthrough():
 # These references are the per-codeword loop it replaced: pad, then append
 # `crc12_bits` of each information word. Outputs must be exactly equal.
 
-CODES = [(31, 19), (63, 51), (63, 63)]
+CODES = [(31, 19), (63, 51), (63, 63), (300, 288), (612, 600)]
 
 
 def reference_encode(bits, code):
@@ -179,6 +179,22 @@ def test_several_corrupted_codewords_name_the_first(code):
         assert outcome(decode_blocks, mutated, code, n_bits) == outcome(
             reference_decode, mutated, code, n_bits
         )
+
+
+@pytest.mark.parametrize("code", [(300, 288), (612, 600)])
+def test_long_codes_equal_the_loop_on_dense_words(code):
+    # Parity sums reach about k / 2 ones per column, past 255 for k = 600,
+    # so the product must be reduced mod 2 in a type that holds them.
+    n, k = code
+    rng = random.Random(f"ref-long-{code}")
+    for bits in (np.ones(4 * k - 7, dtype=np.uint8), random_bits(rng, 4 * k - 7)):
+        image = encode_blocks(bits, code)
+        assert np.array_equal(image, reference_encode(bits, code))
+        assert np.array_equal(decode_blocks(image, code, len(bits)), bits)
+        late = image.copy()
+        late[3 * n + rng.randrange(n)] ^= 1
+        assert outcome(decode_blocks, late, code, len(bits)) == (CodewordError, "parity mismatch in codeword 3")
+        assert outcome(decode_blocks, late, code, len(bits)) == outcome(reference_decode, late, code, len(bits))
 
 
 def test_pad_check_runs_after_every_parity_check():

@@ -1,7 +1,10 @@
 """Frame codec round trips, image geometry, and mutation detection."""
 
+import hashlib
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,18 +44,21 @@ from bansim.phy.ppdu import (
     parse_uwb_ppdu,
     ppdu_airtime,
 )
-from bansim.phy.rates import Band, PhyConfig, Modulation, hbc_config, nb_config, uwb_config
+from bansim.phy.rates import Band, PhyConfig, PhyKind, Modulation, hbc_config, nb_config, uwb_config
 
 NB = nb_config(Band.NB_402_405, "high")
 NB_SPREAD = nb_config(Band.NB_2360_2400, "low")  # payload spreading of 4
 UWB = uwb_config(2)
 HBC = hbc_config(16)
+# 19 header information bits in seven 3-bit codewords, the last one padded.
+NB_SHORT_HEADER_WORDS = replace(NB, header_fec=(15, 3))
 
 ALL = [
     (NB, build_nb_ppdu, parse_nb_ppdu),
     (NB_SPREAD, build_nb_ppdu, parse_nb_ppdu),
     (UWB, build_uwb_ppdu, parse_uwb_ppdu),
     (HBC, build_hbc_ppdu, parse_hbc_ppdu),
+    (NB_SHORT_HEADER_WORDS, build_nb_ppdu, parse_nb_ppdu),
 ]
 
 
@@ -124,6 +130,13 @@ def test_hbc_missing_preamble_copy_is_a_preamble_mismatch():
         parse_hbc_ppdu(shortened, HBC)
 
 
+def test_short_header_codewords_geometry():
+    ppdu = build_nb_ppdu(NB_SHORT_HEADER_WORDS, b"\x05" * 7, b"cd", scrambler=1, burst_mode=1)
+    assert len(ppdu.bits) - len(build_nb_ppdu(NB, b"\x05" * 7, b"cd").bits) == 7 * 15 - 31
+    back = parse_nb_ppdu(ppdu.bits, NB_SHORT_HEADER_WORDS)
+    assert (back.header.scrambler, back.header.burst_mode, back.header.length) == (1, 1, 2)
+
+
 def test_uwb_phr_fields_round_trip():
     ppdu = build_uwb_ppdu(UWB, b"\x06" * 7, b"e" * 9, scrambler_seed=3)
     back = parse_uwb_ppdu(ppdu.bits, UWB)
@@ -138,6 +151,9 @@ def test_uwb_preamble_is_code_repetitions_plus_complement_sfd():
         assert np.array_equal(ppdu.bits[rep * 63 : (rep + 1) * 63], UWB_PREAMBLE_CODE)
     sfd = ppdu.bits[UWB_PREAMBLE_REPS * 63 : (UWB_PREAMBLE_REPS + 1) * 63]
     assert np.array_equal(sfd, 1 - UWB_PREAMBLE_CODE)
+    # Every frame shares one preamble array, which nothing may write to.
+    assert not ppdu.preamble_bits.flags.writeable
+    assert np.array_equal(ppdu.preamble_bits, np.tile(UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS))
 
 
 @pytest.mark.parametrize("cfg,build,parse", ALL)
@@ -265,3 +281,65 @@ def test_hexdump_shows_every_region():
 def test_wrong_mac_header_size_rejected():
     with pytest.raises(ValueError):
         build_nb_ppdu(NB, b"short", b"")
+
+
+# ------------------------------------------------------- outcome digest
+#
+# Every parse outcome of one short frame per family, hashed together: for
+# each accepted image its header, for each rejected one the error class and
+# message. The images are the frame with every single-bit flip, every
+# truncation and one to three trailing bits, and with every one- and
+# two-bit change of the header's information bits, coded validly so that
+# the header's own checks (pad bits, header check, length) are reached.
+# This pins which check fires first against stored bytes.
+
+# Header information bits per family: layout plus any 4-bit check.
+HEADER_INFO_BITS = {PhyKind.NB: 19, PhyKind.UWB: 16, PhyKind.HBC: 11}
+OUTCOME_DIGEST = "74381acc10a80cdd102cb51db8586001ad4bf5ba8a6d90beeb0ac24f0d61b2fb"
+
+
+def parse_outcome(bits, cfg):
+    try:
+        parsed = parse_ppdu(bits, cfg)
+    except Exception as exc:  # every outcome is recorded, whatever its class
+        return f"{type(exc).__name__}: {exc}"
+    return f"ok {parsed.header}"
+
+
+def codec_outcomes():
+    records = []
+    for cfg in (NB, NB_SPREAD, UWB, HBC, NB_SHORT_HEADER_WORDS):
+        bits = build_ppdu(cfg, b"\x08" * 7, b"4byt").bits
+        label = f"{cfg.band_id.value} {cfg.header_fec}"
+        for pos in range(len(bits)):
+            mutated = bits.copy()
+            mutated[pos] ^= 1
+            records.append(f"{label} flip {pos} {parse_outcome(mutated, cfg)}")
+        for length in range(len(bits)):
+            records.append(f"{label} cut {length} {parse_outcome(bits[:length], cfg)}")
+        for extra in (1, 2, 3):
+            for fill in (0, 1):
+                padded = np.concatenate([bits, np.full(extra, fill, dtype=np.uint8)])
+                records.append(f"{label} trail {extra}x{fill} {parse_outcome(padded, cfg)}")
+        info_bits, start = HEADER_INFO_BITS[cfg.kind], cfg.preamble_symbols
+        end = start + fec.coded_length(info_bits, cfg.header_fec)
+        header = fec.decode_blocks(bits[start:end], cfg.header_fec, info_bits)
+        for flips in itertools.chain(
+            itertools.combinations(range(info_bits), 1), itertools.combinations(range(info_bits), 2)
+        ):
+            forged = header.copy()
+            forged[list(flips)] ^= 1
+            image = np.concatenate([bits[:start], fec.encode_blocks(forged, cfg.header_fec), bits[end:]])
+            records.append(f"{label} header {flips} {parse_outcome(image, cfg)}")
+    try:
+        build_nb_ppdu(NB, b"\x08" * 7, b"4byt", scrambler=2)
+    except ValueError as exc:
+        records.append(f"build scrambler=2 {exc}")
+    return records
+
+
+def test_every_codec_outcome_matches_the_stored_digest():
+    records = codec_outcomes()
+    assert records[-1] == "build scrambler=2 value 2 does not fit in 1 bits"
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == OUTCOME_DIGEST

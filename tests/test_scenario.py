@@ -226,6 +226,16 @@ class TestRejection:
         line, _ = error_line("[run]\nchannel = rayleigh\n[superframe]\nmode = unbounded\n")
         assert line == 2
 
+    @pytest.mark.parametrize("mode", ["beacon", "nonbeacon", "unbounded"])
+    def test_bad_fill_phase_type_fails_at_its_line_in_every_mode(self, mode):
+        line, msg = error_line(f"[superframe]\nmode = {mode}\nfill_phase_type = banana\n")
+        assert line == 3 and "fill_phase_type must be one of i | ii" in msg
+
+    def test_fill_phase_type_matches_in_any_case(self):
+        for value, kind in (("i", PhaseKind.TYPE_A), ("Ii", PhaseKind.TYPE_B)):
+            sc = scn(f"[superframe]\nmode = nonbeacon\nslots = 16\nfill_phase_type = {value}\n")
+            assert [span.kind for span in build_layout(sc.superframe).phases if span.length_slots] == [kind]
+
     def test_bad_security_level(self):
         line, _ = error_line(
             "[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n[nodes]\nn0 = payload=10\n[security]\nn0 = level=3\n"
@@ -446,6 +456,34 @@ class TestExchangeFit:
         scn(self.POLLED.format(f"poll_grant_us = {need}\n"))
         line, msg = error_line(self.POLLED.format(f"poll_grant_us = {need - 1}\n"))
         assert line == 5 and f"the {need} us frame exchange" in msg
+
+
+class TestPollReach:
+    """A polled node whose poll grant no poll phase can hold would never be
+    polled; the scenario is refused at the grant's line, or the node's."""
+
+    def test_a_grant_longer_than_the_superframe_names_the_nodes_line(self):
+        line, msg = error_line("[phy]\nrate_override_kbps = 0.001\n[superframe]\nmode = nonbeacon\n[nodes]\nn0 = access=polled\n")
+        assert line == 6 and "n0: never polled" in msg
+
+    def test_a_short_nonbeacon_superframe_names_the_nodes_line(self):
+        line, msg = error_line(
+            "[phy]\nrate = low\n[superframe]\nmode = nonbeacon\nslots = 4\n"
+            "[nodes]\nn0 = access=contention\nn1 = access=polled, payload=200\n"
+        )
+        assert line == 8 and "n1: never polled" in msg
+        scn("[phy]\nrate = low\n[superframe]\nmode = nonbeacon\nslots = 64\n[nodes]\nn1 = access=polled, payload=200\n")
+
+    def test_a_set_grant_names_its_own_line(self):
+        line, msg = error_line(
+            "[superframe]\nmode = nonbeacon\nslots = 16\npoll_grant_us = 8001\n[nodes]\nn0 = access=polled\n"
+        )
+        assert line == 4 and "no poll phase holds a 8001 us grant" in msg
+        scn("[superframe]\nmode = nonbeacon\nslots = 16\npoll_grant_us = 8000\n[nodes]\nn0 = access=polled\n")
+
+    def test_a_layout_without_a_shared_phase_is_refused(self):
+        line, msg = error_line("[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n[nodes]\np = access=polled\n")
+        assert line == 5 and "never polled" in msg
 
 
 class TestLoadScenario:
