@@ -44,8 +44,9 @@ from bansim.errors import (
     TrailingBitsError,
     TruncatedFrame,
 )
-from bansim.phy import bitfields, fec
-from bansim.phy.bitfields import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits, padded_bytes
+from bansim.phy import fec
+from bansim.phy.bitfields import (bits_to_bytes, bits_to_int, bytes_to_bits, checked_uint, int_to_bits,
+                                  padded_bytes)
 from bansim.phy.checksums import crc4_bits, crc16
 from bansim.phy.kasami import kasami63_bits, mseq
 from bansim.phy.rates import PhyConfig, PhyKind, info_data_rate
@@ -220,9 +221,7 @@ def _split_psdu(psdu: bytes) -> tuple[bytes, bytes, int]:
     body = psdu[MAC_HEADER_LEN:-FCS_LEN]
     fcs = int.from_bytes(psdu[-FCS_LEN:], "big")
     if fcs != crc16(mac_header + body):
-        raise FcsMismatch(
-            f"frame check 0x{fcs:04X} != computed 0x{crc16(mac_header + body):04X}"
-        )
+        raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(mac_header + body):04X}")
     return mac_header, body, fcs
 
 
@@ -257,7 +256,7 @@ def _build(kind: PhyKind, cfg: PhyConfig, mac_header: bytes, body: bytes, **fiel
     values.update(rate_index=cfg.rate_index, length=len(body))
     word = 0
     for name, width in fmt.layout:
-        word = word << width | bitfields.checked_uint(values.get(name, 0), width)
+        word = word << width | checked_uint(values.get(name, 0), width)
     if fmt.crc4:
         values["hcs"] = _hcs(word, fmt.info_bits - 4)
         word = word << 4 | values["hcs"]

@@ -43,6 +43,7 @@ from bansim.phy.ppdu import (
     parse_ppdu,
     parse_uwb_ppdu,
     ppdu_airtime,
+    _FORMATS,
 )
 from bansim.phy.rates import Band, PhyConfig, PhyKind, Modulation, hbc_config, nb_config, uwb_config
 
@@ -293,8 +294,6 @@ def test_wrong_mac_header_size_rejected():
 # the header's own checks (pad bits, header check, length) are reached.
 # This pins which check fires first against stored bytes.
 
-# Header information bits per family: layout plus any 4-bit check.
-HEADER_INFO_BITS = {PhyKind.NB: 19, PhyKind.UWB: 16, PhyKind.HBC: 11}
 OUTCOME_DIGEST = "74381acc10a80cdd102cb51db8586001ad4bf5ba8a6d90beeb0ac24f0d61b2fb"
 
 
@@ -321,7 +320,7 @@ def codec_outcomes():
             for fill in (0, 1):
                 padded = np.concatenate([bits, np.full(extra, fill, dtype=np.uint8)])
                 records.append(f"{label} trail {extra}x{fill} {parse_outcome(padded, cfg)}")
-        info_bits, start = HEADER_INFO_BITS[cfg.kind], cfg.preamble_symbols
+        info_bits, start = _FORMATS[cfg.kind].info_bits, cfg.preamble_symbols
         end = start + fec.coded_length(info_bits, cfg.header_fec)
         header = fec.decode_blocks(bits[start:end], cfg.header_fec, info_bits)
         for flips in itertools.chain(

@@ -684,7 +684,7 @@ def small_scenarios(draw):
     polled = []
     if draw(st.booleans()):
         polled.append(f"p = traffic=poisson:{draw(st.sampled_from([20, 200]))}, payload={draw(st.integers(1, 200))}, access=polled")
-    channel = "ideal" if len(nodes) + len(polled) == 1 and draw(st.booleans()) else "collision"
+    channel = "ideal" if len(nodes) == 1 and draw(st.booleans()) else "collision"
     head = (
         "[phy]\nband = 2400-2483.5\nrate = high\n"
         f"[superframe]\nslot_length_us = 500\n{superframe}"
