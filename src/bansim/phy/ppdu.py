@@ -24,6 +24,22 @@ that a single build, parse and hexdump walk:
   or pad bits sent as zero; pulse radio rejects set pad bits, narrowband
   covers its reserved bits only by the 4-bit check that follows its layout.
   Build and parse handle the header as one integer, by shift and mask.
+  Parse refuses a header whose rate index is not the config's: the frame
+  region is decoded with the config's coding, so another rate cannot be
+  read under it.
+
+Known limit: a header whose `length` is raised by a few bytes, within the
+zero pad of the frame region's last codeword, still parses. The body then
+takes in the two FCS bytes and the pad bytes after them, and the FCS is
+read from the pad as 0x0000. That check passes because the frame check
+(`crc16`: init 0xFFFF, no final XOR) of a message followed by its own
+check is 0, and zero bytes after it keep it 0; one raised byte passes
+too, as the check of the message plus the FCS's high byte is the low byte
+followed by a zero byte. Pulse radio and body-coupled have no header
+check over `length`, so a header error there meets this; narrowband's
+4-bit header check catches most such errors, but not a header re-coded
+with its check. Closing the gap needs another frame check, which would
+change every bit image.
 """
 
 from __future__ import annotations
@@ -293,6 +309,8 @@ def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
         values["hcs"] = word & 0xF
         if values["hcs"] != _hcs(word >> 4, n_info - 4):
             raise HeaderCheckError("header check bits mismatch")
+    if values["rate_index"] != cfg.rate_index:
+        raise HeaderCheckError(f"header rate index {values['rate_index']} is not the configured {cfg.rate_index}")
     header = fmt.header(**values)
     psdu = _decode_psdu(cfg, bits[off + n_hdr :], MAC_HEADER_LEN + header.length + FCS_LEN)
     mac_header, body, fcs = _split_psdu(psdu)

@@ -52,6 +52,13 @@ csma.trace_batch as node ids and states, and each exchange line goes to
 csma.trace_event. Without a trace the kernel collects no list of nodes to
 trace and renders nothing.
 
+A run given an open trace file streams its trace: the line list is a
+buffer that write_trace empties into the file at each superframe start and
+at the end of the run, so a traced run's memory stays flat in run length.
+run_to_files streams a path target into a temporary file beside it and
+puts it in place only once the run has ended with its conservation check
+passed; a failed run leaves no file (and an existing one unchanged).
+
 Every transmission passes the security gate: a node whose session is at
 an authenticated level must hold an active pairwise key, its payload
 goes out through secure_frame, and the hub admits it on delivery, so
@@ -62,10 +69,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from itertools import groupby
+from pathlib import Path
 
 from bansim.errors import SimulationError
 from bansim.mac.csma import (
@@ -145,7 +155,11 @@ class _Exchange:
 
 
 class Simulation:
-    def __init__(self, scenario: Scenario, collect_trace: bool = False):
+    """One run of a scenario. With `collect_trace` the trace lines gather
+    in `self.trace`; with `trace_file`, an open text handle, they are
+    streamed to it instead and `self.trace` ends empty."""
+
+    def __init__(self, scenario: Scenario, collect_trace: bool = False, trace_file=None):
         self.sc = scenario
         self.plan = plan = compile_scenario(scenario)
         self.security = SecurityManager(HUB_ID)
@@ -164,7 +178,7 @@ class Simulation:
             if sec is not None and sec.level >= SecurityLevel.AUTHENTICATED:
                 node.session = self.security.associate(spec.node_id, sec.level, sec.mk)
             nodes.append(node)
-        self._init_engine(scenario.timing, scenario.run.duration_us, plan.ack_us, nodes, collect_trace)
+        self._init_engine(scenario.timing, scenario.run.duration_us, plan.ack_us, nodes, collect_trace, trace_file)
         groups: dict[str, list[str]] = {}
         for node_id, sec in scenario.security.items():
             if sec.group:
@@ -177,13 +191,14 @@ class Simulation:
         self._hub_state = BackoffState(PRIORITY_TABLE[0])
         self._hub_state.cw = 0
 
-    def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], collect_trace) -> None:
+    def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], collect_trace, trace_file=None) -> None:
         """Event loop, channel and contention state, shared by scenario
         runs and scripted replays."""
         self.timing = timing
         self.end_time = end_time
-        self.collect_trace = collect_trace
+        self.collect_trace = collect_trace or trace_file is not None
         self.trace: list[str] = []
+        self._trace_file = trace_file  # where _flush_trace empties self.trace
 
         self.now = 0
         self._heap: list[tuple[int, int, int, EventKind, tuple]] = []
@@ -245,6 +260,12 @@ class Simulation:
         if self.collect_trace and nodes:
             ids, states = [n.node_id for n in nodes], [n.backoff for n in nodes]
             trace_batch(self.trace, time_us, kind, events, ids, states)
+
+    def _flush_trace(self) -> None:
+        """Write the buffered lines to the trace file, if there is one."""
+        if self._trace_file is not None:
+            write_trace(self.trace, self._trace_file)
+            self.trace.clear()
 
     # --------------------------------------------------------------- setup
 
@@ -329,7 +350,9 @@ class Simulation:
             elif kind is EventKind.BEACON_TX:
                 self._on_beacon()
             elif kind is EventKind.SUPERFRAME:
+                self._flush_trace()
                 self._schedule_superframe(*data)
+        self._flush_trace()
         for node in self.nodes.values():
             node.stats.queued = len(node.queue)
         self.stats.check_conservation()
@@ -652,30 +675,61 @@ class ScriptedReplay(Simulation):
 # ------------------------------------------------------------- front door
 
 
-def run(scenario: Scenario, collect_trace: bool = False) -> tuple[RunStats, list[str]]:
+def run(scenario: Scenario, collect_trace: bool = False, trace_file=None) -> tuple[RunStats, list[str]]:
     """Run one scenario to completion; returns the stats and, when asked
-    for, the event trace lines."""
-    sim = Simulation(scenario, collect_trace=collect_trace)
+    for, the event trace lines. Given `trace_file`, an open text handle,
+    the lines are streamed to it and the returned list is empty."""
+    sim = Simulation(scenario, collect_trace=collect_trace, trace_file=trace_file)
     stats = sim.run()
     return stats, sim.trace
 
 
 def write_trace(lines: list[str], out) -> None:
-    """One line per entry, each ended by a newline; no lines, no bytes."""
+    """One line per entry, each ended by a newline; no lines, no bytes.
+    Writing a trace in pieces gives the same bytes as writing it whole."""
     with text_stream(out) as fh:
-        fh.write("\n".join(lines) + "\n" if lines else "")
+        if lines:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+
+
+@contextmanager
+def _trace_sink(target):
+    """Yield the open handle a run streams its trace to, or None for no
+    trace. A path to a regular file (or to none yet) is written through a
+    temporary file beside it, which replaces the target only when the body
+    ends without an exception and is removed otherwise. A symlink is
+    followed, so the file it names is the one replaced. Other paths
+    (devices, pipes) and open handles are written directly."""
+    if target is None:
+        yield None
+        return
+    if isinstance(target, (str, Path)):
+        target = Path(os.path.realpath(target))
+        if not target.exists() or target.is_file():
+            tmp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+            try:
+                with open(tmp, "x", newline="") as fh:
+                    yield fh
+                os.replace(tmp, target)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+            return
+    with text_stream(target) as fh:
+        yield fh
 
 
 def run_to_files(
     scenario: Scenario, stats_path=None, trace_path=None
 ) -> RunStats:
     """Run and write the stats CSV and optional trace where the scenario
-    or the caller says; caller paths win."""
+    or the caller says; caller paths win. The trace is streamed one
+    superframe at a time; a run that raises leaves no trace file behind."""
     stats_path = stats_path or scenario.run.stats_out
     trace_path = trace_path or scenario.run.trace_out
-    stats, trace = run(scenario, collect_trace=trace_path is not None)
+    with _trace_sink(trace_path) as trace_file:
+        stats, _ = run(scenario, trace_file=trace_file)
     if stats_path:
         write_stats_csv(stats, stats_path)
-    if trace_path:
-        write_trace(trace, trace_path)
     return stats

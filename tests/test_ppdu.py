@@ -14,6 +14,7 @@ from bansim.errors import (
     FcsMismatch,
     FrameError,
     FrameTooLong,
+    HeaderCheckError,
     PreambleMismatch,
     SfdMismatch,
     TrailingBitsError,
@@ -294,7 +295,7 @@ def test_wrong_mac_header_size_rejected():
 # the header's own checks (pad bits, header check, length) are reached.
 # This pins which check fires first against stored bytes.
 
-OUTCOME_DIGEST = "74381acc10a80cdd102cb51db8586001ad4bf5ba8a6d90beeb0ac24f0d61b2fb"
+OUTCOME_DIGEST = "e8b768ce2aa7454e453ae1d8713d61dc6a263ca60e3124d6bb6126e6839a80d7"
 
 
 def parse_outcome(bits, cfg):
@@ -342,3 +343,38 @@ def test_every_codec_outcome_matches_the_stored_digest():
     assert records[-1] == "build scrambler=2 value 2 does not fit in 1 bits"
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == OUTCOME_DIGEST
+
+
+# ------------------------------------------------------- re-coded headers
+
+
+def with_header_of(frame, donor, cfg):
+    """`frame`'s image with the coded PHY header of `donor` in place of its
+    own: a header error that the header coding cannot see."""
+    start = cfg.preamble_symbols
+    end = start + fec.coded_length(_FORMATS[cfg.kind].info_bits, cfg.header_fec)
+    return np.concatenate([frame.bits[:start], donor.bits[start:end], frame.bits[end:]])
+
+
+@pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
+def test_header_rate_other_than_the_config_is_refused(cfg):
+    frame = build_ppdu(cfg, b"\x08" * 7, b"4byt")
+    other = replace(cfg, rate_index=cfg.rate_index + 1)
+    image = with_header_of(frame, build_ppdu(other, b"\x08" * 7, b"4byt"), cfg)
+    with pytest.raises(HeaderCheckError, match=f"header rate index {cfg.rate_index + 1} is not the configured"):
+        parse_ppdu(image, cfg)
+
+
+@pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
+@pytest.mark.parametrize("raised", [1, 2, 3, 4])
+def test_known_gap_a_raised_length_takes_the_fcs_into_the_body(cfg, raised):
+    # Kept on purpose, see the ppdu docstring: the zero pad after the frame
+    # check reads as a passing FCS of 0x0000 (0xLL00 for one raised byte).
+    # Only narrowband has a header check, and a re-coded header passes it.
+    frame = build_ppdu(cfg, b"\x08" * 7, b"4byt")
+    longer = build_ppdu(cfg, b"\x08" * 7, b"4byt" + bytes(raised))
+    parsed = parse_ppdu(with_header_of(frame, longer, cfg), cfg)
+    assert parsed.header.length == 4 + raised
+    fcs = frame.fcs.to_bytes(2, "big")
+    assert parsed.body == (b"4byt" + fcs + bytes(raised))[: 4 + raised]
+    assert parsed.fcs == (0 if raised > 1 else fcs[1] << 8)

@@ -5,8 +5,11 @@ lazy slot grid against a slot-by-slot reference."""
 import heapq
 import io
 import os
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,13 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bansim
+from bansim.cli import main
 from bansim.efficiency import analytic_efficiency, reference_configs
 from bansim.errors import ScenarioError, SimulationError
 from bansim.mac.csma import PRIORITY_TABLE, draw_backoff, guard_check, on_idle_slot, trace_lines
 from bansim.phy.ppdu import frame_airtime_us
 from bansim.sim.kernel import BEACON_BODY_LEN, EventKind, Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import load_scenario, parse_scenario
-from bansim.sim.stats import write_stats_csv
+from bansim.sim.stats import RunStats, write_stats_csv
 
 # One giant contention phase: a superframe long enough that a saturated
 # node never meets a phase boundary, so the run matches the closed-form
@@ -748,3 +752,109 @@ class TestChangedScenarios:
         assert sc.run.channel == "ideal"
         with pytest.raises(ScenarioError, match="at most one contention node"):
             Simulation(replace(sc, nodes=sc.nodes + (replace(sc.nodes[0], node_id="n1"),)))
+
+
+# ------------------------------------------------------- the streamed trace
+
+# 32 saturated contention nodes on contention_pair's layout: every slot
+# end has counters, so every slot traces lines.
+CROWD = (SCENARIO_DIR / "contention_pair.scn").read_text().split("[nodes]")[0] + "[nodes]\n" + "".join(
+    f"n{i:02d} = priority={2 + i % 5}, traffic=saturated, payload={20 + 6 * i}\n" for i in range(32)
+) + "[run]\nseed = 3\nduration_ms = {duration_ms}\nchannel = collision\n"
+
+
+def whole_trace(sc, path):
+    """The trace written in one piece after the run, as the reference."""
+    write_trace(run(sc, collect_trace=True)[1], path)
+    return path.read_bytes()
+
+
+class TestStreamedTrace:
+    def test_traced_memory_stays_flat_in_run_length(self, tmp_path):
+        peaks = []
+        for seconds in (1, 6):
+            sc = parse_scenario(CROWD.format(duration_ms=1000 * seconds))
+            tracemalloc.start()
+            try:
+                run_to_files(sc, tmp_path / "stats.csv", tmp_path / "trace.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "trace.csv").stat().st_size > 2_000_000
+        assert peaks[1] - peaks[0] < 2_000_000
+
+    @pytest.mark.parametrize("name", ["contention_pair", "mixed_access"])
+    def test_bundled_scenarios_stream_the_whole_trace(self, name, tmp_path):
+        sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
+        run_to_files(sc, tmp_path / "stats.csv", tmp_path / "streamed.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == whole_trace(sc, tmp_path / "whole.csv")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(small_scenarios())
+    def test_small_scenarios_stream_the_whole_trace(self, tmp_path, sc):
+        run_to_files(sc, tmp_path / "stats.csv", tmp_path / "streamed.csv")
+        assert (tmp_path / "streamed.csv").read_bytes() == whole_trace(sc, tmp_path / "whole.csv")
+
+    def test_run_without_a_line_writes_an_empty_file(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("old\n")
+        run_to_files(parse_scenario("[superframe]\nmode = unbounded\n[run]\nduration_ms = 50\n"), trace_path=trace)
+        assert trace.read_bytes() == b""
+
+    def test_parallel_sweep_writes_one_trace_per_seed(self, tmp_path, capsys):
+        scenario = SCENARIO_DIR / "contention_pair.scn"
+        trace = tmp_path / "trace.csv"
+        assert main(["simulate", str(scenario), "--seed", "4", "5", "--sweep-parallel", "2",
+                     "--out", str(tmp_path / "stats.csv"), "--trace", str(trace)]) == 0
+        sc = load_scenario(scenario)
+        for seed in (4, 5):
+            want = whole_trace(replace(sc, run=replace(sc.run, seed=seed)), tmp_path / "whole.csv")
+            assert (tmp_path / f"trace.s{seed}.csv").read_bytes() == want
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "stats.s4.csv", "stats.s5.csv", "trace.s4.csv", "trace.s5.csv", "whole.csv"]
+
+    @pytest.mark.parametrize("where", ["mid-run", "conservation check"])
+    def test_failed_run_leaves_no_trace(self, where, monkeypatch, tmp_path):
+        if where == "mid-run":
+            schedule = Simulation._schedule_superframe
+
+            def fail_at_third(self, index):
+                if index == 3:
+                    raise SimulationError("stop")
+                schedule(self, index)
+
+            monkeypatch.setattr(Simulation, "_schedule_superframe", fail_at_third)
+        else:
+            add_busy = RunStats.add_busy
+            monkeypatch.setattr(RunStats, "add_busy", lambda self, us: add_busy(self, us if self.transmissions else 0.0))
+        sc = load_scenario(SCENARIO_DIR / "contention_pair.scn")
+        fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept.write_bytes(b"an earlier trace\n")
+        for trace in (fresh, kept):
+            with pytest.raises(SimulationError):
+                run_to_files(sc, tmp_path / "stats.csv", trace)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+        assert kept.read_bytes() == b"an earlier trace\n"
+
+    def test_symlink_target_keeps_its_link(self, tmp_path):
+        sc = load_scenario(SCENARIO_DIR / "contention_pair.scn")
+        (tmp_path / "real.csv").write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        run_to_files(sc, trace_path=link)
+        assert link.is_symlink()
+        assert (tmp_path / "real.csv").read_bytes() == whole_trace(sc, tmp_path / "whole.csv")
+
+    def test_pipe_target_is_written_directly(self, tmp_path):
+        sc = load_scenario(SCENARIO_DIR / "contention_pair.scn")
+        pipe = tmp_path / "trace.pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        run_to_files(sc, trace_path=pipe)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [whole_trace(sc, tmp_path / "whole.csv")]
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
