@@ -22,6 +22,7 @@ from bansim.phy.ppdu import MAC_HEADER_LEN, build_ppdu, frame_airtime_us, hexdum
 from bansim.phy.rates import load_rate_table, phy_config, write_rate_csv
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
+from bansim.sim.stats import write_stats_csv
 from bansim.textio import text_stream
 
 
@@ -75,12 +76,6 @@ def _seeded_path(path, seed: int, multi: bool):
 # ------------------------------------------------------------------ simulate
 
 
-def _run_one(task):
-    scenario, stats_path, trace_path = task
-    stats = run_to_files(scenario, stats_path, trace_path)
-    return stats
-
-
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     seeds = args.seed if args.seed is not None else [scenario.run.seed]
@@ -94,15 +89,13 @@ def cmd_simulate(args) -> int:
 
     if args.sweep_parallel and len(tasks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.sweep_parallel) as pool:
-            results = list(pool.map(_run_one, tasks))
+            results = list(pool.map(run_to_files, *zip(*tasks)))
     else:
-        results = [_run_one(task) for task in tasks]
+        results = [run_to_files(*task) for task in tasks]
 
     for (sc, stats_path, trace_path), stats in zip(tasks, results):
         if stats_path is None:
             # No file target anywhere: the stats CSV is the standard output.
-            from bansim.sim.stats import write_stats_csv
-
             write_stats_csv(stats, sys.stdout)
             continue
         line = (
@@ -162,6 +155,8 @@ def cmd_frame_build(args) -> int:
         raise ConfigError(f"--mac-header must be {MAC_HEADER_LEN} bytes of hex")
     if args.body is not None:
         body = bytes.fromhex(args.body)
+    elif args.body_len < 0:
+        raise ConfigError(f"--body-len must not be negative, got {args.body_len}")
     else:
         body = bytes(i % 256 for i in range(args.body_len))
     ppdu = build_ppdu(cfg, mac_header, body)
@@ -178,6 +173,8 @@ def cmd_frame_parse(args) -> int:
     image = bytes.fromhex(args.image)
     bits = bytes_to_bits(image)
     if args.bits is not None:
+        if args.bits < 0:
+            raise ConfigError(f"--bits must not be negative, got {args.bits}")
         if args.bits > len(bits):
             raise ConfigError(f"--bits {args.bits} exceeds the {len(bits)} bits supplied")
         bits = bits[: args.bits]
@@ -278,11 +275,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except BansimError as exc:
+    except (BansimError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -23,6 +23,7 @@ from enum import Enum
 from pathlib import Path
 
 from bansim.errors import ConfigError
+from bansim.textio import text_stream
 
 __all__ = [
     "Band",
@@ -39,7 +40,6 @@ __all__ = [
     "uwb_config",
     "hbc_config",
     "phy_config",
-    "band_configs",
     "write_rate_csv",
     "CONFIG_DIR_ENV",
 ]
@@ -284,11 +284,6 @@ def phy_config(kind: str, band: str, rate: str, channel: int, center: int) -> Ph
     raise ConfigError(f"phy kind must be nb, uwb, or hbc, got {kind!r}")
 
 
-def band_configs(band: Band) -> list[PhyConfig]:
-    """Both operational payload-rate configs of a narrowband band."""
-    return [nb_config(band, "low"), nb_config(band, "high")]
-
-
 @dataclass(frozen=True)
 class RateRow:
     """One line of the published rate table: a component of a config."""
@@ -320,10 +315,10 @@ def builtin_rate_table() -> list[RateRow]:
     """The 21 narrowband rows: per band, one header and two payload entries."""
     rows = []
     for band in _NB_BANDS:
-        low, high = band_configs(band)
+        low = nb_config(band, "low")
         rows.append(RateRow(band, "header", low))
         rows.append(RateRow(band, "psdu", low))
-        rows.append(RateRow(band, "psdu", high))
+        rows.append(RateRow(band, "psdu", nb_config(band, "high")))
     return rows
 
 
@@ -404,7 +399,7 @@ def load_rate_table(config_dir: str | os.PathLike | None = None) -> list[RateRow
     if directory:
         path = Path(directory) / "rates.csv"
         if path.exists():
-            with open(path, newline="") as fh:
+            with text_stream(path, "r") as fh:
                 reader = csv.DictReader(fh)
                 return [
                     _row_from_csv(record, line)

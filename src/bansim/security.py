@@ -11,8 +11,8 @@ only over established secured sessions.
 
 Cryptography here is interface-only. Key derivation is a keyed hash of
 the master key and a session ordinal, and the cipher is a reversible
-keyed stream built from the same hash; both are pluggable. The testable
-contract is the state machine, not the algorithms.
+keyed stream built from the same hash. The testable contract is the
+state machine, not the algorithms.
 
 Wire format of a secured frame body:
     [level: 1 byte][counter: 4 bytes big-endian][body][tag: 8 bytes]
@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable
 
 from bansim.errors import (
     KeyStateError,
@@ -111,9 +110,8 @@ class GroupKeyState:
 class SecurityManager:
     """Hub-side owner of all sessions and key state for one run."""
 
-    def __init__(self, hub_id: str = "hub", kdf: Callable[[bytes, int], bytes] = default_kdf):
+    def __init__(self, hub_id: str = "hub"):
         self.hub_id = hub_id
-        self._kdf = kdf
         self.sessions: dict[str, SecuritySession] = {}
         # Session ordinals survive teardown so a re-keyed pairing can
         # never reproduce an old PTK ("one PTK per session").
@@ -160,7 +158,7 @@ class SecurityManager:
         ordinal = self._session_ordinals.get(session.node_id, 0) + 1
         self._session_ordinals[session.node_id] = ordinal
         session.session_counter = ordinal
-        key = self._kdf(session.mk, ordinal)
+        key = default_kdf(session.mk, ordinal)
         key_id = key[:8].hex()
         if key_id in self._issued_ptk_ids:
             raise KeyStateError(f"key derivation repeated id {key_id}")

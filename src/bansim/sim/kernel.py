@@ -55,9 +55,6 @@ trace and renders nothing.
 A run given an open trace file streams its trace: the line list is a
 buffer that write_trace empties into the file at each superframe start and
 at the end of the run, so a traced run's memory stays flat in run length.
-run_to_files streams a path target into a temporary file beside it and
-puts it in place only once the run has ended with its conservation check
-passed; a failed run leaves no file (and an existing one unchanged).
 
 Every transmission passes the security gate: a node whose session is at
 an authenticated level must hold an active pairwise key, its payload
@@ -69,13 +66,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import random
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from itertools import groupby
-from pathlib import Path
 
 from bansim.errors import SimulationError
 from bansim.mac.csma import (
@@ -693,43 +688,19 @@ def write_trace(lines: list[str], out) -> None:
             fh.write("\n")
 
 
-@contextmanager
-def _trace_sink(target):
-    """Yield the open handle a run streams its trace to, or None for no
-    trace. A path to a regular file (or to none yet) is written through a
-    temporary file beside it, which replaces the target only when the body
-    ends without an exception and is removed otherwise. A symlink is
-    followed, so the file it names is the one replaced. Other paths
-    (devices, pipes) and open handles are written directly."""
-    if target is None:
-        yield None
-        return
-    if isinstance(target, (str, Path)):
-        target = Path(os.path.realpath(target))
-        if not target.exists() or target.is_file():
-            tmp = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
-            try:
-                with open(tmp, "x", newline="") as fh:
-                    yield fh
-                os.replace(tmp, target)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
-            return
-    with text_stream(target) as fh:
-        yield fh
-
-
 def run_to_files(
     scenario: Scenario, stats_path=None, trace_path=None
 ) -> RunStats:
     """Run and write the stats CSV and optional trace where the scenario
-    or the caller says; caller paths win. The trace is streamed one
-    superframe at a time; a run that raises leaves no trace file behind."""
+    or the caller says; caller paths win. Both files are opened before the
+    run and put in place after it, so a run that raises writes neither."""
     stats_path = stats_path or scenario.run.stats_out
     trace_path = trace_path or scenario.run.trace_out
-    with _trace_sink(trace_path) as trace_file:
+    with (
+        (text_stream(stats_path) if stats_path else nullcontext()) as stats_file,
+        (text_stream(trace_path) if trace_path else nullcontext()) as trace_file,
+    ):
         stats, _ = run(scenario, trace_file=trace_file)
-    if stats_path:
-        write_stats_csv(stats, stats_path)
+        if stats_file is not None:
+            write_stats_csv(stats, stats_file)
     return stats

@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from bansim.errors import ConfigError, InvalidLayoutError, ScenarioError
 from bansim.mac.csma import MacTimingConstants, exchange_us
@@ -53,6 +52,7 @@ from bansim.mac.superframe import (
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
 from bansim.phy.rates import PhyConfig, info_data_rate, phy_config
 from bansim.security import SECURITY_WIRE_OVERHEAD, SecurityLevel
+from bansim.textio import text_stream
 
 __all__ = [
     "NodeSpec",
@@ -402,7 +402,8 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text())
+    with text_stream(path, "r") as fh:
+        return parse_scenario(fh.read())
 
 
 # ------------------------------------------------------------- compiling

@@ -1,7 +1,18 @@
-"""One helper for every text file the package reads or writes."""
+"""One helper for every text file the package reads or writes.
+
+Every file is opened here, with newline="" so the csv module owns line
+endings. A file is read in place. A written file goes to a temporary file
+beside its target, which takes the target's place only when the writer
+has finished without an exception and is removed otherwise, so a write
+that fails leaves no file (and an existing one as it was). A symlink is
+followed: the file it names is the one replaced. A replaced target is a
+new file, so its old permissions and hard links are not kept. Other
+paths (devices, pipes) are written directly.
+"""
 
 from __future__ import annotations
 
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -13,12 +24,27 @@ __all__ = ["text_stream"]
 def text_stream(target, mode: str = "w"):
     """Yield a text handle for `target` and close only what was opened here.
 
-    A path (str or Path) is opened with newline="" so the csv module owns
-    line endings; None means standard output; any other object is taken as
-    an open handle and left open.
+    A path (str or os.PathLike) is read or written as the module says;
+    None means standard output; any other object is taken as an open
+    handle and left open.
     """
-    if isinstance(target, (str, Path)):
+    if not isinstance(target, (str, os.PathLike)):
+        yield sys.stdout if target is None else target
+        return
+    final = Path(os.path.realpath(target))
+    if mode == "r" or (final.exists() and not final.is_file()):
         with open(target, mode, newline="") as fh:
             yield fh
-    else:
-        yield sys.stdout if target is None else target
+        return
+    tmp = final.with_name(f"{final.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, final)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -100,6 +100,10 @@ class TestEfficiency:
         assert main(["efficiency", "--band", "900000"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_number_names_its_kind(self, capsys):
+        assert main(["efficiency", "--payloads", "x"]) == 1
+        assert capsys.readouterr().err.startswith("error: ValueError: invalid literal")
+
 
 class TestFrame:
     def build(self, capsys, *extra):
@@ -144,6 +148,17 @@ class TestFrame:
     def test_bad_mac_header_rejected(self, capsys):
         assert main(["frame", "build", "--mac-header", "0102"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_body_length_rejected(self, capsys):
+        assert main(["frame", "build", "--body-len", "-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError: --body-len")
+        assert captured.out == ""
+
+    def test_negative_bit_count_rejected(self, capsys):
+        _, image, _ = self.build(capsys, "--body-len", "4")
+        assert main(["frame", "parse", "--bits", "-8", image]) == 1
+        assert capsys.readouterr().err.startswith("error: ConfigError: --bits")
 
 
 class TestSimulate:
@@ -200,6 +215,23 @@ class TestSimulate:
         assert main(["simulate", str(scn)]) == 1
         err = capsys.readouterr().err
         assert "error: ScenarioError" in err and "line 1" in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_output_in_a_missing_directory_fails_before_the_run(self, flag, tmp_path, monkeypatch, capsys):
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        monkeypatch.chdir(tmp_path)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("bansim.sim.kernel.run", no_run)
+        target = os.path.join("nodir", "out.csv")
+        assert main(["simulate", str(scn), flag, target]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ")
+        assert repr(target) in err and ".tmp" not in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.scn"]
 
     def test_unknown_key_diagnostic_names_its_line(self, tmp_path, capsys):
         scn = tmp_path / "bad.scn"

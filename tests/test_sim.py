@@ -830,12 +830,28 @@ class TestStreamedTrace:
             monkeypatch.setattr(RunStats, "add_busy", lambda self, us: add_busy(self, us if self.transmissions else 0.0))
         sc = load_scenario(SCENARIO_DIR / "contention_pair.scn")
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
+        kept_stats = tmp_path / "kept_stats.csv"
         kept.write_bytes(b"an earlier trace\n")
-        for trace in (fresh, kept):
+        kept_stats.write_bytes(b"earlier stats\n")
+        for stats, trace in ((tmp_path / "stats.csv", fresh), (tmp_path / "stats.csv", kept), (kept_stats, fresh)):
             with pytest.raises(SimulationError):
-                run_to_files(sc, tmp_path / "stats.csv", trace)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+                run_to_files(sc, stats, trace)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "kept_stats.csv"]
         assert kept.read_bytes() == b"an earlier trace\n"
+        assert kept_stats.read_bytes() == b"earlier stats\n"
+
+    def test_stats_write_failing_partway_keeps_the_earlier_file(self, monkeypatch, tmp_path):
+        stats = tmp_path / "stats.csv"
+        stats.write_bytes(b"earlier stats\n")
+
+        def fail(self):
+            raise SimulationError("stop in the aggregate row")
+
+        monkeypatch.setattr(RunStats, "idle_us", property(fail))
+        with pytest.raises(SimulationError, match="aggregate row"):
+            run_to_files(load_scenario(SCENARIO_DIR / "contention_pair.scn"), stats, tmp_path / "trace.csv")
+        assert stats.read_bytes() == b"earlier stats\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.csv"]
 
     def test_symlink_target_keeps_its_link(self, tmp_path):
         sc = load_scenario(SCENARIO_DIR / "contention_pair.scn")
