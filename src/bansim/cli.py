@@ -77,6 +77,8 @@ def _seeded_path(path, seed: int, multi: bool):
 
 
 def cmd_simulate(args) -> int:
+    if args.sweep_parallel < 0:
+        raise ConfigError(f"--sweep-parallel must not be negative, got {args.sweep_parallel}")
     scenario = load_scenario(args.scenario)
     seeds = args.seed if args.seed is not None else [scenario.run.seed]
     multi = len(seeds) > 1
@@ -88,7 +90,7 @@ def cmd_simulate(args) -> int:
         tasks.append((sc, stats_path, trace_path))
 
     if args.sweep_parallel and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.sweep_parallel) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.sweep_parallel, len(tasks))) as pool:
             results = list(pool.map(run_to_files, *zip(*tasks)))
     else:
         results = [run_to_files(*task) for task in tasks]

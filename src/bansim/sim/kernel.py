@@ -2,18 +2,18 @@
 
 The kernel runs a compiled plan. Simulation hands its scenario to
 sim.scenario.compile_scenario, which checks every static rule (a
-ScenarioError before any event) and derives the layout, the airtimes,
-each node's frame exchange, the poll grant, the poll phases and the
-allocations; the kernel only reads them and joins them with the CSMA
-engine and the security sessions. A broken invariant of its own raises
+ScenarioError before any event) and derives the airtimes, each node's
+frame exchange and one superframe's schedule of phase starts, beacons
+and grants; the kernel only replays it and joins it with the CSMA engine
+and the security sessions. A broken invariant of its own raises
 SimulationError. Time is a 64-bit microsecond clock; events dispatch in
 (time, class, insertion order), so a run is a pure function of
 (scenario, seed). At one instant phase starts come first, then the rest
 of the schedule (beacons, grants), then dynamic events (grid ticks,
-transmissions, arrivals). The schedule is generated one superframe
-ahead: superframe i+1 is pushed when the run reaches its start, which
-keeps the heap small and, thanks to the class order, gives the same
-order as a schedule filled for the whole run up front.
+transmissions, arrivals). The schedule is replayed one superframe ahead:
+superframe i+1 is pushed when the run reaches its start, which keeps the
+heap small and, thanks to the class order, gives the same order as a
+schedule filled for the whole run up front.
 
 Contention runs on one global slot grid per access phase. The grid
 starts one interframe space after phase entry, pauses while a frame
@@ -38,9 +38,9 @@ before the heap's next instant; the trace still gets one count line per
 node and slot. Overlapping transmissions fail everyone in collision mode
 and are a scenario error in ideal mode; a lone transmission is always
 delivered (zero bit errors). Polled and scheduled traffic runs inside
-the shared phases on grants, one frame exchange per grant: a superframe
-gets the poll grants of the plan's poll phases and one grant per
-allocation active in it.
+the shared phases on the schedule's grants, one frame exchange per
+grant. A grant's exchange begins as a contention transmission does, but
+a shared phase has no contenders, so no grid pauses or resumes around it.
 ScriptedReplay runs one node on this same grid from a scripted timeline,
 for the CSMA replay.
 
@@ -69,7 +69,6 @@ import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from enum import Enum, auto
 from itertools import groupby
 
 from bansim.errors import SimulationError
@@ -86,10 +85,10 @@ from bansim.mac.csma import (
     trace_batch,
     trace_event,
 )
-from bansim.mac.superframe import PhaseKind, TrafficKind, admissible, schedule_polls
+from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
 from bansim.security import SecurityLevel, SecurityManager, admit_frame, secure_frame
 from bansim.sim.scenario import BEACON_BODY_LEN  # noqa: F401  re-exported
-from bansim.sim.scenario import HUB_ID, NodeSpec, Scenario, clock_us, compile_scenario
+from bansim.sim.scenario import HUB_ID, EventKind, NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import text_stream
 
@@ -99,16 +98,6 @@ __all__ = ["EventKind", "ScriptedReplay", "Simulation", "run", "run_to_files", "
 # the two, and unlocking changes no traced field.
 _ENTRY = ("enter", "sifs")
 _ENTRY_UNLOCK = ("enter", "unlock", "sifs")
-
-
-class EventKind(Enum):
-    PHASE_START = auto()
-    TX_END = auto()
-    ACK_DUE = auto()
-    POLL_GRANT = auto()
-    BEACON_TX = auto()
-    TRAFFIC_ARRIVAL = auto()
-    SUPERFRAME = auto()  # generate the schedule of the next superframe
 
 
 # eq=False: nodes compare by identity, so a membership test never walks
@@ -139,10 +128,9 @@ class _Exchange:
     """One channel occupation: a set of simultaneous data transmissions
     and the acknowledgement cycle that follows."""
 
-    def __init__(self, kind: PhaseKind, phase_end: int, contention: bool):
+    def __init__(self, kind: PhaseKind, phase_end: int):
         self.kind = kind
         self.phase_end = phase_end
-        self.contention = contention
         self.wires: dict[str, bytes | None] = {}
         self.pending = 0
         self.collided = False
@@ -265,33 +253,14 @@ class Simulation:
     # --------------------------------------------------------------- setup
 
     def _schedule_superframe(self, index: int) -> None:
-        """Push superframe `index`'s phase starts, beacon and grants, and
-        the event that generates the next superframe at its start."""
-        plan = self.plan
-        layout = plan.layout
-        base = index * layout.duration_us
-        for span in layout.phases:
-            if span.length_slots == 0:
-                continue
-            start = base + span.start_slot * layout.slot_length_us
-            end = start + span.length_slots * layout.slot_length_us
-            self._push_schedule(start, EventKind.PHASE_START, (span.kind, start, end))
-            if span.kind == PhaseKind.BEACON and layout.beacon_in(index):
-                self._push_schedule(start, EventKind.BEACON_TX, (end,))
-            if span.kind in plan.poll_phases:
-                for grant in schedule_polls(layout, plan.polled, span.kind, plan.poll_grant_us, base):
-                    self._push_schedule(
-                        grant.start_us,
-                        EventKind.POLL_GRANT,
-                        (grant.node_id, grant.duration_us, end, span.kind),
-                    )
-        for alloc in plan.allocations:
-            if alloc.active_in(index):
-                start = base + alloc.start_slot * layout.slot_length_us
-                length = alloc.length_slots * layout.slot_length_us
-                data = (alloc.node_id, length, start + length, plan.allocation_phases[alloc.node_id])
-                self._push_schedule(start, EventKind.POLL_GRANT, data)
-        self._push_schedule(base + layout.duration_us, EventKind.SUPERFRAME, (index + 1,))
+        """Push the plan's schedule entries active in superframe `index`,
+        and the event that replays the next superframe at its start."""
+        superframe_us = self.plan.layout.duration_us
+        base = index * superframe_us
+        for offset, period, residue, kind, data in self.plan.schedule:
+            if index % period == residue:
+                self._push_schedule(base + offset, kind, data)
+        self._push_schedule(base + superframe_us, EventKind.SUPERFRAME, (index + 1,))
 
     def _seed_traffic(self) -> None:
         for node_id in sorted(self.nodes):
@@ -355,10 +324,11 @@ class Simulation:
 
     # ------------------------------------------------------------- phases
 
-    def _on_phase_start(self, kind: PhaseKind, start: int, end: int) -> None:
+    def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         participants = self._contenders[kind]
         if not participants:
             return
+        start, end = self.now, self.now + length_us
         # Contenders in a row that are alike in being locked are traced as
         # one batch.
         for locked, run in groupby(participants, key=lambda n: n.backoff.locked):
@@ -502,7 +472,7 @@ class Simulation:
             raise SimulationError(
                 f"{len(transmitters)} overlapping transmissions on an ideal channel at t={t}"
             )
-        exchange = _Exchange(kind, phase_end, contention=True)
+        exchange = _Exchange(kind, phase_end)
         exchange.collided = len(transmitters) > 1
         exchange.pending = len(transmitters)
         self.exchange = exchange
@@ -563,7 +533,7 @@ class Simulation:
         exchange.pending -= 1
         if exchange.pending == 0:
             self.exchange = None
-            if exchange.contention:
+            if self._contenders[exchange.kind]:  # a shared phase has no grid to resume
                 resume = exchange.max_end if exchange.collided else t + self.timing.psifs_us
                 if resume < exchange.phase_end:
                     self._push_tick(resume, exchange.kind, exchange.phase_end, False, True)
@@ -583,8 +553,7 @@ class Simulation:
         node.queue.pop(0)
         node.drawn = False
         node.service_start = None
-        if exchange.contention:
-            on_success(node.backoff)
+        on_success(node.backoff)  # no change for a polled or scheduled node, which never fails
         self._emit(t, exchange.kind, "success", node)
         if node.spec.traffic[0] == "saturated":
             node.queue.append(t)
@@ -592,7 +561,7 @@ class Simulation:
 
     # ------------------------------------------------- grants and beacons
 
-    def _on_poll_grant(self, node_id: str, duration: int, phase_end: int, kind: PhaseKind) -> None:
+    def _on_poll_grant(self, node_id: str, duration: int, window_us: int, kind: PhaseKind) -> None:
         node = self.nodes[node_id]
         if not node.queue or self.exchange is not None:
             return
@@ -603,12 +572,7 @@ class Simulation:
             )
         if node.service_start is None:
             node.service_start = t
-        exchange = _Exchange(kind, phase_end, contention=False)
-        exchange.pending = 1
-        exchange.wires[node_id] = self._secure_payload(node)
-        self.exchange = exchange
-        self._emit(t, kind, "tx_start", node)
-        self._push(t + node.airtime_int, EventKind.TX_END, (node_id,))
+        self._begin_exchange([node], t, kind, t + window_us)
 
     def _on_beacon(self) -> None:
         t = self.now
@@ -645,14 +609,14 @@ class ScriptedReplay(Simulation):
         self._acks = list(ack_outcomes)
 
     def _schedule_superframe(self, index: int) -> None:
-        """All scripted phases at once, in place of the layout."""
+        """All scripted phases at once, in place of the plan's schedule."""
         for kind, start, end in self._phases:
-            self._push_schedule(start, EventKind.PHASE_START, (kind, start, end))
+            self._push_schedule(start, EventKind.PHASE_START, (kind, end - start))
 
-    def _on_phase_start(self, kind: PhaseKind, start: int, end: int) -> None:
+    def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         if not self._contenders[kind]:
-            self._emit(start, kind, "enter", self._node)
-        super()._on_phase_start(kind, start, end)
+            self._emit(self.now, kind, "enter", self._node)
+        super()._on_phase_start(kind, length_us)
 
     def _begin_exchange(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
         super()._begin_exchange(transmitters, t, kind, phase_end)

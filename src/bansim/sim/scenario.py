@@ -16,17 +16,17 @@ converts each given value at its own line, so unknown keys and malformed
 or out-of-range values fail there. Named values match in any case. The
 [phy] family (phy.rates.phy_config) reads only its own keys: a key of
 another family, and a band, channel or center the family lacks, fail at
-their line. compile_scenario then checks every
-static rule once and derives the Plan a run reads: phase arithmetic (in
-mac.superframe.build_layout), the beacon's fit in its phase, payload
-bounds with security bytes, grants and allocations that hold one frame
-exchange, a poll phase that holds a poll grant, allocations inside shared
-phases and free of conflicts, the channel rule, node ids that fit one
-trace field, and the security entries. A check on one node or security
-entry reports that entry's line, on poll_grant_us its line, the others
-their section's line where one is known. parse_scenario compiles with
-its line maps and Simulation compiles what it is given, so a scenario
-changed after parsing is checked again before its first event.
+their line. compile_scenario then checks every static rule once and
+derives the Plan a run reads, the superframe schedule included: phase
+arithmetic (in mac.superframe.build_layout), the beacon's fit in its
+phase, payload bounds with security bytes, grants and allocations that
+hold one frame exchange, a poll grant for every polled node, allocations
+inside shared phases and free of conflicts, the channel rule, node ids
+that fit one trace field, and the security entries. A check on one node
+or security entry reports that entry's line, on poll_grant_us its line,
+the others their section's line where one is known. parse_scenario
+compiles with its line maps and Simulation compiles what it is given, so
+a scenario changed after parsing is checked again before its first event.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from enum import Enum, auto
 
 from bansim.errors import ConfigError, InvalidLayoutError, ScenarioError
 from bansim.mac.csma import MacTimingConstants, exchange_us
@@ -48,6 +49,7 @@ from bansim.mac.superframe import (
     admissible,
     build_layout,
     phases_covered,
+    schedule_polls,
 )
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
 from bansim.phy.rates import PhyConfig, info_data_rate, phy_config
@@ -61,6 +63,7 @@ __all__ = [
     "Scenario",
     "parse_scenario",
     "load_scenario",
+    "EventKind",
     "Plan",
     "compile_scenario",
 ]
@@ -416,11 +419,25 @@ HUB_ID = "hub"
 _NODE_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
+class EventKind(Enum):
+    PHASE_START = auto()
+    TX_END = auto()
+    ACK_DUE = auto()
+    POLL_GRANT = auto()
+    BEACON_TX = auto()
+    TRAFFIC_ARRIVAL = auto()
+    SUPERFRAME = auto()  # generate the schedule of the next superframe
+
+
 @dataclass(frozen=True)
 class Plan:
     """What a run needs of a legal scenario, derived once. Airtimes are
     exact microseconds, frame exchanges are on the 1 us clock, and the
-    per-node maps are keyed by node id."""
+    per-node maps are keyed by node id. `schedule` holds one superframe's
+    events in push order (each phase start with its beacon and poll grants,
+    then the allocation grants by node id) as (offset_us, period, residue,
+    kind, data): the event happens offset_us into each superframe whose
+    index is `residue` modulo `period`, and its data holds no absolute time."""
 
     layout: PhaseLayout
     ack_us: float
@@ -428,11 +445,8 @@ class Plan:
     airtime_us: dict[str, float]  # data frame, security bytes included
     payload_us: dict[str, float]  # the user-payload share of it
     exchange_us: dict[str, int]  # data, interframe space, ack and guard time
-    polled: tuple[str, ...]  # by node id
-    poll_grant_us: int
-    poll_phases: frozenset[PhaseKind]  # shared phases the hub polls in
     allocations: tuple[ScheduledAllocation, ...]  # by node id
-    allocation_phases: dict[str, PhaseKind]  # the phase each allocation starts in
+    schedule: tuple[tuple[int, int, int, EventKind, tuple], ...]
 
 
 def compile_scenario(
@@ -468,7 +482,7 @@ def compile_scenario(
     polled: list[str] = []
     scheduled: list[ScheduledAllocation] = []
     taken: set[PhaseKind] = set()  # shared phases a scheduled allocation covers
-    allocation_phases: dict[str, PhaseKind] = {}
+    alloc_grants: dict[str, tuple] = {}  # each allocation's schedule entry
     for node in sc.nodes:
         node_id = node.node_id
         node_line = node_lines.get(node_id, lines.get("nodes"))
@@ -513,7 +527,6 @@ def compile_scenario(
                 f"is shorter than one {need_us} us frame exchange",
             )
         covered = phases_covered(layout, alloc.start_slot, alloc.length_slots)
-        allocation_phases[node_id] = covered[0]
         for kind in covered:
             if not admissible(kind, node.priority, TrafficKind.SCHEDULED):
                 slot = max(alloc.start_slot, layout.span(kind).start_slot)
@@ -537,6 +550,9 @@ def compile_scenario(
                     f"slot {first} of the superframes both use: {other.node_id} vs {node_id}",
                 )
         scheduled.append(alloc)
+        start_us, period = alloc.start_slot * layout.slot_length_us, alloc.periodicity
+        entry = (node_id, span_us, span_us, covered[0])
+        alloc_grants[node_id] = (start_us, period, alloc.offset % period, EventKind.POLL_GRANT, entry)
 
     contention = sum(node.access == "contention" for node in sc.nodes)
     if sc.run.channel == "ideal" and contention > 1:
@@ -554,21 +570,37 @@ def compile_scenario(
             raise _fail(entry_line, f"{node_id}: group membership needs security level 1 or 2")
 
     default_grant_us = max((exchange[node_id] for node_id in polled), default=0)
-    plan = Plan(
+    grant_us = default_grant_us if sc.poll_grant_us is None else sc.poll_grant_us
+    schedule = []
+    for span in layout.phases:
+        if span.length_slots == 0:
+            continue
+        start, length = span.start_slot * layout.slot_length_us, span.length_slots * layout.slot_length_us
+        schedule.append((start, 1, 0, EventKind.PHASE_START, (span.kind, length)))
+        if span.kind == PhaseKind.BEACON:
+            schedule.append((start, layout.beacon_period_multiplier, 0, EventKind.BEACON_TX, ()))
+        if polled and span.kind in SHARED_PHASES - taken:
+            for grant in schedule_polls(layout, sorted(polled), span.kind, grant_us):
+                entry = (grant.node_id, grant_us, start + length - grant.start_us, span.kind)
+                schedule.append((grant.start_us, 1, 0, EventKind.POLL_GRANT, entry))
+    granted = [data[0] for *_, kind, data in schedule if kind is EventKind.POLL_GRANT]  # one id per poll grant
+    schedule += [alloc_grants[node_id] for node_id in sorted(alloc_grants)]
+    for node_id in polled:
+        if not granted:
+            line = lines.get("poll_grant_us", node_lines.get(node_id, lines.get("nodes")))
+            raise _fail(line, f"{node_id}: never polled, as no poll phase holds a {grant_us} us grant")
+        if node_id not in granted:
+            raise _fail(
+                node_lines.get(node_id, lines.get("nodes")),
+                f"{node_id}: never polled, as the poll phases hold {len(granted)} grants per superframe",
+            )
+    return Plan(
         layout=layout,
         ack_us=ack_us,
         beacon_us=beacon_us,
         airtime_us=airtime,
         payload_us=payload,
         exchange_us=exchange,
-        polled=tuple(sorted(polled)),
-        poll_grant_us=default_grant_us if sc.poll_grant_us is None else sc.poll_grant_us,
-        poll_phases=frozenset(SHARED_PHASES - taken if polled else ()),
         allocations=tuple(sorted(scheduled, key=lambda alloc: alloc.node_id)),
-        allocation_phases=allocation_phases,
+        schedule=tuple(schedule),
     )
-    poll_slots = max((span.length_slots for span in layout.phases if span.kind in plan.poll_phases), default=0)
-    if polled and poll_slots * layout.slot_length_us < plan.poll_grant_us:
-        line = lines.get("poll_grant_us", node_lines.get(polled[0], lines.get("nodes")))
-        raise _fail(line, f"{polled[0]}: never polled, as no poll phase holds a {plan.poll_grant_us} us grant")
-    return plan

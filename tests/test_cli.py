@@ -2,6 +2,7 @@
 reproducible from one library call, and failures exit nonzero with a
 named diagnostic."""
 
+import concurrent.futures
 import io
 import os
 import subprocess
@@ -201,6 +202,44 @@ class TestSimulate:
         assert [line.split()[0] for line in printed] == ["seed=1", "seed=2", "seed=3"]
         for seed in (1, 2, 3):
             assert (tmp_path / f"stats.s{seed}.csv").exists()
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of each process pool asked for; the pool's calls
+        run in this process, and no process starts."""
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return asked
+
+    def test_sweep_workers_never_outnumber_the_seeds(self, tmp_path, pools, capsys):
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        out = tmp_path / "stats.csv"
+        assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "64", "--out", str(out)]) == 0
+        assert pools == [2]
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["seed=1", "seed=2"]
+
+    def test_negative_sweep_parallel_rejected(self, tmp_path, pools, capsys):
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError: --sweep-parallel")
+        assert captured.out == "" and pools == []
 
     def test_stdout_when_no_output_path(self, tmp_path, capsys):
         scn = tmp_path / "one.scn"

@@ -485,6 +485,23 @@ class TestPollReach:
         line, msg = error_line("[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n[nodes]\np = access=polled\n")
         assert line == 5 and "never polled" in msg
 
+    # Three polled nodes on 3000 us grants. Every poll phase of every
+    # superframe restarts the round robin at the first id.
+    STARVED = (
+        "[phy]\nband = 2400-2483.5\nrate = high\n[superframe]\n{}poll_grant_us = 3000\n[nodes]\n"
+        + "".join(f"{node_id} = traffic=poisson:20, payload=50, access=polled\n" for node_id in "abc")
+    )
+
+    def test_a_node_the_round_robin_never_reaches_names_its_line(self):
+        line, msg = error_line(self.STARVED.format("mode = nonbeacon\nslots = 16\n"))
+        assert line == 11 and "c: never polled, as the poll phases hold 2 grants per superframe" in msg
+
+    def test_two_poll_phases_that_each_reach_the_same_nodes(self):
+        layout = "slots = 256\nbeacon_slots = 4\nrap1_slots = {}\ntype_a_slots = {}\nrap2_slots = 112\ntype_b_slots = 12\n"
+        line, msg = error_line(self.STARVED.format(layout.format(116, 12)))
+        assert line == 15 and "c: never polled, as the poll phases hold 4 grants per superframe" in msg
+        scn(self.STARVED.format(layout.format(110, 18)))  # three grants in the type I phase reach c
+
 
 class TestLoadScenario:
     def test_reads_from_a_file(self, tmp_path):

@@ -4,6 +4,7 @@ lazy slot grid against a slot-by-slot reference."""
 
 import heapq
 import io
+import math
 import os
 import stat
 import subprocess
@@ -14,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import bansim
@@ -22,6 +23,7 @@ from bansim.cli import main
 from bansim.efficiency import analytic_efficiency, reference_configs
 from bansim.errors import ScenarioError, SimulationError
 from bansim.mac.csma import PRIORITY_TABLE, draw_backoff, guard_check, on_idle_slot, trace_lines
+from bansim.mac.superframe import SHARED_PHASES, PhaseKind, phases_covered, schedule_polls
 from bansim.phy.ppdu import frame_airtime_us
 from bansim.sim.kernel import BEACON_BODY_LEN, EventKind, Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import load_scenario, parse_scenario
@@ -569,7 +571,7 @@ class SlotBySlot(Simulation):
             EventKind.PHASE_START: self._on_phase_start,
             EventKind.TRAFFIC_ARRIVAL: self._on_arrival,
             EventKind.POLL_GRANT: self._on_poll_grant,
-            EventKind.BEACON_TX: lambda end: self._on_beacon(),
+            EventKind.BEACON_TX: self._on_beacon,
             EventKind.SUPERFRAME: self._schedule_superframe,
         }
         while self._heap:
@@ -874,3 +876,119 @@ class TestStreamedTrace:
         assert not reader.is_alive()
         assert got == [whole_trace(sc, tmp_path / "whole.csv")]
         assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+
+# ------------------------------------- the schedule against its generator
+
+
+def reference_superframe(sim, index):
+    """Superframe `index`'s schedule events as (time, kind, data), made the
+    way the kernel made them before compile_scenario laid the schedule out:
+    the layout walked and the beacon, poll and allocation rules applied in
+    every superframe, with absolute times in the data. The poll grant, poll
+    phases and allocation phases are derived from the scenario as the plan
+    derived them. Kept as the reference for the compiled schedule."""
+    plan, layout, events = sim.plan, sim.plan.layout, []
+    polled = sorted(node.node_id for node in sim.sc.nodes if node.access == "polled")
+    poll_grant_us = sim.sc.poll_grant_us or max((plan.exchange_us[node_id] for node_id in polled), default=0)
+    covered = {a.node_id: phases_covered(layout, a.start_slot, a.length_slots) for a in plan.allocations}
+    poll_phases = SHARED_PHASES - {kind for kinds in covered.values() for kind in kinds} if polled else set()
+    base = index * layout.duration_us
+    for span in layout.phases:
+        if span.length_slots == 0:
+            continue
+        start = base + span.start_slot * layout.slot_length_us
+        end = start + span.length_slots * layout.slot_length_us
+        events.append((start, EventKind.PHASE_START, (span.kind, start, end)))
+        if span.kind == PhaseKind.BEACON and layout.beacon_in(index):
+            events.append((start, EventKind.BEACON_TX, ()))  # it carried (end,), which nothing read
+        if span.kind in poll_phases:
+            for grant in schedule_polls(layout, polled, span.kind, poll_grant_us, base):
+                events.append((grant.start_us, EventKind.POLL_GRANT, (grant.node_id, grant.duration_us, end, span.kind)))
+    for alloc in plan.allocations:
+        if alloc.active_in(index):
+            start = base + alloc.start_slot * layout.slot_length_us
+            length = alloc.length_slots * layout.slot_length_us
+            events.append((start, EventKind.POLL_GRANT, (alloc.node_id, length, start + length, covered[alloc.node_id][0])))
+    events.append((base + layout.duration_us, EventKind.SUPERFRAME, (index + 1,)))
+    return events
+
+
+class _ScheduleLog(Simulation):
+    """Logs each schedule event the kernel pushes, with the durations in
+    its data turned into absolute times, and queues nothing."""
+
+    def _push_schedule(self, time_us, kind, data):
+        if kind is EventKind.PHASE_START:
+            data = (data[0], time_us, time_us + data[1])
+        elif kind is EventKind.POLL_GRANT:
+            node_id, duration, window_us, phase = data
+            data = (node_id, duration, time_us + window_us, phase)
+        self.pushed.append((time_us, kind, data))
+
+
+def _shared_phase(draw, name):
+    """A shared phase's slot count and, one time in three, a scheduled node
+    inside it whose period is above 1 and whose offset is negative or at
+    least the period: (node id, slots, first slot, period, offset), or None."""
+    slots = draw(st.sampled_from([0, 8, 20, 40]))
+    if not slots or draw(st.integers(0, 2)):
+        return slots, None
+    period = draw(st.integers(2, 4))
+    offset = draw(st.integers(-9, -1) | st.integers(period, 9))
+    length = draw(st.integers(3, 8))
+    start = draw(st.integers(0, slots - length))
+    return slots, (name, length, start, period, offset)
+
+
+@st.composite
+def scheduled_scenarios(draw):
+    """A beacon or non-beacon layout with zero to two poll phases, 0-3
+    polled nodes listed in any id order (none when no shared phase is
+    free to poll in), scheduled nodes in the shared phases and a beacon
+    period multiplier of 1-3."""
+    multiplier = draw(st.integers(1, 3))
+    grant = draw(st.sampled_from(["", "poll_grant_us = 2200\n", "poll_grant_us = 4000\n"]))
+    superframe = f"beacon_period_multiplier = {multiplier}\n{grant}"
+    if draw(st.booleans()):
+        slots, alloc = _shared_phase(draw, draw(st.sampled_from(["sa", "sz"])))
+        slots = max(slots, 8)
+        superframe += f"mode = nonbeacon\nslots = {slots}\n"
+        phases = [(slots, alloc, 0)]
+    else:
+        (a_slots, alloc_a), (b_slots, alloc_b) = _shared_phase(draw, "sb"), _shared_phase(draw, "sa")
+        rap1, rap2 = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+        superframe += (f"slots = {4 + rap1 + a_slots + rap2 + b_slots}\nbeacon_slots = 4\nrap1_slots = {rap1}\n"
+                       f"type_a_slots = {a_slots}\nrap2_slots = {rap2}\ntype_b_slots = {b_slots}\n")
+        phases = [(a_slots, alloc_a, 4 + rap1), (b_slots, alloc_b, 4 + rap1 + a_slots + rap2)]
+    polled = []
+    if any(slots and alloc is None for slots, alloc, _ in phases):
+        polled = draw(st.permutations(["pa", "pb", "pc"]))[: draw(st.integers(0, 3))]
+    nodes = [f"{node_id} = traffic=poisson:20, payload={draw(st.integers(1, 60))}, access=polled" for node_id in polled]
+    for _, alloc, phase_start in phases:
+        if alloc is not None:
+            name, length, start, period, offset = alloc
+            nodes.append(f"{name} = payload=10, access=scheduled, slot_start={phase_start + start}, "
+                         f"slot_len={length}, period={period}, offset={offset}")
+    return ("[phy]\nband = 2400-2483.5\nrate = high\n[superframe]\n" + superframe
+            + "[nodes]\n" + "\n".join(nodes) + "\n[run]\nduration_ms = 20\n")
+
+
+class TestCompiledSchedule:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(scheduled_scenarios())
+    def test_matches_the_generator_it_replaced(self, text):
+        try:
+            sc = parse_scenario(text)
+        except ScenarioError as exc:
+            assert "never polled" in str(exc)
+            assume(False)
+        sim = _ScheduleLog(sc)
+        sim.pushed = []
+        want = []
+        periods = [alloc.periodicity for alloc in sim.plan.allocations]
+        for index in range(math.lcm(sc.superframe.beacon_period_multiplier, *periods)):
+            sim._schedule_superframe(index)
+            want += reference_superframe(sim, index)
+        assert sim.pushed == want
