@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from bansim.mac.csma import MacTimingConstants, PriorityClass, PRIORITY_TABLE
-from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
+from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us, frame_airtimes_us
 from bansim.phy.rates import (
     Band,
     Modulation,
@@ -68,6 +68,25 @@ def mean_backoff_us(timing: MacTimingConstants, csma: PriorityClass) -> float:
     return timing.csma_slot_us * (1 + csma.cw_min) / 2
 
 
+def _cycle_times_us(
+    payloads: list[int], cfg: PhyConfig, timing: MacTimingConstants, csma: PriorityClass
+) -> list[float]:
+    backoff_us = mean_backoff_us(timing, csma)
+    ack_us, *frames_us = frame_airtimes_us(cfg, [0, *payloads])
+    return [backoff_us + frame_us + timing.psifs_us + ack_us + timing.psifs_us for frame_us in frames_us]
+
+
+def _efficiencies(
+    payloads: list[int], cfg: PhyConfig, timing: MacTimingConstants, csma: PriorityClass
+) -> list[float]:
+    for payload_bytes in payloads:
+        if not 1 <= payload_bytes <= MAX_BODY_LEN:
+            raise ValueError(f"payload must be 1..{MAX_BODY_LEN} bytes, got {payload_bytes}")
+    psdu_kbps = info_data_rate(cfg, "psdu")
+    cycles_us = _cycle_times_us(payloads, cfg, timing, csma)
+    return [8 * p / psdu_kbps * 1000.0 / cycle_us for p, cycle_us in zip(payloads, cycles_us)]
+
+
 def cycle_time_us(
     payload_bytes: int,
     cfg: PhyConfig,
@@ -75,13 +94,7 @@ def cycle_time_us(
     csma: PriorityClass = DEFAULT_CONTENTION_CLASS,
 ) -> float:
     """Channel time consumed per delivered frame on an ideal channel."""
-    return (
-        mean_backoff_us(timing, csma)
-        + frame_airtime_us(cfg, payload_bytes)
-        + timing.psifs_us
-        + ack_airtime_us(cfg)
-        + timing.psifs_us
-    )
+    return _cycle_times_us([payload_bytes], cfg, timing, csma)[0]
 
 
 def analytic_efficiency(
@@ -91,10 +104,7 @@ def analytic_efficiency(
     csma: PriorityClass = DEFAULT_CONTENTION_CLASS,
 ) -> float:
     """Payload bit time over full cycle time, as a fraction in (0, 1)."""
-    if not 1 <= payload_bytes <= MAX_BODY_LEN:
-        raise ValueError(f"payload must be 1..{MAX_BODY_LEN} bytes, got {payload_bytes}")
-    t_payload = 8 * payload_bytes / info_data_rate(cfg, "psdu") * 1000.0
-    return t_payload / cycle_time_us(payload_bytes, cfg, timing, csma)
+    return _efficiencies([payload_bytes], cfg, timing, csma)[0]
 
 
 def reference_configs() -> list[tuple[str, PhyConfig]]:
@@ -138,14 +148,14 @@ def sweep(
     timing: MacTimingConstants = MacTimingConstants(),
     csma: PriorityClass = DEFAULT_CONTENTION_CLASS,
 ) -> list[EfficiencyPoint]:
+    """One point per config and payload; each config's rate, ack and
+    header airtimes are worked out once for all its payloads."""
     payloads = list(payloads)
     points = []
     for label, cfg in configs:
         rate = info_data_rate(cfg, "psdu")
-        for p in payloads:
-            points.append(
-                EfficiencyPoint(label, rate, p, analytic_efficiency(p, cfg, timing, csma))
-            )
+        efficiencies = _efficiencies(payloads, cfg, timing, csma)
+        points += [EfficiencyPoint(label, rate, p, e) for p, e in zip(payloads, efficiencies)]
     return points
 
 

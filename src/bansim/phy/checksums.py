@@ -6,6 +6,11 @@ Three generators, all MSB-first with no reflection:
   init 0xFFFF), computed by the standard library's C `binascii.crc_hqx`,
 * 4-bit header check folded into PLCP headers (ITU poly x^4 + x + 1),
 * 12-bit per-codeword parity used by the block coder (poly 0x80F).
+
+The 4- and 12-bit checks have init 0 and no final XOR, so each is the
+remainder of the message times x^width over the generator: `crc_word`
+takes it in one long division over GF(2) on a Python integer, and the bit
+sequence forms first gather their bits into that integer.
 """
 
 from __future__ import annotations
@@ -13,7 +18,10 @@ from __future__ import annotations
 import binascii
 from typing import Iterable
 
-__all__ = ["crc16", "crc4_bits", "crc12_bits"]
+__all__ = ["crc16", "crc_word", "crc4_bits", "crc12_bits", "CRC4_POLY", "CRC12_POLY"]
+
+CRC4_POLY = 0x3
+CRC12_POLY = 0x80F
 
 
 def crc16(data: bytes) -> int:
@@ -21,23 +29,28 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-def _crc_bits(bits: Iterable[int], width: int, poly: int) -> int:
-    # Plain long division over GF(2), one input bit at a time, init 0.
-    top = 1 << (width - 1)
-    mask = (1 << width) - 1
-    reg = 0
-    for bit in bits:
-        reg ^= (bit & 1) << (width - 1)
-        if reg & top:
-            reg = ((reg << 1) ^ poly) & mask
-        else:
-            reg = (reg << 1) & mask
+def crc_word(word: int, width: int, poly: int) -> int:
+    """`width`-bit check (generator x^width + poly, init 0) of the bits of
+    `word`, MSB first; leading zero bits change nothing."""
+    reg = word << width
+    divisor = 1 << width | poly
+    top = reg.bit_length()
+    while top > width:
+        reg ^= divisor << (top - width - 1)
+        top = reg.bit_length()
     return reg
+
+
+def _word(bits: Iterable[int]) -> int:
+    word = 0
+    for bit in bits:
+        word = word << 1 | int(bit) & 1
+    return word
 
 
 def crc4_bits(bits: Iterable[int]) -> int:
     """4-bit header check over a bit sequence (poly x^4 + x + 1 = 0x3)."""
-    return _crc_bits(bits, 4, 0x3)
+    return crc_word(_word(bits), 4, CRC4_POLY)
 
 
 def crc12_bits(bits: Iterable[int]) -> int:
@@ -46,4 +59,4 @@ def crc12_bits(bits: Iterable[int]) -> int:
     Any single-bit flip inside one codeword changes this value, which is
     what the block coder's detect-only decode relies on.
     """
-    return _crc_bits(bits, 12, 0x80F)
+    return crc_word(_word(bits), 12, CRC12_POLY)

@@ -9,9 +9,16 @@ detect-only: a parity mismatch raises, nothing is corrected.
 
 That checksum has init 0 and no final XOR, so it is linear over GF(2): the
 parity of information row u is u @ G mod 2, where row i of the k x 12
-generator matrix G is the checksum of unit vector i. Encoding takes all
-parity rows in one product, decoding checks all 0/1 codewords in one
-syndrome product with [G; I12], and mod 2 is the low bit of int32 sums.
+generator matrix G is the checksum of unit vector i. Two coders share
+those rows:
+
+* `encode_blocks`/`decode_blocks` code a bit array, such as a frame's
+  PSDU, in one matrix product: encoding takes all parity rows at once,
+  decoding checks all 0/1 codewords in one syndrome product with [G; I12],
+  and mod 2 is the low bit of int32 sums.
+* `encode_word`/`decode_word` code a short field held as one integer, such
+  as a PHY header: a codeword's parity is the XOR of per-byte tables of G,
+  built on first use. They give the same bits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -22,13 +29,14 @@ import math
 import numpy as np
 
 from bansim.errors import CodewordError, ConfigError, TruncatedFrame
-from bansim.phy.bitfields import int_to_bits
+from bansim.phy.bitfields import checked_uint, int_to_bits
 from bansim.phy.checksums import crc12_bits
 
-__all__ = ["BlockCode", "encode_blocks", "decode_blocks", "coded_length"]
+__all__ = ["BlockCode", "encode_blocks", "decode_blocks", "encode_word", "decode_word", "coded_length"]
 
 BlockCode = tuple[int, int]  # (n, k)
 PARITY_BITS = 12
+_PARITY_MASK = (1 << PARITY_BITS) - 1
 
 
 def _check_code(code: BlockCode) -> BlockCode:
@@ -39,18 +47,42 @@ def _check_code(code: BlockCode) -> BlockCode:
 
 
 @functools.cache
+def _parity_rows(k: int) -> tuple[int, ...]:
+    """The rows of G as integers: row i is the parity of unit vector i."""
+    return tuple(crc12_bits(unit) for unit in np.eye(k, dtype=int).tolist())
+
+
+@functools.cache
 def _generator(k: int) -> np.ndarray:
-    """[G; I12] over GF(2), row i < k the parity of unit vector i. float32 runs
-    the products in BLAS, exact for k < 2**24; a cast to uint8 is undefined past 255."""
-    rows = [int_to_bits(crc12_bits(unit.tolist()), PARITY_BITS) for unit in np.eye(k, dtype=int)]
+    """[G; I12] over GF(2). float32 runs the products in BLAS, exact for
+    k < 2**24; a cast to uint8 is undefined past 255."""
+    rows = [int_to_bits(row, PARITY_BITS) for row in _parity_rows(k)]
     matrix = np.vstack([np.array(rows, dtype=np.float32), np.eye(PARITY_BITS, dtype=np.float32)])
     matrix.flags.writeable = False
     return matrix
 
 
-def _parity(info: np.ndarray) -> np.ndarray:
-    """Parity rows of a (blocks, k) information matrix."""
-    return ((info @ _generator(info.shape[1])[:-PARITY_BITS]).astype(np.int32) & 1).astype(np.uint8)
+@functools.cache
+def _parity_tables(k: int) -> tuple[tuple[int, ...], ...]:
+    """Per byte of a k-bit information word, lowest byte first, the parity
+    of each of its 256 values: a word's parity is the XOR of its bytes'."""
+    rows = _parity_rows(k)[::-1]  # rows[j]: the parity of bit j from the bottom
+    tables = []
+    for low in range(0, k, 8):
+        table = [0] * 256
+        for value in range(1, 256):
+            bit = low + (value & -value).bit_length() - 1
+            table[value] = table[value & (value - 1)] ^ (rows[bit] if bit < k else 0)
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _word_parity(info: int, tables: tuple[tuple[int, ...], ...]) -> int:
+    parity = 0
+    for table in tables:
+        parity ^= table[info & 0xFF]
+        info >>= 8
+    return parity
 
 
 def coded_length(info_bit_count: int, code: BlockCode) -> int:
@@ -67,8 +99,16 @@ def encode_blocks(bits: np.ndarray, code: BlockCode) -> np.ndarray:
     """
     n, k = _check_code(code)
     bits = np.asarray(bits, dtype=np.uint8)
-    info = np.concatenate([bits, np.zeros(-len(bits) % k, dtype=np.uint8)]).reshape(-1, k)
-    return (np.concatenate([info, _parity(info)], axis=1) if n > k else info).ravel()
+    if len(bits) % k:
+        bits = np.concatenate([bits, np.zeros(-len(bits) % k, dtype=np.uint8)])
+    info = bits.reshape(-1, k)
+    if n == k:
+        return info.flatten()
+    words = np.empty((len(info), n), dtype=np.uint8)
+    words[:, :k] = info
+    parity = (info @ _generator(k)[:-PARITY_BITS]).astype(np.int32)
+    np.bitwise_and(parity, 1, out=words[:, k:], casting="unsafe")
+    return words.ravel()
 
 
 def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np.ndarray:
@@ -86,10 +126,50 @@ def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np
         raise CodewordError(f"coded region holds {len(image)} bits, expected {expected}")
     words = image.reshape(-1, n)
     if n > k:
-        syndrome = (words @ _generator(k)).astype(np.int32) & 1
-        if syndrome.any():
-            raise CodewordError(f"parity mismatch in codeword {syndrome.any(axis=1).argmax()}")
+        syndrome = (words @ _generator(k)).astype(np.int32)
+        if np.bitwise_or.reduce(syndrome, axis=None) & 1:  # some sum is odd
+            raise CodewordError(f"parity mismatch in codeword {(syndrome & 1).any(axis=1).argmax()}")
     info_bits = words[:, :k].flatten()
     if info_bits[info_bit_count:].any():
         raise CodewordError("nonzero pad bits in final codeword")
     return info_bits[:info_bit_count]
+
+
+def encode_word(word: int, info_bit_count: int, code: BlockCode) -> int:
+    """The `info_bit_count` bits of `word`, MSB first, as the
+    coded_length(info_bit_count, code) bits that encode_blocks gives them,
+    held as one integer."""
+    n, k = _check_code(code)
+    blocks = -(-info_bit_count // k)
+    word = checked_uint(word, info_bit_count) << (blocks * k - info_bit_count)
+    if n == k:
+        return word
+    tables, mask = _parity_tables(k), (1 << k) - 1
+    coded = 0
+    for shift in range((blocks - 1) * k, -1, -k):
+        info = word >> shift & mask
+        coded = (coded << k | info) << PARITY_BITS | _word_parity(info, tables)
+    return coded
+
+
+def decode_word(coded: int, info_bit_count: int, code: BlockCode) -> int:
+    """The information word of coded_length(info_bit_count, code) coded
+    bits held as one integer; raises what decode_blocks raises on them."""
+    n, k = _check_code(code)
+    blocks = -(-info_bit_count // k)
+    checked_uint(coded, blocks * n)
+    if n == k:
+        info = coded
+    else:
+        tables, mask = _parity_tables(k), (1 << k) - 1
+        info = 0
+        for index, shift in enumerate(range((blocks - 1) * n, -1, -n)):
+            codeword = coded >> shift
+            data = codeword >> PARITY_BITS & mask
+            if codeword & _PARITY_MASK != _word_parity(data, tables):
+                raise CodewordError(f"parity mismatch in codeword {index}")
+            info = info << k | data
+    pad = blocks * k - info_bit_count
+    if info & ((1 << pad) - 1):
+        raise CodewordError("nonzero pad bits in final codeword")
+    return info >> pad

@@ -8,6 +8,10 @@ where the MAC frame is mac_header(7) + body(0..255) + fcs(2). The PHY
 header carries the body length, so a parser given the operating config can
 recover every field and validate the frame end to end. Decoding is
 detect-only: any inconsistency raises a distinct FrameError subclass.
+The MAC frame goes through the block coder as one matrix product
+(`fec.encode_blocks`/`decode_blocks`), its bytes unpacked straight into
+whole codewords and its information bits packed straight back to bytes.
+An image holding any value but 0 and 1 is refused as a ValueError.
 
 The families differ only in data, held in one format table (`_FORMATS`)
 that a single build, parse and hexdump walk:
@@ -19,14 +23,16 @@ that a single build, parse and hexdump walk:
   four times, then a 16-bit delimiter. The patterns are fixed constants of
   this implementation (the frame format requires fixed patterns without
   prescribing them). Each sync is built once, read-only; parse compares it
-  in one step and walks its blocks only to name a failure.
+  as bytes in one step and walks its blocks only to name a failure.
 * header: a (field, width) layout, MSB first. Unnamed entries are reserved
   or pad bits sent as zero; pulse radio rejects set pad bits, narrowband
   covers its reserved bits only by the 4-bit check that follows its layout.
-  Build and parse handle the header as one integer, by shift and mask.
-  Parse refuses a header whose rate index is not the config's: the frame
-  region is decoded with the config's coding, so another rate cannot be
-  read under it.
+  Build and parse hold the header as one integer from its fields to its
+  coded bits: its 4-bit check is taken on that word, and its block code
+  by integer parity (`fec.encode_word`/`decode_word`), so the header
+  meets one bit conversion each way. Parse refuses a header whose rate
+  index is not the config's: the frame region is decoded with the
+  config's coding, so another rate cannot be read under it.
 
 Known limit: a header whose `length` is raised by a few bytes, within the
 zero pad of the frame region's last codeword, still parses. The body then
@@ -61,9 +67,8 @@ from bansim.errors import (
     TruncatedFrame,
 )
 from bansim.phy import fec
-from bansim.phy.bitfields import (bits_to_bytes, bits_to_int, bytes_to_bits, checked_uint, int_to_bits,
-                                  padded_bytes)
-from bansim.phy.checksums import crc4_bits, crc16
+from bansim.phy.bitfields import bits_to_int, checked_uint, int_to_bits, padded_bytes
+from bansim.phy.checksums import CRC4_POLY, crc16, crc_word
 from bansim.phy.kasami import kasami63_bits, mseq
 from bansim.phy.rates import PhyConfig, PhyKind, info_data_rate
 
@@ -86,6 +91,7 @@ __all__ = [
     "parse_ppdu",
     "ppdu_airtime",
     "frame_airtime_us",
+    "frame_airtimes_us",
     "hexdump",
 ]
 
@@ -181,6 +187,10 @@ class _Format:
         return sync
 
     @cached_property
+    def sync_bytes(self) -> bytes:
+        return self.sync.tobytes()
+
+    @cached_property
     def preamble(self) -> np.ndarray:
         return self.sync[: self.reps * len(self.unit)]
 
@@ -211,9 +221,17 @@ def _check_psdu_args(mac_header: bytes, body: bytes) -> None:
         raise FrameTooLong(f"body of {len(body)} bytes exceeds {MAX_BODY_LEN}")
 
 
+# Spreading sends each coded bit s times (s is 1, 2 or 4). Read as one
+# s-byte word, the s copies of a bit are 0 or 0x01..01 (`_COPIES[s]`), so
+# spreading is one multiply and the despread check one compare.
+_COPIES = {2: 0x0101, 4: 0x01010101}
+
+
 def _encode_psdu(cfg: PhyConfig, psdu: bytes) -> np.ndarray:
-    coded = fec.encode_blocks(bytes_to_bits(psdu), cfg.psdu_fec)
-    return np.repeat(coded, cfg.spreading)
+    k, s = cfg.psdu_fec[1], cfg.spreading
+    bits = np.unpackbits(np.frombuffer(psdu, dtype=np.uint8), count=-(-8 * len(psdu) // k) * k)
+    coded = fec.encode_blocks(bits, cfg.psdu_fec)
+    return (coded.astype(f"<u{s}") * _COPIES[s]).view(np.uint8) if s > 1 else coded
 
 
 def _decode_psdu(cfg: PhyConfig, region: np.ndarray, psdu_len: int) -> bytes:
@@ -224,12 +242,11 @@ def _decode_psdu(cfg: PhyConfig, region: np.ndarray, psdu_len: int) -> bytes:
     if len(region) > expected:
         raise TrailingBitsError(f"{len(region) - expected} bits past end of frame")
     if s > 1:
-        copies = region.reshape(-1, s)
-        if (copies != copies[:, :1]).any():
+        copies = np.ascontiguousarray(region).view(f"<u{s}")
+        region = (copies == _COPIES[s]).view(np.uint8)
+        if np.count_nonzero(copies) != np.count_nonzero(region):  # a word neither 0 nor 0x01..01
             raise DespreadError("repetition copies disagree")
-        region = copies[:, 0]
-    info = fec.decode_blocks(region, cfg.psdu_fec, psdu_len * 8)
-    return bits_to_bytes(info)
+    return np.packbits(fec.decode_blocks(region, cfg.psdu_fec, psdu_len * 8)).tobytes()
 
 
 def _split_psdu(psdu: bytes) -> tuple[bytes, bytes, int]:
@@ -256,9 +273,16 @@ def _format(kind: PhyKind, cfg: PhyConfig) -> _Format:
     return _FORMATS[kind]
 
 
-def _hcs(layout_word: int, width: int) -> int:
-    """The 4-bit header check over the `width` layout bits of `layout_word`."""
-    return crc4_bits(map(int, format(layout_word, f"0{width}b")))
+def _bit_image(bits: np.ndarray) -> np.ndarray:
+    """`bits` as a uint8 array; ValueError at the first value not 0 or 1."""
+    raw = np.asarray(bits)
+    if raw.dtype == np.uint8 and np.bitwise_or.reduce(raw, axis=None) < 2:
+        return raw
+    stray = (raw != 0) & (raw != 1)
+    if stray.any():
+        pos = int(stray.argmax())
+        raise ValueError(f"image position {pos} holds {raw.flat[pos]}, not a bit")
+    return raw.astype(np.uint8)
 
 
 def _preamble_label(fmt: _Format, rep: int) -> str:
@@ -274,20 +298,21 @@ def _build(kind: PhyKind, cfg: PhyConfig, mac_header: bytes, body: bytes, **fiel
     for name, width in fmt.layout:
         word = word << width | checked_uint(values.get(name, 0), width)
     if fmt.crc4:
-        values["hcs"] = _hcs(word, fmt.info_bits - 4)
+        values["hcs"] = crc_word(word, 4, CRC4_POLY)
         word = word << 4 | values["hcs"]
     fcs = crc16(mac_header + body)
     psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
-    header_bits = fec.encode_blocks(int_to_bits(word, fmt.info_bits), cfg.header_fec)
+    n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
+    header_bits = int_to_bits(fec.encode_word(word, fmt.info_bits, cfg.header_fec), n_hdr)
     image = np.concatenate([fmt.sync, header_bits, _encode_psdu(cfg, psdu)])
     return Ppdu(kind, fmt.preamble, fmt.sfd, fmt.header(**values), mac_header, body, fcs, image)
 
 
 def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     fmt = _format(kind, cfg)
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = _bit_image(bits)
     off = len(fmt.sync)
-    if not np.array_equal(bits[:off], fmt.sync):
+    if bits[:off].tobytes() != fmt.sync_bytes:
         unit = len(fmt.unit)
         for rep in range(fmt.reps):
             if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
@@ -296,7 +321,7 @@ def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
         raise SfdMismatch("start-frame delimiter mismatch")
     n_info = fmt.info_bits
     n_hdr = fec.coded_length(n_info, cfg.header_fec)
-    word = bits_to_int(fec.decode_blocks(_take(bits, off, n_hdr, "header"), cfg.header_fec, n_info))
+    word = fec.decode_word(bits_to_int(_take(bits, off, n_hdr, "header")), n_info, cfg.header_fec)
     values, pos = {}, n_info
     for name, width in fmt.layout:
         pos -= width
@@ -307,7 +332,7 @@ def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
             raise HeaderCheckError("nonzero header pad bits")
     if fmt.crc4:
         values["hcs"] = word & 0xF
-        if values["hcs"] != _hcs(word >> 4, n_info - 4):
+        if values["hcs"] != crc_word(word >> 4, 4, CRC4_POLY):
             raise HeaderCheckError("header check bits mismatch")
     if values["rate_index"] != cfg.rate_index:
         raise HeaderCheckError(f"header rate index {values['rate_index']} is not the configured {cfg.rate_index}")
@@ -354,35 +379,40 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
 # ------------------------------------------------------------------ airtime
 
 
-def _airtime(cfg: PhyConfig, psdu_bits: int) -> tuple[float, float, float]:
+def _airtimes(cfg: PhyConfig, psdu_bit_counts: list[int]) -> list[tuple[float, float, float]]:
     """Transmission time of the preamble, header and PSDU regions, in
-    microseconds.
+    microseconds, for each PSDU size; the config's rates are worked out once.
 
     Sync symbols go out at the raw symbol rate; header and frame regions
     take information_bits / information_rate, so coding and spreading
     stretch them through the rate, not through the bit image.
     """
-    return (
-        cfg.preamble_symbols / cfg.symbol_rate * 1000.0,
-        _FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0,
-        psdu_bits / info_data_rate(cfg, "psdu") * 1000.0,
-    )
+    preamble_us = cfg.preamble_symbols / cfg.symbol_rate * 1000.0
+    header_us = _FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0
+    psdu_kbps = info_data_rate(cfg, "psdu")
+    return [(preamble_us, header_us, bits / psdu_kbps * 1000.0) for bits in psdu_bit_counts]
 
 
 def ppdu_airtime(ppdu: Ppdu, cfg: PhyConfig) -> AirtimeBreakdown:
     """Transmission time of a built frame, split by region."""
     if ppdu.kind != cfg.kind:
         raise ConfigError(f"frame is {ppdu.kind.value}, config is {cfg.kind.value}")
-    return AirtimeBreakdown(*_airtime(cfg, len(ppdu.psdu_bytes) * 8))
+    return AirtimeBreakdown(*_airtimes(cfg, [len(ppdu.psdu_bytes) * 8])[0])
+
+
+def frame_airtimes_us(cfg: PhyConfig, body_lens: list[int]) -> list[float]:
+    """frame_airtime_us of each body length, the config's rates worked out once."""
+    for body_len in body_lens:
+        if body_len < 0 or body_len > MAX_BODY_LEN:
+            raise FrameTooLong(f"body of {body_len} bytes exceeds {MAX_BODY_LEN}")
+    psdu_bit_counts = [(MAC_HEADER_LEN + body_len + FCS_LEN) * 8 for body_len in body_lens]
+    return [preamble + header + psdu for preamble, header, psdu in _airtimes(cfg, psdu_bit_counts)]
 
 
 def frame_airtime_us(cfg: PhyConfig, body_len: int) -> float:
     """Airtime of a frame with `body_len` body bytes, without building it;
     the sum is taken in AirtimeBreakdown.total_us's order."""
-    if body_len < 0 or body_len > MAX_BODY_LEN:
-        raise FrameTooLong(f"body of {body_len} bytes exceeds {MAX_BODY_LEN}")
-    preamble_us, header_us, psdu_us = _airtime(cfg, (MAC_HEADER_LEN + body_len + FCS_LEN) * 8)
-    return preamble_us + header_us + psdu_us
+    return frame_airtimes_us(cfg, [body_len])[0]
 
 
 # ------------------------------------------------------------------ hexdump

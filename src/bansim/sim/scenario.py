@@ -594,6 +594,23 @@ def compile_scenario(
                 node_lines.get(node_id, lines.get("nodes")),
                 f"{node_id}: never polled, as the poll phases hold {len(granted)} grants per superframe",
             )
+    # A phase's first slot tick comes pSIFS in, and the kernel's guard locks
+    # a counter whose exchange would not end in the phase after one more
+    # CSMA slot: a contender needs a phase of pSIFS, a slot and its exchange.
+    lead_us = sc.timing.psifs_us + sc.timing.csma_slot_us
+    for node in sc.nodes:
+        need_us = lead_us + exchange[node.node_id]
+        if node.access == "contention" and not any(
+            span.length_slots * layout.slot_length_us >= need_us
+            and admissible(span.kind, node.priority, TrafficKind.CONTENTION)
+            for span in layout.phases
+        ):
+            raise _fail(
+                node_lines.get(node.node_id, lines.get("nodes")),
+                f"{node.node_id}: never transmits, as no phase that admits its priority "
+                f"{node.priority} contention lasts the {need_us} us of pSIFS, one CSMA slot "
+                f"and its frame exchange",
+            )
     return Plan(
         layout=layout,
         ack_us=ack_us,

@@ -2,7 +2,10 @@
 
 import random
 
-from bansim.phy.checksums import crc4_bits, crc12_bits, crc16
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bansim.phy.checksums import CRC4_POLY, CRC12_POLY, crc4_bits, crc12_bits, crc16, crc_word
 
 
 def test_crc16_golden_vector():
@@ -73,3 +76,22 @@ def test_crc16_equals_the_bitwise_reference():
         assert crc16(data) == reference_crc16(data)
     for data in (b"", b"\x00" * 64, b"\xff" * 64, bytes(range(256))):
         assert crc16(data) == reference_crc16(data)
+
+
+def register_crc(bits, width, poly):
+    """The bit-serial shift register, one input bit at a time, init 0."""
+    top, mask, reg = 1 << (width - 1), (1 << width) - 1, 0
+    for bit in bits:
+        reg ^= (bit & 1) << (width - 1)
+        reg = ((reg << 1) ^ poly) & mask if reg & top else (reg << 1) & mask
+    return reg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=80))
+def test_the_word_crc_equals_the_bit_crcs_and_the_register(bits):
+    word = int("".join(map(str, bits)) or "0", 2)
+    assert crc_word(word, 4, CRC4_POLY) == crc4_bits(bits) == register_crc(bits, 4, CRC4_POLY)
+    assert crc_word(word, 12, CRC12_POLY) == crc12_bits(bits) == register_crc(bits, 12, CRC12_POLY)
+    # Leading zero bits change no check with init 0.
+    assert crc4_bits([0, 0, 0] + bits) == crc4_bits(bits)

@@ -281,6 +281,8 @@ class TestSimulate:
 
 class TestScenarioDiagnostics:
     NODE = "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\nn0 = {}\n[run]\nduration_ms = 100\n"
+    # The same node line in a layout whose random access phase admits it.
+    RUNNABLE = NODE.replace("mode = nonbeacon\ntype_a_slots = 256", "beacon_slots = 4\nrap1_slots = 252")
 
     @pytest.mark.parametrize(
         "entry",
@@ -313,13 +315,13 @@ class TestScenarioDiagnostics:
 
     def test_poisson_rate_at_the_bound_is_accepted(self, tmp_path):
         scn = tmp_path / "edge.scn"
-        scn.write_text(self.NODE.format("traffic=poisson:1e6").replace("duration_ms = 100", "duration_ms = 1"))
+        scn.write_text(self.RUNNABLE.format("traffic=poisson:1e6").replace("duration_ms = 100", "duration_ms = 1"))
         assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 0
 
     def test_tiny_poisson_rate_runs_with_nothing_offered(self, tmp_path, capsys):
         # Its first gap is infinite; rounding it onto the clock overflowed.
         scn = tmp_path / "slow.scn"
-        scn.write_text(self.NODE.format("traffic=poisson:1e-320"))
+        scn.write_text(self.RUNNABLE.format("traffic=poisson:1e-320"))
         assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 0
         assert " offered=0 " in capsys.readouterr().out
 

@@ -17,8 +17,9 @@ from bansim.efficiency import (
     sweep_configs,
     write_efficiency_csv,
 )
+from bansim.errors import FrameTooLong
 from bansim.mac.csma import MacTimingConstants, PRIORITY_TABLE
-from bansim.phy.ppdu import frame_airtime_us
+from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us, frame_airtimes_us
 from bansim.phy.rates import info_data_rate
 
 TIMING = MacTimingConstants()
@@ -147,6 +148,29 @@ class TestSweepAndCsv:
         points = sweep(sweep_configs(), [10, 255])
         assert len(points) == 42
         assert {pt.payload_bytes for pt in points} == {10, 255}
+
+    def test_every_sweep_point_equals_its_single_point_value(self):
+        # The sweep works out each config's rate and airtimes once; every
+        # point must still be the single-point value, and that the sum of
+        # the public pieces in the cycle's order, bit for bit.
+        payloads = range(1, MAX_BODY_LEN + 1)
+        points = sweep(sweep_configs(), payloads)
+        assert len(points) == 21 * 255
+        backoff = mean_backoff_us(TIMING, DEFAULT_CONTENTION_CLASS)
+        for (label, cfg), row in zip(sweep_configs(), zip(*[iter(points)] * 255)):
+            rate, ack = info_data_rate(cfg, "psdu"), ack_airtime_us(cfg)
+            for p, pt in zip(payloads, row):
+                assert (pt.band, pt.rate_kbps, pt.payload_bytes) == (label, rate, p)
+                assert pt.efficiency == analytic_efficiency(p, cfg)
+                cycle = backoff + frame_airtime_us(cfg, p) + TIMING.psifs_us + ack + TIMING.psifs_us
+                assert pt.efficiency == 8 * p / rate * 1000.0 / cycle
+
+    def test_frame_airtimes_equal_one_at_a_time(self):
+        lengths = list(range(MAX_BODY_LEN + 1))
+        for _, cfg in sweep_configs():
+            assert frame_airtimes_us(cfg, lengths) == [frame_airtime_us(cfg, n) for n in lengths]
+        with pytest.raises(FrameTooLong):
+            frame_airtimes_us(cfg, [0, MAX_BODY_LEN + 1])
 
     def test_csv_round_trip(self, tmp_path):
         points = sweep(sweep_configs()[:4], [10, 100, 255])

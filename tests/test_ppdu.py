@@ -378,3 +378,37 @@ def test_known_gap_a_raised_length_takes_the_fcs_into_the_body(cfg, raised):
     fcs = frame.fcs.to_bytes(2, "big")
     assert parsed.body == (b"4byt" + fcs + bytes(raised))[: 4 + raised]
     assert parsed.fcs == (0 if raised > 1 else fcs[1] << 8)
+
+
+# ------------------------------------------------------- non-bit images
+
+
+class TestNonBitImages:
+    """An image value other than 0 or 1 is misuse of the API, refused as a
+    ValueError at its first position before any check reads it."""
+
+    def test_a_two_in_the_last_parity_bit_is_refused(self):
+        # The syndrome read it as its low bit, so this parsed as b"abcd".
+        bits = build_ppdu(NB, b"\x08" * 7, b"abcd").bits.copy()
+        bits[-1] = 2
+        with pytest.raises(ValueError, match=f"image position {len(bits) - 1} holds 2, not a bit"):
+            parse_ppdu(bits, NB)
+
+    @pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
+    def test_the_first_stray_value_is_named(self, cfg):
+        bits = build_ppdu(cfg, b"\x08" * 7, b"abcd").bits.copy()
+        bits[[3, cfg.preamble_symbols + 2, len(bits) - 5]] = [255, 3, 2]
+        with pytest.raises(ValueError, match="image position 3 holds 255, not a bit"):
+            parse_ppdu(bits, cfg)
+
+    @pytest.mark.parametrize("stray, dtype", [(-1, np.int64), (256, np.int64), (0.5, np.float64), (2, np.int8)])
+    def test_other_dtypes_are_checked_before_conversion(self, stray, dtype):
+        bits = build_ppdu(NB, b"\x08" * 7, b"abcd").bits.astype(dtype)
+        bits[40] = stray
+        with pytest.raises(ValueError, match="image position 40 holds"):
+            parse_ppdu(bits, NB)
+
+    @pytest.mark.parametrize("convert", [lambda b: b.astype(np.int64), lambda b: b.astype(bool), lambda b: b.tolist()])
+    def test_bits_in_other_types_parse_as_uint8(self, convert):
+        frame = build_ppdu(NB, b"\x08" * 7, b"abcd")
+        assert parse_ppdu(convert(frame.bits), NB).body == b"abcd"

@@ -503,6 +503,42 @@ class TestPollReach:
         scn(self.STARVED.format(layout.format(110, 18)))  # three grants in the type I phase reach c
 
 
+class TestContentionReach:
+    """A contention node that no phase admitting it gives pSIFS, one CSMA
+    slot and its frame exchange would never transmit; the scenario is
+    refused at the node's line."""
+
+    def test_a_nonbeacon_layout_takes_no_contention(self):
+        line, msg = error_line("[superframe]\nmode = nonbeacon\n[nodes]\nn0 = traffic=poisson:20, payload=50\n")
+        assert line == 4 and "n0: never transmits" in msg
+
+    def test_an_exclusive_phase_takes_only_the_highest_priority(self):
+        text = (
+            "[superframe]\nbeacon_slots = 4\neap1_slots = 60\ntype_a_slots = 192\n"
+            "[nodes]\nn0 = priority={}, traffic=poisson:20, payload=50\n"
+        )
+        line, msg = error_line(text.format(4))
+        assert line == 6 and "n0: never transmits, as no phase that admits its priority 4 contention" in msg
+        scn(text.format(7))
+
+    # One 8-slot (4000 us) random access phase and a CSMA slot of {} us.
+    FIT = (
+        "[superframe]\nslots = 16\nbeacon_slots = 4\nrap1_slots = 8\ntype_a_slots = 4\n"
+        "[csma]\npsifs_us = 50\nslot_us = {}\ngtn_us = 85\n"
+        "[nodes]\nn0 = traffic=saturated, payload=20\n"
+        "[run]\nduration_ms = 200\n"
+    )
+
+    def test_the_phase_must_hold_psifs_a_slot_and_the_exchange(self):
+        need = compile_scenario(scn(self.FIT.format(1))).exchange_us["n0"]
+        widest = 4000 - 50 - need
+        line, msg = error_line(self.FIT.format(widest + 1))
+        assert line == 11 and f"lasts the {4000 + 1} us of pSIFS, one CSMA slot and its frame exchange" in msg
+        # At the bound the kernel's guard lets the node through.
+        stats = Simulation(scn(self.FIT.format(widest))).run()
+        assert stats.nodes["n0"].delivered > 0
+
+
 class TestLoadScenario:
     def test_reads_from_a_file(self, tmp_path):
         path = tmp_path / "one.scn"

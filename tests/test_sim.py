@@ -6,6 +6,7 @@ import heapq
 import io
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -661,7 +662,9 @@ def small_scenarios(draw):
     traffic, 1-200 B) and now and then a polled node, on a beacon,
     beacon-free or non-beacon layout with random phase lengths and MAC
     timing. Scripted arrivals fall on whole 100 us, and the slot and
-    interframe space often divide that, so arrivals land on grid instants."""
+    interframe space often divide that, so arrivals land on grid instants.
+    A node the compiler refuses as never polled or never transmitting is
+    left out, so a non-beacon layout carries its polled node or none."""
     duration_ms = draw(st.integers(20, 250))
     layout = draw(st.sampled_from(["beacon", "no beacon", "nonbeacon"]))
     slots = draw(st.integers(16, 96))
@@ -699,14 +702,18 @@ def small_scenarios(draw):
         f"gtn_us = {draw(st.sampled_from([0, 1, 85, 120]))}\n"
     )
     tail = f"[run]\nseed = {draw(st.integers(1, 10**6))}\nduration_ms = {duration_ms}\nchannel = {channel}\n"
-    try:
-        return parse_scenario(head + "[nodes]\n" + "\n".join(nodes + polled) + "\n" + tail)
-    except ScenarioError as exc:
-        # A polled node that no poll phase can hold is refused; the
-        # contention nodes still run without it.
-        if "never polled" not in str(exc):
-            raise
-    return parse_scenario(head + "[nodes]\n" + "\n".join(nodes) + "\n" + tail)
+    while True:
+        try:
+            return parse_scenario(head + "[nodes]\n" + "\n".join(nodes + polled) + "\n" + tail)
+        except ScenarioError as exc:
+            # A polled node that no poll phase can hold, or a contention
+            # node that no phase it may use gives time for an exchange, is
+            # refused; the other nodes still run without it.
+            refused = re.search(r"(\w+): never (polled|transmits)", str(exc))
+            if refused is None:
+                raise
+            nodes = [n for n in nodes if not n.startswith(f"{refused[1]} =")]
+            polled = [n for n in polled if not n.startswith(f"{refused[1]} =")]
 
 
 class TestLazyGrid:
