@@ -11,7 +11,8 @@ consecutive failure.
 from collections import Counter
 from pathlib import Path
 
-from bansim.sim import load_scenario, run
+from bansim.sim.kernel import run
+from bansim.sim.scenario import load_scenario
 
 SCENARIO = Path(__file__).parent.parent / "scenarios" / "contention_pair.scn"
 OPENING_LINES = 28

@@ -1,57 +1,1 @@
 """MAC layer: superframe layout, access-phase rules, contention engine."""
-
-from bansim.mac.superframe import (
-    HIGHEST_PRIORITY,
-    PHASE_ORDER,
-    OperationalMode,
-    PhaseKind,
-    PhaseLayout,
-    PollGrant,
-    ScheduledAllocation,
-    SuperframeConfig,
-    TrafficKind,
-    admissible,
-    build_layout,
-    phase_at,
-    place_scheduled,
-    schedule_polls,
-)
-from bansim.mac.csma import (
-    BackoffState,
-    MacTimingConstants,
-    PriorityClass,
-    PRIORITY_TABLE,
-    draw_backoff,
-    guard_check,
-    on_busy,
-    on_failure,
-    on_idle_slot,
-    on_success,
-)
-
-__all__ = [
-    "BackoffState",
-    "HIGHEST_PRIORITY",
-    "MacTimingConstants",
-    "OperationalMode",
-    "PHASE_ORDER",
-    "PRIORITY_TABLE",
-    "PhaseKind",
-    "PhaseLayout",
-    "PollGrant",
-    "PriorityClass",
-    "ScheduledAllocation",
-    "SuperframeConfig",
-    "TrafficKind",
-    "admissible",
-    "build_layout",
-    "draw_backoff",
-    "guard_check",
-    "on_busy",
-    "on_failure",
-    "on_idle_slot",
-    "on_success",
-    "phase_at",
-    "place_scheduled",
-    "schedule_polls",
-]

@@ -8,9 +8,10 @@ cannot fit one more slot plus a full frame exchange and the nominal guard
 time. CW doubles only on every second consecutive failure, capped at
 CW_max, and resets to CW_min on success.
 
-replay_contention runs a single node through an explicit phase/outcome
-timeline on the simulation kernel's slot grid and returns the canonical
-trace line per event: `time_us,node,event,counter,cw,failures,phase`.
+ScriptedDraws stands in for a node's RNG in the scripted replay,
+sim.kernel.replay_contention, which runs a single node through an
+explicit phase/outcome timeline on the kernel's slot grid and returns the
+canonical trace line per event: `time_us,node,event,counter,cw,failures,phase`.
 
 Trace lines are rendered here and nowhere else. trace_batch appends the
 lines of one instant of one phase straight from node ids and backoff
@@ -47,7 +48,6 @@ __all__ = [
     "trace_event",
     "trace_line",
     "trace_lines",
-    "replay_contention",
 ]
 
 
@@ -275,36 +275,3 @@ def trace_line(
     lines: list[str] = []
     trace_event(lines, time_us, phase, event, node, state)
     return lines[0]
-
-
-def replay_contention(
-    phases: list[tuple[PhaseKind, int, int]],
-    draws: list[int],
-    data_tx_us: int,
-    ack_tx_us: int,
-    ack_outcomes: list[bool],
-    timing: MacTimingConstants = MacTimingConstants(),
-    priority: PriorityClass = PRIORITY_TABLE[2],
-    node_id: str = "n0",
-) -> list[str]:
-    """Walk one node's contention for a single frame through a scripted
-    timeline of (phase kind, start_us, end_us) and scripted draw values.
-
-    `ack_outcomes[i]` says whether transmission attempt i is acknowledged.
-    The walk ends at the first acknowledged transmission. Returns the
-    emitted trace lines.
-
-    Timeline conventions: entering an admissible phase unlocks a frozen
-    counter, then contention waits one interframe space before the slot
-    grid starts; after a missed acknowledgement the grid resumes at the
-    timeout instant (the guard time already covers the gap). At each slot
-    boundary the guard check runs first; a locked counter keeps its value
-    until the next admissible phase.
-    """
-    from bansim.sim.kernel import ScriptedReplay  # the kernel imports this module
-
-    replay = ScriptedReplay(
-        phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id
-    )
-    replay.run()
-    return replay.trace

@@ -1,66 +1,1 @@
 """Physical layer: rate tables, spreading codes, block coding, frame codecs."""
-
-from bansim.phy.kasami import kasami63, kasami63_bits, mseq, periodic_crosscorrelation
-from bansim.phy.rates import (
-    Band,
-    Modulation,
-    PhyConfig,
-    PhyKind,
-    RateRow,
-    UwbChannelPlan,
-    UWB_CHANNELS,
-    builtin_rate_table,
-    hbc_config,
-    info_data_rate,
-    load_rate_table,
-    nb_config,
-    uwb_config,
-)
-from bansim.phy.ppdu import (
-    AirtimeBreakdown,
-    Ppdu,
-    build_ppdu,
-    build_hbc_ppdu,
-    build_nb_ppdu,
-    build_uwb_ppdu,
-    frame_airtime_us,
-    hexdump,
-    parse_ppdu,
-    parse_hbc_ppdu,
-    parse_nb_ppdu,
-    parse_uwb_ppdu,
-    ppdu_airtime,
-)
-
-__all__ = [
-    "AirtimeBreakdown",
-    "Band",
-    "Modulation",
-    "PhyConfig",
-    "PhyKind",
-    "Ppdu",
-    "RateRow",
-    "UWB_CHANNELS",
-    "UwbChannelPlan",
-    "build_hbc_ppdu",
-    "build_nb_ppdu",
-    "build_ppdu",
-    "build_uwb_ppdu",
-    "builtin_rate_table",
-    "frame_airtime_us",
-    "hbc_config",
-    "hexdump",
-    "info_data_rate",
-    "kasami63",
-    "kasami63_bits",
-    "load_rate_table",
-    "mseq",
-    "nb_config",
-    "parse_hbc_ppdu",
-    "parse_nb_ppdu",
-    "parse_ppdu",
-    "parse_uwb_ppdu",
-    "periodic_crosscorrelation",
-    "ppdu_airtime",
-    "uwb_config",
-]

@@ -2,10 +2,11 @@
 
 Only the (n, k) geometry matters to the rest of the stack: k information
 bits expand to an n-bit codeword, the last block zero-padded to a whole
-codeword. The n - k = 12 parity bits (none when n == k) are the 12-bit
-checksum `crc12_bits` of the codeword's information bits, which makes
-every single-bit corruption of a codeword detectable. Decoding is
-detect-only: a parity mismatch raises, nothing is corrected.
+codeword. The n - k = 12 parity bits (none when n == k; the rule is
+`rates.check_code`) are the 12-bit checksum `crc12_bits` of the
+codeword's information bits, which makes every single-bit corruption of
+a codeword detectable. Decoding is detect-only: a parity mismatch
+raises, nothing is corrected.
 
 That checksum has init 0 and no final XOR, so it is linear over GF(2): the
 parity of information row u is u @ G mod 2, where row i of the k x 12
@@ -28,22 +29,15 @@ import math
 
 import numpy as np
 
-from bansim.errors import CodewordError, ConfigError, TruncatedFrame
+from bansim.errors import CodewordError, TruncatedFrame
 from bansim.phy.bitfields import checked_uint, int_to_bits
 from bansim.phy.checksums import crc12_bits
+from bansim.phy.rates import PARITY_BITS, check_code
 
 __all__ = ["BlockCode", "encode_blocks", "decode_blocks", "encode_word", "decode_word", "coded_length"]
 
 BlockCode = tuple[int, int]  # (n, k)
-PARITY_BITS = 12
 _PARITY_MASK = (1 << PARITY_BITS) - 1
-
-
-def _check_code(code: BlockCode) -> BlockCode:
-    n, k = code
-    if k < 1 or n - k not in (0, PARITY_BITS):
-        raise ConfigError(f"block code ({n},{k}) needs k >= 1 and n - k of 0 or {PARITY_BITS}")
-    return n, k
 
 
 @functools.cache
@@ -97,7 +91,7 @@ def encode_blocks(bits: np.ndarray, code: BlockCode) -> np.ndarray:
     The final partial block is padded with zero bits up to k before its
     parity is computed; the pad is checked on decode.
     """
-    n, k = _check_code(code)
+    n, k = check_code(code)
     bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) % k:
         bits = np.concatenate([bits, np.zeros(-len(bits) % k, dtype=np.uint8)])
@@ -117,7 +111,7 @@ def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np
     `info_bit_count` is the true payload size; capacity bits beyond it in
     the final codeword must be zero. Parity errors name the first bad codeword.
     """
-    n, k = _check_code(code)
+    n, k = check_code(code)
     image = np.asarray(image, dtype=np.uint8)
     expected = coded_length(info_bit_count, code)
     if len(image) < expected:
@@ -139,7 +133,7 @@ def encode_word(word: int, info_bit_count: int, code: BlockCode) -> int:
     """The `info_bit_count` bits of `word`, MSB first, as the
     coded_length(info_bit_count, code) bits that encode_blocks gives them,
     held as one integer."""
-    n, k = _check_code(code)
+    n, k = check_code(code)
     blocks = -(-info_bit_count // k)
     word = checked_uint(word, info_bit_count) << (blocks * k - info_bit_count)
     if n == k:
@@ -155,7 +149,7 @@ def encode_word(word: int, info_bit_count: int, code: BlockCode) -> int:
 def decode_word(coded: int, info_bit_count: int, code: BlockCode) -> int:
     """The information word of coded_length(info_bit_count, code) coded
     bits held as one integer; raises what decode_blocks raises on them."""
-    n, k = _check_code(code)
+    n, k = check_code(code)
     blocks = -(-info_bit_count // k)
     checked_uint(coded, blocks * n)
     if n == k:

@@ -403,8 +403,8 @@ def ppdu_airtime(ppdu: Ppdu, cfg: PhyConfig) -> AirtimeBreakdown:
 def frame_airtimes_us(cfg: PhyConfig, body_lens: list[int]) -> list[float]:
     """frame_airtime_us of each body length, the config's rates worked out once."""
     for body_len in body_lens:
-        if body_len < 0 or body_len > MAX_BODY_LEN:
-            raise FrameTooLong(f"body of {body_len} bytes exceeds {MAX_BODY_LEN}")
+        if not 0 <= body_len <= MAX_BODY_LEN:
+            raise FrameTooLong(f"body of {body_len} bytes outside 0..{MAX_BODY_LEN}")
     psdu_bit_counts = [(MAC_HEADER_LEN + body_len + FCS_LEN) * 8 for body_len in body_lens]
     return [preamble + header + psdu for preamble, header, psdu in _airtimes(cfg, psdu_bit_counts)]
 

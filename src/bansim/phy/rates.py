@@ -40,6 +40,7 @@ __all__ = [
     "uwb_config",
     "hbc_config",
     "phy_config",
+    "check_code",
     "write_rate_csv",
     "CONFIG_DIR_ENV",
 ]
@@ -135,6 +136,16 @@ HBC_PREAMBLE_SYMBOLS = 4 * 32 + 16  # four preamble copies + one delimiter
 
 HEADER_CODE = (31, 19)
 PSDU_CODE = (63, 51)
+PARITY_BITS = 12  # per codeword: the width of the block coder's checksum
+
+
+def check_code(code: tuple[int, int]) -> tuple[int, int]:
+    """The (n, k) block code if the block coder can code it: k >= 1 and
+    n - k of 0 (uncoded) or PARITY_BITS; ConfigError otherwise."""
+    n, k = code
+    if k < 1 or n - k not in (0, PARITY_BITS):
+        raise ConfigError(f"block code ({n},{k}) needs k >= 1 and n - k of 0 or {PARITY_BITS}")
+    return n, k
 
 
 @dataclass(frozen=True)
@@ -164,9 +175,8 @@ class PhyConfig:
     def __post_init__(self):
         if self.spreading not in (1, 2, 4) or self.header_spreading not in (1, 2, 4):
             raise ConfigError(f"spreading must be 1, 2, or 4")
-        for n, k in (self.header_fec, self.psdu_fec):
-            if k < 1 or n < k:
-                raise ConfigError(f"bad code geometry ({n},{k})")
+        check_code(self.header_fec)
+        check_code(self.psdu_fec)
         if self.symbol_rate <= 0:
             raise ConfigError("symbol rate must be positive")
         info = _BAND_INFO[self.band_id]
@@ -368,23 +378,13 @@ def _row_from_csv(record: dict[str, str], line: int) -> RateRow:
     if component not in ("header", "psdu"):
         raise ConfigError(f"rates.csv line {line}: bad component {component!r}")
     if component == "header":
-        cfg = PhyConfig(
-            band_id=band,
-            modulation=modulation,
-            symbol_rate=sym,
-            header_modulation=modulation,
-            header_fec=(n, k),
-            header_spreading=spreading,
-        )
+        coding = {"header_fec": (n, k), "header_spreading": spreading}
     else:
-        cfg = PhyConfig(
-            band_id=band,
-            modulation=modulation,
-            symbol_rate=sym,
-            psdu_fec=(n, k),
-            spreading=spreading,
-        )
-    row = RateRow(band, component, cfg)
+        coding = {"psdu_fec": (n, k), "spreading": spreading}
+    try:
+        row = RateRow(band, component, PhyConfig(band, modulation, sym, **coding))
+    except ConfigError as exc:
+        raise ConfigError(f"rates.csv line {line}: {exc}") from exc
     if abs(row.rate_kbps - published) > 0.1:
         raise ConfigError(
             f"rates.csv line {line}: published {published} Kbps disagrees with "

@@ -42,7 +42,7 @@ the shared phases on the schedule's grants, one frame exchange per
 grant. A grant's exchange begins as a contention transmission does, but
 a shared phase has no contenders, so no grid pauses or resumes around it.
 ScriptedReplay runs one node on this same grid from a scripted timeline,
-for the CSMA replay.
+and replay_contention, the CSMA replay, drives it and returns its trace.
 
 The kernel decides which lines a run traces and in what order; csma
 renders them. A storm (one event for many contenders at one instant: a
@@ -74,7 +74,9 @@ from itertools import groupby
 from bansim.errors import SimulationError
 from bansim.mac.csma import (
     BackoffState,
+    MacTimingConstants,
     PRIORITY_TABLE,
+    PriorityClass,
     ScriptedDraws,
     draw_backoff,
     exchange_us,
@@ -87,12 +89,11 @@ from bansim.mac.csma import (
 )
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
 from bansim.security import SecurityLevel, SecurityManager, admit_frame, secure_frame
-from bansim.sim.scenario import BEACON_BODY_LEN  # noqa: F401  re-exported
 from bansim.sim.scenario import HUB_ID, EventKind, NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import text_stream
 
-__all__ = ["EventKind", "ScriptedReplay", "Simulation", "run", "run_to_files", "write_trace"]
+__all__ = ["ScriptedReplay", "Simulation", "replay_contention", "run", "run_to_files", "write_trace"]
 
 # A contender's lines on phase entry: a locked counter unlocks between
 # the two, and unlocking changes no traced field.
@@ -629,6 +630,37 @@ class ScriptedReplay(Simulation):
         self._heap.clear()
         self._tick = None
         self.end_time = t  # also drops the resume tick pushed next
+
+
+def replay_contention(
+    phases: list[tuple[PhaseKind, int, int]],
+    draws: list[int],
+    data_tx_us: int,
+    ack_tx_us: int,
+    ack_outcomes: list[bool],
+    timing: MacTimingConstants = MacTimingConstants(),
+    priority: PriorityClass = PRIORITY_TABLE[2],
+    node_id: str = "n0",
+) -> list[str]:
+    """Walk one node's contention for a single frame through a scripted
+    timeline of (phase kind, start_us, end_us) and scripted draw values.
+
+    `ack_outcomes[i]` says whether transmission attempt i is acknowledged.
+    The walk ends at the first acknowledged transmission. Returns the
+    emitted trace lines.
+
+    Timeline conventions: entering an admissible phase unlocks a frozen
+    counter, then contention waits one interframe space before the slot
+    grid starts; after a missed acknowledgement the grid resumes at the
+    timeout instant (the guard time already covers the gap). At each slot
+    boundary the guard check runs first; a locked counter keeps its value
+    until the next admissible phase.
+    """
+    replay = ScriptedReplay(
+        phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id
+    )
+    replay.run()
+    return replay.trace
 
 
 # ------------------------------------------------------------- front door

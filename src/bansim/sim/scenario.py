@@ -238,17 +238,17 @@ _KEYS = {
         "rate_override_kbps": (None, _positive),
     },
     "superframe": {
-        "slot_length_us": (500, _integer()),
-        "slots": (256, _integer()),
+        "slot_length_us": (500, _integer(1)),
+        "slots": (256, _integer(1)),
         "mode": (OperationalMode.BEACON_BOUNDED, _choice(_MODES)),
         "fill_phase_type": ("I", _choice({"i": "I", "ii": "II"})),
-        "beacon_period_multiplier": (1, _integer()),
+        "beacon_period_multiplier": (1, _integer(1)),
         "beacon_prohibited": (
             False,
             _choice({"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}),
         ),
-        "poll_grant_us": (None, _integer()),
-        **{key: (None, _integer()) for key in _PHASE_KEYS},
+        "poll_grant_us": (None, _integer(1)),
+        **{key: (None, _integer(0)) for key in _PHASE_KEYS},
     },
     "csma": {
         "psifs_us": (50, _integer(0)),

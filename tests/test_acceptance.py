@@ -24,8 +24,8 @@ from bansim.errors import (
     ReplayRejection,
     TagFailure,
 )
-from bansim.mac import BackoffState, PRIORITY_TABLE, on_failure, on_success
-from bansim.mac.csma import MacTimingConstants, PhaseKind, replay_contention
+from bansim.mac.csma import BackoffState, MacTimingConstants, PRIORITY_TABLE, on_failure, on_success
+from bansim.mac.superframe import PhaseKind
 from bansim.phy.kasami import kasami63
 from bansim.phy.ppdu import (
     MAC_HEADER_LEN,
@@ -38,7 +38,8 @@ from bansim.phy.ppdu import (
 )
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.security import SecurityLevel, SecurityManager, SecuritySession, admit_frame, secure_frame
-from bansim.sim import load_scenario, parse_scenario, run, run_to_files
+from bansim.sim.kernel import replay_contention, run, run_to_files
+from bansim.sim.scenario import load_scenario, parse_scenario
 
 HERE = Path(__file__).parent
 SCENARIO_DIR = HERE.parent / "scenarios"

@@ -13,28 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bansim.mac import (
+from bansim.mac.csma import (
     BackoffState,
     MacTimingConstants,
     PRIORITY_TABLE,
-    PhaseKind,
     PriorityClass,
+    ScriptedDraws,
     draw_backoff,
     guard_check,
     on_busy,
     on_failure,
     on_idle_slot,
     on_success,
-)
-from bansim.mac.csma import (
-    ScriptedDraws,
-    replay_contention,
     trace_batch,
     trace_event,
     trace_line,
     trace_lines,
 )
-from bansim.mac.superframe import TrafficKind, admissible
+from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
+from bansim.sim.kernel import replay_contention
 
 GOLDEN = Path(__file__).parent / "data" / "contention_replay.csv"
 TIMING = MacTimingConstants()

@@ -95,6 +95,12 @@ def test_oversize_body_rejected():
         build_nb_ppdu(NB, b"\x01" * 7, b"x" * 256)
 
 
+@pytest.mark.parametrize("body_len", [-1, MAX_BODY_LEN + 1])
+def test_airtime_of_a_length_the_field_cannot_hold_names_the_range(body_len):
+    with pytest.raises(FrameTooLong, match=rf"body of {body_len} bytes outside 0\.\.255"):
+        frame_airtime_us(NB, body_len)
+
+
 def test_nb_image_geometry():
     # Expected layout arithmetic recomputed here from the block structure.
     for body_len in (0, 1, 50, 255):

@@ -1,5 +1,7 @@
 """Rate engine against the published table and derived spreading search."""
 
+from dataclasses import replace
+
 import pytest
 
 from bansim.errors import ConfigError
@@ -165,3 +167,29 @@ def test_invalid_spreading_rejected():
     with pytest.raises(ConfigError):
         PhyConfig(band_id=Band.NB_402_405, modulation=Modulation.DBPSK,
                   symbol_rate=187.5, spreading=3)
+
+
+def test_a_code_the_block_coder_cannot_make_is_refused():
+    # (40, 19) would carry 21 parity bits; the coder makes 0 or 12, so a
+    # config with it could be timed but never built.
+    with pytest.raises(ConfigError, match=r"block code \(40,19\) needs k >= 1 and n - k of 0 or 12"):
+        replace(nb_config(Band.NB_402_405), psdu_fec=(40, 19))
+
+
+@pytest.mark.parametrize(
+    ("row", "message"),
+    [
+        ("402-405,psdu,pi/2-DBPSK,187.5,40,19,2,44.5", r"rates.csv line 3: block code \(40,19\)"),
+        ("402-405,psdu,pi/2-DBPSK,187.5,63,51,3,50.6", r"rates.csv line 3: spreading must be 1, 2, or 4"),
+    ],
+    ids=["code", "spreading"],
+)
+def test_registry_row_with_a_bad_config_fails_at_its_line(tmp_path, row, message):
+    lines = [
+        "band,component,modulation,symbol_rate_ksps,fec_n,fec_k,spreading,rate_kbps",
+        "402-405,psdu,pi/2-DBPSK,187.5,63,51,2,75.9",
+        row,
+    ]
+    (tmp_path / "rates.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        load_rate_table(tmp_path)

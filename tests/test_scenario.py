@@ -26,7 +26,7 @@ from bansim.mac.superframe import (
 from bansim.phy.rates import Band, nb_config
 from bansim.security import SecurityLevel
 from bansim.sim.kernel import Simulation
-from bansim.sim.scenario import _KEYS, NodeSpec, Scenario, compile_scenario, load_scenario, parse_scenario
+from bansim.sim.scenario import _KEYS, _PHASE_KEYS, NodeSpec, Scenario, compile_scenario, load_scenario, parse_scenario
 
 BASIC = """\
 [phy]
@@ -417,6 +417,20 @@ class TestEntryLines:
     def test_timing_below_its_floor_names_its_line(self, entry, low):
         line, msg = error_line(f"[csma]\n# timing\n{entry}\n")
         assert line == 3 and f"must be at least {low}" in msg
+
+    @pytest.mark.parametrize(
+        "entry, low",
+        [
+            ("slot_length_us = 0", 1),
+            ("slots = 0", 1),
+            ("beacon_period_multiplier = 0", 1),
+            ("poll_grant_us = -2", 1),
+            *[(f"{key} = -4", 0) for key in _PHASE_KEYS],
+        ],
+    )
+    def test_layout_key_below_its_floor_names_its_line(self, entry, low):
+        line, msg = error_line(f"[superframe]\nmode = beacon\n# layout\n{entry}\n")
+        assert line == 4 and f"must be at least {low}" in msg
 
 
 class TestNodeIds:

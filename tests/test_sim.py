@@ -23,11 +23,20 @@ import bansim
 from bansim.cli import main
 from bansim.efficiency import analytic_efficiency, reference_configs
 from bansim.errors import ScenarioError, SimulationError
-from bansim.mac.csma import PRIORITY_TABLE, draw_backoff, guard_check, on_idle_slot, trace_lines
+from bansim.mac.csma import (
+    MacTimingConstants,
+    PRIORITY_TABLE,
+    draw_backoff,
+    exchange_us,
+    guard_check,
+    on_idle_slot,
+    trace_lines,
+)
 from bansim.mac.superframe import SHARED_PHASES, PhaseKind, phases_covered, schedule_polls
-from bansim.phy.ppdu import frame_airtime_us
-from bansim.sim.kernel import BEACON_BODY_LEN, EventKind, Simulation, run, run_to_files, write_trace
-from bansim.sim.scenario import load_scenario, parse_scenario
+from bansim.phy.ppdu import frame_airtime_us, frame_airtimes_us
+from bansim.phy.rates import Band, nb_config
+from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
+from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
 from bansim.sim.stats import RunStats, write_stats_csv
 
 # One giant contention phase: a superframe long enough that a saturated
@@ -653,7 +662,20 @@ def stats_and_trace(sim):
 
 # Phases that take contention traffic, and the shared ones.
 _CONTENTION_KEYS = ("eap1_slots", "rap1_slots", "eap2_slots", "rap2_slots", "cap_slots")
+_OPEN_KEYS = ("rap1_slots", "rap2_slots", "cap_slots")  # the EAPs admit priority 7 only
 _ALL_KEYS = ("eap1_slots", "rap1_slots", "type_a_slots", "eap2_slots", "rap2_slots", "type_b_slots", "cap_slots")
+# Data frame airtime on the clock per payload of 0..200 bytes on small_scenarios'
+# PHY; entry 0 is the ack.
+_SMALL_FRAME_US = [
+    clock_us(t) for t in frame_airtimes_us(nb_config(Band.NB_2400_2483, "high"), list(range(201)))
+]
+
+
+def _contention_need_us(timing: MacTimingConstants, payload: int) -> int:
+    """The phase length compile_scenario asks for a contention node: pSIFS,
+    one CSMA slot and the node's frame exchange."""
+    exchange = exchange_us(_SMALL_FRAME_US[payload], _SMALL_FRAME_US[0], timing)
+    return timing.psifs_us + timing.csma_slot_us + exchange
 
 
 @st.composite
@@ -663,11 +685,20 @@ def small_scenarios(draw):
     beacon-free or non-beacon layout with random phase lengths and MAC
     timing. Scripted arrivals fall on whole 100 us, and the slot and
     interframe space often divide that, so arrivals land on grid instants.
-    A node the compiler refuses as never polled or never transmitting is
-    left out, so a non-beacon layout carries its polled node or none."""
+    A beacon or beacon-free layout has a contention phase that holds a
+    1-byte exchange, and every contention node gets a priority some phase
+    admits and a payload that phase holds; a non-beacon layout has no
+    contention phase, so it carries its polled node or none. A polled node
+    the compiler refuses as never polled is left out."""
     duration_ms = draw(st.integers(20, 250))
     layout = draw(st.sampled_from(["beacon", "no beacon", "nonbeacon"]))
     slots = draw(st.integers(16, 96))
+    timing = MacTimingConstants(
+        psifs_us=draw(st.sampled_from([0, 50]) | st.integers(0, 80)),
+        csma_slot_us=draw(st.sampled_from([20, 25, 50, 100]) | st.integers(20, 200)),
+        gtn_us=draw(st.sampled_from([0, 1, 85, 120])),
+    )
+    open_us = exclusive_us = 0  # the longest phase open to every priority, and to priority 7
     if layout == "nonbeacon":
         superframe = f"mode = nonbeacon\nslots = {slots}\nfill_phase_type = {draw(st.sampled_from('I II'.split()))}\n"
     else:
@@ -675,20 +706,28 @@ def small_scenarios(draw):
         keys = draw(st.lists(st.sampled_from(_ALL_KEYS), min_size=1, max_size=5, unique=True))
         if not any(k in _CONTENTION_KEYS for k in keys):
             keys.append("rap1_slots")
-        cuts = sorted(draw(st.lists(st.integers(0, slots), min_size=len(keys) - 1, max_size=len(keys) - 1)))
-        sizes = [b - a for a, b in zip([0] + cuts, cuts + [slots])]
+        floor = -(-_contention_need_us(timing, 1) // 500)  # 500 us slots
+        cuts = sorted(draw(st.lists(st.integers(0, slots - floor), min_size=len(keys) - 1, max_size=len(keys) - 1)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [slots - floor])]
+        sizes[next(i for i, k in enumerate(keys) if k in _CONTENTION_KEYS)] += floor
         superframe = f"slots = {slots + beacon}\n"
         superframe += f"beacon_slots = {beacon}\n" if beacon else "beacon_prohibited = true\n"
         superframe += "".join(f"{k} = {n}\n" for k, n in zip(keys, sizes))
+        open_us = 500 * max((n for k, n in zip(keys, sizes) if k in _OPEN_KEYS), default=0)
+        exclusive_us = 500 * max(n for k, n in zip(keys, sizes) if k in _CONTENTION_KEYS)
+    fits_open = _contention_need_us(timing, 1) <= open_us
     nodes = []
-    for i in range(draw(st.integers(1, 8))):
+    for i in range(draw(st.integers(1, 8)) if exclusive_us else 0):
         traffic = draw(st.sampled_from(["saturated", "poisson:5", "poisson:60", "poisson:400", "scripted"]))
         if traffic == "scripted":
             times = draw(st.lists(st.integers(0, duration_ms * 10), min_size=1, max_size=8, unique=True))
             traffic = "scripted:" + ";".join(str(100 * t) for t in sorted(times))
+        priority = draw(st.integers(0, 7)) if fits_open else 7
+        longest = exclusive_us if priority == 7 else open_us
+        most = max(p for p in range(1, 201) if _contention_need_us(timing, p) <= longest)
         nodes.append(
-            f"n{i} = priority={draw(st.integers(0, 7))}, traffic={traffic}, "
-            f"payload={draw(st.integers(1, 200))}, access=contention"
+            f"n{i} = priority={priority}, traffic={traffic}, "
+            f"payload={draw(st.integers(1, most))}, access=contention"
         )
     polled = []
     if draw(st.booleans()):
@@ -697,23 +736,17 @@ def small_scenarios(draw):
     head = (
         "[phy]\nband = 2400-2483.5\nrate = high\n"
         f"[superframe]\nslot_length_us = 500\n{superframe}"
-        f"[csma]\npsifs_us = {draw(st.sampled_from([0, 50]) | st.integers(0, 80))}\n"
-        f"slot_us = {draw(st.sampled_from([20, 25, 50, 100]) | st.integers(20, 200))}\n"
-        f"gtn_us = {draw(st.sampled_from([0, 1, 85, 120]))}\n"
+        f"[csma]\npsifs_us = {timing.psifs_us}\nslot_us = {timing.csma_slot_us}\ngtn_us = {timing.gtn_us}\n"
     )
     tail = f"[run]\nseed = {draw(st.integers(1, 10**6))}\nduration_ms = {duration_ms}\nchannel = {channel}\n"
-    while True:
-        try:
-            return parse_scenario(head + "[nodes]\n" + "\n".join(nodes + polled) + "\n" + tail)
-        except ScenarioError as exc:
-            # A polled node that no poll phase can hold, or a contention
-            # node that no phase it may use gives time for an exchange, is
-            # refused; the other nodes still run without it.
-            refused = re.search(r"(\w+): never (polled|transmits)", str(exc))
-            if refused is None:
-                raise
-            nodes = [n for n in nodes if not n.startswith(f"{refused[1]} =")]
-            polled = [n for n in polled if not n.startswith(f"{refused[1]} =")]
+    try:
+        return parse_scenario(head + "[nodes]\n" + "\n".join(nodes + polled) + "\n" + tail)
+    except ScenarioError as exc:
+        # A polled node that no poll phase can hold is refused; the other
+        # nodes still run without it.
+        if not polled or "p: never polled" not in str(exc):
+            raise
+        return parse_scenario(head + "[nodes]\n" + "\n".join(nodes) + "\n" + tail)
 
 
 class TestLazyGrid:

@@ -3,7 +3,7 @@
 import pytest
 
 from bansim.errors import AllocationConflict, InvalidLayoutError
-from bansim.mac import (
+from bansim.mac.superframe import (
     OperationalMode,
     PHASE_ORDER,
     PhaseKind,
