@@ -17,9 +17,10 @@ those rows:
   PSDU, in one matrix product: encoding takes all parity rows at once,
   decoding checks all 0/1 codewords in one syndrome product with [G; I12],
   and mod 2 is the low bit of int32 sums.
-* `encode_word`/`decode_word` code a short field held as one integer, such
-  as a PHY header: a codeword's parity is the XOR of per-byte tables of G,
-  built on first use. They give the same bits and raise the same errors.
+* `decode_word` decodes a short field held as one integer, such as a
+  PHY header that the frame codec's tables do not hold: a codeword's
+  parity is the XOR of per-byte tables of G, built on first use. It raises
+  what `decode_blocks` raises on the same bits.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from bansim.phy.bitfields import checked_uint, int_to_bits
 from bansim.phy.checksums import crc12_bits
 from bansim.phy.rates import PARITY_BITS, check_code
 
-__all__ = ["BlockCode", "encode_blocks", "decode_blocks", "encode_word", "decode_word", "coded_length"]
+__all__ = ["BlockCode", "encode_blocks", "decode_blocks", "decode_word", "coded_length"]
 
 BlockCode = tuple[int, int]  # (n, k)
 _PARITY_MASK = (1 << PARITY_BITS) - 1
@@ -127,23 +128,6 @@ def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np
     if info_bits[info_bit_count:].any():
         raise CodewordError("nonzero pad bits in final codeword")
     return info_bits[:info_bit_count]
-
-
-def encode_word(word: int, info_bit_count: int, code: BlockCode) -> int:
-    """The `info_bit_count` bits of `word`, MSB first, as the
-    coded_length(info_bit_count, code) bits that encode_blocks gives them,
-    held as one integer."""
-    n, k = check_code(code)
-    blocks = -(-info_bit_count // k)
-    word = checked_uint(word, info_bit_count) << (blocks * k - info_bit_count)
-    if n == k:
-        return word
-    tables, mask = _parity_tables(k), (1 << k) - 1
-    coded = 0
-    for shift in range((blocks - 1) * k, -1, -k):
-        info = word >> shift & mask
-        coded = (coded << k | info) << PARITY_BITS | _word_parity(info, tables)
-    return coded
 
 
 def decode_word(coded: int, info_bit_count: int, code: BlockCode) -> int:

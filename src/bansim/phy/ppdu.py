@@ -27,12 +27,29 @@ that a single build, parse and hexdump walk:
 * header: a (field, width) layout, MSB first. Unnamed entries are reserved
   or pad bits sent as zero; pulse radio rejects set pad bits, narrowband
   covers its reserved bits only by the 4-bit check that follows its layout.
-  Build and parse hold the header as one integer from its fields to its
-  coded bits: its 4-bit check is taken on that word, and its block code
-  by integer parity (`fec.encode_word`/`decode_word`), so the header
-  meets one bit conversion each way. Parse refuses a header whose rate
-  index is not the config's: the frame region is decoded with the
-  config's coding, so another rate cannot be read under it.
+  Parse refuses a header whose rate index is not the config's: the frame
+  region is decoded with the config's coding, so another rate cannot be
+  read under it.
+
+The header carries only the rate index, the body length and the optional
+fields, so a config can send 256 headers per setting of those fields.
+Each setting gets a header table, keyed by (family, header code, rate
+index, optional-field values) and filled on the first build that uses
+it: for every length 0..255 the header and its read-only coded bits, all
+256 block-coded in one `fec.encode_blocks` product. Build then looks its
+header up by body length. A field value that does not fit its width
+raises as it always did, before anything is filled, and a value of
+another type that equals an int (True, 1.0) is checked on every build.
+One inverse map per (family, header code, rate index) holds the
+coded-header bytes of every filled table, so parse looks up the image's
+header bytes and goes straight on to the frame region. A miss (a
+corrupted or short header, narrowband reserved bits set under a valid
+check, or fields no build has used yet) takes the word path: the header
+as one integer, its block code checked by integer parity
+(`fec.decode_word`), its fields and check read off that word, with every
+error as before. Importing the module fills nothing. The built-in configs
+with every field setting need 13 tables of about 100 KB; past
+`_MAX_TABLES` tables, all are dropped and refilled on use.
 
 Known limit: a header whose `length` is raised by a few bytes, within the
 zero pad of the frame region's last codeword, still parses. The body then
@@ -67,7 +84,7 @@ from bansim.errors import (
     TruncatedFrame,
 )
 from bansim.phy import fec
-from bansim.phy.bitfields import bits_to_int, checked_uint, int_to_bits, padded_bytes
+from bansim.phy.bitfields import bits_to_int, checked_uint, padded_bytes
 from bansim.phy.checksums import CRC4_POLY, crc16, crc_word
 from bansim.phy.kasami import kasami63_bits, mseq
 from bansim.phy.rates import PhyConfig, PhyKind, info_data_rate
@@ -181,6 +198,16 @@ class _Format:
         return sum(width for _, width in self.layout) + 4 * self.crc4
 
     @cached_property
+    def shifts(self) -> dict[str, int]:
+        """Each named field's bit position in the layout word."""
+        out, pos = {}, sum(width for _, width in self.layout)
+        for name, width in self.layout:
+            pos -= width
+            if name:
+                out[name] = pos
+        return out
+
+    @cached_property
     def sync(self) -> np.ndarray:
         sync = np.concatenate([np.tile(self.unit, self.reps), self.sfd])
         sync.flags.writeable = False
@@ -289,39 +316,62 @@ def _preamble_label(fmt: _Format, rep: int) -> str:
     return f"preamble block {rep + 1}/{fmt.reps}" if fmt.reps > 1 else "preamble"
 
 
-def _build(kind: PhyKind, cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
-    _check_psdu_args(mac_header, body)
-    fmt = _format(kind, cfg)
-    values = {name: fields.get(name, 0) for name, _ in fmt.layout if name}
-    values.update(rate_index=cfg.rate_index, length=len(body))
-    word = 0
-    for name, width in fmt.layout:
-        word = word << width | checked_uint(values.get(name, 0), width)
+# ------------------------------------------------------------ header tables
+
+# (family, n, k, rate index, optional-field values): one entry per body
+# length, (header, coded bits); (family, n, k, rate index): (coded length,
+# coded-header bytes -> header) over every filled table of that key.
+_TABLES: dict[tuple, tuple[tuple[object, np.ndarray], ...]] = {}
+_INVERSE: dict[tuple, tuple[int, dict[bytes, object]]] = {}
+_NO_HEADERS: tuple[int, dict[bytes, object]] = (0, {})
+_MAX_TABLES = 32  # about 100 KB each
+
+
+def _header_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
+    key = (kind, *cfg.header_fec, cfg.rate_index, *fields.values())
+    table = _TABLES.get(key)
+    if table is None or not all(type(value) is int for value in key[1:]):  # 1.0 and True find 1's
+        table = _fill_table(kind, fmt, cfg, fields)
+    return table
+
+
+def _fill_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
+    """Check the header fields in layout order, then the table of their
+    normalized values, filled in one block-coding pass if it is new."""
+    given = {**fields, "rate_index": cfg.rate_index, "length": 0}
+    values = {name: checked_uint(given.get(name, 0), width) for name, width in fmt.layout if name}
+    n, k = cfg.header_fec
+    key = (kind, n, k, values["rate_index"], *(values[name] for name in fields))
+    if key in _TABLES:
+        return _TABLES[key]
+    if len(_TABLES) >= _MAX_TABLES:
+        _TABLES.clear()
+        _INVERSE.clear()
+    base = sum(value << fmt.shifts[name] for name, value in values.items())
+    words = [base | length << fmt.shifts["length"] for length in range(MAX_BODY_LEN + 1)]
     if fmt.crc4:
-        values["hcs"] = crc_word(word, 4, CRC4_POLY)
-        word = word << 4 | values["hcs"]
-    fcs = crc16(mac_header + body)
-    psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
-    n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
-    header_bits = int_to_bits(fec.encode_word(word, fmt.info_bits, cfg.header_fec), n_hdr)
-    image = np.concatenate([fmt.sync, header_bits, _encode_psdu(cfg, psdu)])
-    return Ppdu(kind, fmt.preamble, fmt.sfd, fmt.header(**values), mac_header, body, fcs, image)
+        words = [word << 4 | crc_word(word, 4, CRC4_POLY) for word in words]
+    info = np.zeros((len(words), -(-fmt.info_bits // k) * k), dtype=np.uint8)  # whole codewords
+    info[:, : fmt.info_bits] = np.array(words)[:, None] >> np.arange(fmt.info_bits - 1, -1, -1) & 1
+    coded = fec.encode_blocks(info.ravel(), cfg.header_fec).reshape(len(words), -1)
+    coded.flags.writeable = False
+    entries = []
+    for length, (word, row) in enumerate(zip(words, coded)):
+        values["length"] = length
+        if fmt.crc4:
+            values["hcs"] = word & 0xF
+        entries.append((fmt.header(**values), row))
+    table = _TABLES[key] = tuple(entries)
+    blob, n_hdr = coded.tobytes(), coded.shape[1]
+    _, headers = _INVERSE.setdefault((kind, n, k, values["rate_index"]), (n_hdr, {}))
+    headers.update((blob[i * n_hdr : (i + 1) * n_hdr], header) for i, (header, _) in enumerate(table))
+    return table
 
 
-def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    fmt = _format(kind, cfg)
-    bits = _bit_image(bits)
-    off = len(fmt.sync)
-    if bits[:off].tobytes() != fmt.sync_bytes:
-        unit = len(fmt.unit)
-        for rep in range(fmt.reps):
-            if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
-                raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
-        _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
-        raise SfdMismatch("start-frame delimiter mismatch")
+def _decode_header(fmt: _Format, cfg: PhyConfig, coded: np.ndarray):
+    """The word path: the coded header as one integer, decoded and checked."""
     n_info = fmt.info_bits
-    n_hdr = fec.coded_length(n_info, cfg.header_fec)
-    word = fec.decode_word(bits_to_int(_take(bits, off, n_hdr, "header")), n_info, cfg.header_fec)
+    word = fec.decode_word(bits_to_int(coded), n_info, cfg.header_fec)
     values, pos = {}, n_info
     for name, width in fmt.layout:
         pos -= width
@@ -336,7 +386,35 @@ def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
             raise HeaderCheckError("header check bits mismatch")
     if values["rate_index"] != cfg.rate_index:
         raise HeaderCheckError(f"header rate index {values['rate_index']} is not the configured {cfg.rate_index}")
-    header = fmt.header(**values)
+    return fmt.header(**values)
+
+
+def _build(kind: PhyKind, cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
+    _check_psdu_args(mac_header, body)
+    fmt = _format(kind, cfg)
+    header, header_bits = _header_table(kind, fmt, cfg, fields)[len(body)]
+    fcs = crc16(mac_header + body)
+    psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
+    image = np.concatenate([fmt.sync, header_bits, _encode_psdu(cfg, psdu)])
+    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, image)
+
+
+def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
+    fmt = _format(kind, cfg)
+    bits = _bit_image(bits)
+    off = len(fmt.sync)
+    if bits[:off].tobytes() != fmt.sync_bytes:
+        unit = len(fmt.unit)
+        for rep in range(fmt.reps):
+            if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
+                raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
+        _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
+        raise SfdMismatch("start-frame delimiter mismatch")
+    n_hdr, headers = _INVERSE.get((kind, *cfg.header_fec, cfg.rate_index), _NO_HEADERS)
+    header = headers.get(bits[off : off + n_hdr].tobytes())
+    if header is None:
+        n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
+        header = _decode_header(fmt, cfg, _take(bits, off, n_hdr, "header"))
     psdu = _decode_psdu(cfg, bits[off + n_hdr :], MAC_HEADER_LEN + header.length + FCS_LEN)
     mac_header, body, fcs = _split_psdu(psdu)
     return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)

@@ -17,6 +17,7 @@ BANSIM_CONFIG_DIR environment variable; a `rates.csv` in that directory
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -177,8 +178,8 @@ class PhyConfig:
             raise ConfigError(f"spreading must be 1, 2, or 4")
         check_code(self.header_fec)
         check_code(self.psdu_fec)
-        if self.symbol_rate <= 0:
-            raise ConfigError("symbol rate must be positive")
+        if not 0 < self.symbol_rate < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"symbol rate must be positive and finite, got {self.symbol_rate}")
         info = _BAND_INFO[self.band_id]
         if self.header_modulation is None:
             object.__setattr__(self, "header_modulation", self.modulation)

@@ -3,6 +3,7 @@ reproducible from one library call, and failures exit nonzero with a
 named diagnostic."""
 
 import concurrent.futures
+import hashlib
 import io
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import bansim
 from bansim.cli import main
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
-from bansim.phy.rates import builtin_rate_table, write_rate_csv
+from bansim.phy.rates import CONFIG_DIR_ENV, builtin_rate_table, write_rate_csv
 
 SCENARIO = """\
 [phy]
@@ -104,6 +105,39 @@ class TestEfficiency:
     def test_bad_number_names_its_kind(self, capsys):
         assert main(["efficiency", "--payloads", "x"]) == 1
         assert capsys.readouterr().err.startswith("error: ValueError: invalid literal")
+
+
+class TestPublishedBytes:
+    """The paper's numbers pinned as stored bytes, not only recomputed:
+    the full 21 x 255 efficiency sweep, which `demos/efficiency_curves.py`
+    also writes as demos/efficiency_sweep.csv, and the rate table in both
+    formats (built-in table, no override directory)."""
+
+    SWEEP_SHA256 = "ba727d62c2468a3656d82c05ec2b907e0a254d2b0436e4bd621d12a0375640f0"
+    RATES_SHA256 = {
+        "table": "08a56cd9fbb9f198dfc2db69174886e21e0ba8a112fbb8542ab1ba33a1c89ab8",
+        "csv": "682583e33df6a903fae5a4424a65d1d46ae7fe7eeb881bb13cf41955b4469978",
+    }
+
+    def test_the_full_sweep_is_the_stored_demo_file(self, tmp_path, capsys):
+        path = tmp_path / "efficiency_sweep.csv"
+        assert main(["efficiency", "--payloads", "1:255", "--out", str(path)]) == 0
+        data = path.read_bytes()
+        lines = data.decode().splitlines()
+        assert len(lines) == 1 + 21 * 255
+        assert lines[0] == "band,rate_kbps,payload_bytes,efficiency"
+        assert lines[1] == "402-405:header@57.5,57.5,1,0.029755"
+        assert lines[-1] == "2400-2483.5:psdu@485.7,485.7,255,0.747025"
+        assert hashlib.sha256(data).hexdigest() == self.SWEEP_SHA256
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_the_rate_table_is_the_stored_bytes(self, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv(CONFIG_DIR_ENV, raising=False)
+        path = tmp_path / f"rates.{fmt}"
+        assert main(["rates", "--format", fmt, "--out", str(path)]) == 0
+        data = path.read_bytes()
+        assert len(data.decode().splitlines()) == 1 + 21
+        assert hashlib.sha256(data).hexdigest() == self.RATES_SHA256[fmt]
 
 
 class TestFrame:

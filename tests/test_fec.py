@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bansim.errors import CodewordError, ConfigError, TruncatedFrame
-from bansim.phy.bitfields import bits_to_int, int_to_bits
+from bansim.phy.bitfields import bits_to_int, checked_uint, int_to_bits
 from bansim.phy.checksums import crc12_bits
-from bansim.phy.fec import coded_length, decode_blocks, decode_word, encode_blocks, encode_word
+from bansim.phy.fec import _parity_tables, _word_parity, coded_length, decode_blocks, decode_word, encode_blocks
+from bansim.phy.rates import PARITY_BITS, check_code
 
 
 def random_bits(rng, n):
@@ -226,7 +227,27 @@ def test_bad_geometry_is_a_config_error_even_without_data(code):
 #
 # A short field, such as a PHY header, is coded as one integer by per-byte
 # parity tables. It must give the block coder's bits, and on every image
-# the block coder's value or its error class and message.
+# the block coder's value or its error class and message. The encoder is
+# kept here as the reference that the frame codec's header tables are
+# checked against.
+
+
+def encode_word(word: int, info_bit_count: int, code) -> int:
+    """The `info_bit_count` bits of `word`, MSB first, as the
+    coded_length(info_bit_count, code) bits that encode_blocks gives them,
+    held as one integer."""
+    n, k = check_code(code)
+    blocks = -(-info_bit_count // k)
+    word = checked_uint(word, info_bit_count) << (blocks * k - info_bit_count)
+    if n == k:
+        return word
+    tables, mask = _parity_tables(k), (1 << k) - 1
+    coded = 0
+    for shift in range((blocks - 1) * k, -1, -k):
+        info = word >> shift & mask
+        coded = (coded << k | info) << PARITY_BITS | _word_parity(info, tables)
+    return coded
+
 
 WORD_CODES = [(31, 19), (15, 3), (63, 51), (63, 63)]
 

@@ -3,12 +3,17 @@
 import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bansim
 from bansim.errors import (
     ConfigError,
     FcsMismatch,
@@ -22,8 +27,8 @@ from bansim.errors import (
 )
 from bansim.efficiency import sweep_configs
 from bansim.phy import fec
-from bansim.phy.bitfields import bytes_to_bits
-from bansim.phy.checksums import crc16
+from bansim.phy.bitfields import bytes_to_bits, int_to_bits
+from bansim.phy.checksums import crc4_bits, crc16
 from bansim.phy.ppdu import (
     HBC_PREAMBLE_REPS,
     HBC_PREAMBLE_UNIT,
@@ -44,9 +49,24 @@ from bansim.phy.ppdu import (
     parse_ppdu,
     parse_uwb_ppdu,
     ppdu_airtime,
+    NbPlcpHeader,
     _FORMATS,
+    _INVERSE,
+    _TABLES,
+    _decode_header,
+    _header_table,
 )
-from bansim.phy.rates import Band, PhyConfig, PhyKind, Modulation, hbc_config, nb_config, uwb_config
+from bansim.phy.rates import (
+    Band,
+    PhyConfig,
+    PhyKind,
+    Modulation,
+    builtin_rate_table,
+    hbc_config,
+    nb_config,
+    uwb_config,
+)
+from test_fec import encode_word
 
 NB = nb_config(Band.NB_402_405, "high")
 NB_SPREAD = nb_config(Band.NB_2360_2400, "low")  # payload spreading of 4
@@ -418,3 +438,146 @@ class TestNonBitImages:
     def test_bits_in_other_types_parse_as_uint8(self, convert):
         frame = build_ppdu(NB, b"\x08" * 7, b"abcd")
         assert parse_ppdu(convert(frame.bits), NB).body == b"abcd"
+
+
+# ------------------------------------------------------- header tables
+#
+# Build takes each PHY header from a table filled on first use, and parse
+# maps the coded header back through an inverse map. Every table entry must
+# be the header and the bits of the word coder (`test_fec.encode_word`, the
+# 4-bit check by `crc4_bits`), and parse must give each one back.
+
+TABLE_CONFIGS = [
+    *dict.fromkeys(row.config for row in builtin_rate_table()),
+    *(uwb_config(channel) for channel in range(1, 12)),
+    hbc_config(16),
+    hbc_config(27),
+    NB_SHORT_HEADER_WORDS,
+    replace(UWB, header_fec=(19, 19)),  # an uncoded header
+]
+FIELD_SETTINGS = {
+    PhyKind.NB: [{"scrambler": s, "burst_mode": b} for s in (0, 1) for b in (0, 1)],
+    PhyKind.UWB: [{"scrambler_seed": seed} for seed in range(4)],
+    PhyKind.HBC: [{}],
+}
+BUILD_BY_KIND = {PhyKind.NB: build_nb_ppdu, PhyKind.UWB: build_uwb_ppdu, PhyKind.HBC: build_hbc_ppdu}
+
+
+def config_id(cfg):
+    return f"{cfg.band_id.value}-r{cfg.rate_index}-{cfg.header_fec[0]}.{cfg.header_fec[1]}-{cfg.center_freq:g}"
+
+
+def reference_header(cfg, length, fields, reserved=0):
+    """The header of a `length`-byte body and its coded bits, assembled bit
+    by bit from the layout and coded by the word coder; `reserved` fills
+    narrowband's two reserved bits."""
+    fmt = _FORMATS[cfg.kind]
+    values = {**fields, "rate_index": cfg.rate_index, "length": length}
+    layout = [int_to_bits(values[name] if name else reserved, width) for name, width in fmt.layout]
+    bits = np.concatenate(layout)
+    if fmt.crc4:
+        values["hcs"] = crc4_bits(bits)
+        bits = np.concatenate([bits, int_to_bits(values["hcs"], 4)])
+    word = int("".join(map(str, bits)), 2)
+    coded = encode_word(word, fmt.info_bits, cfg.header_fec)
+    return fmt.header(**values), int_to_bits(coded, fec.coded_length(fmt.info_bits, cfg.header_fec))
+
+
+@pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=config_id)
+def test_every_table_header_is_the_word_coders(cfg):
+    fmt = _FORMATS[cfg.kind]
+    rng = random.Random(f"table-{config_id(cfg)}")
+    for fields in FIELD_SETTINGS[cfg.kind]:
+        table = _header_table(cfg.kind, fmt, cfg, fields)
+        assert len(table) == MAX_BODY_LEN + 1
+        for length, (header, bits) in enumerate(table):
+            want_header, want_bits = reference_header(cfg, length, fields)
+            assert header == want_header, (length, fields)
+            assert bits.tolist() == want_bits.tolist(), (length, fields)
+            assert not bits.flags.writeable
+        length = rng.randrange(MAX_BODY_LEN + 1)
+        frame = BUILD_BY_KIND[cfg.kind](cfg, b"\x08" * 7, bytes(length), **fields)
+        start = cfg.preamble_symbols
+        assert frame.header is table[length][0]
+        assert frame.bits[start : start + len(table[length][1])].tolist() == table[length][1].tolist()
+
+
+@pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=config_id)
+def test_parse_maps_every_table_header_back(cfg):
+    fmt = _FORMATS[cfg.kind]
+    for fields in FIELD_SETTINGS[cfg.kind]:
+        table = _header_table(cfg.kind, fmt, cfg, fields)
+        n_hdr, headers = _INVERSE[(cfg.kind, *cfg.header_fec, cfg.rate_index)]
+        for header, bits in table:
+            assert len(bits) == n_hdr
+            assert headers[bits.tobytes()] == header
+            assert _decode_header(fmt, cfg, bits) == header  # the word path reads the same
+
+
+@pytest.mark.parametrize("cfg", [NB, UWB, HBC, NB_SHORT_HEADER_WORDS], ids=["nb", "uwb", "hbc", "nb-15.3"])
+def test_every_length_and_field_setting_round_trips(cfg):
+    build = BUILD_BY_KIND[cfg.kind]
+    for fields in FIELD_SETTINGS[cfg.kind]:
+        for length in range(MAX_BODY_LEN + 1):
+            frame = build(cfg, b"\x08" * 7, bytes(range(length)), **fields)
+            parsed = parse_ppdu(frame.bits, cfg)
+            assert (parsed.header, parsed.body, parsed.fcs) == (frame.header, frame.body, frame.fcs)
+
+
+@pytest.mark.parametrize("reserved", [1, 2, 3])
+def test_nb_reserved_bits_under_a_recomputed_check_still_parse(reserved):
+    # Narrowband covers its reserved bits only by the header check, so a
+    # header with them set and its check recomputed is valid. No table holds
+    # it: parse misses and reads it on the word path.
+    fields = {"scrambler": 1, "burst_mode": 0}
+    frame = build_nb_ppdu(NB, b"\x08" * 7, b"abcd", **fields)
+    header, coded = reference_header(NB, 4, fields, reserved=reserved)
+    assert replace(header, hcs=frame.header.hcs) == frame.header  # only the check differs
+    _, headers = _INVERSE[(PhyKind.NB, *NB.header_fec, NB.rate_index)]
+    assert coded.tobytes() not in headers
+    start = NB.preamble_symbols
+    image = np.concatenate([frame.bits[:start], coded, frame.bits[start + len(coded) :]])
+    parsed = parse_ppdu(image, NB)
+    assert (parsed.header, parsed.body) == (header, b"abcd")
+
+
+@pytest.mark.parametrize(
+    "value, outcome",
+    [
+        (True, NbPlcpHeader(rate_index=1, length=4, scrambler=True, burst_mode=0, hcs=14)),
+        (1.0, (TypeError, "'float' object cannot be interpreted as an integer")),
+        (2, (ValueError, "value 2 does not fit in 1 bits")),
+        (-1, (ValueError, "value -1 does not fit in 1 bits")),
+    ],
+    ids=["true", "float", "too-wide", "negative"],
+)
+def test_a_field_value_gives_the_header_or_error_of_the_word_assembly(value, outcome):
+    # The table of scrambler=1 exists before the odd value is tried, so a
+    # value equal to 1 but of another type cannot borrow it unchecked.
+    one = build_nb_ppdu(NB, b"\x08" * 7, b"abcd", scrambler=1)
+    tables = len(_TABLES)
+    if isinstance(outcome, NbPlcpHeader):
+        frame = build_nb_ppdu(NB, b"\x08" * 7, b"abcd", scrambler=value)
+        assert frame.header == outcome == one.header
+        assert frame.bits.tolist() == one.bits.tolist()
+    else:
+        kind, message = outcome
+        with pytest.raises(kind, match=f"^{message}$"):
+            build_nb_ppdu(NB, b"\x08" * 7, b"abcd", scrambler=value)
+    assert len(_TABLES) == tables
+
+
+def test_importing_the_codec_and_simulating_fill_no_table(tmp_path):
+    root = Path(bansim.__file__).resolve().parent.parent
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "contention_pair.scn"
+    code = (
+        "from bansim.cli import main\n"
+        "from bansim.phy import ppdu\n"
+        "assert not ppdu._TABLES and not ppdu._INVERSE, 'filled at import'\n"
+        f"assert main(['simulate', {str(scenario)!r}, '--out', {str(tmp_path / 'stats.csv')!r}]) == 0\n"
+        "assert not ppdu._TABLES and not ppdu._INVERSE, 'filled by a run'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "stats.csv").exists()

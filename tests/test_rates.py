@@ -1,5 +1,6 @@
 """Rate engine against the published table and derived spreading search."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -169,6 +170,14 @@ def test_invalid_spreading_rejected():
                   symbol_rate=187.5, spreading=3)
 
 
+@pytest.mark.parametrize("symbol_rate", [math.nan, math.inf, -math.inf, 0.0, -187.5])
+def test_a_symbol_rate_that_is_not_positive_and_finite_is_refused(symbol_rate):
+    # NaN passed the old `symbol_rate <= 0` check, and inf passed it too:
+    # both gave configs whose every rate and airtime is NaN, inf or 0.
+    with pytest.raises(ConfigError, match="symbol rate must be positive and finite"):
+        replace(nb_config(Band.NB_402_405), symbol_rate=symbol_rate)
+
+
 def test_a_code_the_block_coder_cannot_make_is_refused():
     # (40, 19) would carry 21 parity bits; the coder makes 0 or 12, so a
     # config with it could be timed but never built.
@@ -181,8 +190,10 @@ def test_a_code_the_block_coder_cannot_make_is_refused():
     [
         ("402-405,psdu,pi/2-DBPSK,187.5,40,19,2,44.5", r"rates.csv line 3: block code \(40,19\)"),
         ("402-405,psdu,pi/2-DBPSK,187.5,63,51,3,50.6", r"rates.csv line 3: spreading must be 1, 2, or 4"),
+        ("402-405,psdu,pi/2-DBPSK,nan,63,51,2,75.9", r"rates.csv line 3: symbol rate must be positive and finite, got nan"),
+        ("402-405,psdu,pi/2-DBPSK,inf,63,51,2,75.9", r"rates.csv line 3: symbol rate must be positive and finite, got inf"),
     ],
-    ids=["code", "spreading"],
+    ids=["code", "spreading", "nan-symbol-rate", "inf-symbol-rate"],
 )
 def test_registry_row_with_a_bad_config_fails_at_its_line(tmp_path, row, message):
     lines = [
