@@ -19,7 +19,7 @@ from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import BansimError, ConfigError
 from bansim.phy.bitfields import bytes_to_bits, padded_bytes
 from bansim.phy.ppdu import MAC_HEADER_LEN, build_ppdu, frame_airtime_us, hexdump, parse_ppdu
-from bansim.phy.rates import load_rate_table, phy_config, write_rate_csv
+from bansim.phy.rates import builtin_rate_table, phy_config, write_rate_csv
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
 from bansim.sim.stats import write_stats_csv
@@ -190,7 +190,7 @@ def cmd_frame_parse(args) -> int:
 
 
 def cmd_rates(args) -> int:
-    rows = load_rate_table()
+    rows = builtin_rate_table()
     with text_stream(args.out) as fh:
         if args.format == "csv":
             write_rate_csv(rows, fh)

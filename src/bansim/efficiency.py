@@ -36,13 +36,11 @@ __all__ = [
     "EfficiencyPoint",
     "ack_airtime_us",
     "analytic_efficiency",
-    "cycle_time_us",
     "mean_backoff_us",
     "reference_configs",
     "sweep",
     "sweep_configs",
     "write_efficiency_csv",
-    "read_efficiency_csv",
 ]
 
 # Calibration default: a mid-table traffic class whose CW_min of 4 puts
@@ -85,16 +83,6 @@ def _efficiencies(
     psdu_kbps = info_data_rate(cfg, "psdu")
     cycles_us = _cycle_times_us(payloads, cfg, timing, csma)
     return [8 * p / psdu_kbps * 1000.0 / cycle_us for p, cycle_us in zip(payloads, cycles_us)]
-
-
-def cycle_time_us(
-    payload_bytes: int,
-    cfg: PhyConfig,
-    timing: MacTimingConstants = MacTimingConstants(),
-    csma: PriorityClass = DEFAULT_CONTENTION_CLASS,
-) -> float:
-    """Channel time consumed per delivered frame on an ideal channel."""
-    return _cycle_times_us([payload_bytes], cfg, timing, csma)[0]
 
 
 def analytic_efficiency(
@@ -172,16 +160,3 @@ def write_efficiency_csv(points: Iterable[EfficiencyPoint], out) -> None:
             writer.writerow(
                 [pt.band, f"{pt.rate_kbps:.1f}", pt.payload_bytes, f"{pt.efficiency:.6f}"]
             )
-
-
-def read_efficiency_csv(source) -> list[EfficiencyPoint]:
-    with text_stream(source, "r") as fh:
-        return [
-            EfficiencyPoint(
-                row["band"],
-                float(row["rate_kbps"]),
-                int(row["payload_bytes"]),
-                float(row["efficiency"]),
-            )
-            for row in csv.DictReader(fh)
-        ]

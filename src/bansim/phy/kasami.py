@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mseq", "kasami63", "kasami63_bits", "periodic_crosscorrelation"]
+__all__ = ["mseq", "kasami63", "kasami63_bits"]
 
 # Feedback polynomial x^6 + x + 1, all-ones start state.
 _DEGREE = 6
@@ -59,12 +59,3 @@ def kasami63_bits(index: int) -> np.ndarray:
 def kasami63(index: int) -> np.ndarray:
     """Code `index` as a 63-chip antipodal sequence (values +1/-1)."""
     return (1 - 2 * kasami63_bits(index).astype(np.int64))
-
-
-def periodic_crosscorrelation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All cyclic correlation values between two +/-1 chip sequences."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if a.shape != b.shape:
-        raise ValueError("sequences must have equal length")
-    return np.array([int(np.dot(a, np.roll(b, -t))) for t in range(len(a))])

@@ -44,12 +44,12 @@ One inverse map per (family, header code, rate index) holds the
 coded-header bytes of every filled table, so parse looks up the image's
 header bytes and goes straight on to the frame region. A miss (a
 corrupted or short header, narrowband reserved bits set under a valid
-check, or fields no build has used yet) takes the word path: the header
-as one integer, its block code checked by integer parity
-(`fec.decode_word`), its fields and check read off that word, with every
-error as before. Importing the module fills nothing. The built-in configs
-with every field setting need 13 tables of about 100 KB; past
-`_MAX_TABLES` tables, all are dropped and refilled on use.
+check, or fields no build has used yet) takes the miss path: the header
+decoded by the block decoder (`fec.decode_blocks`), its fields and check
+read off the decoded word, with every error as before. Importing the
+module fills nothing. The built-in configs with every field setting need
+13 tables of about 100 KB; past `_MAX_TABLES` tables, all are dropped and
+refilled on use.
 
 Known limit: a header whose `length` is raised by a few bytes, within the
 zero pad of the frame region's last codeword, still parses. The body then
@@ -87,7 +87,7 @@ from bansim.phy import fec
 from bansim.phy.bitfields import bits_to_int, checked_uint, padded_bytes
 from bansim.phy.checksums import CRC4_POLY, crc16, crc_word
 from bansim.phy.kasami import kasami63_bits, mseq
-from bansim.phy.rates import PhyConfig, PhyKind, info_data_rate
+from bansim.phy.rates import RATE_INDEX_BITS, PhyConfig, PhyKind, info_data_rate
 
 __all__ = [
     "MAC_HEADER_LEN",
@@ -225,17 +225,18 @@ class _Format:
 _FORMATS = {
     PhyKind.NB: _Format(
         NB_PREAMBLE, 1, np.zeros(0, dtype=np.uint8),
-        (("rate_index", 3), ("length", 8), ("scrambler", 1), ("burst_mode", 1), (None, 2)),
+        (("rate_index", RATE_INDEX_BITS[PhyKind.NB]), ("length", 8),
+         ("scrambler", 1), ("burst_mode", 1), (None, 2)),
         crc4=True, zero_pad=False, header=NbPlcpHeader,
     ),
     PhyKind.UWB: _Format(
         UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS, UWB_SFD,
-        (("rate_index", 4), ("length", 8), ("scrambler_seed", 2), (None, 2)),
+        (("rate_index", RATE_INDEX_BITS[PhyKind.UWB]), ("length", 8), ("scrambler_seed", 2), (None, 2)),
         crc4=False, zero_pad=True, header=UwbPhr,
     ),
     PhyKind.HBC: _Format(
         HBC_PREAMBLE_UNIT, HBC_PREAMBLE_REPS, HBC_SFD,
-        (("length", 8), ("rate_index", 3)),
+        (("length", 8), ("rate_index", RATE_INDEX_BITS[PhyKind.HBC])),
         crc4=False, zero_pad=False, header=HbcPhyHeader,
     ),
 }
@@ -369,9 +370,10 @@ def _fill_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tu
 
 
 def _decode_header(fmt: _Format, cfg: PhyConfig, coded: np.ndarray):
-    """The word path: the coded header as one integer, decoded and checked."""
+    """The miss path: the coded header decoded by `fec.decode_blocks`, its
+    fields and check read off the decoded word."""
     n_info = fmt.info_bits
-    word = fec.decode_word(bits_to_int(coded), n_info, cfg.header_fec)
+    word = bits_to_int(fec.decode_blocks(coded, cfg.header_fec, n_info))
     values, pos = {}, n_info
     for name, width in fmt.layout:
         pos -= width

@@ -8,23 +8,16 @@ information data rate follows from
 
 with spreading a repetition factor in {1, 2, 4}. The 21-row narrowband
 table reproduces from these parameters to within 0.1 Kbps.
-
-A registry override directory can be supplied explicitly or through the
-BANSIM_CONFIG_DIR environment variable; a `rates.csv` in that directory
-(the machine-readable `rates` command output) replaces the built-in rows.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 
 from bansim.errors import ConfigError
-from bansim.textio import text_stream
 
 __all__ = [
     "Band",
@@ -35,7 +28,6 @@ __all__ = [
     "UwbChannelPlan",
     "UWB_CHANNELS",
     "info_data_rate",
-    "load_rate_table",
     "builtin_rate_table",
     "nb_config",
     "uwb_config",
@@ -43,10 +35,8 @@ __all__ = [
     "phy_config",
     "check_code",
     "write_rate_csv",
-    "CONFIG_DIR_ENV",
+    "RATE_INDEX_BITS",
 ]
-
-CONFIG_DIR_ENV = "BANSIM_CONFIG_DIR"
 
 
 class PhyKind(str, Enum):
@@ -139,11 +129,16 @@ HEADER_CODE = (31, 19)
 PSDU_CODE = (63, 51)
 PARITY_BITS = 12  # per codeword: the width of the block coder's checksum
 
+# Width of the PHY header's rate-index field in each family.
+RATE_INDEX_BITS = {PhyKind.NB: 3, PhyKind.UWB: 4, PhyKind.HBC: 3}
+
 
 def check_code(code: tuple[int, int]) -> tuple[int, int]:
-    """The (n, k) block code if the block coder can code it: k >= 1 and
-    n - k of 0 (uncoded) or PARITY_BITS; ConfigError otherwise."""
+    """The (n, k) block code if the block coder can code it: int n and k,
+    k >= 1 and n - k of 0 (uncoded) or PARITY_BITS; ConfigError otherwise."""
     n, k = code
+    if type(n) is not int or type(k) is not int:
+        raise ConfigError(f"block code ({n!r},{k!r}) needs int n and k")
     if k < 1 or n - k not in (0, PARITY_BITS):
         raise ConfigError(f"block code ({n},{k}) needs k >= 1 and n - k of 0 or {PARITY_BITS}")
     return n, k
@@ -181,6 +176,11 @@ class PhyConfig:
         if not 0 < self.symbol_rate < math.inf:  # NaN fails every comparison
             raise ConfigError(f"symbol rate must be positive and finite, got {self.symbol_rate}")
         info = _BAND_INFO[self.band_id]
+        bits = RATE_INDEX_BITS[info.kind]
+        if type(self.rate_index) is not int or not 0 <= self.rate_index < 1 << bits:
+            raise ConfigError(
+                f"rate index {self.rate_index!r} does not fit the {info.kind.value} header's {bits}-bit field"
+            )
         if self.header_modulation is None:
             object.__setattr__(self, "header_modulation", self.modulation)
         if not self.center_freq:
@@ -346,7 +346,7 @@ _CSV_FIELDS = [
 
 
 def write_rate_csv(rows: list[RateRow], fh) -> None:
-    """Emit the machine-readable table; `load_rate_table` reads it back."""
+    """Emit the machine-readable table, as `bansim rates --format csv` prints it."""
     writer = csv.writer(fh)
     writer.writerow(_CSV_FIELDS)
     for row in rows:
@@ -363,47 +363,3 @@ def write_rate_csv(rows: list[RateRow], fh) -> None:
                 f"{row.rate_kbps:.1f}",
             ]
         )
-
-
-def _row_from_csv(record: dict[str, str], line: int) -> RateRow:
-    try:
-        band = Band(record["band"])
-        modulation = Modulation(record["modulation"])
-        sym = float(record["symbol_rate_ksps"])
-        n, k = int(record["fec_n"]), int(record["fec_k"])
-        spreading = int(record["spreading"])
-        component = record["component"]
-        published = float(record["rate_kbps"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"rates.csv line {line}: {exc}") from exc
-    if component not in ("header", "psdu"):
-        raise ConfigError(f"rates.csv line {line}: bad component {component!r}")
-    if component == "header":
-        coding = {"header_fec": (n, k), "header_spreading": spreading}
-    else:
-        coding = {"psdu_fec": (n, k), "spreading": spreading}
-    try:
-        row = RateRow(band, component, PhyConfig(band, modulation, sym, **coding))
-    except ConfigError as exc:
-        raise ConfigError(f"rates.csv line {line}: {exc}") from exc
-    if abs(row.rate_kbps - published) > 0.1:
-        raise ConfigError(
-            f"rates.csv line {line}: published {published} Kbps disagrees with "
-            f"computed {row.rate_kbps:.1f}"
-        )
-    return row
-
-
-def load_rate_table(config_dir: str | os.PathLike | None = None) -> list[RateRow]:
-    """Rate table rows, from the override directory when one is configured."""
-    directory = config_dir if config_dir is not None else os.environ.get(CONFIG_DIR_ENV)
-    if directory:
-        path = Path(directory) / "rates.csv"
-        if path.exists():
-            with text_stream(path, "r") as fh:
-                reader = csv.DictReader(fh)
-                return [
-                    _row_from_csv(record, line)
-                    for line, record in enumerate(reader, start=2)
-                ]
-    return builtin_rate_table()

@@ -15,7 +15,7 @@ import pytest
 import bansim
 from bansim.cli import main
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
-from bansim.phy.rates import CONFIG_DIR_ENV, builtin_rate_table, write_rate_csv
+from bansim.phy.rates import builtin_rate_table, write_rate_csv
 
 SCENARIO = """\
 [phy]
@@ -50,15 +50,6 @@ class TestRates:
         for rate in ("57.5", "75.9", "303.6", "485.7"):
             assert rate in out
         assert len(out.splitlines()) == 22  # header + 21 rows
-
-    def test_config_dir_override(self, tmp_path, monkeypatch, capsys):
-        rows = builtin_rate_table()[:3]
-        with open(tmp_path / "rates.csv", "w", newline="") as fh:
-            write_rate_csv(rows, fh)
-        monkeypatch.setenv("BANSIM_CONFIG_DIR", str(tmp_path))
-        assert main(["rates", "--format", "csv"]) == 0
-        out = capsys.readouterr().out
-        assert len(out.strip().splitlines()) == 4  # header + the 3 rows kept
 
     def test_out_flag_writes_a_file(self, tmp_path, capsys):
         path = tmp_path / "rates.csv"
@@ -111,7 +102,7 @@ class TestPublishedBytes:
     """The paper's numbers pinned as stored bytes, not only recomputed:
     the full 21 x 255 efficiency sweep, which `demos/efficiency_curves.py`
     also writes as demos/efficiency_sweep.csv, and the rate table in both
-    formats (built-in table, no override directory)."""
+    formats (the built-in table, whatever the environment holds)."""
 
     SWEEP_SHA256 = "ba727d62c2468a3656d82c05ec2b907e0a254d2b0436e4bd621d12a0375640f0"
     RATES_SHA256 = {
@@ -132,7 +123,13 @@ class TestPublishedBytes:
 
     @pytest.mark.parametrize("fmt", ["table", "csv"])
     def test_the_rate_table_is_the_stored_bytes(self, fmt, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv(CONFIG_DIR_ENV, raising=False)
+        # A 3-row rates.csv where BANSIM_CONFIG_DIR points changes nothing:
+        # `rates`, `efficiency` and `simulate` read one built-in table.
+        config = tmp_path / "config"
+        config.mkdir()
+        with open(config / "rates.csv", "w", newline="") as fh:
+            write_rate_csv(builtin_rate_table()[:3], fh)
+        monkeypatch.setenv("BANSIM_CONFIG_DIR", str(config))
         path = tmp_path / f"rates.{fmt}"
         assert main(["rates", "--format", fmt, "--out", str(path)]) == 0
         data = path.read_bytes()

@@ -1,5 +1,6 @@
 """Closed-form efficiency model: calibration points, shape, serialization."""
 
+import csv
 import io
 from dataclasses import replace
 
@@ -8,10 +9,10 @@ import pytest
 from bansim.efficiency import (
     DEFAULT_CONTENTION_CLASS,
     ack_airtime_us,
+    EfficiencyPoint,
+    _cycle_times_us,
     analytic_efficiency,
-    cycle_time_us,
     mean_backoff_us,
-    read_efficiency_csv,
     reference_configs,
     sweep,
     sweep_configs,
@@ -21,8 +22,27 @@ from bansim.errors import FrameTooLong
 from bansim.mac.csma import MacTimingConstants, PRIORITY_TABLE
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us, frame_airtimes_us
 from bansim.phy.rates import info_data_rate
+from bansim.textio import text_stream
 
 TIMING = MacTimingConstants()
+
+
+def cycle_time_us(payload_bytes, cfg):
+    """Channel time consumed per delivered frame on an ideal channel."""
+    return _cycle_times_us([payload_bytes], cfg, TIMING, DEFAULT_CONTENTION_CLASS)[0]
+
+
+def read_efficiency_csv(source):
+    with text_stream(source, "r") as fh:
+        return [
+            EfficiencyPoint(
+                row["band"],
+                float(row["rate_kbps"]),
+                int(row["payload_bytes"]),
+                float(row["efficiency"]),
+            )
+            for row in csv.DictReader(fh)
+        ]
 
 
 def hand_efficiency(payload_bytes, rate_kbps, symbol_rate_ksps, preamble_symbols=90):

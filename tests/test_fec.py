@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bansim.errors import CodewordError, ConfigError, TruncatedFrame
-from bansim.phy.bitfields import bits_to_int, checked_uint, int_to_bits
+from bansim.phy.bitfields import bits_to_int, int_to_bits
 from bansim.phy.checksums import crc12_bits
-from bansim.phy.fec import _parity_tables, _word_parity, coded_length, decode_blocks, decode_word, encode_blocks
-from bansim.phy.rates import PARITY_BITS, check_code
+from bansim.phy.fec import coded_length, decode_blocks, encode_blocks
+from bansim.phy.rates import check_code
 
 
 def random_bits(rng, n):
@@ -225,28 +225,17 @@ def test_bad_geometry_is_a_config_error_even_without_data(code):
 
 # ------------------------------------------------------- the word coder
 #
-# A short field, such as a PHY header, is coded as one integer by per-byte
-# parity tables. It must give the block coder's bits, and on every image
-# the block coder's value or its error class and message. The encoder is
-# kept here as the reference that the frame codec's header tables are
-# checked against.
+# A short field, such as a PHY header, held as one integer and coded by
+# the per-codeword loop above. It is the reference that the frame codec's
+# header tables are checked against, so it does not use encode_blocks.
 
 
 def encode_word(word: int, info_bit_count: int, code) -> int:
     """The `info_bit_count` bits of `word`, MSB first, as the
     coded_length(info_bit_count, code) bits that encode_blocks gives them,
     held as one integer."""
-    n, k = check_code(code)
-    blocks = -(-info_bit_count // k)
-    word = checked_uint(word, info_bit_count) << (blocks * k - info_bit_count)
-    if n == k:
-        return word
-    tables, mask = _parity_tables(k), (1 << k) - 1
-    coded = 0
-    for shift in range((blocks - 1) * k, -1, -k):
-        info = word >> shift & mask
-        coded = (coded << k | info) << PARITY_BITS | _word_parity(info, tables)
-    return coded
+    check_code(code)
+    return bits_to_int(reference_encode(int_to_bits(word, info_bit_count), code))
 
 
 WORD_CODES = [(31, 19), (15, 3), (63, 51), (63, 63)]
@@ -255,77 +244,22 @@ WORD_CODES = [(31, 19), (15, 3), (63, 51), (63, 63)]
 @st.composite
 def coded_fields(draw):
     """A code, an information bit count of up to four codewords (a whole
-    number of them or not), a word of that width and a seeded rng."""
+    number of them or not) and a word of that width."""
     code = draw(st.sampled_from(WORD_CODES))
     count = draw(st.integers(0, 4 * code[1]))
-    word = draw(st.integers(0, (1 << count) - 1))
-    return code, count, word, draw(st.randoms(use_true_random=False))
-
-
-def block_outcome(image, code, count):
-    try:
-        return bits_to_int(decode_blocks(image, code, count))
-    except CodewordError as exc:
-        return type(exc), str(exc)
-
-
-def word_outcome(image, code, count):
-    try:
-        return decode_word(bits_to_int(image), count, code)
-    except CodewordError as exc:
-        return type(exc), str(exc)
+    return code, count, draw(st.integers(0, (1 << count) - 1))
 
 
 @settings(max_examples=300, deadline=None)
 @given(coded_fields())
 def test_the_word_coder_gives_the_block_coders_bits(field):
-    code, count, word, _ = field
+    code, count, word = field
     image = encode_blocks(int_to_bits(word, count), code)
     assert int_to_bits(encode_word(word, count, code), len(image)).tolist() == image.tolist()
-    assert decode_word(encode_word(word, count, code), count, code) == word
-
-
-@settings(max_examples=150, deadline=None)
-@given(coded_fields())
-def test_the_word_decoder_reads_every_flip_as_the_block_decoder(field):
-    code, count, word, rng = field
-    image = encode_blocks(int_to_bits(word, count), code)
-    cases = [image]
-    for pos in range(len(image)):
-        flipped = image.copy()
-        flipped[pos] ^= 1
-        cases.append(flipped)
-    for _ in range(20 if len(image) > 1 else 0):
-        flipped = image.copy()
-        flipped[rng.sample(range(len(image)), 2)] ^= 1
-        cases.append(flipped)
-    for case in cases:
-        assert word_outcome(case, code, count) == block_outcome(case, code, count)
-
-
-@settings(max_examples=100, deadline=None)
-@given(coded_fields())
-def test_the_word_decoder_names_a_nonzero_pad_as_the_block_decoder(field):
-    code, count, word, rng = field
-    n, k = code
-    pad = -count % k
-    if not pad:
-        return
-    # Valid parity over a set pad bit, then the same with a parity error
-    # in a random codeword, which is reported first.
-    padded = np.concatenate([int_to_bits(word, count), np.zeros(pad, dtype=np.uint8)])
-    padded[count + rng.randrange(pad)] = 1
-    forged = encode_blocks(padded, code)
-    assert word_outcome(forged, code, count) == (CodewordError, "nonzero pad bits in final codeword")
-    assert word_outcome(forged, code, count) == block_outcome(forged, code, count)
-    forged[rng.randrange(len(forged))] ^= 1
-    assert word_outcome(forged, code, count) == block_outcome(forged, code, count)
 
 
 def test_a_word_wider_than_its_bit_count_is_refused():
     with pytest.raises(ValueError, match="does not fit in 19 bits"):
         encode_word(1 << 19, 19, (31, 19))
-    with pytest.raises(ValueError, match="does not fit in 31 bits"):
-        decode_word(1 << 31, 19, (31, 19))
     with pytest.raises(ConfigError):
         encode_word(0, 19, (40, 19))

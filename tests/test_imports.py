@@ -2,7 +2,7 @@
 bansim.sim hold only their modules, so every name is imported from the
 module that defines it, and a module loads only what it imports: the rate
 engine, the MAC modules, the stats writer, security and textio load
-without numpy."""
+without numpy. No module reads the environment."""
 
 import ast
 import os
@@ -32,6 +32,22 @@ def nested_imports(path):
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(func)
             if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path):
+    """Lines in `path` that name `os.environ` or `os.getenv`: an attribute,
+    a bare name or an imported name."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+            and {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)} & ENVIRONMENT
         }
     )
 
@@ -71,6 +87,28 @@ def test_the_check_sees_each_nested_import(tmp_path):
         "class C:\n    async def m(self):\n        import c\n"
     )
     assert nested_imports(source) == [3, 5, 8]
+
+
+def test_no_module_reads_the_environment():
+    # A run is a function of its scenario and seed alone.
+    offenders = [
+        f"{path.relative_to(PACKAGE)}:{line}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for line in environment_reads(path)
+    ]
+    assert offenders == []
+
+
+def test_the_environment_check_sees_each_read(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "import os\n"
+        "from os import environ as env, getenv\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('X')\n"
+        "c = os.path.join('a', 'b')\n"
+    )
+    assert environment_reads(source) == [2, 3, 4]
 
 
 def test_the_light_modules_load_without_numpy():

@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from bansim.phy.kasami import kasami63, kasami63_bits, mseq, periodic_crosscorrelation
+from bansim.phy.kasami import kasami63, kasami63_bits, mseq
 
 SET_SIZE = 8
+
+
+def periodic_crosscorrelation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """All cyclic correlation values between two +/-1 chip sequences."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape != b.shape:
+        raise ValueError("sequences must have equal length")
+    return np.array([int(np.dot(a, np.roll(b, -t))) for t in range(len(a))])
 
 
 def brute_force_correlation(a, b, shift):

@@ -511,7 +511,7 @@ def test_parse_maps_every_table_header_back(cfg):
         for header, bits in table:
             assert len(bits) == n_hdr
             assert headers[bits.tobytes()] == header
-            assert _decode_header(fmt, cfg, bits) == header  # the word path reads the same
+            assert _decode_header(fmt, cfg, bits) == header  # the miss path reads the same
 
 
 @pytest.mark.parametrize("cfg", [NB, UWB, HBC, NB_SHORT_HEADER_WORDS], ids=["nb", "uwb", "hbc", "nb-15.3"])
@@ -528,7 +528,7 @@ def test_every_length_and_field_setting_round_trips(cfg):
 def test_nb_reserved_bits_under_a_recomputed_check_still_parse(reserved):
     # Narrowband covers its reserved bits only by the header check, so a
     # header with them set and its check recomputed is valid. No table holds
-    # it: parse misses and reads it on the word path.
+    # it: parse misses and reads it on the miss path, through fec.decode_blocks.
     fields = {"scrambler": 1, "burst_mode": 0}
     frame = build_nb_ppdu(NB, b"\x08" * 7, b"abcd", **fields)
     header, coded = reference_header(NB, 4, fields, reserved=reserved)

@@ -14,10 +14,8 @@ from bansim.phy.rates import (
     builtin_rate_table,
     hbc_config,
     info_data_rate,
-    load_rate_table,
     nb_config,
     uwb_config,
-    write_rate_csv,
 )
 
 # Published information data rates, keyed by (band, component, rate entry).
@@ -142,28 +140,6 @@ def test_rate_override_pins_both_components():
     assert info_data_rate(cfg, "header") == 971.0
 
 
-def test_registry_override_round_trip(tmp_path, monkeypatch):
-    with open(tmp_path / "rates.csv", "w", newline="") as fh:
-        write_rate_csv(builtin_rate_table(), fh)
-    monkeypatch.setenv("BANSIM_CONFIG_DIR", str(tmp_path))
-    reloaded = load_rate_table()
-    baseline = builtin_rate_table()
-    assert len(reloaded) == len(baseline)
-    for a, b in zip(reloaded, baseline):
-        assert a.band == b.band and a.component == b.component
-        assert a.rate_kbps == pytest.approx(b.rate_kbps, abs=0.05)
-
-
-def test_registry_override_rejects_inconsistent_rate(tmp_path):
-    lines = [
-        "band,component,modulation,symbol_rate_ksps,fec_n,fec_k,spreading,rate_kbps",
-        "402-405,psdu,pi/2-DBPSK,187.5,63,51,2,500.0",
-    ]
-    (tmp_path / "rates.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError):
-        load_rate_table(tmp_path)
-
-
 def test_invalid_spreading_rejected():
     with pytest.raises(ConfigError):
         PhyConfig(band_id=Band.NB_402_405, modulation=Modulation.DBPSK,
@@ -185,22 +161,27 @@ def test_a_code_the_block_coder_cannot_make_is_refused():
         replace(nb_config(Band.NB_402_405), psdu_fec=(40, 19))
 
 
+@pytest.mark.parametrize("fec", ["header_fec", "psdu_fec"])
+@pytest.mark.parametrize("code", [(31.0, 19.0), (31, 19.0), (True, True)], ids=["floats", "float-k", "bools"])
+def test_a_code_of_other_than_ints_is_refused(fec, code):
+    # 12.0 parity bits pass the geometry rule, but the coder sizes arrays
+    # with n and k: such a config could be timed and never built.
+    with pytest.raises(ConfigError, match=r"block code \(.*\) needs int n and k"):
+        replace(nb_config(Band.NB_402_405), **{fec: code})
+
+
 @pytest.mark.parametrize(
-    ("row", "message"),
-    [
-        ("402-405,psdu,pi/2-DBPSK,187.5,40,19,2,44.5", r"rates.csv line 3: block code \(40,19\)"),
-        ("402-405,psdu,pi/2-DBPSK,187.5,63,51,3,50.6", r"rates.csv line 3: spreading must be 1, 2, or 4"),
-        ("402-405,psdu,pi/2-DBPSK,nan,63,51,2,75.9", r"rates.csv line 3: symbol rate must be positive and finite, got nan"),
-        ("402-405,psdu,pi/2-DBPSK,inf,63,51,2,75.9", r"rates.csv line 3: symbol rate must be positive and finite, got inf"),
-    ],
-    ids=["code", "spreading", "nan-symbol-rate", "inf-symbol-rate"],
+    ("cfg", "rate_index"),
+    [(nb_config(Band.NB_402_405), 8), (nb_config(Band.NB_402_405), -1), (uwb_config(2), 16), (hbc_config(16), 8)],
+    ids=["nb-8", "nb-minus-1", "uwb-16", "hbc-8"],
 )
-def test_registry_row_with_a_bad_config_fails_at_its_line(tmp_path, row, message):
-    lines = [
-        "band,component,modulation,symbol_rate_ksps,fec_n,fec_k,spreading,rate_kbps",
-        "402-405,psdu,pi/2-DBPSK,187.5,63,51,2,75.9",
-        row,
-    ]
-    (tmp_path / "rates.csv").write_text("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match=message):
-        load_rate_table(tmp_path)
+def test_a_rate_index_wider_than_its_header_field_is_refused(cfg, rate_index):
+    # The header carries the index in this field: a wider one could be
+    # timed and never built.
+    with pytest.raises(ConfigError, match=f"rate index {rate_index} does not fit the {cfg.kind.value} header"):
+        replace(cfg, rate_index=rate_index)
+
+
+def test_every_rate_index_the_header_field_holds_is_accepted():
+    for cfg, top in ((nb_config(Band.NB_402_405), 7), (uwb_config(2), 15), (hbc_config(16), 7)):
+        assert replace(cfg, rate_index=top).rate_index == top
