@@ -14,6 +14,16 @@ the master key and a session ordinal, and the cipher is a reversible
 keyed stream built from the same hash. The testable contract is the
 state machine, not the algorithms.
 
+Every hash is `_digest`: SHA-256 of its parts, each led by its length.
+The keystream block i of frame counter c is `_digest("stream", key, c, i)`
+and the tag is the first 8 bytes of `_digest("tag", key, level, c, body)`.
+Those two begin with the same framed label and key for every frame of a
+session, so a PairwiseKey hashes that prefix once when it is made and
+keeps the two SHA-256 states; each frame copies a state and feeds only
+the framed counter, block index, level and body. The bytes are those of
+`_digest`, so the wire format is unchanged. A hash state cannot be
+pickled, and neither can a PairwiseKey; sessions live inside one run.
+
 Wire format of a secured frame body:
     [level: 1 byte][counter: 4 bytes big-endian][body][tag: 8 bytes]
 where the body is XOR-masked at level 2 and the tag covers the level,
@@ -66,9 +76,14 @@ SECURITY_WIRE_OVERHEAD = {
 MK_MODES = ("preshared", "unauthenticated")
 
 
+def _framed(*parts: bytes) -> bytes:
+    """The parts, each led by its length as 4 big-endian bytes."""
+    return b"".join([len(part).to_bytes(4, "big") + part for part in parts])
+
+
 def _digest(*parts: bytes) -> bytes:
-    """SHA-256 of the parts, each led by its length as 4 big-endian bytes."""
-    return hashlib.sha256(b"".join([len(part).to_bytes(4, "big") + part for part in parts])).digest()
+    """SHA-256 of the framed parts."""
+    return hashlib.sha256(_framed(*parts)).digest()
 
 
 def default_kdf(mk: bytes, ordinal: int) -> bytes:
@@ -80,6 +95,15 @@ def default_kdf(mk: bytes, ordinal: int) -> bytes:
 class PairwiseKey:
     key_id: str  # short public identifier
     key: bytes  # secret material
+    # SHA-256 states that have hashed _digest's framed label and key for
+    # the keystream and the tag; derived from `key`, so kept out of repr
+    # and equality.
+    stream_state: object = field(init=False, repr=False, compare=False)
+    tag_state: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "stream_state", hashlib.sha256(_framed(b"stream", self.key)))
+        object.__setattr__(self, "tag_state", hashlib.sha256(_framed(b"tag", self.key)))
 
 
 @dataclass
@@ -194,23 +218,35 @@ class SecurityManager:
         return state
 
 
-def _keystream(key: bytes, counter: int, length: int) -> bytes:
-    nonce = counter.to_bytes(COUNTER_LEN, "big")
-    blocks = -(-length // 32)  # one SHA-256 digest per 32 bytes
-    stream = b"".join(_digest(b"stream", key, nonce, block.to_bytes(4, "big")) for block in range(blocks))
-    return stream[:length]
+# Length prefixes of the fixed-size parts after the key.
+_LEN1 = (1).to_bytes(4, "big")
+_LEN4 = (4).to_bytes(4, "big")
 
 
-def _mask(body: bytes, key: bytes, counter: int) -> bytes:
+def _keystream(ptk: PairwiseKey, nonce: bytes, length: int) -> bytes:
+    """Block i is _digest(b"stream", key, nonce, i), one per 32 bytes; the
+    nonce is the frame counter as COUNTER_LEN big-endian bytes."""
+    nonced = ptk.stream_state.copy()
+    nonced.update(_LEN4 + nonce + _LEN4)
+    blocks = []
+    for block in range(-(-length // 32)):
+        h = nonced.copy()
+        h.update(block.to_bytes(4, "big"))
+        blocks.append(h.digest())
+    return b"".join(blocks)[:length]
+
+
+def _mask(body: bytes, ptk: PairwiseKey, nonce: bytes) -> bytes:
     """XOR the body with the keystream, as one integer operation."""
-    stream = _keystream(key, counter, len(body))
+    stream = _keystream(ptk, nonce, len(body))
     return (int.from_bytes(body, "big") ^ int.from_bytes(stream, "big")).to_bytes(len(body), "big")
 
 
-def _tag(key: bytes, level: int, counter: int, body: bytes) -> bytes:
-    return _digest(
-        b"tag", key, bytes([level]), counter.to_bytes(COUNTER_LEN, "big"), body
-    )[:TAG_LEN]
+def _tag(ptk: PairwiseKey, level: int, nonce: bytes, body: bytes) -> bytes:
+    """The first TAG_LEN bytes of _digest(b"tag", key, level, nonce, body)."""
+    h = ptk.tag_state.copy()
+    h.update(_LEN1 + bytes([level]) + _LEN4 + nonce + len(body).to_bytes(4, "big") + body)
+    return h.digest()[:TAG_LEN]
 
 
 def secure_frame(body: bytes, session: SecuritySession) -> bytes:
@@ -221,11 +257,12 @@ def secure_frame(body: bytes, session: SecuritySession) -> bytes:
         raise KeyStateError(f"{session.node_id}: secured frame without an active pairwise key")
     counter = session.tx_counter + 1
     session.tx_counter = counter
+    nonce = counter.to_bytes(COUNTER_LEN, "big")
     sent = bytes(body)
     if session.level == SecurityLevel.ENCRYPTED:
-        sent = _mask(sent, session.ptk.key, counter)
-    tag = _tag(session.ptk.key, session.level, counter, sent)
-    return bytes([session.level]) + counter.to_bytes(COUNTER_LEN, "big") + sent + tag
+        sent = _mask(sent, session.ptk, nonce)
+    tag = _tag(session.ptk, session.level, nonce, sent)
+    return bytes([session.level]) + nonce + sent + tag
 
 
 def admit_frame(wire: bytes, session: SecuritySession) -> bytes:
@@ -245,14 +282,15 @@ def admit_frame(wire: bytes, session: SecuritySession) -> bytes:
         raise LevelMismatch(f"frame level {wire[0]}, session level {int(session.level)}")
     if not session.ptk_active:
         raise KeyStateError(f"{session.node_id}: no active pairwise key to admit with")
-    counter = int.from_bytes(wire[1 : 1 + COUNTER_LEN], "big")
+    nonce = wire[1 : 1 + COUNTER_LEN]
+    counter = int.from_bytes(nonce, "big")
     sent = wire[1 + COUNTER_LEN : -TAG_LEN]
     tag = wire[-TAG_LEN:]
-    if _tag(session.ptk.key, session.level, counter, sent) != tag:
+    if _tag(session.ptk, session.level, nonce, sent) != tag:
         raise TagFailure("authentication tag does not verify")
     if counter <= session.rx_counter:
         raise ReplayRejection(f"counter {counter} not above {session.rx_counter}")
     session.rx_counter = counter
     if session.level == SecurityLevel.ENCRYPTED:
-        sent = _mask(sent, session.ptk.key, counter)
+        sent = _mask(sent, session.ptk, nonce)
     return sent

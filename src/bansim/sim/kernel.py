@@ -49,8 +49,9 @@ renders them. A storm (one event for many contenders at one instant: a
 slot's counts, the busy locks when an exchange begins, the unlocks on a
 resume tick, the enter/unlock/sifs lines of a phase entry) goes to
 csma.trace_batch as node ids and states, and each exchange line goes to
-csma.trace_event. Without a trace the kernel collects no list of nodes to
-trace and renders nothing.
+csma.trace_event. Each place that traces tests the run's trace flag once,
+so an untraced run makes no trace call at all (no _emit, _emit_batch,
+trace_batch or trace_event) and collects no list of nodes to trace.
 
 A run given an open trace file streams its trace: the line list is a
 buffer that write_trace empties into the file at each superframe start and
@@ -234,14 +235,15 @@ class Simulation:
             self._seq += 1
             self._tick = (time_us, 2, self._seq, kind, phase_end, slot_ends, unlock)
 
+    # The two trace helpers are called only by a traced run.
+
     def _emit(self, time_us: int, kind: PhaseKind, event: str, node: _Node) -> None:
         """Trace one event of one node, from its backoff state as it is now."""
-        if self.collect_trace:
-            trace_event(self.trace, time_us, kind, event, node.node_id, node.backoff)
+        trace_event(self.trace, time_us, kind, event, node.node_id, node.backoff)
 
     def _emit_batch(self, time_us: int, kind: PhaseKind, events: tuple[str, ...], nodes: list[_Node]) -> None:
         """Trace each event in `events` for each node, node by node."""
-        if self.collect_trace and nodes:
+        if nodes:
             ids, states = [n.node_id for n in nodes], [n.backoff for n in nodes]
             trace_batch(self.trace, time_us, kind, events, ids, states)
 
@@ -330,15 +332,16 @@ class Simulation:
         if not participants:
             return
         start, end = self.now, self.now + length_us
-        # Contenders in a row that are alike in being locked are traced as
-        # one batch.
-        for locked, run in groupby(participants, key=lambda n: n.backoff.locked):
-            run = list(run)
-            if locked:
-                for node in run:
-                    node.backoff.locked = False
-                    node.lock_reason = None
-            self._emit_batch(start, kind, _ENTRY_UNLOCK if locked else _ENTRY, run)
+        if self.collect_trace:
+            # Contenders in a row that are alike in being locked are traced
+            # as one batch; unlocking changes no traced field, so they are
+            # traced before the unlocks below.
+            for locked, run in groupby(participants, key=lambda n: n.backoff.locked):
+                self._emit_batch(start, kind, _ENTRY_UNLOCK if locked else _ENTRY, list(run))
+        for node in participants:
+            if node.backoff.locked:
+                node.backoff.locked = False
+                node.lock_reason = None
         if start + self.timing.psifs_us < end:
             self._push_tick(start + self.timing.psifs_us, kind, end, False, False)
 
@@ -361,7 +364,8 @@ class Simulation:
                         transmitters.append(node)
                     if tracing:
                         counted.append(node)
-            self._emit_batch(t, kind, ("count",), counted)
+            if tracing:
+                self._emit_batch(t, kind, ("count",), counted)
             if transmitters:
                 self._begin_exchange(transmitters, t, kind, phase_end)
                 return
@@ -412,9 +416,10 @@ class Simulation:
                         low = state.counter
                     if node.exchange_us > widest:
                         widest = node.exchange_us
-        self._emit_batch(t, kind, ("unlock",), unlocks)
-        self._emit_batch(t, kind, ("draw",), draws)
-        self._emit_batch(t, kind, ("lock",), locks)
+        if tracing:
+            self._emit_batch(t, kind, ("unlock",), unlocks)
+            self._emit_batch(t, kind, ("draw",), draws)
+            self._emit_batch(t, kind, ("lock",), locks)
         if can_act:
             self._next_slots(t, kind, phase_end, running, low, widest)
 
@@ -488,8 +493,9 @@ class Simulation:
                 node.lock_reason = "busy"
                 if tracing:
                     locked.append(node)
-        self._emit_batch(t, kind, ("tx_start",), transmitters)
-        self._emit_batch(t, kind, ("lock",), locked)
+        if tracing:
+            self._emit_batch(t, kind, ("tx_start",), transmitters)
+            self._emit_batch(t, kind, ("lock",), locked)
 
     def _on_tx_end(self, node_id: str) -> None:
         exchange = self.exchange
@@ -499,7 +505,8 @@ class Simulation:
         t = self.now
         if t > exchange.phase_end:
             raise SimulationError("transmission crossed its phase boundary")
-        self._emit(t, exchange.kind, "tx_end", node)
+        if self.collect_trace:
+            self._emit(t, exchange.kind, "tx_end", node)
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
         if exchange.collided:
@@ -519,7 +526,8 @@ class Simulation:
         if outcome == "ack":
             self.stats.add_busy(self.ack_airtime_us)
             self.stats.ack_airtime_us += self.ack_airtime_us
-            self._emit(t, exchange.kind, "ack", node)
+            if self.collect_trace:
+                self._emit(t, exchange.kind, "ack", node)
             self._push(t + self.ack_int, EventKind.ACK_DUE, (node_id, "success"))
             return
         if outcome == "success":
@@ -528,9 +536,11 @@ class Simulation:
             node.stats.failed += 1
             node.stats.collided += 1
             on_failure(node.backoff)
-            self._emit(t, exchange.kind, "fail", node)
+            if self.collect_trace:
+                self._emit(t, exchange.kind, "fail", node)
             draw_backoff(node.backoff, node.rng)
-            self._emit(t, exchange.kind, "draw", node)
+            if self.collect_trace:
+                self._emit(t, exchange.kind, "draw", node)
         exchange.pending -= 1
         if exchange.pending == 0:
             self.exchange = None
@@ -555,7 +565,8 @@ class Simulation:
         node.drawn = False
         node.service_start = None
         on_success(node.backoff)  # no change for a polled or scheduled node, which never fails
-        self._emit(t, exchange.kind, "success", node)
+        if self.collect_trace:
+            self._emit(t, exchange.kind, "success", node)
         if node.spec.traffic[0] == "saturated":
             node.queue.append(t)
             stats.offered += 1

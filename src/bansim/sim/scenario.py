@@ -22,7 +22,8 @@ arithmetic (in mac.superframe.build_layout), the beacon's fit in its
 phase, payload bounds with security bytes, grants and allocations that
 hold one frame exchange, a poll grant for every polled node, allocations
 inside shared phases and free of conflicts, the channel rule, node ids
-that fit one trace field, and the security entries. A check on one node
+that fit one trace field, the expected arrivals within
+MAX_EXPECTED_ARRIVALS, and the security entries. A check on one node
 or security entry reports that entry's line, on poll_grant_us its line,
 the others their section's line where one is known. parse_scenario
 compiles with its line maps and Simulation compiles what it is given, so
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum, auto
 
@@ -144,6 +146,13 @@ _PHY_FAMILIES = {"nb": ("band", "rate"), "uwb": ("channel",), "hbc": ("center",)
 # is under the kernel's 1 us clock, so gaps round to zero and simulated
 # time stops advancing.
 MAX_POISSON_RATE_PER_S = 1e6
+
+# Most arrivals a run may expect: the Poisson rate times the run length,
+# summed over nodes, plus the scripted times inside the run. Each arrival
+# is a kernel event, and one never served stays queued, so the budget
+# bounds a run's arrival work (a few seconds per million on a 2 GHz core)
+# and its queue memory.
+MAX_EXPECTED_ARRIVALS = 5_000_000
 
 
 def _fail(line: int, message: str) -> ScenarioError:
@@ -483,6 +492,7 @@ def compile_scenario(
     scheduled: list[ScheduledAllocation] = []
     taken: set[PhaseKind] = set()  # shared phases a scheduled allocation covers
     alloc_grants: dict[str, tuple] = {}  # each allocation's schedule entry
+    arrivals = 0.0  # expected arrivals of the nodes so far
     for node in sc.nodes:
         node_id = node.node_id
         node_line = node_lines.get(node_id, lines.get("nodes"))
@@ -499,6 +509,17 @@ def compile_scenario(
                 node_line,
                 f"{node_id}: payload {node.payload_bytes} plus {overhead} "
                 f"security bytes leaves the 1..{MAX_BODY_LEN} body range",
+            )
+        model = node.traffic[0]
+        if model == "poisson":
+            arrivals += node.traffic[1] * sc.run.duration_us / 1e6
+        elif model == "scripted":
+            arrivals += bisect_left(node.traffic[1], sc.run.duration_us)
+        if arrivals > MAX_EXPECTED_ARRIVALS:
+            raise _fail(
+                node_line,
+                f"{node_id}: the nodes up to here expect {arrivals:,.0f} arrivals in the run, "
+                f"above the budget of {MAX_EXPECTED_ARRIVALS:,}",
             )
         data_us = airtime[node_id] = frame_airtime_us(sc.phy, node.payload_bytes + overhead)
         payload[node_id] = 8 * node.payload_bytes / psdu_kbps * 1000.0

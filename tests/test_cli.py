@@ -349,6 +349,15 @@ class TestScenarioDiagnostics:
         scn.write_text(self.RUNNABLE.format("traffic=poisson:1e6").replace("duration_ms = 100", "duration_ms = 1"))
         assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 0
 
+    def test_arrivals_over_the_budget_fail_at_the_nodes_line(self, tmp_path, capsys):
+        # 1e6 /s for 5.001 s expects more arrivals than a run may hold.
+        scn = tmp_path / "long.scn"
+        scn.write_text(self.RUNNABLE.format("traffic=poisson:1e6").replace("duration_ms = 100", "duration_ms = 5001"))
+        assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ScenarioError: line 5: n0: ") and "budget" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_tiny_poisson_rate_runs_with_nothing_offered(self, tmp_path, capsys):
         # Its first gap is infinite; rounding it onto the clock overflowed.
         scn = tmp_path / "slow.scn"

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,16 @@ from bansim.mac.superframe import (
 from bansim.phy.rates import Band, nb_config
 from bansim.security import SecurityLevel
 from bansim.sim.kernel import Simulation
-from bansim.sim.scenario import _KEYS, _PHASE_KEYS, NodeSpec, Scenario, compile_scenario, load_scenario, parse_scenario
+from bansim.sim.scenario import (
+    _KEYS,
+    _PHASE_KEYS,
+    MAX_EXPECTED_ARRIVALS,
+    NodeSpec,
+    Scenario,
+    compile_scenario,
+    load_scenario,
+    parse_scenario,
+)
 
 BASIC = """\
 [phy]
@@ -586,6 +596,38 @@ class TestNumericRanges:
     def test_allocation_geometry_rejected_at_its_line(self, entry, key):
         line, msg = error_line(self.NODE.format(entry))
         assert line == 5 and key in msg
+
+
+class TestEventBudget:
+    """Expected arrivals (Poisson rate times run length, summed over nodes,
+    plus scripted times inside the run) stay within MAX_EXPECTED_ARRIVALS;
+    the node line that crosses it is named. Only parsed, never run."""
+
+    # Lines 5 and 6 hold the nodes; 5 s runs.
+    TWO = "[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n[nodes]\nn0 = {}\nn1 = {}\n[run]\nduration_ms = {}\nchannel = collision\n"
+
+    def test_the_node_that_crosses_the_budget_names_its_line(self):
+        # 999,999 /s for 5 s is 4,999,995; six scripted times make 5,000,001.
+        line, msg = error_line(self.TWO.format("traffic=poisson:999999", "traffic=scripted:0;1;2;3;4;5", 5000))
+        assert line == 6 and "5,000,001 arrivals" in msg and f"budget of {MAX_EXPECTED_ARRIVALS:,}" in msg
+
+    def test_a_first_node_over_the_budget_names_its_own_line(self):
+        line, msg = error_line(self.TWO.format("traffic=poisson:1e6", "traffic=saturated", 5001))
+        assert line == 5 and msg.startswith("line 5: n0: ")
+
+    def test_exactly_the_budget_is_accepted(self):
+        # The sixth scripted time is at the run end, so it never arrives.
+        sc = scn(self.TWO.format("traffic=poisson:999999", "traffic=scripted:0;1;2;3;4;5000000", 5000))
+        assert sc.run.duration_us == 5_000_000
+
+    def test_saturated_nodes_expect_no_arrivals(self):
+        scn(self.TWO.format("traffic=saturated", "traffic=saturated", 10**9))
+
+    def test_a_scenario_lengthened_after_parsing_is_refused_before_running(self):
+        sc = scn(self.TWO.format("traffic=poisson:1e6", "traffic=saturated", 5000))
+        longer = replace(sc, run=replace(sc.run, duration_us=5_000_001))
+        with pytest.raises(ScenarioError, match="above the budget"):
+            Simulation(longer)
 
 
 class TestAllocationCoverage:

@@ -4,6 +4,8 @@ tamper and replay rejection, group key distribution, pinned wire bytes."""
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bansim.errors import (
     KeyStateError,
@@ -17,9 +19,11 @@ from bansim.security import (
     COUNTER_LEN,
     SECURITY_WIRE_OVERHEAD,
     TAG_LEN,
+    PairwiseKey,
     SecurityLevel,
     SecurityManager,
     SecuritySession,
+    _digest,
     admit_frame,
     secure_frame,
 )
@@ -151,11 +155,15 @@ class TestFraming:
             secure_frame(b"no key yet", bare)
 
 
+def pinned_body(length):
+    return bytes((7 * i + 3) % 256 for i in range(length))
+
+
 class TestKnownAnswers:
     """Exact wire bytes of the first frame of a fresh pre-shared session
     for node n0, body byte i = (7i + 3) mod 256. Short wires are pinned in
     full, the others by SHA-256; a body of 32 bytes or more takes a second
-    keystream block at level 2."""
+    keystream block at level 2, one of 65 bytes or more a third."""
 
     WIRES = {
         (1, 0): "0100000001471534175f9136e7",
@@ -163,24 +171,96 @@ class TestKnownAnswers:
         (1, 31): "a97ca98f9f6d40380042dde658eed9e31d424dc7cac07c0af49d61b3a52fd67a",
         (1, 32): "9a9a23db31b7d45f6e52a3598c322c06e6137f16a8e43e9e0d64399f3647ea35",
         (1, 33): "ace360c3632f4a80244b02d1a96f67ca3d3fc93da3a77923220d85d757c59c7f",
+        (1, 64): "7011d521805f493b2aff1d11f9142eeea96adc0b90f5a656901c7ca190882653",
+        (1, 65): "3b55d41ff62ab84d7c37395209db19359605756f316715fe7d1b1d941b7d0eaa",
         (1, 120): "fe9cc2eee115bcf917e968371cd73ac1a24132fa1dff8aafbfb38d0a9e7def21",
+        (1, 255): "b2c0bbe2d9a7823407e2e40cb15d9c020cf63fbbee7e86d8d3408870220ba326",
         (2, 0): "020000000120bfbbdd5913a82c",
         (2, 1): "0200000001b3dea7a2cc2bea7eb0",
         (2, 31): "9f637dd98d45a1da0cdbae21315d95473fe0d722636692aeff845bc91a9b211d",
         (2, 32): "4a2ba539682f5512b61659b51f88e1ff6c41041ae6acc46e0e616b2474f923ab",
         (2, 33): "83c63a5c0cad5eb319a5fbab1163e3745f2f18d5b74e0e1266bc440c367d63f1",
+        (2, 64): "f8969186e663c12d5e17c3bfd69cab969ad594bf99620c1c599a389c43a2a9e6",
+        (2, 65): "a8459d5614fa5643031db9a9395e0f58cdc050bcd3930db8421fbc248aa0106f",
         (2, 120): "1d70ddd915fd7c9fba485830e4e50e55b699412d1897c1cfc903fb0daeeb414d",
+        (2, 255): "f02577e8aecc1dfd80aadf400dd383d27f376e12e946c417d1fad678d6e10bd3",
+    }
+
+    # SHA-256 of the 1000th wire of a session that sends and admits a
+    # 40-byte body each frame: counter 1000 in the nonce and the tag.
+    THOUSANDTH = {
+        1: "1e7e2786acb62f0c055eb8fdb940433916529f264d694d2fc448bcc814c2bb37",
+        2: "ca78a1d387b8ff7c041bc5a1bc0f0d1e31e6a8a0b1a4284f846781d8f05b54d8",
     }
 
     @pytest.mark.parametrize("level, length", sorted(WIRES))
     def test_first_frame_wire_bytes(self, level, length):
         _, s = paired(level)
-        body = bytes((7 * i + 3) % 256 for i in range(length))
+        body = pinned_body(length)
         wire = secure_frame(body, s)
         assert len(wire) == length + SECURITY_WIRE_OVERHEAD[level]
         pinned = wire.hex() if length <= 1 else hashlib.sha256(wire).hexdigest()
         assert pinned == self.WIRES[level, length]
         assert admit_frame(wire, s) == body
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_thousandth_frame_wire_bytes(self, level):
+        _, s = paired(level)
+        body = pinned_body(40)
+        for _ in range(999):
+            assert admit_frame(secure_frame(body, s), s) == body
+        wire = secure_frame(body, s)
+        assert int.from_bytes(wire[1 : 1 + COUNTER_LEN], "big") == 1000
+        assert hashlib.sha256(wire).hexdigest() == self.THOUSANDTH[level]
+        assert admit_frame(wire, s) == body
+
+
+def reference_wire(key, level, counter, body):
+    """The secured wire straight from _digest, one call per hash."""
+    nonce = counter.to_bytes(COUNTER_LEN, "big")
+    sent = body
+    if level == SecurityLevel.ENCRYPTED:
+        blocks = -(-len(body) // 32)
+        stream = b"".join(_digest(b"stream", key, nonce, i.to_bytes(4, "big")) for i in range(blocks))
+        sent = bytes(a ^ b for a, b in zip(body, stream))
+    tag = _digest(b"tag", key, bytes([level]), nonce, sent)[:TAG_LEN]
+    return bytes([level]) + nonce + sent + tag
+
+
+@st.composite
+def frame_bodies(draw):
+    length = draw(st.one_of(st.integers(0, 300), st.sampled_from(range(0, 301, 32))))
+    return draw(st.binary(min_size=length, max_size=length))
+
+
+class TestKeyedStates:
+    """The per-key hash states give _digest's bytes and stay out of sight."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        level=st.sampled_from([1, 2]),
+        counter=st.one_of(st.integers(1, 2**32 - 1), st.sampled_from([1, 2**32 - 1])),
+        body=frame_bodies(),
+        rekeyed=st.booleans(),
+    )
+    def test_frames_match_the_digest_reference(self, level, counter, body, rekeyed):
+        mgr = SecurityManager()
+        s = mgr.associate("n0", level)
+        if rekeyed:
+            mgr.teardown("n0")
+            s = mgr.associate("n0", level)
+            assert s.session_counter == 2
+        s.tx_counter = s.rx_counter = counter - 1
+        wire = secure_frame(body, s)
+        assert wire == reference_wire(s.ptk.key, level, counter, body)
+        assert admit_frame(wire, s) == body
+        assert s.rx_counter == counter
+
+    def test_states_are_not_part_of_the_key_value(self):
+        a, b = PairwiseKey("id", b"k" * 32), PairwiseKey("id", b"k" * 32)
+        assert a.stream_state is not b.stream_state
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "PairwiseKey(key_id='id', key=" + repr(b"k" * 32) + ")"
 
 
 class TestRejection:

@@ -2,6 +2,7 @@
 phase containment, all three access kinds, security on the wire, and the
 lazy slot grid against a slot-by-slot reference."""
 
+import hashlib
 import heapq
 import io
 import math
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import bansim
+import bansim.sim.kernel as kernel
 from bansim.cli import main
 from bansim.efficiency import analytic_efficiency, reference_configs
 from bansim.errors import ScenarioError, SimulationError
@@ -38,6 +40,7 @@ from bansim.phy.rates import Band, nb_config
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
 from bansim.sim.stats import RunStats, write_stats_csv
+from test_golden import SCENARIO_DIGESTS, STRESS_DIGESTS
 
 # One giant contention phase: a superframe long enough that a saturated
 # node never meets a phase boundary, so the run matches the closed-form
@@ -1032,3 +1035,38 @@ class TestCompiledSchedule:
             sim._schedule_superframe(index)
             want += reference_superframe(sim, index)
         assert sim.pushed == want
+
+
+class TestUntracedRunsDoNoTraceWork:
+    """A run without a trace never reaches the trace helpers: with each of
+    them replaced by a stub that raises, both bundled scenarios and a
+    secured scenario with Poisson, polled and scheduled nodes still write
+    their golden stats, and a traced run still writes the golden trace."""
+
+    SCENARIOS = ["contention_pair", "mixed_access", "every_access_mode"]
+
+    @staticmethod
+    def _golden(name):
+        if name in SCENARIO_DIGESTS:
+            return (load_scenario(SCENARIO_DIR / f"{name}.scn"), *SCENARIO_DIGESTS[name])
+        text, stats_digest, trace_digest = STRESS_DIGESTS[name]
+        return parse_scenario(text), stats_digest, trace_digest
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("trace work in an untraced run")
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_untraced_stats_and_traced_trace_are_golden(self, name, tmp_path, monkeypatch):
+        sc, stats_digest, trace_digest = self._golden(name)
+        stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "trace_batch", self._refuse)
+            m.setattr(kernel, "trace_event", self._refuse)
+            m.setattr(Simulation, "_emit", self._refuse)
+            m.setattr(Simulation, "_emit_batch", self._refuse)
+            run_to_files(sc, stats)
+        assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest
+        run_to_files(sc, stats, trace)
+        assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
