@@ -50,11 +50,11 @@ def _parse_payloads(spec: str) -> list[int]:
         if not part:
             continue
         if ":" in part:
-            pieces = part.split(":")
-            if len(pieces) not in (2, 3):
-                raise ConfigError(f"bad payload range {part!r}")
-            start, stop = int(pieces[0]), int(pieces[1])
-            step = int(pieces[2]) if len(pieces) == 3 else 1
+            pieces = part.split(":") + ["1"] * (part.count(":") == 1)  # the step defaults to 1
+            try:
+                start, stop, step = map(int, pieces)
+            except ValueError:  # a piece that is no integer, or not two or three pieces
+                raise ConfigError(f"bad payload range {part!r} in {spec!r}") from None
             if step <= 0 or stop < start:
                 raise ConfigError(f"bad payload range {part!r}")
             out.extend(range(start, stop + 1, step))
@@ -276,7 +276,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed output pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader stopped early (`bansim efficiency | head -1`), which is
+        # no error to report. Closing stdout leaves nothing to flush at exit.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        return 1
     except (BansimError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

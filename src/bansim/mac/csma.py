@@ -2,11 +2,13 @@
 
 One BackoffState per node: the node draws a counter uniformly from
 [1, CW], decrements it once per idle contention slot, and transmits when
-it reaches zero. The counter locks (value preserved, never redrawn) while
-the channel is busy and whenever the time left in the current access phase
-cannot fit one more slot plus a full frame exchange and the nominal guard
-time. CW doubles only on every second consecutive failure, capped at
-CW_max, and resets to CW_min on success.
+it reaches zero; a positive counter marks a backoff in progress. The
+counter locks (value preserved, never redrawn) while the channel is busy
+("busy") and whenever the time left in the current access phase cannot
+fit one more slot plus a full frame exchange and the nominal guard time
+("guard"). The state's `locked` holds that reason, None when unlocked,
+and a draw or a success clears it. CW doubles only on every second
+consecutive failure, capped at CW_max, and resets to CW_min on success.
 
 ScriptedDraws stands in for a node's RNG in the scripted replay,
 sim.kernel.replay_contention, which runs a single node through an
@@ -95,7 +97,7 @@ class BackoffState:
     priority: PriorityClass
     cw: int = 0  # 0 = not yet initialized, replaced by cw_min
     counter: int = 0
-    locked: bool = False
+    locked: str | None = None  # why the counter is frozen: "busy" | "guard"
     consecutive_failures: int = 0
 
     def __post_init__(self):
@@ -110,7 +112,7 @@ def draw_backoff(state: BackoffState, rng: Rng) -> BackoffState:
     state.counter = rng.randint(1, state.cw)
     if not 1 <= state.counter <= state.cw:
         raise ValueError(f"drawn counter {state.counter} outside [1, {state.cw}]")
-    state.locked = False
+    state.locked = None
     return state
 
 
@@ -129,7 +131,7 @@ def on_idle_slot(state: BackoffState) -> bool:
 
 def on_busy(state: BackoffState) -> BackoffState:
     """Busy channel: freeze the counter exactly where it is."""
-    state.locked = True
+    state.locked = "busy"
     return state
 
 
@@ -151,30 +153,26 @@ def guard_check(
 
     Proceeding requires the upcoming slot plus one frame exchange
     (`exchange_us`) to finish by `phase_end_us`; an exact fit proceeds.
-    Returns True to proceed, False after locking the counter.
+    Returns True to proceed, False after locking the counter for "guard".
     """
     if phase_end_us is None or phase_end_us == math.inf:
         return True
     needed = timing.csma_slot_us + exchange_us(pending_tx_us, ack_tx_us, timing)
     if now_us + needed > phase_end_us:
-        state.locked = True
+        state.locked = "guard"
         return False
     return True
 
 
-def on_failure(state: BackoffState, rng: Rng | None = None) -> BackoffState:
+def on_failure(state: BackoffState) -> BackoffState:
     """Record a missed acknowledgement.
 
     CW doubles on even-numbered consecutive failures only, saturating at
-    CW_max. When `rng` is given the replacement backoff is drawn here;
-    callers that timestamp the draw separately pass None and call
-    draw_backoff themselves.
+    CW_max. The caller draws the replacement backoff with draw_backoff.
     """
     state.consecutive_failures += 1
     if state.consecutive_failures % 2 == 0:
         state.cw = min(2 * state.cw, state.priority.cw_max)
-    if rng is not None:
-        draw_backoff(state, rng)
     return state
 
 
@@ -182,7 +180,7 @@ def on_success(state: BackoffState) -> BackoffState:
     """Acknowledged transmission: reset the contention window."""
     state.cw = state.priority.cw_min
     state.consecutive_failures = 0
-    state.locked = False
+    state.locked = None
     return state
 
 

@@ -1,8 +1,9 @@
 """Beacon-bounded superframe: phase layout, access rules, and scheduling.
 
 A superframe is a fixed number of allocation slots split into an ordered
-sequence of access phases. The coordinator may disable any phase by giving
-it length zero; the relative order of the remaining phases never changes.
+sequence of access phases, in the declaration order of PhaseKind. The
+coordinator may disable any phase by giving it length zero; the relative
+order of the remaining phases never changes.
 Contention happens in the exclusive/random/contention phases; the two
 shared phases carry polled and scheduled (1- or m-periodic) allocations.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "SuperframeConfig",
     "PhaseLayout",
     "PhaseSpan",
-    "PollGrant",
     "ScheduledAllocation",
     "build_layout",
     "phase_at",
@@ -36,6 +36,8 @@ HIGHEST_PRIORITY = 7
 
 
 class PhaseKind(str, Enum):
+    """The access phases, declared in their order within one superframe."""
+
     BEACON = "Beacon"
     EAP1 = "EAP1"
     RAP1 = "RAP1"
@@ -45,18 +47,6 @@ class PhaseKind(str, Enum):
     TYPE_B = "TypeI_II_b"
     CAP = "CAP"
 
-
-# Canonical phase order within one superframe.
-PHASE_ORDER = [
-    PhaseKind.BEACON,
-    PhaseKind.EAP1,
-    PhaseKind.RAP1,
-    PhaseKind.TYPE_A,
-    PhaseKind.EAP2,
-    PhaseKind.RAP2,
-    PhaseKind.TYPE_B,
-    PhaseKind.CAP,
-]
 
 CONTENTION_PHASES = {
     PhaseKind.EAP1,
@@ -75,10 +65,10 @@ class TrafficKind(str, Enum):
     SCHEDULED = "scheduled"
 
 
-class OperationalMode(str, Enum):
+class OperationalMode(str, Enum):  # each value is the mode's scenario-file name
     BEACON_BOUNDED = "beacon"
-    NONBEACON_BOUNDED = "nonbeacon_bounded"
-    NONBEACON_UNBOUNDED = "nonbeacon_unbounded"
+    NONBEACON_BOUNDED = "nonbeacon"
+    NONBEACON_UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,6 @@ class PhaseLayout:
     slot_length_us: int
     slots_per_superframe: int
     phases: tuple[PhaseSpan, ...]
-    mode: OperationalMode = OperationalMode.BEACON_BOUNDED
     beacon_period_multiplier: int = 1
 
     @property
@@ -145,7 +134,7 @@ def build_layout(config: SuperframeConfig) -> PhaseLayout:
     else:  # unbounded: one endless shared phase, modeled as a full superframe
         slots = {PhaseKind.TYPE_B: config.slots_per_superframe}
 
-    unknown = set(slots) - set(PHASE_ORDER)
+    unknown = set(slots) - set(PhaseKind)
     if unknown:
         raise InvalidLayoutError(f"unknown phases: {sorted(k.value for k in unknown)}")
     if any(n < 0 for n in slots.values()):
@@ -168,7 +157,7 @@ def build_layout(config: SuperframeConfig) -> PhaseLayout:
 
     phases = []
     cursor = 0
-    for kind in PHASE_ORDER:
+    for kind in PhaseKind:
         length = slots.get(kind, 0)
         phases.append(PhaseSpan(kind, cursor, length))
         cursor += length
@@ -176,7 +165,6 @@ def build_layout(config: SuperframeConfig) -> PhaseLayout:
         slot_length_us=config.slot_length_us,
         slots_per_superframe=config.slots_per_superframe,
         phases=tuple(phases),
-        mode=config.mode,
         beacon_period_multiplier=config.beacon_period_multiplier,
     )
 
@@ -223,22 +211,11 @@ def admissible(phase: PhaseKind, user_priority: int, traffic: TrafficKind) -> bo
     return False  # beacon phase belongs to the hub
 
 
-@dataclass(frozen=True)
-class PollGrant:
-    node_id: str
-    start_us: int
-    duration_us: int
-    type_label: str  # "I" (time based) or "II" (frame-count based)
-
-
 def schedule_polls(
-    layout: PhaseLayout,
-    node_ids: list[str],
-    phase: PhaseKind,
-    grant_us: int,
-    superframe_start_us: int = 0,
-) -> list[PollGrant]:
-    """Round-robin poll grants filling one shared phase.
+    layout: PhaseLayout, node_ids: list[str], phase: PhaseKind, grant_us: int
+) -> list[tuple[str, int]]:
+    """Round-robin poll grants filling one shared phase, as (node id,
+    offset into the superframe in us) pairs.
 
     `grant_us` is the per-grant budget (a full frame exchange plus guard
     time, sized by the caller from the operating config). Grants never
@@ -252,17 +229,9 @@ def schedule_polls(
     span = layout.span(phase)
     if span is None or not node_ids:
         return []
-    label = "I" if phase == PhaseKind.TYPE_A else "II"
-    start = superframe_start_us + span.start_slot * layout.slot_length_us
-    end = start + span.length_slots * layout.slot_length_us
-    grants = []
-    cursor = start
-    i = 0
-    while cursor + grant_us <= end:
-        grants.append(PollGrant(node_ids[i % len(node_ids)], cursor, grant_us, label))
-        cursor += grant_us
-        i += 1
-    return grants
+    start = span.start_slot * layout.slot_length_us
+    count = span.length_slots * layout.slot_length_us // grant_us
+    return [(node_ids[i % len(node_ids)], start + i * grant_us) for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -272,15 +241,12 @@ class ScheduledAllocation:
     length_slots: int
     periodicity: int = 1  # m: recurs every m-th superframe
     offset: int = 0  # which residue class of superframe indices
-    direction: str = "uplink"  # uplink | downlink | bilink | delayed-bilink
 
     def __post_init__(self):
         if self.periodicity < 1:
             raise ValueError("periodicity must be >= 1")
         if self.length_slots < 1:
             raise ValueError("allocation must cover at least one slot")
-        if self.direction not in ("uplink", "downlink", "bilink", "delayed-bilink"):
-            raise ValueError(f"unknown direction {self.direction!r}")
 
     def active_in(self, superframe_index: int) -> bool:
         return superframe_index % self.periodicity == self.offset % self.periodicity

@@ -256,8 +256,11 @@ def secure_frame(body: bytes, session: SecuritySession) -> bytes:
     if not session.ptk_active:
         raise KeyStateError(f"{session.node_id}: secured frame without an active pairwise key")
     counter = session.tx_counter + 1
+    try:
+        nonce = counter.to_bytes(COUNTER_LEN, "big")
+    except OverflowError:
+        raise KeyStateError(f"{session.node_id}: frame counter exhausted; re-key the session") from None
     session.tx_counter = counter
-    nonce = counter.to_bytes(COUNTER_LEN, "big")
     sent = bytes(body)
     if session.level == SecurityLevel.ENCRYPTED:
         sent = _mask(sent, session.ptk, nonce)

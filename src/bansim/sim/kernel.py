@@ -26,7 +26,9 @@ at t exactly when t + slot + its frame exchange passes the phase end.
 The grid never ticks at or past the phase end, and it stops once every
 contender of the phase has drawn and is locked: nothing can count, draw
 or unlock until the next phase start, and an arrival only grows a drawn
-node's queue.
+node's queue. A node keeps no flag for either: outside an exchange its
+counter is positive exactly when it has drawn, and its backoff state
+holds why it is locked.
 
 The grid is a second event stream beside the heap: at most one pending
 tick, keyed like a dynamic event, and run() takes whichever of it and the
@@ -102,9 +104,7 @@ _ENTRY = ("enter", "sifs")
 _ENTRY_UNLOCK = ("enter", "unlock", "sifs")
 
 
-# eq=False: nodes compare by identity, so a membership test never walks
-# every field.
-@dataclass(eq=False)
+@dataclass(eq=False)  # a node compares by identity, never field by field
 class _Node:
     spec: NodeSpec
     backoff: BackoffState
@@ -114,8 +114,6 @@ class _Node:
     payload_airtime_us: float  # the user-payload share, exact
     exchange_us: int  # data, interframe space, ack and guard time
     queue: list[int] = field(default_factory=list)  # arrival times
-    drawn: bool = False  # a backoff counter is in progress
-    lock_reason: str | None = None  # "busy" | "guard" while locked
     service_start: int | None = None
     session: object = None  # SecuritySession when level >= 1
     node_id: str = field(init=False)
@@ -136,7 +134,6 @@ class _Exchange:
         self.wires: dict[str, bytes | None] = {}
         self.pending = 0
         self.collided = False
-        self.max_end = 0
 
 
 class Simulation:
@@ -202,7 +199,7 @@ class Simulation:
 
         # Priorities and access modes never change during a run, so each
         # phase's contenders are found once.
-        contention = [n for _, n in sorted(self.nodes.items()) if n.spec.access == "contention"]
+        contention = [n for _, n in sorted(self.nodes.items()) if n.spec.access == TrafficKind.CONTENTION]
         self._contenders = {
             kind: [n for n in contention if admissible(kind, n.spec.priority, TrafficKind.CONTENTION)]
             for kind in PhaseKind
@@ -336,12 +333,10 @@ class Simulation:
             # Contenders in a row that are alike in being locked are traced
             # as one batch; unlocking changes no traced field, so they are
             # traced before the unlocks below.
-            for locked, run in groupby(participants, key=lambda n: n.backoff.locked):
+            for locked, run in groupby(participants, key=lambda n: n.backoff.locked is not None):
                 self._emit_batch(start, kind, _ENTRY_UNLOCK if locked else _ENTRY, list(run))
         for node in participants:
-            if node.backoff.locked:
-                node.backoff.locked = False
-                node.lock_reason = None
+            node.backoff.locked = None
         if start + self.timing.psifs_us < end:
             self._push_tick(start + self.timing.psifs_us, kind, end, False, False)
 
@@ -359,7 +354,7 @@ class Simulation:
             counted: list[_Node] = []
             for node in participants:
                 state = node.backoff
-                if node.drawn and not state.locked and state.counter > 0:
+                if state.counter > 0 and not state.locked:
                     if on_idle_slot(state):
                         transmitters.append(node)
                     if tracing:
@@ -388,25 +383,22 @@ class Simulation:
         fits_us = phase_end - self.timing.csma_slot_us - t
         for node in participants:
             state = node.backoff
-            if unlock and state.locked and node.lock_reason == "busy":
-                state.locked = False
-                node.lock_reason = None
+            if unlock and state.locked == "busy":
+                state.locked = None
                 if tracing:
                     unlocks.append(node)
-            if not node.drawn:
+            if state.counter == 0:
                 if not node.queue or state.locked:
                     can_act = True
                     continue
                 draw_backoff(state, node.rng)
-                node.drawn = True
                 if node.service_start is None:
                     node.service_start = t
                 if tracing:
                     draws.append(node)
             if not state.locked:
                 if node.exchange_us > fits_us:
-                    state.locked = True
-                    node.lock_reason = "guard"
+                    state.locked = "guard"
                     if tracing:
                         locks.append(node)
                 else:
@@ -488,9 +480,8 @@ class Simulation:
         locked: list[_Node] = []
         tracing = self.collect_trace
         for node in self._contenders[kind]:
-            if node.drawn and not node.backoff.locked and node not in transmitters:
+            if node.backoff.counter > 0 and not node.backoff.locked:
                 on_busy(node.backoff)
-                node.lock_reason = "busy"
                 if tracing:
                     locked.append(node)
         if tracing:
@@ -511,10 +502,8 @@ class Simulation:
         self.stats.add_busy(node.airtime_us)
         if exchange.collided:
             timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
-            exchange.max_end = max(exchange.max_end, timeout)
             self._push(timeout, EventKind.ACK_DUE, (node_id, "timeout"))
         else:
-            exchange.max_end = max(exchange.max_end, t + self.timing.psifs_us + self.ack_int)
             self._push(t + self.timing.psifs_us, EventKind.ACK_DUE, (node_id, "ack"))
 
     def _on_ack_due(self, node_id: str, outcome: str) -> None:
@@ -544,8 +533,10 @@ class Simulation:
         exchange.pending -= 1
         if exchange.pending == 0:
             self.exchange = None
-            if self._contenders[exchange.kind]:  # a shared phase has no grid to resume
-                resume = exchange.max_end if exchange.collided else t + self.timing.psifs_us
+            # A shared phase has no grid to resume. Timeouts run in time
+            # order, so a collided exchange ends at its last one, now.
+            if self._contenders[exchange.kind]:
+                resume = t if exchange.collided else t + self.timing.psifs_us
                 if resume < exchange.phase_end:
                     self._push_tick(resume, exchange.kind, exchange.phase_end, False, True)
 
@@ -562,7 +553,6 @@ class Simulation:
         if node.service_start is not None:
             stats.access_delay_sum_us += t - node.service_start
         node.queue.pop(0)
-        node.drawn = False
         node.service_start = None
         on_success(node.backoff)  # no change for a polled or scheduled node, which never fails
         if self.collect_trace:

@@ -14,9 +14,11 @@ One table (_KEYS) holds every key of every section, node and security
 sub-keys included, with its typed default and its converter; one reader
 converts each given value at its own line, so unknown keys and malformed
 or out-of-range values fail there. Named values match in any case. The
-[phy] family (phy.rates.phy_config) reads only its own keys: a key of
-another family, and a band, channel or center the family lacks, fail at
-their line. compile_scenario then checks every static rule once and
+`<phase>_slots` keys are PhaseKind's names in its order, and the mode and
+access values are those of OperationalMode and TrafficKind. The [phy]
+family (phy.rates.phy_config) reads only its own keys: a key of another
+family, and a band, channel or center the family lacks, fail at their
+line. compile_scenario then checks every static rule once and
 derives the Plan a run reads, the superframe schedule included: phase
 arithmetic (in mac.superframe.build_layout), the beacon's fit in its
 phase, payload bounds with security bytes, grants and allocations that
@@ -41,6 +43,7 @@ from enum import Enum, auto
 from bansim.errors import ConfigError, InvalidLayoutError, ScenarioError
 from bansim.mac.csma import MacTimingConstants, exchange_us
 from bansim.mac.superframe import (
+    HIGHEST_PRIORITY,
     SHARED_PHASES,
     OperationalMode,
     PhaseKind,
@@ -70,7 +73,6 @@ __all__ = [
     "compile_scenario",
 ]
 
-ACCESS_KINDS = ("contention", "polled", "scheduled")
 CHANNEL_MODELS = ("ideal", "collision")
 
 
@@ -81,7 +83,7 @@ class NodeSpec:
     # ("saturated",) | ("poisson", rate_per_s) | ("scripted", (t_us, ...))
     traffic: tuple = ("saturated",)
     payload_bytes: int = 100
-    access: str = "contention"
+    access: TrafficKind = TrafficKind.CONTENTION
     slot_start: int | None = None  # scheduled access only
     slot_len: int | None = None
     period: int = 1
@@ -122,22 +124,7 @@ class Scenario:
 
 # --------------------------------------------------------------- parsing
 
-_PHASE_KEYS = {
-    "beacon_slots": PhaseKind.BEACON,
-    "eap1_slots": PhaseKind.EAP1,
-    "rap1_slots": PhaseKind.RAP1,
-    "type_a_slots": PhaseKind.TYPE_A,
-    "eap2_slots": PhaseKind.EAP2,
-    "rap2_slots": PhaseKind.RAP2,
-    "type_b_slots": PhaseKind.TYPE_B,
-    "cap_slots": PhaseKind.CAP,
-}
-
-_MODES = {
-    "beacon": OperationalMode.BEACON_BOUNDED,
-    "nonbeacon": OperationalMode.NONBEACON_BOUNDED,
-    "unbounded": OperationalMode.NONBEACON_UNBOUNDED,
-}
+_PHASE_KEYS = {f"{kind.name.lower()}_slots": kind for kind in PhaseKind}
 
 # The [phy] keys each family reads; a key of another family is refused.
 _PHY_FAMILIES = {"nb": ("band", "rate"), "uwb": ("channel",), "hbc": ("center",)}
@@ -201,8 +188,8 @@ def _integer(low: int | None = None):
 
 def _choice(options):
     """Converter to one of `options`, named in any case: a tuple of names,
-    or a dict of name -> value."""
-    named = options if isinstance(options, dict) else {name: name for name in options}
+    a str Enum (each member named by its value), or a dict of name -> value."""
+    named = options if isinstance(options, dict) else {getattr(o, "value", o): o for o in options}
 
     def convert(raw: str, line: int, key: str):
         if raw.lower() not in named:
@@ -249,7 +236,7 @@ _KEYS = {
     "superframe": {
         "slot_length_us": (500, _integer(1)),
         "slots": (256, _integer(1)),
-        "mode": (OperationalMode.BEACON_BOUNDED, _choice(_MODES)),
+        "mode": (OperationalMode.BEACON_BOUNDED, _choice(OperationalMode)),
         "fill_phase_type": ("I", _choice({"i": "I", "ii": "II"})),
         "beacon_period_multiplier": (1, _integer(1)),
         "beacon_prohibited": (
@@ -268,7 +255,7 @@ _KEYS = {
         "priority": (4, _integer()),
         "traffic": (("saturated",), _traffic),
         "payload": (100, _integer()),
-        "access": ("contention", _choice(ACCESS_KINDS)),
+        "access": (TrafficKind.CONTENTION, _choice(TrafficKind)),
         "slot_start": (None, _integer(0)),
         "slot_len": (None, _integer(1)),
         "period": (1, _integer(1)),
@@ -501,8 +488,8 @@ def compile_scenario(
                 node_line,
                 f"node id {node_id!r} must be letters, digits, '_', '-' or '.', and not {HUB_ID!r}",
             )
-        if not 0 <= node.priority <= 7:
-            raise _fail(node_line, f"{node_id}: priority {node.priority} outside 0..7")
+        if not 0 <= node.priority <= HIGHEST_PRIORITY:
+            raise _fail(node_line, f"{node_id}: priority {node.priority} outside 0..{HIGHEST_PRIORITY}")
         overhead = SECURITY_WIRE_OVERHEAD[sc.security.get(node_id, SecuritySpec()).level]
         if not 1 <= node.payload_bytes + overhead <= MAX_BODY_LEN:
             raise _fail(
@@ -524,7 +511,7 @@ def compile_scenario(
         data_us = airtime[node_id] = frame_airtime_us(sc.phy, node.payload_bytes + overhead)
         payload[node_id] = 8 * node.payload_bytes / psdu_kbps * 1000.0
         need_us = exchange[node_id] = exchange_us(clock_us(data_us), clock_us(ack_us), sc.timing)
-        if node.access == "polled":
+        if node.access == TrafficKind.POLLED:
             polled.append(node_id)
             if sc.poll_grant_us is not None and sc.poll_grant_us < need_us:
                 raise _fail(
@@ -532,7 +519,7 @@ def compile_scenario(
                     f"poll_grant_us {sc.poll_grant_us} is shorter than the {need_us} us "
                     f"frame exchange of polled node {node_id}",
                 )
-        if node.access != "scheduled":
+        if node.access != TrafficKind.SCHEDULED:
             continue
         if node.slot_start is None or node.slot_len is None:
             raise _fail(node_line, f"{node_id}: scheduled access needs slot_start and slot_len")
@@ -575,7 +562,7 @@ def compile_scenario(
         entry = (node_id, span_us, span_us, covered[0])
         alloc_grants[node_id] = (start_us, period, alloc.offset % period, EventKind.POLL_GRANT, entry)
 
-    contention = sum(node.access == "contention" for node in sc.nodes)
+    contention = sum(node.access == TrafficKind.CONTENTION for node in sc.nodes)
     if sc.run.channel == "ideal" and contention > 1:
         raise _fail(
             lines.get("run"),
@@ -601,9 +588,9 @@ def compile_scenario(
         if span.kind == PhaseKind.BEACON:
             schedule.append((start, layout.beacon_period_multiplier, 0, EventKind.BEACON_TX, ()))
         if polled and span.kind in SHARED_PHASES - taken:
-            for grant in schedule_polls(layout, sorted(polled), span.kind, grant_us):
-                entry = (grant.node_id, grant_us, start + length - grant.start_us, span.kind)
-                schedule.append((grant.start_us, 1, 0, EventKind.POLL_GRANT, entry))
+            for node_id, offset in schedule_polls(layout, sorted(polled), span.kind, grant_us):
+                entry = (node_id, grant_us, start + length - offset, span.kind)
+                schedule.append((offset, 1, 0, EventKind.POLL_GRANT, entry))
     granted = [data[0] for *_, kind, data in schedule if kind is EventKind.POLL_GRANT]  # one id per poll grant
     schedule += [alloc_grants[node_id] for node_id in sorted(alloc_grants)]
     for node_id in polled:
@@ -621,7 +608,7 @@ def compile_scenario(
     lead_us = sc.timing.psifs_us + sc.timing.csma_slot_us
     for node in sc.nodes:
         need_us = lead_us + exchange[node.node_id]
-        if node.access == "contention" and not any(
+        if node.access == TrafficKind.CONTENTION and not any(
             span.length_slots * layout.slot_length_us >= need_us
             and admissible(span.kind, node.priority, TrafficKind.CONTENTION)
             for span in layout.phases

@@ -97,6 +97,12 @@ class TestEfficiency:
         assert main(["efficiency", "--payloads", "x"]) == 1
         assert capsys.readouterr().err.startswith("error: ValueError: invalid literal")
 
+    @pytest.mark.parametrize("spec", ["1:a", "10,a:5", "1:5:x", "1:2:3:4", "1:"])
+    def test_bad_range_is_a_config_error_naming_the_list(self, spec, capsys):
+        assert main(["efficiency", "--payloads", spec]) == 1
+        part = spec.split(",")[-1]
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: bad payload range {part!r}")
+
 
 class TestPublishedBytes:
     """The paper's numbers pinned as stored bytes, not only recomputed:
@@ -396,12 +402,16 @@ class TestScenarioDiagnostics:
         assert proc.stderr.startswith("error: ScenarioError: line 2: rate_override_kbps")
 
 
+def cli_env() -> dict[str, str]:
+    """The environment with this checkout's package on the path."""
+    src = str(Path(bansim.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_cli(*args: str, timeout: float) -> subprocess.CompletedProcess:
     """`python -m bansim *args` with this checkout's package on the path."""
-    src = str(Path(bansim.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "bansim", *args], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-m", "bansim", *args], env=cli_env(), capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -409,3 +419,19 @@ def test_python_dash_m_runs_the_command_line():
     proc = run_cli("rates", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("command", ["efficiency", "rates"])
+def test_a_reader_that_stops_early_ends_the_run_quietly(command):
+    """`bansim efficiency | head -1`: a closed output pipe is no error to
+    report, so nothing reaches stderr and the exit status is 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bansim", command],
+            env=cli_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

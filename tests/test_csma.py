@@ -79,9 +79,9 @@ class TestBackoffDraw:
 
     def test_draw_unlocks(self):
         state = BackoffState(PRIORITY_TABLE[2])
-        state.locked = True
+        state.locked = "busy"
         draw_backoff(state, ScriptedDraws([5]))
-        assert not state.locked and state.counter == 5
+        assert state.locked is None and state.counter == 5
 
 
 class TestCountdown:
@@ -107,6 +107,39 @@ class TestCountdown:
             assert on_idle_slot(state) is False
         assert state.counter == before == 4
         assert state.locked
+
+
+class TestLockReason:
+    """The backoff state holds why its counter is frozen."""
+
+    def test_a_fresh_state_is_not_locked(self):
+        assert BackoffState(PRIORITY_TABLE[2]).locked is None
+
+    def test_busy_channel_locks_for_busy(self):
+        state = draw_backoff(BackoffState(PRIORITY_TABLE[2]), ScriptedDraws([5]))
+        assert on_busy(state).locked == "busy"
+
+    def test_failing_guard_locks_for_guard(self):
+        state = draw_backoff(BackoffState(PRIORITY_TABLE[2]), ScriptedDraws([5]))
+        assert not guard_check(state, 341, 1100, 400, 100, TIMING)
+        assert state.locked == "guard"
+
+    @pytest.mark.parametrize("reason", ["busy", "guard"])
+    def test_draw_clears_the_reason(self, reason):
+        state = BackoffState(PRIORITY_TABLE[2])
+        state.locked = reason
+        assert draw_backoff(state, ScriptedDraws([3])).locked is None
+
+    @pytest.mark.parametrize("reason", ["busy", "guard"])
+    def test_success_clears_the_reason(self, reason):
+        state = BackoffState(PRIORITY_TABLE[2])
+        state.locked = reason
+        assert on_success(state).locked is None
+
+    def test_failure_keeps_the_reason_for_the_caller_to_redraw(self):
+        state = on_busy(BackoffState(PRIORITY_TABLE[2]))
+        assert on_failure(state).locked == "busy"
+        assert draw_backoff(state, ScriptedDraws([2])).locked is None
 
 
 class TestGuard:
@@ -165,11 +198,11 @@ class TestWindowRule:
     def test_redraw_respects_new_window(self):
         state = BackoffState(PRIORITY_TABLE[4])
         rng = random.Random(99)
-        on_failure(state, rng)
-        on_failure(state, rng)  # window now 8
+        on_failure(state)
+        draw_backoff(on_failure(state), rng)  # window now 8
         assert 1 <= state.counter <= 8
         for _ in range(200):
-            on_failure(state, rng)
+            draw_backoff(on_failure(state), rng)
             assert 1 <= state.counter <= state.cw <= 16
 
     @pytest.mark.parametrize("up", [0, 2, 4, 7])
@@ -307,7 +340,7 @@ def walk_replay_contention(
         if not admissible(kind, priority.user_priority, TrafficKind.CONTENTION):
             continue
         if state.locked:
-            state.locked = False
+            state.locked = None
             lines.append(trace_line(t, node_id, "unlock", state, kind))
         lines.append(trace_line(t, node_id, "sifs", state, kind))
         t += timing.psifs_us

@@ -155,6 +155,41 @@ class TestFraming:
             secure_frame(b"no key yet", bare)
 
 
+class TestCounterExhaustion:
+    """The 4-byte frame counter runs out after 2**32 - 1 frames; the next
+    frame is refused before the counter moves, and a new key starts over."""
+
+    LAST = 2 ** (8 * COUNTER_LEN) - 1
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_the_last_counter_still_round_trips(self, level):
+        _, s = paired(level)
+        s.tx_counter = self.LAST - 1
+        wire = secure_frame(b"last", s)
+        assert wire[1 : 1 + COUNTER_LEN] == b"\xff" * COUNTER_LEN
+        assert admit_frame(wire, s) == b"last"
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_the_next_frame_asks_for_a_new_key(self, level):
+        _, s = paired(level)
+        s.tx_counter = self.LAST
+        with pytest.raises(KeyStateError, match="re-key"):
+            secure_frame(b"one too many", s)
+        assert s.tx_counter == self.LAST
+
+    def test_a_new_pairwise_key_sends_from_counter_one(self):
+        mgr, s = paired(2)
+        s.tx_counter = self.LAST
+        with pytest.raises(KeyStateError):
+            secure_frame(b"spent", s)
+        mgr.teardown("n0")
+        fresh = mgr.associate("n0", 2)
+        assert fresh.ptk.key != s.ptk.key
+        wire = secure_frame(b"fresh", fresh)
+        assert int.from_bytes(wire[1 : 1 + COUNTER_LEN], "big") == 1
+        assert admit_frame(wire, fresh) == b"fresh"
+
+
 def pinned_body(length):
     return bytes((7 * i + 3) % 256 for i in range(length))
 

@@ -510,9 +510,7 @@ class _TickCounter(Simulation):
         self.ticks += 1
         if self.now >= phase_end:
             self.past_end += 1
-        elif self.exchange is None and all(
-            n.drawn and n.backoff.locked and n.lock_reason == "guard" for n in self._contenders[kind]
-        ):
+        elif self.exchange is None and all(n.backoff.locked == "guard" for n in self._contenders[kind]):
             self.all_guard_locked += 1
         super()._on_slot_tick(kind, phase_end, slot_ends, unlock)
 
@@ -529,6 +527,36 @@ class _HeapWatch(Simulation):
     def _push_schedule(self, *args):
         super()._push_schedule(*args)
         self.largest = max(self.largest, len(self._heap))
+
+
+class _LockReasons(Simulation):
+    """Records the reason each node holds on every traced lock line, and
+    the reason each node held before a resume tick unlocked it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.locks, self.resume_unlocks, self._before = [], [], {}
+
+    def _on_slot_tick(self, kind, phase_end, slot_ends, unlock):
+        self._before = {n.node_id: n.backoff.locked for n in self._contenders[kind]}
+        super()._on_slot_tick(kind, phase_end, slot_ends, unlock)
+
+    def _emit_batch(self, time_us, kind, events, nodes):
+        if events == ("lock",):
+            self.locks += [n.backoff.locked for n in nodes]
+        elif events == ("unlock",):  # only a resume tick unlocks outside a phase entry
+            self.resume_unlocks += [self._before[n.node_id] for n in nodes]
+        super()._emit_batch(time_us, kind, events, nodes)
+
+
+class TestLockReasons:
+    @pytest.mark.parametrize("name", ["contention_pair", "mixed_access"])
+    def test_every_lock_has_a_reason_and_a_resume_lifts_only_busy(self, name):
+        sim = _LockReasons(load_scenario(SCENARIO_DIR / f"{name}.scn"), collect_trace=True)
+        sim.run()
+        assert len(sim.locks) == sum(",lock," in line for line in sim.trace)
+        assert set(sim.locks) == {"busy", "guard"}  # each scenario meets both
+        assert set(sim.resume_unlocks) == {"busy"}
 
 
 class TestLeanLoop:
@@ -606,9 +634,8 @@ class SlotBySlot(Simulation):
             entries = []
             for node in participants:
                 state = node.backoff
-                if state.locked and node.lock_reason == "busy":
-                    state.locked = False
-                    node.lock_reason = None
+                if state.locked == "busy":
+                    state.locked = None
                     entries.append((node.node_id, "unlock", state))
             self._emit_entries(t, kind, entries)
 
@@ -617,7 +644,7 @@ class SlotBySlot(Simulation):
             entries = []
             for node in participants:
                 state = node.backoff
-                if node.drawn and not state.locked and state.counter > 0:
+                if state.counter > 0 and not state.locked:
                     due = on_idle_slot(state)
                     entries.append((node.node_id, "count", state))
                     if due:
@@ -630,9 +657,8 @@ class SlotBySlot(Simulation):
         entries = []
         for node in participants:
             state = node.backoff
-            if node.queue and not node.drawn and not state.locked:
+            if node.queue and state.counter == 0 and not state.locked:
                 draw_backoff(state, node.rng)
-                node.drawn = True
                 if node.service_start is None:
                     node.service_start = t
                 entries.append((node.node_id, "draw", state))
@@ -642,13 +668,12 @@ class SlotBySlot(Simulation):
         entries = []
         for node in participants:
             state = node.backoff
-            if not node.drawn:
+            if state.counter == 0:
                 can_act = True
             elif not state.locked:
                 if guard_check(state, t, phase_end, node.airtime_int, self.ack_int, self.timing):
                     can_act = True
                 else:
-                    node.lock_reason = "guard"
                     entries.append((node.node_id, "lock", state))
         self._emit_entries(t, kind, entries)
 
@@ -946,8 +971,8 @@ def reference_superframe(sim, index):
         if span.kind == PhaseKind.BEACON and layout.beacon_in(index):
             events.append((start, EventKind.BEACON_TX, ()))  # it carried (end,), which nothing read
         if span.kind in poll_phases:
-            for grant in schedule_polls(layout, polled, span.kind, poll_grant_us, base):
-                events.append((grant.start_us, EventKind.POLL_GRANT, (grant.node_id, grant.duration_us, end, span.kind)))
+            for node_id, offset in schedule_polls(layout, polled, span.kind, poll_grant_us):
+                events.append((base + offset, EventKind.POLL_GRANT, (node_id, poll_grant_us, end, span.kind)))
     for alloc in plan.allocations:
         if alloc.active_in(index):
             start = base + alloc.start_slot * layout.slot_length_us
