@@ -45,8 +45,7 @@ def main():
     print()
 
     points = sweep(sweep_configs(), PAYLOADS)
-    with OUT.open("w", newline="") as fh:
-        write_efficiency_csv(points, fh)
+    write_efficiency_csv(points, OUT)
     print(f"wrote {len(points)} sweep points to {OUT.name}")
 
 

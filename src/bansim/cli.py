@@ -59,7 +59,10 @@ def _parse_payloads(spec: str) -> list[int]:
                 raise ConfigError(f"bad payload range {part!r}")
             out.extend(range(start, stop + 1, step))
         else:
-            out.append(int(part))
+            try:
+                out.append(int(part))
+            except ValueError:
+                raise ConfigError(f"bad payload size {part!r} in {spec!r}") from None
     if not out:
         raise ConfigError(f"no payload sizes in {spec!r}")
     return out

@@ -10,7 +10,8 @@ buffer overflow). Efficiency is the payload bit time divided by T_cycle.
 The overhead constants are explicit inputs with documented defaults, so
 the published operating points are a calibration of those defaults, not
 a hard-coded fit. Acknowledgements are minimal frames with a zero-length
-body throughout.
+body throughout. `analytic_efficiency` and `sweep` share one layer,
+`_efficiencies`, which takes every airtime from `frame_airtimes_us`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from bansim.mac.csma import MacTimingConstants, PriorityClass, PRIORITY_TABLE
-from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us, frame_airtimes_us
+from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtimes_us
 from bansim.phy.rates import (
     Band,
     Modulation,
@@ -34,7 +35,6 @@ from bansim.textio import text_stream
 __all__ = [
     "DEFAULT_CONTENTION_CLASS",
     "EfficiencyPoint",
-    "ack_airtime_us",
     "analytic_efficiency",
     "mean_backoff_us",
     "reference_configs",
@@ -56,33 +56,26 @@ class EfficiencyPoint:
     efficiency: float
 
 
-def ack_airtime_us(cfg: PhyConfig) -> float:
-    """Airtime of the minimal acknowledgement (zero-length body)."""
-    return frame_airtime_us(cfg, 0)
-
-
 def mean_backoff_us(timing: MacTimingConstants, csma: PriorityClass) -> float:
     """Expected initial countdown: the draw is uniform over [1, CW_min]."""
     return timing.csma_slot_us * (1 + csma.cw_min) / 2
 
 
-def _cycle_times_us(
-    payloads: list[int], cfg: PhyConfig, timing: MacTimingConstants, csma: PriorityClass
-) -> list[float]:
-    backoff_us = mean_backoff_us(timing, csma)
-    ack_us, *frames_us = frame_airtimes_us(cfg, [0, *payloads])
-    return [backoff_us + frame_us + timing.psifs_us + ack_us + timing.psifs_us for frame_us in frames_us]
-
-
 def _efficiencies(
     payloads: list[int], cfg: PhyConfig, timing: MacTimingConstants, csma: PriorityClass
 ) -> list[float]:
+    """Each payload's bit time over its T_cycle, summed in the order above;
+    the rate and every airtime are worked out once."""
     for payload_bytes in payloads:
         if not 1 <= payload_bytes <= MAX_BODY_LEN:
             raise ValueError(f"payload must be 1..{MAX_BODY_LEN} bytes, got {payload_bytes}")
     psdu_kbps = info_data_rate(cfg, "psdu")
-    cycles_us = _cycle_times_us(payloads, cfg, timing, csma)
-    return [8 * p / psdu_kbps * 1000.0 / cycle_us for p, cycle_us in zip(payloads, cycles_us)]
+    backoff_us = mean_backoff_us(timing, csma)
+    ack_us, *frames_us = frame_airtimes_us(cfg, [0, *payloads])
+    return [
+        8 * p / psdu_kbps * 1000.0 / (backoff_us + frame_us + timing.psifs_us + ack_us + timing.psifs_us)
+        for p, frame_us in zip(payloads, frames_us)
+    ]
 
 
 def analytic_efficiency(

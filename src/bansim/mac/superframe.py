@@ -247,6 +247,8 @@ class ScheduledAllocation:
             raise ValueError("periodicity must be >= 1")
         if self.length_slots < 1:
             raise ValueError("allocation must cover at least one slot")
+        if self.start_slot < 0:
+            raise ValueError(f"allocation starts at slot {self.start_slot}, before slot 0")
 
     def active_in(self, superframe_index: int) -> bool:
         return superframe_index % self.periodicity == self.offset % self.periodicity

@@ -31,25 +31,26 @@ that a single build, parse and hexdump walk:
   region is decoded with the config's coding, so another rate cannot be
   read under it.
 
-The header carries only the rate index, the body length and the optional
-fields, so a config can send 256 headers per setting of those fields.
-Each setting gets a header table, keyed by (family, header code, rate
-index, optional-field values) and filled on the first build that uses
-it: for every length 0..255 the header and its read-only coded bits, all
-256 block-coded in one `fec.encode_blocks` product. Build then looks its
-header up by body length. A field value that does not fit its width
-raises as it always did, before anything is filled, and a value of
-another type that equals an int (True, 1.0) is checked on every build.
-One inverse map per (family, header code, rate index) holds the
+The header carries only the rate index, the body length and the settable
+fields (`_Format.settable`), so a config can send 256 headers per setting
+of those fields. Each setting gets a header table, keyed by (family,
+header code, rate index, every settable field's value, 0 when unset) and
+filled on the first build that uses it: for every length 0..255 the
+header and its read-only coded bits, all 256 block-coded in one
+`fec.encode_blocks` product. Build then looks its header up by body
+length. A field value that does not fit its width raises before anything
+is filled, a field the family lacks is a TypeError naming both, and a
+value of another type that equals an int (True, 1.0) is checked on every
+build. One inverse map per (family, header code, rate index) holds the
 coded-header bytes of every filled table, so parse looks up the image's
 header bytes and goes straight on to the frame region. A miss (a
 corrupted or short header, narrowband reserved bits set under a valid
 check, or fields no build has used yet) takes the miss path: the header
 decoded by the block decoder (`fec.decode_blocks`), its fields and check
-read off the decoded word, with every error as before. Importing the
-module fills nothing. The built-in configs with every field setting need
-13 tables of about 100 KB; past `_MAX_TABLES` tables, all are dropped and
-refilled on use.
+read off the decoded word. Importing the module fills nothing. The
+built-in configs need 4 tables with every field unset and 13 with every
+field setting, about 100 KB each; past `_MAX_TABLES` tables, all are
+dropped and refilled on use.
 
 Known limit: a header whose `length` is raised by a few bytes, within the
 zero pad of the frame region's last codeword, still parses. The body then
@@ -73,7 +74,6 @@ from functools import cached_property
 import numpy as np
 
 from bansim.errors import (
-    ConfigError,
     FcsMismatch,
     FrameTooLong,
     HeaderCheckError,
@@ -96,17 +96,9 @@ __all__ = [
     "NbPlcpHeader",
     "UwbPhr",
     "HbcPhyHeader",
-    "AirtimeBreakdown",
     "Ppdu",
-    "build_nb_ppdu",
-    "parse_nb_ppdu",
-    "build_uwb_ppdu",
-    "parse_uwb_ppdu",
-    "build_hbc_ppdu",
-    "parse_hbc_ppdu",
     "build_ppdu",
     "parse_ppdu",
-    "ppdu_airtime",
     "frame_airtime_us",
     "frame_airtimes_us",
     "hexdump",
@@ -153,17 +145,6 @@ class HbcPhyHeader:
 
 
 @dataclass(frozen=True)
-class AirtimeBreakdown:
-    preamble_us: float
-    header_us: float
-    psdu_us: float
-
-    @property
-    def total_us(self) -> float:
-        return self.preamble_us + self.header_us + self.psdu_us
-
-
-@dataclass(frozen=True)
 class Ppdu:
     """Structured frame plus its serialized bit image."""
 
@@ -196,6 +177,10 @@ class _Format:
     @cached_property
     def info_bits(self) -> int:
         return sum(width for _, width in self.layout) + 4 * self.crc4
+
+    @cached_property
+    def settable(self) -> tuple[str, ...]:  # the named fields that config and body do not give
+        return tuple(name for name, _ in self.layout if name not in (None, "rate_index", "length"))
 
     @cached_property
     def shifts(self) -> dict[str, int]:
@@ -242,13 +227,6 @@ _FORMATS = {
 }
 
 
-def _check_psdu_args(mac_header: bytes, body: bytes) -> None:
-    if len(mac_header) != MAC_HEADER_LEN:
-        raise ValueError(f"mac header must be {MAC_HEADER_LEN} bytes, got {len(mac_header)}")
-    if len(body) > MAX_BODY_LEN:
-        raise FrameTooLong(f"body of {len(body)} bytes exceeds {MAX_BODY_LEN}")
-
-
 # Spreading sends each coded bit s times (s is 1, 2 or 4). Read as one
 # s-byte word, the s copies of a bit are 0 or 0x01..01 (`_COPIES[s]`), so
 # spreading is one multiply and the despread check one compare.
@@ -277,15 +255,6 @@ def _decode_psdu(cfg: PhyConfig, region: np.ndarray, psdu_len: int) -> bytes:
     return np.packbits(fec.decode_blocks(region, cfg.psdu_fec, psdu_len * 8)).tobytes()
 
 
-def _split_psdu(psdu: bytes) -> tuple[bytes, bytes, int]:
-    mac_header = psdu[:MAC_HEADER_LEN]
-    body = psdu[MAC_HEADER_LEN:-FCS_LEN]
-    fcs = int.from_bytes(psdu[-FCS_LEN:], "big")
-    if fcs != crc16(mac_header + body):
-        raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(mac_header + body):04X}")
-    return mac_header, body, fcs
-
-
 def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
     if len(bits) < offset + count:
         raise TruncatedFrame(f"image ends inside {what}")
@@ -293,12 +262,6 @@ def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
 
 
 # -------------------------------------------------------------------- codec
-
-
-def _format(kind: PhyKind, cfg: PhyConfig) -> _Format:
-    if cfg.kind != kind:
-        raise ConfigError(f"config is {cfg.kind.value}, not {kind.value}")
-    return _FORMATS[kind]
 
 
 def _bit_image(bits: np.ndarray) -> np.ndarray:
@@ -319,30 +282,34 @@ def _preamble_label(fmt: _Format, rep: int) -> str:
 
 # ------------------------------------------------------------ header tables
 
-# (family, n, k, rate index, optional-field values): one entry per body
-# length, (header, coded bits); (family, n, k, rate index): (coded length,
-# coded-header bytes -> header) over every filled table of that key.
+# (family, n, k, rate index, every settable field's value): one entry per
+# body length, (header, coded bits); (family, n, k, rate index): (coded
+# length, coded-header bytes -> header) over every filled table of that key.
 _TABLES: dict[tuple, tuple[tuple[object, np.ndarray], ...]] = {}
 _INVERSE: dict[tuple, tuple[int, dict[bytes, object]]] = {}
 _NO_HEADERS: tuple[int, dict[bytes, object]] = (0, {})
 _MAX_TABLES = 32  # about 100 KB each
 
 
-def _header_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
-    key = (kind, *cfg.header_fec, cfg.rate_index, *fields.values())
+def _header_table(fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
+    """The table of `cfg`'s headers with `fields` set (an unset field is 0)."""
+    unknown = fields.keys() - fmt.settable
+    if unknown:
+        raise TypeError(f"{cfg.kind.value} header has no field {', '.join(map(repr, sorted(unknown)))}")
+    key = (cfg.kind, *cfg.header_fec, cfg.rate_index, *[fields.get(name, 0) for name in fmt.settable])
     table = _TABLES.get(key)
     if table is None or not all(type(value) is int for value in key[1:]):  # 1.0 and True find 1's
-        table = _fill_table(kind, fmt, cfg, fields)
+        table = _fill_table(fmt, cfg, fields)
     return table
 
 
-def _fill_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
+def _fill_table(fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
     """Check the header fields in layout order, then the table of their
     normalized values, filled in one block-coding pass if it is new."""
     given = {**fields, "rate_index": cfg.rate_index, "length": 0}
     values = {name: checked_uint(given.get(name, 0), width) for name, width in fmt.layout if name}
     n, k = cfg.header_fec
-    key = (kind, n, k, values["rate_index"], *(values[name] for name in fields))
+    key = (cfg.kind, n, k, values["rate_index"], *(values[name] for name in fmt.settable))
     if key in _TABLES:
         return _TABLES[key]
     if len(_TABLES) >= _MAX_TABLES:
@@ -364,7 +331,7 @@ def _fill_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tu
         entries.append((fmt.header(**values), row))
     table = _TABLES[key] = tuple(entries)
     blob, n_hdr = coded.tobytes(), coded.shape[1]
-    _, headers = _INVERSE.setdefault((kind, n, k, values["rate_index"]), (n_hdr, {}))
+    _, headers = _INVERSE.setdefault((cfg.kind, n, k, values["rate_index"]), (n_hdr, {}))
     headers.update((blob[i * n_hdr : (i + 1) * n_hdr], header) for i, (header, _) in enumerate(table))
     return table
 
@@ -391,18 +358,24 @@ def _decode_header(fmt: _Format, cfg: PhyConfig, coded: np.ndarray):
     return fmt.header(**values)
 
 
-def _build(kind: PhyKind, cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
-    _check_psdu_args(mac_header, body)
-    fmt = _format(kind, cfg)
-    header, header_bits = _header_table(kind, fmt, cfg, fields)[len(body)]
+def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
+    """The frame of `cfg`'s family; `fields` sets the header's settable
+    fields (nb: scrambler, burst_mode; uwb: scrambler_seed), each 0 unset."""
+    if len(mac_header) != MAC_HEADER_LEN:
+        raise ValueError(f"mac header must be {MAC_HEADER_LEN} bytes, got {len(mac_header)}")
+    if len(body) > MAX_BODY_LEN:
+        raise FrameTooLong(f"body of {len(body)} bytes exceeds {MAX_BODY_LEN}")
+    fmt = _FORMATS[cfg.kind]
+    header, header_bits = _header_table(fmt, cfg, fields)[len(body)]
     fcs = crc16(mac_header + body)
     psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
     image = np.concatenate([fmt.sync, header_bits, _encode_psdu(cfg, psdu)])
-    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, image)
+    return Ppdu(cfg.kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, image)
 
 
-def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    fmt = _format(kind, cfg)
+def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
+    """The frame in an image of `cfg`'s family; a FrameError names the first failed check."""
+    fmt = _FORMATS[cfg.kind]
     bits = _bit_image(bits)
     off = len(fmt.sync)
     if bits[:off].tobytes() != fmt.sync_bytes:
@@ -412,86 +385,46 @@ def _parse(kind: PhyKind, bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
                 raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
         _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
         raise SfdMismatch("start-frame delimiter mismatch")
-    n_hdr, headers = _INVERSE.get((kind, *cfg.header_fec, cfg.rate_index), _NO_HEADERS)
+    n_hdr, headers = _INVERSE.get((cfg.kind, *cfg.header_fec, cfg.rate_index), _NO_HEADERS)
     header = headers.get(bits[off : off + n_hdr].tobytes())
     if header is None:
         n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
         header = _decode_header(fmt, cfg, _take(bits, off, n_hdr, "header"))
     psdu = _decode_psdu(cfg, bits[off + n_hdr :], MAC_HEADER_LEN + header.length + FCS_LEN)
-    mac_header, body, fcs = _split_psdu(psdu)
-    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)
-
-
-def build_nb_ppdu(
-    cfg: PhyConfig, mac_header: bytes, body: bytes, scrambler: int = 0, burst_mode: int = 0
-) -> Ppdu:
-    return _build(PhyKind.NB, cfg, mac_header, body, scrambler=scrambler, burst_mode=burst_mode)
-
-
-def parse_nb_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    return _parse(PhyKind.NB, bits, cfg)
-
-
-def build_uwb_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, scrambler_seed: int = 0) -> Ppdu:
-    return _build(PhyKind.UWB, cfg, mac_header, body, scrambler_seed=scrambler_seed)
-
-
-def parse_uwb_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    return _parse(PhyKind.UWB, bits, cfg)
-
-
-def build_hbc_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
-    return _build(PhyKind.HBC, cfg, mac_header, body)
-
-
-def parse_hbc_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    return _parse(PhyKind.HBC, bits, cfg)
-
-
-def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
-    return _build(cfg.kind, cfg, mac_header, body)
-
-
-def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    return _parse(cfg.kind, bits, cfg)
+    mac_header = psdu[:MAC_HEADER_LEN]
+    body = psdu[MAC_HEADER_LEN:-FCS_LEN]
+    fcs = int.from_bytes(psdu[-FCS_LEN:], "big")
+    if fcs != crc16(mac_header + body):
+        raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(mac_header + body):04X}")
+    return Ppdu(cfg.kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)
 
 
 # ------------------------------------------------------------------ airtime
 
 
-def _airtimes(cfg: PhyConfig, psdu_bit_counts: list[int]) -> list[tuple[float, float, float]]:
-    """Transmission time of the preamble, header and PSDU regions, in
-    microseconds, for each PSDU size; the config's rates are worked out once.
-
-    Sync symbols go out at the raw symbol rate; header and frame regions
-    take information_bits / information_rate, so coding and spreading
-    stretch them through the rate, not through the bit image.
-    """
-    preamble_us = cfg.preamble_symbols / cfg.symbol_rate * 1000.0
-    header_us = _FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0
-    psdu_kbps = info_data_rate(cfg, "psdu")
-    return [(preamble_us, header_us, bits / psdu_kbps * 1000.0) for bits in psdu_bit_counts]
-
-
-def ppdu_airtime(ppdu: Ppdu, cfg: PhyConfig) -> AirtimeBreakdown:
-    """Transmission time of a built frame, split by region."""
-    if ppdu.kind != cfg.kind:
-        raise ConfigError(f"frame is {ppdu.kind.value}, config is {cfg.kind.value}")
-    return AirtimeBreakdown(*_airtimes(cfg, [len(ppdu.psdu_bytes) * 8])[0])
-
-
 def frame_airtimes_us(cfg: PhyConfig, body_lens: list[int]) -> list[float]:
-    """frame_airtime_us of each body length, the config's rates worked out once."""
+    """Airtime in microseconds of a frame with each of `body_lens` body
+    bytes, without building it; the config's rates are worked out once.
+
+    Each is the sum of the sync, header and PSDU times, in that order. Sync
+    symbols go out at the raw symbol rate; header and frame regions take
+    information_bits / information_rate, so coding and spreading stretch
+    them through the rate, not through the bit image.
+    """
     for body_len in body_lens:
         if not 0 <= body_len <= MAX_BODY_LEN:
             raise FrameTooLong(f"body of {body_len} bytes outside 0..{MAX_BODY_LEN}")
-    psdu_bit_counts = [(MAC_HEADER_LEN + body_len + FCS_LEN) * 8 for body_len in body_lens]
-    return [preamble + header + psdu for preamble, header, psdu in _airtimes(cfg, psdu_bit_counts)]
+    preamble_us = cfg.preamble_symbols / cfg.symbol_rate * 1000.0
+    header_us = _FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0
+    psdu_kbps = info_data_rate(cfg, "psdu")
+    return [
+        preamble_us + header_us + (MAC_HEADER_LEN + body_len + FCS_LEN) * 8 / psdu_kbps * 1000.0
+        for body_len in body_lens
+    ]
 
 
 def frame_airtime_us(cfg: PhyConfig, body_len: int) -> float:
-    """Airtime of a frame with `body_len` body bytes, without building it;
-    the sum is taken in AirtimeBreakdown.total_us's order."""
+    """Airtime of a frame with `body_len` body bytes, without building it."""
     return frame_airtimes_us(cfg, [body_len])[0]
 
 

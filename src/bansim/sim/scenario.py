@@ -441,7 +441,6 @@ class Plan:
     airtime_us: dict[str, float]  # data frame, security bytes included
     payload_us: dict[str, float]  # the user-payload share of it
     exchange_us: dict[str, int]  # data, interframe space, ack and guard time
-    allocations: tuple[ScheduledAllocation, ...]  # by node id
     schedule: tuple[tuple[int, int, int, EventKind, tuple], ...]
 
 
@@ -523,7 +522,10 @@ def compile_scenario(
             continue
         if node.slot_start is None or node.slot_len is None:
             raise _fail(node_line, f"{node_id}: scheduled access needs slot_start and slot_len")
-        alloc = node.allocation()  # validates its own fields
+        try:
+            alloc = node.allocation()  # validates its own fields
+        except ValueError as exc:  # a NodeSpec built in code, past the key table's floors
+            raise _fail(node_line, f"{node_id}: {exc}") from exc
         end = alloc.start_slot + alloc.length_slots
         if end > layout.slots_per_superframe:
             raise _fail(node_line, f"{node_id}: allocation runs past the superframe")
@@ -626,6 +628,5 @@ def compile_scenario(
         airtime_us=airtime,
         payload_us=payload,
         exchange_us=exchange,
-        allocations=tuple(sorted(scheduled, key=lambda alloc: alloc.node_id)),
         schedule=tuple(schedule),
     )

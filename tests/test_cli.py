@@ -94,8 +94,8 @@ class TestEfficiency:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_number_names_its_kind(self, capsys):
-        assert main(["efficiency", "--payloads", "x"]) == 1
-        assert capsys.readouterr().err.startswith("error: ValueError: invalid literal")
+        assert main(["efficiency", "--payloads", "10,x"]) == 1
+        assert capsys.readouterr().err == "error: ConfigError: bad payload size 'x' in '10,x'\n"
 
     @pytest.mark.parametrize("spec", ["1:a", "10,a:5", "1:5:x", "1:2:3:4", "1:"])
     def test_bad_range_is_a_config_error_naming_the_list(self, spec, capsys):

@@ -31,6 +31,7 @@ from bansim.sim.scenario import (
     _KEYS,
     _PHASE_KEYS,
     MAX_EXPECTED_ARRIVALS,
+    EventKind,
     NodeSpec,
     Scenario,
     compile_scenario,
@@ -443,6 +444,34 @@ class TestEntryLines:
         assert line == 4 and f"must be at least {low}" in msg
 
 
+class TestProgrammaticAllocations:
+    """A NodeSpec built in code skips the file's key floors, so an
+    allocation field past them must still fail as a ScenarioError at the
+    node's line."""
+
+    SCHEDULED = (
+        "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\n"
+        "n0 = access=scheduled, slot_start=10, slot_len=20, payload=10\n"
+    )
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"slot_len": 0}, "allocation must cover at least one slot"),
+            ({"period": 0}, "periodicity must be >= 1"),
+            ({"slot_start": -100}, "allocation starts at slot -100, before slot 0"),
+        ],
+        ids=["slot_len", "period", "slot_start"],
+    )
+    def test_field_past_its_floor_fails_at_the_nodes_line(self, field, message):
+        sc = parse_scenario(self.SCHEDULED)
+        bad = replace(sc, nodes=(replace(sc.nodes[0], **field),))
+        with pytest.raises(ScenarioError) as info:
+            compile_scenario(bad, node_lines={"n0": 5})
+        assert info.value.line == 5
+        assert str(info.value) == f"line 5: n0: {message}"
+
+
 class TestNodeIds:
     def test_ids_that_break_a_trace_line_fail_at_their_entry(self):
         # A comma splits the trace field, an empty id leaves it empty, and
@@ -736,7 +765,14 @@ class TestPairwiseConflicts:
         except ScenarioError as exc:
             assert not legal and " vs " in str(exc)
         else:
-            assert legal and plan.allocations == tuple(sorted(allocs, key=lambda a: a.node_id))
+            assert legal
+            # No node is polled, so every poll grant is an allocation's, by node id.
+            grants = [(offset, period, residue, data[0]) for offset, period, residue, kind, data in plan.schedule
+                      if kind is EventKind.POLL_GRANT]
+            assert grants == [
+                (a.start_slot * config.slot_length_us, a.periodicity, a.offset % a.periodicity, a.node_id)
+                for a in sorted(allocs, key=lambda a: a.node_id)
+            ]
 
 
 # Values a scenario fuzz draws for any key: edge cases, and names that

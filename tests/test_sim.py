@@ -949,6 +949,11 @@ class TestStreamedTrace:
 # ------------------------------------- the schedule against its generator
 
 
+def scheduled_allocations(sc):
+    """The scenario's allocations, by node id."""
+    return sorted((node.allocation() for node in sc.nodes if node.access == "scheduled"), key=lambda a: a.node_id)
+
+
 def reference_superframe(sim, index):
     """Superframe `index`'s schedule events as (time, kind, data), made the
     way the kernel made them before compile_scenario laid the schedule out:
@@ -957,9 +962,10 @@ def reference_superframe(sim, index):
     phases and allocation phases are derived from the scenario as the plan
     derived them. Kept as the reference for the compiled schedule."""
     plan, layout, events = sim.plan, sim.plan.layout, []
+    allocations = scheduled_allocations(sim.sc)
     polled = sorted(node.node_id for node in sim.sc.nodes if node.access == "polled")
     poll_grant_us = sim.sc.poll_grant_us or max((plan.exchange_us[node_id] for node_id in polled), default=0)
-    covered = {a.node_id: phases_covered(layout, a.start_slot, a.length_slots) for a in plan.allocations}
+    covered = {a.node_id: phases_covered(layout, a.start_slot, a.length_slots) for a in allocations}
     poll_phases = SHARED_PHASES - {kind for kinds in covered.values() for kind in kinds} if polled else set()
     base = index * layout.duration_us
     for span in layout.phases:
@@ -973,7 +979,7 @@ def reference_superframe(sim, index):
         if span.kind in poll_phases:
             for node_id, offset in schedule_polls(layout, polled, span.kind, poll_grant_us):
                 events.append((base + offset, EventKind.POLL_GRANT, (node_id, poll_grant_us, end, span.kind)))
-    for alloc in plan.allocations:
+    for alloc in allocations:
         if alloc.active_in(index):
             start = base + alloc.start_slot * layout.slot_length_us
             length = alloc.length_slots * layout.slot_length_us
@@ -1055,7 +1061,7 @@ class TestCompiledSchedule:
         sim = _ScheduleLog(sc)
         sim.pushed = []
         want = []
-        periods = [alloc.periodicity for alloc in sim.plan.allocations]
+        periods = [alloc.periodicity for alloc in scheduled_allocations(sc)]
         for index in range(math.lcm(sc.superframe.beacon_period_multiplier, *periods)):
             sim._schedule_superframe(index)
             want += reference_superframe(sim, index)
