@@ -67,6 +67,8 @@ def _efficiencies(
     """Each payload's bit time over its T_cycle, summed in the order above;
     the rate and every airtime are worked out once."""
     for payload_bytes in payloads:
+        if type(payload_bytes) is not int:
+            raise TypeError(f"payload_bytes must be an int, got {payload_bytes!r}")
         if not 1 <= payload_bytes <= MAX_BODY_LEN:
             raise ValueError(f"payload must be 1..{MAX_BODY_LEN} bytes, got {payload_bytes}")
     psdu_kbps = info_data_rate(cfg, "psdu")

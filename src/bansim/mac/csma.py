@@ -21,8 +21,8 @@ states: one event for many nodes (a busy lock, a resume unlock, a slot's
 counts) or a few events per node (a phase entry). trace_event appends
 one node's one event, the exchange lines. The decimal text of counters,
 windows and failure counts comes from a cache that fills on first use,
-so each line is one f-string. trace_lines and trace_line render
-(node id, event, state) entries through trace_event.
+so each line is one f-string. trace_line renders one (node id, event,
+state) entry through trace_event.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "trace_batch",
     "trace_event",
     "trace_line",
-    "trace_lines",
 ]
 
 
@@ -68,9 +67,9 @@ class PriorityClass:
             raise ValueError(f"need 1 <= cw_min <= cw_max, got ({self.cw_min}, {self.cw_max})")
 
 
-# Contention window bounds per user priority. Implementation defaults:
-# monotone in priority, halving roughly every step, highest priority most
-# aggressive. Override per scenario where other bounds are required.
+# Contention window bounds per user priority, fixed for every scenario (no
+# scenario key changes them): monotone in priority, halving roughly every
+# step, highest priority most aggressive.
 PRIORITY_TABLE = {
     up: PriorityClass(up, lo, hi)
     for up, (lo, hi) in enumerate(
@@ -256,15 +255,6 @@ def trace_event(
             return
         except KeyError as missing:
             _learn(missing)
-
-
-def trace_lines(time_us: int, phase: PhaseKind, entries) -> list[str]:
-    """The canonical trace line of each (node id, event, backoff state)
-    entry, all at one instant of one phase."""
-    lines: list[str] = []
-    for node, event, state in entries:
-        trace_event(lines, time_us, phase, event, node, state)
-    return lines
 
 
 def trace_line(

@@ -110,12 +110,6 @@ class PhaseLayout:
                 return phase
         return None
 
-    def beacon_in(self, superframe_index: int) -> bool:
-        """Whether this superframe carries a beacon (active, not prohibited)."""
-        if self.span(PhaseKind.BEACON) is None:
-            return False
-        return superframe_index % self.beacon_period_multiplier == 0
-
 
 def build_layout(config: SuperframeConfig) -> PhaseLayout:
     """Assemble and validate the ordered phase spans of one superframe."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mseq", "kasami63", "kasami63_bits"]
+__all__ = ["mseq", "kasami63_bits"]
 
 # Feedback polynomial x^6 + x + 1, all-ones start state.
 _DEGREE = 6
@@ -54,8 +54,3 @@ def kasami63_bits(index: int) -> np.ndarray:
         return u
     w = u[(9 * np.arange(63)) % 63]  # period-7 short sequence
     return u ^ np.roll(w, index - 1)
-
-
-def kasami63(index: int) -> np.ndarray:
-    """Code `index` as a 63-chip antipodal sequence (values +1/-1)."""
-    return (1 - 2 * kasami63_bits(index).astype(np.int64))

@@ -39,9 +39,10 @@ filled on the first build that uses it: for every length 0..255 the
 header and its read-only coded bits, all 256 block-coded in one
 `fec.encode_blocks` product. Build then looks its header up by body
 length. A field value that does not fit its width raises before anything
-is filled, a field the family lacks is a TypeError naming both, and a
-value of another type that equals an int (True, 1.0) is checked on every
-build. One inverse map per (family, header code, rate index) holds the
+is filled; a field the family lacks, and a value that is not an integer
+(None, 1.0), are TypeErrors naming the family and the field; a value of
+another type that equals an int (True) is checked on every build. One
+inverse map per (family, header code, rate index) holds the
 coded-header bytes of every filled table, so parse looks up the image's
 header bytes and goes straight on to the frame region. A miss (a
 corrupted or short header, narrowband reserved bits set under a valid
@@ -68,6 +69,7 @@ change every bit image.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -307,7 +309,15 @@ def _fill_table(fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
     """Check the header fields in layout order, then the table of their
     normalized values, filled in one block-coding pass if it is new."""
     given = {**fields, "rate_index": cfg.rate_index, "length": 0}
-    values = {name: checked_uint(given.get(name, 0), width) for name, width in fmt.layout if name}
+    values = {}
+    for name, width in fmt.layout:
+        if name:
+            raw = given.get(name, 0)
+            try:
+                value = operator.index(raw)  # True is 1; 1.0 and None are refused
+            except TypeError:
+                raise TypeError(f"{cfg.kind.value} header field {name!r} needs an int, got {raw!r}") from None
+            values[name] = checked_uint(value, width)
     n, k = cfg.header_fec
     key = (cfg.kind, n, k, values["rate_index"], *(values[name] for name in fmt.settable))
     if key in _TABLES:
@@ -412,6 +422,8 @@ def frame_airtimes_us(cfg: PhyConfig, body_lens: list[int]) -> list[float]:
     them through the rate, not through the bit image.
     """
     for body_len in body_lens:
+        if type(body_len) is not int:
+            raise TypeError(f"body_len must be an int, got {body_len!r}")
         if not 0 <= body_len <= MAX_BODY_LEN:
             raise FrameTooLong(f"body of {body_len} bytes outside 0..{MAX_BODY_LEN}")
     preamble_us = cfg.preamble_symbols / cfg.symbol_rate * 1000.0

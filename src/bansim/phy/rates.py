@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from bansim.errors import ConfigError
@@ -193,14 +193,18 @@ class PhyConfig:
         return _BAND_INFO[self.band_id].kind
 
 
+def _component(cfg: PhyConfig, component: str) -> tuple[Modulation, tuple[int, int], int]:
+    """The modulation, (n, k) code and spreading of one packet component."""
+    if component == "header":
+        return cfg.header_modulation, cfg.header_fec, cfg.header_spreading
+    if component == "psdu":
+        return cfg.modulation, cfg.psdu_fec, cfg.spreading
+    raise ValueError(f"component must be 'header' or 'psdu', got {component!r}")
+
+
 def info_data_rate(cfg: PhyConfig, component: str) -> float:
     """Information data rate of one packet component, in Kbps."""
-    if component == "header":
-        modulation, (n, k), spreading = cfg.header_modulation, cfg.header_fec, cfg.header_spreading
-    elif component == "psdu":
-        modulation, (n, k), spreading = cfg.modulation, cfg.psdu_fec, cfg.spreading
-    else:
-        raise ValueError(f"component must be 'header' or 'psdu', got {component!r}")
+    modulation, (n, k), spreading = _component(cfg, component)
     if cfg.rate_override_kbps is not None:
         return cfg.rate_override_kbps
     bps = BITS_PER_SYMBOL.get(modulation)
@@ -302,24 +306,10 @@ class RateRow:
     band: Band
     component: str  # "header" or "psdu"
     config: PhyConfig
-    rate_kbps: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate_kbps", info_data_rate(self.config, self.component))
-
-    @property
-    def modulation(self) -> Modulation:
-        cfg = self.config
-        return cfg.header_modulation if self.component == "header" else cfg.modulation
-
-    @property
-    def fec(self) -> tuple[int, int]:
-        return self.config.header_fec if self.component == "header" else self.config.psdu_fec
-
-    @property
-    def spreading(self) -> int:
-        cfg = self.config
-        return cfg.header_spreading if self.component == "header" else cfg.spreading
+    modulation: Modulation
+    fec: tuple[int, int]
+    spreading: int
+    rate_kbps: float
 
 
 def builtin_rate_table() -> list[RateRow]:
@@ -327,9 +317,8 @@ def builtin_rate_table() -> list[RateRow]:
     rows = []
     for band in _NB_BANDS:
         low = nb_config(band, "low")
-        rows.append(RateRow(band, "header", low))
-        rows.append(RateRow(band, "psdu", low))
-        rows.append(RateRow(band, "psdu", nb_config(band, "high")))
+        for component, cfg in (("header", low), ("psdu", low), ("psdu", nb_config(band, "high"))):
+            rows.append(RateRow(band, component, cfg, *_component(cfg, component), info_data_rate(cfg, component)))
     return rows
 
 

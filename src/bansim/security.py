@@ -48,6 +48,7 @@ from bansim.errors import (
 __all__ = [
     "SecurityLevel",
     "SECURITY_WIRE_OVERHEAD",
+    "HUB_ID",
     "PairwiseKey",
     "SecuritySession",
     "GroupKeyState",
@@ -58,6 +59,9 @@ __all__ = [
 
 TAG_LEN = 8
 COUNTER_LEN = 4
+# The hub's id: it keys the pre-shared master keys and names the hub on
+# trace lines, so no node may take it.
+HUB_ID = "hub"
 
 
 class SecurityLevel(IntEnum):
@@ -109,9 +113,7 @@ class PairwiseKey:
 @dataclass
 class SecuritySession:
     node_id: str
-    hub_id: str
     level: SecurityLevel
-    mk_source: str | None = None  # "preshared" | "unauthenticated" | None
     mk: bytes | None = None
     ptk: PairwiseKey | None = None
     session_counter: int = 0  # how many PTKs this pairing has consumed
@@ -126,7 +128,6 @@ class SecuritySession:
 
 @dataclass(frozen=True)
 class GroupKeyState:
-    group_id: str
     gtk_id: str
     members: frozenset[str]
 
@@ -134,8 +135,7 @@ class GroupKeyState:
 class SecurityManager:
     """Hub-side owner of all sessions and key state for one run."""
 
-    def __init__(self, hub_id: str = "hub"):
-        self.hub_id = hub_id
+    def __init__(self):
         self.sessions: dict[str, SecuritySession] = {}
         # Session ordinals survive teardown so a re-keyed pairing can
         # never reproduce an old PTK ("one PTK per session").
@@ -153,7 +153,7 @@ class SecurityManager:
             raise ProtocolOrderError(f"{node_id} is already associated")
         if mk not in MK_MODES:
             raise SecurityError(f"unknown master-key mode {mk!r}")
-        session = SecuritySession(node_id, self.hub_id, level)
+        session = SecuritySession(node_id, level)
         self.sessions[node_id] = session
         if level >= SecurityLevel.AUTHENTICATED:
             self._activate_mk(session, mk)
@@ -163,7 +163,7 @@ class SecurityManager:
     def _activate_mk(self, session: SecuritySession, mode: str) -> None:
         if mode == "preshared":
             # Stable per pairing, as if provisioned out of band.
-            session.mk = _digest(b"mk-preshared", session.node_id.encode(), self.hub_id.encode())
+            session.mk = _digest(b"mk-preshared", session.node_id.encode(), HUB_ID.encode())
         else:
             # Created fresh by the unauthenticated association exchange.
             self._mk_serial += 1
@@ -172,7 +172,6 @@ class SecurityManager:
                 session.node_id.encode(),
                 self._mk_serial.to_bytes(8, "big"),
             )
-        session.mk_source = mode
 
     def establish_ptk(self, session: SecuritySession) -> SecuritySession:
         if session.mk is None:
@@ -211,7 +210,7 @@ class SecurityManager:
         gtk_id = _digest(
             b"gtk", group_id.encode(), len(self.groups).to_bytes(4, "big")
         )[:8].hex()
-        state = GroupKeyState(group_id, gtk_id, frozenset(node_ids))
+        state = GroupKeyState(gtk_id, frozenset(node_ids))
         for node_id in node_ids:
             self.sessions[node_id].gtk_id = gtk_id
         self.groups[group_id] = state

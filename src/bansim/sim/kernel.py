@@ -52,7 +52,7 @@ slot's counts, the busy locks when an exchange begins, the unlocks on a
 resume tick, the enter/unlock/sifs lines of a phase entry) goes to
 csma.trace_batch as node ids and states, and each exchange line goes to
 csma.trace_event. Each place that traces tests the run's trace flag once,
-so an untraced run makes no trace call at all (no _emit, _emit_batch,
+so an untraced run makes no trace call at all (no _emit_batch,
 trace_batch or trace_event) and collects no list of nodes to trace.
 
 A run given an open trace file streams its trace: the line list is a
@@ -91,8 +91,8 @@ from bansim.mac.csma import (
     trace_event,
 )
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
-from bansim.security import SecurityLevel, SecurityManager, admit_frame, secure_frame
-from bansim.sim.scenario import HUB_ID, EventKind, NodeSpec, Scenario, clock_us, compile_scenario
+from bansim.security import HUB_ID, SecurityLevel, SecurityManager, admit_frame, secure_frame
+from bansim.sim.scenario import EventKind, NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import text_stream
 
@@ -144,7 +144,7 @@ class Simulation:
     def __init__(self, scenario: Scenario, collect_trace: bool = False, trace_file=None):
         self.sc = scenario
         self.plan = plan = compile_scenario(scenario)
-        self.security = SecurityManager(HUB_ID)
+        self.security = SecurityManager()
         nodes: list[_Node] = []
         for spec in scenario.nodes:
             node = _Node(
@@ -232,14 +232,9 @@ class Simulation:
             self._seq += 1
             self._tick = (time_us, 2, self._seq, kind, phase_end, slot_ends, unlock)
 
-    # The two trace helpers are called only by a traced run.
-
-    def _emit(self, time_us: int, kind: PhaseKind, event: str, node: _Node) -> None:
-        """Trace one event of one node, from its backoff state as it is now."""
-        trace_event(self.trace, time_us, kind, event, node.node_id, node.backoff)
-
     def _emit_batch(self, time_us: int, kind: PhaseKind, events: tuple[str, ...], nodes: list[_Node]) -> None:
-        """Trace each event in `events` for each node, node by node."""
+        """Trace each event in `events` for each node, node by node; called
+        only by a traced run."""
         if nodes:
             ids, states = [n.node_id for n in nodes], [n.backoff for n in nodes]
             trace_batch(self.trace, time_us, kind, events, ids, states)
@@ -450,7 +445,6 @@ class Simulation:
                 else:
                     for state in states:
                         state.counter -= k
-            self._seq += k  # the ticks those slot ends would have pushed
             t += k * slot_us
         self._push_tick(t, kind, phase_end, True, False)
 
@@ -497,7 +491,7 @@ class Simulation:
         if t > exchange.phase_end:
             raise SimulationError("transmission crossed its phase boundary")
         if self.collect_trace:
-            self._emit(t, exchange.kind, "tx_end", node)
+            trace_event(self.trace, t, exchange.kind, "tx_end", node_id, node.backoff)
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
         if exchange.collided:
@@ -516,7 +510,7 @@ class Simulation:
             self.stats.add_busy(self.ack_airtime_us)
             self.stats.ack_airtime_us += self.ack_airtime_us
             if self.collect_trace:
-                self._emit(t, exchange.kind, "ack", node)
+                trace_event(self.trace, t, exchange.kind, "ack", node_id, node.backoff)
             self._push(t + self.ack_int, EventKind.ACK_DUE, (node_id, "success"))
             return
         if outcome == "success":
@@ -526,10 +520,10 @@ class Simulation:
             node.stats.collided += 1
             on_failure(node.backoff)
             if self.collect_trace:
-                self._emit(t, exchange.kind, "fail", node)
+                trace_event(self.trace, t, exchange.kind, "fail", node_id, node.backoff)
             draw_backoff(node.backoff, node.rng)
             if self.collect_trace:
-                self._emit(t, exchange.kind, "draw", node)
+                trace_event(self.trace, t, exchange.kind, "draw", node_id, node.backoff)
         exchange.pending -= 1
         if exchange.pending == 0:
             self.exchange = None
@@ -556,7 +550,7 @@ class Simulation:
         node.service_start = None
         on_success(node.backoff)  # no change for a polled or scheduled node, which never fails
         if self.collect_trace:
-            self._emit(t, exchange.kind, "success", node)
+            trace_event(self.trace, t, exchange.kind, "success", node.node_id, node.backoff)
         if node.spec.traffic[0] == "saturated":
             node.queue.append(t)
             stats.offered += 1
@@ -617,7 +611,7 @@ class ScriptedReplay(Simulation):
 
     def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         if not self._contenders[kind]:
-            self._emit(self.now, kind, "enter", self._node)
+            trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
         super()._on_phase_start(kind, length_us)
 
     def _begin_exchange(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:

@@ -58,7 +58,7 @@ from bansim.mac.superframe import (
 )
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
 from bansim.phy.rates import PhyConfig, info_data_rate, phy_config
-from bansim.security import SECURITY_WIRE_OVERHEAD, SecurityLevel
+from bansim.security import HUB_ID, SECURITY_WIRE_OVERHEAD, SecurityLevel
 from bansim.textio import text_stream
 
 __all__ = [
@@ -409,8 +409,6 @@ def load_scenario(path) -> Scenario:
 
 # Body of the hub's beacon frame, bytes.
 BEACON_BODY_LEN = 17
-# The hub's id on trace lines, which no node may take.
-HUB_ID = "hub"
 # A node id is one trace field: no separator, never empty.
 _NODE_ID = re.compile(r"[A-Za-z0-9_.-]+")
 

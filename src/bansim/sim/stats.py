@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from bansim.errors import SimulationError
 from bansim.textio import text_stream
@@ -24,10 +24,6 @@ class NodeStats:
     tx_airtime_us: float = 0.0  # all data airtime, failed attempts included
     access_delay_sum_us: int = 0  # head-of-line to acknowledgement, delivered only
     queued: int = 0  # frames still waiting at the end of the run
-
-    @property
-    def attempts(self) -> int:
-        return self.delivered + self.failed
 
     @property
     def mean_access_delay_us(self) -> float:
@@ -55,29 +51,30 @@ class RunStats:
     def idle_us(self) -> float:
         return self.elapsed_us - self.busy_us
 
+    def total(self) -> NodeStats:
+        """The `all` row: each counter summed over the nodes in run order."""
+        nodes = self.nodes.values()
+        return NodeStats("all", *(sum(getattr(n, f.name) for n in nodes) for f in fields(NodeStats)[1:]))
+
     @property
     def offered(self) -> int:
-        return sum(n.offered for n in self.nodes.values())
+        return self.total().offered
 
     @property
     def delivered(self) -> int:
-        return sum(n.delivered for n in self.nodes.values())
+        return self.total().delivered
 
     @property
     def failed(self) -> int:
-        return sum(n.failed for n in self.nodes.values())
+        return self.total().failed
 
     @property
     def collided(self) -> int:
-        return sum(n.collided for n in self.nodes.values())
-
-    @property
-    def payload_airtime_us(self) -> float:
-        return sum(n.payload_airtime_us for n in self.nodes.values())
+        return self.total().collided
 
     @property
     def efficiency(self) -> float:
-        return self.payload_airtime_us / self.elapsed_us if self.elapsed_us else 0.0
+        return self.total().efficiency(self.elapsed_us)
 
     def check_conservation(self) -> None:
         """Channel-busy time must equal the sum of all transmission
@@ -89,11 +86,7 @@ class RunStats:
         plus the additions that join the per-node, ack and beacon sums. The
         tolerance is twice that, to cover second-order terms.
         """
-        total = (
-            sum(n.tx_airtime_us for n in self.nodes.values())
-            + self.ack_airtime_us
-            + self.beacon_airtime_us
-        )
+        total = self.total().tx_airtime_us + self.ack_airtime_us + self.beacon_airtime_us
         additions = self.transmissions + len(self.nodes) + 2
         tolerance = 2 * additions * sys.float_info.epsilon * max(total, self.busy_us)
         if abs(total - self.busy_us) > tolerance:
@@ -124,49 +117,33 @@ STATS_FIELDS = [
 ]
 
 
+def _row(n: NodeStats, elapsed_us: int) -> list:
+    """The columns that node rows and the total share."""
+    return [
+        n.node_id,
+        n.offered,
+        n.delivered,
+        n.failed,
+        n.collided,
+        n.queued,
+        n.payload_bits,
+        f"{n.payload_airtime_us:.1f}",
+        f"{n.tx_airtime_us:.1f}",
+        f"{n.mean_access_delay_us:.1f}",
+        f"{n.efficiency(elapsed_us):.6f}",
+    ]
+
+
 def write_stats_csv(stats: RunStats, out) -> None:
-    """One row per node plus an aggregate row named `all`. Fixed decimal
-    formatting keeps equal runs byte-identical."""
+    """One row per node plus the total, named `all`, which alone carries
+    the channel columns. Fixed decimal formatting keeps equal runs
+    byte-identical."""
     with text_stream(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(STATS_FIELDS)
         for node_id in sorted(stats.nodes):
-            n = stats.nodes[node_id]
-            writer.writerow(
-                [
-                    node_id,
-                    n.offered,
-                    n.delivered,
-                    n.failed,
-                    n.collided,
-                    n.queued,
-                    n.payload_bits,
-                    f"{n.payload_airtime_us:.1f}",
-                    f"{n.tx_airtime_us:.1f}",
-                    f"{n.mean_access_delay_us:.1f}",
-                    f"{n.efficiency(stats.elapsed_us):.6f}",
-                    "",
-                    "",
-                    "",
-                ]
-            )
-        delivered = stats.delivered
-        delay_sum = sum(n.access_delay_sum_us for n in stats.nodes.values())
+            writer.writerow(_row(stats.nodes[node_id], stats.elapsed_us) + ["", "", ""])
         writer.writerow(
-            [
-                "all",
-                stats.offered,
-                delivered,
-                stats.failed,
-                stats.collided,
-                sum(n.queued for n in stats.nodes.values()),
-                sum(n.payload_bits for n in stats.nodes.values()),
-                f"{stats.payload_airtime_us:.1f}",
-                f"{sum(n.tx_airtime_us for n in stats.nodes.values()):.1f}",
-                f"{delay_sum / delivered if delivered else 0.0:.1f}",
-                f"{stats.efficiency:.6f}",
-                f"{stats.busy_us:.1f}",
-                f"{stats.idle_us:.1f}",
-                stats.elapsed_us,
-            ]
+            _row(stats.total(), stats.elapsed_us)
+            + [f"{stats.busy_us:.1f}", f"{stats.idle_us:.1f}", stats.elapsed_us]
         )

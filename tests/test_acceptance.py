@@ -26,12 +26,12 @@ from bansim.errors import (
 )
 from bansim.mac.csma import BackoffState, MacTimingConstants, PRIORITY_TABLE, on_failure, on_success
 from bansim.mac.superframe import PhaseKind
-from bansim.phy.kasami import kasami63
 from bansim.phy.ppdu import MAC_HEADER_LEN, build_ppdu, parse_ppdu
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.security import SecurityLevel, SecurityManager, SecuritySession, admit_frame, secure_frame
 from bansim.sim.kernel import replay_contention, run, run_to_files
 from bansim.sim.scenario import load_scenario, parse_scenario
+from test_kasami import kasami63
 
 HERE = Path(__file__).parent
 SCENARIO_DIR = HERE.parent / "scenarios"
@@ -349,7 +349,7 @@ def test_criterion_09_security_state_machine(capfd):
     for level in (SecurityLevel.AUTHENTICATED, SecurityLevel.ENCRYPTED):
         donor = SecurityManager().associate("n0", level, mk="preshared")
         wire = secure_frame(b"x", donor)
-        bare = SecuritySession("n0", "hub", level)
+        bare = SecuritySession("n0", level)
         for op in (lambda: secure_frame(b"x", bare), lambda: admit_frame(wire, bare)):
             try:
                 op()

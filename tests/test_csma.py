@@ -28,13 +28,21 @@ from bansim.mac.csma import (
     trace_batch,
     trace_event,
     trace_line,
-    trace_lines,
 )
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
 from bansim.sim.kernel import replay_contention
 
 GOLDEN = Path(__file__).parent / "data" / "contention_replay.csv"
 TIMING = MacTimingConstants()
+
+
+def trace_lines(time_us: int, phase: PhaseKind, entries) -> list[str]:
+    """The canonical trace line of each (node id, event, backoff state)
+    entry, all at one instant of one phase, one trace_event call each."""
+    lines: list[str] = []
+    for node, event, state in entries:
+        trace_event(lines, time_us, phase, event, node, state)
+    return lines
 
 
 class TestPriorityTable:
@@ -521,10 +529,6 @@ class TestTraceRendering:
         assert lines == ["kept"] + want
 
         entries = [(node, event, state) for node, state in zip(node_ids, states) for event in events]
-        one_by_one: list[str] = []
-        for node, event, state in entries:
-            trace_event(one_by_one, time_us, phase, event, node, state)
-        assert one_by_one == want
         assert trace_lines(time_us, phase, entries) == want
         assert [trace_line(time_us, node, event, state, phase) for node, event, state in entries] == want
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from bansim.efficiency import (
 from bansim.errors import FrameTooLong
 from bansim.mac.csma import MacTimingConstants, PRIORITY_TABLE
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us, frame_airtimes_us
-from bansim.phy.rates import info_data_rate
+from bansim.phy.rates import Band, info_data_rate, nb_config
 from bansim.textio import text_stream
 
 TIMING = MacTimingConstants()
@@ -119,6 +120,15 @@ class TestShape:
         _, cfg = reference_configs()[0]
         with pytest.raises(ValueError):
             analytic_efficiency(bad, cfg)
+
+    @pytest.mark.parametrize("bad", [10.5, 10.0, True, "10", None])
+    def test_a_payload_that_is_not_an_int_is_refused_by_name(self, bad):
+        # No frame has a fractional body: 10.5 once gave 0.09936 on nb 402-405 high.
+        cfg = nb_config(Band.NB_402_405, "high")
+        with pytest.raises(TypeError, match=f"^payload_bytes must be an int, got {re.escape(repr(bad))}$"):
+            analytic_efficiency(bad, cfg)
+        with pytest.raises(TypeError, match="^payload_bytes must be an int"):
+            sweep([("nb", cfg)], [10, bad])
 
 
 class TestPieces:

@@ -2,10 +2,13 @@
 bansim.sim hold only their modules, so every name is imported from the
 module that defines it, and a module loads only what it imports: the rate
 engine, the MAC modules, the stats writer, security and textio load
-without numpy. No module reads the environment."""
+without numpy. No module reads the environment, and every function, class
+and method that the package defines is used inside it, but for a short
+list of public entries kept for their callers outside."""
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +53,74 @@ def environment_reads(path):
             and {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)} & ENVIRONMENT
         }
     )
+
+
+# The names the package defines and never uses itself, each with why it stays.
+KEPT_FOR_CALLERS = {
+    "analytic_efficiency": "the public efficiency model, which the demos call",
+    "reference_configs": "the public efficiency model's operating points, which the demos call",
+    "replay_contention": "the acceptance gate's scripted CSMA replay",
+    "SecurityManager.teardown": "the end of the key lifecycle that the acceptance gate walks",
+    "guard_check": "a counter of bench/tracing.py TARGETS",
+    "trace_line": "a span of bench/tracing.py TARGETS",
+    "phase_at": "a counter of bench/tracing.py TARGETS",
+    "place_scheduled": "a span of bench/tracing.py TARGETS",
+    "crc4_bits": "a counter of bench/tracing.py TARGETS",
+    "bits_to_bytes": "a span of bench/tracing.py TARGETS",
+}
+
+
+def unused_names(root):
+    """The module-level functions and classes of the modules under `root`,
+    and their methods that are not dunders (as Class.method), whose name no
+    loaded name and no attribute under `root` mentions."""
+    defined, used = {}, set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            defined[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        defined[f"{node.name}.{item.name}"] = item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(qualified for qualified, name in defined.items() if name not in used)
+
+
+def test_the_package_defines_only_what_it_uses():
+    unused = set(unused_names(PACKAGE))
+    assert sorted(unused - KEPT_FOR_CALLERS.keys()) == []
+    # A kept name that the package now uses, or that is gone, leaves the list.
+    assert sorted(KEPT_FOR_CALLERS.keys() - unused) == []
+
+
+def test_the_check_sees_each_unused_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used(): pass\n"
+        "def orphan(): pass\n"
+        "class C:\n    def __init__(self): pass\n    def read(self): pass\n    def spare(self): pass\n"
+        "class Lone: pass\n"
+    )
+    (tmp_path / "sub").mkdir()
+    # An import and a store are not uses.
+    (tmp_path / "sub" / "b.py").write_text("from a import orphan\nused()\nC().read\nspare = 1\n")
+    assert unused_names(tmp_path) == ["C.spare", "Lone", "orphan"]
+
+
+def test_the_check_flags_a_function_added_to_the_package(tmp_path):
+    copy = tmp_path / "bansim"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "textio.py", "a") as fh:
+        fh.write("\n\ndef spare_helper():\n    pass\n")
+    assert unused_names(copy) == sorted([*KEPT_FOR_CALLERS, "spare_helper"])
 
 
 def test_each_subpackage_is_only_its_docstring():

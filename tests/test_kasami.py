@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from bansim.phy.kasami import kasami63, kasami63_bits, mseq
+from bansim.phy.kasami import kasami63_bits, mseq
 
 SET_SIZE = 8
+
+
+def kasami63(index: int) -> np.ndarray:
+    """Code `index` as a 63-chip antipodal sequence (values +1/-1)."""
+    return 1 - 2 * kasami63_bits(index).astype(np.int64)
 
 
 def periodic_crosscorrelation(a: np.ndarray, b: np.ndarray) -> np.ndarray:

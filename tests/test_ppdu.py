@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -45,6 +46,7 @@ from bansim.phy.ppdu import (
     NbPlcpHeader,
     _FORMATS,
     _INVERSE,
+    _MAX_TABLES,
     _TABLES,
     _decode_header,
     _header_table,
@@ -110,6 +112,15 @@ def test_oversize_body_rejected():
 def test_airtime_of_a_length_the_field_cannot_hold_names_the_range(body_len):
     with pytest.raises(FrameTooLong, match=rf"body of {body_len} bytes outside 0\.\.255"):
         frame_airtime_us(NB, body_len)
+
+
+@pytest.mark.parametrize("body_len", [1.5, 1.0, True, "1", None])
+def test_airtime_of_a_length_that_is_not_an_int_names_the_argument(body_len):
+    # No build makes a fractional body: 1.5 once timed 1087.37 us on nb 402-405 high.
+    with pytest.raises(TypeError, match=f"^body_len must be an int, got {re.escape(repr(body_len))}$"):
+        frame_airtime_us(NB, body_len)
+    with pytest.raises(TypeError, match="^body_len must be an int"):
+        frame_airtimes_us(NB, [0, body_len])
 
 
 def test_nb_image_geometry():
@@ -530,7 +541,7 @@ def test_nb_reserved_bits_under_a_recomputed_check_still_parse(reserved):
     "value, outcome",
     [
         (True, NbPlcpHeader(rate_index=1, length=4, scrambler=True, burst_mode=0, hcs=14)),
-        (1.0, (TypeError, "'float' object cannot be interpreted as an integer")),
+        (1.0, (TypeError, "nb header field 'scrambler' needs an int, got 1.0")),
         (2, (ValueError, "value 2 does not fit in 1 bits")),
         (-1, (ValueError, "value -1 does not fit in 1 bits")),
     ],
@@ -550,6 +561,36 @@ def test_a_field_value_gives_the_header_or_error_of_the_word_assembly(value, out
         with pytest.raises(kind, match=f"^{message}$"):
             build_ppdu(NB, b"\x08" * 7, b"abcd", scrambler=value)
     assert len(_TABLES) == tables
+
+
+@pytest.mark.parametrize(
+    "cfg, field", [(NB, "scrambler"), (NB, "burst_mode"), (UWB, "scrambler_seed")], ids=["nb", "nb-burst", "uwb"]
+)
+@pytest.mark.parametrize("value", [None, 1.0, "1"], ids=["none", "float", "str"])
+def test_a_field_value_that_is_not_an_int_names_the_family_and_field(cfg, field, value):
+    tables = len(_TABLES)
+    message = f"^{cfg.kind.value} header field '{field}' needs an int, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        build_ppdu(cfg, bytes(MAC_HEADER_LEN), b"", **{field: value})
+    assert len(_TABLES) == tables
+
+
+def test_past_the_table_limit_every_table_is_dropped_and_refilled():
+    _TABLES.clear()
+    _INVERSE.clear()
+    first = build_ppdu(NB, b"\x08" * 7, b"abcd")
+    settings = [
+        (replace(NB, rate_index=rate), fields) for rate in range(8) for fields in FIELD_SETTINGS[PhyKind.NB]
+    ] + [(UWB, {"scrambler_seed": 1})]
+    assert len(settings) == _MAX_TABLES + 1
+    for cfg, fields in settings:
+        build_ppdu(cfg, b"\x08" * 7, b"abcd", **fields)
+        assert len(_TABLES) <= _MAX_TABLES
+    assert len(_TABLES) == 1  # the last setting, filled after the drop
+    again = build_ppdu(NB, b"\x08" * 7, b"abcd")
+    assert again.bits.tolist() == first.bits.tolist()
+    back = parse_ppdu(again.bits, NB)
+    assert (back.header, back.body) == (first.header, b"abcd")
 
 
 @pytest.mark.parametrize("cfg", [NB, UWB], ids=["nb", "uwb"])

@@ -253,6 +253,29 @@ class TestRejection:
         )
         assert line == 7
 
+    NODES = "[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n[nodes]\n"
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            (NODES + "n0 = priority\n", 5, "expected key=value, got 'priority'"),
+            # The empty part is skipped: the fault named is the next part's.
+            (NODES + "n0 = priority=4,, colour=red\n", 5, "unknown [nodes] key 'colour'"),
+            ("[phy]\nkind = nb\n[run\n", 3, "malformed section header '[run'"),
+            (NODES + "n0 = payload=10\n[security]\nn0 = level=1\nn0 = level=2\n", 8, "duplicate security entry 'n0'"),
+            (NODES + "n0 = traffic=scripted:\n", 5, "scripted traffic needs at least one time"),
+            ("[phy]\nkind = nb\n# a rate too small to time\nrate_override_kbps = 1e-320\n", 4, "leaves no finite airtime"),
+        ],
+        ids=["no-equals", "empty-part", "open-header", "duplicate-security", "no-scripted-time", "tiny-rate"],
+    )
+    def test_each_refusal_names_its_line(self, text, line, message):
+        found, msg = error_line(text)
+        assert found == line and msg.startswith(f"line {line}: ") and message in msg
+
+    def test_an_empty_sub_assignment_is_skipped(self):
+        sc = scn(self.NODES + "n0 = priority=4,, payload=10,\n")
+        assert (sc.nodes[0].priority, sc.nodes[0].payload_bytes) == (4, 10)
+
 
 class TestSemantics:
     def test_phase_sum_mismatch_points_at_superframe(self):

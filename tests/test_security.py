@@ -86,7 +86,7 @@ class TestAssociation:
 class TestPtkLifecycle:
     def test_establish_requires_a_master_key(self):
         mgr = SecurityManager()
-        bare = SecuritySession("n0", "hub", SecurityLevel.AUTHENTICATED)
+        bare = SecuritySession("n0", SecurityLevel.AUTHENTICATED)
         with pytest.raises(KeyStateError):
             mgr.establish_ptk(bare)
 
@@ -150,7 +150,7 @@ class TestFraming:
         assert s.rx_counter == 5
 
     def test_secured_send_requires_an_active_ptk(self):
-        bare = SecuritySession("n0", "hub", SecurityLevel.AUTHENTICATED)
+        bare = SecuritySession("n0", SecurityLevel.AUTHENTICATED)
         with pytest.raises(KeyStateError):
             secure_frame(b"no key yet", bare)
 
@@ -333,7 +333,7 @@ class TestRejection:
     def test_admit_requires_an_active_ptk(self):
         _, s = paired(1)
         wire = secure_frame(b"x", s)
-        bare = SecuritySession("n0", "hub", SecurityLevel.AUTHENTICATED)
+        bare = SecuritySession("n0", SecurityLevel.AUTHENTICATED)
         with pytest.raises(KeyStateError):
             admit_frame(wire, bare)
 

@@ -32,7 +32,6 @@ from bansim.mac.csma import (
     exchange_us,
     guard_check,
     on_idle_slot,
-    trace_lines,
 )
 from bansim.mac.superframe import SHARED_PHASES, PhaseKind, phases_covered, schedule_polls
 from bansim.phy.ppdu import frame_airtime_us, frame_airtimes_us
@@ -40,7 +39,9 @@ from bansim.phy.rates import Band, nb_config
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
 from bansim.sim.stats import RunStats, write_stats_csv
+from test_csma import trace_lines
 from test_golden import SCENARIO_DIGESTS, STRESS_DIGESTS
+from test_superframe import beacon_in
 
 # One giant contention phase: a superframe long enough that a saturated
 # node never meets a phase boundary, so the run matches the closed-form
@@ -974,7 +975,7 @@ def reference_superframe(sim, index):
         start = base + span.start_slot * layout.slot_length_us
         end = start + span.length_slots * layout.slot_length_us
         events.append((start, EventKind.PHASE_START, (span.kind, start, end)))
-        if span.kind == PhaseKind.BEACON and layout.beacon_in(index):
+        if span.kind == PhaseKind.BEACON and beacon_in(layout, index):
             events.append((start, EventKind.BEACON_TX, ()))  # it carried (end,), which nothing read
         if span.kind in poll_phases:
             for node_id, offset in schedule_polls(layout, polled, span.kind, poll_grant_us):
@@ -1094,7 +1095,6 @@ class TestUntracedRunsDoNoTraceWork:
         with monkeypatch.context() as m:
             m.setattr(kernel, "trace_batch", self._refuse)
             m.setattr(kernel, "trace_event", self._refuse)
-            m.setattr(Simulation, "_emit", self._refuse)
             m.setattr(Simulation, "_emit_batch", self._refuse)
             run_to_files(sc, stats)
         assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest

