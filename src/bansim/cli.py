@@ -153,13 +153,20 @@ def _print_frame_fields(ppdu, cfg, fh) -> None:
     print(f"airtime_us={frame_airtime_us(cfg, len(ppdu.body)):.3f}", file=fh)
 
 
+def _hex_bytes(text: str, name: str) -> bytes:
+    try:
+        return bytes.fromhex(text)
+    except ValueError as exc:
+        raise ConfigError(f"{name} is not hex: {exc}") from None
+
+
 def cmd_frame_build(args) -> int:
     cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
-    mac_header = bytes.fromhex(args.mac_header)
+    mac_header = _hex_bytes(args.mac_header, "--mac-header")
     if len(mac_header) != MAC_HEADER_LEN:
         raise ConfigError(f"--mac-header must be {MAC_HEADER_LEN} bytes of hex")
     if args.body is not None:
-        body = bytes.fromhex(args.body)
+        body = _hex_bytes(args.body, "--body")
     elif args.body_len < 0:
         raise ConfigError(f"--body-len must not be negative, got {args.body_len}")
     else:
@@ -175,7 +182,7 @@ def cmd_frame_build(args) -> int:
 
 def cmd_frame_parse(args) -> int:
     cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
-    image = bytes.fromhex(args.image)
+    image = _hex_bytes(args.image, "image")
     bits = bytes_to_bits(image)
     if args.bits is not None:
         if args.bits < 0:

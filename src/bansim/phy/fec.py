@@ -10,11 +10,12 @@ raises, nothing is corrected.
 
 That checksum has init 0 and no final XOR, so it is linear over GF(2): the
 parity of information row u is u @ G mod 2, where row i of the k x 12
-generator matrix G is the checksum of unit vector i. `encode_blocks` and
-`decode_blocks` code a bit array, such as a frame's PSDU or PHY header, in
-one matrix product: encoding takes all parity rows at once, decoding
-checks all 0/1 codewords in one syndrome product with [G; I12], and mod 2
-is the low bit of int32 sums.
+matrix G is the checksum of unit vector i. The systematic generator
+[I_k | G] (`generator`) turns information rows into whole codewords in one
+matrix product, mod 2 being the low bit of int32 sums; `encode_blocks`
+codes a bit array so, and the frame codec a PSDU's rows. `decode_blocks`
+accepts codewords whose parity bits equal those rebuilt from their
+information bits, and names the first that differs.
 """
 
 from __future__ import annotations
@@ -29,18 +30,19 @@ from bansim.phy.bitfields import int_to_bits
 from bansim.phy.checksums import crc12_bits
 from bansim.phy.rates import PARITY_BITS, check_code
 
-__all__ = ["BlockCode", "encode_blocks", "decode_blocks", "coded_length"]
+__all__ = ["BlockCode", "generator", "encode_blocks", "decode_blocks", "coded_length"]
 
 BlockCode = tuple[int, int]  # (n, k)
 
 
 @functools.cache
-def _generator(k: int) -> np.ndarray:
-    """[G; I12] over GF(2), row i of G the parity of unit vector i. float32
-    runs the products in BLAS, exact for k < 2**24; a cast to uint8 is
-    undefined past 255."""
-    rows = [int_to_bits(crc12_bits(unit), PARITY_BITS) for unit in np.eye(k, dtype=int).tolist()]
-    matrix = np.vstack([np.array(rows, dtype=np.float32), np.eye(PARITY_BITS, dtype=np.float32)])
+def generator(n: int, k: int) -> np.ndarray:
+    """[I_k | G] over GF(2), k x n, row i the codeword of unit vector i, of a
+    code the caller checked. float32 runs the products in BLAS, exact for
+    k < 2**24; a cast to uint8 is undefined past 255."""
+    matrix = np.eye(k, n, dtype=np.float32)
+    if n > k:
+        matrix[:, k:] = [int_to_bits(crc12_bits(unit), PARITY_BITS) for unit in np.eye(k, dtype=int).tolist()]
     matrix.flags.writeable = False
     return matrix
 
@@ -61,14 +63,8 @@ def encode_blocks(bits: np.ndarray, code: BlockCode) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) % k:
         bits = np.concatenate([bits, np.zeros(-len(bits) % k, dtype=np.uint8)])
-    info = bits.reshape(-1, k)
-    if n == k:
-        return info.flatten()
-    words = np.empty((len(info), n), dtype=np.uint8)
-    words[:, :k] = info
-    parity = (info @ _generator(k)[:-PARITY_BITS]).astype(np.int32)
-    np.bitwise_and(parity, 1, out=words[:, k:], casting="unsafe")
-    return words.ravel()
+    words = (bits.reshape(-1, k) @ generator(n, k)).astype(np.int32) & 1
+    return words.astype(np.uint8).ravel()
 
 
 def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np.ndarray:
@@ -86,9 +82,10 @@ def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np
         raise CodewordError(f"coded region holds {len(image)} bits, expected {expected}")
     words = image.reshape(-1, n)
     if n > k:
-        syndrome = (words @ _generator(k)).astype(np.int32)
-        if np.bitwise_or.reduce(syndrome, axis=None) & 1:  # some sum is odd
-            raise CodewordError(f"parity mismatch in codeword {(syndrome & 1).any(axis=1).argmax()}")
+        parity = (words[:, :k] @ generator(n, k)[:, k:]).astype(np.int32) & 1
+        bad = (parity != words[:, k:]).any(axis=1)
+        if bad.any():
+            raise CodewordError(f"parity mismatch in codeword {bad.argmax()}")
     info_bits = words[:, :k].flatten()
     if info_bits[info_bit_count:].any():
         raise CodewordError("nonzero pad bits in final codeword")

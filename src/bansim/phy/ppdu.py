@@ -8,10 +8,14 @@ where the MAC frame is mac_header(7) + body(0..255) + fcs(2). The PHY
 header carries the body length, so a parser given the operating config can
 recover every field and validate the frame end to end. Decoding is
 detect-only: any inconsistency raises a distinct FrameError subclass.
-The MAC frame goes through the block coder as one matrix product
-(`fec.encode_blocks`/`decode_blocks`), its bytes unpacked straight into
-whole codewords and its information bits packed straight back to bytes.
-An image holding any value but 0 and 1 is refused as a ValueError.
+The MAC frame is coded in one product with the systematic generator
+(`fec.generator`), then spread. Parse accepts a frame by rebuilding it:
+with the sync matched and the coded header in a table, the frame region's
+information bits (each spread bit's first copy) are coded and spread
+again, and equal bytes prove that every copy agrees, every parity holds
+and every value is 0 or 1. Anything else takes the reject path, which
+names the first failed check: a value not 0 or 1 (ValueError), sync,
+header, length, copies, parity. A non-1-D image is a ValueError first.
 
 The families differ only in data, held in one format table (`_FORMATS`)
 that a single build, parse and hexdump walk:
@@ -76,6 +80,7 @@ from functools import cached_property
 import numpy as np
 
 from bansim.errors import (
+    CodewordError,
     FcsMismatch,
     FrameTooLong,
     HeaderCheckError,
@@ -235,26 +240,39 @@ _FORMATS = {
 _COPIES = {2: 0x0101, 4: 0x01010101}
 
 
-def _encode_psdu(cfg: PhyConfig, psdu: bytes) -> np.ndarray:
-    k, s = cfg.psdu_fec[1], cfg.spreading
-    bits = np.unpackbits(np.frombuffer(psdu, dtype=np.uint8), count=-(-8 * len(psdu) // k) * k)
-    coded = fec.encode_blocks(bits, cfg.psdu_fec)
-    return (coded.astype(f"<u{s}") * _COPIES[s]).view(np.uint8) if s > 1 else coded
+def _psdu_image(cfg: PhyConfig, info: np.ndarray) -> np.ndarray:
+    """The frame region of information rows `info`, one per codeword."""
+    words = np.dot(info, fec.generator(*cfg.psdu_fec)).astype("<i4")
+    words &= 1
+    if cfg.spreading > 1:
+        words *= _COPIES[cfg.spreading]
+    return words.astype(f"<i{cfg.spreading}", copy=False).view(np.uint8).ravel()
 
 
-def _decode_psdu(cfg: PhyConfig, region: np.ndarray, psdu_len: int) -> bytes:
-    s = cfg.spreading
-    expected = fec.coded_length(psdu_len * 8, cfg.psdu_fec) * s
-    if len(region) < expected:
-        raise TruncatedFrame(f"frame region holds {len(region)} bits, needs {expected}")
-    if len(region) > expected:
-        raise TrailingBitsError(f"{len(region) - expected} bits past end of frame")
+def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) -> bytes:
+    """The PSDU of the frame region bits[start:], accepted when rebuilding
+    the region from its information bits gives its bytes back."""
+    (n, k), s = cfg.psdu_fec, cfg.spreading
+    region, rows = bits[start:], -(-8 * psdu_len // k)
+    if len(region) == rows * n * s:
+        info = region.reshape(rows, n * s)[:, : k * s : s]
+        rebuilt = _psdu_image(cfg, info)
+        if rebuilt.tobytes() == region.tobytes():
+            psdu = np.packbits(info).tobytes()  # the pad bits fill the bytes past psdu_len
+            if any(psdu[psdu_len:]):
+                raise CodewordError("nonzero pad bits in final codeword")
+            return psdu[:psdu_len]
+    region = _bit_image(bits)[start:]  # the reject path: name the first failed check
+    if len(region) < rows * n * s:
+        raise TruncatedFrame(f"frame region holds {len(region)} bits, needs {rows * n * s}")
+    if len(region) > rows * n * s:
+        raise TrailingBitsError(f"{len(region) - rows * n * s} bits past end of frame")
     if s > 1:
         copies = np.ascontiguousarray(region).view(f"<u{s}")
-        region = (copies == _COPIES[s]).view(np.uint8)
-        if np.count_nonzero(copies) != np.count_nonzero(region):  # a word neither 0 nor 0x01..01
+        if np.count_nonzero(copies) != np.count_nonzero(copies == _COPIES[s]):  # a word neither 0 nor 0x01..01
             raise DespreadError("repetition copies disagree")
-    return np.packbits(fec.decode_blocks(region, cfg.psdu_fec, psdu_len * 8)).tobytes()
+    # The copies agree, so the first codeword that differs differs in its parity.
+    raise CodewordError(f"parity mismatch in codeword {(rebuilt != region).argmax() // (n * s)}")
 
 
 def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
@@ -267,8 +285,10 @@ def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
 
 
 def _bit_image(bits: np.ndarray) -> np.ndarray:
-    """`bits` as a uint8 array; ValueError at the first value not 0 or 1."""
+    """`bits` as a 1-D uint8 array; ValueError if not 1-D, or at the first value not 0 or 1."""
     raw = np.asarray(bits)
+    if raw.ndim != 1:
+        raise ValueError(f"image must be one-dimensional, got {raw.ndim} dimensions ({type(bits).__name__})")
     if raw.dtype == np.uint8 and np.bitwise_or.reduce(raw, axis=None) < 2:
         return raw
     stray = (raw != 0) & (raw != 1)
@@ -294,20 +314,18 @@ _MAX_TABLES = 32  # about 100 KB each
 
 
 def _header_table(fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
-    """The table of `cfg`'s headers with `fields` set (an unset field is 0)."""
-    unknown = fields.keys() - fmt.settable
-    if unknown:
-        raise TypeError(f"{cfg.kind.value} header has no field {', '.join(map(repr, sorted(unknown)))}")
-    key = (cfg.kind, *cfg.header_fec, cfg.rate_index, *[fields.get(name, 0) for name in fmt.settable])
-    table = _TABLES.get(key)
-    if table is None or not all(type(value) is int for value in key[1:]):  # 1.0 and True find 1's
-        table = _fill_table(fmt, cfg, fields)
-    return table
+    """The table of `cfg`'s headers with `fields` set (an unset field is 0);
+    with none set, straight by key, as `PhyConfig` checked code and rate."""
+    table = None if fields else _TABLES.get((cfg.kind, *cfg.header_fec, cfg.rate_index) + (0,) * len(fmt.settable))
+    return table or _fill_table(fmt, cfg, fields)
 
 
 def _fill_table(fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
-    """Check the header fields in layout order, then the table of their
-    normalized values, filled in one block-coding pass if it is new."""
+    """Check the header fields by name, then in layout order, then the table
+    of their normalized values, filled in one block-coding pass if it is new."""
+    unknown = fields.keys() - fmt.settable
+    if unknown:
+        raise TypeError(f"{cfg.kind.value} header has no field {', '.join(map(repr, sorted(unknown)))}")
     given = {**fields, "rate_index": cfg.rate_index, "length": 0}
     values = {}
     for name, width in fmt.layout:
@@ -368,9 +386,22 @@ def _decode_header(fmt: _Format, cfg: PhyConfig, coded: np.ndarray):
     return fmt.header(**values)
 
 
+def _frame_bytes(value, name: str) -> bytes:
+    """`value` as bytes; a TypeError naming `name` unless it is bytes-like."""
+    try:
+        view = memoryview(value)
+    except TypeError:
+        view = None
+    if view is None or view.itemsize != 1:
+        raise TypeError(f"{name} must be bytes-like (single-byte items), got {type(value).__name__}")
+    return value if type(value) is bytes else view.tobytes()
+
+
 def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
     """The frame of `cfg`'s family; `fields` sets the header's settable
-    fields (nb: scrambler, burst_mode; uwb: scrambler_seed), each 0 unset."""
+    fields (nb: scrambler, burst_mode; uwb: scrambler_seed), each 0 unset.
+    `mac_header` and `body` are bytes-like, kept as bytes."""
+    mac_header, body = _frame_bytes(mac_header, "mac_header"), _frame_bytes(body, "body")
     if len(mac_header) != MAC_HEADER_LEN:
         raise ValueError(f"mac header must be {MAC_HEADER_LEN} bytes, got {len(mac_header)}")
     if len(body) > MAX_BODY_LEN:
@@ -379,28 +410,32 @@ def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) ->
     header, header_bits = _header_table(fmt, cfg, fields)[len(body)]
     fcs = crc16(mac_header + body)
     psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
-    image = np.concatenate([fmt.sync, header_bits, _encode_psdu(cfg, psdu)])
+    k = cfg.psdu_fec[1]
+    info = np.unpackbits(np.frombuffer(psdu, dtype=np.uint8), count=-(-8 * len(psdu) // k) * k)
+    image = np.concatenate([fmt.sync, header_bits, _psdu_image(cfg, info.reshape(-1, k))])
     return Ppdu(cfg.kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, image)
 
 
 def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     """The frame in an image of `cfg`'s family; a FrameError names the first failed check."""
     fmt = _FORMATS[cfg.kind]
-    bits = _bit_image(bits)
+    if not (isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype == np.uint8):
+        bits = _bit_image(bits)
     off = len(fmt.sync)
-    if bits[:off].tobytes() != fmt.sync_bytes:
-        unit = len(fmt.unit)
-        for rep in range(fmt.reps):
-            if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
-                raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
-        _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
-        raise SfdMismatch("start-frame delimiter mismatch")
     n_hdr, headers = _INVERSE.get((cfg.kind, *cfg.header_fec, cfg.rate_index), _NO_HEADERS)
-    header = headers.get(bits[off : off + n_hdr].tobytes())
+    header = headers.get(bits[off : off + n_hdr].tobytes()) if bits[:off].tobytes() == fmt.sync_bytes else None
     if header is None:
+        bits = _bit_image(bits)  # a value not a bit is named before any check
+        if bits[:off].tobytes() != fmt.sync_bytes:
+            unit = len(fmt.unit)
+            for rep in range(fmt.reps):
+                if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
+                    raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
+            _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
+            raise SfdMismatch("start-frame delimiter mismatch")
         n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
         header = _decode_header(fmt, cfg, _take(bits, off, n_hdr, "header"))
-    psdu = _decode_psdu(cfg, bits[off + n_hdr :], MAC_HEADER_LEN + header.length + FCS_LEN)
+    psdu = _decode_psdu(cfg, bits, off + n_hdr, MAC_HEADER_LEN + header.length + FCS_LEN)
     mac_header = psdu[:MAC_HEADER_LEN]
     body = psdu[MAC_HEADER_LEN:-FCS_LEN]
     fcs = int.from_bytes(psdu[-FCS_LEN:], "big")

@@ -198,6 +198,25 @@ class TestFrame:
         assert main(["frame", "parse", "--bits", "-8", image]) == 1
         assert capsys.readouterr().err.startswith("error: ConfigError: --bits")
 
+    @pytest.mark.parametrize(
+        "argv, name, position",
+        [
+            (["build", "--mac-header", "zz"], "--mac-header", 0),
+            (["build", "--body", "0g"], "--body", 1),
+            (["parse", "zz"], "image", 0),
+        ],
+        ids=["mac-header", "body", "image"],
+    )
+    def test_a_bad_hex_argument_is_named(self, capsys, argv, name, position):
+        # Each once printed a bare `ValueError: non-hexadecimal number ...` naming no argument.
+        assert main(["frame", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: ConfigError: {name} is not hex: non-hexadecimal number found in fromhex() arg"
+            f" at position {position}\n"
+        )
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_scenario_runs_to_csv(self, tmp_path, capsys):

@@ -13,9 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bansim
 from bansim.errors import (
+    DespreadError,
     FcsMismatch,
     FrameError,
     FrameTooLong,
@@ -62,7 +65,7 @@ from bansim.phy.rates import (
     nb_config,
     uwb_config,
 )
-from test_fec import encode_word
+from test_fec import encode_word, reference_decode
 
 NB = nb_config(Band.NB_402_405, "high")
 NB_SPREAD = nb_config(Band.NB_2360_2400, "low")  # payload spreading of 4
@@ -309,6 +312,49 @@ def test_wrong_mac_header_size_rejected():
         build_ppdu(NB, b"short", b"")
 
 
+class TestFrameBytes:
+    """`mac_header` and `body` take any bytes-like value, kept as bytes."""
+
+    @pytest.mark.parametrize(
+        "convert",
+        [bytearray, memoryview, lambda b: np.frombuffer(b, dtype=np.uint8), lambda b: np.frombuffer(b, dtype=np.int8)],
+        ids=["bytearray", "memoryview", "uint8-array", "int8-array"],
+    )
+    def test_a_bytes_like_value_builds_the_frame_of_its_bytes(self, convert):
+        # A uint8 body once raised numpy's UFuncTypeError.
+        want = build_ppdu(NB, b"\x08" * 7, b"abcd")
+        frame = build_ppdu(NB, convert(b"\x08" * 7), convert(b"abcd"))
+        assert type(frame.mac_header) is bytes and type(frame.body) is bytes
+        assert type(frame.psdu_bytes) is bytes
+        assert (frame.mac_header, frame.body, frame.fcs) == (want.mac_header, want.body, want.fcs)
+        assert frame.bits.tolist() == want.bits.tolist()
+
+    def test_a_mutable_argument_changed_later_leaves_the_frame_alone(self):
+        body = bytearray(b"abcd")
+        frame = build_ppdu(NB, b"\x08" * 7, body)
+        body[0] = 0
+        assert frame.body == b"abcd"
+        assert frame.psdu_bytes == b"\x08" * 7 + b"abcd" + frame.fcs.to_bytes(2, "big")
+
+    @pytest.mark.parametrize(
+        "name, value, kind",
+        [
+            ("body", "hello", "str"),
+            ("body", [1, 2], "list"),
+            ("body", None, "NoneType"),
+            ("body", np.arange(4), "ndarray"),  # 8-byte items
+            ("mac_header", "0102030405060708", "str"),
+            ("mac_header", list(range(7)), "list"),
+        ],
+    )
+    def test_anything_else_is_a_type_error_naming_the_argument(self, name, value, kind):
+        # "hello" once raised a bare "can't concat str to bytes".
+        args = {"mac_header": b"\x08" * 7, "body": b"abcd", name: value}
+        message = f"^{name} must be bytes-like \\(single-byte items\\), got {kind}$"
+        with pytest.raises(TypeError, match=message):
+            build_ppdu(NB, args["mac_header"], args["body"])
+
+
 # ------------------------------------------------------- outcome digest
 #
 # Every parse outcome of one short frame per family, hashed together: for
@@ -436,6 +482,162 @@ class TestNonBitImages:
     def test_bits_in_other_types_parse_as_uint8(self, convert):
         frame = build_ppdu(NB, b"\x08" * 7, b"abcd")
         assert parse_ppdu(convert(frame.bits), NB).body == b"abcd"
+
+    @pytest.mark.parametrize(
+        "convert, dims, kind",
+        [
+            (lambda b: b.reshape(1, -1), 2, "ndarray"),  # once TruncatedFrame: image ends inside preamble
+            (lambda b: [b.tolist()], 2, "list"),
+            (lambda b: np.uint8(1), 0, "uint8"),  # once a bare IndexError
+            (lambda b: bytes(b), 0, "bytes"),  # once a ValueError quoting the whole input
+        ],
+        ids=["row", "nested-list", "scalar", "bytes"],
+    )
+    def test_an_image_that_is_not_one_dimensional_is_named_first(self, convert, dims, kind):
+        bits = build_ppdu(NB, b"\x08" * 7, b"abcd").bits.copy()
+        bits[3] = 2  # the dimension is named before any value
+        message = f"^image must be one-dimensional, got {dims} dimensions \\({kind}\\)$"
+        with pytest.raises(ValueError, match=message):
+            parse_ppdu(convert(bits), NB)
+
+
+# ------------------------------------------------------- accept by rebuild
+#
+# Parse accepts a frame when rebuilding its frame region from the region's
+# information bits gives the region back. The reference below is the parse
+# that came before: every value checked up front, then the despread pass,
+# then each codeword's parity (`test_fec.reference_decode`, the
+# per-codeword loop). The header goes through the shared miss path, which
+# `test_parse_maps_every_table_header_back` holds to the header tables.
+
+
+def reference_parse(bits, cfg):
+    """(header, mac_header, body, fcs) of an image, or the error the parse
+    before rebuilding raised first."""
+    fmt = _FORMATS[cfg.kind]
+    raw = np.asarray(bits)
+    stray = (raw != 0) & (raw != 1)
+    if stray.any():
+        pos = int(stray.argmax())
+        raise ValueError(f"image position {pos} holds {raw[pos]}, not a bit")
+    bits = raw.astype(np.uint8)
+    unit, off = len(fmt.unit), len(fmt.sync)
+    for rep in range(fmt.reps):
+        block = bits[rep * unit : (rep + 1) * unit]
+        if len(block) < unit:
+            raise TruncatedFrame("image ends inside preamble")
+        if block.tolist() != fmt.unit.tolist():
+            label = f"preamble block {rep + 1}/{fmt.reps}" if fmt.reps > 1 else "preamble"
+            raise PreambleMismatch(f"{label} mismatch")
+    if len(bits) < off:
+        raise TruncatedFrame("image ends inside start-frame delimiter")
+    if bits[:off].tolist() != fmt.sync.tolist():
+        raise SfdMismatch("start-frame delimiter mismatch")
+    n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
+    if len(bits) < off + n_hdr:
+        raise TruncatedFrame("image ends inside header")
+    header = _decode_header(fmt, cfg, bits[off : off + n_hdr])
+    psdu_len = MAC_HEADER_LEN + header.length + 2
+    region, s = bits[off + n_hdr :], cfg.spreading
+    expected = fec.coded_length(8 * psdu_len, cfg.psdu_fec) * s
+    if len(region) < expected:
+        raise TruncatedFrame(f"frame region holds {len(region)} bits, needs {expected}")
+    if len(region) > expected:
+        raise TrailingBitsError(f"{len(region) - expected} bits past end of frame")
+    copies = region.reshape(-1, s)
+    if (copies != copies[:, :1]).any():
+        raise DespreadError("repetition copies disagree")
+    psdu = np.packbits(reference_decode(copies[:, 0], cfg.psdu_fec, 8 * psdu_len)).tobytes()
+    mac_header, body, fcs = psdu[:MAC_HEADER_LEN], psdu[MAC_HEADER_LEN:-2], int.from_bytes(psdu[-2:], "big")
+    if fcs != crc16(mac_header + body):
+        raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(mac_header + body):04X}")
+    return header, mac_header, body, fcs
+
+
+def parsed_fields(bits, cfg):
+    frame = parse_ppdu(bits, cfg)
+    return frame.header, frame.mac_header, frame.body, frame.fcs
+
+
+def outcome_of(parse, bits, cfg):
+    """The fields `parse` reads, or the class and message of its error."""
+    try:
+        return parse(bits, cfg)
+    except (FrameError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def region_positions(cfg, frame):
+    """Image positions of each part of a frame, by name; empty when the
+    frame has none (no spread copies at spreading 1, no pad bits when the
+    PSDU fills its last codeword)."""
+    (n, k), s = cfg.psdu_fec, cfg.spreading
+    off = len(_FORMATS[cfg.kind].sync)
+    start = off + fec.coded_length(_FORMATS[cfg.kind].info_bits, cfg.header_fec)
+    info_bits = 8 * len(frame.psdu_bytes)
+    coded = [(j // n * k + j % n, j % n < k) for j in range((len(frame.bits) - start) // s)]
+    first = [start + j * s for j in range(len(coded))]
+    return {
+        "sync": list(range(off)),
+        "header": list(range(off, start)),
+        "info": [p for p, (i, is_info) in zip(first, coded) if is_info and i < info_bits],
+        "pad": [p for p, (i, is_info) in zip(first, coded) if is_info and i >= info_bits],
+        "parity": [p for p, (_, is_info) in zip(first, coded) if not is_info],
+        "copy": [p + c for p in first for c in range(1, s)],
+    }
+
+
+@st.composite
+def damaged_images(draw):
+    """A frame of any family and body, whole or with one kind of damage:
+    1-3 flipped image bits, 1-3 flipped coded bits (every spread copy, so
+    the copies agree), a stray value, a cut, added bits, or 1-3 flipped
+    information or pad bits coded and spread validly (so that only the pad
+    and frame checks can see them)."""
+    cfg = draw(st.sampled_from([NB, NB_SPREAD, UWB, HBC]))
+    frame = build_ppdu(cfg, draw(st.binary(min_size=7, max_size=7)), draw(st.binary(max_size=MAX_BODY_LEN)))
+    bits, s = frame.bits.copy(), cfg.spreading
+    regions = {name: pos for name, pos in region_positions(cfg, frame).items() if pos}
+
+    def positions(names):  # a region first, so that each is hit about as often
+        names = sorted(regions.keys() & names)
+        count = draw(st.integers(1, 3))
+        return sorted({draw(st.sampled_from(regions[draw(st.sampled_from(names))])) for _ in range(count)})
+
+    damage = draw(st.sampled_from(["none", "flips", "coded", "stray", "cut", "extend", "recoded"]))
+    if damage == "flips":
+        bits[positions(regions)] ^= 1
+    elif damage == "coded":
+        for pos in positions({"info", "pad", "parity"}):
+            bits[pos : pos + s] ^= 1
+    elif damage == "stray":
+        bits[positions(regions)[0]] = draw(st.sampled_from([2, 255]))
+    elif damage == "cut":
+        bits = bits[: draw(st.integers(0, len(bits) - 1))]
+    elif damage == "extend":
+        bits = np.concatenate([bits, np.array(draw(st.lists(st.integers(0, 1), min_size=1, max_size=70)), np.uint8)])
+    elif damage == "recoded":
+        start, (n, k) = regions["info"][0], cfg.psdu_fec
+        info = bytes_to_bits(frame.psdu_bytes)
+        info = np.concatenate([info, np.zeros(-len(info) % k, np.uint8)])
+        coded = [(pos - start) // s for pos in positions({"info", "pad"})]
+        info[[j // n * k + j % n for j in coded]] ^= 1
+        bits = np.concatenate([bits[:start], np.repeat(fec.encode_blocks(info, cfg.psdu_fec), s)])
+    return cfg, bits
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(damaged_images())
+def test_parse_gives_the_outcome_of_the_despread_and_parity_parse(case):
+    cfg, bits = case
+    assert outcome_of(parsed_fields, bits, cfg) == outcome_of(reference_parse, bits, cfg)
+
+
+def test_the_damaged_images_reach_every_region():
+    frame = build_ppdu(NB_SPREAD, b"\x08" * 7, b"abcd")
+    positions = region_positions(NB_SPREAD, frame)
+    assert sorted(name for name, pos in positions.items() if pos) == ["copy", "header", "info", "pad", "parity", "sync"]
+    assert sorted(sum(positions.values(), [])) == list(range(len(frame.bits)))
 
 
 # ------------------------------------------------------- header tables
