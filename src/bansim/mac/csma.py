@@ -17,9 +17,13 @@ canonical trace line per event: `time_us,node,event,counter,cw,failures,phase`.
 
 Trace lines are rendered here and nowhere else. trace_batch appends the
 lines of one instant of one phase straight from node ids and backoff
-states: one event for many nodes (a busy lock, a resume unlock, a slot's
-counts) or a few events per node (a phase entry). trace_event appends
-one node's one event, the exchange lines. The decimal text of counters,
+states: one event for many nodes (a slot's counts, a tick's draws or
+guard locks) or a few events per node (a phase entry). At a slot end that
+starts an exchange, trace_storm renders each counting node's state text
+(counter, window, failures, phase) once for its count line and its
+tx_start or lock line; trace_unlocks reuses a locked node's text for its
+unlock line, as a busy-locked state cannot change before its unlock.
+trace_event appends one node's one event. The decimal text of counters,
 windows and failure counts comes from a cache that fills on first use,
 so each line is one f-string. trace_line renders one (node id, event,
 state) entry through trace_event.
@@ -49,6 +53,8 @@ __all__ = [
     "trace_batch",
     "trace_event",
     "trace_line",
+    "trace_storm",
+    "trace_unlocks",
 ]
 
 
@@ -255,6 +261,33 @@ def trace_event(
             return
         except KeyError as missing:
             _learn(missing)
+
+
+def trace_storm(lines: list[str], time_us: int, phase: PhaseKind, node_ids, states) -> list[tuple[str, str]]:
+    """Append the lines of a slot end that starts an exchange to `lines`:
+    for the nodes that counted it (ids and states, in order) a count line
+    each, a tx_start line for each at zero, a lock line for each other,
+    all from one text per state. Returns (node id, text) per locked node."""
+    head, tail, text = f"{time_us},", _PHASE_TAILS[phase], _DECIMAL
+    while True:
+        try:
+            texts = [f"{text[s.counter]},{text[s.cw]},{text[s.consecutive_failures]}{tail}" for s in states]
+            break
+        except KeyError as missing:
+            _learn(missing)
+    sent, held = [], []
+    for node, s, state_text in zip(node_ids, states, texts):
+        lines.append(f"{head}{node},count,{state_text}")
+        (held if s.counter else sent).append((node, state_text))
+    lines += [f"{head}{node},tx_start,{state_text}" for node, state_text in sent]
+    lines += [f"{head}{node},lock,{state_text}" for node, state_text in held]
+    return held
+
+
+def trace_unlocks(lines: list[str], time_us: int, held: list[tuple[str, str]]) -> None:
+    """Append the unlock line of each (node id, text) from trace_storm."""
+    head = f"{time_us},"
+    lines += [f"{head}{node},unlock,{state_text}" for node, state_text in held]
 
 
 def trace_line(

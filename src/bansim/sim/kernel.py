@@ -20,8 +20,10 @@ starts one interframe space after phase entry, pauses while a frame
 exchange occupies the channel, and resumes one interframe space after an
 acknowledgement (immediately after a timeout, whose guard time already
 covers the gap). At every grid instant pending draws happen first, then
-each contender checks the phase-fit guard; counters decrement at slot
-ends and a counter reaching zero transmits at once. A contender locks
+each contender checks the phase-fit guard. A slot end counts down exactly
+the running counters the tick before it found, and one reaching zero
+transmits at once: the exchange holds the others, busy-locked, and its
+resume tick lifts exactly those. A contender locks
 at t exactly when t + slot + its frame exchange passes the phase end.
 The grid never ticks at or past the phase end, and it stops once every
 contender of the phase has drawn and is locked: nothing can count, draw
@@ -47,13 +49,16 @@ ScriptedReplay runs one node on this same grid from a scripted timeline,
 and replay_contention, the CSMA replay, drives it and returns its trace.
 
 The kernel decides which lines a run traces and in what order; csma
-renders them. A storm (one event for many contenders at one instant: a
-slot's counts, the busy locks when an exchange begins, the unlocks on a
-resume tick, the enter/unlock/sifs lines of a phase entry) goes to
-csma.trace_batch as node ids and states, and each exchange line goes to
-csma.trace_event. Each place that traces tests the run's trace flag once,
-so an untraced run makes no trace call at all (no _emit_batch,
-trace_batch or trace_event) and collects no list of nodes to trace.
+renders them. At a slot end that starts an exchange, csma.trace_storm
+renders each counting contender's state text once for its count line and
+its tx_start or lock line, and the exchange keeps the locked ones' texts
+for their unlock lines on its resume. Any other storm (one event for many
+contenders at one instant: a slot's counts, a tick's draws and guard
+locks, a phase entry's enter/unlock/sifs lines) goes to csma.trace_batch
+as node ids and states, and each other exchange line to csma.trace_event.
+Each place that traces tests the run's trace flag once, so an untraced
+run makes no trace call at all (no _emit_batch and no trace_* renderer)
+and collects no list of nodes to trace.
 
 A run given an open trace file streams its trace: the line list is a
 buffer that write_trace empties into the file at each superframe start and
@@ -83,12 +88,12 @@ from bansim.mac.csma import (
     ScriptedDraws,
     draw_backoff,
     exchange_us,
-    on_busy,
     on_failure,
-    on_idle_slot,
     on_success,
     trace_batch,
     trace_event,
+    trace_storm,
+    trace_unlocks,
 )
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
 from bansim.security import HUB_ID, SecurityLevel, SecurityManager, admit_frame, secure_frame
@@ -128,9 +133,11 @@ class _Exchange:
     """One channel occupation: a set of simultaneous data transmissions
     and the acknowledgement cycle that follows."""
 
-    def __init__(self, kind: PhaseKind, phase_end: int):
+    def __init__(self, kind: PhaseKind, phase_end: int, frozen: list[_Node]):
         self.kind = kind
         self.phase_end = phase_end
+        self.frozen = frozen  # the contenders it holds busy-locked
+        self.held: list[tuple[str, str]] = []  # a traced run's (node id, state text) per frozen one
         self.wires: dict[str, bytes | None] = {}
         self.pending = 0
         self.collided = False
@@ -185,8 +192,8 @@ class Simulation:
         self.now = 0
         self._heap: list[tuple[int, int, int, EventKind, tuple]] = []
         self._seq = 0
-        # The pending grid tick: (time, 2, seq, phase kind, phase end,
-        # slot ends, unlock), or None.
+        # The pending grid tick: (time, 2, seq, phase kind, phase end, the
+        # nodes its slot end counts, the exchange it resumes after or None).
         self._tick: tuple | None = None
 
         self.ack_airtime_us = ack_airtime_us
@@ -223,14 +230,14 @@ class Simulation:
             rank = 0 if kind is EventKind.PHASE_START else 1
             heapq.heappush(self._heap, (time_us, rank, self._seq, kind, data))
 
-    def _push_tick(self, time_us: int, kind: PhaseKind, phase_end: int, slot_ends: bool, unlock: bool) -> None:
+    def _push_tick(self, time_us: int, kind: PhaseKind, phase_end: int, counting, ended) -> None:
         """Hold the grid's next instant. It draws the seq a dynamic event
         pushed now would, so it sorts against the heap exactly."""
         if time_us < self.end_time:
             if self._tick is not None:
                 raise SimulationError(f"a second grid tick pending at t={time_us}")
             self._seq += 1
-            self._tick = (time_us, 2, self._seq, kind, phase_end, slot_ends, unlock)
+            self._tick = (time_us, 2, self._seq, kind, phase_end, counting, ended)
 
     def _emit_batch(self, time_us: int, kind: PhaseKind, events: tuple[str, ...], nodes: list[_Node]) -> None:
         """Trace each event in `events` for each node, node by node; called
@@ -288,9 +295,9 @@ class Simulation:
             tick = self._tick
             if tick is not None and (not heap or tick < heap[0]):
                 self._tick = None
-                time_us, _, _, kind, phase_end, slot_ends, unlock = tick
+                time_us, _, _, kind, phase_end, counting, ended = tick
                 self.now = time_us
-                self._on_slot_tick(kind, phase_end, slot_ends, unlock)
+                self._on_slot_tick(kind, phase_end, counting, ended)
                 continue
             if not heap:
                 break
@@ -333,44 +340,44 @@ class Simulation:
         for node in participants:
             node.backoff.locked = None
         if start + self.timing.psifs_us < end:
-            self._push_tick(start + self.timing.psifs_us, kind, end, False, False)
+            self._push_tick(start + self.timing.psifs_us, kind, end, (), None)
 
     # ----------------------------------------------------------- the grid
 
-    def _on_slot_tick(self, kind: PhaseKind, phase_end: int, slot_ends: bool, unlock: bool) -> None:
+    def _on_slot_tick(self, kind: PhaseKind, phase_end: int, counting, ended: _Exchange | None) -> None:
         if self.exchange is not None:
             return
         t = self.now
         participants = self._contenders[kind]
         tracing = self.collect_trace  # lists of nodes to trace stay empty otherwise
 
-        if slot_ends:
-            transmitters: list[_Node] = []
-            counted: list[_Node] = []
-            for node in participants:
-                state = node.backoff
-                if state.counter > 0 and not state.locked:
-                    if on_idle_slot(state):
-                        transmitters.append(node)
-                    if tracing:
-                        counted.append(node)
+        transmitters: list[_Node] = []
+        for node in counting:
+            state = node.backoff
+            state.counter -= 1
+            if not state.counter:
+                transmitters.append(node)
+        if transmitters:
+            self._begin_exchange(transmitters, t, kind, phase_end, counting)
+            return
+        if tracing:
+            self._emit_batch(t, kind, ("count",), counting)
+        if ended is not None:
+            for node in ended.frozen:
+                node.backoff.locked = None
             if tracing:
-                self._emit_batch(t, kind, ("count",), counted)
-            if transmitters:
-                self._begin_exchange(transmitters, t, kind, phase_end)
-                return
+                trace_unlocks(self.trace, t, ended.held)
 
-        # One pass in the order each contender goes through: a busy lock
-        # lifts on a resume tick, a frame with no counter draws one, and
-        # the guard locks a counter whose exchange no longer fits after
-        # the upcoming slot. The lines keep that order too (all unlocks,
-        # then draws, then locks); a lock changes no traced field, so they
-        # are formatted after the pass. The grid goes on while some
-        # contender can act: one that has not drawn may draw after an
-        # arrival, a running counter counts. A locked one waits for a
-        # resume tick or the next phase start, and no exchange (hence no
-        # resume tick) begins without a running counter.
-        unlocks, draws, locks = [], [], []
+        # One pass in the order each contender goes through: a frame with
+        # no counter draws one, and the guard locks a counter whose exchange
+        # no longer fits after the upcoming slot. The lines keep that order
+        # (draws, then locks, formatted after the pass: a lock changes no
+        # traced field). The grid goes on while some contender can act: one
+        # that has not drawn may draw after an arrival, a running counter
+        # counts. A locked one waits for a resume tick or the next phase
+        # start, and no exchange (hence no resume) begins without a running
+        # counter.
+        draws, locks = [], []
         running: list[_Node] = []
         low = math.inf  # the smallest running counter
         widest = 0  # the longest running exchange
@@ -378,10 +385,6 @@ class Simulation:
         fits_us = phase_end - self.timing.csma_slot_us - t
         for node in participants:
             state = node.backoff
-            if unlock and state.locked == "busy":
-                state.locked = None
-                if tracing:
-                    unlocks.append(node)
             if state.counter == 0:
                 if not node.queue or state.locked:
                     can_act = True
@@ -404,7 +407,6 @@ class Simulation:
                     if node.exchange_us > widest:
                         widest = node.exchange_us
         if tracing:
-            self._emit_batch(t, kind, ("unlock",), unlocks)
             self._emit_batch(t, kind, ("draw",), draws)
             self._emit_batch(t, kind, ("lock",), locks)
         if can_act:
@@ -446,7 +448,7 @@ class Simulation:
                     for state in states:
                         state.counter -= k
             t += k * slot_us
-        self._push_tick(t, kind, phase_end, True, False)
+        self._push_tick(t, kind, phase_end, running, None)
 
     # ---------------------------------------------------------- exchanges
 
@@ -459,28 +461,32 @@ class Simulation:
             )
         return secure_frame(bytes(node.spec.payload_bytes), node.session)
 
-    def _begin_exchange(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
+    def _begin_exchange(
+        self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int, counting=()
+    ) -> None:
+        """Occupy the channel from t. Of `counting`, the contenders that
+        counted the slot ending at t (none for a grant), those above zero
+        are busy-locked until the exchange ends."""
         if len(transmitters) > 1 and self.sc.run.channel == "ideal":
             raise SimulationError(
                 f"{len(transmitters)} overlapping transmissions on an ideal channel at t={t}"
             )
-        exchange = _Exchange(kind, phase_end)
+        frozen = [node for node in counting if node.backoff.counter]
+        for node in frozen:
+            node.backoff.locked = "busy"
+        exchange = _Exchange(kind, phase_end, frozen)
         exchange.collided = len(transmitters) > 1
         exchange.pending = len(transmitters)
         self.exchange = exchange
         for node in transmitters:
             exchange.wires[node.node_id] = self._secure_payload(node)
             self._push(t + node.airtime_int, EventKind.TX_END, (node.node_id,))
-        locked: list[_Node] = []
-        tracing = self.collect_trace
-        for node in self._contenders[kind]:
-            if node.backoff.counter > 0 and not node.backoff.locked:
-                on_busy(node.backoff)
-                if tracing:
-                    locked.append(node)
-        if tracing:
-            self._emit_batch(t, kind, ("tx_start",), transmitters)
-            self._emit_batch(t, kind, ("lock",), locked)
+        if self.collect_trace:
+            if counting:
+                ids, states = [n.node_id for n in counting], [n.backoff for n in counting]
+                exchange.held = trace_storm(self.trace, t, kind, ids, states)
+            else:
+                self._emit_batch(t, kind, ("tx_start",), transmitters)
 
     def _on_tx_end(self, node_id: str) -> None:
         exchange = self.exchange
@@ -532,7 +538,7 @@ class Simulation:
             if self._contenders[exchange.kind]:
                 resume = t if exchange.collided else t + self.timing.psifs_us
                 if resume < exchange.phase_end:
-                    self._push_tick(resume, exchange.kind, exchange.phase_end, False, True)
+                    self._push_tick(resume, exchange.kind, exchange.phase_end, (), exchange)
 
     def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
         wire = exchange.wires.get(node.node_id)
@@ -614,8 +620,8 @@ class ScriptedReplay(Simulation):
             trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
         super()._on_phase_start(kind, length_us)
 
-    def _begin_exchange(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
-        super()._begin_exchange(transmitters, t, kind, phase_end)
+    def _begin_exchange(self, *args) -> None:
+        super()._begin_exchange(*args)
         if not self._acks:
             raise IndexError("scripted acknowledgement outcomes exhausted")
         self.exchange.collided = not self._acks.pop(0)

@@ -28,7 +28,10 @@ from bansim.mac.csma import (
     trace_batch,
     trace_event,
     trace_line,
+    trace_storm,
+    trace_unlocks,
 )
+from bansim.mac import csma
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
 from bansim.sim.kernel import replay_contention
 
@@ -531,6 +534,44 @@ class TestTraceRendering:
         entries = [(node, event, state) for node, state in zip(node_ids, states) for event in events]
         assert trace_lines(time_us, phase, entries) == want
         assert [trace_line(time_us, node, event, state, phase) for node, event, state in entries] == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(trace_instants())
+    def test_storm_and_unlock_lines_match_the_joined_fields(self, instant):
+        time_us, phase, _, node_ids, states = instant
+        pairs = list(zip(node_ids, states))
+        want = (
+            [joined_line(time_us, node, "count", state, phase) for node, state in pairs]
+            + [joined_line(time_us, node, "tx_start", state, phase) for node, state in pairs if not state.counter]
+            + [joined_line(time_us, node, "lock", state, phase) for node, state in pairs if state.counter]
+        )
+        lines = ["kept"]
+        held = trace_storm(lines, time_us, phase, node_ids, states)
+        assert lines == ["kept"] + want
+        assert [node for node, _ in held] == [node for node, state in pairs if state.counter]
+        lines = ["kept"]
+        trace_unlocks(lines, time_us + 1, held)
+        assert lines == ["kept"] + [
+            joined_line(time_us + 1, node, "unlock", state, phase) for node, state in pairs if state.counter
+        ]
+
+    def test_storm_learns_a_number_it_has_not_shown(self):
+        fresh = max(csma._DECIMAL, default=0) + 1
+        assert fresh not in csma._DECIMAL
+        state = BackoffState(PriorityClass(0, 1, fresh))
+        state.cw = state.counter = fresh
+        sent = BackoffState(PRIORITY_TABLE[0])
+        lines = ["kept"]
+        held = trace_storm(lines, 9, PhaseKind.RAP1, ["a", "b"], [sent, state])
+        assert lines == ["kept"] + [
+            joined_line(9, "a", "count", sent, PhaseKind.RAP1),
+            joined_line(9, "b", "count", state, PhaseKind.RAP1),
+            joined_line(9, "a", "tx_start", sent, PhaseKind.RAP1),
+            joined_line(9, "b", "lock", state, PhaseKind.RAP1),
+        ]
+        lines = []
+        trace_unlocks(lines, 10, held)
+        assert lines == [joined_line(10, "b", "unlock", state, PhaseKind.RAP1)]
 
     def test_every_phase_name(self):
         state = BackoffState(PRIORITY_TABLE[0])

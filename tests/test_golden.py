@@ -228,6 +228,53 @@ def test_stress_scenario_bytes_are_pinned(name, tmp_path):
         assert _sha256(trace) == trace_digest
 
 
+def lock_breaks(lines: list[str]) -> list[str]:
+    """The trace lines that break a node's lock/unlock pairing: a lock
+    while its last lock is still open, an unlock with none open or whose
+    counter, window or failure count differs from its lock's, and a count,
+    draw or tx_start of the node between the two. A renderer may reuse a
+    lock line's state text for its unlock only because none occur."""
+    open_locks: dict[str, list[str]] = {}  # node -> the fields of its open lock
+    breaks = []
+    for line in lines:
+        _, node, event, *fields = line.split(",")
+        if event == "lock":
+            if node in open_locks:
+                breaks.append(line)
+            open_locks[node] = fields[:3]
+        elif event == "unlock":
+            if open_locks.pop(node, None) != fields[:3]:
+                breaks.append(line)
+        elif event in ("count", "draw", "tx_start") and node in open_locks:
+            breaks.append(line)
+    return breaks
+
+
+def test_lock_breaks_sees_each_kind_of_break():
+    assert lock_breaks(["0,a,lock,3,8,0,rap1", "9,b,count,2,8,0,rap1", "9,a,unlock,3,8,0,rap1"]) == []
+    for bad in ("0,a,lock,3,8,0,rap1", "5,a,unlock,2,8,0,rap1", "5,a,count,2,8,0,rap1",
+                "5,a,draw,3,8,0,rap1", "5,a,tx_start,3,8,0,rap1"):
+        assert lock_breaks(["0,a,lock,3,8,0,rap1", bad]) == [bad]
+    assert lock_breaks(["0,a,unlock,3,8,0,rap1"]) == ["0,a,unlock,3,8,0,rap1"]
+
+
+_TRACED = [(name, None) for name in sorted(SCENARIO_DIGESTS)] + [
+    (name, text) for name, (text, _, trace_digest) in STRESS_DIGESTS.items() if trace_digest
+]
+
+
+@pytest.mark.parametrize("name, text", _TRACED, ids=[name for name, _ in _TRACED])
+def test_a_locked_state_is_unchanged_until_its_unlock(name, text, tmp_path):
+    sc = load_scenario(SCENARIO_DIR / f"{name}.scn") if text is None else parse_scenario(text)
+    trace = tmp_path / "trace.txt"
+    run_to_files(sc, tmp_path / "stats.csv", trace)
+    want = SCENARIO_DIGESTS[name][1] if text is None else STRESS_DIGESTS[name][2]
+    assert _sha256(trace) == want  # the property is checked on the pinned bytes
+    lines = trace.read_text().splitlines()
+    assert sum(",unlock," in line for line in lines) > 0
+    assert lock_breaks(lines) == []
+
+
 def test_frame_bit_images_are_pinned():
     h = hashlib.sha256()
     for cfg in CODEC_CONFIGS:

@@ -62,6 +62,8 @@ KEPT_FOR_CALLERS = {
     "replay_contention": "the acceptance gate's scripted CSMA replay",
     "SecurityManager.teardown": "the end of the key lifecycle that the acceptance gate walks",
     "guard_check": "a counter of bench/tracing.py TARGETS",
+    "on_busy": "a counter of bench/tracing.py TARGETS",
+    "on_idle_slot": "a counter of bench/tracing.py TARGETS",
     "trace_line": "a span of bench/tracing.py TARGETS",
     "phase_at": "a counter of bench/tracing.py TARGETS",
     "place_scheduled": "a span of bench/tracing.py TARGETS",

@@ -32,6 +32,8 @@ from bansim.mac.csma import (
     exchange_us,
     guard_check,
     on_idle_slot,
+    trace_storm,
+    trace_unlocks,
 )
 from bansim.mac.superframe import SHARED_PHASES, PhaseKind, phases_covered, schedule_polls
 from bansim.phy.ppdu import frame_airtime_us, frame_airtimes_us
@@ -476,8 +478,8 @@ class TestKernelInvariants:
         "sim = Simulation(parse_scenario({text!r}))\n"
         "sim.nodes['n0'].queue.append(0)\n"
         "def second_tick():\n"
-        "    sim._push_tick(100, PhaseKind.RAP1, 9000, True, False)\n"
-        "    sim._push_tick(200, PhaseKind.RAP1, 9000, True, False)\n"
+        "    sim._push_tick(100, PhaseKind.RAP1, 9000, [], None)\n"
+        "    sim._push_tick(200, PhaseKind.RAP1, 9000, [], None)\n"
         "for check in (lambda: sim._on_poll_grant('n0', 99, 99, PhaseKind.TYPE_A), second_tick):\n"
         "    try:\n"
         "        check()\n"
@@ -507,13 +509,13 @@ class _TickCounter(Simulation):
 
     ticks = past_end = all_guard_locked = 0
 
-    def _on_slot_tick(self, kind, phase_end, slot_ends, unlock):
+    def _on_slot_tick(self, kind, phase_end, *tick):
         self.ticks += 1
         if self.now >= phase_end:
             self.past_end += 1
         elif self.exchange is None and all(n.backoff.locked == "guard" for n in self._contenders[kind]):
             self.all_guard_locked += 1
-        super()._on_slot_tick(kind, phase_end, slot_ends, unlock)
+        super()._on_slot_tick(kind, phase_end, *tick)
 
 
 class _HeapWatch(Simulation):
@@ -532,28 +534,40 @@ class _HeapWatch(Simulation):
 
 class _LockReasons(Simulation):
     """Records the reason each node holds on every traced lock line, and
-    the reason each node held before a resume tick unlocked it."""
+    the reason each node held before a resume tick unlocked it. A guard
+    lock is traced through _emit_batch; a busy lock and a resume's unlock
+    are rendered by kernel.trace_storm and kernel.trace_unlocks, which
+    `storm` and `unlocks` stand in for."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.locks, self.resume_unlocks, self._before = [], [], {}
 
-    def _on_slot_tick(self, kind, phase_end, slot_ends, unlock):
+    def _on_slot_tick(self, kind, phase_end, *tick):
         self._before = {n.node_id: n.backoff.locked for n in self._contenders[kind]}
-        super()._on_slot_tick(kind, phase_end, slot_ends, unlock)
+        super()._on_slot_tick(kind, phase_end, *tick)
 
     def _emit_batch(self, time_us, kind, events, nodes):
         if events == ("lock",):
             self.locks += [n.backoff.locked for n in nodes]
-        elif events == ("unlock",):  # only a resume tick unlocks outside a phase entry
-            self.resume_unlocks += [self._before[n.node_id] for n in nodes]
         super()._emit_batch(time_us, kind, events, nodes)
+
+    def storm(self, *args):
+        held = trace_storm(*args)
+        self.locks += [self.nodes[node].backoff.locked for node, _ in held]
+        return held
+
+    def unlocks(self, lines, time_us, held):
+        self.resume_unlocks += [self._before[node] for node, _ in held]
+        trace_unlocks(lines, time_us, held)
 
 
 class TestLockReasons:
     @pytest.mark.parametrize("name", ["contention_pair", "mixed_access"])
-    def test_every_lock_has_a_reason_and_a_resume_lifts_only_busy(self, name):
+    def test_every_lock_has_a_reason_and_a_resume_lifts_only_busy(self, name, monkeypatch):
         sim = _LockReasons(load_scenario(SCENARIO_DIR / f"{name}.scn"), collect_trace=True)
+        monkeypatch.setattr(kernel, "trace_storm", sim.storm)
+        monkeypatch.setattr(kernel, "trace_unlocks", sim.unlocks)
         sim.run()
         assert len(sim.locks) == sum(",lock," in line for line in sim.trace)
         assert set(sim.locks) == {"busy", "guard"}  # each scenario meets both
@@ -591,17 +605,23 @@ SLOT_TICK = "slot tick"  # the reference grid's heap event kind
 class SlotBySlot(Simulation):
     """The slot grid as it ran before it became a lazy event stream: every
     grid instant is a heap event, every slot end is its own tick, and each
-    tick checks the guard with guard_check. Nothing is batched, and its own
-    lines go out as (node id, event, state) entries through trace_lines.
-    Kept as the reference that the kernel's stats and trace must match byte
-    for byte."""
+    tick checks the guard with guard_check. Every tick scans every
+    contender of its phase for counts, unlocks, draws and locks. Nothing is
+    batched, and its own lines go out as (node id, event, state) entries
+    through trace_lines; an exchange, begun by the base class from this
+    grid's own scan, traces its lines and the count lines of the slot end
+    that starts it. Kept as the reference that the kernel's stats and trace
+    must match byte for byte."""
 
     def _emit_entries(self, t, kind, entries):
         if self.collect_trace:
             self.trace += trace_lines(t, kind, entries)
 
-    def _push_tick(self, time_us, kind, phase_end, slot_ends, unlock):
-        self._push(time_us, SLOT_TICK, (kind, phase_end, slot_ends, unlock))
+    def _push_tick(self, time_us, kind, phase_end, counting, ended):
+        # The base class pushes a slot end with the counters it expects to
+        # count, and a resume with the exchange that ended; this grid scans
+        # for both itself.
+        self._push(time_us, SLOT_TICK, (kind, phase_end, bool(counting), ended is not None))
 
     def run(self):
         self._schedule_superframe(0)
@@ -642,18 +662,19 @@ class SlotBySlot(Simulation):
 
         transmitters = []
         if slot_ends:
-            entries = []
+            counted = []
             for node in participants:
                 state = node.backoff
                 if state.counter > 0 and not state.locked:
                     due = on_idle_slot(state)
-                    entries.append((node.node_id, "count", state))
+                    counted.append(node)
                     if due:
                         transmitters.append(node)
-            self._emit_entries(t, kind, entries)
-        if transmitters:
-            self._begin_exchange(transmitters, t, kind, phase_end)
-            return
+            if transmitters:
+                # The exchange traces the count lines with its own.
+                self._begin_exchange(transmitters, t, kind, phase_end, counted)
+                return
+            self._emit_entries(t, kind, [(node.node_id, "count", node.backoff) for node in counted])
 
         entries = []
         for node in participants:
@@ -1071,7 +1092,8 @@ class TestCompiledSchedule:
 
 class TestUntracedRunsDoNoTraceWork:
     """A run without a trace never reaches the trace helpers: with each of
-    them replaced by a stub that raises, both bundled scenarios and a
+    them (every trace_* callable the kernel binds, and _emit_batch)
+    replaced by a stub that raises, both bundled scenarios and a
     secured scenario with Poisson, polled and scheduled nodes still write
     their golden stats, and a traced run still writes the golden trace."""
 
@@ -1092,9 +1114,11 @@ class TestUntracedRunsDoNoTraceWork:
     def test_untraced_stats_and_traced_trace_are_golden(self, name, tmp_path, monkeypatch):
         sc, stats_digest, trace_digest = self._golden(name)
         stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
+        renderers = [name for name in dir(kernel) if name.startswith("trace_") and callable(getattr(kernel, name))]
+        assert {"trace_batch", "trace_event", "trace_storm", "trace_unlocks"} <= set(renderers)
         with monkeypatch.context() as m:
-            m.setattr(kernel, "trace_batch", self._refuse)
-            m.setattr(kernel, "trace_event", self._refuse)
+            for name in renderers:
+                m.setattr(kernel, name, self._refuse)
             m.setattr(Simulation, "_emit_batch", self._refuse)
             run_to_files(sc, stats)
         assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest
