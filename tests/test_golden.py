@@ -18,7 +18,7 @@ from bansim.errors import FrameError
 from bansim.phy.ppdu import build_ppdu, parse_ppdu
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.sim.kernel import run_to_files
-from bansim.sim.scenario import load_scenario, parse_scenario
+from bansim.sim.scenario import compile_scenario, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -185,6 +185,134 @@ STRESS_DIGESTS = {
 }
 
 
+# Scenarios that stack instants on the edges of a frame exchange: its data
+# end, its acknowledgement and its delivery. With no pSIFS and no guard
+# time a priority 7 node's slot and exchange take two superframe slots, so
+# deliveries land on the RAP1 end (where a poll grant starts), on the
+# polled phase's end and on the next beacon.
+_ZERO_SPACING = f"""\
+{_NB}[superframe]
+slot_length_us = 999
+slots = 64
+beacon_slots = 4
+rap1_slots = 30
+type_b_slots = 20
+cap_slots = 10
+[csma]
+psifs_us = 0
+slot_us = 329
+gtn_us = 0
+[nodes]
+a = priority=7, traffic=saturated, payload=40
+p = priority=5, traffic=poisson:300, payload=60, access=polled
+[run]
+seed = 6
+duration_ms = 300
+channel = collision
+"""
+
+# A secured polled node whose exchange (no guard time) fills two slots: its
+# last grant of the type II phase ends on the phase end, where the CAP's
+# contenders enter.
+_GRANT_ON_PHASE_END = f"""\
+{_NB}[superframe]
+slot_length_us = 1131
+slots = 58
+beacon_slots = 4
+rap1_slots = 24
+type_b_slots = 18
+cap_slots = 12
+[csma]
+gtn_us = 0
+[nodes]
+a = priority=4, traffic=saturated, payload=70
+b = priority=6, traffic=poisson:80, payload=20
+p = priority=5, traffic=poisson:400, payload=60, access=polled
+[security]
+p = level=2
+[run]
+seed = 8
+duration_ms = 400
+channel = collision
+"""
+
+# Scripted arrivals on a delivery instant and on the resume tick one pSIFS
+# later: b's first on a's delivery at 4894 us, b's second on a's resume at
+# 9590 us, and a's own on its delivery at 71894 us and its resume at 71944 us.
+_ARRIVALS_ON_EDGES = f"""\
+{_NB}[superframe]
+beacon_slots = 4
+rap1_slots = 120
+cap_slots = 132
+[nodes]
+a = priority=7, traffic=scripted:3000;3000;9000;70000;71894;71944, payload=40
+b = priority=3, traffic=scripted:4894;9590, payload=90
+[run]
+seed = 4
+duration_ms = 128
+channel = collision
+"""
+
+# One secured contention node on the ideal channel beside a polled and a
+# scheduled one.
+_IDEAL_ONE_NODE = f"""\
+{_NB}{_EIGHT_PHASES}[nodes]
+c = priority=4, traffic=saturated, payload=50
+p = priority=5, traffic=poisson:40, payload=60, access=polled
+s = priority=5, traffic=poisson:20, payload=40, access=scheduled, slot_start=70, slot_len=20
+[security]
+c = level=2
+[run]
+seed = 10
+duration_ms = 512
+channel = ideal
+"""
+
+
+def _lone_node(duration_ms: int) -> str:
+    # One priority 7 node in a 50 ms RAP1: its exchanges end at 1894 us
+    # steps. 26 ms falls between a data end (25961 us) and its ack (26011
+    # us); 9 ms between an ack (8965 us) and its delivery (9470 us).
+    return (f"{_NB}[superframe]\nslots = 100\nbeacon_prohibited = true\nrap1_slots = 100\n"
+            f"[nodes]\na = priority=7, traffic=saturated, payload=40\n[run]\nduration_ms = {duration_ms}\n")
+
+
+# name -> (scenario, stats digest, trace digest), recorded before a clean
+# exchange became one heap event.
+EDGE_DIGESTS = {
+    "zero_spacing": (
+        _ZERO_SPACING,
+        "c5bda1f394c61a386f7054872637d0d168da16bb93a1eae0d323cfe119a0be20",
+        "f2c99a97ddb1a3cb4955996556ec795dc5e800ce24b9880a95f26e278769b648",
+    ),
+    "grant_on_phase_end": (
+        _GRANT_ON_PHASE_END,
+        "bbe1c8eb139875400a659f031fadc4053f5db7fc3459d331e867e124eb55c088",
+        "3f44e9e144b198064a369811729b14495ee3ce547e08a99f06c23296bdb2f5d4",
+    ),
+    "arrivals_on_edges": (
+        _ARRIVALS_ON_EDGES,
+        "c3848a6a33066f5859e94358fd738919e1f163cd100a9cb6a0b73d21df25d718",
+        "da0b45df434b5863b1e8cbc09013f7da664cda4ac8d95941f736eaf1d9a799a0",
+    ),
+    "ideal_one_node": (
+        _IDEAL_ONE_NODE,
+        "4be229dba1ca26fe52bcd6ccaedad6ea57620e8df08f7fa7aba3733c3bd0a93e",
+        "b37a709a02da7fbf65060b68de57fada4056b69435050ca2a371fcdb5a80fc14",
+    ),
+    "ends_before_the_ack": (
+        _lone_node(26),
+        "928b8db7ac1298ee32e4f19aa62b07a9147fca37de80f9c67ad372c369b0fd91",
+        "7540b56b26fd56c53105579c8c387780309723969d669265b703fbf3b415de70",
+    ),
+    "ends_before_the_delivery": (
+        _lone_node(9),
+        "fd5870df48e78deb26bf1edaeda991653dcd81e488909f73f9cf22cd9939b6de",
+        "29bcc984d57fd0ac47fbeaa369b59853743245a04d9706e262de89bf3dd7d4c5",
+    ),
+}
+
+
 def _stress_scenario(name: str, text):
     if text is not None:
         return parse_scenario(text)
@@ -226,6 +354,57 @@ def test_stress_scenario_bytes_are_pinned(name, tmp_path):
     assert _sha256(stats) == stats_digest
     if trace_digest:
         assert _sha256(trace) == trace_digest
+
+
+@pytest.mark.parametrize("name", list(EDGE_DIGESTS))
+def test_exchange_edge_bytes_are_pinned(name, tmp_path):
+    text, stats_digest, trace_digest = EDGE_DIGESTS[name]
+    stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
+    run_to_files(parse_scenario(text), stats, trace)
+    assert (_sha256(stats), _sha256(trace)) == (stats_digest, trace_digest)
+
+
+def _times(lines, event, node=None):
+    """The instants of `event` lines, of `node`'s alone if given."""
+    return {int(t) for t, n, e, *_ in (line.split(",") for line in lines) if e == event and node in (None, n)}
+
+
+def _phase_ends(sc, duration_us):
+    """Every phase end of the run, superframe by superframe."""
+    layout = compile_scenario(sc).layout
+    ends = {(span.start_slot + span.length_slots) * layout.slot_length_us for span in layout.phases}
+    return {base + end for base in range(0, duration_us, layout.duration_us) for end in ends}
+
+
+def test_the_edge_scenarios_reach_their_edges(tmp_path):
+    runs = {}
+    for name, (text, _, _) in EDGE_DIGESTS.items():
+        sc, trace = parse_scenario(text), tmp_path / f"{name}.txt"
+        runs[name] = sc, run_to_files(sc, tmp_path / "stats.csv", trace), trace.read_text().splitlines()
+
+    sc, _, lines = runs["zero_spacing"]
+    ends = _phase_ends(sc, sc.run.duration_us)
+    beacons = _times(lines, "tx_start", "hub")
+    assert _times(lines, "success", "a") & beacons
+    assert _times(lines, "success", "a") & (ends - beacons)
+    assert _times(lines, "success", "p") & ends
+
+    sc, _, lines = runs["grant_on_phase_end"]
+    assert _times(lines, "success", "p") & _phase_ends(sc, sc.run.duration_us)
+
+    sc, _, lines = runs["arrivals_on_edges"]
+    arrivals = {t for node in sc.nodes for t in node.traffic[1]}
+    delivered = _times(lines, "success")
+    assert arrivals & delivered
+    assert arrivals & {t + sc.timing.psifs_us for t in delivered}
+
+    sc, stats, _ = runs["ideal_one_node"]
+    assert sc.run.channel == "ideal" and stats.delivered > 0 and stats.failed == 0
+
+    # The run ends after the last line's hop and before the next one's.
+    for name, cut in (("ends_before_the_ack", "tx_end"), ("ends_before_the_delivery", "ack")):
+        _, _, lines = runs[name]
+        assert lines[-1].split(",")[2] == cut, name
 
 
 def lock_breaks(lines: list[str]) -> list[str]:
