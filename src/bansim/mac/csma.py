@@ -59,7 +59,7 @@ __all__ = [
 
 
 class Rng(Protocol):
-    def randint(self, a: int, b: int) -> int: ...
+    def randrange(self, stop: int) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,12 @@ class BackoffState:
 
 
 def draw_backoff(state: BackoffState, rng: Rng) -> BackoffState:
-    """Draw a fresh counter uniformly over [1, CW] and unlock."""
-    state.counter = rng.randint(1, state.cw)
-    if not 1 <= state.counter <= state.cw:
-        raise ValueError(f"drawn counter {state.counter} outside [1, {state.cw}]")
+    """Draw a fresh counter uniformly over [1, CW] and unlock.
+
+    random.Random.randrange(CW) runs the same rejection loop over
+    getrandbits as randint(1, CW), one value lower and without randint's
+    two extra calls, so the stream and the counters are unchanged."""
+    state.counter = rng.randrange(state.cw) + 1
     state.locked = None
     return state
 
@@ -193,10 +195,15 @@ def on_success(state: BackoffState) -> BackoffState:
 
 
 class ScriptedDraws:
-    """Deterministic stand-in for an RNG: pops pre-decided draw values."""
+    """Deterministic stand-in for an RNG: pops pre-decided draw values.
+    draw_backoff's randrange(CW) gets the next value, checked against
+    [1, CW], less one."""
 
     def __init__(self, values: list[int]):
         self._values = list(values)
+
+    def randrange(self, stop: int) -> int:
+        return self.randint(1, stop) - 1
 
     def randint(self, a: int, b: int) -> int:
         if not self._values:

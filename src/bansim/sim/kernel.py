@@ -15,6 +15,29 @@ superframe i+1 is pushed when the run reaches its start, which keeps the
 heap small and, thanks to the class order, gives the same order as a
 schedule filled for the whole run up front.
 
+The heap holds only instants that something can observe: the start of a
+phase that some node may contend in (a phase that none may use has no
+event), each beacon, grant and superframe start, each traffic arrival,
+and the hops of frame exchanges. A clean exchange (a grant's, or one
+lone contender's) is one event at its delivery, data + pSIFS + ack after
+it begins; its earlier hops are applied when it begins, each only if its
+instant comes before the run's end: the data end's airtime and phase
+check, then the acknowledgement's airtime, added in the order their
+events added them, and in a traced run their tx_end and ack lines right
+after the lines of the slot end that starts it. The guard keeps every
+exchange inside its phase, so while the channel is held no other event
+adds busy time or traces a line, and a delivery draws no random number
+and commutes with an arrival at its instant. One order differs from
+hop-by-hop events: the delivery takes its place in the heap when the
+exchange begins, so a Poisson arrival pushed onto the delivery instant
+after that and before the acknowledgement's instant runs after the
+delivery rather than before. The two commute, but what they push next
+(that arrival's successor, the resume tick) swaps order, which shows
+only if those two also fall on one microsecond. A collided exchange
+keeps one event per transmitter's data end and one per its timeout: a
+timeout draws a new counter from its node's stream, which must stay
+behind that node's arrivals at the same instant.
+
 Contention runs on one global slot grid per access phase. The grid
 starts one interframe space after phase entry, pauses while a frame
 exchange occupies the channel, and resumes one interframe space after an
@@ -103,6 +126,16 @@ from bansim.textio import text_stream
 
 __all__ = ["ScriptedReplay", "Simulation", "replay_contention", "run", "run_to_files", "write_trace"]
 
+# The event kinds, bound once: CPython 3.11 reads a member off its enum
+# class through the metaclass's __getattr__ hook, at about 0.1 us a read,
+# and the loop reads one or more per event.
+_PHASE_START, _TX_END, _ACK_TIMEOUT, _DELIVERY = (
+    EventKind.PHASE_START, EventKind.TX_END, EventKind.ACK_TIMEOUT, EventKind.DELIVERY
+)
+_POLL_GRANT, _BEACON_TX, _TRAFFIC_ARRIVAL, _SUPERFRAME = (
+    EventKind.POLL_GRANT, EventKind.BEACON_TX, EventKind.TRAFFIC_ARRIVAL, EventKind.SUPERFRAME
+)
+
 # A contender's lines on phase entry: a locked counter unlocks between
 # the two, and unlocking changes no traced field.
 _ENTRY = ("enter", "sifs")
@@ -139,8 +172,7 @@ class _Exchange:
         self.frozen = frozen  # the contenders it holds busy-locked
         self.held: list[tuple[str, str]] = []  # a traced run's (node id, state text) per frozen one
         self.wires: dict[str, bytes | None] = {}
-        self.pending = 0
-        self.collided = False
+        self.pending = 0  # a collided exchange's timeouts to come
 
 
 class Simulation:
@@ -168,6 +200,11 @@ class Simulation:
                 node.session = self.security.associate(spec.node_id, sec.level, sec.mk)
             nodes.append(node)
         self._init_engine(scenario.timing, scenario.run.duration_us, plan.ack_us, nodes, collect_trace, trace_file)
+        # A phase that no node contends in needs no event at its start.
+        self._schedule = tuple(
+            entry for entry in plan.schedule
+            if entry[3] is not _PHASE_START or self._contenders[entry[4][0]]
+        )
         groups: dict[str, list[str]] = {}
         for node_id, sec in scenario.security.items():
             if sec.group:
@@ -227,7 +264,7 @@ class Simulation:
         generating the whole run's schedule before the first event gives."""
         if time_us < self.end_time:
             self._seq += 1
-            rank = 0 if kind is EventKind.PHASE_START else 1
+            rank = 0 if kind is _PHASE_START else 1
             heapq.heappush(self._heap, (time_us, rank, self._seq, kind, data))
 
     def _push_tick(self, time_us: int, kind: PhaseKind, phase_end: int, counting, ended) -> None:
@@ -255,14 +292,14 @@ class Simulation:
     # --------------------------------------------------------------- setup
 
     def _schedule_superframe(self, index: int) -> None:
-        """Push the plan's schedule entries active in superframe `index`,
-        and the event that replays the next superframe at its start."""
+        """Push the schedule entries active in superframe `index`, and the
+        event that replays the next superframe at its start."""
         superframe_us = self.plan.layout.duration_us
         base = index * superframe_us
-        for offset, period, residue, kind, data in self.plan.schedule:
+        for offset, period, residue, kind, data in self._schedule:
             if index % period == residue:
                 self._push_schedule(base + offset, kind, data)
-        self._push_schedule(base + superframe_us, EventKind.SUPERFRAME, (index + 1,))
+        self._push_schedule(base + superframe_us, _SUPERFRAME, (index + 1,))
 
     def _seed_traffic(self) -> None:
         for node_id in sorted(self.nodes):
@@ -275,7 +312,7 @@ class Simulation:
                 self._push_arrival(node, 0)
             else:  # scripted
                 for t in node.spec.traffic[1]:
-                    self._push(t, EventKind.TRAFFIC_ARRIVAL, (node_id,))
+                    self._push(t, _TRAFFIC_ARRIVAL, (node_id,))
 
     def _push_arrival(self, node: _Node, after_us: int) -> None:
         rate_per_s = node.spec.traffic[1]
@@ -283,7 +320,7 @@ class Simulation:
         # A gap that reaches the run end pushes nothing either way; dropping
         # it before rounding keeps an infinite gap (a tiny rate) off the clock.
         if gap < self.end_time - after_us:
-            self._push(after_us + clock_us(gap), EventKind.TRAFFIC_ARRIVAL, (node.node_id,))
+            self._push(after_us + clock_us(gap), _TRAFFIC_ARRIVAL, (node.node_id,))
 
     # ----------------------------------------------------------- main loop
 
@@ -303,19 +340,22 @@ class Simulation:
                 break
             time_us, _, _, kind, data = heapq.heappop(heap)
             self.now = time_us
-            if kind is EventKind.TX_END:
+            # The most frequent kinds first.
+            if kind is _TX_END:
                 self._on_tx_end(*data)
-            elif kind is EventKind.ACK_DUE:
-                self._on_ack_due(*data)
-            elif kind is EventKind.PHASE_START:
-                self._on_phase_start(*data)
-            elif kind is EventKind.TRAFFIC_ARRIVAL:
+            elif kind is _ACK_TIMEOUT:
+                self._on_timeout(*data)
+            elif kind is _TRAFFIC_ARRIVAL:
                 self._on_arrival(*data)
-            elif kind is EventKind.POLL_GRANT:
+            elif kind is _DELIVERY:
+                self._on_delivery(*data)
+            elif kind is _POLL_GRANT:
                 self._on_poll_grant(*data)
-            elif kind is EventKind.BEACON_TX:
+            elif kind is _PHASE_START:
+                self._on_phase_start(*data)
+            elif kind is _BEACON_TX:
                 self._on_beacon()
-            elif kind is EventKind.SUPERFRAME:
+            elif kind is _SUPERFRAME:
                 self._flush_trace()
                 self._schedule_superframe(*data)
         self._flush_trace()
@@ -461,34 +501,65 @@ class Simulation:
             )
         return secure_frame(bytes(node.spec.payload_bytes), node.session)
 
+    def _collides(self, transmitters: list[_Node]) -> bool:
+        """Whether the exchange's data frames fail: on the channel, when
+        more than one is sent at once."""
+        return len(transmitters) > 1
+
     def _begin_exchange(
         self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int, counting=()
     ) -> None:
         """Occupy the channel from t. Of `counting`, the contenders that
         counted the slot ending at t (none for a grant), those above zero
-        are busy-locked until the exchange ends."""
+        are busy-locked until the exchange ends. A collided exchange pushes
+        its data ends; a clean one has its data end and acknowledgement
+        applied here and pushes its delivery."""
         if len(transmitters) > 1 and self.sc.run.channel == "ideal":
             raise SimulationError(
                 f"{len(transmitters)} overlapping transmissions on an ideal channel at t={t}"
             )
+        collided = self._collides(transmitters)
         frozen = [node for node in counting if node.backoff.counter]
         for node in frozen:
             node.backoff.locked = "busy"
         exchange = _Exchange(kind, phase_end, frozen)
-        exchange.collided = len(transmitters) > 1
-        exchange.pending = len(transmitters)
         self.exchange = exchange
         for node in transmitters:
             exchange.wires[node.node_id] = self._secure_payload(node)
-            self._push(t + node.airtime_int, EventKind.TX_END, (node.node_id,))
-        if self.collect_trace:
+        tracing = self.collect_trace
+        if tracing:
             if counting:
                 ids, states = [n.node_id for n in counting], [n.backoff for n in counting]
                 exchange.held = trace_storm(self.trace, t, kind, ids, states)
             else:
                 self._emit_batch(t, kind, ("tx_start",), transmitters)
+        if collided:
+            exchange.pending = len(transmitters)
+            for node in transmitters:
+                self._push(t + node.airtime_int, _TX_END, (node.node_id,))
+            return
+        (node,) = transmitters
+        data_end = t + node.airtime_int
+        if data_end >= self.end_time:
+            return
+        if data_end > phase_end:
+            raise SimulationError("transmission crossed its phase boundary")
+        node.stats.tx_airtime_us += node.airtime_us
+        stats = self.stats
+        stats.add_busy(node.airtime_us)
+        if tracing:
+            trace_event(self.trace, data_end, kind, "tx_end", node.node_id, node.backoff)
+        ack_start = data_end + self.timing.psifs_us
+        if ack_start < self.end_time:
+            stats.add_busy(self.ack_airtime_us)
+            stats.ack_airtime_us += self.ack_airtime_us
+            if tracing:
+                trace_event(self.trace, ack_start, kind, "ack", node.node_id, node.backoff)
+            self._push(ack_start + self.ack_int, _DELIVERY, (node.node_id,))
 
     def _on_tx_end(self, node_id: str) -> None:
+        """A data end in a collided exchange: its airtime, and the timeout
+        that follows the missing acknowledgement."""
         exchange = self.exchange
         if exchange is None:
             raise SimulationError("transmission ended outside an exchange")
@@ -500,45 +571,43 @@ class Simulation:
             trace_event(self.trace, t, exchange.kind, "tx_end", node_id, node.backoff)
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
-        if exchange.collided:
-            timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
-            self._push(timeout, EventKind.ACK_DUE, (node_id, "timeout"))
-        else:
-            self._push(t + self.timing.psifs_us, EventKind.ACK_DUE, (node_id, "ack"))
+        timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
+        self._push(timeout, _ACK_TIMEOUT, (node_id,))
 
-    def _on_ack_due(self, node_id: str, outcome: str) -> None:
+    def _on_timeout(self, node_id: str) -> None:
         exchange = self.exchange
         if exchange is None:
-            raise SimulationError("acknowledgement due outside an exchange")
+            raise SimulationError("acknowledgement timeout outside an exchange")
         node = self.nodes[node_id]
         t = self.now
-        if outcome == "ack":
-            self.stats.add_busy(self.ack_airtime_us)
-            self.stats.ack_airtime_us += self.ack_airtime_us
-            if self.collect_trace:
-                trace_event(self.trace, t, exchange.kind, "ack", node_id, node.backoff)
-            self._push(t + self.ack_int, EventKind.ACK_DUE, (node_id, "success"))
-            return
-        if outcome == "success":
-            self._complete_delivery(node, t, exchange)
-        else:  # timeout
-            node.stats.failed += 1
-            node.stats.collided += 1
-            on_failure(node.backoff)
-            if self.collect_trace:
-                trace_event(self.trace, t, exchange.kind, "fail", node_id, node.backoff)
-            draw_backoff(node.backoff, node.rng)
-            if self.collect_trace:
-                trace_event(self.trace, t, exchange.kind, "draw", node_id, node.backoff)
+        node.stats.failed += 1
+        node.stats.collided += 1
+        on_failure(node.backoff)
+        if self.collect_trace:
+            trace_event(self.trace, t, exchange.kind, "fail", node_id, node.backoff)
+        draw_backoff(node.backoff, node.rng)
+        if self.collect_trace:
+            trace_event(self.trace, t, exchange.kind, "draw", node_id, node.backoff)
         exchange.pending -= 1
         if exchange.pending == 0:
-            self.exchange = None
-            # A shared phase has no grid to resume. Timeouts run in time
-            # order, so a collided exchange ends at its last one, now.
-            if self._contenders[exchange.kind]:
-                resume = t if exchange.collided else t + self.timing.psifs_us
-                if resume < exchange.phase_end:
-                    self._push_tick(resume, exchange.kind, exchange.phase_end, (), exchange)
+            # Timeouts run in time order, so the exchange ends at its last
+            # one, now; the guard time already covers the gap.
+            self._end_exchange(exchange, t)
+
+    def _on_delivery(self, node_id: str) -> None:
+        exchange = self.exchange
+        if exchange is None:
+            raise SimulationError("delivery outside an exchange")
+        t = self.now
+        self._complete_delivery(self.nodes[node_id], t, exchange)
+        self._end_exchange(exchange, t + self.timing.psifs_us)
+
+    def _end_exchange(self, exchange: _Exchange, resume: int) -> None:
+        """Free the channel; the grid resumes at `resume` if that is inside
+        the phase. A shared phase has no grid to resume."""
+        self.exchange = None
+        if self._contenders[exchange.kind] and resume < exchange.phase_end:
+            self._push_tick(resume, exchange.kind, exchange.phase_end, (), exchange)
 
     def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
         wire = exchange.wires.get(node.node_id)
@@ -613,18 +682,18 @@ class ScriptedReplay(Simulation):
     def _schedule_superframe(self, index: int) -> None:
         """All scripted phases at once, in place of the plan's schedule."""
         for kind, start, end in self._phases:
-            self._push_schedule(start, EventKind.PHASE_START, (kind, end - start))
+            self._push_schedule(start, _PHASE_START, (kind, end - start))
 
     def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         if not self._contenders[kind]:
             trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
         super()._on_phase_start(kind, length_us)
 
-    def _begin_exchange(self, *args) -> None:
-        super()._begin_exchange(*args)
+    def _collides(self, transmitters: list[_Node]) -> bool:
+        """The script's verdict on this attempt."""
         if not self._acks:
             raise IndexError("scripted acknowledgement outcomes exhausted")
-        self.exchange.collided = not self._acks.pop(0)
+        return not self._acks.pop(0)
 
     def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
         super()._complete_delivery(node, t, exchange)

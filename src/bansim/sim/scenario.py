@@ -415,8 +415,9 @@ _NODE_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 class EventKind(Enum):
     PHASE_START = auto()
-    TX_END = auto()
-    ACK_DUE = auto()
+    TX_END = auto()  # one transmitter's data end in a collided exchange
+    ACK_TIMEOUT = auto()  # its missed acknowledgement
+    DELIVERY = auto()  # the acknowledged end of a clean exchange
     POLL_GRANT = auto()
     BEACON_TX = auto()
     TRAFFIC_ARRIVAL = auto()

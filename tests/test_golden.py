@@ -369,11 +369,11 @@ def _times(lines, event, node=None):
     return {int(t) for t, n, e, *_ in (line.split(",") for line in lines) if e == event and node in (None, n)}
 
 
-def _phase_ends(sc, duration_us):
+def _phase_ends(sc):
     """Every phase end of the run, superframe by superframe."""
     layout = compile_scenario(sc).layout
     ends = {(span.start_slot + span.length_slots) * layout.slot_length_us for span in layout.phases}
-    return {base + end for base in range(0, duration_us, layout.duration_us) for end in ends}
+    return {base + end for base in range(0, sc.run.duration_us, layout.duration_us) for end in ends}
 
 
 def test_the_edge_scenarios_reach_their_edges(tmp_path):
@@ -383,14 +383,14 @@ def test_the_edge_scenarios_reach_their_edges(tmp_path):
         runs[name] = sc, run_to_files(sc, tmp_path / "stats.csv", trace), trace.read_text().splitlines()
 
     sc, _, lines = runs["zero_spacing"]
-    ends = _phase_ends(sc, sc.run.duration_us)
+    ends = _phase_ends(sc)
     beacons = _times(lines, "tx_start", "hub")
     assert _times(lines, "success", "a") & beacons
     assert _times(lines, "success", "a") & (ends - beacons)
     assert _times(lines, "success", "p") & ends
 
     sc, _, lines = runs["grant_on_phase_end"]
-    assert _times(lines, "success", "p") & _phase_ends(sc, sc.run.duration_us)
+    assert _times(lines, "success", "p") & _phase_ends(sc)
 
     sc, _, lines = runs["arrivals_on_edges"]
     arrivals = {t for node in sc.nodes for t in node.traffic[1]}

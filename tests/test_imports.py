@@ -2,9 +2,11 @@
 bansim.sim hold only their modules, so every name is imported from the
 module that defines it, and a module loads only what it imports: the rate
 engine, the MAC modules, the stats writer, security and textio load
-without numpy. No module reads the environment, and every function, class
-and method that the package defines is used inside it, but for a short
-list of public entries kept for their callers outside."""
+without numpy. No module reads the environment, every function, class
+and method that the package defines is used inside it, and every
+dataclass field and instance attribute it stores is read inside it, but
+for short lists of public entries and fields kept for their callers
+outside."""
 
 import ast
 import os
@@ -95,6 +97,66 @@ def unused_names(root):
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return sorted(qualified for qualified, name in defined.items() if name not in used)
+
+
+# The fields and attributes the package stores and never reads itself,
+# each with who reads it.
+READ_OUTSIDE = {
+    "SecuritySession.session_counter": "how many pairwise keys the pairing has used, which the key lifecycle tests read",
+    "SecuritySession.gtk_id": "the group key a member holds, which the group key tests read",
+    "GroupKeyState.gtk_id": "the group key's id, which the group key tests read",
+    "GroupKeyState.members": "the group's nodes, which the group key tests read",
+    "PairwiseKey.key_id": "the key's public id, which the key tests read and its repr shows",
+    "Ppdu.preamble_bits": "the built preamble, which the codec and golden tests read",
+    "Ppdu.sfd_bits": "the built start-of-frame delimiter, which the golden tests read",
+    "RunStats.beacons": "the beacon count, which the beacon tests and the demo read",
+    "ScenarioError.line": "the scenario line an error names, which the scenario and kernel tests read",
+    "UwbChannelPlan.mandatory": "whether a UWB channel is mandatory, which the rate tests read",
+}
+
+
+def stored_unread(root):
+    """The dataclass fields (as Class.field) and the attributes stored on
+    `self` in a class's methods (as Class.attr) under `root` that no
+    attribute load mentions; a name written as a string (a getattr, a
+    field table) counts as read."""
+    stored, read = {}, set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if any("dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list):
+                for item in cls.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        stored[f"{cls.name}.{item.target.id}"] = item.target.id
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    stored.setdefault(f"{cls.name}.{node.attr}", node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(qualified for qualified, name in stored.items() if name not in read)
+
+
+def test_the_package_reads_what_it_stores():
+    unread = set(stored_unread(PACKAGE))
+    assert sorted(unread - READ_OUTSIDE.keys()) == []
+    assert sorted(READ_OUTSIDE.keys() - unread) == []
+
+
+def test_the_store_check_sees_each_unread_field(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass D:\n    kept: int\n    spare: int = 0\n    named: int = 0\n"
+        "class C:\n    def __init__(self):\n        self.count = 0\n        self.total = 0\n"
+        "    def bump(self):\n        self.count += 1\n        return self.total\n"
+        "class Plain:\n    label: str\n"
+    )
+    # A store or an augmented store is not a read; a load or a string is.
+    (tmp_path / "b.py").write_text("d.kept\nd.spare = 1\ngetattr(d, 'named')\n")
+    assert stored_unread(tmp_path) == ["C.count", "D.spare"]
 
 
 def test_the_package_defines_only_what_it_uses():

@@ -469,7 +469,9 @@ class TestKernelInvariants:
         assert proc.stdout == "False transmission ended outside an exchange\n"
 
     # A grant shorter than its node's exchange (the scenario check refuses
-    # such grants) and a second pending grid tick.
+    # such grants), a second pending grid tick, a delivery and a timeout
+    # with no exchange in flight, and a grant window that ends inside the
+    # data frame of a clean exchange.
     GRID_AND_GRANT = (
         "from bansim.errors import SimulationError\n"
         "from bansim.mac.superframe import PhaseKind\n"
@@ -480,7 +482,9 @@ class TestKernelInvariants:
         "def second_tick():\n"
         "    sim._push_tick(100, PhaseKind.RAP1, 9000, [], None)\n"
         "    sim._push_tick(200, PhaseKind.RAP1, 9000, [], None)\n"
-        "for check in (lambda: sim._on_poll_grant('n0', 99, 99, PhaseKind.TYPE_A), second_tick):\n"
+        "for check in (lambda: sim._on_poll_grant('n0', 99, 99, PhaseKind.TYPE_A), second_tick,\n"
+        "              lambda: sim._on_delivery('n0'), lambda: sim._on_timeout('n0'),\n"
+        "              lambda: sim._on_poll_grant('n0', 10**6, 5, PhaseKind.TYPE_A)):\n"
         "    try:\n"
         "        check()\n"
         "    except SimulationError as exc:\n"
@@ -500,6 +504,9 @@ class TestKernelInvariants:
         assert proc.stdout.splitlines() == [
             f"False n0: a {need} us frame exchange does not fit its 99 us grant",
             "False a second grid tick pending at t=200",
+            "False delivery outside an exchange",
+            "False acknowledgement timeout outside an exchange",
+            "False transmission crossed its phase boundary",
         ]
 
 
@@ -599,7 +606,8 @@ class TestLeanLoop:
 
 # ------------------------------------------- the grid against its reference
 
-SLOT_TICK = "slot tick"  # the reference grid's heap event kind
+SLOT_TICK = "slot tick"  # the reference grid's heap event kinds
+ACK_HOP = "ack hop"
 
 
 class SlotBySlot(Simulation):
@@ -610,8 +618,33 @@ class SlotBySlot(Simulation):
     batched, and its own lines go out as (node id, event, state) entries
     through trace_lines; an exchange, begun by the base class from this
     grid's own scan, traces its lines and the count lines of the slot end
-    that starts it. Kept as the reference that the kernel's stats and trace
-    must match byte for byte."""
+    that starts it. Every exchange runs hop by hop, as before a clean one
+    became one heap event: each data end is an event, and a clean one's
+    acknowledgement is an event that pushes its delivery. Kept as the
+    reference that the kernel's stats and trace must match byte for byte."""
+
+    def _collides(self, transmitters):
+        # Every exchange pushes its data ends; _on_tx_end tells them apart.
+        return True
+
+    def _on_tx_end(self, node_id):
+        exchange = self.exchange
+        if exchange is None or len(exchange.wires) > 1:
+            super()._on_tx_end(node_id)
+            return
+        node, t = self.nodes[node_id], self.now
+        if t > exchange.phase_end:
+            raise SimulationError("transmission crossed its phase boundary")
+        self._emit_entries(t, exchange.kind, [(node_id, "tx_end", node.backoff)])
+        node.stats.tx_airtime_us += node.airtime_us
+        self.stats.add_busy(node.airtime_us)
+        self._push(t + self.timing.psifs_us, ACK_HOP, (node_id,))
+
+    def _on_ack_hop(self, node_id):
+        self.stats.add_busy(self.ack_airtime_us)
+        self.stats.ack_airtime_us += self.ack_airtime_us
+        self._emit_entries(self.now, self.exchange.kind, [(node_id, "ack", self.nodes[node_id].backoff)])
+        self._push(self.now + self.ack_int, EventKind.DELIVERY, (node_id,))
 
     def _emit_entries(self, t, kind, entries):
         if self.collect_trace:
@@ -628,8 +661,10 @@ class SlotBySlot(Simulation):
         self._seed_traffic()
         handlers = {
             SLOT_TICK: self._on_slot_tick,
+            ACK_HOP: self._on_ack_hop,
             EventKind.TX_END: self._on_tx_end,
-            EventKind.ACK_DUE: self._on_ack_due,
+            EventKind.ACK_TIMEOUT: self._on_timeout,
+            EventKind.DELIVERY: self._on_delivery,
             EventKind.PHASE_START: self._on_phase_start,
             EventKind.TRAFFIC_ARRIVAL: self._on_arrival,
             EventKind.POLL_GRANT: self._on_poll_grant,
@@ -1081,13 +1116,18 @@ class TestCompiledSchedule:
             assert "never polled" in str(exc)
             assume(False)
         sim = _ScheduleLog(sc)
-        sim.pushed = []
-        want = []
         periods = [alloc.periodicity for alloc in scheduled_allocations(sc)]
-        for index in range(math.lcm(sc.superframe.beacon_period_multiplier, *periods)):
-            sim._schedule_superframe(index)
-            want += reference_superframe(sim, index)
-        assert sim.pushed == want
+        indices = range(math.lcm(sc.superframe.beacon_period_multiplier, *periods))
+        want = [event for index in indices for event in reference_superframe(sim, index)]
+        # The plan's whole schedule; the kernel replays it without the
+        # starts of phases that no node contends in.
+        replayed = sim._schedule
+        contended = [e for e in want if e[1] is not EventKind.PHASE_START or sim._contenders[e[2][0]]]
+        for schedule, expected in ((sim.plan.schedule, want), (replayed, contended)):
+            sim._schedule, sim.pushed = schedule, []
+            for index in indices:
+                sim._schedule_superframe(index)
+            assert sim.pushed == expected
 
 
 class TestUntracedRunsDoNoTraceWork:
