@@ -32,11 +32,13 @@ hop-by-hop events: the delivery takes its place in the heap when the
 exchange begins, so a Poisson arrival pushed onto the delivery instant
 after that and before the acknowledgement's instant runs after the
 delivery rather than before. The two commute, but what they push next
-(that arrival's successor, the resume tick) swaps order, which shows
-only if those two also fall on one microsecond. A collided exchange
-keeps one event per transmitter's data end and one per its timeout: a
-timeout draws a new counter from its node's stream, which must stay
-behind that node's arrivals at the same instant.
+(that arrival's successor, the resume tick) swaps order; if those two
+also fall on one microsecond, the resume can draw the arrival's node a
+counter before the successor takes its gap off that node's stream
+(tests/test_sim.py pins such a run). A collided exchange keeps one
+event per transmitter's data end and one per its timeout: a timeout
+draws a new counter from its node's stream, which must stay behind that
+node's arrivals at the same instant.
 
 Contention runs on one global slot grid per access phase. The grid
 starts one interframe space after phase entry, pauses while a frame

@@ -8,14 +8,6 @@ that fails leaves no file (and an existing one as it was). A symlink is
 followed: the file it names is the one replaced. A replaced target is a
 new file, so its old permissions and hard links are not kept. Other
 paths (devices, pipes) are written directly.
-
-No rename lands on an existing file. An existing target is first moved
-aside, the new file is renamed in and the old one is then deleted; if the
-second rename fails the old file is moved back. On ext4, renaming over a
-file makes the kernel start writing the new file's data out before the
-rename returns, which can stall for tens of milliseconds when the old
-file was itself written moments before; a rename to a free name does not.
-Between the two renames the target path names no file.
 """
 
 from __future__ import annotations
@@ -52,26 +44,7 @@ def text_stream(target, mode: str = "w"):
     try:
         with fh:
             yield fh
-        aside = _swap_in(tmp, final)
+        os.replace(tmp, final)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    if aside is not None:
-        aside.unlink()
-
-
-def _swap_in(new: Path, final: Path) -> Path | None:
-    """Rename `new` to `final`, an existing `final` moved aside first;
-    returns where the old file now is, for the caller to delete."""
-    aside = final.with_name(f"{final.name}.{os.urandom(4).hex()}.old")
-    try:
-        os.rename(final, aside)
-    except FileNotFoundError:
-        os.replace(new, final)
-        return None
-    try:
-        os.rename(new, final)
-    except BaseException:
-        os.rename(aside, final)
-        raise
-    return aside

@@ -7,6 +7,7 @@ import heapq
 import io
 import math
 import os
+import random
 import re
 import stat
 import subprocess
@@ -857,6 +858,73 @@ class TestLazyGrid:
         lazy, reference = _TickCounter(sc), CountedReference(sc)
         assert stats_and_trace(lazy) == stats_and_trace(reference)
         assert 0 < lazy.ticks < reference.ticks
+
+
+class _GapScript(random.Random):
+    """A node's stream with its arrival gaps given, then none. Each gap
+    still takes one value off the stream, as expovariate does; each gap
+    and each backoff draw is logged."""
+
+    def __init__(self, seed: str, gaps_us):
+        super().__init__(seed)
+        self.gaps_us = list(gaps_us)
+        self.calls: list[str] = []
+
+    def expovariate(self, rate):
+        self.calls.append("gap")
+        self.random()
+        return self.gaps_us.pop(0) / 1e6 if self.gaps_us else math.inf
+
+    def randrange(self, *args):
+        self.calls.append("draw")
+        return super().randrange(*args)
+
+
+class TestArrivalOnADelivery:
+    """The one order in which the kernel departs from hop-by-hop events. A
+    clean exchange's delivery takes its heap place when the exchange
+    begins, where the hop-by-hop run gave it one at the acknowledgement.
+    An arrival pushed during the data frame onto the delivery instant thus
+    runs after the delivery, and when its successor lands on the resume
+    tick, the resume draws that node's counter before the successor takes
+    its gap off the same stream."""
+
+    # a, alone at priority 7, begins an exchange at 2069 us: data end 3233,
+    # ack 3283, delivery 3788, resume 3838. b's gaps put its arrivals at
+    # 2500 (inside a's data frame), 3788 and 3838.
+    TEXT = (
+        "[phy]\nkind = nb\nband = 2400-2483.5\nrate = high\n"
+        "[superframe]\nslots = 100\nbeacon_prohibited = true\nrap1_slots = 100\n"
+        "[nodes]\na = priority=7, traffic=saturated, payload=40\nb = priority=2, traffic=poisson:50, payload=30\n"
+        "[run]\nseed = 2\nduration_ms = 40\nchannel = collision\n"
+    )
+    GAPS_US = (2500, 1288, 50)
+    # Stats and trace bytes in the kernel's order, and in the hop-by-hop
+    # order (the kernel's own before a clean exchange became one event).
+    DIGEST = "2729ba7d506e6b8447e164db0f6632adb2e2ab7801606f3e76d9600095b6ea14"
+    HOP_BY_HOP_DIGEST = "9338aafbe1e6d0bee761b27d81c0761c5a20dc28b86c04d4767bcbacac6a97fe"
+
+    def _run(self, cls):
+        sim = cls(parse_scenario(self.TEXT), collect_trace=True)
+        stream = sim.nodes["b"].rng = _GapScript(f"{sim.sc.run.seed}:b", self.GAPS_US)
+        stats, trace = stats_and_trace(sim)
+        return stream.calls, stats, trace, hashlib.sha256((stats + "\n".join(trace)).encode()).hexdigest()
+
+    def test_the_resume_draws_before_the_arrival_takes_its_gap(self):
+        calls, _, trace, digest = self._run(Simulation)
+        lines = parse_trace(trace)
+        arrivals = [sum(self.GAPS_US[:i + 1]) for i in range(len(self.GAPS_US))]
+        starts = [t for t, node, event, *_ in lines if (node, event) == ("a", "tx_start")]
+        data_ends = [t for t, node, event, *_ in lines if (node, event) == ("a", "tx_end")]
+        assert starts[1] < arrivals[0] < data_ends[1]
+        assert (arrivals[1], "a", "success") in {tuple(line[:3]) for line in lines}
+        assert (arrivals[2], "b", "draw") in {tuple(line[:3]) for line in lines}
+        assert arrivals[2] == arrivals[1] + parse_scenario(self.TEXT).timing.psifs_us
+        assert calls[:5] == ["gap", "gap", "gap", "draw", "gap"]
+        assert digest == self.DIGEST
+        reference_calls, _, _, reference_digest = self._run(SlotBySlot)
+        assert reference_calls[:5] == ["gap", "gap", "gap", "gap", "draw"]
+        assert reference_digest == self.HOP_BY_HOP_DIGEST
 
 
 class TestChangedScenarios:

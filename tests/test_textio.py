@@ -1,17 +1,11 @@
 """textio is the one module that opens a file: every other module reads
 and writes through text_stream, so the rule for putting a written file in
-place lives in one spot. That rule renames onto no existing file, and a
-swap that fails leaves the old file where it was."""
+place lives in one spot."""
 
 import ast
-import errno
-import os
 from pathlib import Path
 
-import pytest
-
 import bansim
-from bansim.textio import text_stream
 
 PACKAGE = Path(bansim.__file__).parent
 FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
@@ -41,46 +35,3 @@ def test_the_check_sees_each_kind_of_call(tmp_path):
     source = tmp_path / "mod.py"
     source.write_text("open('a')\nPath('b').read_text()\nio.open('c')\np.write_bytes(b'')\nprint('open')\n")
     assert [name for _, name in file_calls(source)] == ["open", "read_text", "open", "write_bytes"]
-
-
-def _renames(monkeypatch, fail_into=None):
-    """Record each rename as (source name, target name, whether the target
-    existed); a rename of a temporary file into `fail_into` raises."""
-    calls = []
-    for name in ("rename", "replace"):
-        original = getattr(os, name)
-
-        def wrapped(src, dst, _original=original):
-            calls.append((Path(src).name, Path(dst).name, os.path.lexists(dst)))
-            if fail_into is not None and Path(dst) == fail_into and str(src).endswith(".tmp"):
-                raise OSError(errno.EIO, "injected rename failure", str(dst))
-            return _original(src, dst)
-
-        monkeypatch.setattr(os, name, wrapped)
-    return calls
-
-
-def test_rewriting_a_file_renames_onto_no_existing_file(tmp_path, monkeypatch):
-    real = tmp_path / "stats.csv"
-    link = tmp_path / "link.csv"
-    link.symlink_to(real.name)
-    calls = _renames(monkeypatch)
-    for text in ("first\n", "second\n", "third\n"):
-        with text_stream(link) as fh:
-            fh.write(text)
-    assert real.read_text() == "third\n"
-    assert link.is_symlink() and sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "stats.csv"]
-    # Each write renames its temporary file in, each time onto a free name.
-    assert [src.endswith(".tmp") for src, dst, _ in calls if dst == "stats.csv"] == [True] * 3
-    assert not any(existed for _, _, existed in calls)
-
-
-def test_a_failed_swap_puts_the_old_file_back(tmp_path, monkeypatch):
-    target = tmp_path / "trace.txt"
-    target.write_text("old\n")
-    _renames(monkeypatch, fail_into=target)
-    with pytest.raises(OSError, match="injected rename failure"):
-        with text_stream(target) as fh:
-            fh.write("new\n")
-    assert target.read_text() == "old\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["trace.txt"]
