@@ -333,6 +333,11 @@ IMAGES_DIGEST = "79b79c44a1a68448225cd55c6b5dec64d25da8cb4f8afa79331654970e77e82
 # truncation of one short frame per config: pins which check fires first
 # and the codeword index that parity failures name.
 OUTCOMES_DIGEST = "a06fb326ba8381c46fe447eae4671e11c4720fe23a374adf3468493b1cf99afa"
+# (images, outcomes) digests as above for narrowband 402-405 low, spreading 2.
+SPREAD2_DIGESTS = (
+    "ec9b040468ebaaa0e50e0819ac840821541315fc13f2583bdc2cddb739a2e373",
+    "fae42fd6d8b5d792359a837455526b43d061591ba5d231ed2ac1a0d604816c6b",
+)
 
 
 def _sha256(path: Path) -> str:
@@ -454,15 +459,19 @@ def test_a_locked_state_is_unchanged_until_its_unlock(name, text, tmp_path):
     assert lock_breaks(lines) == []
 
 
-def test_frame_bit_images_are_pinned():
+def _images_digest(configs) -> str:
     h = hashlib.sha256()
-    for cfg in CODEC_CONFIGS:
+    for cfg in configs:
         rng = random.Random(f"golden-{cfg.band_id.value}-{cfg.spreading}")
         for _ in range(FRAMES_PER_CONFIG):
             bits = build_ppdu(cfg, rng.randbytes(7), rng.randbytes(rng.randrange(256))).bits
             h.update(len(bits).to_bytes(4, "big"))
             h.update(np.packbits(bits).tobytes())
-    assert h.hexdigest() == IMAGES_DIGEST
+    return h.hexdigest()
+
+
+def test_frame_bit_images_are_pinned():
+    assert _images_digest(CODEC_CONFIGS) == IMAGES_DIGEST
 
 
 @pytest.mark.parametrize(
@@ -485,9 +494,9 @@ def _outcome(tag: str, index: int, bits: np.ndarray, cfg) -> bytes:
     return f"{tag} {index} accepted\n".encode()
 
 
-def test_flip_and_truncation_outcomes_are_pinned():
+def _outcomes_digest(configs) -> str:
     h = hashlib.sha256()
-    for cfg in CODEC_CONFIGS:
+    for cfg in configs:
         image = build_ppdu(cfg, bytes(range(7)), b"flip").bits
         for i in range(len(image)):
             flipped = image.copy()
@@ -495,4 +504,15 @@ def test_flip_and_truncation_outcomes_are_pinned():
             h.update(_outcome("flip", i, flipped, cfg))
         for n in range(len(image)):
             h.update(_outcome("cut", n, image[:n], cfg))
-    assert h.hexdigest() == OUTCOMES_DIGEST
+    return h.hexdigest()
+
+
+def test_flip_and_truncation_outcomes_are_pinned():
+    assert _outcomes_digest(CODEC_CONFIGS) == OUTCOMES_DIGEST
+
+
+def test_spreading_2_images_and_outcomes_are_pinned():
+    # CODEC_CONFIGS spreads by 1 and 4; the low narrowband rates of 402-405 spread by 2.
+    cfg = nb_config(Band.NB_402_405, "low")
+    assert cfg.spreading == 2
+    assert (_images_digest([cfg]), _outcomes_digest([cfg])) == SPREAD2_DIGESTS
