@@ -10,12 +10,13 @@ raises, nothing is corrected.
 
 That checksum has init 0 and no final XOR, so it is linear over GF(2): the
 parity of information row u is u @ G mod 2, where row i of the k x 12
-matrix G is the checksum of unit vector i. The systematic generator
-[I_k | G] (`generator`) turns information rows into whole codewords in one
-matrix product, mod 2 being the low bit of int32 sums; `encode_blocks`
-codes a bit array so, and the frame codec a PSDU's rows. `decode_blocks`
-accepts codewords whose parity bits equal those rebuilt from their
-information bits, and names the first that differs.
+parity matrix G (`parity_matrix`) is the checksum of unit vector i. Only
+the parity columns take a product: `encode_rows` turns information rows
+into codewords [info | info @ G mod 2], mod 2 being the low bit of int32
+sums, and it is the one coder behind the header tables (`encode_blocks`),
+the miss path (`decode_blocks`) and the frame codec's PSDU build and parse
+rebuild. `decode_blocks` accepts codewords that their own information
+bits code back to, and names the first that does not.
 """
 
 from __future__ import annotations
@@ -30,21 +31,32 @@ from bansim.phy.bitfields import int_to_bits
 from bansim.phy.checksums import crc12_bits
 from bansim.phy.rates import PARITY_BITS, check_code
 
-__all__ = ["BlockCode", "generator", "encode_blocks", "decode_blocks", "coded_length"]
+__all__ = ["BlockCode", "parity_matrix", "encode_rows", "encode_blocks", "decode_blocks", "coded_length"]
 
 BlockCode = tuple[int, int]  # (n, k)
 
 
 @functools.cache
-def generator(n: int, k: int) -> np.ndarray:
-    """[I_k | G] over GF(2), k x n, row i the codeword of unit vector i, of a
-    code the caller checked. float32 runs the products in BLAS, exact for
-    k < 2**24; a cast to uint8 is undefined past 255."""
-    matrix = np.eye(k, n, dtype=np.float32)
-    if n > k:
-        matrix[:, k:] = [int_to_bits(crc12_bits(unit), PARITY_BITS) for unit in np.eye(k, dtype=int).tolist()]
+def parity_matrix(k: int) -> np.ndarray:
+    """G over GF(2), k x 12, read-only, row i the parity of unit vector i.
+    float32 runs the products in BLAS, exact for k < 2**24; a cast to
+    uint8 is undefined past 255."""
+    matrix = np.array(
+        [int_to_bits(crc12_bits(unit), PARITY_BITS) for unit in np.eye(k, dtype=int).tolist()], dtype=np.float32
+    )
     matrix.flags.writeable = False
     return matrix
+
+
+def encode_rows(info: np.ndarray, code: BlockCode) -> np.ndarray:
+    """The codewords [info | info @ G mod 2] (blocks x n, uint8) of the
+    information rows `info` (blocks x k, each bit 0 or 1) of a checked code."""
+    n, k = code
+    if n == k:
+        return info.astype(np.uint8)
+    parity = np.dot(info, parity_matrix(k)).astype(np.int32)
+    parity &= 1
+    return np.concatenate([info, parity], axis=1, dtype=np.uint8, casting="unsafe")
 
 
 def coded_length(info_bit_count: int, code: BlockCode) -> int:
@@ -63,8 +75,7 @@ def encode_blocks(bits: np.ndarray, code: BlockCode) -> np.ndarray:
     bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) % k:
         bits = np.concatenate([bits, np.zeros(-len(bits) % k, dtype=np.uint8)])
-    words = (bits.reshape(-1, k) @ generator(n, k)).astype(np.int32) & 1
-    return words.astype(np.uint8).ravel()
+    return encode_rows(bits.reshape(-1, k), (n, k)).ravel()
 
 
 def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np.ndarray:
@@ -81,12 +92,12 @@ def decode_blocks(image: np.ndarray, code: BlockCode, info_bit_count: int) -> np
     if len(image) > expected:
         raise CodewordError(f"coded region holds {len(image)} bits, expected {expected}")
     words = image.reshape(-1, n)
+    info = words[:, :k]
     if n > k:
-        parity = (words[:, :k] @ generator(n, k)[:, k:]).astype(np.int32) & 1
-        bad = (parity != words[:, k:]).any(axis=1)
+        bad = (encode_rows(info, (n, k)) != words).any(axis=1)
         if bad.any():
             raise CodewordError(f"parity mismatch in codeword {bad.argmax()}")
-    info_bits = words[:, :k].flatten()
+    info_bits = info.flatten()
     if info_bits[info_bit_count:].any():
         raise CodewordError("nonzero pad bits in final codeword")
     return info_bits[:info_bit_count]

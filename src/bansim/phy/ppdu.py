@@ -8,14 +8,22 @@ where the MAC frame is mac_header(7) + body(0..255) + fcs(2). The PHY
 header carries the body length, so a parser given the operating config can
 recover every field and validate the frame end to end. Decoding is
 detect-only: any inconsistency raises a distinct FrameError subclass.
-The MAC frame is coded in one product with the systematic generator
-(`fec.generator`), then spread. Parse accepts a frame by rebuilding it:
-with the sync matched and the coded header in a table, the frame region's
-information bits (each spread bit's first copy) are coded and spread
-again, and equal bytes prove that every copy agrees, every parity holds
-and every value is 0 or 1. Anything else takes the reject path, which
-names the first failed check: a value not 0 or 1 (ValueError), sync,
-header, length, copies, parity. A non-1-D image is a ValueError first.
+The MAC frame is coded by `fec.encode_rows`, one product of its
+information rows with the 12 parity columns, then spread. Parse accepts a
+frame by rebuilding it: with the sync matched and the coded header in a
+table, the frame region's information bits (each spread bit's first copy)
+are gathered once into contiguous rows, which are coded and spread again,
+and equal bytes prove that every copy agrees, every parity holds and
+every value is 0 or 1; the same rows give the PSDU bytes. Anything else
+takes the reject path, which names the first failed check: a value not 0
+or 1 (ValueError), sync, header, length, copies, parity. A non-1-D image
+is a ValueError first.
+
+A frame (`Ppdu`) is an immutable record, built in one step, whose image
+is read-only: build assembles the image as bytes and keeps a read-only
+view of them, and parse keeps the image it was given when that is
+read-only already, a read-only copy otherwise, so no later write to the
+caller's array reaches the frame.
 
 The families differ only in data, held in one format table (`_FORMATS`)
 that a single build, parse and hexdump walk:
@@ -76,6 +84,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -151,9 +160,8 @@ class HbcPhyHeader:
     rate_index: int
 
 
-@dataclass(frozen=True)
-class Ppdu:
-    """Structured frame plus its serialized bit image."""
+class Ppdu(NamedTuple):
+    """Structured frame plus its serialized bit image, which is read-only."""
 
     kind: PhyKind
     preamble_bits: np.ndarray
@@ -240,13 +248,13 @@ _FORMATS = {
 _COPIES = {2: 0x0101, 4: 0x01010101}
 
 
-def _psdu_image(cfg: PhyConfig, info: np.ndarray) -> np.ndarray:
-    """The frame region of information rows `info`, one per codeword."""
-    words = np.dot(info, fec.generator(*cfg.psdu_fec)).astype("<i4")
-    words &= 1
-    if cfg.spreading > 1:
-        words *= _COPIES[cfg.spreading]
-    return words.astype(f"<i{cfg.spreading}", copy=False).view(np.uint8).ravel()
+def _psdu_image(cfg: PhyConfig, info: np.ndarray) -> bytes:
+    """The frame region of information rows `info`, one per codeword, as image bytes."""
+    words, s = fec.encode_rows(info, cfg.psdu_fec), cfg.spreading
+    if s > 1:
+        words = words.astype(f"<u{s}")
+        words *= _COPIES[s]
+    return words.tobytes()
 
 
 def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) -> bytes:
@@ -255,9 +263,9 @@ def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) ->
     (n, k), s = cfg.psdu_fec, cfg.spreading
     region, rows = bits[start:], -(-8 * psdu_len // k)
     if len(region) == rows * n * s:
-        info = region.reshape(rows, n * s)[:, : k * s : s]
+        info = region.reshape(rows, n * s)[:, : k * s : s] & 1  # contiguous rows; a stray value rebuilds unequal
         rebuilt = _psdu_image(cfg, info)
-        if rebuilt.tobytes() == region.tobytes():
+        if rebuilt == region.tobytes():
             psdu = np.packbits(info).tobytes()  # the pad bits fill the bytes past psdu_len
             if any(psdu[psdu_len:]):
                 raise CodewordError("nonzero pad bits in final codeword")
@@ -272,7 +280,8 @@ def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) ->
         if np.count_nonzero(copies) != np.count_nonzero(copies == _COPIES[s]):  # a word neither 0 nor 0x01..01
             raise DespreadError("repetition copies disagree")
     # The copies agree, so the first codeword that differs differs in its parity.
-    raise CodewordError(f"parity mismatch in codeword {(rebuilt != region).argmax() // (n * s)}")
+    first = (np.frombuffer(rebuilt, dtype=np.uint8) != region).argmax()
+    raise CodewordError(f"parity mismatch in codeword {first // (n * s)}")
 
 
 def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
@@ -313,10 +322,10 @@ _NO_HEADERS: tuple[int, dict[bytes, object]] = (0, {})
 _MAX_TABLES = 32  # about 100 KB each
 
 
-def _header_table(fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
+def _header_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
     """The table of `cfg`'s headers with `fields` set (an unset field is 0);
     with none set, straight by key, as `PhyConfig` checked code and rate."""
-    table = None if fields else _TABLES.get((cfg.kind, *cfg.header_fec, cfg.rate_index) + (0,) * len(fmt.settable))
+    table = None if fields else _TABLES.get((kind, *cfg.header_fec, cfg.rate_index) + (0,) * len(fmt.settable))
     return table or _fill_table(fmt, cfg, fields)
 
 
@@ -388,42 +397,51 @@ def _decode_header(fmt: _Format, cfg: PhyConfig, coded: np.ndarray):
 
 def _frame_bytes(value, name: str) -> bytes:
     """`value` as bytes; a TypeError naming `name` unless it is bytes-like."""
+    if type(value) is bytes:
+        return value
     try:
         view = memoryview(value)
     except TypeError:
         view = None
     if view is None or view.itemsize != 1:
         raise TypeError(f"{name} must be bytes-like (single-byte items), got {type(value).__name__}")
-    return value if type(value) is bytes else view.tobytes()
+    return view.tobytes()
 
 
 def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
     """The frame of `cfg`'s family; `fields` sets the header's settable
     fields (nb: scrambler, burst_mode; uwb: scrambler_seed), each 0 unset.
-    `mac_header` and `body` are bytes-like, kept as bytes."""
+    `mac_header` and `body` are bytes-like, kept as bytes. The image is a
+    read-only view of immutable bytes."""
     mac_header, body = _frame_bytes(mac_header, "mac_header"), _frame_bytes(body, "body")
     if len(mac_header) != MAC_HEADER_LEN:
         raise ValueError(f"mac header must be {MAC_HEADER_LEN} bytes, got {len(mac_header)}")
     if len(body) > MAX_BODY_LEN:
         raise FrameTooLong(f"body of {len(body)} bytes exceeds {MAX_BODY_LEN}")
-    fmt = _FORMATS[cfg.kind]
-    header, header_bits = _header_table(fmt, cfg, fields)[len(body)]
-    fcs = crc16(mac_header + body)
-    psdu = mac_header + body + fcs.to_bytes(FCS_LEN, "big")
+    kind = cfg.kind
+    fmt = _FORMATS[kind]
+    header, header_bits = _header_table(kind, fmt, cfg, fields)[len(body)]
+    frame = mac_header + body
+    fcs = crc16(frame)
+    psdu = frame + fcs.to_bytes(FCS_LEN, "big")
     k = cfg.psdu_fec[1]
-    info = np.unpackbits(np.frombuffer(psdu, dtype=np.uint8), count=-(-8 * len(psdu) // k) * k)
-    image = np.concatenate([fmt.sync, header_bits, _psdu_image(cfg, info.reshape(-1, k))])
-    return Ppdu(cfg.kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, image)
+    info = np.unpackbits(np.frombuffer(psdu, np.uint8), count=-(-8 * len(psdu) // k) * k)
+    image = fmt.sync_bytes + header_bits.tobytes() + _psdu_image(cfg, info.reshape(-1, k))
+    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, np.frombuffer(image, np.uint8))
 
 
 def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
-    """The frame in an image of `cfg`'s family; a FrameError names the first failed check."""
-    fmt = _FORMATS[cfg.kind]
+    """The frame in an image of `cfg`'s family; a FrameError names the first
+    failed check. The frame keeps `bits` if it is read-only, a read-only
+    copy otherwise."""
+    kind = cfg.kind
+    fmt = _FORMATS[kind]
     if not (isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype == np.uint8):
         bits = _bit_image(bits)
     off = len(fmt.sync)
-    n_hdr, headers = _INVERSE.get((cfg.kind, *cfg.header_fec, cfg.rate_index), _NO_HEADERS)
-    header = headers.get(bits[off : off + n_hdr].tobytes()) if bits[:off].tobytes() == fmt.sync_bytes else None
+    n_hdr, headers = _INVERSE.get((kind, *cfg.header_fec, cfg.rate_index), _NO_HEADERS)
+    head = bits[: off + n_hdr].tobytes()
+    header = headers.get(head[off:]) if head[:off] == fmt.sync_bytes else None
     if header is None:
         bits = _bit_image(bits)  # a value not a bit is named before any check
         if bits[:off].tobytes() != fmt.sync_bytes:
@@ -439,9 +457,12 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     mac_header = psdu[:MAC_HEADER_LEN]
     body = psdu[MAC_HEADER_LEN:-FCS_LEN]
     fcs = int.from_bytes(psdu[-FCS_LEN:], "big")
-    if fcs != crc16(mac_header + body):
-        raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(mac_header + body):04X}")
-    return Ppdu(cfg.kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)
+    if fcs != crc16(psdu[:-FCS_LEN]):
+        raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(psdu[:-FCS_LEN]):04X}")
+    if bits.flags.writeable:
+        bits = bits.copy()
+        bits.flags.writeable = False
+    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)
 
 
 # ------------------------------------------------------------------ airtime

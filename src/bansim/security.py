@@ -70,6 +70,10 @@ class SecurityLevel(IntEnum):
     ENCRYPTED = 2
 
 
+# The two levels the per-frame paths test, bound once: CPython 3.11 reads a
+# member off its enum class through the metaclass's __getattr__ hook.
+_UNSECURED, _ENCRYPTED = SecurityLevel.UNSECURED, SecurityLevel.ENCRYPTED
+
 # Extra on-air body bytes per level: level byte + counter + tag.
 SECURITY_WIRE_OVERHEAD = {
     SecurityLevel.UNSECURED: 0,
@@ -250,7 +254,7 @@ def _tag(ptk: PairwiseKey, level: int, nonce: bytes, body: bytes) -> bytes:
 
 def secure_frame(body: bytes, session: SecuritySession) -> bytes:
     """Apply the session's level to an outgoing body."""
-    if session.level == SecurityLevel.UNSECURED:
+    if session.level == _UNSECURED:
         return bytes(body)
     if not session.ptk_active:
         raise KeyStateError(f"{session.node_id}: secured frame without an active pairwise key")
@@ -261,7 +265,7 @@ def secure_frame(body: bytes, session: SecuritySession) -> bytes:
         raise KeyStateError(f"{session.node_id}: frame counter exhausted; re-key the session") from None
     session.tx_counter = counter
     sent = bytes(body)
-    if session.level == SecurityLevel.ENCRYPTED:
+    if session.level == _ENCRYPTED:
         sent = _mask(sent, session.ptk, nonce)
     tag = _tag(session.ptk, session.level, nonce, sent)
     return bytes([session.level]) + nonce + sent + tag
@@ -275,7 +279,7 @@ def admit_frame(wire: bytes, session: SecuritySession) -> bytes:
     last admitted one (replay). The replay floor moves only after the tag
     verifies.
     """
-    if session.level == SecurityLevel.UNSECURED:
+    if session.level == _UNSECURED:
         return bytes(wire)
     overhead = SECURITY_WIRE_OVERHEAD[session.level]
     if len(wire) < overhead:
@@ -293,6 +297,6 @@ def admit_frame(wire: bytes, session: SecuritySession) -> bytes:
     if counter <= session.rx_counter:
         raise ReplayRejection(f"counter {counter} not above {session.rx_counter}")
     session.rx_counter = counter
-    if session.level == SecurityLevel.ENCRYPTED:
+    if session.level == _ENCRYPTED:
         sent = _mask(sent, session.ptk, nonce)
     return sent

@@ -116,15 +116,16 @@ READ_OUTSIDE = {
 
 
 def stored_unread(root):
-    """The dataclass fields (as Class.field) and the attributes stored on
-    `self` in a class's methods (as Class.attr) under `root` that no
-    attribute load mentions; a name written as a string (a getattr, a
-    field table) counts as read."""
+    """The dataclass and NamedTuple fields (as Class.field) and the
+    attributes stored on `self` in a class's methods (as Class.attr) under
+    `root` that no attribute load mentions; a name written as a string (a
+    getattr, a field table) counts as read."""
     stored, read = {}, set()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
-            if any("dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list):
+            if (any("dataclass" in ast.unparse(decorator) for decorator in cls.decorator_list)
+                    or any("NamedTuple" in ast.unparse(base) for base in cls.bases)):
                 for item in cls.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                         stored[f"{cls.name}.{item.target.id}"] = item.target.id
@@ -153,10 +154,11 @@ def test_the_store_check_sees_each_unread_field(tmp_path):
         "class C:\n    def __init__(self):\n        self.count = 0\n        self.total = 0\n"
         "    def bump(self):\n        self.count += 1\n        return self.total\n"
         "class Plain:\n    label: str\n"
+        "from typing import NamedTuple\nclass R(NamedTuple):\n    used: int\n    idle: int\n"
     )
     # A store or an augmented store is not a read; a load or a string is.
-    (tmp_path / "b.py").write_text("d.kept\nd.spare = 1\ngetattr(d, 'named')\n")
-    assert stored_unread(tmp_path) == ["C.count", "D.spare"]
+    (tmp_path / "b.py").write_text("d.kept\nd.spare = 1\ngetattr(d, 'named')\nr.used\n")
+    assert stored_unread(tmp_path) == ["C.count", "D.spare", "R.idle"]
 
 
 def test_the_package_defines_only_what_it_uses():

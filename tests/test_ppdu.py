@@ -355,6 +355,30 @@ class TestFrameBytes:
             build_ppdu(NB, args["mac_header"], args["body"])
 
 
+@pytest.mark.parametrize("cfg", [NB, NB_SPREAD, UWB, HBC], ids=["nb", "nb-spread", "uwb", "hbc"])
+class TestOwnedImage:
+    """A frame's image is read-only, and no caller's array is the image of a parsed frame."""
+
+    def test_a_built_image_is_read_only(self, cfg):
+        frame = build_ppdu(cfg, b"\x08" * 7, b"abcd")
+        assert not frame.bits.flags.writeable
+        with pytest.raises(ValueError):
+            frame.bits[0] = 1
+
+    def test_parse_keeps_a_read_only_copy_of_a_writeable_image(self, cfg):
+        frame = build_ppdu(cfg, b"\x08" * 7, b"abcd")
+        image = frame.bits.copy()
+        parsed = parse_ppdu(image, cfg)
+        image[:] = 0
+        assert parsed.bits.tolist() == frame.bits.tolist()
+        assert not parsed.bits.flags.writeable
+        assert not np.shares_memory(parsed.bits, image)
+
+    def test_parse_keeps_a_read_only_image_as_given(self, cfg):
+        frame = build_ppdu(cfg, b"\x08" * 7, b"abcd")
+        assert parse_ppdu(frame.bits, cfg).bits is frame.bits
+
+
 # ------------------------------------------------------- outcome digest
 #
 # Every parse outcome of one short frame per family, hashed together: for
@@ -687,7 +711,7 @@ def test_every_table_header_is_the_word_coders(cfg):
     fmt = _FORMATS[cfg.kind]
     rng = random.Random(f"table-{config_id(cfg)}")
     for fields in FIELD_SETTINGS[cfg.kind]:
-        table = _header_table(fmt, cfg, fields)
+        table = _header_table(cfg.kind, fmt, cfg, fields)
         assert len(table) == MAX_BODY_LEN + 1
         for length, (header, bits) in enumerate(table):
             want_header, want_bits = reference_header(cfg, length, fields)
@@ -705,7 +729,7 @@ def test_every_table_header_is_the_word_coders(cfg):
 def test_parse_maps_every_table_header_back(cfg):
     fmt = _FORMATS[cfg.kind]
     for fields in FIELD_SETTINGS[cfg.kind]:
-        table = _header_table(fmt, cfg, fields)
+        table = _header_table(cfg.kind, fmt, cfg, fields)
         n_hdr, headers = _INVERSE[(cfg.kind, *cfg.header_fec, cfg.rate_index)]
         for header, bits in table:
             assert len(bits) == n_hdr
