@@ -8,6 +8,7 @@ to a configuration.
 """
 
 from bansim.phy.rates import (
+    PSDU_CODE,
     Band,
     builtin_rate_table,
     info_data_rate,
@@ -38,7 +39,7 @@ def rebuild_low_band():
     for rate in ("low", "high"):
         cfg = nb_config(Band.NB_402_405, rate)
         bits = BITS_PER_SYMBOL[cfg.modulation.value]
-        n, k = cfg.psdu_fec
+        n, k = PSDU_CODE
         by_hand = cfg.symbol_rate * bits * k / n / cfg.spreading
         engine = info_data_rate(cfg, "psdu")
         print(f"  {rate:>4}: {cfg.symbol_rate:g} ksps x {bits} bit/sym "

@@ -18,7 +18,7 @@ from pathlib import Path
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import BansimError, ConfigError
 from bansim.phy.bitfields import bytes_to_bits, padded_bytes
-from bansim.phy.ppdu import MAC_HEADER_LEN, build_ppdu, frame_airtime_us, hexdump, parse_ppdu
+from bansim.phy.ppdu import MAC_HEADER_LEN, MAX_BODY_LEN, build_ppdu, frame_airtime_us, hexdump, parse_ppdu
 from bansim.phy.rates import builtin_rate_table, phy_config, write_rate_csv
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
@@ -57,6 +57,8 @@ def _parse_payloads(spec: str) -> list[int]:
                 raise ConfigError(f"bad payload range {part!r} in {spec!r}") from None
             if step <= 0 or stop < start:
                 raise ConfigError(f"bad payload range {part!r}")
+            if start < 1 or stop > MAX_BODY_LEN:  # refused before a huge range is expanded
+                raise ConfigError(f"payload range {part!r} outside 1..{MAX_BODY_LEN}")
             out.extend(range(start, stop + 1, step))
         else:
             try:

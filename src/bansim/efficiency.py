@@ -125,19 +125,15 @@ def sweep_configs() -> list[tuple[str, PhyConfig]]:
     return out
 
 
-def sweep(
-    configs: Iterable[tuple[str, PhyConfig]],
-    payloads: Iterable[int],
-    timing: MacTimingConstants = MacTimingConstants(),
-    csma: PriorityClass = DEFAULT_CONTENTION_CLASS,
-) -> list[EfficiencyPoint]:
-    """One point per config and payload; each config's rate, ack and
-    header airtimes are worked out once for all its payloads."""
-    payloads = list(payloads)
+def sweep(configs: Iterable[tuple[str, PhyConfig]], payloads: Iterable[int]) -> list[EfficiencyPoint]:
+    """One point per config and payload under the default timing and
+    contention class; each config's rate, ack and header airtimes are
+    worked out once for all its payloads."""
+    payloads, timing = list(payloads), MacTimingConstants()
     points = []
     for label, cfg in configs:
         rate = info_data_rate(cfg, "psdu")
-        efficiencies = _efficiencies(payloads, cfg, timing, csma)
+        efficiencies = _efficiencies(payloads, cfg, timing, DEFAULT_CONTENTION_CLASS)
         points += [EfficiencyPoint(label, rate, p, e) for p, e in zip(payloads, efficiencies)]
     return points
 

@@ -3,7 +3,7 @@
 Only the (n, k) geometry matters to the rest of the stack: k information
 bits expand to an n-bit codeword, the last block zero-padded to a whole
 codeword. The n - k = 12 parity bits (none when n == k; the rule is
-`rates.check_code`) are the 12-bit checksum `crc12_bits` of the
+`check_code`) are the 12-bit checksum `crc12_bits` of the
 codeword's information bits, which makes every single-bit corruption of
 a codeword detectable. Decoding is detect-only: a parity mismatch
 raises, nothing is corrected.
@@ -26,14 +26,25 @@ import math
 
 import numpy as np
 
-from bansim.errors import CodewordError, TruncatedFrame
+from bansim.errors import CodewordError, ConfigError, TruncatedFrame
 from bansim.phy.bitfields import int_to_bits
 from bansim.phy.checksums import crc12_bits
-from bansim.phy.rates import PARITY_BITS, check_code
 
-__all__ = ["BlockCode", "parity_matrix", "encode_rows", "encode_blocks", "decode_blocks", "coded_length"]
+__all__ = ["BlockCode", "check_code", "parity_matrix", "encode_rows", "encode_blocks", "decode_blocks", "coded_length"]
 
 BlockCode = tuple[int, int]  # (n, k)
+PARITY_BITS = 12  # per codeword: the width of the checksum
+
+
+def check_code(code: BlockCode) -> BlockCode:
+    """The (n, k) block code if the block coder can code it: int n and k,
+    k >= 1 and n - k of 0 (uncoded) or PARITY_BITS; ConfigError otherwise."""
+    n, k = code
+    if type(n) is not int or type(k) is not int:
+        raise ConfigError(f"block code ({n!r},{k!r}) needs int n and k")
+    if k < 1 or n - k not in (0, PARITY_BITS):
+        raise ConfigError(f"block code ({n},{k}) needs k >= 1 and n - k of 0 or {PARITY_BITS}")
+    return n, k
 
 
 @functools.cache

@@ -20,10 +20,10 @@ or 1 (ValueError), sync, header, length, copies, parity. A non-1-D image
 is a ValueError first.
 
 A frame (`Ppdu`) is an immutable record, built in one step, whose image
-is read-only: build assembles the image as bytes and keeps a read-only
-view of them, and parse keeps the image it was given when that is
-read-only already, a read-only copy otherwise, so no later write to the
-caller's array reaches the frame.
+is a read-only view of immutable bytes: build assembles the image as
+bytes, and parse keeps the image it was given when its `.base` chain ends
+in bytes, a copy otherwise, so no later write to the caller's memory
+reaches the frame, not even through a read-only view of it.
 
 The families differ only in data, held in one format table (`_FORMATS`)
 that a single build, parse and hexdump walk:
@@ -43,27 +43,21 @@ that a single build, parse and hexdump walk:
   region is decoded with the config's coding, so another rate cannot be
   read under it.
 
-The header carries only the rate index, the body length and the settable
-fields (`_Format.settable`), so a config can send 256 headers per setting
-of those fields. Each setting gets a header table, keyed by (family,
-header code, rate index, every settable field's value, 0 when unset) and
-filled on the first build that uses it: for every length 0..255 the
-header and its read-only coded bits, all 256 block-coded in one
-`fec.encode_blocks` product. Build then looks its header up by body
-length. A field value that does not fit its width raises before anything
-is filled; a field the family lacks, and a value that is not an integer
-(None, 1.0), are TypeErrors naming the family and the field; a value of
-another type that equals an int (True) is checked on every build. One
-inverse map per (family, header code, rate index) holds the
-coded-header bytes of every filled table, so parse looks up the image's
+The block codes are the same in every family (`rates.HEADER_CODE`,
+`rates.PSDU_CODE`), and build sends every other header field as zero (nb:
+scrambler, burst_mode; uwb: scrambler_seed), so a frame's header is a
+function of its family, rate index and body length alone. Each (family,
+rate index) gets a header table, filled on the first build that uses it:
+for every length 0..255 the header and its read-only coded bits, all 256
+block-coded in one `fec.encode_blocks` product. Build then looks its
+header up by body length. An inverse map per (family, rate index) holds
+the coded-header bytes of that table, so parse looks up the image's
 header bytes and goes straight on to the frame region. A miss (a
-corrupted or short header, narrowband reserved bits set under a valid
-check, or fields no build has used yet) takes the miss path: the header
+corrupted or short header, a header field or narrowband reserved bit set,
+or a table no build has filled yet) takes the miss path: the header
 decoded by the block decoder (`fec.decode_blocks`), its fields and check
-read off the decoded word. Importing the module fills nothing. The
-built-in configs need 4 tables with every field unset and 13 with every
-field setting, about 100 KB each; past `_MAX_TABLES` tables, all are
-dropped and refilled on use.
+read off the decoded word, so parse reads any field value. Importing the
+module fills nothing; all 8 + 16 + 8 tables together take about 3 MB.
 
 Known limit: a header whose `length` is raised by a few bytes, within the
 zero pad of the frame region's last codeword, still parses. The body then
@@ -81,7 +75,6 @@ change every bit image.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -100,10 +93,10 @@ from bansim.errors import (
     TruncatedFrame,
 )
 from bansim.phy import fec
-from bansim.phy.bitfields import bits_to_int, checked_uint, padded_bytes
+from bansim.phy.bitfields import bits_to_int, padded_bytes
 from bansim.phy.checksums import CRC4_POLY, crc16, crc_word
 from bansim.phy.kasami import kasami63_bits, mseq
-from bansim.phy.rates import RATE_INDEX_BITS, PhyConfig, PhyKind, info_data_rate
+from bansim.phy.rates import HEADER_CODE, PSDU_CODE, RATE_INDEX_BITS, PhyConfig, PhyKind, info_data_rate
 
 __all__ = [
     "MAC_HEADER_LEN",
@@ -194,8 +187,8 @@ class _Format:
         return sum(width for _, width in self.layout) + 4 * self.crc4
 
     @cached_property
-    def settable(self) -> tuple[str, ...]:  # the named fields that config and body do not give
-        return tuple(name for name, _ in self.layout if name not in (None, "rate_index", "length"))
+    def coded_bits(self) -> int:  # the coded header's length
+        return fec.coded_length(self.info_bits, HEADER_CODE)
 
     @cached_property
     def shifts(self) -> dict[str, int]:
@@ -250,7 +243,7 @@ _COPIES = {2: 0x0101, 4: 0x01010101}
 
 def _psdu_image(cfg: PhyConfig, info: np.ndarray) -> bytes:
     """The frame region of information rows `info`, one per codeword, as image bytes."""
-    words, s = fec.encode_rows(info, cfg.psdu_fec), cfg.spreading
+    words, s = fec.encode_rows(info, PSDU_CODE), cfg.spreading
     if s > 1:
         words = words.astype(f"<u{s}")
         words *= _COPIES[s]
@@ -260,7 +253,7 @@ def _psdu_image(cfg: PhyConfig, info: np.ndarray) -> bytes:
 def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) -> bytes:
     """The PSDU of the frame region bits[start:], accepted when rebuilding
     the region from its information bits gives its bytes back."""
-    (n, k), s = cfg.psdu_fec, cfg.spreading
+    (n, k), s = PSDU_CODE, cfg.spreading
     region, rows = bits[start:], -(-8 * psdu_len // k)
     if len(region) == rows * n * s:
         info = region.reshape(rows, n * s)[:, : k * s : s] & 1  # contiguous rows; a stray value rebuilds unequal
@@ -313,63 +306,38 @@ def _preamble_label(fmt: _Format, rep: int) -> str:
 
 # ------------------------------------------------------------ header tables
 
-# (family, n, k, rate index, every settable field's value): one entry per
-# body length, (header, coded bits); (family, n, k, rate index): (coded
-# length, coded-header bytes -> header) over every filled table of that key.
-_TABLES: dict[tuple, tuple[tuple[object, np.ndarray], ...]] = {}
-_INVERSE: dict[tuple, tuple[int, dict[bytes, object]]] = {}
-_NO_HEADERS: tuple[int, dict[bytes, object]] = (0, {})
-_MAX_TABLES = 32  # about 100 KB each
+# (family, rate index): one entry per body length, (header, coded bits),
+# and the map from each entry's coded-header bytes to its header.
+_TABLES: dict[tuple[PhyKind, int], tuple[tuple[object, np.ndarray], ...]] = {}
+_INVERSE: dict[tuple[PhyKind, int], dict[bytes, object]] = {}
+_NO_HEADERS: dict[bytes, object] = {}
 
 
-def _header_table(kind: PhyKind, fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
-    """The table of `cfg`'s headers with `fields` set (an unset field is 0);
-    with none set, straight by key, as `PhyConfig` checked code and rate."""
-    table = None if fields else _TABLES.get((kind, *cfg.header_fec, cfg.rate_index) + (0,) * len(fmt.settable))
-    return table or _fill_table(fmt, cfg, fields)
-
-
-def _fill_table(fmt: _Format, cfg: PhyConfig, fields: dict) -> tuple:
-    """Check the header fields by name, then in layout order, then the table
-    of their normalized values, filled in one block-coding pass if it is new."""
-    unknown = fields.keys() - fmt.settable
-    if unknown:
-        raise TypeError(f"{cfg.kind.value} header has no field {', '.join(map(repr, sorted(unknown)))}")
-    given = {**fields, "rate_index": cfg.rate_index, "length": 0}
-    values = {}
-    for name, width in fmt.layout:
-        if name:
-            raw = given.get(name, 0)
-            try:
-                value = operator.index(raw)  # True is 1; 1.0 and None are refused
-            except TypeError:
-                raise TypeError(f"{cfg.kind.value} header field {name!r} needs an int, got {raw!r}") from None
-            values[name] = checked_uint(value, width)
-    n, k = cfg.header_fec
-    key = (cfg.kind, n, k, values["rate_index"], *(values[name] for name in fmt.settable))
-    if key in _TABLES:
-        return _TABLES[key]
-    if len(_TABLES) >= _MAX_TABLES:
-        _TABLES.clear()
-        _INVERSE.clear()
-    base = sum(value << fmt.shifts[name] for name, value in values.items())
-    words = [base | length << fmt.shifts["length"] for length in range(MAX_BODY_LEN + 1)]
+def _header_table(kind: PhyKind, fmt: _Format, rate_index: int) -> tuple:
+    """The headers of every body length at `rate_index`, filled in one
+    block-coding pass on first use."""
+    table = _TABLES.get((kind, rate_index))
+    if table:
+        return table
+    shifts = fmt.shifts
+    words = [rate_index << shifts["rate_index"] | length << shifts["length"] for length in range(MAX_BODY_LEN + 1)]
     if fmt.crc4:
         words = [word << 4 | crc_word(word, 4, CRC4_POLY) for word in words]
+    k = HEADER_CODE[1]
     info = np.zeros((len(words), -(-fmt.info_bits // k) * k), dtype=np.uint8)  # whole codewords
     info[:, : fmt.info_bits] = np.array(words)[:, None] >> np.arange(fmt.info_bits - 1, -1, -1) & 1
-    coded = fec.encode_blocks(info.ravel(), cfg.header_fec).reshape(len(words), -1)
+    coded = fec.encode_blocks(info.ravel(), HEADER_CODE).reshape(len(words), -1)
     coded.flags.writeable = False
+    values = dict.fromkeys(shifts, 0)
+    values["rate_index"] = rate_index
     entries = []
     for length, (word, row) in enumerate(zip(words, coded)):
         values["length"] = length
         if fmt.crc4:
             values["hcs"] = word & 0xF
         entries.append((fmt.header(**values), row))
-    table = _TABLES[key] = tuple(entries)
-    blob, n_hdr = coded.tobytes(), coded.shape[1]
-    _, headers = _INVERSE.setdefault((cfg.kind, n, k, values["rate_index"]), (n_hdr, {}))
-    headers.update((blob[i * n_hdr : (i + 1) * n_hdr], header) for i, (header, _) in enumerate(table))
+    table = _TABLES[kind, rate_index] = tuple(entries)
+    _INVERSE[kind, rate_index] = {row.tobytes(): header for header, row in table}
     return table
 
 
@@ -377,7 +345,7 @@ def _decode_header(fmt: _Format, cfg: PhyConfig, coded: np.ndarray):
     """The miss path: the coded header decoded by `fec.decode_blocks`, its
     fields and check read off the decoded word."""
     n_info = fmt.info_bits
-    word = bits_to_int(fec.decode_blocks(coded, cfg.header_fec, n_info))
+    word = bits_to_int(fec.decode_blocks(coded, HEADER_CODE, n_info))
     values, pos = {}, n_info
     for name, width in fmt.layout:
         pos -= width
@@ -408,11 +376,9 @@ def _frame_bytes(value, name: str) -> bytes:
     return view.tobytes()
 
 
-def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) -> Ppdu:
-    """The frame of `cfg`'s family; `fields` sets the header's settable
-    fields (nb: scrambler, burst_mode; uwb: scrambler_seed), each 0 unset.
-    `mac_header` and `body` are bytes-like, kept as bytes. The image is a
-    read-only view of immutable bytes."""
+def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
+    """The frame of `cfg`'s family. `mac_header` and `body` are bytes-like,
+    kept as bytes. The image is a read-only view of immutable bytes."""
     mac_header, body = _frame_bytes(mac_header, "mac_header"), _frame_bytes(body, "body")
     if len(mac_header) != MAC_HEADER_LEN:
         raise ValueError(f"mac header must be {MAC_HEADER_LEN} bytes, got {len(mac_header)}")
@@ -420,11 +386,11 @@ def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) ->
         raise FrameTooLong(f"body of {len(body)} bytes exceeds {MAX_BODY_LEN}")
     kind = cfg.kind
     fmt = _FORMATS[kind]
-    header, header_bits = _header_table(kind, fmt, cfg, fields)[len(body)]
+    header, header_bits = _header_table(kind, fmt, cfg.rate_index)[len(body)]
     frame = mac_header + body
     fcs = crc16(frame)
     psdu = frame + fcs.to_bytes(FCS_LEN, "big")
-    k = cfg.psdu_fec[1]
+    k = PSDU_CODE[1]
     info = np.unpackbits(np.frombuffer(psdu, np.uint8), count=-(-8 * len(psdu) // k) * k)
     image = fmt.sync_bytes + header_bits.tobytes() + _psdu_image(cfg, info.reshape(-1, k))
     return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, np.frombuffer(image, np.uint8))
@@ -432,14 +398,14 @@ def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes, **fields: int) ->
 
 def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     """The frame in an image of `cfg`'s family; a FrameError names the first
-    failed check. The frame keeps `bits` if it is read-only, a read-only
-    copy otherwise."""
+    failed check. The frame keeps `bits` if immutable bytes back it (a built
+    image or a slice of one), a read-only copy over bytes otherwise."""
     kind = cfg.kind
     fmt = _FORMATS[kind]
     if not (isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype == np.uint8):
         bits = _bit_image(bits)
-    off = len(fmt.sync)
-    n_hdr, headers = _INVERSE.get((kind, *cfg.header_fec, cfg.rate_index), _NO_HEADERS)
+    off, n_hdr = len(fmt.sync), fmt.coded_bits
+    headers = _INVERSE.get((kind, cfg.rate_index), _NO_HEADERS)
     head = bits[: off + n_hdr].tobytes()
     header = headers.get(head[off:]) if head[:off] == fmt.sync_bytes else None
     if header is None:
@@ -451,7 +417,6 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
                     raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
             _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
             raise SfdMismatch("start-frame delimiter mismatch")
-        n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
         header = _decode_header(fmt, cfg, _take(bits, off, n_hdr, "header"))
     psdu = _decode_psdu(cfg, bits, off + n_hdr, MAC_HEADER_LEN + header.length + FCS_LEN)
     mac_header = psdu[:MAC_HEADER_LEN]
@@ -459,9 +424,11 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     fcs = int.from_bytes(psdu[-FCS_LEN:], "big")
     if fcs != crc16(psdu[:-FCS_LEN]):
         raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(psdu[:-FCS_LEN]):04X}")
-    if bits.flags.writeable:
-        bits = bits.copy()
-        bits.flags.writeable = False
+    base = bits
+    while type(base) is np.ndarray:
+        base = base.base
+    if type(base) is not bytes:  # writeable memory may back `bits`
+        bits = np.frombuffer(bits.tobytes(), np.uint8)
     return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)
 
 
@@ -507,7 +474,7 @@ def _regions(ppdu: Ppdu, cfg: PhyConfig) -> list[tuple[str, np.ndarray]]:
     if sfd:
         out.append(("sfd", bits[off : off + sfd]))
         off += sfd
-    n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
+    n_hdr = fmt.coded_bits
     out.append((f"phy_header ({fmt.info_bits} info bits)", bits[off : off + n_hdr]))
     out.append((f"psdu ({len(ppdu.psdu_bytes)} bytes coded)", bits[off + n_hdr :]))
     return out

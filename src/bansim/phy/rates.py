@@ -33,7 +33,6 @@ __all__ = [
     "uwb_config",
     "hbc_config",
     "phy_config",
-    "check_code",
     "write_rate_csv",
     "RATE_INDEX_BITS",
 ]
@@ -120,33 +119,26 @@ UWB_CHANNELS = [
 ]
 
 
-# Sync pattern sizes in symbols, including any start-frame delimiter.
-NB_PREAMBLE_SYMBOLS = 90
-UWB_PREAMBLE_SYMBOLS = 5 * 63  # four code repetitions + one delimiter code
-HBC_PREAMBLE_SYMBOLS = 4 * 32 + 16  # four preamble copies + one delimiter
+# Sync pattern size of each family in symbols, including any start-frame
+# delimiter: narrowband's 90-bit preamble, pulse radio's four code
+# repetitions and one delimiter code, body-coupled's four 32-bit preamble
+# copies and one 16-bit delimiter.
+PREAMBLE_SYMBOLS = {PhyKind.NB: 90, PhyKind.UWB: 5 * 63, PhyKind.HBC: 4 * 32 + 16}
 
+# The (n, k) block codes of the PHY header and of the frame region, alike
+# in every family.
 HEADER_CODE = (31, 19)
 PSDU_CODE = (63, 51)
-PARITY_BITS = 12  # per codeword: the width of the block coder's checksum
 
 # Width of the PHY header's rate-index field in each family.
 RATE_INDEX_BITS = {PhyKind.NB: 3, PhyKind.UWB: 4, PhyKind.HBC: 3}
 
 
-def check_code(code: tuple[int, int]) -> tuple[int, int]:
-    """The (n, k) block code if the block coder can code it: int n and k,
-    k >= 1 and n - k of 0 (uncoded) or PARITY_BITS; ConfigError otherwise."""
-    n, k = code
-    if type(n) is not int or type(k) is not int:
-        raise ConfigError(f"block code ({n!r},{k!r}) needs int n and k")
-    if k < 1 or n - k not in (0, PARITY_BITS):
-        raise ConfigError(f"block code ({n},{k}) needs k >= 1 and n - k of 0 or {PARITY_BITS}")
-    return n, k
-
-
 @dataclass(frozen=True)
 class PhyConfig:
-    """Operating point: band plus the modulation/coding of both components.
+    """Operating point: band plus the modulation and spreading of both
+    components; the block codes (`HEADER_CODE`, `PSDU_CODE`) and the sync
+    pattern (`PREAMBLE_SYMBOLS`) are fixed by the signal family.
 
     `spreading` applies to the payload component, `header_spreading` to the
     PHY header; both are repetition factors. `rate_override_kbps`, when set,
@@ -158,11 +150,8 @@ class PhyConfig:
     modulation: Modulation
     symbol_rate: float  # kilosymbols per second
     header_modulation: Modulation | None = None
-    header_fec: tuple[int, int] = HEADER_CODE
-    psdu_fec: tuple[int, int] = PSDU_CODE
     spreading: int = 1
     header_spreading: int = 2
-    preamble_symbols: int = NB_PREAMBLE_SYMBOLS
     center_freq: float = 0.0  # MHz; 0 = band default
     channel_bandwidth: float = 0.0  # MHz; 0 = band default
     rate_index: int = 0
@@ -171,8 +160,6 @@ class PhyConfig:
     def __post_init__(self):
         if self.spreading not in (1, 2, 4) or self.header_spreading not in (1, 2, 4):
             raise ConfigError(f"spreading must be 1, 2, or 4")
-        check_code(self.header_fec)
-        check_code(self.psdu_fec)
         if not 0 < self.symbol_rate < math.inf:  # NaN fails every comparison
             raise ConfigError(f"symbol rate must be positive and finite, got {self.symbol_rate}")
         info = _BAND_INFO[self.band_id]
@@ -192,13 +179,17 @@ class PhyConfig:
     def kind(self) -> PhyKind:
         return _BAND_INFO[self.band_id].kind
 
+    @property
+    def preamble_symbols(self) -> int:
+        return PREAMBLE_SYMBOLS[self.kind]
+
 
 def _component(cfg: PhyConfig, component: str) -> tuple[Modulation, tuple[int, int], int]:
     """The modulation, (n, k) code and spreading of one packet component."""
     if component == "header":
-        return cfg.header_modulation, cfg.header_fec, cfg.header_spreading
+        return cfg.header_modulation, HEADER_CODE, cfg.header_spreading
     if component == "psdu":
-        return cfg.modulation, cfg.psdu_fec, cfg.spreading
+        return cfg.modulation, PSDU_CODE, cfg.spreading
     raise ValueError(f"component must be 'header' or 'psdu', got {component!r}")
 
 
@@ -263,7 +254,6 @@ def uwb_config(channel: int = 2) -> PhyConfig:
         symbol_rate=603.1,
         spreading=1,
         header_spreading=1,
-        preamble_symbols=UWB_PREAMBLE_SYMBOLS,
         center_freq=plan.center_freq,
         channel_bandwidth=499.2,
     )
@@ -279,7 +269,6 @@ def hbc_config(center_mhz: int = 16) -> PhyConfig:
         symbol_rate=4000.0,
         spreading=4,
         header_spreading=4,
-        preamble_symbols=HBC_PREAMBLE_SYMBOLS,
     )
 
 

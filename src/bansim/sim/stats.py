@@ -37,7 +37,10 @@ class NodeStats:
 class RunStats:
     elapsed_us: int
     nodes: dict[str, NodeStats] = field(default_factory=dict)
-    busy_us: float = 0.0  # every transmission: data, acks, beacons
+    # The sum of every transmission's airtime (data, acks, beacons), not the
+    # time the channel was busy: collided transmissions overlap on the air,
+    # so under collisions busy_us can pass elapsed_us and idle_us goes negative.
+    busy_us: float = 0.0
     ack_airtime_us: float = 0.0
     beacon_airtime_us: float = 0.0
     beacons: int = 0

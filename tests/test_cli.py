@@ -103,6 +103,13 @@ class TestEfficiency:
         part = spec.split(",")[-1]
         assert capsys.readouterr().err.startswith(f"error: ConfigError: bad payload range {part!r}")
 
+    @pytest.mark.parametrize("spec", ["1:256", "0:3", "10,0:3:2"])
+    def test_a_range_past_the_body_bounds_is_refused_by_name(self, spec, capsys):
+        # Checked before the range is expanded, so a huge end cannot exhaust memory.
+        assert main(["efficiency", "--payloads", spec]) == 1
+        part = spec.split(",")[-1]
+        assert capsys.readouterr().err == f"error: ConfigError: payload range {part!r} outside 1..255\n"
+
 
 class TestPublishedBytes:
     """The paper's numbers pinned as stored bytes, not only recomputed:

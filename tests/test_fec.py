@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from bansim.errors import CodewordError, ConfigError, TruncatedFrame
 from bansim.phy.bitfields import bits_to_int, int_to_bits
 from bansim.phy.checksums import crc12_bits
-from bansim.phy.fec import coded_length, decode_blocks, encode_blocks
-from bansim.phy.rates import check_code
+from bansim.phy.fec import check_code, coded_length, decode_blocks, encode_blocks
 
 
 def random_bits(rng, n):
@@ -221,6 +220,13 @@ def test_bad_geometry_is_a_config_error_even_without_data(code):
             encode_blocks(bits, code)
     with pytest.raises(ConfigError):
         decode_blocks(np.zeros(0, dtype=np.uint8), code, 0)
+
+
+@pytest.mark.parametrize("code", [(31.0, 19.0), (31, 19.0), (True, True)], ids=["floats", "float-k", "bools"])
+def test_a_code_of_other_than_ints_is_refused(code):
+    # 12.0 parity bits pass the geometry rule, but the coder sizes arrays with n and k.
+    with pytest.raises(ConfigError, match=r"block code \(.*\) needs int n and k"):
+        encode_blocks(np.ones(30, dtype=np.uint8), code)
 
 
 # ------------------------------------------------------- the word coder

@@ -49,12 +49,14 @@ from bansim.phy.ppdu import (
     NbPlcpHeader,
     _FORMATS,
     _INVERSE,
-    _MAX_TABLES,
     _TABLES,
     _decode_header,
     _header_table,
 )
 from bansim.phy.rates import (
+    HEADER_CODE,
+    PSDU_CODE,
+    RATE_INDEX_BITS,
     Band,
     PhyConfig,
     PhyKind,
@@ -71,10 +73,9 @@ NB = nb_config(Band.NB_402_405, "high")
 NB_SPREAD = nb_config(Band.NB_2360_2400, "low")  # payload spreading of 4
 UWB = uwb_config(2)
 HBC = hbc_config(16)
-# 19 header information bits in seven 3-bit codewords, the last one padded.
-NB_SHORT_HEADER_WORDS = replace(NB, header_fec=(15, 3))
+NB_GMSK = nb_config(Band.NB_420_450, "low")  # GMSK, payload spreading of 2
 
-ALL = [NB, NB_SPREAD, UWB, HBC, NB_SHORT_HEADER_WORDS]
+ALL = [NB, NB_SPREAD, UWB, HBC, NB_GMSK]
 # Ids name each case's index and family in a fixed form, so test reports
 # compare across versions.
 ALL_IDS = [f"cfg{i}-build_{cfg.kind.value}_ppdu-parse_{cfg.kind.value}_ppdu" for i, cfg in enumerate(ALL)]
@@ -163,19 +164,15 @@ def test_hbc_missing_preamble_copy_is_a_preamble_mismatch():
         parse_ppdu(shortened, HBC)
 
 
-def test_short_header_codewords_geometry():
-    ppdu = build_ppdu(NB_SHORT_HEADER_WORDS, b"\x05" * 7, b"cd", scrambler=1, burst_mode=1)
-    assert len(ppdu.bits) - len(build_ppdu(NB, b"\x05" * 7, b"cd").bits) == 7 * 15 - 31
-    back = parse_ppdu(ppdu.bits, NB_SHORT_HEADER_WORDS)
-    assert (back.header.scrambler, back.header.burst_mode, back.header.length) == (1, 1, 2)
-
-
 def test_uwb_phr_fields_round_trip():
-    ppdu = build_ppdu(UWB, b"\x06" * 7, b"e" * 9, scrambler_seed=3)
-    back = parse_ppdu(ppdu.bits, UWB)
+    # Build sends the scrambler seed as 0; a header carrying another is read on the miss path.
+    ppdu = build_ppdu(UWB, b"\x06" * 7, b"e" * 9)
+    assert ppdu.header.scrambler_seed == 0
+    back = parse_ppdu(with_coded_header(ppdu, reference_header(UWB, 9, {"scrambler_seed": 3})[1], UWB), UWB)
     assert back.header.scrambler_seed == 3
     assert back.header.length == 9
     assert back.header.rate_index == UWB.rate_index
+    assert back.body == b"e" * 9
 
 
 def test_uwb_preamble_is_code_repetitions_plus_complement_sfd():
@@ -207,7 +204,7 @@ def test_wrong_fcs_in_consistently_coded_frame_is_fcs_mismatch():
     bad_fcs = (crc16(header + body) ^ 0x0001).to_bytes(2, "big")
     good = build_ppdu(NB, header, body)
     forged_psdu = header + body + bad_fcs
-    coded = np.repeat(fec.encode_blocks(bytes_to_bits(forged_psdu), NB.psdu_fec), NB.spreading)
+    coded = np.repeat(fec.encode_blocks(bytes_to_bits(forged_psdu), PSDU_CODE), NB.spreading)
     image = np.concatenate([good.bits[: 90 + 31], coded])
     with pytest.raises(FcsMismatch):
         parse_ppdu(image, NB)
@@ -378,6 +375,19 @@ class TestOwnedImage:
         frame = build_ppdu(cfg, b"\x08" * 7, b"abcd")
         assert parse_ppdu(frame.bits, cfg).bits is frame.bits
 
+    def test_parse_copies_a_read_only_view_of_writeable_memory(self, cfg):
+        # Such a view was kept: zeroing its memory then emptied the parsed image.
+        frame = build_ppdu(cfg, b"\x08" * 7, b"abcd")
+        image = frame.bits.copy()
+        view = image.view()
+        view.flags.writeable = False
+        parsed = parse_ppdu(view, cfg)
+        image[:] = 0
+        assert parsed.bits.tolist() == frame.bits.tolist()
+        assert parsed.body == b"abcd"
+        assert not parsed.bits.flags.writeable
+        assert not np.shares_memory(parsed.bits, image)
+
 
 # ------------------------------------------------------- outcome digest
 #
@@ -389,7 +399,7 @@ class TestOwnedImage:
 # the header's own checks (pad bits, header check, length) are reached.
 # This pins which check fires first against stored bytes.
 
-OUTCOME_DIGEST = "e8b768ce2aa7454e453ae1d8713d61dc6a263ca60e3124d6bb6126e6839a80d7"
+OUTCOME_DIGEST = "ad519b2c64bfeff0fe8a117622e0dbc59762b60e3ea95e647f12d5252676ef5c"
 
 
 def parse_outcome(bits, cfg):
@@ -402,9 +412,9 @@ def parse_outcome(bits, cfg):
 
 def codec_outcomes():
     records = []
-    for cfg in (NB, NB_SPREAD, UWB, HBC, NB_SHORT_HEADER_WORDS):
+    for cfg in (NB, NB_SPREAD, UWB, HBC):
         bits = build_ppdu(cfg, b"\x08" * 7, b"4byt").bits
-        label = f"{cfg.band_id.value} {cfg.header_fec}"
+        label = f"{cfg.band_id.value} {HEADER_CODE}"
         for pos in range(len(bits)):
             mutated = bits.copy()
             mutated[pos] ^= 1
@@ -416,25 +426,20 @@ def codec_outcomes():
                 padded = np.concatenate([bits, np.full(extra, fill, dtype=np.uint8)])
                 records.append(f"{label} trail {extra}x{fill} {parse_outcome(padded, cfg)}")
         info_bits, start = _FORMATS[cfg.kind].info_bits, cfg.preamble_symbols
-        end = start + fec.coded_length(info_bits, cfg.header_fec)
-        header = fec.decode_blocks(bits[start:end], cfg.header_fec, info_bits)
+        end = start + fec.coded_length(info_bits, HEADER_CODE)
+        header = fec.decode_blocks(bits[start:end], HEADER_CODE, info_bits)
         for flips in itertools.chain(
             itertools.combinations(range(info_bits), 1), itertools.combinations(range(info_bits), 2)
         ):
             forged = header.copy()
             forged[list(flips)] ^= 1
-            image = np.concatenate([bits[:start], fec.encode_blocks(forged, cfg.header_fec), bits[end:]])
+            image = np.concatenate([bits[:start], fec.encode_blocks(forged, HEADER_CODE), bits[end:]])
             records.append(f"{label} header {flips} {parse_outcome(image, cfg)}")
-    try:
-        build_ppdu(NB, b"\x08" * 7, b"4byt", scrambler=2)
-    except ValueError as exc:
-        records.append(f"build scrambler=2 {exc}")
     return records
 
 
 def test_every_codec_outcome_matches_the_stored_digest():
     records = codec_outcomes()
-    assert records[-1] == "build scrambler=2 value 2 does not fit in 1 bits"
     digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
     assert digest == OUTCOME_DIGEST
 
@@ -442,12 +447,18 @@ def test_every_codec_outcome_matches_the_stored_digest():
 # ------------------------------------------------------- re-coded headers
 
 
+def with_coded_header(frame, coded, cfg):
+    """`frame`'s image with the coded PHY header `coded` in place of its own."""
+    start = cfg.preamble_symbols
+    return np.concatenate([frame.bits[:start], coded, frame.bits[start + len(coded) :]])
+
+
 def with_header_of(frame, donor, cfg):
     """`frame`'s image with the coded PHY header of `donor` in place of its
     own: a header error that the header coding cannot see."""
     start = cfg.preamble_symbols
-    end = start + fec.coded_length(_FORMATS[cfg.kind].info_bits, cfg.header_fec)
-    return np.concatenate([frame.bits[:start], donor.bits[start:end], frame.bits[end:]])
+    end = start + fec.coded_length(_FORMATS[cfg.kind].info_bits, HEADER_CODE)
+    return with_coded_header(frame, donor.bits[start:end], cfg)
 
 
 @pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
@@ -557,13 +568,13 @@ def reference_parse(bits, cfg):
         raise TruncatedFrame("image ends inside start-frame delimiter")
     if bits[:off].tolist() != fmt.sync.tolist():
         raise SfdMismatch("start-frame delimiter mismatch")
-    n_hdr = fec.coded_length(fmt.info_bits, cfg.header_fec)
+    n_hdr = fec.coded_length(fmt.info_bits, HEADER_CODE)
     if len(bits) < off + n_hdr:
         raise TruncatedFrame("image ends inside header")
     header = _decode_header(fmt, cfg, bits[off : off + n_hdr])
     psdu_len = MAC_HEADER_LEN + header.length + 2
     region, s = bits[off + n_hdr :], cfg.spreading
-    expected = fec.coded_length(8 * psdu_len, cfg.psdu_fec) * s
+    expected = fec.coded_length(8 * psdu_len, PSDU_CODE) * s
     if len(region) < expected:
         raise TruncatedFrame(f"frame region holds {len(region)} bits, needs {expected}")
     if len(region) > expected:
@@ -571,7 +582,7 @@ def reference_parse(bits, cfg):
     copies = region.reshape(-1, s)
     if (copies != copies[:, :1]).any():
         raise DespreadError("repetition copies disagree")
-    psdu = np.packbits(reference_decode(copies[:, 0], cfg.psdu_fec, 8 * psdu_len)).tobytes()
+    psdu = np.packbits(reference_decode(copies[:, 0], PSDU_CODE, 8 * psdu_len)).tobytes()
     mac_header, body, fcs = psdu[:MAC_HEADER_LEN], psdu[MAC_HEADER_LEN:-2], int.from_bytes(psdu[-2:], "big")
     if fcs != crc16(mac_header + body):
         raise FcsMismatch(f"frame check 0x{fcs:04X} != computed 0x{crc16(mac_header + body):04X}")
@@ -595,9 +606,9 @@ def region_positions(cfg, frame):
     """Image positions of each part of a frame, by name; empty when the
     frame has none (no spread copies at spreading 1, no pad bits when the
     PSDU fills its last codeword)."""
-    (n, k), s = cfg.psdu_fec, cfg.spreading
+    (n, k), s = PSDU_CODE, cfg.spreading
     off = len(_FORMATS[cfg.kind].sync)
-    start = off + fec.coded_length(_FORMATS[cfg.kind].info_bits, cfg.header_fec)
+    start = off + fec.coded_length(_FORMATS[cfg.kind].info_bits, HEADER_CODE)
     info_bits = 8 * len(frame.psdu_bytes)
     coded = [(j // n * k + j % n, j % n < k) for j in range((len(frame.bits) - start) // s)]
     first = [start + j * s for j in range(len(coded))]
@@ -641,12 +652,12 @@ def damaged_images(draw):
     elif damage == "extend":
         bits = np.concatenate([bits, np.array(draw(st.lists(st.integers(0, 1), min_size=1, max_size=70)), np.uint8)])
     elif damage == "recoded":
-        start, (n, k) = regions["info"][0], cfg.psdu_fec
+        start, (n, k) = regions["info"][0], PSDU_CODE
         info = bytes_to_bits(frame.psdu_bytes)
         info = np.concatenate([info, np.zeros(-len(info) % k, np.uint8)])
         coded = [(pos - start) // s for pos in positions({"info", "pad"})]
         info[[j // n * k + j % n for j in coded]] ^= 1
-        bits = np.concatenate([bits[:start], np.repeat(fec.encode_blocks(info, cfg.psdu_fec), s)])
+        bits = np.concatenate([bits[:start], np.repeat(fec.encode_blocks(info, PSDU_CODE), s)])
     return cfg, bits
 
 
@@ -666,18 +677,18 @@ def test_the_damaged_images_reach_every_region():
 
 # ------------------------------------------------------- header tables
 #
-# Build takes each PHY header from a table filled on first use, and parse
-# maps the coded header back through an inverse map. Every table entry must
-# be the header and the bits of the word coder (`test_fec.encode_word`, the
-# 4-bit check by `crc4_bits`), and parse must give each one back.
+# Build takes each PHY header from a table filled on first use, one per
+# (family, rate index), and parse maps the coded header back through an
+# inverse map. Every table entry must be the header and the bits of the
+# word coder (`test_fec.encode_word`, the 4-bit check by `crc4_bits`), and
+# parse must give each one back. A header with a field set is in no table:
+# parse reads it on the miss path.
 
 TABLE_CONFIGS = [
     *dict.fromkeys(row.config for row in builtin_rate_table()),
     *(uwb_config(channel) for channel in range(1, 12)),
     hbc_config(16),
     hbc_config(27),
-    NB_SHORT_HEADER_WORDS,
-    replace(UWB, header_fec=(19, 19)),  # an uncoded header
 ]
 FIELD_SETTINGS = {
     PhyKind.NB: [{"scrambler": s, "burst_mode": b} for s in (0, 1) for b in (0, 1)],
@@ -687,63 +698,68 @@ FIELD_SETTINGS = {
 
 
 def config_id(cfg):
-    return f"{cfg.band_id.value}-r{cfg.rate_index}-{cfg.header_fec[0]}.{cfg.header_fec[1]}-{cfg.center_freq:g}"
+    return f"{cfg.band_id.value}-r{cfg.rate_index}-{HEADER_CODE[0]}.{HEADER_CODE[1]}-{cfg.center_freq:g}"
 
 
 def reference_header(cfg, length, fields, reserved=0):
-    """The header of a `length`-byte body and its coded bits, assembled bit
-    by bit from the layout and coded by the word coder; `reserved` fills
-    narrowband's two reserved bits."""
+    """The header of a `length`-byte body with `fields` set (others 0) and
+    its coded bits, assembled bit by bit from the layout and coded by the
+    word coder; `reserved` fills narrowband's two reserved bits."""
     fmt = _FORMATS[cfg.kind]
-    values = {**fields, "rate_index": cfg.rate_index, "length": length}
+    values = {name: fields.get(name, 0) for name, _ in fmt.layout if name}
+    values.update(rate_index=cfg.rate_index, length=length)
     layout = [int_to_bits(values[name] if name else reserved, width) for name, width in fmt.layout]
     bits = np.concatenate(layout)
     if fmt.crc4:
         values["hcs"] = crc4_bits(bits)
         bits = np.concatenate([bits, int_to_bits(values["hcs"], 4)])
     word = int("".join(map(str, bits)), 2)
-    coded = encode_word(word, fmt.info_bits, cfg.header_fec)
-    return fmt.header(**values), int_to_bits(coded, fec.coded_length(fmt.info_bits, cfg.header_fec))
+    coded = encode_word(word, fmt.info_bits, HEADER_CODE)
+    return fmt.header(**values), int_to_bits(coded, fec.coded_length(fmt.info_bits, HEADER_CODE))
 
 
 @pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=config_id)
 def test_every_table_header_is_the_word_coders(cfg):
     fmt = _FORMATS[cfg.kind]
     rng = random.Random(f"table-{config_id(cfg)}")
-    for fields in FIELD_SETTINGS[cfg.kind]:
-        table = _header_table(cfg.kind, fmt, cfg, fields)
-        assert len(table) == MAX_BODY_LEN + 1
-        for length, (header, bits) in enumerate(table):
-            want_header, want_bits = reference_header(cfg, length, fields)
-            assert header == want_header, (length, fields)
-            assert bits.tolist() == want_bits.tolist(), (length, fields)
-            assert not bits.flags.writeable
-        length = rng.randrange(MAX_BODY_LEN + 1)
-        frame = build_ppdu(cfg, b"\x08" * 7, bytes(length), **fields)
-        start = cfg.preamble_symbols
-        assert frame.header is table[length][0]
-        assert frame.bits[start : start + len(table[length][1])].tolist() == table[length][1].tolist()
+    table = _header_table(cfg.kind, fmt, cfg.rate_index)
+    assert len(table) == MAX_BODY_LEN + 1
+    for length, (header, bits) in enumerate(table):
+        want_header, want_bits = reference_header(cfg, length, {})
+        assert header == want_header, length
+        assert bits.tolist() == want_bits.tolist(), length
+        assert not bits.flags.writeable
+    length = rng.randrange(MAX_BODY_LEN + 1)
+    frame = build_ppdu(cfg, b"\x08" * 7, bytes(length))
+    start = cfg.preamble_symbols
+    assert frame.header is table[length][0]
+    assert frame.bits[start : start + len(table[length][1])].tolist() == table[length][1].tolist()
 
 
 @pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=config_id)
 def test_parse_maps_every_table_header_back(cfg):
     fmt = _FORMATS[cfg.kind]
-    for fields in FIELD_SETTINGS[cfg.kind]:
-        table = _header_table(cfg.kind, fmt, cfg, fields)
-        n_hdr, headers = _INVERSE[(cfg.kind, *cfg.header_fec, cfg.rate_index)]
-        for header, bits in table:
-            assert len(bits) == n_hdr
-            assert headers[bits.tobytes()] == header
-            assert _decode_header(fmt, cfg, bits) == header  # the miss path reads the same
+    table = _header_table(cfg.kind, fmt, cfg.rate_index)
+    headers = _INVERSE[(cfg.kind, cfg.rate_index)]
+    assert len(headers) == len(table)
+    for header, bits in table:
+        assert len(bits) == fec.coded_length(fmt.info_bits, HEADER_CODE)
+        assert headers[bits.tobytes()] == header
+        assert _decode_header(fmt, cfg, bits) == header  # the miss path reads the same
 
 
-@pytest.mark.parametrize("cfg", [NB, UWB, HBC, NB_SHORT_HEADER_WORDS], ids=["nb", "uwb", "hbc", "nb-15.3"])
+@pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
 def test_every_length_and_field_setting_round_trips(cfg):
-    for fields in FIELD_SETTINGS[cfg.kind]:
-        for length in range(MAX_BODY_LEN + 1):
-            frame = build_ppdu(cfg, b"\x08" * 7, bytes(range(length)), **fields)
-            parsed = parse_ppdu(frame.bits, cfg)
-            assert (parsed.header, parsed.body, parsed.fcs) == (frame.header, frame.body, frame.fcs)
+    # Build sends every field as 0; parse reads any setting off the miss path.
+    for length in range(MAX_BODY_LEN + 1):
+        frame = build_ppdu(cfg, b"\x08" * 7, bytes(range(length)))
+        for fields in FIELD_SETTINGS[cfg.kind]:
+            header, coded = reference_header(cfg, length, fields)
+            image = with_coded_header(frame, coded, cfg)
+            if not any(fields.values()):
+                assert (frame.header, image.tolist()) == (header, frame.bits.tolist())
+            parsed = parse_ppdu(image, cfg)
+            assert (parsed.header, parsed.body, parsed.fcs) == (header, frame.body, frame.fcs)
 
 
 @pytest.mark.parametrize("reserved", [1, 2, 3])
@@ -751,93 +767,47 @@ def test_nb_reserved_bits_under_a_recomputed_check_still_parse(reserved):
     # Narrowband covers its reserved bits only by the header check, so a
     # header with them set and its check recomputed is valid. No table holds
     # it: parse misses and reads it on the miss path, through fec.decode_blocks.
-    fields = {"scrambler": 1, "burst_mode": 0}
-    frame = build_ppdu(NB, b"\x08" * 7, b"abcd", **fields)
-    header, coded = reference_header(NB, 4, fields, reserved=reserved)
+    frame = build_ppdu(NB, b"\x08" * 7, b"abcd")
+    header, coded = reference_header(NB, 4, {}, reserved=reserved)
     assert replace(header, hcs=frame.header.hcs) == frame.header  # only the check differs
-    _, headers = _INVERSE[(PhyKind.NB, *NB.header_fec, NB.rate_index)]
-    assert coded.tobytes() not in headers
-    start = NB.preamble_symbols
-    image = np.concatenate([frame.bits[:start], coded, frame.bits[start + len(coded) :]])
-    parsed = parse_ppdu(image, NB)
+    assert coded.tobytes() not in _INVERSE[(PhyKind.NB, NB.rate_index)]
+    parsed = parse_ppdu(with_coded_header(frame, coded, NB), NB)
     assert (parsed.header, parsed.body) == (header, b"abcd")
 
 
-@pytest.mark.parametrize(
-    "value, outcome",
-    [
-        (True, NbPlcpHeader(rate_index=1, length=4, scrambler=True, burst_mode=0, hcs=14)),
-        (1.0, (TypeError, "nb header field 'scrambler' needs an int, got 1.0")),
-        (2, (ValueError, "value 2 does not fit in 1 bits")),
-        (-1, (ValueError, "value -1 does not fit in 1 bits")),
-    ],
-    ids=["true", "float", "too-wide", "negative"],
-)
-def test_a_field_value_gives_the_header_or_error_of_the_word_assembly(value, outcome):
-    # The table of scrambler=1 exists before the odd value is tried, so a
-    # value equal to 1 but of another type cannot borrow it unchecked.
-    one = build_ppdu(NB, b"\x08" * 7, b"abcd", scrambler=1)
-    tables = len(_TABLES)
-    if isinstance(outcome, NbPlcpHeader):
-        frame = build_ppdu(NB, b"\x08" * 7, b"abcd", scrambler=value)
-        assert frame.header == outcome == one.header
-        assert frame.bits.tolist() == one.bits.tolist()
-    else:
-        kind, message = outcome
-        with pytest.raises(kind, match=f"^{message}$"):
-            build_ppdu(NB, b"\x08" * 7, b"abcd", scrambler=value)
-    assert len(_TABLES) == tables
-
-
-@pytest.mark.parametrize(
-    "cfg, field", [(NB, "scrambler"), (NB, "burst_mode"), (UWB, "scrambler_seed")], ids=["nb", "nb-burst", "uwb"]
-)
-@pytest.mark.parametrize("value", [None, 1.0, "1"], ids=["none", "float", "str"])
-def test_a_field_value_that_is_not_an_int_names_the_family_and_field(cfg, field, value):
-    tables = len(_TABLES)
-    message = f"^{cfg.kind.value} header field '{field}' needs an int, got {re.escape(repr(value))}$"
-    with pytest.raises(TypeError, match=message):
-        build_ppdu(cfg, bytes(MAC_HEADER_LEN), b"", **{field: value})
-    assert len(_TABLES) == tables
-
-
-def test_past_the_table_limit_every_table_is_dropped_and_refilled():
+def test_all_32_header_tables_are_kept():
     _TABLES.clear()
     _INVERSE.clear()
-    first = build_ppdu(NB, b"\x08" * 7, b"abcd")
-    settings = [
-        (replace(NB, rate_index=rate), fields) for rate in range(8) for fields in FIELD_SETTINGS[PhyKind.NB]
-    ] + [(UWB, {"scrambler_seed": 1})]
-    assert len(settings) == _MAX_TABLES + 1
-    for cfg, fields in settings:
-        build_ppdu(cfg, b"\x08" * 7, b"abcd", **fields)
-        assert len(_TABLES) <= _MAX_TABLES
-    assert len(_TABLES) == 1  # the last setting, filled after the drop
-    again = build_ppdu(NB, b"\x08" * 7, b"abcd")
-    assert again.bits.tolist() == first.bits.tolist()
-    back = parse_ppdu(again.bits, NB)
-    assert (back.header, back.body) == (first.header, b"abcd")
-
-
-@pytest.mark.parametrize("cfg", [NB, UWB], ids=["nb", "uwb"])
-def test_unset_and_zero_fields_fill_one_table(cfg):
-    _TABLES.clear()
-    _INVERSE.clear()
-    unset = build_ppdu(cfg, b"\x08" * 7, b"abcd")
-    zeros = build_ppdu(cfg, b"\x08" * 7, b"abcd", **FIELD_SETTINGS[cfg.kind][0])  # every field 0
-    assert len(_TABLES) == 1
-    assert zeros.header is unset.header
-    assert zeros.bits.tolist() == unset.bits.tolist()
+    keys = [(kind, rate) for kind, bits in RATE_INDEX_BITS.items() for rate in range(1 << bits)]
+    assert len(keys) == 8 + 16 + 8
+    base = {PhyKind.NB: NB, PhyKind.UWB: UWB, PhyKind.HBC: HBC}
+    frames = {}
+    for kind, rate in keys:
+        cfg = replace(base[kind], rate_index=rate)
+        frames[kind, rate] = (cfg, build_ppdu(cfg, b"\x08" * 7, b"abcd"))
+    assert list(_TABLES) == list(_INVERSE) == keys
+    tables = dict(_TABLES)
+    for cfg, frame in frames.values():
+        assert frame.header is _header_table(cfg.kind, _FORMATS[cfg.kind], cfg.rate_index)[4][0]
+        assert parse_ppdu(frame.bits, cfg).header is frame.header  # found in the inverse map
+    assert all(_TABLES[key] is table for key, table in tables.items())
 
 
 @pytest.mark.parametrize(
-    "cfg, field", [(HBC, "scrambler"), (UWB, "burst_mode"), (NB, "scrambler_seed")], ids=["hbc", "uwb", "nb"]
+    "one, other",
+    [(NB, nb_config(Band.NB_2400_2483, "high")), (UWB, uwb_config(7))],
+    ids=["nb", "uwb"],
 )
-def test_a_field_the_family_lacks_is_a_type_error_naming_both(cfg, field):
-    tables = len(_TABLES)
-    with pytest.raises(TypeError, match=f"^{cfg.kind.value} header has no field '{field}'$"):
-        build_ppdu(cfg, b"\x08" * 7, b"abcd", **{field: 0})
-    assert len(_TABLES) == tables
+def test_configs_of_one_family_and_rate_index_share_one_table(one, other):
+    assert (one.kind, one.rate_index) == (other.kind, other.rate_index) and one.band_id != other.band_id
+    _TABLES.clear()
+    _INVERSE.clear()
+    first = build_ppdu(one, b"\x08" * 7, b"abcd")
+    second = build_ppdu(other, b"\x08" * 7, b"abcd")
+    assert len(_TABLES) == len(_INVERSE) == 1
+    assert second.header is first.header
+    start = one.preamble_symbols
+    assert second.bits[start : start + 31].tolist() == first.bits[start : start + 31].tolist()
 
 
 def test_importing_the_codec_and_simulating_fill_no_table(tmp_path):

@@ -6,7 +6,10 @@ from dataclasses import replace
 import pytest
 
 from bansim.errors import ConfigError
+from bansim.phy.fec import check_code
 from bansim.phy.rates import (
+    HEADER_CODE,
+    PSDU_CODE,
     Band,
     Modulation,
     PhyConfig,
@@ -73,17 +76,6 @@ def test_all_21_published_rates_within_tolerance():
 def test_dqpsk_psdu_example():
     cfg = nb_config(Band.NB_402_405, "high")
     assert info_data_rate(cfg, "psdu") == pytest.approx(303.6, abs=0.1)
-
-
-def test_identity_code_rate_passes_symbol_rate_through():
-    cfg = PhyConfig(
-        band_id=Band.NB_402_405,
-        modulation=Modulation.DBPSK,
-        symbol_rate=187.5,
-        psdu_fec=(63, 63),
-        spreading=1,
-    )
-    assert info_data_rate(cfg, "psdu") == pytest.approx(187.5)
 
 
 def test_spreading_factors_are_the_unique_solution():
@@ -154,20 +146,30 @@ def test_a_symbol_rate_that_is_not_positive_and_finite_is_refused(symbol_rate):
         replace(nb_config(Band.NB_402_405), symbol_rate=symbol_rate)
 
 
+# The fixed block code of each packet component.
+FIXED_CODES = {"header_fec": HEADER_CODE, "psdu_fec": PSDU_CODE}
+
+
 def test_a_code_the_block_coder_cannot_make_is_refused():
-    # (40, 19) would carry 21 parity bits; the coder makes 0 or 12, so a
-    # config with it could be timed but never built.
+    # (40, 19) would carry 21 parity bits; the coder makes 0 or 12. The
+    # fixed codes of both components are ones it makes.
     with pytest.raises(ConfigError, match=r"block code \(40,19\) needs k >= 1 and n - k of 0 or 12"):
-        replace(nb_config(Band.NB_402_405), psdu_fec=(40, 19))
+        check_code((40, 19))
+    for code in FIXED_CODES.values():
+        assert check_code(code) == code
 
 
 @pytest.mark.parametrize("fec", ["header_fec", "psdu_fec"])
-@pytest.mark.parametrize("code", [(31.0, 19.0), (31, 19.0), (True, True)], ids=["floats", "float-k", "bools"])
-def test_a_code_of_other_than_ints_is_refused(fec, code):
-    # 12.0 parity bits pass the geometry rule, but the coder sizes arrays
-    # with n and k: such a config could be timed and never built.
+@pytest.mark.parametrize(
+    "as_code",
+    [lambda n, k: (float(n), float(k)), lambda n, k: (n, float(k)), lambda n, k: (True, True)],
+    ids=["floats", "float-k", "bools"],
+)
+def test_a_code_of_other_than_ints_is_refused(fec, as_code):
+    # A component's fixed code with float n or k still has 12.0 parity bits
+    # and passes the geometry rule, but the coder sizes arrays with n and k.
     with pytest.raises(ConfigError, match=r"block code \(.*\) needs int n and k"):
-        replace(nb_config(Band.NB_402_405), **{fec: code})
+        check_code(as_code(*FIXED_CODES[fec]))
 
 
 @pytest.mark.parametrize(

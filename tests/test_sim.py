@@ -173,6 +173,20 @@ class TestConservation:
         fails = sum(1 for r in rows if r[2] == "fail")
         assert fails == stats.failed
 
+    def test_busy_time_sums_overlapping_airtimes_past_the_elapsed_time(self):
+        # busy_us sums every airtime, and collided transmissions overlap on
+        # the air, so it can exceed elapsed_us and leave idle_us negative.
+        sc = parse_scenario(
+            "[phy]\nkind = nb\nband = 2400-2483.5\nrate = high\n"
+            "[superframe]\nslot_length_us = 10000\nbeacon_slots = 1\nrap1_slots = 255\n"
+            "[nodes]\na = priority=4, traffic=saturated\nb = priority=4, traffic=saturated\n"
+            "[run]\nduration_ms = 200\nchannel = collision\n"
+        )
+        stats, _ = run(sc)
+        assert stats.collided > 0
+        assert (stats.elapsed_us, f"{stats.busy_us:.1f}", f"{stats.idle_us:.1f}") == (200_000, "204402.5", "-4402.5")
+        assert stats.idle_us == stats.elapsed_us - stats.busy_us
+
     def test_beacon_time_counted(self):
         sc = parse_scenario(PAIR)
         stats, _ = run(sc)
