@@ -10,11 +10,6 @@ fit one more slot plus a full frame exchange and the nominal guard time
 and a draw or a success clears it. CW doubles only on every second
 consecutive failure, capped at CW_max, and resets to CW_min on success.
 
-ScriptedDraws stands in for a node's RNG in the scripted replay,
-sim.kernel.replay_contention, which runs a single node through an
-explicit phase/outcome timeline on the kernel's slot grid and returns the
-canonical trace line per event: `time_us,node,event,counter,cw,failures,phase`.
-
 Trace lines are rendered here and nowhere else. trace_batch appends the
 lines of one instant of one phase straight from node ids and backoff
 states: one event for many nodes (a slot's counts, a tick's draws or
@@ -42,7 +37,6 @@ __all__ = [
     "PRIORITY_TABLE",
     "MacTimingConstants",
     "BackoffState",
-    "ScriptedDraws",
     "draw_backoff",
     "on_idle_slot",
     "on_busy",
@@ -189,29 +183,6 @@ def on_success(state: BackoffState) -> BackoffState:
     state.consecutive_failures = 0
     state.locked = None
     return state
-
-
-# ------------------------------------------------------------------- replay
-
-
-class ScriptedDraws:
-    """Deterministic stand-in for an RNG: pops pre-decided draw values.
-    draw_backoff's randrange(CW) gets the next value, checked against
-    [1, CW], less one."""
-
-    def __init__(self, values: list[int]):
-        self._values = list(values)
-
-    def randrange(self, stop: int) -> int:
-        return self.randint(1, stop) - 1
-
-    def randint(self, a: int, b: int) -> int:
-        if not self._values:
-            raise IndexError("scripted draws exhausted")
-        value = self._values.pop(0)
-        if not a <= value <= b:
-            raise ValueError(f"scripted draw {value} outside [{a}, {b}]")
-        return value
 
 
 # The end of every line in each phase: a comma and the phase name.

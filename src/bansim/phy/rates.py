@@ -162,6 +162,9 @@ class PhyConfig:
             raise ConfigError(f"spreading must be 1, 2, or 4")
         if not 0 < self.symbol_rate < math.inf:  # NaN fails every comparison
             raise ConfigError(f"symbol rate must be positive and finite, got {self.symbol_rate}")
+        override = self.rate_override_kbps
+        if override is not None and not (isinstance(override, (int, float)) and 0 < override < math.inf):
+            raise ConfigError(f"rate override must be None or positive and finite, got {override!r}")
         info = _BAND_INFO[self.band_id]
         bits = RATE_INDEX_BITS[info.kind]
         if type(self.rate_index) is not int or not 0 <= self.rate_index < 1 << bits:

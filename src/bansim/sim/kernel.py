@@ -70,8 +70,6 @@ delivered (zero bit errors). Polled and scheduled traffic runs inside
 the shared phases on the schedule's grants, one frame exchange per
 grant. A grant's exchange begins as a contention transmission does, but
 a shared phase has no contenders, so no grid pauses or resumes around it.
-ScriptedReplay runs one node on this same grid from a scripted timeline,
-and replay_contention, the CSMA replay, drives it and returns its trace.
 
 The kernel decides which lines a run traces and in what order; csma
 renders them. At a slot end that starts an exchange, csma.trace_storm
@@ -99,20 +97,17 @@ from __future__ import annotations
 
 import heapq
 import math
+import os
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
 
-from bansim.errors import SimulationError
+from bansim.errors import ConfigError, SimulationError
 from bansim.mac.csma import (
     BackoffState,
-    MacTimingConstants,
     PRIORITY_TABLE,
-    PriorityClass,
-    ScriptedDraws,
     draw_backoff,
-    exchange_us,
     on_failure,
     on_success,
     trace_batch,
@@ -126,7 +121,7 @@ from bansim.sim.scenario import EventKind, NodeSpec, Scenario, clock_us, compile
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import text_stream
 
-__all__ = ["ScriptedReplay", "Simulation", "replay_contention", "run", "run_to_files", "write_trace"]
+__all__ = ["Simulation", "run", "run_to_files", "write_trace"]
 
 # The event kinds, bound once: CPython 3.11 reads a member off its enum
 # class through the metaclass's __getattr__ hook, at about 0.1 us a read,
@@ -221,7 +216,7 @@ class Simulation:
 
     def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], collect_trace, trace_file=None) -> None:
         """Event loop, channel and contention state, shared by scenario
-        runs and scripted replays."""
+        runs and the test subclasses that drive the engine without one."""
         self.timing = timing
         self.end_time = end_time
         self.collect_trace = collect_trace or trace_file is not None
@@ -600,19 +595,9 @@ class Simulation:
         exchange = self.exchange
         if exchange is None:
             raise SimulationError("delivery outside an exchange")
+        node = self.nodes[node_id]
         t = self.now
-        self._complete_delivery(self.nodes[node_id], t, exchange)
-        self._end_exchange(exchange, t + self.timing.psifs_us)
-
-    def _end_exchange(self, exchange: _Exchange, resume: int) -> None:
-        """Free the channel; the grid resumes at `resume` if that is inside
-        the phase. A shared phase has no grid to resume."""
-        self.exchange = None
-        if self._contenders[exchange.kind] and resume < exchange.phase_end:
-            self._push_tick(resume, exchange.kind, exchange.phase_end, (), exchange)
-
-    def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
-        wire = exchange.wires.get(node.node_id)
+        wire = exchange.wires.get(node_id)
         if wire is not None:
             body = admit_frame(wire, node.session)
             if body != bytes(node.spec.payload_bytes):
@@ -627,10 +612,18 @@ class Simulation:
         node.service_start = None
         on_success(node.backoff)  # no change for a polled or scheduled node, which never fails
         if self.collect_trace:
-            trace_event(self.trace, t, exchange.kind, "success", node.node_id, node.backoff)
+            trace_event(self.trace, t, exchange.kind, "success", node_id, node.backoff)
         if node.spec.traffic[0] == "saturated":
             node.queue.append(t)
             stats.offered += 1
+        self._end_exchange(exchange, t + self.timing.psifs_us)
+
+    def _end_exchange(self, exchange: _Exchange, resume: int) -> None:
+        """Free the channel; the grid resumes at `resume` if that is inside
+        the phase. A shared phase has no grid to resume."""
+        self.exchange = None
+        if self._contenders[exchange.kind] and resume < exchange.phase_end:
+            self._push_tick(resume, exchange.kind, exchange.phase_end, (), exchange)
 
     # ------------------------------------------------- grants and beacons
 
@@ -665,76 +658,6 @@ class Simulation:
             self._push_arrival(node, self.now)
 
 
-class ScriptedReplay(Simulation):
-    """One contention node on the kernel's slot grid, run from a script:
-    (kind, start_us, end_us) phases stand in for the layout, scripted draws
-    for the RNG, fixed airtimes for the PHY, and `ack_outcomes[i]` for the
-    channel's verdict on attempt i. Inadmissible phases are logged on
-    entry; the run ends at the first delivery."""
-
-    def __init__(self, phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id):
-        spec = NodeSpec(node_id, priority.user_priority, ("scripted", (0,)))
-        self._node = _Node(spec, BackoffState(priority), ScriptedDraws(draws), NodeStats(node_id),
-                           airtime_us=data_tx_us, payload_airtime_us=0.0,
-                           exchange_us=exchange_us(data_tx_us, ack_tx_us, timing))
-        self._init_engine(timing, math.inf, ack_tx_us, [self._node], collect_trace=True)
-        self._phases = phases
-        self._acks = list(ack_outcomes)
-
-    def _schedule_superframe(self, index: int) -> None:
-        """All scripted phases at once, in place of the plan's schedule."""
-        for kind, start, end in self._phases:
-            self._push_schedule(start, _PHASE_START, (kind, end - start))
-
-    def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
-        if not self._contenders[kind]:
-            trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
-        super()._on_phase_start(kind, length_us)
-
-    def _collides(self, transmitters: list[_Node]) -> bool:
-        """The script's verdict on this attempt."""
-        if not self._acks:
-            raise IndexError("scripted acknowledgement outcomes exhausted")
-        return not self._acks.pop(0)
-
-    def _complete_delivery(self, node: _Node, t: int, exchange: _Exchange) -> None:
-        super()._complete_delivery(node, t, exchange)
-        self._heap.clear()
-        self._tick = None
-        self.end_time = t  # also drops the resume tick pushed next
-
-
-def replay_contention(
-    phases: list[tuple[PhaseKind, int, int]],
-    draws: list[int],
-    data_tx_us: int,
-    ack_tx_us: int,
-    ack_outcomes: list[bool],
-    timing: MacTimingConstants = MacTimingConstants(),
-    priority: PriorityClass = PRIORITY_TABLE[2],
-    node_id: str = "n0",
-) -> list[str]:
-    """Walk one node's contention for a single frame through a scripted
-    timeline of (phase kind, start_us, end_us) and scripted draw values.
-
-    `ack_outcomes[i]` says whether transmission attempt i is acknowledged.
-    The walk ends at the first acknowledged transmission. Returns the
-    emitted trace lines.
-
-    Timeline conventions: entering an admissible phase unlocks a frozen
-    counter, then contention waits one interframe space before the slot
-    grid starts; after a missed acknowledgement the grid resumes at the
-    timeout instant (the guard time already covers the gap). At each slot
-    boundary the guard check runs first; a locked counter keeps its value
-    until the next admissible phase.
-    """
-    replay = ScriptedReplay(
-        phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id
-    )
-    replay.run()
-    return replay.trace
-
-
 # ------------------------------------------------------------- front door
 
 
@@ -761,9 +684,12 @@ def run_to_files(
 ) -> RunStats:
     """Run and write the stats CSV and optional trace where the scenario
     or the caller says; caller paths win. Both files are opened before the
-    run and put in place after it, so a run that raises writes neither."""
+    run and put in place after it, so a run that raises writes neither. The
+    two may not name one file: the stats would silently replace the trace."""
     stats_path = stats_path or scenario.run.stats_out
     trace_path = trace_path or scenario.run.trace_out
+    if stats_path and trace_path and (target := os.path.realpath(stats_path)) == os.path.realpath(trace_path):
+        raise ConfigError(f"stats and trace both go to {target}")
     with (
         (text_stream(stats_path) if stats_path else nullcontext()) as stats_file,
         (text_stream(trace_path) if trace_path else nullcontext()) as trace_file,

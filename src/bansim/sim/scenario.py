@@ -18,14 +18,16 @@ or out-of-range values fail there. Named values match in any case. The
 access values are those of OperationalMode and TrafficKind. The [phy]
 family (phy.rates.phy_config) reads only its own keys: a key of another
 family, and a band, channel or center the family lacks, fail at their
-line. compile_scenario then checks every static rule once and
-derives the Plan a run reads, the superframe schedule included: phase
-arithmetic (in mac.superframe.build_layout), the beacon's fit in its
-phase, payload bounds with security bytes, grants and allocations that
-hold one frame exchange, a poll grant for every polled node, allocations
-inside shared phases and free of conflicts, the channel rule, node ids
-that fit one trace field, the expected arrivals within
-MAX_EXPECTED_ARRIVALS, and the security entries. A check on one node
+line; so do a node's slot_start, slot_len, period and offset unless its
+access is scheduled, and mk on a level-0 security entry. compile_scenario
+then checks every static rule once and derives the Plan a run reads, the
+superframe schedule included: phase arithmetic (in
+mac.superframe.build_layout), the beacon's fit in its phase, payload
+bounds with security bytes, grants and allocations that hold one frame
+exchange, a poll grant for every polled node, allocations inside shared
+phases and free of conflicts, the channel rule, node ids that fit one
+trace field, the expected arrivals within MAX_EXPECTED_ARRIVALS, and the
+security entries. A check on one node
 or security entry reports that entry's line, on poll_grant_us its line,
 the others their section's line where one is known. parse_scenario
 compiles with its line maps and Simulation compiles what it is given, so
@@ -288,6 +290,14 @@ def _read(section: str, fields: dict[str, tuple[str, int]]) -> dict:
     return values
 
 
+def _refuse(fields: dict[str, tuple[str, int]], keys, what: str) -> None:
+    """Fail at the first given key of `keys`, which an entry that is `what`
+    never reads."""
+    for key, (_, line) in fields.items():
+        if key in keys:
+            raise _fail(line, f"{key} does not apply to {what}")
+
+
 def _split_assignments(raw: str, line: int) -> dict[str, tuple[str, int]]:
     out = {}
     for part in raw.split(","):
@@ -308,9 +318,7 @@ def _phy(fields: dict[str, tuple[str, int]], section_line: int | None) -> PhyCon
     values = _read("phy", fields)
     kind = values["kind"]
     family = _PHY_FAMILIES[kind]
-    for key, (_, line) in fields.items():
-        if key not in family and any(key in keys for keys in _PHY_FAMILIES.values()):
-            raise _fail(line, f"{key} does not apply to kind {kind}")
+    _refuse(fields, [key for keys in _PHY_FAMILIES.values() for key in keys if key not in family], f"kind {kind}")
     try:
         cfg = phy_config(kind, values["band"], values["rate"], values["channel"], values["center"])
     except ConfigError as exc:
@@ -360,13 +368,20 @@ def parse_scenario(text: str) -> Scenario:
         if section == "nodes":
             if key in node_lines:
                 raise _fail(lineno, f"duplicate node {key!r}")
-            spec = _read("nodes", _split_assignments(value, lineno))
+            given = _split_assignments(value, lineno)
+            spec = _read("nodes", given)
+            if spec["access"] is not TrafficKind.SCHEDULED:
+                _refuse(given, ("slot_start", "slot_len", "period", "offset"), f"access {spec['access'].value}")
             nodes.append(NodeSpec(node_id=key, payload_bytes=spec.pop("payload"), **spec))
             node_lines[key] = lineno
         elif section == "security":
             if key in security:
                 raise _fail(lineno, f"duplicate security entry {key!r}")
-            security[key] = SecuritySpec(**_read("security", _split_assignments(value, lineno)))
+            given = _split_assignments(value, lineno)
+            spec = _read("security", given)
+            if spec["level"] == SecurityLevel.UNSECURED:
+                _refuse(given, ("mk",), "level 0")
+            security[key] = SecuritySpec(**spec)
             security_lines[key] = lineno
         else:
             if key in fields[section]:

@@ -29,8 +29,9 @@ from bansim.mac.superframe import PhaseKind
 from bansim.phy.ppdu import MAC_HEADER_LEN, build_ppdu, parse_ppdu
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.security import SecurityLevel, SecurityManager, SecuritySession, admit_frame, secure_frame
-from bansim.sim.kernel import replay_contention, run, run_to_files
+from bansim.sim.kernel import run, run_to_files
 from bansim.sim.scenario import load_scenario, parse_scenario
+from test_csma import replay_contention
 from test_kasami import kasami63
 
 HERE = Path(__file__).parent

@@ -335,6 +335,16 @@ class TestSimulate:
         assert repr(target) in err and ".tmp" not in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one.scn"]
 
+    def test_stats_and_trace_on_one_file_fail_before_the_run(self, tmp_path, monkeypatch, capsys):
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(scn), "--out", "same.csv", "--trace", str(tmp_path / "same.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError: ") and "same.csv" in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.scn"]
+
     def test_unknown_key_diagnostic_names_its_line(self, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
         scn.write_text("[phy]\nkind = nb\nantenna = dish\n")

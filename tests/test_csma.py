@@ -1,5 +1,8 @@
 """Contention engine tests: window bounds, backoff mechanics, the slot
-guard, and an exact scripted replay against a hand-computed trace."""
+guard, and an exact scripted replay against a hand-computed trace. The
+replay (replay_contention, run by ScriptedReplay on the kernel's slot grid
+with ScriptedDraws for the RNG) lives here, beside the slot-grid walk it
+is checked against; acceptance criterion 2 imports it from here."""
 
 import itertools
 import math
@@ -18,8 +21,8 @@ from bansim.mac.csma import (
     MacTimingConstants,
     PRIORITY_TABLE,
     PriorityClass,
-    ScriptedDraws,
     draw_backoff,
+    exchange_us,
     guard_check,
     on_busy,
     on_failure,
@@ -33,7 +36,9 @@ from bansim.mac.csma import (
 )
 from bansim.mac import csma
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
-from bansim.sim.kernel import replay_contention
+from bansim.sim.kernel import Simulation, _Node
+from bansim.sim.scenario import EventKind, NodeSpec
+from bansim.sim.stats import NodeStats
 
 GOLDEN = Path(__file__).parent / "data" / "contention_replay.csv"
 TIMING = MacTimingConstants()
@@ -310,6 +315,96 @@ class TestReplay:
 
 
 # ------------------------------------------- the replay on the kernel's grid
+
+
+class ScriptedDraws:
+    """Deterministic stand-in for an RNG: pops pre-decided draw values.
+    draw_backoff's randrange(CW) gets the next value, checked against
+    [1, CW], less one."""
+
+    def __init__(self, values: list[int]):
+        self._values = list(values)
+
+    def randrange(self, stop: int) -> int:
+        return self.randint(1, stop) - 1
+
+    def randint(self, a: int, b: int) -> int:
+        if not self._values:
+            raise IndexError("scripted draws exhausted")
+        value = self._values.pop(0)
+        if not a <= value <= b:
+            raise ValueError(f"scripted draw {value} outside [{a}, {b}]")
+        return value
+
+
+class ScriptedReplay(Simulation):
+    """One contention node on the kernel's slot grid, run from a script:
+    (kind, start_us, end_us) phases stand in for the layout, scripted draws
+    for the RNG, fixed airtimes for the PHY, and `ack_outcomes[i]` for the
+    channel's verdict on attempt i. Inadmissible phases are logged on
+    entry; the run ends at the first delivery."""
+
+    def __init__(self, phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id):
+        spec = NodeSpec(node_id, priority.user_priority, ("scripted", (0,)))
+        self._node = _Node(spec, BackoffState(priority), ScriptedDraws(draws), NodeStats(node_id),
+                           airtime_us=data_tx_us, payload_airtime_us=0.0,
+                           exchange_us=exchange_us(data_tx_us, ack_tx_us, timing))
+        self._init_engine(timing, math.inf, ack_tx_us, [self._node], collect_trace=True)
+        self._phases = phases
+        self._acks = list(ack_outcomes)
+
+    def _schedule_superframe(self, index: int) -> None:
+        """All scripted phases at once, in place of the plan's schedule."""
+        for kind, start, end in self._phases:
+            self._push_schedule(start, EventKind.PHASE_START, (kind, end - start))
+
+    def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
+        if not self._contenders[kind]:
+            trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
+        super()._on_phase_start(kind, length_us)
+
+    def _collides(self, transmitters: list[_Node]) -> bool:
+        """The script's verdict on this attempt."""
+        if not self._acks:
+            raise IndexError("scripted acknowledgement outcomes exhausted")
+        return not self._acks.pop(0)
+
+    def _on_delivery(self, node_id: str) -> None:
+        self.end_time = self.now  # drops the resume tick the delivery pushes
+        super()._on_delivery(node_id)
+        self._heap.clear()
+        self._tick = None
+
+
+def replay_contention(
+    phases: list[tuple[PhaseKind, int, int]],
+    draws: list[int],
+    data_tx_us: int,
+    ack_tx_us: int,
+    ack_outcomes: list[bool],
+    timing: MacTimingConstants = MacTimingConstants(),
+    priority: PriorityClass = PRIORITY_TABLE[2],
+    node_id: str = "n0",
+) -> list[str]:
+    """Walk one node's contention for a single frame through a scripted
+    timeline of (phase kind, start_us, end_us) and scripted draw values.
+
+    `ack_outcomes[i]` says whether transmission attempt i is acknowledged.
+    The walk ends at the first acknowledged transmission. Returns the
+    emitted trace lines.
+
+    Timeline conventions: entering an admissible phase unlocks a frozen
+    counter, then contention waits one interframe space before the slot
+    grid starts; after a missed acknowledgement the grid resumes at the
+    timeout instant (the guard time already covers the gap). At each slot
+    boundary the guard check runs first; a locked counter keeps its value
+    until the next admissible phase.
+    """
+    replay = ScriptedReplay(
+        phases, draws, data_tx_us, ack_tx_us, ack_outcomes, timing, priority, node_id
+    )
+    replay.run()
+    return replay.trace
 
 
 # The slot-grid walk that replay_contention ran before it became a driver of

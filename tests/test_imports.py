@@ -61,7 +61,6 @@ def environment_reads(path):
 KEPT_FOR_CALLERS = {
     "analytic_efficiency": "the public efficiency model, which the demos call",
     "reference_configs": "the public efficiency model's operating points, which the demos call",
-    "replay_contention": "the acceptance gate's scripted CSMA replay",
     "SecurityManager.teardown": "the end of the key lifecycle that the acceptance gate walks",
     "guard_check": "a counter of bench/tracing.py TARGETS",
     "on_busy": "a counter of bench/tracing.py TARGETS",
@@ -107,6 +106,7 @@ READ_OUTSIDE = {
     "GroupKeyState.gtk_id": "the group key's id, which the group key tests read",
     "GroupKeyState.members": "the group's nodes, which the group key tests read",
     "PairwiseKey.key_id": "the key's public id, which the key tests read and its repr shows",
+    "PriorityClass.user_priority": "the class's priority, which the scripted replay in the CSMA tests reads",
     "Ppdu.preamble_bits": "the built preamble, which the codec and golden tests read",
     "Ppdu.sfd_bits": "the built start-of-frame delimiter, which the golden tests read",
     "RunStats.beacons": "the beacon count, which the beacon tests and the demo read",

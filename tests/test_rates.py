@@ -146,6 +146,14 @@ def test_a_symbol_rate_that_is_not_positive_and_finite_is_refused(symbol_rate):
         replace(nb_config(Band.NB_402_405), symbol_rate=symbol_rate)
 
 
+@pytest.mark.parametrize("override", [0, 0.0, -5, math.inf, math.nan, "971"])
+def test_a_rate_override_that_is_not_positive_and_finite_is_refused(override):
+    # Each was taken: 0 divided by zero in every airtime, -5 gave a negative
+    # airtime, inf a 150 us one, NaN NaN, and a string a bare TypeError.
+    with pytest.raises(ConfigError, match="rate override must be None or positive and finite"):
+        replace(nb_config(Band.NB_2400_2483), rate_override_kbps=override)
+
+
 # The fixed block code of each packet component.
 FIXED_CODES = {"header_fec": HEADER_CODE, "psdu_fec": PSDU_CODE}
 

@@ -265,8 +265,16 @@ class TestRejection:
             (NODES + "n0 = payload=10\n[security]\nn0 = level=1\nn0 = level=2\n", 8, "duplicate security entry 'n0'"),
             (NODES + "n0 = traffic=scripted:\n", 5, "scripted traffic needs at least one time"),
             ("[phy]\nkind = nb\n# a rate too small to time\nrate_override_kbps = 1e-320\n", 4, "leaves no finite airtime"),
+            # Sub-keys that their entry never reads, once accepted and ignored.
+            (NODES + "n0 = priority=3, slot_start=9, slot_len=2, period=5, offset=3\n", 5,
+             "slot_start does not apply to access contention"),
+            (NODES + "n0 = priority=3, period=5\n", 5, "period does not apply to access contention"),
+            (NODES + "n0 = access=polled, payload=10, offset=1\n", 5, "offset does not apply to access polled"),
+            (NODES + "n0 = payload=10\nn1 = payload=10, slot_len=2\n", 6, "slot_len does not apply to access contention"),
+            (NODES + "n0 = payload=10\n[security]\nn0 = level=0, mk=unauthenticated\n", 7, "mk does not apply to level 0"),
         ],
-        ids=["no-equals", "empty-part", "open-header", "duplicate-security", "no-scripted-time", "tiny-rate"],
+        ids=["no-equals", "empty-part", "open-header", "duplicate-security", "no-scripted-time", "tiny-rate",
+             "contention-slot-keys", "contention-period", "polled-offset", "second-node-slot-len", "level-0-mk"],
     )
     def test_each_refusal_names_its_line(self, text, line, message):
         found, msg = error_line(text)

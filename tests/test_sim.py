@@ -25,7 +25,7 @@ import bansim
 import bansim.sim.kernel as kernel
 from bansim.cli import main
 from bansim.efficiency import analytic_efficiency, reference_configs
-from bansim.errors import ScenarioError, SimulationError
+from bansim.errors import ConfigError, ScenarioError, SimulationError
 from bansim.mac.csma import (
     MacTimingConstants,
     PRIORITY_TABLE,
@@ -445,6 +445,16 @@ class TestRunToFiles:
         assert trace_path.exists()  # scenario trace path still honored
         header = cli_stats.read_text().splitlines()[0]
         assert header.startswith("node,offered,delivered")
+
+    def test_stats_and_trace_on_one_file_are_refused(self, tmp_path):
+        same = tmp_path / "same.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(same)
+        sc = parse_scenario(PAIR + f"stats_out = {same}\ntrace_out = {same}\n")
+        for paths in ((None, None), (same, link), (link, None)):
+            with pytest.raises(ConfigError, match="same.csv"):
+                run_to_files(sc, *paths)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv"]
 
     def test_trace_file_is_one_line_per_entry(self, tmp_path):
         write_trace(["1,a", "2,b"], tmp_path / "two.txt")
