@@ -27,7 +27,7 @@ state) entry through trace_event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 from bansim.mac.superframe import PhaseKind
@@ -94,16 +94,13 @@ class MacTimingConstants:
 @dataclass
 class BackoffState:
     priority: PriorityClass
-    cw: int = 0  # 0 = not yet initialized, replaced by cw_min
     counter: int = 0
     locked: str | None = None  # why the counter is frozen: "busy" | "guard"
     consecutive_failures: int = 0
+    cw: int = field(init=False)
 
     def __post_init__(self):
-        if self.cw == 0:
-            self.cw = self.priority.cw_min
-        if not self.priority.cw_min <= self.cw <= self.priority.cw_max:
-            raise ValueError(f"cw {self.cw} outside priority bounds")
+        self.cw = self.priority.cw_min
 
 
 def draw_backoff(state: BackoffState, rng: Rng) -> BackoffState:

@@ -134,6 +134,11 @@ PSDU_CODE = (63, 51)
 RATE_INDEX_BITS = {PhyKind.NB: 3, PhyKind.UWB: 4, PhyKind.HBC: 3}
 
 
+def _positive_finite(value) -> bool:
+    """A real number, not a bool, in (0, inf); NaN fails every comparison."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+
+
 @dataclass(frozen=True)
 class PhyConfig:
     """Operating point: band plus the modulation and spreading of both
@@ -158,12 +163,14 @@ class PhyConfig:
     rate_override_kbps: float | None = None
 
     def __post_init__(self):
-        if self.spreading not in (1, 2, 4) or self.header_spreading not in (1, 2, 4):
-            raise ConfigError(f"spreading must be 1, 2, or 4")
-        if not 0 < self.symbol_rate < math.inf:  # NaN fails every comparison
-            raise ConfigError(f"symbol rate must be positive and finite, got {self.symbol_rate}")
+        for name in ("spreading", "header_spreading"):
+            value = getattr(self, name)
+            if type(value) is not int or value not in (1, 2, 4):
+                raise ConfigError(f"{name} must be 1, 2, or 4, got {value!r}")
+        if not _positive_finite(self.symbol_rate):
+            raise ConfigError(f"symbol rate must be positive and finite, got {self.symbol_rate!r}")
         override = self.rate_override_kbps
-        if override is not None and not (isinstance(override, (int, float)) and 0 < override < math.inf):
+        if override is not None and not _positive_finite(override):
             raise ConfigError(f"rate override must be None or positive and finite, got {override!r}")
         info = _BAND_INFO[self.band_id]
         bits = RATE_INDEX_BITS[info.kind]

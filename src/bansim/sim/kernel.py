@@ -53,7 +53,7 @@ at t exactly when t + slot + its frame exchange passes the phase end.
 The grid never ticks at or past the phase end, and it stops once every
 contender of the phase has drawn and is locked: nothing can count, draw
 or unlock until the next phase start, and an arrival only grows a drawn
-node's queue. A node keeps no flag for either: outside an exchange its
+node's backlog. A node keeps no flag for either: outside an exchange its
 counter is positive exactly when it has drawn, and its backoff state
 holds why it is locked.
 
@@ -102,6 +102,7 @@ import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import groupby
+from types import SimpleNamespace
 
 from bansim.errors import ConfigError, SimulationError
 from bansim.mac.csma import (
@@ -133,6 +134,10 @@ _POLL_GRANT, _BEACON_TX, _TRAFFIC_ARRIVAL, _SUPERFRAME = (
     EventKind.POLL_GRANT, EventKind.BEACON_TX, EventKind.TRAFFIC_ARRIVAL, EventKind.SUPERFRAME
 )
 
+# Hub trace lines borrow the node line format with zeroed contention
+# fields; the renderers read nothing else of a state.
+_HUB_FIELDS = SimpleNamespace(counter=0, cw=0, consecutive_failures=0)
+
 # A contender's lines on phase entry: a locked counter unlocks between
 # the two, and unlocking changes no traced field.
 _ENTRY = ("enter", "sifs")
@@ -148,7 +153,7 @@ class _Node:
     airtime_us: float  # data frame, security overhead included
     payload_airtime_us: float  # the user-payload share, exact
     exchange_us: int  # data, interframe space, ack and guard time
-    queue: list[int] = field(default_factory=list)  # arrival times
+    backlog: int = 0  # frames waiting, the one in service included
     service_start: int | None = None
     session: object = None  # SecuritySession when level >= 1
     node_id: str = field(init=False)
@@ -208,11 +213,6 @@ class Simulation:
                 groups.setdefault(sec.group, []).append(node_id)
         for group_id in sorted(groups):
             self.security.distribute_gtk(group_id, sorted(groups[group_id]))
-
-        # Hub trace lines borrow the node line format with zeroed
-        # contention fields.
-        self._hub_state = BackoffState(PRIORITY_TABLE[0])
-        self._hub_state.cw = 0
 
     def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], collect_trace, trace_file=None) -> None:
         """Event loop, channel and contention state, shared by scenario
@@ -303,7 +303,7 @@ class Simulation:
             node = self.nodes[node_id]
             model = node.spec.traffic[0]
             if model == "saturated":
-                node.queue.append(0)
+                node.backlog = 1
                 node.stats.offered += 1
             elif model == "poisson":
                 self._push_arrival(node, 0)
@@ -357,7 +357,7 @@ class Simulation:
                 self._schedule_superframe(*data)
         self._flush_trace()
         for node in self.nodes.values():
-            node.stats.queued = len(node.queue)
+            node.stats.queued = node.backlog
         self.stats.check_conservation()
         return self.stats
 
@@ -423,7 +423,7 @@ class Simulation:
         for node in participants:
             state = node.backoff
             if state.counter == 0:
-                if not node.queue or state.locked:
+                if not node.backlog or state.locked:
                     can_act = True
                     continue
                 draw_backoff(state, node.rng)
@@ -608,14 +608,14 @@ class Simulation:
         stats.payload_airtime_us += node.payload_airtime_us
         if node.service_start is not None:
             stats.access_delay_sum_us += t - node.service_start
-        node.queue.pop(0)
         node.service_start = None
         on_success(node.backoff)  # no change for a polled or scheduled node, which never fails
         if self.collect_trace:
             trace_event(self.trace, t, exchange.kind, "success", node_id, node.backoff)
-        if node.spec.traffic[0] == "saturated":
-            node.queue.append(t)
+        if node.spec.traffic[0] == "saturated":  # its next frame enters as this one leaves
             stats.offered += 1
+        else:
+            node.backlog -= 1
         self._end_exchange(exchange, t + self.timing.psifs_us)
 
     def _end_exchange(self, exchange: _Exchange, resume: int) -> None:
@@ -629,7 +629,7 @@ class Simulation:
 
     def _on_poll_grant(self, node_id: str, duration: int, window_us: int, kind: PhaseKind) -> None:
         node = self.nodes[node_id]
-        if not node.queue or self.exchange is not None:
+        if not node.backlog or self.exchange is not None:
             return
         t = self.now
         if node.exchange_us > duration:
@@ -647,12 +647,12 @@ class Simulation:
         self.stats.beacons += 1
         if self.collect_trace:
             end = t + clock_us(self.plan.beacon_us)
-            trace_event(self.trace, t, PhaseKind.BEACON, "tx_start", HUB_ID, self._hub_state)
-            trace_event(self.trace, end, PhaseKind.BEACON, "tx_end", HUB_ID, self._hub_state)
+            trace_event(self.trace, t, PhaseKind.BEACON, "tx_start", HUB_ID, _HUB_FIELDS)
+            trace_event(self.trace, end, PhaseKind.BEACON, "tx_end", HUB_ID, _HUB_FIELDS)
 
     def _on_arrival(self, node_id: str) -> None:
         node = self.nodes[node_id]
-        node.queue.append(self.now)
+        node.backlog += 1
         node.stats.offered += 1
         if node.spec.traffic[0] == "poisson":
             self._push_arrival(node, self.now)

@@ -18,8 +18,9 @@ or out-of-range values fail there. Named values match in any case. The
 access values are those of OperationalMode and TrafficKind. The [phy]
 family (phy.rates.phy_config) reads only its own keys: a key of another
 family, and a band, channel or center the family lacks, fail at their
-line; so do a node's slot_start, slot_len, period and offset unless its
-access is scheduled, and mk on a level-0 security entry. compile_scenario
+line; so do every `<phase>_slots` key unless the mode is beacon, a
+node's slot_start, slot_len, period and offset unless its access is
+scheduled, and mk on a level-0 security entry. compile_scenario
 then checks every static rule once and derives the Plan a run reads, the
 superframe schedule included: phase arithmetic (in
 mac.superframe.build_layout), the beacon's fit in its phase, payload
@@ -138,9 +139,9 @@ MAX_POISSON_RATE_PER_S = 1e6
 
 # Most arrivals a run may expect: the Poisson rate times the run length,
 # summed over nodes, plus the scripted times inside the run. Each arrival
-# is a kernel event, and one never served stays queued, so the budget
-# bounds a run's arrival work (a few seconds per million on a 2 GHz core)
-# and its queue memory.
+# is a kernel event, so the budget bounds a run's arrival work (a few
+# seconds per million on a 2 GHz core). A backlog is only a count, so an
+# arrival never served holds no memory.
 MAX_EXPECTED_ARRIVALS = 5_000_000
 
 
@@ -390,6 +391,8 @@ def parse_scenario(text: str) -> Scenario:
 
     phy = _phy(fields["phy"], section_lines.get("phy"))
     sf = _read("superframe", fields["superframe"])
+    if sf["mode"] is not OperationalMode.BEACON_BOUNDED:  # the mode alone sets the phases
+        _refuse(fields["superframe"], _PHASE_KEYS, f"mode {sf['mode'].value}")
     if "poll_grant_us" in fields["superframe"]:
         section_lines["poll_grant_us"] = fields["superframe"]["poll_grant_us"][1]
     csma = _read("csma", fields["csma"])

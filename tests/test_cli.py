@@ -353,9 +353,9 @@ class TestSimulate:
 
 
 class TestScenarioDiagnostics:
-    NODE = "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\nn0 = {}\n[run]\nduration_ms = 100\n"
+    NODE = "[superframe]\nmode = nonbeacon\n[nodes]\nn0 = {}\n[run]\nduration_ms = 100\n"
     # The same node line in a layout whose random access phase admits it.
-    RUNNABLE = NODE.replace("mode = nonbeacon\ntype_a_slots = 256", "beacon_slots = 4\nrap1_slots = 252")
+    RUNNABLE = NODE.replace("mode = nonbeacon", "beacon_slots = 4\nrap1_slots = 252")
 
     @pytest.mark.parametrize(
         "entry",
@@ -372,7 +372,7 @@ class TestScenarioDiagnostics:
         scn = tmp_path / "bad.scn"
         scn.write_text(self.NODE.format(entry))
         assert main(["simulate", str(scn), "--out", str(tmp_path / "s.csv")]) == 1
-        assert capsys.readouterr().err.startswith("error: ScenarioError: line 5: ")
+        assert capsys.readouterr().err.startswith("error: ScenarioError: line 4: ")
 
 
     @pytest.mark.parametrize("rate", ["1e9", "1000001"])
@@ -384,7 +384,7 @@ class TestScenarioDiagnostics:
         scn.write_text(self.NODE.format(f"traffic=poisson:{rate}"))
         proc = run_cli("simulate", str(scn), "--out", str(tmp_path / "s.csv"), timeout=60)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ScenarioError: line 5: poisson rate")
+        assert proc.stderr.startswith("error: ScenarioError: line 4: poisson rate")
 
     def test_poisson_rate_at_the_bound_is_accepted(self, tmp_path):
         scn = tmp_path / "edge.scn"

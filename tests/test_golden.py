@@ -313,6 +313,22 @@ EDGE_DIGESTS = {
 }
 
 
+def overloaded(duration_ms: int) -> str:
+    """One node offered 50,000 frames/s in a lone RAP1. It delivers one
+    frame per 1.9 ms or so, so nearly every arrival stays queued: about
+    20,000 at the end of 400 ms."""
+    return (f"{_NB}[superframe]\nslots = 100\nbeacon_prohibited = true\nrap1_slots = 100\n"
+            f"[nodes]\na = priority=7, traffic=poisson:50000, payload=40\n[run]\nduration_ms = {duration_ms}\n")
+
+
+# (stats, trace) digests of overloaded(400), recorded while the kernel
+# still kept each queued frame's arrival time.
+OVERLOADED_DIGESTS = (
+    "1a4c027078d0dfd952c2fc74874ec11a70899f7872cb4a0707b9b887dac388cd",
+    "d139288f811765748ffe7021c075464c8dc9a760a4602473a08897d97129e713",
+)
+
+
 def _stress_scenario(name: str, text):
     if text is not None:
         return parse_scenario(text)
@@ -367,6 +383,12 @@ def test_exchange_edge_bytes_are_pinned(name, tmp_path):
     stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
     run_to_files(parse_scenario(text), stats, trace)
     assert (_sha256(stats), _sha256(trace)) == (stats_digest, trace_digest)
+
+
+def test_overloaded_run_bytes_are_pinned(tmp_path):
+    stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
+    run_to_files(parse_scenario(overloaded(400)), stats, trace)
+    assert (_sha256(stats), _sha256(trace)) == OVERLOADED_DIGESTS
 
 
 def _times(lines, event, node=None):

@@ -138,20 +138,30 @@ def test_invalid_spreading_rejected():
                   symbol_rate=187.5, spreading=3)
 
 
-@pytest.mark.parametrize("symbol_rate", [math.nan, math.inf, -math.inf, 0.0, -187.5])
+@pytest.mark.parametrize("symbol_rate", [math.nan, math.inf, -math.inf, 0.0, -187.5, "971", True])
 def test_a_symbol_rate_that_is_not_positive_and_finite_is_refused(symbol_rate):
     # NaN passed the old `symbol_rate <= 0` check, and inf passed it too:
-    # both gave configs whose every rate and airtime is NaN, inf or 0.
+    # both gave configs whose every rate and airtime is NaN, inf or 0. A
+    # string raised a bare TypeError, and True gave a 0.81 kbps rate.
     with pytest.raises(ConfigError, match="symbol rate must be positive and finite"):
         replace(nb_config(Band.NB_402_405), symbol_rate=symbol_rate)
 
 
-@pytest.mark.parametrize("override", [0, 0.0, -5, math.inf, math.nan, "971"])
+@pytest.mark.parametrize("override", [0, 0.0, -5, math.inf, math.nan, "971", True])
 def test_a_rate_override_that_is_not_positive_and_finite_is_refused(override):
     # Each was taken: 0 divided by zero in every airtime, -5 gave a negative
-    # airtime, inf a 150 us one, NaN NaN, and a string a bare TypeError.
+    # airtime, inf a 150 us one, NaN NaN, a string a bare TypeError, and
+    # True 1 kbps.
     with pytest.raises(ConfigError, match="rate override must be None or positive and finite"):
         replace(nb_config(Band.NB_2400_2483), rate_override_kbps=override)
+
+
+@pytest.mark.parametrize("name", ["spreading", "header_spreading"])
+@pytest.mark.parametrize("value", [True, 2.0, "2", 3])
+def test_a_spreading_that_is_not_1_2_or_4_is_refused_by_name(name, value):
+    # True was taken as a factor of 1, and 2.0 as 2.
+    with pytest.raises(ConfigError, match=f"^{name} must be 1, 2, or 4, got {value!r}$"):
+        replace(nb_config(Band.NB_2400_2483), **{name: value})
 
 
 # The fixed block code of each packet component.

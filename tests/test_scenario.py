@@ -272,9 +272,13 @@ class TestRejection:
             (NODES + "n0 = access=polled, payload=10, offset=1\n", 5, "offset does not apply to access polled"),
             (NODES + "n0 = payload=10\nn1 = payload=10, slot_len=2\n", 6, "slot_len does not apply to access contention"),
             (NODES + "n0 = payload=10\n[security]\nn0 = level=0, mk=unauthenticated\n", 7, "mk does not apply to level 0"),
+            ("[superframe]\nmode = nonbeacon\ntype_a_slots = 256\ncap_slots = 7\n", 3,
+             "type_a_slots does not apply to mode nonbeacon"),
+            ("[superframe]\nbeacon_slots = 4\nmode = unbounded\n", 2, "beacon_slots does not apply to mode unbounded"),
         ],
         ids=["no-equals", "empty-part", "open-header", "duplicate-security", "no-scripted-time", "tiny-rate",
-             "contention-slot-keys", "contention-period", "polled-offset", "second-node-slot-len", "level-0-mk"],
+             "contention-slot-keys", "contention-period", "polled-offset", "second-node-slot-len", "level-0-mk",
+             "nonbeacon-phase-slots", "unbounded-beacon-slots"],
     )
     def test_each_refusal_names_its_line(self, text, line, message):
         found, msg = error_line(text)
@@ -346,7 +350,7 @@ class TestSemantics:
 
     def test_scheduled_needs_geometry(self):
         _, msg = error_line(
-            "[superframe]\ntype_a_slots = 256\nmode = nonbeacon\n[nodes]\nn0 = access=scheduled\n"
+            "[superframe]\nmode = nonbeacon\n[nodes]\nn0 = access=scheduled\n"
         )
         assert "slot_start" in msg
 
@@ -355,7 +359,6 @@ class TestSemantics:
             """
             [superframe]
             mode = nonbeacon
-            type_a_slots = 256
             [nodes]
             n0 = access=scheduled, slot_start=250, slot_len=10
             """
@@ -380,7 +383,6 @@ class TestSemantics:
             """
             [superframe]
             mode = nonbeacon
-            type_a_slots = 256
             [nodes]
             a = access=scheduled, slot_start=10, slot_len=10
             b = access=scheduled, slot_start=15, slot_len=10
@@ -390,12 +392,12 @@ class TestSemantics:
 
     def test_conflict_names_the_later_nodes_line(self):
         line, _ = error_line(
-            "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\n"
+            "[superframe]\nmode = nonbeacon\n[nodes]\n"
             "a = access=scheduled, slot_start=10, slot_len=10\n"
             "c = access=scheduled, slot_start=40, slot_len=10\n"
             "b = access=scheduled, slot_start=15, slot_len=10\n"
         )
-        assert line == 7
+        assert line == 6
 
     @pytest.mark.parametrize(
         "entry",
@@ -418,7 +420,6 @@ class TestSemantics:
             """
             [superframe]
             mode = nonbeacon
-            type_a_slots = 256
             [nodes]
             a = access=scheduled, slot_start=10, slot_len=10, period=2, offset=0
             b = access=scheduled, slot_start=10, slot_len=10, period=2, offset=1
@@ -481,7 +482,7 @@ class TestProgrammaticAllocations:
     node's line."""
 
     SCHEDULED = (
-        "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\n"
+        "[superframe]\nmode = nonbeacon\n[nodes]\n"
         "n0 = access=scheduled, slot_start=10, slot_len=20, payload=10\n"
     )
 
@@ -498,19 +499,19 @@ class TestProgrammaticAllocations:
         sc = parse_scenario(self.SCHEDULED)
         bad = replace(sc, nodes=(replace(sc.nodes[0], **field),))
         with pytest.raises(ScenarioError) as info:
-            compile_scenario(bad, node_lines={"n0": 5})
-        assert info.value.line == 5
-        assert str(info.value) == f"line 5: n0: {message}"
+            compile_scenario(bad, node_lines={"n0": 4})
+        assert info.value.line == 4
+        assert str(info.value) == f"line 4: n0: {message}"
 
 
 class TestNodeIds:
     def test_ids_that_break_a_trace_line_fail_at_their_entry(self):
         # A comma splits the trace field, an empty id leaves it empty, and
         # "hub" is the id of the hub's beacon lines.
-        head = "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\nok-1.b_2 = access=polled\n"
+        head = "[superframe]\nmode = nonbeacon\n[nodes]\nok-1.b_2 = access=polled\n"
         for node_id in ("a,b", "", "hub"):
             line, msg = error_line(head + f"{node_id} = access=polled\n")
-            assert line == 6 and f"node id {node_id!r}" in msg
+            assert line == 5 and f"node id {node_id!r}" in msg
 
 
 class TestExchangeFit:
@@ -632,12 +633,12 @@ class TestLoadScenario:
 
 
 class TestNumericRanges:
-    NODE = "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\nn0 = {}\n"
+    NODE = "[superframe]\nmode = nonbeacon\n[nodes]\nn0 = {}\n"
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "NaN", "Infinity"])
     def test_nonfinite_poisson_rate_names_its_line(self, rate):
         line, msg = error_line(self.NODE.format(f"traffic=poisson:{rate}"))
-        assert line == 5 and "finite" in msg
+        assert line == 4 and "finite" in msg
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_nonfinite_rate_override_names_its_line(self, value):
@@ -655,7 +656,7 @@ class TestNumericRanges:
     )
     def test_allocation_geometry_rejected_at_its_line(self, entry, key):
         line, msg = error_line(self.NODE.format(entry))
-        assert line == 5 and key in msg
+        assert line == 4 and key in msg
 
 
 class TestEventBudget:
@@ -740,7 +741,7 @@ class TestPairwiseConflicts:
     superframe indices."""
 
     COPRIME = (
-        "[superframe]\nmode = nonbeacon\ntype_a_slots = 256\n[nodes]\n"
+        "[superframe]\nmode = nonbeacon\n[nodes]\n"
         "a = access=scheduled, slot_start=10, slot_len=10, period=10007\n"
         "b = access=scheduled, slot_start={}, slot_len=10, period=10009, offset=3\n"
     )
@@ -769,7 +770,7 @@ class TestPairwiseConflicts:
         )
         assert proc.returncode == 0, proc.stderr
         refusal, seconds = proc.stdout.splitlines()
-        assert refusal.startswith("line 6:") and "a vs b" in refusal
+        assert refusal.startswith("line 5:") and "a vs b" in refusal
         assert float(seconds) < 0.5
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)

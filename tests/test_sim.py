@@ -43,7 +43,7 @@ from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
 from bansim.sim.stats import RunStats, write_stats_csv
 from test_csma import trace_lines
-from test_golden import SCENARIO_DIGESTS, STRESS_DIGESTS
+from test_golden import SCENARIO_DIGESTS, STRESS_DIGESTS, overloaded
 from test_superframe import beacon_in
 
 # One giant contention phase: a superframe long enough that a saturated
@@ -503,7 +503,7 @@ class TestKernelInvariants:
         "from bansim.sim.kernel import Simulation\n"
         "from bansim.sim.scenario import parse_scenario\n"
         "sim = Simulation(parse_scenario({text!r}))\n"
-        "sim.nodes['n0'].queue.append(0)\n"
+        "sim.nodes['n0'].backlog = 1\n"
         "def second_tick():\n"
         "    sim._push_tick(100, PhaseKind.RAP1, 9000, [], None)\n"
         "    sim._push_tick(200, PhaseKind.RAP1, 9000, [], None)\n"
@@ -701,7 +701,7 @@ class SlotBySlot(Simulation):
             self.now = time_us
             handlers[kind](*data)
         for node in self.nodes.values():
-            node.stats.queued = len(node.queue)
+            node.stats.queued = node.backlog
         self.stats.check_conservation()
         return self.stats
 
@@ -739,7 +739,7 @@ class SlotBySlot(Simulation):
         entries = []
         for node in participants:
             state = node.backoff
-            if node.queue and state.counter == 0 and not state.locked:
+            if node.backlog and state.counter == 0 and not state.locked:
                 draw_backoff(state, node.rng)
                 if node.service_start is None:
                     node.service_start = t
@@ -1093,6 +1093,32 @@ class TestStreamedTrace:
         assert not reader.is_alive()
         assert got == [whole_trace(sc, tmp_path / "whole.csv")]
         assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+
+class _PeakLog(Simulation):
+    """Notes the tracemalloc peak so far at each superframe start."""
+
+    def _schedule_superframe(self, index):
+        self.peaks[self.now] = tracemalloc.get_traced_memory()[1]
+        super()._schedule_superframe(index)
+
+
+class TestBacklog:
+    def test_untraced_memory_stays_flat_in_backlog(self):
+        # A backlog is a count. One 800 ms run stands for the 200 and
+        # 400 ms runs, which it repeats up to their ends: queues of about
+        # 10,000, 20,000 and 40,000 frames cost no memory that grows.
+        sim = _PeakLog(parse_scenario(overloaded(800)))
+        sim.peaks = {}
+        tracemalloc.start()
+        try:
+            sim.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sim.stats.nodes["a"].queued > 39_000
+        assert sim.peaks[400_000] < 64 * 1024
+        assert peak - sim.peaks[200_000] < 16 * 1024
 
 
 # ------------------------------------- the schedule against its generator
