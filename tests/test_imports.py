@@ -4,7 +4,7 @@ module that defines it, and a module loads only what it imports: the rate
 engine, the MAC modules, the stats writer, security and textio load
 without numpy. No module reads the environment, every function, class
 and method that the package defines is used inside it, and every
-dataclass field and instance attribute it stores is read inside it, but
+record field, slot and instance attribute it stores is read inside it, but
 for short lists of public entries and fields kept for their callers
 outside."""
 
@@ -116,11 +116,12 @@ READ_OUTSIDE = {
 
 
 def stored_unread(root):
-    """The dataclass and NamedTuple fields (as Class.field) and the
-    attributes stored on `self` in a class's methods (as Class.attr) under
-    `root` that no attribute load mentions; a name written as a string (a
-    getattr, a field table) counts as read."""
-    stored, read = {}, set()
+    """The dataclass and NamedTuple fields and the names in a class's
+    `__slots__` (as Class.field) and the attributes stored on `self` in a
+    class's methods (as Class.attr) under `root` that no attribute load
+    mentions; a name written as a string elsewhere (a getattr, a field
+    table) counts as read."""
+    stored, read, slots = {}, set(), set()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
@@ -129,6 +130,12 @@ def stored_unread(root):
                 for item in cls.body:
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                         stored[f"{cls.name}.{item.target.id}"] = item.target.id
+            for item in cls.body:
+                if isinstance(item, ast.Assign) and ast.unparse(item.targets[0]) == "__slots__":
+                    for name in ast.walk(item.value):
+                        if isinstance(name, ast.Constant):
+                            stored[f"{cls.name}.{name.value}"] = name.value
+                            slots.add(name)
             for node in ast.walk(cls):
                 if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                         and isinstance(node.value, ast.Name) and node.value.id == "self"):
@@ -136,7 +143,7 @@ def stored_unread(root):
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node not in slots:
                 read.add(node.value)
     return sorted(qualified for qualified, name in stored.items() if name not in read)
 
@@ -155,10 +162,12 @@ def test_the_store_check_sees_each_unread_field(tmp_path):
         "    def bump(self):\n        self.count += 1\n        return self.total\n"
         "class Plain:\n    label: str\n"
         "from typing import NamedTuple\nclass R(NamedTuple):\n    used: int\n    idle: int\n"
+        "class S:\n    __slots__ = ('held', 'spare')\n"
     )
-    # A store or an augmented store is not a read; a load or a string is.
-    (tmp_path / "b.py").write_text("d.kept\nd.spare = 1\ngetattr(d, 'named')\nr.used\n")
-    assert stored_unread(tmp_path) == ["C.count", "D.spare", "R.idle"]
+    # A store or an augmented store is not a read; a load or a string is,
+    # but not the string that names a slot.
+    (tmp_path / "b.py").write_text("d.kept\nd.spare = 1\ngetattr(d, 'named')\nr.used\ns.held\n")
+    assert stored_unread(tmp_path) == ["C.count", "D.spare", "R.idle", "S.spare"]
 
 
 def test_the_package_defines_only_what_it_uses():
