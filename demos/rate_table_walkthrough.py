@@ -50,8 +50,7 @@ def rebuild_low_band():
 
 def show_flat_override():
     print("a flat rate override pins header and payload to one number")
-    from dataclasses import replace
-    cfg = replace(nb_config(Band.NB_402_405, "low"), rate_override_kbps=187.5)
+    cfg = nb_config(Band.NB_402_405, "low")._replace(rate_override_kbps=187.5)
     print(f"  header rate: {info_data_rate(cfg, 'header'):.1f} kbps")
     print(f"  payload rate: {info_data_rate(cfg, 'psdu'):.1f} kbps")
 

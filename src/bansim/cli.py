@@ -10,8 +10,6 @@ output on any machine.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -89,12 +87,16 @@ def cmd_simulate(args) -> int:
     multi = len(seeds) > 1
     tasks = []
     for seed in seeds:
-        sc = dataclasses.replace(scenario, run=dataclasses.replace(scenario.run, seed=seed))
+        sc = scenario._replace(run=scenario.run._replace(seed=seed))
         stats_path = _seeded_path(args.out or sc.run.stats_out, seed, multi)
         trace_path = _seeded_path(args.trace or sc.run.trace_out, seed, multi)
         tasks.append((sc, stats_path, trace_path))
 
     if args.sweep_parallel and len(tasks) > 1:
+        # Loaded here, its one use: the pool and the logging it pulls in
+        # cost every other command start-up time and memory.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(args.sweep_parallel, len(tasks))) as pool:
             results = list(pool.map(run_to_files, *zip(*tasks)))
     else:
@@ -147,8 +149,8 @@ def cmd_efficiency(args) -> int:
 
 def _print_frame_fields(ppdu, cfg, fh) -> None:
     print(f"phy={cfg.kind.value}", file=fh)
-    for f in dataclasses.fields(ppdu.header):
-        print(f"{f.name}={getattr(ppdu.header, f.name)}", file=fh)
+    for name, value in zip(ppdu.header._fields, ppdu.header):
+        print(f"{name}={value}", file=fh)
     print(f"mac_header={ppdu.mac_header.hex()}", file=fh)
     print(f"body={ppdu.body.hex()}", file=fh)
     print(f"fcs=0x{ppdu.fcs:04X}", file=fh)

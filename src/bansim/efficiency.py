@@ -17,8 +17,7 @@ body throughout. `analytic_efficiency` and `sweep` share one layer,
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from bansim.mac.csma import MacTimingConstants, PriorityClass, PRIORITY_TABLE
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtimes_us
@@ -48,8 +47,7 @@ __all__ = [
 DEFAULT_CONTENTION_CLASS = PRIORITY_TABLE[4]
 
 
-@dataclass(frozen=True)
-class EfficiencyPoint:
+class EfficiencyPoint(NamedTuple):
     band: str
     rate_kbps: float
     payload_bytes: int
@@ -96,16 +94,8 @@ def reference_configs() -> list[tuple[str, PhyConfig]]:
     override on the 600 ksps 2.4 GHz band (a rate quoted for that band
     but not derivable from any modulation/code row, hence the override).
     """
-    low = replace(
-        nb_config(Band.NB_402_405, "low"),
-        modulation=Modulation.DBPSK,
-        rate_override_kbps=187.5,
-    )
-    high = replace(
-        nb_config(Band.NB_2400_2483, "high"),
-        modulation=Modulation.D8PSK,
-        rate_override_kbps=971.0,
-    )
+    low = nb_config(Band.NB_402_405, "low")._replace(modulation=Modulation.DBPSK, rate_override_kbps=187.5)
+    high = nb_config(Band.NB_2400_2483, "high")._replace(modulation=Modulation.D8PSK, rate_override_kbps=971.0)
     return [("187.5", low), ("971", high)]
 
 
@@ -120,7 +110,7 @@ def sweep_configs() -> list[tuple[str, PhyConfig]]:
         label = f"{row.band.value}:{row.component}@{row.rate_kbps:.1f}"
         cfg = row.config
         if row.component == "header":
-            cfg = replace(cfg, rate_override_kbps=row.rate_kbps)
+            cfg = cfg._replace(rate_override_kbps=row.rate_kbps)
         out.append((label, cfg))
     return out
 
@@ -138,15 +128,12 @@ def sweep(configs: Iterable[tuple[str, PhyConfig]], payloads: Iterable[int]) -> 
     return points
 
 
-_FIELDS = ["band", "rate_kbps", "payload_bytes", "efficiency"]
-
-
 def write_efficiency_csv(points: Iterable[EfficiencyPoint], out) -> None:
     """CSV with fixed decimal formatting (one decimal for Kbps, six for
     efficiency) so equal inputs always produce byte-equal files."""
     with text_stream(out) as fh:
         writer = csv.writer(fh)
-        writer.writerow(_FIELDS)
+        writer.writerow(EfficiencyPoint._fields)
         for pt in points:
             writer.writerow(
                 [pt.band, f"{pt.rate_kbps:.1f}", pt.payload_bytes, f"{pt.efficiency:.6f}"]

@@ -27,8 +27,7 @@ state) entry through trace_event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from bansim.mac.superframe import PhaseKind
 
@@ -56,15 +55,15 @@ class Rng(Protocol):
     def randrange(self, stop: int) -> int: ...
 
 
-@dataclass(frozen=True)
 class PriorityClass:
-    user_priority: int  # 0 (lowest) .. 7 (highest)
-    cw_min: int
-    cw_max: int
+    __slots__ = ("user_priority", "cw_min", "cw_max")
 
-    def __post_init__(self):
-        if not 1 <= self.cw_min <= self.cw_max:
-            raise ValueError(f"need 1 <= cw_min <= cw_max, got ({self.cw_min}, {self.cw_max})")
+    def __init__(self, user_priority: int, cw_min: int, cw_max: int):
+        if not 1 <= cw_min <= cw_max:
+            raise ValueError(f"need 1 <= cw_min <= cw_max, got ({cw_min}, {cw_max})")
+        self.user_priority = user_priority  # 0 (lowest) .. 7 (highest)
+        self.cw_min = cw_min
+        self.cw_max = cw_max
 
 
 # Contention window bounds per user priority, fixed for every scenario (no
@@ -78,8 +77,7 @@ PRIORITY_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class MacTimingConstants:
+class MacTimingConstants(NamedTuple):
     """Interframe spacing, contention slot size, and nominal guard time.
 
     Implementation defaults; the model ties behavior to the constants, not
@@ -91,16 +89,15 @@ class MacTimingConstants:
     gtn_us: int = 85
 
 
-@dataclass
 class BackoffState:
-    priority: PriorityClass
-    counter: int = 0
-    locked: str | None = None  # why the counter is frozen: "busy" | "guard"
-    consecutive_failures: int = 0
-    cw: int = field(init=False)
+    __slots__ = ("priority", "counter", "locked", "consecutive_failures", "cw")
 
-    def __post_init__(self):
-        self.cw = self.priority.cw_min
+    def __init__(self, priority: PriorityClass):
+        self.priority = priority
+        self.counter = 0
+        self.locked: str | None = None  # why the counter is frozen: "busy" | "guard"
+        self.consecutive_failures = 0
+        self.cw = priority.cw_min
 
 
 def draw_backoff(state: BackoffState, rng: Rng) -> BackoffState:

@@ -10,8 +10,8 @@ shared phases carry polled and scheduled (1- or m-periodic) allocations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from bansim.errors import AllocationConflict, InvalidLayoutError
 
@@ -71,14 +71,14 @@ class OperationalMode(str, Enum):  # each value is the mode's scenario-file name
     NONBEACON_UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class SuperframeConfig:
+class SuperframeConfig(NamedTuple):
     slot_length_us: int = 500
     slots_per_superframe: int = 256
     mode: OperationalMode = OperationalMode.BEACON_BOUNDED
     # Slot counts per phase; missing phases default to zero. In beacon mode
     # the beacon phase may be zero only where regulations prohibit beacons.
-    phase_slots: dict[PhaseKind, int] = field(default_factory=dict)
+    # The default's one dict is shared, so no config's dict is ever changed.
+    phase_slots: dict[PhaseKind, int] = {}
     # Which phase type fills a bounded non-beacon superframe: "I" or "II".
     fill_phase_type: str = "I"
     # 1 = every superframe active; m = beacons/activity every m-th.
@@ -86,15 +86,13 @@ class SuperframeConfig:
     beacon_prohibited: bool = False
 
 
-@dataclass(frozen=True)
-class PhaseSpan:
+class PhaseSpan(NamedTuple):
     kind: PhaseKind
     start_slot: int
     length_slots: int
 
 
-@dataclass(frozen=True)
-class PhaseLayout:
+class PhaseLayout(NamedTuple):
     slot_length_us: int
     slots_per_superframe: int
     phases: tuple[PhaseSpan, ...]
@@ -140,8 +138,6 @@ def build_layout(config: SuperframeConfig) -> PhaseLayout:
             raise InvalidLayoutError("beacons are prohibited in this band")
         if not config.beacon_prohibited and beacon_slots == 0:
             raise InvalidLayoutError("beacon mode requires a nonzero beacon phase")
-    elif beacon_slots:
-        raise InvalidLayoutError("beacon phase requires beacon mode")
 
     total = sum(slots.values())
     if total != config.slots_per_superframe:
@@ -228,21 +224,21 @@ def schedule_polls(
     return [(node_ids[i % len(node_ids)], start + i * grant_us) for i in range(count)]
 
 
-@dataclass(frozen=True)
 class ScheduledAllocation:
-    node_id: str
-    start_slot: int
-    length_slots: int
-    periodicity: int = 1  # m: recurs every m-th superframe
-    offset: int = 0  # which residue class of superframe indices
+    __slots__ = ("node_id", "start_slot", "length_slots", "periodicity", "offset")
 
-    def __post_init__(self):
-        if self.periodicity < 1:
+    def __init__(self, node_id: str, start_slot: int, length_slots: int, periodicity: int = 1, offset: int = 0):
+        if periodicity < 1:
             raise ValueError("periodicity must be >= 1")
-        if self.length_slots < 1:
+        if length_slots < 1:
             raise ValueError("allocation must cover at least one slot")
-        if self.start_slot < 0:
-            raise ValueError(f"allocation starts at slot {self.start_slot}, before slot 0")
+        if start_slot < 0:
+            raise ValueError(f"allocation starts at slot {start_slot}, before slot 0")
+        self.node_id = node_id
+        self.start_slot = start_slot
+        self.length_slots = length_slots
+        self.periodicity = periodicity  # m: recurs every m-th superframe
+        self.offset = offset  # which residue class of superframe indices
 
     def active_in(self, superframe_index: int) -> bool:
         return superframe_index % self.periodicity == self.offset % self.periodicity

@@ -75,8 +75,6 @@ change every bit image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -131,8 +129,7 @@ HBC_SFD = np.concatenate([mseq(4, (4, 1), 0b1111), [1]]).astype(np.uint8)
 
 
 # PHY header fields (`length` counts body bytes); widths and order: `_FORMATS`.
-@dataclass(frozen=True)
-class NbPlcpHeader:
+class NbPlcpHeader(NamedTuple):
     rate_index: int
     length: int
     scrambler: int
@@ -140,15 +137,13 @@ class NbPlcpHeader:
     hcs: int  # 4-bit check over the 15 layout bits, reserved bits included
 
 
-@dataclass(frozen=True)
-class UwbPhr:
+class UwbPhr(NamedTuple):
     rate_index: int
     length: int
     scrambler_seed: int
 
 
-@dataclass(frozen=True)
-class HbcPhyHeader:
+class HbcPhyHeader(NamedTuple):
     length: int
     rate_index: int
 
@@ -170,49 +165,35 @@ class Ppdu(NamedTuple):
         return self.mac_header + self.body + self.fcs.to_bytes(FCS_LEN, "big")
 
 
-@dataclass(frozen=True)
 class _Format:
-    """One signal family's frame format, walked by the shared codec."""
+    """One signal family's frame format, walked by the shared codec; what
+    the codec derives from it is worked out once, here."""
 
-    unit: np.ndarray  # preamble unit, sent `reps` times
-    reps: int
-    sfd: np.ndarray  # start-frame delimiter; empty when the family has none
-    layout: tuple[tuple[str | None, int], ...]  # header (field, width); None: sent as 0
-    crc4: bool  # a 4-bit check `hcs` over the layout bits follows them
-    zero_pad: bool  # the None bits must read zero on parse
-    header: type
+    __slots__ = ("unit", "reps", "sfd", "layout", "crc4", "zero_pad", "header",
+                 "info_bits", "coded_bits", "shifts", "sync", "sync_bytes", "preamble")
 
-    @cached_property
-    def info_bits(self) -> int:
-        return sum(width for _, width in self.layout) + 4 * self.crc4
-
-    @cached_property
-    def coded_bits(self) -> int:  # the coded header's length
-        return fec.coded_length(self.info_bits, HEADER_CODE)
-
-    @cached_property
-    def shifts(self) -> dict[str, int]:
-        """Each named field's bit position in the layout word."""
-        out, pos = {}, sum(width for _, width in self.layout)
-        for name, width in self.layout:
+    def __init__(self, unit: np.ndarray, reps: int, sfd: np.ndarray, layout: tuple[tuple[str | None, int], ...],
+                 crc4: bool, zero_pad: bool, header: type):
+        self.unit = unit  # preamble unit, sent `reps` times
+        self.reps = reps
+        self.sfd = sfd  # start-frame delimiter; empty when the family has none
+        self.layout = layout  # header (field, width); None: sent as 0
+        self.crc4 = crc4  # a 4-bit check `hcs` over the layout bits follows them
+        self.zero_pad = zero_pad  # the None bits must read zero on parse
+        self.header = header
+        layout_bits = sum(width for _, width in layout)
+        self.info_bits = layout_bits + 4 * crc4
+        self.coded_bits = fec.coded_length(self.info_bits, HEADER_CODE)  # the coded header's length
+        self.shifts: dict[str, int] = {}  # each named field's bit position in the layout word
+        pos = layout_bits
+        for name, width in layout:
             pos -= width
             if name:
-                out[name] = pos
-        return out
-
-    @cached_property
-    def sync(self) -> np.ndarray:
-        sync = np.concatenate([np.tile(self.unit, self.reps), self.sfd])
-        sync.flags.writeable = False
-        return sync
-
-    @cached_property
-    def sync_bytes(self) -> bytes:
-        return self.sync.tobytes()
-
-    @cached_property
-    def preamble(self) -> np.ndarray:
-        return self.sync[: self.reps * len(self.unit)]
+                self.shifts[name] = pos
+        self.sync = np.concatenate([np.tile(unit, reps), sfd])
+        self.sync.flags.writeable = False
+        self.sync_bytes = self.sync.tobytes()
+        self.preamble = self.sync[: reps * len(unit)]
 
 
 _FORMATS = {

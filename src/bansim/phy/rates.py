@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from bansim.errors import ConfigError
 
@@ -77,8 +77,7 @@ class Band(str, Enum):
     HBC_27 = "hbc-27"
 
 
-@dataclass(frozen=True)
-class BandInfo:
+class BandInfo(NamedTuple):
     kind: PhyKind
     center_freq: float  # MHz
     bandwidth: float  # MHz
@@ -102,8 +101,7 @@ _BAND_INFO = {
 }
 
 
-@dataclass(frozen=True)
-class UwbChannelPlan:
+class UwbChannelPlan(NamedTuple):
     channel_id: int
     center_freq: float  # MHz
     mandatory: bool
@@ -139,7 +137,6 @@ def _positive_finite(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
 
 
-@dataclass(frozen=True)
 class PhyConfig:
     """Operating point: band plus the modulation and spreading of both
     components; the block codes (`HEADER_CODE`, `PSDU_CODE`) and the sync
@@ -149,41 +146,53 @@ class PhyConfig:
     PHY header; both are repetition factors. `rate_override_kbps`, when set,
     pins the information rate of both components directly, bypassing the
     arithmetic (used for rate points quoted without table parameters).
+    `symbol_rate` is in kilosymbols per second; a `center_freq` or
+    `channel_bandwidth` (MHz) of 0 takes the band's.
     """
 
-    band_id: Band
-    modulation: Modulation
-    symbol_rate: float  # kilosymbols per second
-    header_modulation: Modulation | None = None
-    spreading: int = 1
-    header_spreading: int = 2
-    center_freq: float = 0.0  # MHz; 0 = band default
-    channel_bandwidth: float = 0.0  # MHz; 0 = band default
-    rate_index: int = 0
-    rate_override_kbps: float | None = None
+    __slots__ = ("band_id", "modulation", "symbol_rate", "header_modulation", "spreading", "header_spreading",
+                 "center_freq", "channel_bandwidth", "rate_index", "rate_override_kbps")
 
-    def __post_init__(self):
-        for name in ("spreading", "header_spreading"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        band_id: Band,
+        modulation: Modulation,
+        symbol_rate: float,
+        header_modulation: Modulation | None = None,
+        spreading: int = 1,
+        header_spreading: int = 2,
+        center_freq: float = 0.0,
+        channel_bandwidth: float = 0.0,
+        rate_index: int = 0,
+        rate_override_kbps: float | None = None,
+    ):
+        for name, value in (("spreading", spreading), ("header_spreading", header_spreading)):
             if type(value) is not int or value not in (1, 2, 4):
                 raise ConfigError(f"{name} must be 1, 2, or 4, got {value!r}")
-        if not _positive_finite(self.symbol_rate):
-            raise ConfigError(f"symbol rate must be positive and finite, got {self.symbol_rate!r}")
-        override = self.rate_override_kbps
-        if override is not None and not _positive_finite(override):
-            raise ConfigError(f"rate override must be None or positive and finite, got {override!r}")
-        info = _BAND_INFO[self.band_id]
+        if not _positive_finite(symbol_rate):
+            raise ConfigError(f"symbol rate must be positive and finite, got {symbol_rate!r}")
+        if rate_override_kbps is not None and not _positive_finite(rate_override_kbps):
+            raise ConfigError(f"rate override must be None or positive and finite, got {rate_override_kbps!r}")
+        info = _BAND_INFO[band_id]
         bits = RATE_INDEX_BITS[info.kind]
-        if type(self.rate_index) is not int or not 0 <= self.rate_index < 1 << bits:
+        if type(rate_index) is not int or not 0 <= rate_index < 1 << bits:
             raise ConfigError(
-                f"rate index {self.rate_index!r} does not fit the {info.kind.value} header's {bits}-bit field"
+                f"rate index {rate_index!r} does not fit the {info.kind.value} header's {bits}-bit field"
             )
-        if self.header_modulation is None:
-            object.__setattr__(self, "header_modulation", self.modulation)
-        if not self.center_freq:
-            object.__setattr__(self, "center_freq", info.center_freq)
-        if not self.channel_bandwidth:
-            object.__setattr__(self, "channel_bandwidth", info.bandwidth)
+        self.band_id = band_id
+        self.modulation = modulation
+        self.symbol_rate = symbol_rate
+        self.header_modulation = modulation if header_modulation is None else header_modulation
+        self.spreading = spreading
+        self.header_spreading = header_spreading
+        self.center_freq = center_freq or info.center_freq
+        self.channel_bandwidth = channel_bandwidth or info.bandwidth
+        self.rate_index = rate_index
+        self.rate_override_kbps = rate_override_kbps
+
+    def _replace(self, **changes) -> PhyConfig:
+        """A copy with `changes`, built and checked as a new config."""
+        return PhyConfig(**{name: getattr(self, name) for name in self.__slots__} | changes)
 
     @property
     def kind(self) -> PhyKind:
@@ -298,8 +307,7 @@ def phy_config(kind: str, band: str, rate: str, channel: int, center: int) -> Ph
     raise ConfigError(f"phy kind must be nb, uwb, or hbc, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     """One line of the published rate table: a component of a config."""
 
     band: Band

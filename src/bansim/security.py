@@ -33,8 +33,8 @@ the counter, and the body as sent. Level 0 frames are the raw body.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 from bansim.errors import (
     KeyStateError,
@@ -99,39 +99,47 @@ def default_kdf(mk: bytes, ordinal: int) -> bytes:
     return _digest(b"ptk", mk, ordinal.to_bytes(8, "big"))
 
 
-@dataclass(frozen=True)
 class PairwiseKey:
-    key_id: str  # short public identifier
-    key: bytes  # secret material
-    # SHA-256 states that have hashed _digest's framed label and key for
-    # the keystream and the tag; derived from `key`, so kept out of repr
-    # and equality.
-    stream_state: object = field(init=False, repr=False, compare=False)
-    tag_state: object = field(init=False, repr=False, compare=False)
+    __slots__ = ("key_id", "key", "stream_state", "tag_state")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stream_state", hashlib.sha256(_framed(b"stream", self.key)))
-        object.__setattr__(self, "tag_state", hashlib.sha256(_framed(b"tag", self.key)))
+    def __init__(self, key_id: str, key: bytes):
+        self.key_id = key_id  # short public identifier
+        self.key = key  # secret material
+        # SHA-256 states that have hashed _digest's framed label and key for
+        # the keystream and the tag; derived from `key`, so kept out of repr
+        # and equality.
+        self.stream_state = hashlib.sha256(_framed(b"stream", key))
+        self.tag_state = hashlib.sha256(_framed(b"tag", key))
+
+    def __eq__(self, other):
+        return type(other) is PairwiseKey and (self.key_id, self.key) == (other.key_id, other.key)
+
+    def __hash__(self):
+        return hash((self.key_id, self.key))
+
+    def __repr__(self):
+        return f"PairwiseKey(key_id={self.key_id!r}, key={self.key!r})"
 
 
-@dataclass
 class SecuritySession:
-    node_id: str
-    level: SecurityLevel
-    mk: bytes | None = None
-    ptk: PairwiseKey | None = None
-    session_counter: int = 0  # how many PTKs this pairing has consumed
-    tx_counter: int = 0  # last counter stamped on an outgoing frame
-    rx_counter: int = 0  # highest counter admitted so far
-    gtk_id: str | None = None
+    __slots__ = ("node_id", "level", "mk", "ptk", "session_counter", "tx_counter", "rx_counter", "gtk_id")
+
+    def __init__(self, node_id: str, level: SecurityLevel):
+        self.node_id = node_id
+        self.level = level
+        self.mk: bytes | None = None
+        self.ptk: PairwiseKey | None = None
+        self.session_counter = 0  # how many PTKs this pairing has consumed
+        self.tx_counter = 0  # last counter stamped on an outgoing frame
+        self.rx_counter = 0  # highest counter admitted so far
+        self.gtk_id: str | None = None
 
     @property
     def ptk_active(self) -> bool:
         return self.ptk is not None
 
 
-@dataclass(frozen=True)
-class GroupKeyState:
+class GroupKeyState(NamedTuple):
     gtk_id: str
     members: frozenset[str]
 

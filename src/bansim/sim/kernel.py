@@ -100,7 +100,6 @@ import math
 import os
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from itertools import groupby
 from types import SimpleNamespace
 
@@ -144,24 +143,24 @@ _ENTRY = ("enter", "sifs")
 _ENTRY_UNLOCK = ("enter", "unlock", "sifs")
 
 
-@dataclass(eq=False)  # a node compares by identity, never field by field
 class _Node:
-    spec: NodeSpec
-    backoff: BackoffState
-    rng: random.Random
-    stats: NodeStats
-    airtime_us: float  # data frame, security overhead included
-    payload_airtime_us: float  # the user-payload share, exact
-    exchange_us: int  # data, interframe space, ack and guard time
-    backlog: int = 0  # frames waiting, the one in service included
-    service_start: int | None = None
-    session: object = None  # SecuritySession when level >= 1
-    node_id: str = field(init=False)
-    airtime_int: int = field(init=False)  # the data frame on the clock
+    __slots__ = ("spec", "backoff", "rng", "stats", "airtime_us", "payload_airtime_us", "exchange_us",
+                 "backlog", "service_start", "session", "node_id", "airtime_int")
 
-    def __post_init__(self):
-        self.node_id = self.spec.node_id
-        self.airtime_int = clock_us(self.airtime_us)
+    def __init__(self, spec: NodeSpec, backoff: BackoffState, rng: random.Random, stats: NodeStats,
+                 airtime_us: float, payload_airtime_us: float, exchange_us: int):
+        self.spec = spec
+        self.backoff = backoff
+        self.rng = rng
+        self.stats = stats
+        self.airtime_us = airtime_us  # data frame, security overhead included
+        self.payload_airtime_us = payload_airtime_us  # the user-payload share, exact
+        self.exchange_us = exchange_us  # data, interframe space, ack and guard time
+        self.backlog = 0  # frames waiting, the one in service included
+        self.service_start: int | None = None
+        self.session = None  # SecuritySession when level >= 1
+        self.node_id = spec.node_id
+        self.airtime_int = clock_us(airtime_us)  # the data frame on the clock
 
 
 class _Exchange:

@@ -18,9 +18,10 @@ or out-of-range values fail there. Named values match in any case. The
 access values are those of OperationalMode and TrafficKind. The [phy]
 family (phy.rates.phy_config) reads only its own keys: a key of another
 family, and a band, channel or center the family lacks, fail at their
-line; so do every `<phase>_slots` key unless the mode is beacon, a
-node's slot_start, slot_len, period and offset unless its access is
-scheduled, and mk on a level-0 security entry. compile_scenario
+line; so do every `<phase>_slots` key and beacon_prohibited unless the
+mode is beacon, fill_phase_type unless it is nonbeacon, a node's
+slot_start, slot_len, period and offset unless its access is scheduled,
+and mk on a level-0 security entry. compile_scenario
 then checks every static rule once and derives the Plan a run reads, the
 superframe schedule included: phase arithmetic (in
 mac.superframe.build_layout), the beacon's fit in its phase, payload
@@ -40,8 +41,9 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from enum import Enum, auto
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from bansim.errors import ConfigError, InvalidLayoutError, ScenarioError
 from bansim.mac.csma import MacTimingConstants, exchange_us
@@ -79,8 +81,7 @@ __all__ = [
 CHANNEL_MODELS = ("ideal", "collision")
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     node_id: str
     priority: int = 4
     # ("saturated",) | ("poisson", rate_per_s) | ("scripted", (t_us, ...))
@@ -98,15 +99,13 @@ class NodeSpec:
         )
 
 
-@dataclass(frozen=True)
-class SecuritySpec:
+class SecuritySpec(NamedTuple):
     level: SecurityLevel = SecurityLevel.UNSECURED
     mk: str = "preshared"
     group: str | None = None
 
 
-@dataclass(frozen=True)
-class RunSpec:
+class RunSpec(NamedTuple):
     seed: int = 1
     duration_us: int = 1_000_000
     channel: str = "ideal"
@@ -114,20 +113,37 @@ class RunSpec:
     trace_out: str | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     phy: PhyConfig
     superframe: SuperframeConfig
     timing: MacTimingConstants = MacTimingConstants()
     nodes: tuple[NodeSpec, ...] = ()
-    security: dict[str, SecuritySpec] = field(default_factory=dict)
+    security: dict[str, SecuritySpec] = {}  # the default's one dict is shared, so never changed
     run: RunSpec = RunSpec()
     poll_grant_us: int | None = None  # None: sized from the largest exchange
+
+
+# bench/worker.py copies a scenario with `dataclasses.replace`, which reads
+# each field's name, its init flag and a kind that is not a class variable,
+# then calls the class with every field.
+for _record in (RunSpec, Scenario):
+    _record.__dataclass_fields__ = {
+        name: SimpleNamespace(name=name, init=True, _field_type=None) for name in _record._fields
+    }
 
 
 # --------------------------------------------------------------- parsing
 
 _PHASE_KEYS = {f"{kind.name.lower()}_slots": kind for kind in PhaseKind}
+
+# The [superframe] keys each mode never reads: a non-beacon mode sets its
+# phases alone, only beacon mode reads beacon_prohibited, and only the
+# bounded non-beacon mode reads fill_phase_type.
+_UNREAD_IN_MODE = {
+    OperationalMode.BEACON_BOUNDED: ("fill_phase_type",),
+    OperationalMode.NONBEACON_BOUNDED: (*_PHASE_KEYS, "beacon_prohibited"),
+    OperationalMode.NONBEACON_UNBOUNDED: (*_PHASE_KEYS, "beacon_prohibited", "fill_phase_type"),
+}
 
 # The [phy] keys each family reads; a key of another family is refused.
 _PHY_FAMILIES = {"nb": ("band", "rate"), "uwb": ("channel",), "hbc": ("center",)}
@@ -328,7 +344,7 @@ def _phy(fields: dict[str, tuple[str, int]], section_line: int | None) -> PhyCon
         raise _fail(fields.get(family[0], (None, section_line))[1], str(exc)) from None
     override = values["rate_override_kbps"]
     if override is not None:
-        cfg = replace(cfg, rate_override_kbps=override)
+        cfg = cfg._replace(rate_override_kbps=override)
         if not math.isfinite(frame_airtime_us(cfg, MAX_BODY_LEN)):
             line = fields["rate_override_kbps"][1]
             raise _fail(line, f"rate_override_kbps {override:g} leaves no finite airtime")
@@ -391,8 +407,7 @@ def parse_scenario(text: str) -> Scenario:
 
     phy = _phy(fields["phy"], section_lines.get("phy"))
     sf = _read("superframe", fields["superframe"])
-    if sf["mode"] is not OperationalMode.BEACON_BOUNDED:  # the mode alone sets the phases
-        _refuse(fields["superframe"], _PHASE_KEYS, f"mode {sf['mode'].value}")
+    _refuse(fields["superframe"], _UNREAD_IN_MODE[sf["mode"]], f"mode {sf['mode'].value}")
     if "poll_grant_us" in fields["superframe"]:
         section_lines["poll_grant_us"] = fields["superframe"]["poll_grant_us"][1]
     csma = _read("csma", fields["csma"])
@@ -442,8 +457,7 @@ class EventKind(Enum):
     SUPERFRAME = auto()  # generate the schedule of the next superframe
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """What a run needs of a legal scenario, derived once. Airtimes are
     exact microseconds, frame exchanges are on the 1 us clock, and the
     per-node maps are keyed by node id. `schedule` holds one superframe's

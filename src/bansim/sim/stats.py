@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, field, fields
 
 from bansim.errors import SimulationError
 from bansim.textio import text_stream
@@ -12,18 +11,24 @@ from bansim.textio import text_stream
 __all__ = ["NodeStats", "RunStats", "STATS_FIELDS", "write_stats_csv"]
 
 
-@dataclass
 class NodeStats:
-    node_id: str
-    offered: int = 0  # frames that entered the queue
-    delivered: int = 0  # frames acknowledged
-    failed: int = 0  # transmission attempts without an acknowledgement
-    collided: int = 0  # failed attempts that overlapped another frame
-    payload_bits: int = 0  # user payload bits delivered
-    payload_airtime_us: float = 0.0  # channel time those bits occupied
-    tx_airtime_us: float = 0.0  # all data airtime, failed attempts included
-    access_delay_sum_us: int = 0  # head-of-line to acknowledgement, delivered only
-    queued: int = 0  # frames still waiting at the end of the run
+    # The id, then the counters in argument order, which RunStats.total sums.
+    __slots__ = ("node_id", "offered", "delivered", "failed", "collided", "payload_bits",
+                 "payload_airtime_us", "tx_airtime_us", "access_delay_sum_us", "queued")
+
+    def __init__(self, node_id: str, offered: int = 0, delivered: int = 0, failed: int = 0, collided: int = 0,
+                 payload_bits: int = 0, payload_airtime_us: float = 0.0, tx_airtime_us: float = 0.0,
+                 access_delay_sum_us: int = 0, queued: int = 0):
+        self.node_id = node_id
+        self.offered = offered  # frames that entered the queue
+        self.delivered = delivered  # frames acknowledged
+        self.failed = failed  # transmission attempts without an acknowledgement
+        self.collided = collided  # failed attempts that overlapped another frame
+        self.payload_bits = payload_bits  # user payload bits delivered
+        self.payload_airtime_us = payload_airtime_us  # channel time those bits occupied
+        self.tx_airtime_us = tx_airtime_us  # all data airtime, failed attempts included
+        self.access_delay_sum_us = access_delay_sum_us  # head-of-line to acknowledgement, delivered only
+        self.queued = queued  # frames still waiting at the end of the run
 
     @property
     def mean_access_delay_us(self) -> float:
@@ -33,18 +38,22 @@ class NodeStats:
         return self.payload_airtime_us / elapsed_us if elapsed_us else 0.0
 
 
-@dataclass
 class RunStats:
-    elapsed_us: int
-    nodes: dict[str, NodeStats] = field(default_factory=dict)
-    # The sum of every transmission's airtime (data, acks, beacons), not the
-    # time the channel was busy: collided transmissions overlap on the air,
-    # so under collisions busy_us can pass elapsed_us and idle_us goes negative.
-    busy_us: float = 0.0
-    ack_airtime_us: float = 0.0
-    beacon_airtime_us: float = 0.0
-    beacons: int = 0
-    transmissions: int = 0  # airtimes summed into busy_us
+    __slots__ = ("elapsed_us", "nodes", "busy_us", "ack_airtime_us", "beacon_airtime_us", "beacons", "transmissions")
+
+    def __init__(self, elapsed_us: int, nodes: dict[str, NodeStats] | None = None, busy_us: float = 0.0,
+                 ack_airtime_us: float = 0.0, beacon_airtime_us: float = 0.0, beacons: int = 0,
+                 transmissions: int = 0):
+        self.elapsed_us = elapsed_us
+        self.nodes = {} if nodes is None else nodes
+        # The sum of every transmission's airtime (data, acks, beacons), not the
+        # time the channel was busy: collided transmissions overlap on the air,
+        # so under collisions busy_us can pass elapsed_us and idle_us goes negative.
+        self.busy_us = busy_us
+        self.ack_airtime_us = ack_airtime_us
+        self.beacon_airtime_us = beacon_airtime_us
+        self.beacons = beacons
+        self.transmissions = transmissions  # airtimes summed into busy_us
 
     def add_busy(self, airtime_us: float) -> None:
         self.busy_us += airtime_us
@@ -57,7 +66,7 @@ class RunStats:
     def total(self) -> NodeStats:
         """The `all` row: each counter summed over the nodes in run order."""
         nodes = self.nodes.values()
-        return NodeStats("all", *(sum(getattr(n, f.name) for n in nodes) for f in fields(NodeStats)[1:]))
+        return NodeStats("all", *(sum(getattr(n, name) for n in nodes) for name in NodeStats.__slots__[1:]))
 
     @property
     def offered(self) -> int:

@@ -5,7 +5,6 @@ same terms in different orders, so they drift apart by rounding as a run
 grows; the check must tolerate that drift and nothing more.
 """
 
-import dataclasses
 from functools import reduce
 from itertools import chain, repeat
 from operator import add
@@ -28,7 +27,7 @@ HOUR_US = 3_600_000_000
 @pytest.mark.parametrize("name", ["contention_pair", "mixed_access"])
 def test_minute_long_bundled_run_conserves(name):
     sc = load_scenario(SCENARIO_DIR / f"{name}.scn")
-    sc = dataclasses.replace(sc, run=dataclasses.replace(sc.run, duration_us=60_000_000))
+    sc = sc._replace(run=sc.run._replace(duration_us=60_000_000))
     stats, _ = run(sc)  # ends in check_conservation
     assert stats.transmissions > 0
 

@@ -3,7 +3,6 @@
 import csv
 import io
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -101,7 +100,7 @@ class TestShape:
         _, base = reference_configs()[0]
         rates = [100.0, 200.0, 400.0, 800.0]
         effs = [
-            analytic_efficiency(100, replace(base, rate_override_kbps=r)) for r in rates
+            analytic_efficiency(100, base._replace(rate_override_kbps=r)) for r in rates
         ]
         assert all(a > b for a, b in zip(effs, effs[1:]))
 

@@ -8,7 +8,6 @@ them exactly, not only agree with itself within one process.
 
 import hashlib
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -333,7 +332,7 @@ def _stress_scenario(name: str, text):
     if text is not None:
         return parse_scenario(text)
     sc = load_scenario(SCENARIO_DIR / "mixed_access.scn")
-    return replace(sc, run=replace(sc.run, duration_us=120_000_000))
+    return sc._replace(run=sc.run._replace(duration_us=120_000_000))
 
 
 # Narrowband with and without payload spreading, pulse radio, body-coupled.

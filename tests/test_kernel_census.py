@@ -5,7 +5,6 @@ bundled mixed_access scenario and on the benchmark's ward."""
 
 import heapq
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -73,7 +72,7 @@ WARD_SEED = 145361794
 def _scenario(name):
     if name == "ward":
         sc = parse_scenario(WARD)
-        return replace(sc, run=replace(sc.run, seed=WARD_SEED))
+        return sc._replace(run=sc.run._replace(seed=WARD_SEED))
     return load_scenario(SCENARIO_DIR / f"{name}.scn")
 
 

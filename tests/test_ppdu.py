@@ -8,7 +8,6 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -464,7 +463,7 @@ def with_header_of(frame, donor, cfg):
 @pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
 def test_header_rate_other_than_the_config_is_refused(cfg):
     frame = build_ppdu(cfg, b"\x08" * 7, b"4byt")
-    other = replace(cfg, rate_index=cfg.rate_index + 1)
+    other = cfg._replace(rate_index=cfg.rate_index + 1)
     image = with_header_of(frame, build_ppdu(other, b"\x08" * 7, b"4byt"), cfg)
     with pytest.raises(HeaderCheckError, match=f"header rate index {cfg.rate_index + 1} is not the configured"):
         parse_ppdu(image, cfg)
@@ -769,7 +768,7 @@ def test_nb_reserved_bits_under_a_recomputed_check_still_parse(reserved):
     # it: parse misses and reads it on the miss path, through fec.decode_blocks.
     frame = build_ppdu(NB, b"\x08" * 7, b"abcd")
     header, coded = reference_header(NB, 4, {}, reserved=reserved)
-    assert replace(header, hcs=frame.header.hcs) == frame.header  # only the check differs
+    assert header._replace(hcs=frame.header.hcs) == frame.header  # only the check differs
     assert coded.tobytes() not in _INVERSE[(PhyKind.NB, NB.rate_index)]
     parsed = parse_ppdu(with_coded_header(frame, coded, NB), NB)
     assert (parsed.header, parsed.body) == (header, b"abcd")
@@ -783,7 +782,7 @@ def test_all_32_header_tables_are_kept():
     base = {PhyKind.NB: NB, PhyKind.UWB: UWB, PhyKind.HBC: HBC}
     frames = {}
     for kind, rate in keys:
-        cfg = replace(base[kind], rate_index=rate)
+        cfg = base[kind]._replace(rate_index=rate)
         frames[kind, rate] = (cfg, build_ppdu(cfg, b"\x08" * 7, b"abcd"))
     assert list(_TABLES) == list(_INVERSE) == keys
     tables = dict(_TABLES)

@@ -1,7 +1,6 @@
 """Rate engine against the published table and derived spreading search."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -144,7 +143,7 @@ def test_a_symbol_rate_that_is_not_positive_and_finite_is_refused(symbol_rate):
     # both gave configs whose every rate and airtime is NaN, inf or 0. A
     # string raised a bare TypeError, and True gave a 0.81 kbps rate.
     with pytest.raises(ConfigError, match="symbol rate must be positive and finite"):
-        replace(nb_config(Band.NB_402_405), symbol_rate=symbol_rate)
+        nb_config(Band.NB_402_405)._replace(symbol_rate=symbol_rate)
 
 
 @pytest.mark.parametrize("override", [0, 0.0, -5, math.inf, math.nan, "971", True])
@@ -153,7 +152,7 @@ def test_a_rate_override_that_is_not_positive_and_finite_is_refused(override):
     # airtime, inf a 150 us one, NaN NaN, a string a bare TypeError, and
     # True 1 kbps.
     with pytest.raises(ConfigError, match="rate override must be None or positive and finite"):
-        replace(nb_config(Band.NB_2400_2483), rate_override_kbps=override)
+        nb_config(Band.NB_2400_2483)._replace(rate_override_kbps=override)
 
 
 @pytest.mark.parametrize("name", ["spreading", "header_spreading"])
@@ -161,7 +160,7 @@ def test_a_rate_override_that_is_not_positive_and_finite_is_refused(override):
 def test_a_spreading_that_is_not_1_2_or_4_is_refused_by_name(name, value):
     # True was taken as a factor of 1, and 2.0 as 2.
     with pytest.raises(ConfigError, match=f"^{name} must be 1, 2, or 4, got {value!r}$"):
-        replace(nb_config(Band.NB_2400_2483), **{name: value})
+        nb_config(Band.NB_2400_2483)._replace(**{name: value})
 
 
 # The fixed block code of each packet component.
@@ -199,9 +198,9 @@ def test_a_rate_index_wider_than_its_header_field_is_refused(cfg, rate_index):
     # The header carries the index in this field: a wider one could be
     # timed and never built.
     with pytest.raises(ConfigError, match=f"rate index {rate_index} does not fit the {cfg.kind.value} header"):
-        replace(cfg, rate_index=rate_index)
+        cfg._replace(rate_index=rate_index)
 
 
 def test_every_rate_index_the_header_field_holds_is_accepted():
     for cfg, top in ((nb_config(Band.NB_402_405), 7), (uwb_config(2), 15), (hbc_config(16), 7)):
-        assert replace(cfg, rate_index=top).rate_index == top
+        assert cfg._replace(rate_index=top).rate_index == top

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -275,10 +274,19 @@ class TestRejection:
             ("[superframe]\nmode = nonbeacon\ntype_a_slots = 256\ncap_slots = 7\n", 3,
              "type_a_slots does not apply to mode nonbeacon"),
             ("[superframe]\nbeacon_slots = 4\nmode = unbounded\n", 2, "beacon_slots does not apply to mode unbounded"),
+            ("[superframe]\nbeacon_slots = 4\nrap1_slots = 252\nfill_phase_type = II\n", 4,
+             "fill_phase_type does not apply to mode beacon"),
+            ("[superframe]\nmode = unbounded\nfill_phase_type = I\n", 3,
+             "fill_phase_type does not apply to mode unbounded"),
+            ("[superframe]\nmode = nonbeacon\nbeacon_prohibited = true\n", 3,
+             "beacon_prohibited does not apply to mode nonbeacon"),
+            ("[superframe]\nbeacon_prohibited = false\nmode = unbounded\n", 2,
+             "beacon_prohibited does not apply to mode unbounded"),
         ],
         ids=["no-equals", "empty-part", "open-header", "duplicate-security", "no-scripted-time", "tiny-rate",
              "contention-slot-keys", "contention-period", "polled-offset", "second-node-slot-len", "level-0-mk",
-             "nonbeacon-phase-slots", "unbounded-beacon-slots"],
+             "nonbeacon-phase-slots", "unbounded-beacon-slots", "beacon-fill-type", "unbounded-fill-type",
+             "nonbeacon-beacon-prohibited", "unbounded-beacon-prohibited"],
     )
     def test_each_refusal_names_its_line(self, text, line, message):
         found, msg = error_line(text)
@@ -497,7 +505,7 @@ class TestProgrammaticAllocations:
     )
     def test_field_past_its_floor_fails_at_the_nodes_line(self, field, message):
         sc = parse_scenario(self.SCHEDULED)
-        bad = replace(sc, nodes=(replace(sc.nodes[0], **field),))
+        bad = sc._replace(nodes=(sc.nodes[0]._replace(**field),))
         with pytest.raises(ScenarioError) as info:
             compile_scenario(bad, node_lines={"n0": 4})
         assert info.value.line == 4
@@ -686,7 +694,7 @@ class TestEventBudget:
 
     def test_a_scenario_lengthened_after_parsing_is_refused_before_running(self):
         sc = scn(self.TWO.format("traffic=poisson:1e6", "traffic=saturated", 5000))
-        longer = replace(sc, run=replace(sc.run, duration_us=5_000_001))
+        longer = sc._replace(run=sc.run._replace(duration_us=5_000_001))
         with pytest.raises(ScenarioError, match="above the budget"):
             Simulation(longer)
 

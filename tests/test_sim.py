@@ -14,7 +14,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -623,7 +622,7 @@ class TestLeanLoop:
         sc = load_scenario(SCENARIO_DIR / "mixed_access.scn")
         largest = []
         for seconds in (60, 600):
-            sim = _HeapWatch(replace(sc, run=replace(sc.run, duration_us=seconds * 1_000_000)))
+            sim = _HeapWatch(sc._replace(run=sc.run._replace(duration_us=seconds * 1_000_000)))
             sim.run()
             largest.append(sim.largest)
         assert largest[0] == largest[1]
@@ -964,13 +963,13 @@ class TestChangedScenarios:
         sc = parse_scenario(self.POLLED)
         need = Simulation(sc).nodes["p"].exchange_us
         with pytest.raises(ScenarioError, match=f"shorter than the {need} us frame exchange"):
-            Simulation(replace(sc, poll_grant_us=need - 1))
+            Simulation(sc._replace(poll_grant_us=need - 1))
 
     def test_second_contention_node_on_the_ideal_channel(self):
         sc = parse_scenario(self.POLLED)
         assert sc.run.channel == "ideal"
         with pytest.raises(ScenarioError, match="at most one contention node"):
-            Simulation(replace(sc, nodes=sc.nodes + (replace(sc.nodes[0], node_id="n1"),)))
+            Simulation(sc._replace(nodes=sc.nodes + (sc.nodes[0]._replace(node_id="n1"),)))
 
 
 # ------------------------------------------------------- the streamed trace
@@ -1028,7 +1027,7 @@ class TestStreamedTrace:
                      "--out", str(tmp_path / "stats.csv"), "--trace", str(trace)]) == 0
         sc = load_scenario(scenario)
         for seed in (4, 5):
-            want = whole_trace(replace(sc, run=replace(sc.run, seed=seed)), tmp_path / "whole.csv")
+            want = whole_trace(sc._replace(run=sc.run._replace(seed=seed)), tmp_path / "whole.csv")
             assert (tmp_path / f"trace.s{seed}.csv").read_bytes() == want
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "stats.s4.csv", "stats.s5.csv", "trace.s4.csv", "trace.s5.csv", "whole.csv"]
