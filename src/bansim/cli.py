@@ -88,9 +88,7 @@ def cmd_simulate(args) -> int:
     tasks = []
     for seed in seeds:
         sc = scenario._replace(run=scenario.run._replace(seed=seed))
-        stats_path = _seeded_path(args.out or sc.run.stats_out, seed, multi)
-        trace_path = _seeded_path(args.trace or sc.run.trace_out, seed, multi)
-        tasks.append((sc, stats_path, trace_path))
+        tasks.append((sc, _seeded_path(args.out, seed, multi), _seeded_path(args.trace, seed, multi)))
 
     if args.sweep_parallel and len(tasks) > 1:
         # Loaded here, its one use: the pool and the logging it pulls in
@@ -104,7 +102,7 @@ def cmd_simulate(args) -> int:
 
     for (sc, stats_path, trace_path), stats in zip(tasks, results):
         if stats_path is None:
-            # No file target anywhere: the stats CSV is the standard output.
+            # No --out: the stats CSV is the standard output.
             write_stats_csv(stats, sys.stdout)
             continue
         line = (

@@ -23,7 +23,6 @@ from bansim.mac.csma import MacTimingConstants, PriorityClass, PRIORITY_TABLE
 from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtimes_us
 from bansim.phy.rates import (
     Band,
-    Modulation,
     PhyConfig,
     builtin_rate_table,
     info_data_rate,
@@ -94,8 +93,8 @@ def reference_configs() -> list[tuple[str, PhyConfig]]:
     override on the 600 ksps 2.4 GHz band (a rate quoted for that band
     but not derivable from any modulation/code row, hence the override).
     """
-    low = nb_config(Band.NB_402_405, "low")._replace(modulation=Modulation.DBPSK, rate_override_kbps=187.5)
-    high = nb_config(Band.NB_2400_2483, "high")._replace(modulation=Modulation.D8PSK, rate_override_kbps=971.0)
+    low = nb_config(Band.NB_402_405, "low")._replace(rate_override_kbps=187.5)
+    high = nb_config(Band.NB_2400_2483, "high")._replace(rate_override_kbps=971.0)
     return [("187.5", low), ("971", high)]
 
 

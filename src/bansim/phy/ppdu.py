@@ -23,7 +23,9 @@ A frame (`Ppdu`) is an immutable record, built in one step, whose image
 is a read-only view of immutable bytes: build assembles the image as
 bytes, and parse keeps the image it was given when its `.base` chain ends
 in bytes, a copy otherwise, so no later write to the caller's memory
-reaches the frame, not even through a read-only view of it.
+reaches the frame, not even through a read-only view of it. A frame holds
+no copy of its family's sync pattern: that is `_FORMATS[kind].sync`, and
+every image starts with it.
 
 The families differ only in data, held in one format table (`_FORMATS`)
 that a single build, parse and hexdump walk:
@@ -39,6 +41,9 @@ that a single build, parse and hexdump walk:
 * header: a (field, width) layout, MSB first. Unnamed entries are reserved
   or pad bits sent as zero; pulse radio rejects set pad bits, narrowband
   covers its reserved bits only by the 4-bit check that follows its layout.
+  The header record (NbPlcpHeader, UwbPhr, HbcPhyHeader) is made from the
+  layout: its named fields in order (`length` counts body bytes), then
+  narrowband's check `hcs` over the layout bits, reserved bits included.
   Parse refuses a header whose rate index is not the config's: the frame
   region is decoded with the config's coding, so another rate cannot be
   read under it.
@@ -128,32 +133,10 @@ HBC_PREAMBLE_UNIT = np.concatenate([mseq(5, (5, 2), 0b11111), [0]]).astype(np.ui
 HBC_SFD = np.concatenate([mseq(4, (4, 1), 0b1111), [1]]).astype(np.uint8)
 
 
-# PHY header fields (`length` counts body bytes); widths and order: `_FORMATS`.
-class NbPlcpHeader(NamedTuple):
-    rate_index: int
-    length: int
-    scrambler: int
-    burst_mode: int
-    hcs: int  # 4-bit check over the 15 layout bits, reserved bits included
-
-
-class UwbPhr(NamedTuple):
-    rate_index: int
-    length: int
-    scrambler_seed: int
-
-
-class HbcPhyHeader(NamedTuple):
-    length: int
-    rate_index: int
-
-
 class Ppdu(NamedTuple):
     """Structured frame plus its serialized bit image, which is read-only."""
 
     kind: PhyKind
-    preamble_bits: np.ndarray
-    sfd_bits: np.ndarray
     header: NbPlcpHeader | UwbPhr | HbcPhyHeader
     mac_header: bytes
     body: bytes
@@ -170,17 +153,18 @@ class _Format:
     the codec derives from it is worked out once, here."""
 
     __slots__ = ("unit", "reps", "sfd", "layout", "crc4", "zero_pad", "header",
-                 "info_bits", "coded_bits", "shifts", "sync", "sync_bytes", "preamble")
+                 "info_bits", "coded_bits", "shifts", "sync", "sync_bytes")
 
     def __init__(self, unit: np.ndarray, reps: int, sfd: np.ndarray, layout: tuple[tuple[str | None, int], ...],
-                 crc4: bool, zero_pad: bool, header: type):
+                 crc4: bool, zero_pad: bool, header: str):
         self.unit = unit  # preamble unit, sent `reps` times
         self.reps = reps
         self.sfd = sfd  # start-frame delimiter; empty when the family has none
         self.layout = layout  # header (field, width); None: sent as 0
         self.crc4 = crc4  # a 4-bit check `hcs` over the layout bits follows them
         self.zero_pad = zero_pad  # the None bits must read zero on parse
-        self.header = header
+        fields = [name for name, _ in layout if name] + ["hcs"] * crc4
+        self.header = NamedTuple(header, [(name, int) for name in fields])  # a record of this module
         layout_bits = sum(width for _, width in layout)
         self.info_bits = layout_bits + 4 * crc4
         self.coded_bits = fec.coded_length(self.info_bits, HEADER_CODE)  # the coded header's length
@@ -193,7 +177,6 @@ class _Format:
         self.sync = np.concatenate([np.tile(unit, reps), sfd])
         self.sync.flags.writeable = False
         self.sync_bytes = self.sync.tobytes()
-        self.preamble = self.sync[: reps * len(unit)]
 
 
 _FORMATS = {
@@ -201,19 +184,20 @@ _FORMATS = {
         NB_PREAMBLE, 1, np.zeros(0, dtype=np.uint8),
         (("rate_index", RATE_INDEX_BITS[PhyKind.NB]), ("length", 8),
          ("scrambler", 1), ("burst_mode", 1), (None, 2)),
-        crc4=True, zero_pad=False, header=NbPlcpHeader,
+        crc4=True, zero_pad=False, header="NbPlcpHeader",
     ),
     PhyKind.UWB: _Format(
         UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS, UWB_SFD,
         (("rate_index", RATE_INDEX_BITS[PhyKind.UWB]), ("length", 8), ("scrambler_seed", 2), (None, 2)),
-        crc4=False, zero_pad=True, header=UwbPhr,
+        crc4=False, zero_pad=True, header="UwbPhr",
     ),
     PhyKind.HBC: _Format(
         HBC_PREAMBLE_UNIT, HBC_PREAMBLE_REPS, HBC_SFD,
         (("length", 8), ("rate_index", RATE_INDEX_BITS[PhyKind.HBC])),
-        crc4=False, zero_pad=False, header=HbcPhyHeader,
+        crc4=False, zero_pad=False, header="HbcPhyHeader",
     ),
 }
+NbPlcpHeader, UwbPhr, HbcPhyHeader = (fmt.header for fmt in _FORMATS.values())
 
 
 # Spreading sends each coded bit s times (s is 1, 2 or 4). Read as one
@@ -374,7 +358,7 @@ def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
     k = PSDU_CODE[1]
     info = np.unpackbits(np.frombuffer(psdu, np.uint8), count=-(-8 * len(psdu) // k) * k)
     image = fmt.sync_bytes + header_bits.tobytes() + _psdu_image(cfg, info.reshape(-1, k))
-    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, np.frombuffer(image, np.uint8))
+    return Ppdu(kind, header, mac_header, body, fcs, np.frombuffer(image, np.uint8))
 
 
 def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
@@ -410,7 +394,7 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
         base = base.base
     if type(base) is not bytes:  # writeable memory may back `bits`
         bits = np.frombuffer(bits.tobytes(), np.uint8)
-    return Ppdu(kind, fmt.preamble, fmt.sfd, header, mac_header, body, fcs, bits)
+    return Ppdu(kind, header, mac_header, body, fcs, bits)
 
 
 # ------------------------------------------------------------------ airtime

@@ -146,12 +146,13 @@ class PhyConfig:
     PHY header; both are repetition factors. `rate_override_kbps`, when set,
     pins the information rate of both components directly, bypassing the
     arithmetic (used for rate points quoted without table parameters).
-    `symbol_rate` is in kilosymbols per second; a `center_freq` or
-    `channel_bandwidth` (MHz) of 0 takes the band's.
+    `symbol_rate` is in kilosymbols per second; a `center_freq` (MHz) of 0
+    takes the band's. The band's family and width are read from the band
+    table, never stored here. Every field is checked by name.
     """
 
     __slots__ = ("band_id", "modulation", "symbol_rate", "header_modulation", "spreading", "header_spreading",
-                 "center_freq", "channel_bandwidth", "rate_index", "rate_override_kbps")
+                 "center_freq", "rate_index", "rate_override_kbps")
 
     def __init__(
         self,
@@ -162,10 +163,14 @@ class PhyConfig:
         spreading: int = 1,
         header_spreading: int = 2,
         center_freq: float = 0.0,
-        channel_bandwidth: float = 0.0,
         rate_index: int = 0,
         rate_override_kbps: float | None = None,
     ):
+        header_modulation = modulation if header_modulation is None else header_modulation
+        for name, value, enum in (("band_id", band_id, Band), ("modulation", modulation, Modulation),
+                                  ("header_modulation", header_modulation, Modulation)):
+            if not isinstance(value, enum):
+                raise ConfigError(f"{name} must be a {enum.__name__}, got {value!r}")
         for name, value in (("spreading", spreading), ("header_spreading", header_spreading)):
             if type(value) is not int or value not in (1, 2, 4):
                 raise ConfigError(f"{name} must be 1, 2, or 4, got {value!r}")
@@ -182,11 +187,10 @@ class PhyConfig:
         self.band_id = band_id
         self.modulation = modulation
         self.symbol_rate = symbol_rate
-        self.header_modulation = modulation if header_modulation is None else header_modulation
+        self.header_modulation = header_modulation
         self.spreading = spreading
         self.header_spreading = header_spreading
         self.center_freq = center_freq or info.center_freq
-        self.channel_bandwidth = channel_bandwidth or info.bandwidth
         self.rate_index = rate_index
         self.rate_override_kbps = rate_override_kbps
 
@@ -217,10 +221,7 @@ def info_data_rate(cfg: PhyConfig, component: str) -> float:
     modulation, (n, k), spreading = _component(cfg, component)
     if cfg.rate_override_kbps is not None:
         return cfg.rate_override_kbps
-    bps = BITS_PER_SYMBOL.get(modulation)
-    if bps is None:
-        raise ConfigError(f"unknown modulation {modulation!r}")
-    return cfg.symbol_rate * bps * (k / n) / spreading
+    return cfg.symbol_rate * BITS_PER_SYMBOL[modulation] * (k / n) / spreading
 
 
 # Narrowband registry: per band, the symbol rate and the modulation and
@@ -274,7 +275,6 @@ def uwb_config(channel: int = 2) -> PhyConfig:
         spreading=1,
         header_spreading=1,
         center_freq=plan.center_freq,
-        channel_bandwidth=499.2,
     )
 
 

@@ -9,6 +9,11 @@ serves exactly one session: re-keying after teardown always yields a
 fresh key id. Group traffic uses a group temporal key (GTK) distributed
 only over established secured sessions.
 
+The hub's `SecurityManager` stores each fact of the key state once: each
+pairing's session ordinal (how many PTKs it has consumed, kept across
+teardown) and each group's `GroupKeyState`. A session holds only its own
+level, keys and frame counters.
+
 Cryptography here is interface-only. Key derivation is a keyed hash of
 the master key and a session ordinal, and the cipher is a reversible
 keyed stream built from the same hash. The testable contract is the
@@ -122,17 +127,15 @@ class PairwiseKey:
 
 
 class SecuritySession:
-    __slots__ = ("node_id", "level", "mk", "ptk", "session_counter", "tx_counter", "rx_counter", "gtk_id")
+    __slots__ = ("node_id", "level", "mk", "ptk", "tx_counter", "rx_counter")
 
     def __init__(self, node_id: str, level: SecurityLevel):
         self.node_id = node_id
         self.level = level
         self.mk: bytes | None = None
         self.ptk: PairwiseKey | None = None
-        self.session_counter = 0  # how many PTKs this pairing has consumed
         self.tx_counter = 0  # last counter stamped on an outgoing frame
         self.rx_counter = 0  # highest counter admitted so far
-        self.gtk_id: str | None = None
 
     @property
     def ptk_active(self) -> bool:
@@ -192,7 +195,6 @@ class SecurityManager:
             raise KeyStateError(f"{session.node_id}: a pairwise key is already active")
         ordinal = self._session_ordinals.get(session.node_id, 0) + 1
         self._session_ordinals[session.node_id] = ordinal
-        session.session_counter = ordinal
         key = default_kdf(session.mk, ordinal)
         key_id = key[:8].hex()
         if key_id in self._issued_ptk_ids:
@@ -223,8 +225,6 @@ class SecurityManager:
             b"gtk", group_id.encode(), len(self.groups).to_bytes(4, "big")
         )[:8].hex()
         state = GroupKeyState(gtk_id, frozenset(node_ids))
-        for node_id in node_ids:
-            self.sessions[node_id].gtk_id = gtk_id
         self.groups[group_id] = state
         return state
 

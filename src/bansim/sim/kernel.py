@@ -8,12 +8,14 @@ and grants; the kernel only replays it and joins it with the CSMA engine
 and the security sessions. A broken invariant of its own raises
 SimulationError. Time is a 64-bit microsecond clock; events dispatch in
 (time, class, insertion order), so a run is a pure function of
-(scenario, seed). At one instant phase starts come first, then the rest
-of the schedule (beacons, grants), then dynamic events (grid ticks,
-transmissions, arrivals). The schedule is replayed one superframe ahead:
-superframe i+1 is pushed when the run reaches its start, which keeps the
-heap small and, thanks to the class order, gives the same order as a
-schedule filled for the whole run up front.
+(scenario, seed). A run covers [0, end): an event at its end instant does
+not happen, while an exchange that fits its phase exactly does. At one
+instant phase starts come first, then the rest of the schedule (beacons,
+grants), then dynamic events (grid ticks, transmissions, arrivals). The
+schedule is replayed one superframe ahead: superframe i+1 is pushed when
+the run reaches its start, which keeps the heap small and, thanks to the
+class order, gives the same order as a schedule filled for the whole run
+up front.
 
 The heap holds only instants that something can observe: the start of a
 phase that some node may contend in (a phase that none may use has no
@@ -678,15 +680,11 @@ def write_trace(lines: list[str], out) -> None:
             fh.write("\n")
 
 
-def run_to_files(
-    scenario: Scenario, stats_path=None, trace_path=None
-) -> RunStats:
-    """Run and write the stats CSV and optional trace where the scenario
-    or the caller says; caller paths win. Both files are opened before the
-    run and put in place after it, so a run that raises writes neither. The
-    two may not name one file: the stats would silently replace the trace."""
-    stats_path = stats_path or scenario.run.stats_out
-    trace_path = trace_path or scenario.run.trace_out
+def run_to_files(scenario: Scenario, stats_path=None, trace_path=None) -> RunStats:
+    """Run and write the stats CSV and optional trace to the paths given;
+    a scenario names no output. Both files are opened before the run and
+    put in place after it, so a run that raises writes neither. The two
+    may not name one file: the stats would silently replace the trace."""
     if stats_path and trace_path and (target := os.path.realpath(stats_path)) == os.path.realpath(trace_path):
         raise ConfigError(f"stats and trace both go to {target}")
     with (

@@ -18,22 +18,25 @@ or out-of-range values fail there. Named values match in any case. The
 access values are those of OperationalMode and TrafficKind. The [phy]
 family (phy.rates.phy_config) reads only its own keys: a key of another
 family, and a band, channel or center the family lacks, fail at their
-line; so do every `<phase>_slots` key and beacon_prohibited unless the
-mode is beacon, fill_phase_type unless it is nonbeacon, a node's
-slot_start, slot_len, period and offset unless its access is scheduled,
-and mk on a level-0 security entry. compile_scenario
-then checks every static rule once and derives the Plan a run reads, the
+line; so do every `<phase>_slots` key, beacon_prohibited and
+beacon_period_multiplier unless the mode is beacon, fill_phase_type
+unless it is nonbeacon, a node's slot_start, slot_len, period and offset
+unless its access is scheduled, and mk on a level-0 security entry. A
+scenario names no output file; its caller does. compile_scenario then
+checks every static rule once and derives the Plan a run reads, the
 superframe schedule included: phase arithmetic (in
 mac.superframe.build_layout), the beacon's fit in its phase, payload
 bounds with security bytes, grants and allocations that hold one frame
 exchange, a poll grant for every polled node, allocations inside shared
 phases and free of conflicts, the channel rule, node ids that fit one
 trace field, the expected arrivals within MAX_EXPECTED_ARRIVALS, and the
-security entries. A check on one node
-or security entry reports that entry's line, on poll_grant_us its line,
-the others their section's line where one is known. parse_scenario
-compiles with its line maps and Simulation compiles what it is given, so
-a scenario changed after parsing is checked again before its first event.
+security entries. An exact fit proceeds: a beacon exactly as long as its
+phase, or a grant or allocation exactly as long as its exchange. A check
+on one node or security entry reports that entry's line, on
+poll_grant_us its line, the others their section's line where one is
+known. parse_scenario compiles with its line maps and Simulation
+compiles what it is given, so a scenario changed after parsing is
+checked again before its first event.
 """
 
 from __future__ import annotations
@@ -109,8 +112,6 @@ class RunSpec(NamedTuple):
     seed: int = 1
     duration_us: int = 1_000_000
     channel: str = "ideal"
-    stats_out: str | None = None
-    trace_out: str | None = None
 
 
 class Scenario(NamedTuple):
@@ -137,12 +138,13 @@ for _record in (RunSpec, Scenario):
 _PHASE_KEYS = {f"{kind.name.lower()}_slots": kind for kind in PhaseKind}
 
 # The [superframe] keys each mode never reads: a non-beacon mode sets its
-# phases alone, only beacon mode reads beacon_prohibited, and only the
-# bounded non-beacon mode reads fill_phase_type.
+# phases alone and sends no beacon, and only the bounded non-beacon mode
+# reads fill_phase_type.
+_NO_BEACON = (*_PHASE_KEYS, "beacon_prohibited", "beacon_period_multiplier")
 _UNREAD_IN_MODE = {
     OperationalMode.BEACON_BOUNDED: ("fill_phase_type",),
-    OperationalMode.NONBEACON_BOUNDED: (*_PHASE_KEYS, "beacon_prohibited"),
-    OperationalMode.NONBEACON_UNBOUNDED: (*_PHASE_KEYS, "beacon_prohibited", "fill_phase_type"),
+    OperationalMode.NONBEACON_BOUNDED: _NO_BEACON,
+    OperationalMode.NONBEACON_UNBOUNDED: (*_NO_BEACON, "fill_phase_type"),
 }
 
 # The [phy] keys each family reads; a key of another family is refused.
@@ -289,8 +291,6 @@ _KEYS = {
         "seed": (1, _integer()),
         "duration_ms": (1000, _integer(1)),
         "channel": ("ideal", _choice(CHANNEL_MODELS)),
-        "stats_out": (None, _text),
-        "trace_out": (None, _text),
     },
 }
 

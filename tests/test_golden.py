@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bansim.errors import FrameError
-from bansim.phy.ppdu import build_ppdu, parse_ppdu
+from bansim.phy.ppdu import _FORMATS, build_ppdu, parse_ppdu
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import compile_scenario, load_scenario, parse_scenario
@@ -503,8 +503,9 @@ def test_frame_bit_images_are_pinned():
 def test_sync_pattern_length_matches_config(cfg):
     # The airtime formula counts sync time from cfg.preamble_symbols, so the
     # sync pattern the codec emits must be exactly that long.
-    ppdu = build_ppdu(cfg, bytes(7), b"")
-    assert len(ppdu.preamble_bits) + len(ppdu.sfd_bits) == cfg.preamble_symbols
+    sync = _FORMATS[cfg.kind].sync
+    assert len(sync) == cfg.preamble_symbols
+    assert np.array_equal(build_ppdu(cfg, bytes(7), b"").bits[: len(sync)], sync)
 
 
 def _outcome(tag: str, index: int, bits: np.ndarray, cfg) -> bytes:

@@ -101,14 +101,10 @@ def unused_names(root):
 # The fields and attributes the package stores and never reads itself,
 # each with who reads it.
 READ_OUTSIDE = {
-    "SecuritySession.session_counter": "how many pairwise keys the pairing has used, which the key lifecycle tests read",
-    "SecuritySession.gtk_id": "the group key a member holds, which the group key tests read",
+    "BandInfo.bandwidth": "the band's channel width, which the rate tests read",
     "GroupKeyState.gtk_id": "the group key's id, which the group key tests read",
     "GroupKeyState.members": "the group's nodes, which the group key tests read",
-    "PhyConfig.channel_bandwidth": "the channel width, which the rate tests read",
     "PriorityClass.user_priority": "the class's priority, which the scripted replay in the CSMA tests reads",
-    "Ppdu.preamble_bits": "the built preamble, which the codec and golden tests read",
-    "Ppdu.sfd_bits": "the built start-of-frame delimiter, which the golden tests read",
     "RunStats.beacons": "the beacon count, which the beacon tests and the demo read",
     "ScenarioError.line": "the scenario line an error names, which the scenario and kernel tests read",
     "UwbChannelPlan.mandatory": "whether a UWB channel is mandatory, which the rate tests read",

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -45,7 +46,9 @@ from bansim.phy.ppdu import (
     frame_airtimes_us,
     hexdump,
     parse_ppdu,
+    HbcPhyHeader,
     NbPlcpHeader,
+    UwbPhr,
     _FORMATS,
     _INVERSE,
     _TABLES,
@@ -54,6 +57,7 @@ from bansim.phy.ppdu import (
 )
 from bansim.phy.rates import (
     HEADER_CODE,
+    PREAMBLE_SYMBOLS,
     PSDU_CODE,
     RATE_INDEX_BITS,
     Band,
@@ -180,9 +184,10 @@ def test_uwb_preamble_is_code_repetitions_plus_complement_sfd():
         assert np.array_equal(ppdu.bits[rep * 63 : (rep + 1) * 63], UWB_PREAMBLE_CODE)
     sfd = ppdu.bits[UWB_PREAMBLE_REPS * 63 : (UWB_PREAMBLE_REPS + 1) * 63]
     assert np.array_equal(sfd, 1 - UWB_PREAMBLE_CODE)
-    # Every frame shares one preamble array, which nothing may write to.
-    assert not ppdu.preamble_bits.flags.writeable
-    assert np.array_equal(ppdu.preamble_bits, np.tile(UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS))
+    # Every frame of the family starts with its one sync array, which nothing may write to.
+    sync = _FORMATS[PhyKind.UWB].sync
+    assert not sync.flags.writeable
+    assert np.array_equal(sync[: UWB_PREAMBLE_REPS * 63], np.tile(UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS))
 
 
 @pytest.mark.parametrize("cfg", ALL, ids=ALL_IDS)
@@ -301,6 +306,37 @@ def test_hexdump_shows_every_region():
     assert "preamble" in dump and "sfd" in dump and "phy_header" in dump and "psdu" in dump
     first_offset = int(dump.splitlines()[0].split()[0])
     assert first_offset == 0
+
+
+# Each family's header record, as its layout makes it: (name, fields).
+HEADER_RECORDS = {
+    PhyKind.NB: (NbPlcpHeader, "NbPlcpHeader", ("rate_index", "length", "scrambler", "burst_mode", "hcs")),
+    PhyKind.UWB: (UwbPhr, "UwbPhr", ("rate_index", "length", "scrambler_seed")),
+    PhyKind.HBC: (HbcPhyHeader, "HbcPhyHeader", ("length", "rate_index")),
+}
+
+
+@pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
+def test_each_header_record_is_its_layouts_named_module_record(cfg):
+    record, name, fields = HEADER_RECORDS[cfg.kind]
+    assert _FORMATS[cfg.kind].header is record
+    assert (record.__name__, record.__qualname__, record._fields) == (name, name, fields)
+    assert record.__module__ == "bansim.phy.ppdu"
+    assert type(build_ppdu(cfg, b"\x09" * 7, b"xyz").header) is record
+
+
+@pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
+def test_built_and_parsed_frames_survive_a_pickle_round_trip(cfg):
+    built = build_ppdu(cfg, b"\x09" * 7, b"xyz")
+    for frame in (built, parse_ppdu(built.bits.copy(), cfg)):
+        back = pickle.loads(pickle.dumps(frame))
+        assert type(back.header) is type(frame.header) and back.header == frame.header
+        assert np.array_equal(back.bits, frame.bits) and back.body == frame.body
+
+
+@pytest.mark.parametrize("kind", list(PhyKind), ids=lambda kind: kind.value)
+def test_the_sync_pattern_is_as_long_as_its_family_counts(kind):
+    assert len(_FORMATS[kind].sync) == PREAMBLE_SYMBOLS[kind]
 
 
 def test_wrong_mac_header_size_rejected():
@@ -504,6 +540,13 @@ class TestNonBitImages:
         bits[[3, cfg.preamble_symbols + 2, len(bits) - 5]] = [255, 3, 2]
         with pytest.raises(ValueError, match="image position 3 holds 255, not a bit"):
             parse_ppdu(bits, cfg)
+
+    def test_an_image_of_only_zeros_and_twos_is_refused_at_position_0(self):
+        # Every value ORs to 2, which the check of a uint8 image of bits must not pass.
+        bits = (build_ppdu(NB, b"\x08" * 7, b"abcd").bits * 2).astype(np.uint8)
+        bits[0] = 2
+        with pytest.raises(ValueError, match="^image position 0 holds 2, not a bit$"):
+            parse_ppdu(bits, NB)
 
     @pytest.mark.parametrize("stray, dtype", [(-1, np.int64), (256, np.int64), (0.5, np.float64), (2, np.int8)])
     def test_other_dtypes_are_checked_before_conversion(self, stray, dtype):

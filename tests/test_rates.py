@@ -1,6 +1,7 @@
 """Rate engine against the published table and derived spreading search."""
 
 import math
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from bansim.phy.fec import check_code
 from bansim.phy.rates import (
     HEADER_CODE,
     PSDU_CODE,
+    _BAND_INFO,
     Band,
     Modulation,
     PhyConfig,
@@ -90,10 +92,11 @@ def test_spreading_factors_are_the_unique_solution():
 
 
 def test_unknown_modulation_rejected():
-    cfg = nb_config(Band.NB_402_405)
-    object.__setattr__(cfg, "modulation", "qam-4096")
-    with pytest.raises(ConfigError):
-        info_data_rate(cfg, "psdu")
+    # Refused when the config is built, so no rate is computed from it; a
+    # rate override, which never reads the modulation, does not hide it.
+    for cfg in (nb_config(Band.NB_402_405), nb_config(Band.NB_402_405)._replace(rate_override_kbps=187.5)):
+        with pytest.raises(ConfigError, match="^modulation must be a Modulation, got 'qam-4096'$"):
+            cfg._replace(modulation="qam-4096")
 
 
 def test_component_name_validated():
@@ -104,7 +107,7 @@ def test_component_name_validated():
 def test_uwb_mandatory_rate_and_channels():
     cfg = uwb_config(2)
     assert info_data_rate(cfg, "psdu") == pytest.approx(488.2, abs=0.1)
-    assert cfg.channel_bandwidth == pytest.approx(499.2)
+    assert _BAND_INFO[cfg.band_id].bandwidth == pytest.approx(499.2)
     by_id = {c.channel_id: c for c in UWB_CHANNELS}
     assert len(by_id) == 11
     assert by_id[2].center_freq == pytest.approx(3993.6) and by_id[2].mandatory
@@ -117,7 +120,7 @@ def test_hbc_band_metadata():
     for center in (16, 27):
         cfg = hbc_config(center)
         assert cfg.center_freq == pytest.approx(center)
-        assert cfg.channel_bandwidth == pytest.approx(4.0)
+        assert _BAND_INFO[cfg.band_id].bandwidth == pytest.approx(4.0)
 
 
 def test_rate_override_pins_both_components():
@@ -153,6 +156,23 @@ def test_a_rate_override_that_is_not_positive_and_finite_is_refused(override):
     # True 1 kbps.
     with pytest.raises(ConfigError, match="rate override must be None or positive and finite"):
         nb_config(Band.NB_2400_2483)._replace(rate_override_kbps=override)
+
+
+@pytest.mark.parametrize(
+    ("name", "value", "enum"),
+    [("band_id", "foo", "Band"), ("band_id", "402-405", "Band"), ("band_id", Modulation.DBPSK, "Band"),
+     ("modulation", "foo", "Modulation"), ("modulation", "pi/2-DBPSK", "Modulation"),
+     ("modulation", Band.NB_402_405, "Modulation"), ("header_modulation", "foo", "Modulation"),
+     ("header_modulation", 1, "Modulation")],
+    ids=["band-foo", "band-value", "band-modulation", "modulation-foo", "modulation-value", "modulation-band",
+         "header-modulation-foo", "header-modulation-int"],
+)
+def test_a_band_or_modulation_that_is_not_its_enum_member_is_refused_by_name(name, value, enum):
+    # A band name was a bare KeyError, a band's value string was stored as
+    # a plain str, and an unknown modulation failed only when a rate was
+    # computed, never under a rate override.
+    with pytest.raises(ConfigError, match=f"^{name} must be a {enum}, got {re.escape(repr(value))}$"):
+        nb_config(Band.NB_402_405)._replace(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["spreading", "header_spreading"])

@@ -25,7 +25,7 @@ from bansim.mac.superframe import (
 )
 from bansim.phy.rates import Band, nb_config
 from bansim.security import SecurityLevel
-from bansim.sim.kernel import Simulation
+from bansim.sim.kernel import Simulation, run
 from bansim.sim.scenario import (
     _KEYS,
     _PHASE_KEYS,
@@ -282,11 +282,16 @@ class TestRejection:
              "beacon_prohibited does not apply to mode nonbeacon"),
             ("[superframe]\nbeacon_prohibited = false\nmode = unbounded\n", 2,
              "beacon_prohibited does not apply to mode unbounded"),
+            ("[superframe]\nmode = nonbeacon\nslots = 16\nbeacon_period_multiplier = 2\n", 4,
+             "beacon_period_multiplier does not apply to mode nonbeacon"),
+            ("[superframe]\nbeacon_period_multiplier = 1\nmode = unbounded\n", 2,
+             "beacon_period_multiplier does not apply to mode unbounded"),
         ],
         ids=["no-equals", "empty-part", "open-header", "duplicate-security", "no-scripted-time", "tiny-rate",
              "contention-slot-keys", "contention-period", "polled-offset", "second-node-slot-len", "level-0-mk",
              "nonbeacon-phase-slots", "unbounded-beacon-slots", "beacon-fill-type", "unbounded-fill-type",
-             "nonbeacon-beacon-prohibited", "unbounded-beacon-prohibited"],
+             "nonbeacon-beacon-prohibited", "unbounded-beacon-prohibited", "nonbeacon-beacon-multiplier",
+             "unbounded-beacon-multiplier"],
     )
     def test_each_refusal_names_its_line(self, text, line, message):
         found, msg = error_line(text)
@@ -549,6 +554,29 @@ class TestExchangeFit:
         scn(self.POLLED.format(f"poll_grant_us = {need}\n"))
         line, msg = error_line(self.POLLED.format(f"poll_grant_us = {need - 1}\n"))
         assert line == 5 and f"the {need} us frame exchange" in msg
+
+
+class TestExactFits:
+    """An exact fit proceeds: a beacon exactly as long as its phase, and an
+    allocation exactly as long as its node's frame exchange."""
+
+    # At a flat 500 kbps the 17-byte beacon takes 480 + 38 + 416 = 604.0 us.
+    BEACON = ("[phy]\nband = 2400-2483.5\nrate_override_kbps = 500\n"
+              "[superframe]\nslot_length_us = {}\nbeacon_slots = 4\nrap1_slots = 252\n")
+    SCHEDULED = ("[superframe]\nslot_length_us = {}\nmode = nonbeacon\nslots = 256\n"
+                 "[nodes]\nn0 = payload=10, access=scheduled, slot_start=10, slot_len=1\n[run]\nduration_ms = 100\n")
+
+    def test_a_beacon_exactly_as_long_as_its_phase_is_taken(self):
+        assert compile_scenario(scn(self.BEACON.format(151))).beacon_us == 604.0
+        line, msg = error_line(self.BEACON.format(150))
+        assert line == 4 and "beacon airtime 604 us exceeds the 600 us beacon phase" in msg
+
+    def test_an_allocation_exactly_one_exchange_long_is_taken_and_delivers(self):
+        need = compile_scenario(scn(self.SCHEDULED.format(5000))).exchange_us["n0"]
+        stats, _ = run(scn(self.SCHEDULED.format(need)))
+        assert stats.nodes["n0"].delivered == 1  # the one grant of the run's first superframe
+        line, msg = error_line(self.SCHEDULED.format(need - 1))
+        assert line == 6 and f"1-slot allocation ({need - 1} us) is shorter than one {need} us frame exchange" in msg
 
 
 class TestPollReach:

@@ -25,6 +25,7 @@ from bansim.security import (
     SecuritySession,
     _digest,
     admit_frame,
+    default_kdf,
     secure_frame,
 )
 
@@ -46,7 +47,7 @@ class TestAssociation:
         assert s.ptk_active
         assert s.mk is not None
         assert s.level == level
-        assert s.session_counter == 1
+        assert s.ptk.key == default_kdf(s.mk, 1)  # the pairing's first session ordinal
 
     def test_reassociation_is_out_of_order(self):
         mgr, _ = paired(1)
@@ -71,7 +72,7 @@ class TestAssociation:
         second = mgr.associate("n0", 1, mk="preshared")
         assert second.mk == mk1
         assert second.ptk.key != ptk1
-        assert second.session_counter == 2
+        assert second.ptk.key == default_kdf(second.mk, 2)
 
     def test_unauthenticated_mk_is_fresh_every_time(self):
         mgr = SecurityManager()
@@ -284,7 +285,7 @@ class TestKeyedStates:
         if rekeyed:
             mgr.teardown("n0")
             s = mgr.associate("n0", level)
-            assert s.session_counter == 2
+            assert s.ptk.key == default_kdf(s.mk, 2)
         s.tx_counter = s.rx_counter = counter - 1
         wire = secure_frame(body, s)
         assert wire == reference_wire(s.ptk.key, level, counter, body)
@@ -377,8 +378,7 @@ class TestGroupKeys:
             mgr.associate(node, 1)
         state = mgr.distribute_gtk("ward-7", ["a", "b", "c"])
         assert state.members == frozenset({"a", "b", "c"})
-        for node in ("a", "b", "c"):
-            assert mgr.sessions[node].gtk_id == state.gtk_id
+        assert mgr.groups == {"ward-7": state}
 
     def test_unsecured_member_blocks_the_group(self):
         mgr = SecurityManager()
@@ -386,7 +386,7 @@ class TestGroupKeys:
         mgr.associate("b", 0)
         with pytest.raises(KeyStateError):
             mgr.distribute_gtk("g", ["a", "b"])
-        assert mgr.sessions["a"].gtk_id is None  # nothing handed out
+        assert mgr.groups == {}  # nothing handed out
 
     def test_unknown_member_blocks_the_group(self):
         mgr = SecurityManager()

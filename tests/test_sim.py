@@ -432,16 +432,14 @@ duration_ms = 768
 
 class TestRunToFiles:
     def test_caller_paths_win(self, tmp_path):
-        scenario_stats = tmp_path / "from_scenario.csv"
+        # The caller's paths are the only ones: a scenario names no output.
         cli_stats = tmp_path / "from_caller.csv"
         trace_path = tmp_path / "trace.csv"
-        sc = parse_scenario(
-            PAIR + f"stats_out = {scenario_stats}\ntrace_out = {trace_path}\n"
-        )
-        run_to_files(sc, stats_path=cli_stats)
-        assert cli_stats.exists()
-        assert not scenario_stats.exists()
-        assert trace_path.exists()  # scenario trace path still honored
+        for key in ("stats_out", "trace_out"):
+            with pytest.raises(ScenarioError, match=f"^line 19: unknown \\[run\\] key '{key}'$"):
+                parse_scenario(PAIR + f"{key} = {tmp_path / 'from_scenario.csv'}\n")
+        run_to_files(parse_scenario(PAIR), stats_path=cli_stats, trace_path=trace_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["from_caller.csv", "trace.csv"]
         header = cli_stats.read_text().splitlines()[0]
         assert header.startswith("node,offered,delivered")
 
@@ -449,8 +447,8 @@ class TestRunToFiles:
         same = tmp_path / "same.csv"
         link = tmp_path / "link.csv"
         link.symlink_to(same)
-        sc = parse_scenario(PAIR + f"stats_out = {same}\ntrace_out = {same}\n")
-        for paths in ((None, None), (same, link), (link, None)):
+        sc = parse_scenario(PAIR)
+        for paths in ((same, same), (same, link), (link, same)):
             with pytest.raises(ConfigError, match="same.csv"):
                 run_to_files(sc, *paths)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv"]
@@ -460,6 +458,37 @@ class TestRunToFiles:
         write_trace([], tmp_path / "empty.txt")
         assert (tmp_path / "two.txt").read_bytes() == b"1,a\n2,b\n"
         assert (tmp_path / "empty.txt").read_bytes() == b""
+
+
+def node_lines(sc, end_us):
+    """The node trace lines of `sc` run to `end_us`. The hub's lines are left
+    out: a beacon traces its end when it starts, at or past a cut."""
+    _, lines = run(sc._replace(run=sc.run._replace(duration_us=end_us)), collect_trace=True)
+    return [line for line in lines if line.split(",")[1] != "hub"]
+
+
+class TestTheRunEnd:
+    """A run covers [0, end): an event at the end instant does not happen.
+    So a run cut at T traces exactly the lines that a longer run traces
+    before T: no delivery, timeout, data end, acknowledgement or grid tick
+    at T itself."""
+
+    def test_a_run_cut_at_each_traced_instant_keeps_the_lines_before_it(self):
+        sc = parse_scenario(PAIR)
+        full = node_lines(sc, 140_000)
+        events = {line.split(",")[2] for line in full}
+        assert {"tx_end", "ack", "success", "fail", "unlock", "draw", "count"} <= events
+        times = [int(line.split(",", 1)[0]) for line in full]
+        for end in sorted(set(times)):
+            assert node_lines(sc, end) == [line for line, t in zip(full, times) if t < end], end
+
+    def test_an_arrival_at_the_end_instant_is_not_offered(self):
+        sc = parse_scenario(
+            "[superframe]\nbeacon_slots = 4\nrap1_slots = 252\n"
+            "[nodes]\nn0 = traffic=scripted:0;999;1000\n[run]\nduration_ms = 1\n"
+        )
+        stats, _ = run(sc)
+        assert stats.nodes["n0"].offered == 2
 
 
 class TestKernelInvariants:
@@ -1193,11 +1222,10 @@ def _shared_phase(draw, name):
 def scheduled_scenarios(draw):
     """A beacon or non-beacon layout with zero to two poll phases, 0-3
     polled nodes listed in any id order (none when no shared phase is
-    free to poll in), scheduled nodes in the shared phases and a beacon
-    period multiplier of 1-3."""
-    multiplier = draw(st.integers(1, 3))
-    grant = draw(st.sampled_from(["", "poll_grant_us = 2200\n", "poll_grant_us = 4000\n"]))
-    superframe = f"beacon_period_multiplier = {multiplier}\n{grant}"
+    free to poll in), scheduled nodes in the shared phases and, in beacon
+    mode, a beacon period multiplier of 1-3."""
+    multiplier = draw(st.integers(1, 3))  # drawn in every mode, so the examples keep their draws
+    superframe = draw(st.sampled_from(["", "poll_grant_us = 2200\n", "poll_grant_us = 4000\n"]))
     if draw(st.booleans()):
         slots, alloc = _shared_phase(draw, draw(st.sampled_from(["sa", "sz"])))
         slots = max(slots, 8)
@@ -1206,7 +1234,8 @@ def scheduled_scenarios(draw):
     else:
         (a_slots, alloc_a), (b_slots, alloc_b) = _shared_phase(draw, "sb"), _shared_phase(draw, "sa")
         rap1, rap2 = draw(st.integers(1, 30)), draw(st.integers(0, 30))
-        superframe += (f"slots = {4 + rap1 + a_slots + rap2 + b_slots}\nbeacon_slots = 4\nrap1_slots = {rap1}\n"
+        superframe += (f"beacon_period_multiplier = {multiplier}\n"
+                       f"slots = {4 + rap1 + a_slots + rap2 + b_slots}\nbeacon_slots = 4\nrap1_slots = {rap1}\n"
                        f"type_a_slots = {a_slots}\nrap2_slots = {rap2}\ntype_b_slots = {b_slots}\n")
         phases = [(a_slots, alloc_a, 4 + rap1), (b_slots, alloc_b, 4 + rap1 + a_slots + rap2)]
     polled = []
