@@ -15,9 +15,8 @@ from pathlib import Path
 
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import BansimError, ConfigError
-from bansim.phy.bitfields import bytes_to_bits, padded_bytes
-from bansim.phy.ppdu import MAC_HEADER_LEN, MAX_BODY_LEN, build_ppdu, frame_airtime_us, hexdump, parse_ppdu
-from bansim.phy.rates import builtin_rate_table, phy_config, write_rate_csv
+from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, builtin_rate_table, frame_airtime_us, phy_config,
+                              write_rate_csv)
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
 from bansim.sim.stats import write_stats_csv
@@ -84,6 +83,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--sweep-parallel must not be negative, got {args.sweep_parallel}")
     scenario = load_scenario(args.scenario)
     seeds = args.seed if args.seed is not None else [scenario.run.seed]
+    if len(set(seeds)) < len(seeds):  # each seed's files would be written twice
+        raise ConfigError(f"--seed {next(seed for seed in seeds if seeds.count(seed) > 1)} given twice")
     multi = len(seeds) > 1
     tasks = []
     for seed in seeds:
@@ -163,6 +164,11 @@ def _hex_bytes(text: str, name: str) -> bytes:
 
 
 def cmd_frame_build(args) -> int:
+    # Only the frame commands load the codec and its numpy, each for itself:
+    # at the top they would slow every other command's start-up.
+    from bansim.phy.bitfields import padded_bytes
+    from bansim.phy.ppdu import build_ppdu, hexdump
+
     cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
     mac_header = _hex_bytes(args.mac_header, "--mac-header")
     if len(mac_header) != MAC_HEADER_LEN:
@@ -183,6 +189,9 @@ def cmd_frame_build(args) -> int:
 
 
 def cmd_frame_parse(args) -> int:
+    from bansim.phy.bitfields import bytes_to_bits
+    from bansim.phy.ppdu import parse_ppdu
+
     cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
     image = _hex_bytes(args.image, "image")
     bits = bytes_to_bits(image)

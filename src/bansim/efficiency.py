@@ -20,11 +20,12 @@ import csv
 from typing import Iterable, NamedTuple
 
 from bansim.mac.csma import MacTimingConstants, PriorityClass, PRIORITY_TABLE
-from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtimes_us
 from bansim.phy.rates import (
+    MAX_BODY_LEN,
     Band,
     PhyConfig,
     builtin_rate_table,
+    frame_airtimes_us,
     info_data_rate,
     nb_config,
 )

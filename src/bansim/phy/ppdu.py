@@ -4,10 +4,11 @@ Every frame serializes as
 
     sync pattern .. coded PHY header .. coded (and spread) MAC frame
 
-where the MAC frame is mac_header(7) + body(0..255) + fcs(2). The PHY
-header carries the body length, so a parser given the operating config can
-recover every field and validate the frame end to end. Decoding is
-detect-only: any inconsistency raises a distinct FrameError subclass.
+with the sizes and header layouts of `phy.rates`, which also times a
+frame without building it. The PHY header carries the body length, so a
+parser given the operating config can recover every field and validate
+the frame end to end. Decoding is detect-only: any inconsistency raises a
+distinct FrameError subclass.
 The MAC frame is coded by `fec.encode_rows`, one product of its
 information rows with the 12 parity columns, then spread. Parse accepts a
 frame by rebuilding it: with the sync matched and the coded header in a
@@ -38,15 +39,11 @@ that a single build, parse and hexdump walk:
   this implementation (the frame format requires fixed patterns without
   prescribing them). Each sync is built once, read-only; parse compares it
   as bytes in one step and walks its blocks only to name a failure.
-* header: a (field, width) layout, MSB first. Unnamed entries are reserved
-  or pad bits sent as zero; pulse radio rejects set pad bits, narrowband
-  covers its reserved bits only by the 4-bit check that follows its layout.
-  The header record (NbPlcpHeader, UwbPhr, HbcPhyHeader) is made from the
-  layout: its named fields in order (`length` counts body bytes), then
-  narrowband's check `hcs` over the layout bits, reserved bits included.
-  Parse refuses a header whose rate index is not the config's: the frame
-  region is decoded with the config's coding, so another rate cannot be
-  read under it.
+* header: the family's layout and check from `rates.HEADER_LAYOUTS`,
+  which also describes the fields; the header record is made from it.
+  Pulse radio's pad bits must read zero on parse. Parse refuses a header
+  whose rate index is not the config's: the frame region is decoded with
+  the config's coding, so another rate cannot be read under it.
 
 The block codes are the same in every family (`rates.HEADER_CODE`,
 `rates.PSDU_CODE`), and build sends every other header field as zero (nb:
@@ -99,26 +96,19 @@ from bansim.phy import fec
 from bansim.phy.bitfields import bits_to_int, padded_bytes
 from bansim.phy.checksums import CRC4_POLY, crc16, crc_word
 from bansim.phy.kasami import kasami63_bits, mseq
-from bansim.phy.rates import HEADER_CODE, PSDU_CODE, RATE_INDEX_BITS, PhyConfig, PhyKind, info_data_rate
+from bansim.phy.rates import (FCS_LEN, HEADER_CODE, HEADER_INFO_BITS, HEADER_LAYOUTS, MAC_HEADER_LEN, MAX_BODY_LEN,
+                              PSDU_CODE, PhyConfig, PhyKind)
+from bansim.phy.rates import frame_airtime_us  # bound here only for bench/worker.py, which reads it here
 
 __all__ = [
-    "MAC_HEADER_LEN",
-    "FCS_LEN",
-    "MAX_BODY_LEN",
     "NbPlcpHeader",
     "UwbPhr",
     "HbcPhyHeader",
     "Ppdu",
     "build_ppdu",
     "parse_ppdu",
-    "frame_airtime_us",
-    "frame_airtimes_us",
     "hexdump",
 ]
-
-MAC_HEADER_LEN = 7
-FCS_LEN = 2
-MAX_BODY_LEN = 255
 
 # Narrowband sync: the first 90 bits of the degree-7 maximal sequence.
 NB_PREAMBLE = mseq(7, (7, 1), 0b1111111)[:90].copy()
@@ -155,22 +145,19 @@ class _Format:
     __slots__ = ("unit", "reps", "sfd", "layout", "crc4", "zero_pad", "header",
                  "info_bits", "coded_bits", "shifts", "sync", "sync_bytes")
 
-    def __init__(self, unit: np.ndarray, reps: int, sfd: np.ndarray, layout: tuple[tuple[str | None, int], ...],
-                 crc4: bool, zero_pad: bool, header: str):
+    def __init__(self, kind: PhyKind, unit: np.ndarray, reps: int, sfd: np.ndarray, zero_pad: bool, header: str):
         self.unit = unit  # preamble unit, sent `reps` times
         self.reps = reps
         self.sfd = sfd  # start-frame delimiter; empty when the family has none
-        self.layout = layout  # header (field, width); None: sent as 0
-        self.crc4 = crc4  # a 4-bit check `hcs` over the layout bits follows them
+        self.layout, self.crc4 = HEADER_LAYOUTS[kind]  # header (field, width), and whether `hcs` follows
         self.zero_pad = zero_pad  # the None bits must read zero on parse
-        fields = [name for name, _ in layout if name] + ["hcs"] * crc4
+        fields = [name for name, _ in self.layout if name] + ["hcs"] * self.crc4
         self.header = NamedTuple(header, [(name, int) for name in fields])  # a record of this module
-        layout_bits = sum(width for _, width in layout)
-        self.info_bits = layout_bits + 4 * crc4
+        self.info_bits = HEADER_INFO_BITS[kind]
         self.coded_bits = fec.coded_length(self.info_bits, HEADER_CODE)  # the coded header's length
         self.shifts: dict[str, int] = {}  # each named field's bit position in the layout word
-        pos = layout_bits
-        for name, width in layout:
+        pos = self.info_bits - 4 * self.crc4
+        for name, width in self.layout:
             pos -= width
             if name:
                 self.shifts[name] = pos
@@ -180,22 +167,10 @@ class _Format:
 
 
 _FORMATS = {
-    PhyKind.NB: _Format(
-        NB_PREAMBLE, 1, np.zeros(0, dtype=np.uint8),
-        (("rate_index", RATE_INDEX_BITS[PhyKind.NB]), ("length", 8),
-         ("scrambler", 1), ("burst_mode", 1), (None, 2)),
-        crc4=True, zero_pad=False, header="NbPlcpHeader",
-    ),
-    PhyKind.UWB: _Format(
-        UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS, UWB_SFD,
-        (("rate_index", RATE_INDEX_BITS[PhyKind.UWB]), ("length", 8), ("scrambler_seed", 2), (None, 2)),
-        crc4=False, zero_pad=True, header="UwbPhr",
-    ),
-    PhyKind.HBC: _Format(
-        HBC_PREAMBLE_UNIT, HBC_PREAMBLE_REPS, HBC_SFD,
-        (("length", 8), ("rate_index", RATE_INDEX_BITS[PhyKind.HBC])),
-        crc4=False, zero_pad=False, header="HbcPhyHeader",
-    ),
+    PhyKind.NB: _Format(PhyKind.NB, NB_PREAMBLE, 1, np.zeros(0, np.uint8), zero_pad=False, header="NbPlcpHeader"),
+    PhyKind.UWB: _Format(PhyKind.UWB, UWB_PREAMBLE_CODE, UWB_PREAMBLE_REPS, UWB_SFD, zero_pad=True, header="UwbPhr"),
+    PhyKind.HBC: _Format(PhyKind.HBC, HBC_PREAMBLE_UNIT, HBC_PREAMBLE_REPS, HBC_SFD, zero_pad=False,
+                         header="HbcPhyHeader"),
 }
 NbPlcpHeader, UwbPhr, HbcPhyHeader = (fmt.header for fmt in _FORMATS.values())
 
@@ -395,37 +370,6 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     if type(base) is not bytes:  # writeable memory may back `bits`
         bits = np.frombuffer(bits.tobytes(), np.uint8)
     return Ppdu(kind, header, mac_header, body, fcs, bits)
-
-
-# ------------------------------------------------------------------ airtime
-
-
-def frame_airtimes_us(cfg: PhyConfig, body_lens: list[int]) -> list[float]:
-    """Airtime in microseconds of a frame with each of `body_lens` body
-    bytes, without building it; the config's rates are worked out once.
-
-    Each is the sum of the sync, header and PSDU times, in that order. Sync
-    symbols go out at the raw symbol rate; header and frame regions take
-    information_bits / information_rate, so coding and spreading stretch
-    them through the rate, not through the bit image.
-    """
-    for body_len in body_lens:
-        if type(body_len) is not int:
-            raise TypeError(f"body_len must be an int, got {body_len!r}")
-        if not 0 <= body_len <= MAX_BODY_LEN:
-            raise FrameTooLong(f"body of {body_len} bytes outside 0..{MAX_BODY_LEN}")
-    preamble_us = cfg.preamble_symbols / cfg.symbol_rate * 1000.0
-    header_us = _FORMATS[cfg.kind].info_bits / info_data_rate(cfg, "header") * 1000.0
-    psdu_kbps = info_data_rate(cfg, "psdu")
-    return [
-        preamble_us + header_us + (MAC_HEADER_LEN + body_len + FCS_LEN) * 8 / psdu_kbps * 1000.0
-        for body_len in body_lens
-    ]
-
-
-def frame_airtime_us(cfg: PhyConfig, body_len: int) -> float:
-    """Airtime of a frame with `body_len` body bytes, without building it."""
-    return frame_airtimes_us(cfg, [body_len])[0]
 
 
 # ------------------------------------------------------------------ hexdump

@@ -8,6 +8,16 @@ information data rate follows from
 
 with spreading a repetition factor in {1, 2, 4}. The 21-row narrowband
 table reproduces from these parameters to within 0.1 Kbps.
+
+It is also the one home of how big and how long a frame is, all that the
+MAC and the efficiency model need of one; `phy.ppdu` codes the bits. A
+frame is the sync, the coded PHY header and the coded MAC frame:
+mac_header(7) + body(0..255) + fcs(2). Each family's PHY header is a
+(field, width) layout, MSB first (`HEADER_LAYOUTS`); unnamed entries are
+reserved or pad bits sent as zero, which pulse radio checks on parse and
+narrowband covers only by its 4-bit check `hcs` over the layout bits. The
+codec's header record (NbPlcpHeader, UwbPhr, HbcPhyHeader) holds the
+named fields in order (`length` counts body bytes), then `hcs`.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from bansim.errors import ConfigError
+from bansim.errors import ConfigError, FrameTooLong
 
 __all__ = [
     "Band",
@@ -35,6 +45,8 @@ __all__ = [
     "phy_config",
     "write_rate_csv",
     "RATE_INDEX_BITS",
+    "MAC_HEADER_LEN", "FCS_LEN", "MAX_BODY_LEN", "HEADER_LAYOUTS", "HEADER_INFO_BITS",
+    "frame_airtime_us", "frame_airtimes_us",
 ]
 
 
@@ -128,8 +140,21 @@ PREAMBLE_SYMBOLS = {PhyKind.NB: 90, PhyKind.UWB: 5 * 63, PhyKind.HBC: 4 * 32 + 1
 HEADER_CODE = (31, 19)
 PSDU_CODE = (63, 51)
 
-# Width of the PHY header's rate-index field in each family.
-RATE_INDEX_BITS = {PhyKind.NB: 3, PhyKind.UWB: 4, PhyKind.HBC: 3}
+MAC_HEADER_LEN = 7
+FCS_LEN = 2
+MAX_BODY_LEN = 255
+
+# Each family's PHY header: its (field, width) layout, None for bits sent
+# as zero, and whether the 4-bit check `hcs` follows it.
+HEADER_LAYOUTS = {
+    PhyKind.NB: ((("rate_index", 3), ("length", 8), ("scrambler", 1), ("burst_mode", 1), (None, 2)), True),
+    PhyKind.UWB: ((("rate_index", 4), ("length", 8), ("scrambler_seed", 2), (None, 2)), False),
+    PhyKind.HBC: ((("length", 8), ("rate_index", 3)), False),
+}
+# The information bits of each family's PHY header, check included, and
+# the width of its rate-index field.
+HEADER_INFO_BITS = {kind: sum(w for _, w in layout) + 4 * crc4 for kind, (layout, crc4) in HEADER_LAYOUTS.items()}
+RATE_INDEX_BITS = {kind: dict(layout)["rate_index"] for kind, (layout, _) in HEADER_LAYOUTS.items()}
 
 
 def _positive_finite(value) -> bool:
@@ -222,6 +247,34 @@ def info_data_rate(cfg: PhyConfig, component: str) -> float:
     if cfg.rate_override_kbps is not None:
         return cfg.rate_override_kbps
     return cfg.symbol_rate * BITS_PER_SYMBOL[modulation] * (k / n) / spreading
+
+
+def frame_airtimes_us(cfg: PhyConfig, body_lens: list[int]) -> list[float]:
+    """Airtime in microseconds of a frame with each of `body_lens` body
+    bytes, without building it; the config's rates are worked out once.
+
+    Each is the sum of the sync, header and PSDU times, in that order. Sync
+    symbols go out at the raw symbol rate; header and frame regions take
+    information_bits / information_rate, so coding and spreading stretch
+    them through the rate, not through the bit image.
+    """
+    for body_len in body_lens:
+        if type(body_len) is not int:
+            raise TypeError(f"body_len must be an int, got {body_len!r}")
+        if not 0 <= body_len <= MAX_BODY_LEN:
+            raise FrameTooLong(f"body of {body_len} bytes outside 0..{MAX_BODY_LEN}")
+    preamble_us = cfg.preamble_symbols / cfg.symbol_rate * 1000.0
+    header_us = HEADER_INFO_BITS[cfg.kind] / info_data_rate(cfg, "header") * 1000.0
+    psdu_kbps = info_data_rate(cfg, "psdu")
+    return [
+        preamble_us + header_us + (MAC_HEADER_LEN + body_len + FCS_LEN) * 8 / psdu_kbps * 1000.0
+        for body_len in body_lens
+    ]
+
+
+def frame_airtime_us(cfg: PhyConfig, body_len: int) -> float:
+    """Airtime of a frame with `body_len` body bytes, without building it."""
+    return frame_airtimes_us(cfg, [body_len])[0]
 
 
 # Narrowband registry: per band, the symbol rate and the modulation and

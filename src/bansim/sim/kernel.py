@@ -9,7 +9,9 @@ and the security sessions. A broken invariant of its own raises
 SimulationError. Time is a 64-bit microsecond clock; events dispatch in
 (time, class, insertion order), so a run is a pure function of
 (scenario, seed). A run covers [0, end): an event at its end instant does
-not happen, while an exchange that fits its phase exactly does. At one
+not happen, while an exchange that fits its phase exactly does. A beacon
+traces its start, but its airtime, count and tx_end line only if it ends
+before the run's end, as a clean exchange's data end does. At one
 instant phase starts come first, then the rest of the schedule (beacons,
 grants), then dynamic events (grid ticks, transmissions, arrivals). The
 schedule is replayed one superframe ahead: superframe i+1 is pushed when
@@ -642,14 +644,15 @@ class Simulation:
         self._begin_exchange([node], t, kind, t + window_us)
 
     def _on_beacon(self) -> None:
-        t = self.now
-        self.stats.add_busy(self.plan.beacon_us)
-        self.stats.beacon_airtime_us += self.plan.beacon_us
-        self.stats.beacons += 1
+        t, end = self.now, self.now + clock_us(self.plan.beacon_us)
         if self.collect_trace:
-            end = t + clock_us(self.plan.beacon_us)
             trace_event(self.trace, t, PhaseKind.BEACON, "tx_start", HUB_ID, _HUB_FIELDS)
-            trace_event(self.trace, end, PhaseKind.BEACON, "tx_end", HUB_ID, _HUB_FIELDS)
+        if end < self.end_time:
+            self.stats.add_busy(self.plan.beacon_us)
+            self.stats.beacon_airtime_us += self.plan.beacon_us
+            self.stats.beacons += 1
+            if self.collect_trace:
+                trace_event(self.trace, end, PhaseKind.BEACON, "tx_end", HUB_ID, _HUB_FIELDS)
 
     def _on_arrival(self, node_id: str) -> None:
         node = self.nodes[node_id]

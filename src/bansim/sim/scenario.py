@@ -64,8 +64,7 @@ from bansim.mac.superframe import (
     phases_covered,
     schedule_polls,
 )
-from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us
-from bansim.phy.rates import PhyConfig, info_data_rate, phy_config
+from bansim.phy.rates import MAX_BODY_LEN, PhyConfig, frame_airtime_us, info_data_rate, phy_config
 from bansim.security import HUB_ID, SECURITY_WIRE_OVERHEAD, SecurityLevel
 from bansim.textio import text_stream
 

@@ -26,8 +26,8 @@ from bansim.errors import (
 )
 from bansim.mac.csma import BackoffState, MacTimingConstants, PRIORITY_TABLE, on_failure, on_success
 from bansim.mac.superframe import PhaseKind
-from bansim.phy.ppdu import MAC_HEADER_LEN, build_ppdu, parse_ppdu
-from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
+from bansim.phy.ppdu import build_ppdu, parse_ppdu
+from bansim.phy.rates import MAC_HEADER_LEN, Band, hbc_config, nb_config, uwb_config
 from bansim.security import SecurityLevel, SecurityManager, SecuritySession, admit_frame, secure_frame
 from bansim.sim.kernel import run, run_to_files
 from bansim.sim.scenario import load_scenario, parse_scenario

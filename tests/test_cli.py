@@ -345,6 +345,22 @@ class TestSimulate:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one.scn"]
 
+    @pytest.mark.parametrize("seeds", [["1", "1"], ["1", "2", "1"]])
+    def test_a_repeated_seed_fails_before_the_run(self, seeds, tmp_path, monkeypatch, capsys):
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        monkeypatch.chdir(tmp_path)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("bansim.sim.kernel.run", no_run)
+        assert main(["simulate", str(scn), "--seed", *seeds, "--out", "d.csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ConfigError: --seed 1 given twice\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.scn"]
+
     def test_unknown_key_diagnostic_names_its_line(self, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
         scn.write_text("[phy]\nkind = nb\nantenna = dish\n")

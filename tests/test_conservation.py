@@ -14,8 +14,7 @@ import pytest
 
 from bansim.cli import main
 from bansim.errors import SimulationError
-from bansim.phy.ppdu import frame_airtime_us
-from bansim.phy.rates import Band, nb_config
+from bansim.phy.rates import Band, frame_airtime_us, nb_config
 from bansim.sim.kernel import run
 from bansim.sim.scenario import load_scenario
 from bansim.sim.stats import NodeStats, RunStats

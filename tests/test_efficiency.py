@@ -18,8 +18,7 @@ from bansim.efficiency import (
 )
 from bansim.errors import FrameTooLong
 from bansim.mac.csma import MacTimingConstants, PRIORITY_TABLE
-from bansim.phy.ppdu import MAX_BODY_LEN, frame_airtime_us, frame_airtimes_us
-from bansim.phy.rates import Band, info_data_rate, nb_config
+from bansim.phy.rates import MAX_BODY_LEN, Band, frame_airtime_us, frame_airtimes_us, info_data_rate, nb_config
 from bansim.textio import text_stream
 
 TIMING = MacTimingConstants()

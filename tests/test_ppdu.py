@@ -36,14 +36,10 @@ from bansim.phy.ppdu import (
     HBC_PREAMBLE_REPS,
     HBC_PREAMBLE_UNIT,
     HBC_SFD,
-    MAC_HEADER_LEN,
-    MAX_BODY_LEN,
     NB_PREAMBLE,
     UWB_PREAMBLE_CODE,
     UWB_PREAMBLE_REPS,
     build_ppdu,
-    frame_airtime_us,
-    frame_airtimes_us,
     hexdump,
     parse_ppdu,
     HbcPhyHeader,
@@ -57,6 +53,8 @@ from bansim.phy.ppdu import (
 )
 from bansim.phy.rates import (
     HEADER_CODE,
+    MAC_HEADER_LEN,
+    MAX_BODY_LEN,
     PREAMBLE_SYMBOLS,
     PSDU_CODE,
     RATE_INDEX_BITS,
@@ -65,6 +63,8 @@ from bansim.phy.rates import (
     PhyKind,
     Modulation,
     builtin_rate_table,
+    frame_airtime_us,
+    frame_airtimes_us,
     hbc_config,
     info_data_rate,
     nb_config,

@@ -36,8 +36,7 @@ from bansim.mac.csma import (
     trace_unlocks,
 )
 from bansim.mac.superframe import SHARED_PHASES, PhaseKind, phases_covered, schedule_polls
-from bansim.phy.ppdu import frame_airtime_us, frame_airtimes_us
-from bansim.phy.rates import Band, nb_config
+from bansim.phy.rates import Band, frame_airtime_us, frame_airtimes_us, nb_config
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
 from bansim.sim.stats import RunStats, write_stats_csv
@@ -460,27 +459,36 @@ class TestRunToFiles:
         assert (tmp_path / "empty.txt").read_bytes() == b""
 
 
-def node_lines(sc, end_us):
-    """The node trace lines of `sc` run to `end_us`. The hub's lines are left
-    out: a beacon traces its end when it starts, at or past a cut."""
-    _, lines = run(sc._replace(run=sc.run._replace(duration_us=end_us)), collect_trace=True)
-    return [line for line in lines if line.split(",")[1] != "hub"]
+def traced_lines(sc, end_us):
+    """The trace lines of `sc` run to `end_us`."""
+    return run(sc._replace(run=sc.run._replace(duration_us=end_us)), collect_trace=True)[1]
 
 
 class TestTheRunEnd:
     """A run covers [0, end): an event at the end instant does not happen.
     So a run cut at T traces exactly the lines that a longer run traces
-    before T: no delivery, timeout, data end, acknowledgement or grid tick
-    at T itself."""
+    before T: no delivery, timeout, data end, acknowledgement, beacon end or
+    grid tick at T itself."""
 
     def test_a_run_cut_at_each_traced_instant_keeps_the_lines_before_it(self):
         sc = parse_scenario(PAIR)
-        full = node_lines(sc, 140_000)
+        full = traced_lines(sc, 140_000)
         events = {line.split(",")[2] for line in full}
         assert {"tx_end", "ack", "success", "fail", "unlock", "draw", "count"} <= events
         times = [int(line.split(",", 1)[0]) for line in full]
         for end in sorted(set(times)):
-            assert node_lines(sc, end) == [line for line, t in zip(full, times) if t < end], end
+            assert traced_lines(sc, end) == [line for line, t in zip(full, times) if t < end], end
+
+    def test_a_beacon_that_ends_at_the_end_instant_is_traced_but_not_counted(self):
+        sc = parse_scenario(PAIR)
+        beacon_us = frame_airtime_us(sc.phy, BEACON_BODY_LEN)
+        beacon_end = clock_us(beacon_us)
+        for end, beacons in ((beacon_end, 0), (beacon_end + 1, 1)):
+            stats, lines = run(sc._replace(run=sc.run._replace(duration_us=end)), collect_trace=True)
+            assert (stats.beacons, stats.busy_us, stats.beacon_airtime_us) == (beacons, beacons * beacon_us,
+                                                                               beacons * beacon_us)
+            hub = [line.split(",")[2] for line in lines if line.split(",")[1] == "hub"]
+            assert hub == ["tx_start", "tx_end"][: 1 + beacons]
 
     def test_an_arrival_at_the_end_instant_is_not_offered(self):
         sc = parse_scenario(
