@@ -2,10 +2,10 @@
 reproducible from one library call, and failures exit nonzero with a
 named diagnostic."""
 
-import concurrent.futures
 import hashlib
 import io
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 import bansim
+from bansim import cli
 from bansim.cli import main
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
+from bansim.errors import ConfigError
 from bansim.phy.rates import builtin_rate_table, write_rate_csv
+from bansim.sim.kernel import run_to_files
 
 SCENARIO = """\
 [phy]
@@ -225,6 +228,13 @@ class TestFrame:
         assert captured.out == ""
 
 
+def _die_at_seed_2(sc, *paths):
+    """run_to_files, but the process running seed 2 is killed."""
+    if sc.run.seed == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_to_files(sc, *paths)
+
+
 class TestSimulate:
     def test_scenario_runs_to_csv(self, tmp_path, capsys):
         scn = tmp_path / "one.scn"
@@ -267,42 +277,120 @@ class TestSimulate:
             assert (tmp_path / f"stats.s{seed}.csv").exists()
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """The max_workers of each process pool asked for; the pool's calls
-        run in this process, and no process starts."""
-        asked = []
+    def worker_pids(self, tmp_path, monkeypatch):
+        """Reads, and then forgets, each seed run since the last read and
+        the pid of the process that ran it, as (seed, pid) in the order the
+        runs ended; the runs themselves go on."""
+        log = tmp_path / "pids.log"
+        real = cli.run_to_files
 
-        class InProcessPool:
-            def __init__(self, max_workers=None):
-                asked.append(max_workers)
+        def recorded(sc, *paths):
+            stats = real(sc, *paths)
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{sc.run.seed} {os.getpid()}\n".encode())
+            finally:
+                os.close(fd)
+            return stats
 
-            def __enter__(self):
-                return self
+        def read():
+            if not log.exists():
+                return []
+            runs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+            log.unlink()
+            return runs
 
-            def __exit__(self, *exc):
-                return False
+        monkeypatch.setattr(cli, "run_to_files", recorded)
+        return read
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        return asked
-
-    def test_sweep_workers_never_outnumber_the_seeds(self, tmp_path, pools, capsys):
+    def test_sweep_workers_never_outnumber_the_seeds(self, tmp_path, worker_pids, capsys):
         scn = tmp_path / "one.scn"
         scn.write_text(SCENARIO)
-        out = tmp_path / "stats.csv"
-        assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "64", "--out", str(out)]) == 0
-        assert pools == [2]
-        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["seed=1", "seed=2"]
+        for seeds, n in ((2, 64), (5, 2)):
+            out = tmp_path / f"n{n}" / "stats.csv"
+            out.parent.mkdir()
+            argv = ["simulate", str(scn), "--seed", *map(str, range(1, seeds + 1)), "--sweep-parallel", str(n)]
+            assert main([*argv, "--out", str(out)]) == 0
+            runs = worker_pids()
+            assert sorted(seed for seed, _ in runs) == list(range(1, seeds + 1))
+            pids = {pid for _, pid in runs}
+            assert len(pids) == 2 and os.getpid() not in pids
+            assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
+                f"seed={seed}" for seed in range(1, seeds + 1)]
 
-    def test_negative_sweep_parallel_rejected(self, tmp_path, pools, capsys):
+    def test_negative_sweep_parallel_rejected(self, tmp_path, worker_pids, capsys):
         scn = tmp_path / "one.scn"
         scn.write_text(SCENARIO)
         assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "-1"]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ConfigError: --sweep-parallel")
-        assert captured.out == "" and pools == []
+        assert captured.out == "" and worker_pids() == []
+
+    def test_a_sweep_without_fork_is_refused(self, tmp_path, worker_pids, monkeypatch, capsys):
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        monkeypatch.delattr(os, "fork")
+        assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ConfigError: --sweep-parallel")
+        assert captured.out == "" and worker_pids() == []
+        # Without the flag the seeds still run, one after the other.
+        assert main(["simulate", str(scn), "--seed", "1", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        assert worker_pids() == [(1, os.getpid()), (2, os.getpid())]
+
+    def test_a_dead_sweep_worker_is_named(self, tmp_path, monkeypatch, capsys):
+        # It once ended in a BrokenProcessPool traceback, with no seed's file written.
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        monkeypatch.setattr(cli, "run_to_files", _die_at_seed_2)
+        out = tmp_path / "stats.csv"
+        assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: SimulationError: the sweep worker for seed 2 ended by signal 9 before sending its stats\n"
+        )
+        assert captured.out == ""
+        assert (tmp_path / "stats.s1.csv").exists() and not (tmp_path / "stats.s2.csv").exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failing", [{2}, {2, 3}, {3}])
+    def test_a_seed_that_raises_in_a_worker_fails_the_sweep(self, failing, tmp_path, monkeypatch, capsys):
+        # Two workers: seeds 1 and 3 run in one, seed 2 in the other. The
+        # first failing seed in seed order is the one reported, and every
+        # other seed's run completes.
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        real = cli.run_to_files
+
+        def fail_some(sc, *paths):
+            if sc.run.seed in failing:
+                raise ConfigError(f"seed {sc.run.seed} refused")
+            return real(sc, *paths)
+
+        monkeypatch.setattr(cli, "run_to_files", fail_some)
+        out = tmp_path / "stats.csv"
+        assert main(["simulate", str(scn), "--seed", "1", "2", "3", "--sweep-parallel", "2", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: seed {min(failing)} refused\n"
+        assert captured.out == ""
+        for seed in (1, 2, 3):
+            assert (tmp_path / f"stats.s{seed}.csv").exists() == (seed not in failing)
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_a_multi_seed_output_on_a_pipe_is_refused(self, flag, tmp_path, worker_pids, capsys):
+        # Each seed's file once went beside the pipe, as a new regular file.
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        pipe = tmp_path / "out.pipe"
+        os.mkfifo(pipe)
+        assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "2", flag, str(pipe)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: ConfigError: {flag} {pipe} is not a regular file; a multi-seed run writes a file per seed\n"
+        )
+        assert captured.out == "" and worker_pids() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.scn", "out.pipe"]
 
     def test_stdout_when_no_output_path(self, tmp_path, capsys):
         scn = tmp_path / "one.scn"

@@ -275,9 +275,9 @@ CODEC = (
     " command 70-105 ms of start-up and 13 MB of peak RSS (after `import bansim.cli`, 5 runs)"
 )
 NESTED_KEPT = {
-    "cli.py: import concurrent.futures": (
-        "only a multi-seed --sweep-parallel run starts a process pool; at the top of cli.py"
-        " the pool and the logging it loads cost every other command 5-7 ms of start-up"
+    "cli.py: import pickle": (
+        "only a multi-seed --sweep-parallel run sends its workers' stats back pickled; at the top of cli.py"
+        " pickle would cost every other command 2.0-3.1 ms of start-up (after `import bansim.cli`, 5 runs)"
     ),
     "cli.py: from bansim.phy.bitfields import padded_bytes": CODEC,
     "cli.py: from bansim.phy.ppdu import build_ppdu, hexdump": CODEC,
@@ -343,10 +343,10 @@ def test_the_environment_check_sees_each_read(tmp_path):
     assert environment_reads(source) == [2, 3, 4]
 
 
-# Modules a run never needs: no record is a dataclass, only a multi-seed
-# --sweep-parallel run loads the process pool and its logging, and only
-# the frame commands load numpy.
-UNLOADED = ("dataclasses", "concurrent.futures", "logging", "numpy")
+# Modules a run never needs: no record is a dataclass, a multi-seed
+# --sweep-parallel run forks its workers without a process pool (and
+# without the logging a pool loads), and only the frame commands load numpy.
+UNLOADED = ("dataclasses", "concurrent.futures", "multiprocessing", "logging", "numpy")
 
 
 def test_the_cli_loads_only_what_a_run_uses(tmp_path):
@@ -363,10 +363,11 @@ def test_the_cli_loads_only_what_a_run_uses(tmp_path):
         "assert cli.main(['efficiency', '--payloads', '10,100', '--out', 'eff.csv']) == 0",
         "assert cli.main(['rates', '--out', 'rates.txt']) == 0",
         "assert 'numpy' not in sys.modules, 'after efficiency and rates'",
+        "assert 'pickle' not in sys.modules, 'pickle loaded before a parallel sweep'",
         f"for n in (0, 2):",
         f"    assert cli.main(['simulate', {str(scenario)!r}, '--seed', '3', '4',"
         f" '--sweep-parallel', str(n), '--out', f'p{{n}}.csv']) == 0",
-        "assert 'concurrent.futures' in sys.modules",
+        "assert not [m for m in unloaded if m in sys.modules], 'after the sweeps'",
         "assert cli.main(['frame', 'build', '--body-len', '4', '--out', 'frame.txt']) == 0",
         "assert 'numpy' in sys.modules, 'frame build ran without the codec'",
     ])
