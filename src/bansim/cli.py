@@ -16,8 +16,8 @@ from pathlib import Path
 
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import BansimError, ConfigError, SimulationError
-from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, builtin_rate_table, frame_airtime_us, phy_config,
-                              write_rate_csv)
+from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, PHY_KEYS, builtin_rate_table, frame_airtime_us,
+                              phy_config, write_rate_csv)
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
 from bansim.sim.stats import write_stats_csv
@@ -28,16 +28,22 @@ from bansim.textio import text_stream
 
 
 def _add_phy_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--phy", choices=["nb", "uwb", "hbc"], default="nb")
-    parser.add_argument(
-        "--band",
-        default="2400-2483.5",
-        help="narrowband band name, e.g. 402-405 (MHz)",
-    )
-    parser.add_argument("--rate", choices=["low", "high"], default="high",
-                        help="narrowband payload rate tier")
-    parser.add_argument("--channel", type=int, default=2, help="ultra-wideband channel number")
-    parser.add_argument("--center", type=int, default=16, help="body-coupled center frequency, MHz")
+    parser.add_argument("--phy", choices=list(PHY_KEYS), default="nb")
+    parser.add_argument("--band", help="narrowband band name, e.g. 402-405 (MHz)")
+    parser.add_argument("--rate", choices=["low", "high"], help="narrowband payload rate tier")
+    parser.add_argument("--channel", type=int, help="ultra-wideband channel number")
+    parser.add_argument("--center", type=int, help="body-coupled center frequency, MHz")
+
+
+def _phy_config(args):
+    """The --phy family's config from the PHY flags given. A flag of another
+    family is refused; a narrowband frame not given --band is in the
+    2400-2483.5 band, where a scenario's is in 402-405."""
+    flags = vars(args)
+    keys = {key: flags[key] for family in PHY_KEYS.values() for key in family if flags[key] is not None}
+    if args.phy == "nb":
+        keys.setdefault("band", "2400-2483.5")
+    return phy_config(args.phy, **keys)
 
 
 def _parse_payloads(spec: str) -> list[int]:
@@ -246,7 +252,7 @@ def cmd_frame_build(args) -> int:
     from bansim.phy.bitfields import padded_bytes
     from bansim.phy.ppdu import build_ppdu, hexdump
 
-    cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
+    cfg = _phy_config(args)
     mac_header = _hex_bytes(args.mac_header, "--mac-header")
     if len(mac_header) != MAC_HEADER_LEN:
         raise ConfigError(f"--mac-header must be {MAC_HEADER_LEN} bytes of hex")
@@ -258,7 +264,7 @@ def cmd_frame_build(args) -> int:
         body = bytes(i % 256 for i in range(args.body_len))
     ppdu = build_ppdu(cfg, mac_header, body)
     with text_stream(args.out) as fh:
-        print(hexdump(ppdu, cfg), file=fh)
+        print(hexdump(ppdu), file=fh)
         _print_frame_fields(ppdu, cfg, fh)
         image = padded_bytes(ppdu.bits)
         print(f"image={image.hex()} bits={len(ppdu.bits)}", file=fh)
@@ -269,7 +275,7 @@ def cmd_frame_parse(args) -> int:
     from bansim.phy.bitfields import bytes_to_bits
     from bansim.phy.ppdu import parse_ppdu
 
-    cfg = phy_config(args.phy, args.band, args.rate, args.channel, args.center)
+    cfg = _phy_config(args)
     image = _hex_bytes(args.image, "image")
     bits = bytes_to_bits(image)
     if args.bits is not None:

@@ -96,7 +96,6 @@ class PhaseLayout(NamedTuple):
     slot_length_us: int
     slots_per_superframe: int
     phases: tuple[PhaseSpan, ...]
-    beacon_period_multiplier: int = 1
 
     @property
     def duration_us(self) -> int:
@@ -155,7 +154,6 @@ def build_layout(config: SuperframeConfig) -> PhaseLayout:
         slot_length_us=config.slot_length_us,
         slots_per_superframe=config.slots_per_superframe,
         phases=tuple(phases),
-        beacon_period_multiplier=config.beacon_period_multiplier,
     )
 
 

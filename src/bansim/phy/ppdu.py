@@ -375,8 +375,8 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
 # ------------------------------------------------------------------ hexdump
 
 
-def _regions(ppdu: Ppdu, cfg: PhyConfig) -> list[tuple[str, np.ndarray]]:
-    fmt = _FORMATS[cfg.kind]
+def _regions(ppdu: Ppdu) -> list[tuple[str, np.ndarray]]:
+    fmt = _FORMATS[ppdu.kind]
     bits, unit, sfd = ppdu.bits, len(fmt.unit), len(fmt.sfd)
     out = [(_preamble_label(fmt, i), bits[i * unit : (i + 1) * unit]) for i in range(fmt.reps)]
     off = fmt.reps * unit
@@ -389,7 +389,7 @@ def _regions(ppdu: Ppdu, cfg: PhyConfig) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def hexdump(ppdu: Ppdu, cfg: PhyConfig) -> str:
+def hexdump(ppdu: Ppdu) -> str:
     """Annotated dump: bit offset, hex of the region bits, field label.
 
     Regions are padded to whole bytes for display only; offsets count image
@@ -397,7 +397,7 @@ def hexdump(ppdu: Ppdu, cfg: PhyConfig) -> str:
     """
     lines = []
     offset = 0
-    for label, bits in _regions(ppdu, cfg):
+    for label, bits in _regions(ppdu):
         data = padded_bytes(bits)
         for i in range(0, max(len(data), 1), 16):
             chunk = data[i : i + 16]

@@ -18,6 +18,10 @@ reserved or pad bits sent as zero, which pulse radio checks on parse and
 narrowband covers only by its 4-bit check `hcs` over the layout bits. The
 codec's header record (NbPlcpHeader, UwbPhr, HbcPhyHeader) holds the
 named fields in order (`length` counts body bytes), then `hcs`.
+
+Each family's factory (nb_config, uwb_config, hbc_config) holds its
+defaults; phy_config passes it only the keys its caller gave, and refuses
+a key of another family (PHY_KEYS).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ __all__ = [
     "nb_config",
     "uwb_config",
     "hbc_config",
-    "phy_config",
+    "phy_config", "PHY_KEYS",
     "write_rate_csv",
     "RATE_INDEX_BITS",
     "MAC_HEADER_LEN", "FCS_LEN", "MAX_BODY_LEN", "HEADER_LAYOUTS", "HEADER_INFO_BITS",
@@ -293,7 +297,7 @@ _NB_BANDS: dict[Band, tuple[float, _M, tuple[_M, int], tuple[_M, int]]] = {
 }
 
 
-def nb_config(band: Band, rate: str = "high") -> PhyConfig:
+def nb_config(band: Band = Band.NB_402_405, rate: str = "high") -> PhyConfig:
     """Operational narrowband config: `rate` picks the payload entry."""
     if band not in _NB_BANDS:
         raise ConfigError(f"{band.value} is not a narrowband band")
@@ -331,12 +335,12 @@ def uwb_config(channel: int = 2) -> PhyConfig:
     )
 
 
-def hbc_config(center_mhz: int = 16) -> PhyConfig:
-    """Body-coupled config; symbol clock equals the 4 MHz channel width."""
-    if center_mhz not in (16, 27):
-        raise ConfigError(f"band center must be 16 or 27 MHz, got {center_mhz}")
+def hbc_config(center: int = 16) -> PhyConfig:
+    """Body-coupled config at `center` MHz; symbol clock equals the 4 MHz channel width."""
+    if center not in (16, 27):
+        raise ConfigError(f"band center must be 16 or 27 MHz, got {center}")
     return PhyConfig(
-        band_id=Band.HBC_16 if center_mhz == 16 else Band.HBC_27,
+        band_id=Band.HBC_16 if center == 16 else Band.HBC_27,
         modulation=Modulation.EFC,
         symbol_rate=4000.0,
         spreading=4,
@@ -344,20 +348,24 @@ def hbc_config(center_mhz: int = 16) -> PhyConfig:
     )
 
 
-def phy_config(kind: str, band: str, rate: str, channel: int, center: int) -> PhyConfig:
-    """The config of one family: nb reads `band` (a band name) and `rate`,
-    uwb `channel`, hbc `center`; the others are ignored."""
-    if kind == "nb":
+# The keys each family's factory reads: [phy] keys and frame-command flags.
+PHY_KEYS = {"nb": ("band", "rate"), "uwb": ("channel",), "hbc": ("center",)}
+
+
+def phy_config(kind: str, **keys) -> PhyConfig:
+    """The config of one family from the keys given, `band` by name; a key
+    not given takes its factory's default."""
+    if kind not in PHY_KEYS:
+        raise ConfigError(f"phy kind must be nb, uwb, or hbc, got {kind!r}")
+    for key in keys:
+        if key not in PHY_KEYS[kind]:
+            raise ConfigError(f"{key} does not apply to kind {kind}")
+    if "band" in keys:
         try:
-            band_id = Band(band)
+            keys["band"] = Band(keys["band"])
         except ValueError:
-            raise ConfigError(f"unknown band {band!r}") from None
-        return nb_config(band_id, rate)
-    if kind == "uwb":
-        return uwb_config(channel)
-    if kind == "hbc":
-        return hbc_config(center)
-    raise ConfigError(f"phy kind must be nb, uwb, or hbc, got {kind!r}")
+            raise ConfigError(f"unknown band {keys['band']!r}") from None
+    return {"nb": nb_config, "uwb": uwb_config, "hbc": hbc_config}[kind](**keys)
 
 
 class RateRow(NamedTuple):

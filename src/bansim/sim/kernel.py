@@ -91,10 +91,11 @@ A run given an open trace file streams its trace: the line list is a
 buffer that write_trace empties into the file at each superframe start and
 at the end of the run, so a traced run's memory stays flat in run length.
 
-Every transmission passes the security gate: a node whose session is at
-an authenticated level must hold an active pairwise key, its payload
-goes out through secure_frame, and the hub admits it on delivery, so
-counter and tag handling are exercised on every simulated frame.
+Every transmission passes the security gate: a secured node's payload
+goes out through secure_frame, which refuses it without an active
+pairwise key (association always establishes one), and the hub admits it
+on delivery, so counter and tag handling are exercised on every
+simulated frame.
 """
 
 from __future__ import annotations
@@ -492,15 +493,6 @@ class Simulation:
 
     # ---------------------------------------------------------- exchanges
 
-    def _secure_payload(self, node: _Node) -> bytes | None:
-        if node.session is None:
-            return None
-        if not node.session.ptk_active:
-            raise SimulationError(
-                f"{node.node_id}: secured transmission without an active pairwise key"
-            )
-        return secure_frame(bytes(node.spec.payload_bytes), node.session)
-
     def _collides(self, transmitters: list[_Node]) -> bool:
         """Whether the exchange's data frames fail: on the channel, when
         more than one is sent at once."""
@@ -525,7 +517,10 @@ class Simulation:
         exchange = _Exchange(kind, phase_end, frozen)
         self.exchange = exchange
         for node in transmitters:
-            exchange.wires[node.node_id] = self._secure_payload(node)
+            session = node.session
+            exchange.wires[node.node_id] = (
+                None if session is None else secure_frame(bytes(node.spec.payload_bytes), session)
+            )
         tracing = self.collect_trace
         if tracing:
             if counting:

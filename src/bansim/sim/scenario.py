@@ -11,9 +11,11 @@ a comma-separated list of sub-assignments, for example:
     n2 = priority=3, traffic=scripted:1000;250000, payload=20, access=scheduled, slot_start=70, slot_len=10
 
 One table (_KEYS) holds every key of every section, node and security
-sub-keys included, with its typed default and its converter; one reader
-converts each given value at its own line, so unknown keys and malformed
-or out-of-range values fail there. Named values match in any case. The
+sub-keys included, with its converter; one reader converts each given
+value at its own line, so unknown keys and malformed or out-of-range
+values fail there. Named values match in any case. A key not given takes
+the default of the record field it sets, and a [phy] key its family
+factory's (phy.rates); only the [phy] kind's default, nb, lives here. The
 `<phase>_slots` keys are PhaseKind's names in its order, and the mode and
 access values are those of OperationalMode and TrafficKind. The [phy]
 family (phy.rates.phy_config) reads only its own keys: a key of another
@@ -64,8 +66,8 @@ from bansim.mac.superframe import (
     phases_covered,
     schedule_polls,
 )
-from bansim.phy.rates import MAX_BODY_LEN, PhyConfig, frame_airtime_us, info_data_rate, phy_config
-from bansim.security import HUB_ID, SECURITY_WIRE_OVERHEAD, SecurityLevel
+from bansim.phy.rates import MAX_BODY_LEN, PHY_KEYS, PhyConfig, frame_airtime_us, info_data_rate, phy_config
+from bansim.security import HUB_ID, MK_MODES, SECURITY_WIRE_OVERHEAD, SecurityLevel
 from bansim.textio import text_stream
 
 __all__ = [
@@ -146,9 +148,6 @@ _UNREAD_IN_MODE = {
     OperationalMode.NONBEACON_UNBOUNDED: (*_NO_BEACON, "fill_phase_type"),
 }
 
-# The [phy] keys each family reads; a key of another family is refused.
-_PHY_FAMILIES = {"nb": ("band", "rate"), "uwb": ("channel",), "hbc": ("center",)}
-
 # Highest Poisson rate, frames/s. Above it the mean gap between arrivals
 # is under the kernel's 1 us clock, so gaps round to zero and simulated
 # time stops advancing.
@@ -219,6 +218,11 @@ def _choice(options):
     return convert
 
 
+def _milliseconds(raw: str, line: int, key: str) -> int:
+    """A whole number of milliseconds, at least 1, as microseconds."""
+    return _integer(1)(raw, line, key) * 1000
+
+
 def _traffic(raw: str, line: int, key: str) -> tuple:
     if raw == "saturated":
         return ("saturated",)
@@ -242,67 +246,60 @@ def _traffic(raw: str, line: int, key: str) -> tuple:
     raise _fail(line, f"unknown traffic model {raw!r}")
 
 
-# Every key of the format: section -> key -> (typed default, converter).
-# A node or security entry reads its sub-keys from its section's table.
+# Every key of the format: section -> key -> converter. A node or security
+# entry reads its sub-keys from its section's table. Each key sets the
+# record field of its name, or the one _FIELDS names.
 _KEYS = {
     "phy": {
-        "kind": ("nb", _choice(tuple(_PHY_FAMILIES))),
-        "band": ("402-405", _text),
-        "rate": ("high", _choice(("low", "high"))),
-        "channel": (2, _integer()),
-        "center": (16, _integer()),
-        "rate_override_kbps": (None, _positive),
+        "kind": _choice(tuple(PHY_KEYS)),
+        "band": _text,
+        "rate": _choice(("low", "high")),
+        "channel": _integer(),
+        "center": _integer(),
+        "rate_override_kbps": _positive,
     },
     "superframe": {
-        "slot_length_us": (500, _integer(1)),
-        "slots": (256, _integer(1)),
-        "mode": (OperationalMode.BEACON_BOUNDED, _choice(OperationalMode)),
-        "fill_phase_type": ("I", _choice({"i": "I", "ii": "II"})),
-        "beacon_period_multiplier": (1, _integer(1)),
-        "beacon_prohibited": (
-            False,
-            _choice({"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}),
+        "slot_length_us": _integer(1),
+        "slots": _integer(1),
+        "mode": _choice(OperationalMode),
+        "fill_phase_type": _choice({"i": "I", "ii": "II"}),
+        "beacon_period_multiplier": _integer(1),
+        "beacon_prohibited": _choice(
+            {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
         ),
-        "poll_grant_us": (None, _integer(1)),
-        **{key: (None, _integer(0)) for key in _PHASE_KEYS},
+        "poll_grant_us": _integer(1),
+        **{key: _integer(0) for key in _PHASE_KEYS},
     },
-    "csma": {
-        "psifs_us": (50, _integer(0)),
-        "slot_us": (125, _integer(1)),
-        "gtn_us": (85, _integer(0)),
-    },
+    "csma": {"psifs_us": _integer(0), "slot_us": _integer(1), "gtn_us": _integer(0)},
     "nodes": {
-        "priority": (4, _integer()),
-        "traffic": (("saturated",), _traffic),
-        "payload": (100, _integer()),
-        "access": (TrafficKind.CONTENTION, _choice(TrafficKind)),
-        "slot_start": (None, _integer(0)),
-        "slot_len": (None, _integer(1)),
-        "period": (1, _integer(1)),
-        "offset": (0, _integer()),
+        "priority": _integer(),
+        "traffic": _traffic,
+        "payload": _integer(),
+        "access": _choice(TrafficKind),
+        "slot_start": _integer(0),
+        "slot_len": _integer(1),
+        "period": _integer(1),
+        "offset": _integer(),
     },
     "security": {
-        "level": (SecurityLevel.UNSECURED, _choice({str(int(level)): level for level in SecurityLevel})),
-        "mk": ("preshared", _choice(("preshared", "unauthenticated"))),
-        "group": (None, _text),
+        "level": _choice({str(int(level)): level for level in SecurityLevel}),
+        "mk": _choice(MK_MODES),
+        "group": _text,
     },
-    "run": {
-        "seed": (1, _integer()),
-        "duration_ms": (1000, _integer(1)),
-        "channel": ("ideal", _choice(CHANNEL_MODELS)),
-    },
+    "run": {"seed": _integer(), "duration_ms": _milliseconds, "channel": _choice(CHANNEL_MODELS)},
 }
+_FIELDS = {"slots": "slots_per_superframe", "slot_us": "csma_slot_us", "payload": "payload_bytes",
+           "duration_ms": "duration_us"}
 
 
 def _read(section: str, fields: dict[str, tuple[str, int]]) -> dict:
-    """Every key of `section`'s table: each given one converted at its own
-    line, the others at their default. An unknown key fails at its line."""
-    table = _KEYS[section]
-    values = {key: default for key, (default, _) in table.items()}
+    """The given keys of `section`, each converted at its own line and
+    named as the field it sets. An unknown key fails at its line."""
+    table, values = _KEYS[section], {}
     for key, (raw, line) in fields.items():
         if key not in table:
             raise _fail(line, f"unknown [{section}] key {key!r}")
-        values[key] = table[key][1](raw, line, key)
+        values[_FIELDS.get(key, key)] = table[key](raw, line, key)
     return values
 
 
@@ -331,17 +328,17 @@ def _split_assignments(raw: str, line: int) -> dict[str, tuple[str, int]]:
 
 
 def _phy(fields: dict[str, tuple[str, int]], section_line: int | None) -> PhyConfig:
-    values = _read("phy", fields)
-    kind = values["kind"]
-    family = _PHY_FAMILIES[kind]
-    _refuse(fields, [key for keys in _PHY_FAMILIES.values() for key in keys if key not in family], f"kind {kind}")
+    given = _read("phy", fields)
+    kind = given.pop("kind", "nb")
+    family = PHY_KEYS[kind]
+    _refuse(fields, [key for keys in PHY_KEYS.values() for key in keys if key not in family], f"kind {kind}")
+    override = given.pop("rate_override_kbps", None)
     try:
-        cfg = phy_config(kind, values["band"], values["rate"], values["channel"], values["center"])
+        cfg = phy_config(kind, **given)
     except ConfigError as exc:
         # kind and rate are checked by their converters, so the fault lies
         # with the family's first key.
         raise _fail(fields.get(family[0], (None, section_line))[1], str(exc)) from None
-    override = values["rate_override_kbps"]
     if override is not None:
         cfg = cfg._replace(rate_override_kbps=override)
         if not math.isfinite(frame_airtime_us(cfg, MAX_BODY_LEN)):
@@ -385,19 +382,18 @@ def parse_scenario(text: str) -> Scenario:
             if key in node_lines:
                 raise _fail(lineno, f"duplicate node {key!r}")
             given = _split_assignments(value, lineno)
-            spec = _read("nodes", given)
-            if spec["access"] is not TrafficKind.SCHEDULED:
-                _refuse(given, ("slot_start", "slot_len", "period", "offset"), f"access {spec['access'].value}")
-            nodes.append(NodeSpec(node_id=key, payload_bytes=spec.pop("payload"), **spec))
+            spec = NodeSpec(node_id=key, **_read("nodes", given))
+            if spec.access is not TrafficKind.SCHEDULED:
+                _refuse(given, ("slot_start", "slot_len", "period", "offset"), f"access {spec.access.value}")
+            nodes.append(spec)
             node_lines[key] = lineno
         elif section == "security":
             if key in security:
                 raise _fail(lineno, f"duplicate security entry {key!r}")
             given = _split_assignments(value, lineno)
-            spec = _read("security", given)
-            if spec["level"] == SecurityLevel.UNSECURED:
+            spec = security[key] = SecuritySpec(**_read("security", given))
+            if spec.level == SecurityLevel.UNSECURED:
                 _refuse(given, ("mk",), "level 0")
-            security[key] = SecuritySpec(**spec)
             security_lines[key] = lineno
         else:
             if key in fields[section]:
@@ -406,27 +402,21 @@ def parse_scenario(text: str) -> Scenario:
 
     phy = _phy(fields["phy"], section_lines.get("phy"))
     sf = _read("superframe", fields["superframe"])
-    _refuse(fields["superframe"], _UNREAD_IN_MODE[sf["mode"]], f"mode {sf['mode'].value}")
-    if "poll_grant_us" in fields["superframe"]:
+    # The Scenario's own key, passed on only when given.
+    grant = {"poll_grant_us": sf.pop("poll_grant_us")} if "poll_grant_us" in sf else {}
+    phase_slots = {kind: sf.pop(key) for key, kind in _PHASE_KEYS.items() if key in sf}
+    superframe = SuperframeConfig(phase_slots=phase_slots, **sf)
+    _refuse(fields["superframe"], _UNREAD_IN_MODE[superframe.mode], f"mode {superframe.mode.value}")
+    if grant:
         section_lines["poll_grant_us"] = fields["superframe"]["poll_grant_us"][1]
-    csma = _read("csma", fields["csma"])
-    run = _read("run", fields["run"])
     scenario = Scenario(
         phy=phy,
-        superframe=SuperframeConfig(
-            slot_length_us=sf["slot_length_us"],
-            slots_per_superframe=sf["slots"],
-            mode=sf["mode"],
-            phase_slots={kind: sf[key] for key, kind in _PHASE_KEYS.items() if sf[key] is not None},
-            fill_phase_type=sf["fill_phase_type"],
-            beacon_period_multiplier=sf["beacon_period_multiplier"],
-            beacon_prohibited=sf["beacon_prohibited"],
-        ),
-        timing=MacTimingConstants(csma_slot_us=csma.pop("slot_us"), **csma),
+        superframe=superframe,
+        timing=MacTimingConstants(**_read("csma", fields["csma"])),
         nodes=tuple(nodes),
         security=security,
-        run=RunSpec(duration_us=run.pop("duration_ms") * 1000, **run),
-        poll_grant_us=sf["poll_grant_us"],
+        run=RunSpec(**_read("run", fields["run"])),
+        **grant,
     )
     compile_scenario(scenario, section_lines, node_lines, security_lines)
     return scenario
@@ -618,7 +608,7 @@ def compile_scenario(
         start, length = span.start_slot * layout.slot_length_us, span.length_slots * layout.slot_length_us
         schedule.append((start, 1, 0, EventKind.PHASE_START, (span.kind, length)))
         if span.kind == PhaseKind.BEACON:
-            schedule.append((start, layout.beacon_period_multiplier, 0, EventKind.BEACON_TX, ()))
+            schedule.append((start, sc.superframe.beacon_period_multiplier, 0, EventKind.BEACON_TX, ()))
         if polled and span.kind in SHARED_PHASES - taken:
             for node_id, offset in schedule_polls(layout, sorted(polled), span.kind, grant_us):
                 entry = (node_id, grant_us, start + length - offset, span.kind)

@@ -227,6 +227,23 @@ class TestFrame:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["build", "parse"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--phy", "uwb", "--band", "402-405"], ["--phy", "hbc", "--rate", "low"], ["--phy", "nb", "--channel", "5"],
+         ["--phy", "uwb", "--center", "27"]],
+        ids=["uwb-band", "hbc-rate", "nb-channel", "uwb-center"],
+    )
+    def test_a_flag_of_another_family_is_refused_by_name(self, command, flags, tmp_path, capsys):
+        # Each was ignored: the command exited 0 with a frame of --phy's family.
+        out = tmp_path / "frame.txt"
+        image = [] if command == "build" else ["00"]
+        assert main(["frame", command, *flags, *image, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ConfigError: {flags[2][2:]} does not apply to kind {flags[1]}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 def _die_at_seed_2(sc, *paths):
     """run_to_files, but the process running seed 2 is killed."""

@@ -302,7 +302,7 @@ def test_higher_rate_entry_transmits_faster():
 
 
 def test_hexdump_shows_every_region():
-    dump = hexdump(build_ppdu(HBC, b"\x13" * 7, b"uv"), HBC)
+    dump = hexdump(build_ppdu(HBC, b"\x13" * 7, b"uv"))
     assert "preamble" in dump and "sfd" in dump and "phy_header" in dump and "psdu" in dump
     first_offset = int(dump.splitlines()[0].split()[0])
     assert first_offset == 0

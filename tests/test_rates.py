@@ -9,6 +9,7 @@ from bansim.errors import ConfigError
 from bansim.phy.fec import check_code
 from bansim.phy.rates import (
     HEADER_CODE,
+    PHY_KEYS,
     PSDU_CODE,
     _BAND_INFO,
     Band,
@@ -19,6 +20,7 @@ from bansim.phy.rates import (
     hbc_config,
     info_data_rate,
     nb_config,
+    phy_config,
     uwb_config,
 )
 
@@ -114,6 +116,14 @@ def test_uwb_mandatory_rate_and_channels():
     assert by_id[7].center_freq == pytest.approx(7987.2) and by_id[7].mandatory
     assert all(not c.mandatory for c in UWB_CHANNELS if c.channel_id not in (2, 7))
     assert all(c.channel_id <= 3 for c in UWB_CHANNELS if c.center_freq < 5000)
+
+
+def test_each_uwb_channel_lies_in_its_band():
+    # The low band holds channels 1..3, below 5 GHz, and the high band the
+    # rest; channel 3 is the low band's last.
+    for plan in UWB_CHANNELS:
+        want = Band.UWB_LOW if plan.center_freq < 5000 else Band.UWB_HIGH
+        assert uwb_config(plan.channel_id).band_id is want, plan
 
 
 def test_hbc_band_metadata():
@@ -224,3 +234,48 @@ def test_a_rate_index_wider_than_its_header_field_is_refused(cfg, rate_index):
 def test_every_rate_index_the_header_field_holds_is_accepted():
     for cfg, top in ((nb_config(Band.NB_402_405), 7), (uwb_config(2), 15), (hbc_config(16), 7)):
         assert cfg._replace(rate_index=top).rate_index == top
+
+
+def fields(cfg):
+    """A config's fields by name; PhyConfig defines no __eq__."""
+    return {name: getattr(cfg, name) for name in PhyConfig.__slots__}
+
+
+# A legal value of each family key.
+KEY_VALUES = {"band": "402-405", "rate": "low", "channel": 7, "center": 27}
+
+
+@pytest.mark.parametrize(
+    ("kind", "key"),
+    [(kind, key) for kind in PHY_KEYS for key in KEY_VALUES if key not in PHY_KEYS[kind]]
+    + [("hbc", "center_mhz")],
+)
+def test_phy_config_refuses_a_key_of_another_family(kind, key):
+    # A key of another family was ignored, so the config of one family
+    # was built with another's key given.
+    with pytest.raises(ConfigError, match=f"^{key} does not apply to kind {kind}$"):
+        phy_config(kind, **{key: KEY_VALUES.get(key, 16)})
+
+
+@pytest.mark.parametrize(
+    ("kind", "given", "want"),
+    [("nb", {}, nb_config(Band.NB_402_405, "high")), ("nb", {"rate": "low"}, nb_config(Band.NB_402_405, "low")),
+     ("nb", {"band": "863-870"}, nb_config(Band.NB_863_870, "high")), ("uwb", {}, uwb_config(2)),
+     ("uwb", {"channel": 7}, uwb_config(7)), ("hbc", {}, hbc_config(16)), ("hbc", {"center": 27}, hbc_config(27))],
+)
+def test_phy_config_takes_each_missing_key_from_its_factory(kind, given, want):
+    # The factories' defaults: the 402-405 band at the high rate, channel 2, 16 MHz.
+    assert fields(phy_config(kind, **given)) == fields(want)
+
+
+@pytest.mark.parametrize(
+    ("kind", "given", "message"),
+    [("zigbee", {}, "phy kind must be nb, uwb, or hbc, got 'zigbee'"),
+     ("nb", {"band": "2.4GHz"}, "unknown band '2.4GHz'"),
+     ("nb", {"band": "uwb-low"}, "uwb-low is not a narrowband band"),
+     ("uwb", {"channel": 12}, "channel 12 outside 1..11"),
+     ("hbc", {"center": 5}, "band center must be 16 or 27 MHz, got 5")],
+)
+def test_phy_config_names_an_unknown_kind_band_channel_or_center(kind, given, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        phy_config(kind, **given)

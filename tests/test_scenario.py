@@ -23,7 +23,8 @@ from bansim.mac.superframe import (
     build_layout,
     place_scheduled,
 )
-from bansim.phy.rates import Band, nb_config
+from bansim.mac.csma import MacTimingConstants
+from bansim.phy.rates import Band, PhyConfig, nb_config
 from bansim.security import SecurityLevel
 from bansim.sim.kernel import Simulation, run
 from bansim.sim.scenario import (
@@ -32,7 +33,9 @@ from bansim.sim.scenario import (
     MAX_EXPECTED_ARRIVALS,
     EventKind,
     NodeSpec,
+    RunSpec,
     Scenario,
+    SecuritySpec,
     compile_scenario,
     load_scenario,
     parse_scenario,
@@ -666,6 +669,32 @@ class TestLoadScenario:
         path.write_text(BASIC)
         sc = load_scenario(path)
         assert sc.nodes[0].node_id == "n0"
+
+
+class TestOneHomePerDefault:
+    """Each default lives on the record a key sets, or in its PHY family's
+    factory; the key table holds only converters."""
+
+    def test_the_key_table_holds_only_converters(self):
+        for section, table in _KEYS.items():
+            for key, convert in table.items():
+                assert callable(convert), f"[{section}] {key} holds {convert!r}, not a converter"
+
+    def test_a_key_not_given_takes_its_record_default(self):
+        sc = parse_scenario(
+            "[superframe]\nbeacon_slots = 16\nrap1_slots = 240\n[nodes]\nn0 =\n[security]\nn0 = level=1\n"
+        )
+        assert sc.nodes == (NodeSpec("n0"),)
+        assert sc.security == {"n0": SecuritySpec(level=1)}
+        assert sc.timing == MacTimingConstants()
+        assert sc.run == RunSpec()
+        assert sc.poll_grant_us is None
+        phases = {PhaseKind.BEACON: 16, PhaseKind.RAP1: 240}
+        assert sc.superframe == SuperframeConfig()._replace(phase_slots=phases)
+        # PhyConfig defines no __eq__.
+        assert {name: getattr(sc.phy, name) for name in PhyConfig.__slots__} == {
+            name: getattr(nb_config(), name) for name in PhyConfig.__slots__
+        }
 
 
 class TestNumericRanges:

@@ -1185,7 +1185,7 @@ def reference_superframe(sim, index):
         start = base + span.start_slot * layout.slot_length_us
         end = start + span.length_slots * layout.slot_length_us
         events.append((start, EventKind.PHASE_START, (span.kind, start, end)))
-        if span.kind == PhaseKind.BEACON and beacon_in(layout, index):
+        if span.kind == PhaseKind.BEACON and beacon_in(layout, index, sim.sc.superframe.beacon_period_multiplier):
             events.append((start, EventKind.BEACON_TX, ()))  # it carried (end,), which nothing read
         if span.kind in poll_phases:
             for node_id, offset in schedule_polls(layout, polled, span.kind, poll_grant_us):

@@ -18,13 +18,13 @@ from bansim.mac.superframe import (
 from bansim.mac.superframe import phases_covered
 
 
-def beacon_in(layout, superframe_index: int) -> bool:
+def beacon_in(layout, superframe_index: int, period: int = 1) -> bool:
     """Whether superframe `superframe_index` of `layout` carries a beacon:
     its beacon phase is not empty and the index is a multiple of the
-    beacon period."""
+    beacon period, its config's beacon_period_multiplier."""
     if layout.span(PhaseKind.BEACON) is None:
         return False
-    return superframe_index % layout.beacon_period_multiplier == 0
+    return superframe_index % period == 0
 
 
 FULL_SLOTS = {
@@ -132,10 +132,9 @@ class TestBuildLayout:
         assert layout.span(PhaseKind.TYPE_B).length_slots == 256
 
     def test_beacon_period_multiplier_gates_beacons(self):
-        layout = build_layout(
-            SuperframeConfig(phase_slots=dict(FULL_SLOTS), beacon_period_multiplier=3)
-        )
-        carried = [i for i in range(9) if beacon_in(layout, i)]
+        config = SuperframeConfig(phase_slots=dict(FULL_SLOTS), beacon_period_multiplier=3)
+        layout = build_layout(config)
+        carried = [i for i in range(9) if beacon_in(layout, i, config.beacon_period_multiplier)]
         assert carried == [0, 3, 6]
 
 
