@@ -16,8 +16,8 @@ from pathlib import Path
 
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import BansimError, ConfigError, SimulationError
-from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, PHY_KEYS, builtin_rate_table, frame_airtime_us,
-                              phy_config, write_rate_csv)
+from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, NB_RATES, PHY_KEYS, builtin_rate_table,
+                              frame_airtime_us, phy_config, write_rate_csv)
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import load_scenario
 from bansim.sim.stats import write_stats_csv
@@ -30,7 +30,7 @@ from bansim.textio import text_stream
 def _add_phy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phy", choices=list(PHY_KEYS), default="nb")
     parser.add_argument("--band", help="narrowband band name, e.g. 402-405 (MHz)")
-    parser.add_argument("--rate", choices=["low", "high"], help="narrowband payload rate tier")
+    parser.add_argument("--rate", choices=NB_RATES, help="narrowband payload rate tier")
     parser.add_argument("--channel", type=int, help="ultra-wideband channel number")
     parser.add_argument("--center", type=int, help="body-coupled center frequency, MHz")
 

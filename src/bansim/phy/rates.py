@@ -46,7 +46,7 @@ __all__ = [
     "nb_config",
     "uwb_config",
     "hbc_config",
-    "phy_config", "PHY_KEYS",
+    "phy_config", "PHY_KEYS", "NB_RATES",
     "write_rate_csv",
     "RATE_INDEX_BITS",
     "MAC_HEADER_LEN", "FCS_LEN", "MAX_BODY_LEN", "HEADER_LAYOUTS", "HEADER_INFO_BITS",
@@ -285,6 +285,7 @@ def frame_airtime_us(cfg: PhyConfig, body_len: int) -> float:
 # spreading of (header, low-rate payload, high-rate payload). Spreading
 # values were fixed by requiring every published rate to reproduce within
 # 0.1 Kbps; at 600 ksps the low-rate entries spread by 4, elsewhere by 2.
+NB_RATES = ("low", "high")  # the payload entries' rate tiers, in rate_index order
 _M = Modulation
 _NB_BANDS: dict[Band, tuple[float, _M, tuple[_M, int], tuple[_M, int]]] = {
     Band.NB_402_405: (187.5, _M.DBPSK, (_M.DBPSK, 2), (_M.DQPSK, 1)),
@@ -301,10 +302,10 @@ def nb_config(band: Band = Band.NB_402_405, rate: str = "high") -> PhyConfig:
     """Operational narrowband config: `rate` picks the payload entry."""
     if band not in _NB_BANDS:
         raise ConfigError(f"{band.value} is not a narrowband band")
-    sym, hdr_mod, low, high = _NB_BANDS[band]
-    if rate not in ("low", "high"):
-        raise ConfigError(f"rate must be 'low' or 'high', got {rate!r}")
-    mod, spread = low if rate == "low" else high
+    if rate not in NB_RATES:
+        raise ConfigError(f"rate must be {' or '.join(map(repr, NB_RATES))}, got {rate!r}")
+    sym, hdr_mod, *tiers = _NB_BANDS[band]
+    mod, spread = tiers[NB_RATES.index(rate)]
     return PhyConfig(
         band_id=band,
         modulation=mod,
@@ -312,7 +313,7 @@ def nb_config(band: Band = Band.NB_402_405, rate: str = "high") -> PhyConfig:
         header_modulation=hdr_mod,
         spreading=spread,
         header_spreading=4 if sym == 600.0 else 2,
-        rate_index=0 if rate == "low" else 1,
+        rate_index=NB_RATES.index(rate),
     )
 
 

@@ -66,7 +66,7 @@ from bansim.mac.superframe import (
     phases_covered,
     schedule_polls,
 )
-from bansim.phy.rates import MAX_BODY_LEN, PHY_KEYS, PhyConfig, frame_airtime_us, info_data_rate, phy_config
+from bansim.phy.rates import MAX_BODY_LEN, NB_RATES, PHY_KEYS, PhyConfig, frame_airtime_us, info_data_rate, phy_config
 from bansim.security import HUB_ID, MK_MODES, SECURITY_WIRE_OVERHEAD, SecurityLevel
 from bansim.textio import text_stream
 
@@ -253,7 +253,7 @@ _KEYS = {
     "phy": {
         "kind": _choice(tuple(PHY_KEYS)),
         "band": _text,
-        "rate": _choice(("low", "high")),
+        "rate": _choice(NB_RATES),
         "channel": _integer(),
         "center": _integer(),
         "rate_override_kbps": _positive,

@@ -10,7 +10,7 @@ For each module named, every comparison operator in the set `<`<->`<=`,
 the checkout, made once in a temporary directory; the checkout itself is
 never written. The mutant then runs tier-1, or the test files given after
 `--tests`, stopping at the first failure. A mutant that a test fails, or
-that runs past `--timeout`, is killed; one that passes survives.
+that runs past TIMEOUT_S, is killed; one that passes survives.
 
 A site is keyed by its module, its enclosing function and the text of its
 comparison (with `#n` for the n-th equal text in that function), never by
@@ -38,6 +38,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Seconds before a mutant counts as killed: it has hung. A full tier-1 run
+# takes about 35 s.
+TIMEOUT_S = 600
 
 # Each operator and the one it flips to.
 FLIPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
@@ -119,13 +123,13 @@ def sites(module: str, source: bytes) -> list[Site]:
     return found
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
+def run_tests(copy: Path, tests: list[str]) -> str:
     """'pass', 'fail' or 'timeout' for the tests in `copy`."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout)
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 else "fail"
@@ -135,21 +139,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="module paths, relative to the checkout root")
     parser.add_argument("--tests", nargs="*", default=[], help="test files to run (default: tier-1)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds before a mutant counts as killed")
-    parser.add_argument("--list", action="store_true", help="print each site's key and run nothing")
     args = parser.parse_args(argv)
-    if args.list:
-        for module in args.modules:
-            for site in sites(module, (ROOT / module).read_bytes()):
-                note = "  (equivalent)" if site.key in EQUIVALENT else ""
-                print(f"{module}:{site.line} {site.function}: {site.text}{note}")
-        return 0
 
     copy = Path(tempfile.mkdtemp(prefix="mutation-census-")) / "checkout"
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_out")
     shutil.copytree(ROOT, copy, ignore=ignore)
     try:
-        if run_tests(copy, args.tests, args.timeout) != "pass":
+        if run_tests(copy, args.tests) != "pass":
             print("the unmutated checkout fails its tests; no census", file=sys.stderr)
             return 2
         survivors, rows = [], []
@@ -162,7 +158,7 @@ def main(argv=None) -> int:
                 path.write_bytes(source[: site.start] + site.flipped + source[site.end :])
                 began = time.monotonic()
                 try:
-                    outcome = run_tests(copy, args.tests, args.timeout)
+                    outcome = run_tests(copy, args.tests)
                 finally:
                     path.write_bytes(source)
                 flip = f"{site.text}  ->  {site.flipped.decode()}"

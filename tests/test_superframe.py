@@ -16,6 +16,8 @@ from bansim.mac.superframe import (
     schedule_polls,
 )
 from bansim.mac.superframe import phases_covered
+from bansim.phy.rates import nb_config
+from bansim.sim.scenario import EventKind, Scenario, compile_scenario
 
 
 def beacon_in(layout, superframe_index: int, period: int = 1) -> bool:
@@ -133,8 +135,9 @@ class TestBuildLayout:
 
     def test_beacon_period_multiplier_gates_beacons(self):
         config = SuperframeConfig(phase_slots=dict(FULL_SLOTS), beacon_period_multiplier=3)
-        layout = build_layout(config)
-        carried = [i for i in range(9) if beacon_in(layout, i, config.beacon_period_multiplier)]
+        plan = compile_scenario(Scenario(nb_config(), config))
+        [(_, period, residue, _, _)] = [e for e in plan.schedule if e[3] == EventKind.BEACON_TX]
+        carried = [i for i in range(9) if i % period == residue]
         assert carried == [0, 3, 6]
 
 
