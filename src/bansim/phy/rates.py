@@ -324,8 +324,8 @@ def uwb_config(channel: int = 2) -> PhyConfig:
     mandatory 488.2 Kbps under the (63,51) code.
     """
     plan = next((c for c in UWB_CHANNELS if c.channel_id == channel), None)
-    if plan is None:
-        raise ConfigError(f"channel {channel} outside 1..11")
+    if type(channel) is not int or plan is None:
+        raise ConfigError(f"channel {channel!r} outside 1..11")
     return PhyConfig(
         band_id=Band.UWB_LOW if channel <= 3 else Band.UWB_HIGH,
         modulation=Modulation.UWB_GENERIC,
@@ -338,8 +338,8 @@ def uwb_config(channel: int = 2) -> PhyConfig:
 
 def hbc_config(center: int = 16) -> PhyConfig:
     """Body-coupled config at `center` MHz; symbol clock equals the 4 MHz channel width."""
-    if center not in (16, 27):
-        raise ConfigError(f"band center must be 16 or 27 MHz, got {center}")
+    if type(center) is not int or center not in (16, 27):
+        raise ConfigError(f"band center must be 16 or 27 MHz, got {center!r}")
     return PhyConfig(
         band_id=Band.HBC_16 if center == 16 else Band.HBC_27,
         modulation=Modulation.EFC,

@@ -1,8 +1,8 @@
 """Deterministic discrete-event kernel.
 
 The kernel runs a compiled plan. Simulation hands its scenario to
-sim.scenario.compile_scenario, which checks every static rule (a
-ScenarioError before any event) and derives the airtimes, each node's
+sim.scenario.compile_scenario, which checks every value and static rule
+(a ScenarioError before any event) and derives the airtimes, each node's
 frame exchange and one superframe's schedule of phase starts, beacons
 and grants; the kernel only replays it and joins it with the CSMA engine
 and the security sessions. A broken invariant of its own raises
@@ -387,7 +387,7 @@ class Simulation:
 
     def _on_slot_tick(self, kind: PhaseKind, phase_end: int, counting, ended: _Exchange | None) -> None:
         if self.exchange is not None:
-            return
+            raise SimulationError(f"a grid tick at t={self.now} during an exchange")
         t = self.now
         participants = self._contenders[kind]
         tracing = self.collect_trace  # lists of nodes to trace stay empty otherwise

@@ -12,21 +12,24 @@ a comma-separated list of sub-assignments, for example:
 
 One table (_KEYS) holds every key of every section, node and security
 sub-keys included, with its converter; one reader converts each given
-value at its own line, so unknown keys and malformed or out-of-range
-values fail there. Named values match in any case. A key not given takes
-the default of the record field it sets, and a [phy] key its family
-factory's (phy.rates); only the [phy] kind's default, nb, lives here. The
+value at its own line, so unknown keys and malformed values fail there. A
+converter only turns text into an int, a finite float, a name or a
+traffic tuple, and keeps one value rule, duration_ms's whole-millisecond
+floor. Named values match in any case. A key not given takes the default
+of the record field it sets, and a [phy] key its family factory's
+(phy.rates); only the [phy] kind's default, nb, lives here. The
 `<phase>_slots` keys are PhaseKind's names in its order, and the mode and
-access values are those of OperationalMode and TrafficKind. The [phy]
-family (phy.rates.phy_config) reads only its own keys: a key of another
-family, and a band, channel or center the family lacks, fail at their
-line; so do every `<phase>_slots` key, beacon_prohibited and
+access values are those of OperationalMode and TrafficKind. A [phy] key
+of another family (phy.rates.phy_config), a band, channel or center the
+family lacks and a rate override PhyConfig refuses fail at their line;
+so do every `<phase>_slots` key, beacon_prohibited and
 beacon_period_multiplier unless the mode is beacon, fill_phase_type
 unless it is nonbeacon, a node's slot_start, slot_len, period and offset
 unless its access is scheduled, and mk on a level-0 security entry. A
-scenario names no output file; its caller does. compile_scenario then
-checks every static rule once and derives the Plan a run reads, the
-superframe schedule included: phase arithmetic (in
+scenario names no output file; its caller does. compile_scenario checks
+every value and static rule once and derives the Plan a run reads, the
+superframe schedule included: each number's floor, the traffic's shape,
+rate and times, the security level, phase arithmetic (in
 mac.superframe.build_layout), the beacon's fit in its phase, payload
 bounds with security bytes, grants and allocations that hold one frame
 exchange, a poll grant for every polled node, allocations inside shared
@@ -34,11 +37,10 @@ phases and free of conflicts, the channel rule, node ids that fit one
 trace field, the expected arrivals within MAX_EXPECTED_ARRIVALS, and the
 security entries. An exact fit proceeds: a beacon exactly as long as its
 phase, or a grant or allocation exactly as long as its exchange. A check
-on one node or security entry reports that entry's line, on
-poll_grant_us its line, the others their section's line where one is
-known. parse_scenario compiles with its line maps and Simulation
-compiles what it is given, so a scenario changed after parsing is
-checked again before its first event.
+reports the line parse_scenario's one line map holds for its key, node or
+security entry, else its section's. Simulation compiles what it is given,
+so a scenario built or changed in code meets the same checks and
+messages, without a line, before its first event.
 """
 
 from __future__ import annotations
@@ -165,6 +167,12 @@ def _fail(line: int, message: str) -> ScenarioError:
     return ScenarioError(message, line=line)
 
 
+def _at_least(line: int | None, key: str, value: int, low: int) -> int:
+    if value < low:
+        raise _fail(line, f"{key} must be at least {low}, got {value}")
+    return value
+
+
 def clock_us(t: float) -> int:
     """A duration on the simulation clock: whole microseconds, half up."""
     return int(t + 0.5)
@@ -174,15 +182,13 @@ def clock_us(t: float) -> int:
 # or a ScenarioError at that line.
 
 
-def _positive(raw: str, line: int, key: str) -> float:
+def _number(raw: str, line: int, key: str) -> float:
     try:
         value = float(raw)
     except ValueError:
         raise _fail(line, f"{key} wants a number, got {raw!r}") from None
     if not math.isfinite(value):
         raise _fail(line, f"{key} wants a finite number, got {raw!r}")
-    if value <= 0:
-        raise _fail(line, f"{key} must be positive")
     return value
 
 
@@ -190,19 +196,11 @@ def _text(raw: str, line: int, key: str) -> str:
     return raw
 
 
-def _integer(low: int | None = None):
-    """Converter to an integer, with `low` as its floor when given."""
-
-    def convert(raw: str, line: int, key: str) -> int:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _fail(line, f"{key} wants an integer, got {raw!r}") from None
-        if low is not None and value < low:
-            raise _fail(line, f"{key} must be at least {low}, got {value}")
-        return value
-
-    return convert
+def _integer(raw: str, line: int, key: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise _fail(line, f"{key} wants an integer, got {raw!r}") from None
 
 
 def _choice(options):
@@ -220,29 +218,17 @@ def _choice(options):
 
 def _milliseconds(raw: str, line: int, key: str) -> int:
     """A whole number of milliseconds, at least 1, as microseconds."""
-    return _integer(1)(raw, line, key) * 1000
+    return _at_least(line, key, _integer(raw, line, key), 1) * 1000
 
 
 def _traffic(raw: str, line: int, key: str) -> tuple:
     if raw == "saturated":
         return ("saturated",)
     if raw.startswith("poisson:"):
-        rate = _positive(raw[len("poisson:") :], line, "poisson rate")
-        if rate > MAX_POISSON_RATE_PER_S:
-            raise _fail(
-                line,
-                f"poisson rate {rate:g} /s is above {MAX_POISSON_RATE_PER_S:g} /s: "
-                "its mean gap is under the 1 us clock",
-            )
-        return ("poisson", rate)
+        return ("poisson", _number(raw[len("poisson:") :], line, "poisson rate"))
     if raw.startswith("scripted:"):
-        whole = _integer()
-        times = tuple(whole(t, line, "scripted time") for t in raw[len("scripted:") :].split(";") if t)
-        if not times:
-            raise _fail(line, "scripted traffic needs at least one time")
-        if any(t < 0 for t in times) or list(times) != sorted(times):
-            raise _fail(line, "scripted times must be sorted and non-negative")
-        return ("scripted", times)
+        times = raw[len("scripted:") :].split(";")
+        return ("scripted", tuple(_integer(t, line, "scripted time") for t in times if t))
     raise _fail(line, f"unknown traffic model {raw!r}")
 
 
@@ -254,39 +240,31 @@ _KEYS = {
         "kind": _choice(tuple(PHY_KEYS)),
         "band": _text,
         "rate": _choice(NB_RATES),
-        "channel": _integer(),
-        "center": _integer(),
-        "rate_override_kbps": _positive,
+        "channel": _integer,
+        "center": _integer,
+        "rate_override_kbps": _number,
     },
     "superframe": {
-        "slot_length_us": _integer(1),
-        "slots": _integer(1),
         "mode": _choice(OperationalMode),
         "fill_phase_type": _choice({"i": "I", "ii": "II"}),
-        "beacon_period_multiplier": _integer(1),
         "beacon_prohibited": _choice(
             {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
         ),
-        "poll_grant_us": _integer(1),
-        **{key: _integer(0) for key in _PHASE_KEYS},
+        **dict.fromkeys(("slot_length_us", "slots", "beacon_period_multiplier", "poll_grant_us"), _integer),
+        **dict.fromkeys(_PHASE_KEYS, _integer),
     },
-    "csma": {"psifs_us": _integer(0), "slot_us": _integer(1), "gtn_us": _integer(0)},
+    "csma": dict.fromkeys(("psifs_us", "slot_us", "gtn_us"), _integer),
     "nodes": {
-        "priority": _integer(),
         "traffic": _traffic,
-        "payload": _integer(),
         "access": _choice(TrafficKind),
-        "slot_start": _integer(0),
-        "slot_len": _integer(1),
-        "period": _integer(1),
-        "offset": _integer(),
+        **dict.fromkeys(("priority", "payload", "slot_start", "slot_len", "period", "offset"), _integer),
     },
     "security": {
         "level": _choice({str(int(level)): level for level in SecurityLevel}),
         "mk": _choice(MK_MODES),
         "group": _text,
     },
-    "run": {"seed": _integer(), "duration_ms": _milliseconds, "channel": _choice(CHANNEL_MODELS)},
+    "run": {"seed": _integer, "duration_ms": _milliseconds, "channel": _choice(CHANNEL_MODELS)},
 }
 _FIELDS = {"slots": "slots_per_superframe", "slot_us": "csma_slot_us", "payload": "payload_bytes",
            "duration_ms": "duration_us"}
@@ -340,9 +318,12 @@ def _phy(fields: dict[str, tuple[str, int]], section_line: int | None) -> PhyCon
         # with the family's first key.
         raise _fail(fields.get(family[0], (None, section_line))[1], str(exc)) from None
     if override is not None:
-        cfg = cfg._replace(rate_override_kbps=override)
+        line = fields["rate_override_kbps"][1]
+        try:
+            cfg = cfg._replace(rate_override_kbps=override)
+        except ConfigError as exc:
+            raise _fail(line, f"rate_override_kbps: {exc}") from None
         if not math.isfinite(frame_airtime_us(cfg, MAX_BODY_LEN)):
-            line = fields["rate_override_kbps"][1]
             raise _fail(line, f"rate_override_kbps {override:g} leaves no finite airtime")
     return cfg
 
@@ -351,13 +332,11 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and compile scenario text; raises ScenarioError with the
     offending line number."""
     section = None
-    section_lines: dict[str, int] = {}
+    lines: dict = {}  # section, given [superframe]/[csma]/[run] key, or (section, id) -> line
     # The [phy], [superframe], [csma] and [run] entries: key -> (raw, line).
     fields: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in ("phy", "superframe", "csma", "run")}
     nodes: list[NodeSpec] = []
-    node_lines: dict[str, int] = {}
     security: dict[str, SecuritySpec] = {}
-    security_lines: dict[str, int] = {}
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -370,7 +349,7 @@ def parse_scenario(text: str) -> Scenario:
             if name not in _KEYS:
                 raise _fail(lineno, f"unknown section [{name}]")
             section = name
-            section_lines[name] = lineno
+            lines[name] = lineno
             continue
         if section is None:
             raise _fail(lineno, "entry before any [section] header")
@@ -379,36 +358,36 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if section == "nodes":
-            if key in node_lines:
+            if ("nodes", key) in lines:
                 raise _fail(lineno, f"duplicate node {key!r}")
+            lines["nodes", key] = lineno
             given = _split_assignments(value, lineno)
             spec = NodeSpec(node_id=key, **_read("nodes", given))
             if spec.access is not TrafficKind.SCHEDULED:
                 _refuse(given, ("slot_start", "slot_len", "period", "offset"), f"access {spec.access.value}")
             nodes.append(spec)
-            node_lines[key] = lineno
         elif section == "security":
             if key in security:
                 raise _fail(lineno, f"duplicate security entry {key!r}")
+            lines["security", key] = lineno
             given = _split_assignments(value, lineno)
             spec = security[key] = SecuritySpec(**_read("security", given))
             if spec.level == SecurityLevel.UNSECURED:
                 _refuse(given, ("mk",), "level 0")
-            security_lines[key] = lineno
         else:
             if key in fields[section]:
                 raise _fail(lineno, f"duplicate key {key!r}")
             fields[section][key] = (value, lineno)
+            if section != "phy":
+                lines[key] = lineno
 
-    phy = _phy(fields["phy"], section_lines.get("phy"))
+    phy = _phy(fields["phy"], lines.get("phy"))
     sf = _read("superframe", fields["superframe"])
     # The Scenario's own key, passed on only when given.
     grant = {"poll_grant_us": sf.pop("poll_grant_us")} if "poll_grant_us" in sf else {}
     phase_slots = {kind: sf.pop(key) for key, kind in _PHASE_KEYS.items() if key in sf}
     superframe = SuperframeConfig(phase_slots=phase_slots, **sf)
     _refuse(fields["superframe"], _UNREAD_IN_MODE[superframe.mode], f"mode {superframe.mode.value}")
-    if grant:
-        section_lines["poll_grant_us"] = fields["superframe"]["poll_grant_us"][1]
     scenario = Scenario(
         phy=phy,
         superframe=superframe,
@@ -418,7 +397,7 @@ def parse_scenario(text: str) -> Scenario:
         run=RunSpec(**_read("run", fields["run"])),
         **grant,
     )
-    compile_scenario(scenario, section_lines, node_lines, security_lines)
+    compile_scenario(scenario, lines)
     return scenario
 
 
@@ -464,22 +443,22 @@ class Plan(NamedTuple):
     schedule: tuple[tuple[int, int, int, EventKind, tuple], ...]
 
 
-def compile_scenario(
-    sc: Scenario,
-    section_lines: dict[str, int] | None = None,
-    node_lines: dict[str, int] | None = None,
-    security_lines: dict[str, int] | None = None,
-) -> Plan:
-    """Check every static rule and derive the run's Plan; raises
-    ScenarioError before any event runs. A check on one node reports its
-    line from `node_lines`, on a security entry its line from
-    `security_lines`, on the poll grant the line that `section_lines`
-    holds under "poll_grant_us", and the others their section's line."""
-    lines = section_lines or {}
-    node_lines = node_lines or {}
-    security_lines = security_lines or {}
+def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
+    """Check every value and static rule and derive the run's Plan, or raise
+    ScenarioError at the line that `lines`, parse_scenario's map, holds for
+    the key or ("nodes" | "security", id) entry at fault, else its section's."""
+    lines = lines or {}
+    sf, timing = sc.superframe, sc.timing
+    grant = 1 if sc.poll_grant_us is None else sc.poll_grant_us  # None is sized from the exchanges
+    for key, value, low in (
+        ("slot_length_us", sf.slot_length_us, 1), ("slots", sf.slots_per_superframe, 1),
+        ("beacon_period_multiplier", sf.beacon_period_multiplier, 1), ("poll_grant_us", grant, 1),
+        *((key, sf.phase_slots.get(kind, 0), 0) for key, kind in _PHASE_KEYS.items()),
+        ("psifs_us", timing.psifs_us, 0), ("slot_us", timing.csma_slot_us, 1), ("gtn_us", timing.gtn_us, 0),
+    ):
+        _at_least(lines.get(key), key, value, low)
     try:
-        layout = build_layout(sc.superframe)
+        layout = build_layout(sf)
     except InvalidLayoutError as exc:
         raise _fail(lines.get("superframe"), str(exc)) from exc
     beacon_us = frame_airtime_us(sc.phy, BEACON_BODY_LEN)
@@ -501,7 +480,7 @@ def compile_scenario(
     arrivals = 0.0  # expected arrivals of the nodes so far
     for node in sc.nodes:
         node_id = node.node_id
-        node_line = node_lines.get(node_id, lines.get("nodes"))
+        node_line = lines.get(("nodes", node_id))
         if not _NODE_ID.fullmatch(node_id) or node_id == HUB_ID:
             raise _fail(
                 node_line,
@@ -509,18 +488,35 @@ def compile_scenario(
             )
         if not 0 <= node.priority <= HIGHEST_PRIORITY:
             raise _fail(node_line, f"{node_id}: priority {node.priority} outside 0..{HIGHEST_PRIORITY}")
-        overhead = SECURITY_WIRE_OVERHEAD[sc.security.get(node_id, SecuritySpec()).level]
+        level = sc.security.get(node_id, SecuritySpec()).level
+        if level not in SECURITY_WIRE_OVERHEAD:
+            raise _fail(lines.get(("security", node_id)),
+                        f"{node_id}: security level {level!r} outside 0..{max(SecurityLevel):d}")
+        overhead = SECURITY_WIRE_OVERHEAD[level]
         if not 1 <= node.payload_bytes + overhead <= MAX_BODY_LEN:
             raise _fail(
                 node_line,
                 f"{node_id}: payload {node.payload_bytes} plus {overhead} "
                 f"security bytes leaves the 1..{MAX_BODY_LEN} body range",
             )
-        model = node.traffic[0]
-        if model == "poisson":
-            arrivals += node.traffic[1] * sc.run.duration_us / 1e6
-        elif model == "scripted":
-            arrivals += bisect_left(node.traffic[1], sc.run.duration_us)
+        match node.traffic:
+            case ("saturated",):
+                pass
+            case ("poisson", rate):
+                if not rate > 0:  # NaN too
+                    raise _fail(node_line, "poisson rate must be positive")
+                if rate > MAX_POISSON_RATE_PER_S:
+                    raise _fail(node_line, f"poisson rate {rate:g} /s is above {MAX_POISSON_RATE_PER_S:g} /s: "
+                                           "its mean gap is under the 1 us clock")
+                arrivals += rate * sc.run.duration_us / 1e6
+            case ("scripted", times):
+                if not times:
+                    raise _fail(node_line, "scripted traffic needs at least one time")
+                if any(t < 0 for t in times) or list(times) != sorted(times):
+                    raise _fail(node_line, "scripted times must be sorted and non-negative")
+                arrivals += bisect_left(times, sc.run.duration_us)
+            case _:
+                raise _fail(node_line, f"{node_id}: unknown traffic {node.traffic!r}")
         if arrivals > MAX_EXPECTED_ARRIVALS:
             raise _fail(
                 node_line,
@@ -529,12 +525,12 @@ def compile_scenario(
             )
         data_us = airtime[node_id] = frame_airtime_us(sc.phy, node.payload_bytes + overhead)
         payload[node_id] = 8 * node.payload_bytes / psdu_kbps * 1000.0
-        need_us = exchange[node_id] = exchange_us(clock_us(data_us), clock_us(ack_us), sc.timing)
+        need_us = exchange[node_id] = exchange_us(clock_us(data_us), clock_us(ack_us), timing)
         if node.access == TrafficKind.POLLED:
             polled.append(node_id)
             if sc.poll_grant_us is not None and sc.poll_grant_us < need_us:
                 raise _fail(
-                    lines.get("poll_grant_us", lines.get("superframe")),
+                    lines.get("poll_grant_us"),
                     f"poll_grant_us {sc.poll_grant_us} is shorter than the {need_us} us "
                     f"frame exchange of polled node {node_id}",
                 )
@@ -542,10 +538,9 @@ def compile_scenario(
             continue
         if node.slot_start is None or node.slot_len is None:
             raise _fail(node_line, f"{node_id}: scheduled access needs slot_start and slot_len")
-        try:
-            alloc = node.allocation()  # validates its own fields
-        except ValueError as exc:  # a NodeSpec built in code, past the key table's floors
-            raise _fail(node_line, f"{node_id}: {exc}") from exc
+        for key, low in (("slot_start", 0), ("slot_len", 1), ("period", 1)):
+            _at_least(node_line, key, getattr(node, key), low)
+        alloc = node.allocation()
         end = alloc.start_slot + alloc.length_slots
         if end > layout.slots_per_superframe:
             raise _fail(node_line, f"{node_id}: allocation runs past the superframe")
@@ -593,7 +588,7 @@ def compile_scenario(
 
     known = {n.node_id for n in sc.nodes}
     for node_id, spec in sc.security.items():
-        entry_line = security_lines.get(node_id, lines.get("security"))
+        entry_line = lines.get(("security", node_id))
         if node_id not in known:
             raise _fail(entry_line, f"security entry for unknown node {node_id!r}")
         if spec.group is not None and spec.level == SecurityLevel.UNSECURED:
@@ -608,7 +603,7 @@ def compile_scenario(
         start, length = span.start_slot * layout.slot_length_us, span.length_slots * layout.slot_length_us
         schedule.append((start, 1, 0, EventKind.PHASE_START, (span.kind, length)))
         if span.kind == PhaseKind.BEACON:
-            schedule.append((start, sc.superframe.beacon_period_multiplier, 0, EventKind.BEACON_TX, ()))
+            schedule.append((start, sf.beacon_period_multiplier, 0, EventKind.BEACON_TX, ()))
         if polled and span.kind in SHARED_PHASES - taken:
             for node_id, offset in schedule_polls(layout, sorted(polled), span.kind, grant_us):
                 entry = (node_id, grant_us, start + length - offset, span.kind)
@@ -617,17 +612,17 @@ def compile_scenario(
     schedule += [alloc_grants[node_id] for node_id in sorted(alloc_grants)]
     for node_id in polled:
         if not granted:
-            line = lines.get("poll_grant_us", node_lines.get(node_id, lines.get("nodes")))
+            line = lines.get("poll_grant_us", lines.get(("nodes", node_id)))
             raise _fail(line, f"{node_id}: never polled, as no poll phase holds a {grant_us} us grant")
         if node_id not in granted:
             raise _fail(
-                node_lines.get(node_id, lines.get("nodes")),
+                lines.get(("nodes", node_id)),
                 f"{node_id}: never polled, as the poll phases hold {len(granted)} grants per superframe",
             )
     # A phase's first slot tick comes pSIFS in, and the kernel's guard locks
     # a counter whose exchange would not end in the phase after one more
     # CSMA slot: a contender needs a phase of pSIFS, a slot and its exchange.
-    lead_us = sc.timing.psifs_us + sc.timing.csma_slot_us
+    lead_us = timing.psifs_us + timing.csma_slot_us
     for node in sc.nodes:
         need_us = lead_us + exchange[node.node_id]
         if node.access == TrafficKind.CONTENTION and not any(
@@ -636,7 +631,7 @@ def compile_scenario(
             for span in layout.phases
         ):
             raise _fail(
-                node_lines.get(node.node_id, lines.get("nodes")),
+                lines.get(("nodes", node.node_id)),
                 f"{node.node_id}: never transmits, as no phase that admits its priority "
                 f"{node.priority} contention lasts the {need_us} us of pSIFS, one CSMA slot "
                 f"and its frame exchange",

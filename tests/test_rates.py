@@ -279,3 +279,19 @@ def test_phy_config_takes_each_missing_key_from_its_factory(kind, given, want):
 def test_phy_config_names_an_unknown_kind_band_channel_or_center(kind, given, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         phy_config(kind, **given)
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [(lambda: uwb_config(True), "channel True outside 1..11"),
+     (lambda: uwb_config(2.0), "channel 2.0 outside 1..11"),
+     (lambda: phy_config("uwb", channel=True), "channel True outside 1..11"),
+     (lambda: hbc_config(16.0), "band center must be 16 or 27 MHz, got 16.0"),
+     (lambda: phy_config("hbc", center=27.0), "band center must be 16 or 27 MHz, got 27.0")],
+    ids=["uwb-bool", "uwb-float", "phy_config-uwb-bool", "hbc-float", "phy_config-hbc-float"],
+)
+def test_a_channel_or_center_that_is_not_an_int_is_refused_by_name(build, message):
+    # A bool or a float compares equal to the int it stands for, so only
+    # its type tells it apart.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build()

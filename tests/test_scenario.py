@@ -28,6 +28,7 @@ from bansim.phy.rates import Band, PhyConfig, nb_config
 from bansim.security import SecurityLevel
 from bansim.sim.kernel import Simulation, run
 from bansim.sim.scenario import (
+    _FIELDS,
     _KEYS,
     _PHASE_KEYS,
     MAX_EXPECTED_ARRIVALS,
@@ -493,8 +494,8 @@ class TestEntryLines:
 
 
 class TestProgrammaticAllocations:
-    """A NodeSpec built in code skips the file's key floors, so an
-    allocation field past them must still fail as a ScenarioError at the
+    """A NodeSpec built in code meets the same floors as the file's keys:
+    an allocation field past its floor fails as a ScenarioError at the
     node's line."""
 
     SCHEDULED = (
@@ -505,9 +506,9 @@ class TestProgrammaticAllocations:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ({"slot_len": 0}, "allocation must cover at least one slot"),
-            ({"period": 0}, "periodicity must be >= 1"),
-            ({"slot_start": -100}, "allocation starts at slot -100, before slot 0"),
+            ({"slot_len": 0}, "slot_len must be at least 1, got 0"),
+            ({"period": 0}, "period must be at least 1, got 0"),
+            ({"slot_start": -100}, "slot_start must be at least 0, got -100"),
         ],
         ids=["slot_len", "period", "slot_start"],
     )
@@ -515,9 +516,94 @@ class TestProgrammaticAllocations:
         sc = parse_scenario(self.SCHEDULED)
         bad = sc._replace(nodes=(sc.nodes[0]._replace(**field),))
         with pytest.raises(ScenarioError) as info:
-            compile_scenario(bad, node_lines={"n0": 4})
+            compile_scenario(bad, {("nodes", "n0"): 4})
         assert info.value.line == 4
-        assert str(info.value) == f"line 4: n0: {message}"
+        assert str(info.value) == f"line 4: {message}"
+
+
+def with_value(sc: Scenario, key: str, value) -> Scenario:
+    """`sc` with the field that the [superframe] or [csma] `key` sets changed to `value`."""
+    sf, field = sc.superframe, _FIELDS.get(key, key)
+    if key == "poll_grant_us":
+        return sc._replace(poll_grant_us=value)
+    if key in _PHASE_KEYS:
+        return sc._replace(superframe=sf._replace(phase_slots={**sf.phase_slots, _PHASE_KEYS[key]: value}))
+    if field in MacTimingConstants._fields:
+        return sc._replace(timing=sc.timing._replace(**{field: value}))
+    return sc._replace(superframe=sf._replace(**{field: value}))
+
+
+def built_error(sc: Scenario) -> tuple[int | None, str]:
+    with pytest.raises(ScenarioError) as info:
+        Simulation(sc)
+    return info.value.line, str(info.value)
+
+
+class TestOneGate:
+    """compile_scenario checks a scenario built or changed in code as it
+    checks parsed text: Simulation refuses a value below its key's floor
+    with the message the key gets in a file, without a line, and refuses
+    traffic, security levels and grants that no file can hold, before any
+    event."""
+
+    FLOORS = [
+        ("superframe", "slot_length_us", 1), ("superframe", "slots", 1),
+        ("superframe", "beacon_period_multiplier", 1), ("superframe", "poll_grant_us", 1),
+        *[("superframe", key, 0) for key in _PHASE_KEYS],
+        ("csma", "psifs_us", 0), ("csma", "slot_us", 1), ("csma", "gtn_us", 0),
+    ]
+
+    @pytest.mark.parametrize("section, key, low", FLOORS, ids=[key for _, key, _ in FLOORS])
+    def test_one_below_the_floor_fails_in_text_and_when_built(self, section, key, low):
+        message = f"{key} must be at least {low}, got {low - 1}"
+        assert error_line(f"[{section}]\n# below the floor\n\n{key} = {low - 1}\n") == (4, f"line 4: {message}")
+        assert built_error(with_value(scn(BASIC), key, low - 1)) == (None, message)
+        try:
+            compile_scenario(with_value(scn(BASIC), key, low))
+        except ScenarioError as exc:  # a later rule, such as the phase sum
+            assert "must be at least" not in str(exc)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"traffic": ("poisson", math.nan)}, "poisson rate must be positive"),
+            ({"traffic": ("poisson", 0)}, "poisson rate must be positive"),
+            ({"traffic": ("poisson", -1.0)}, "poisson rate must be positive"),
+            ({"traffic": ("poisson", 1e9)}, "poisson rate 1e+09 /s is above 1e+06 /s: its mean gap is under the 1 us clock"),
+            ({"traffic": ("scripted", (900, 100))}, "scripted times must be sorted and non-negative"),
+            ({"traffic": ("scripted", (-5,))}, "scripted times must be sorted and non-negative"),
+            ({"traffic": ("scripted", ())}, "scripted traffic needs at least one time"),
+            ({"traffic": ("poisson",)}, "n0: unknown traffic ('poisson',)"),
+            ({"traffic": ("burst",)}, "n0: unknown traffic ('burst',)"),
+            ({"access": "scheduled", "slot_start": -1, "slot_len": 20}, "slot_start must be at least 0, got -1"),
+        ],
+        ids=["poisson-nan", "poisson-0", "poisson-negative", "poisson-1e9", "scripted-unsorted", "scripted-negative",
+             "scripted-empty", "poisson-no-rate", "burst", "slot_start"],
+    )
+    def test_a_built_node_value_no_file_can_hold_is_refused(self, fields, message):
+        sc = scn(BASIC)
+        assert built_error(sc._replace(nodes=(sc.nodes[0]._replace(**fields),))) == (None, message)
+
+    @pytest.mark.parametrize("level", [-1, 3, 5])
+    def test_a_security_level_outside_the_three_is_refused(self, level):
+        sc = scn(BASIC)._replace(security={"n0": SecuritySpec(level=level)})
+        assert built_error(sc) == (None, f"n0: security level {level} outside 0..2")
+
+    def test_a_zero_poll_grant_is_refused_with_no_polled_node(self):
+        sc = scn(BASIC)
+        assert not any(node.access == "polled" for node in sc.nodes)
+        assert built_error(sc._replace(poll_grant_us=0)) == (None, "poll_grant_us must be at least 1, got 0")
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_a_rate_override_phy_config_refuses_fails_at_its_line(self, value):
+        # The converter only reads a finite number; PhyConfig holds the rule.
+        message = f"rate_override_kbps: rate override must be None or positive and finite, got {float(value)!r}"
+        assert error_line(f"[phy]\n\nrate_override_kbps = {value}\n") == (3, f"line 3: {message}")
+
+    def test_a_built_run_may_be_shorter_than_a_millisecond(self):
+        # Only a file's duration_ms keeps the whole-millisecond floor.
+        sc = scn(BASIC)
+        assert Simulation(sc._replace(run=sc.run._replace(duration_us=1))).run().elapsed_us == 1
 
 
 class TestNodeIds:

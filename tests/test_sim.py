@@ -519,6 +519,14 @@ class TestKernelInvariants:
         with pytest.raises(SimulationError, match="transmission ended outside an exchange"):
             sim._on_tx_end("n0")
 
+    def test_a_grid_tick_during_an_exchange_raises(self):
+        # Every exchange ends by its phase's end, where the grid stops, and
+        # the grid resumes only after the exchange clears.
+        sim = Simulation(parse_scenario(OPEN_RAP.format(payload=50, seed=1, duration_ms=10)))
+        sim.now, sim.exchange = 300, kernel._Exchange(PhaseKind.RAP1, 9000, [])
+        with pytest.raises(SimulationError, match="^a grid tick at t=300 during an exchange$"):
+            sim._on_slot_tick(PhaseKind.RAP1, 9000, [], None)
+
     def test_check_survives_optimized_mode(self):
         src = str(Path(bansim.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
