@@ -18,10 +18,10 @@ its line. `EQUIVALENT` lists the sites whose flip changes no behaviour,
 each with its reason: a survivor there is expected. Any other survivor is
 a rule no test holds at its edge, and the census exits 1.
 
-Its name keeps it out of the test collection. On a 2-core host the 49
-sites of sim/scenario.py and phy/rates.py took 10 minutes against tier-1:
-a killed mutant stops at its first failing test, a survivor runs all of
-tier-1 (about 35 s).
+Its name keeps it out of the test collection. On a 2-core host the 62
+sites of sim/scenario.py and mac/superframe.py took 14 minutes against
+tier-1: a killed mutant stops at its first failing test, a survivor runs
+all of tier-1 (about 35 s).
 """
 
 from __future__ import annotations

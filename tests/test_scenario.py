@@ -20,19 +20,21 @@ from bansim.mac.superframe import (
     PhaseKind,
     ScheduledAllocation,
     SuperframeConfig,
+    TrafficKind,
     build_layout,
     place_scheduled,
 )
 from bansim.mac.csma import MacTimingConstants
-from bansim.phy.rates import Band, PhyConfig, nb_config
+from bansim.phy.rates import PHY_KEYS, Band, PhyConfig, nb_config
 from bansim.security import SecurityLevel
 from bansim.sim.kernel import Simulation, run
 from bansim.sim.scenario import (
-    _FIELDS,
-    _KEYS,
-    _PHASE_KEYS,
+    INT,
+    KEYS,
     MAX_EXPECTED_ARRIVALS,
+    SELECTORS,
     EventKind,
+    Key,
     NodeSpec,
     RunSpec,
     Scenario,
@@ -41,6 +43,9 @@ from bansim.sim.scenario import (
     load_scenario,
     parse_scenario,
 )
+
+# The [superframe] keys of the phase lengths, in PhaseKind's order.
+PHASE_KEYS = [key for key, row in KEYS["superframe"].items() if isinstance(row.field, PhaseKind)]
 
 BASIC = """\
 [phy]
@@ -485,7 +490,7 @@ class TestEntryLines:
             ("slots = 0", 1),
             ("beacon_period_multiplier = 0", 1),
             ("poll_grant_us = -2", 1),
-            *[(f"{key} = -4", 0) for key in _PHASE_KEYS],
+            *[(f"{key} = -4", 0) for key in PHASE_KEYS],
         ],
     )
     def test_layout_key_below_its_floor_names_its_line(self, entry, low):
@@ -523,11 +528,11 @@ class TestProgrammaticAllocations:
 
 def with_value(sc: Scenario, key: str, value) -> Scenario:
     """`sc` with the field that the [superframe] or [csma] `key` sets changed to `value`."""
-    sf, field = sc.superframe, _FIELDS.get(key, key)
-    if key == "poll_grant_us":
+    sf, field = sc.superframe, {**KEYS["superframe"], **KEYS["csma"]}[key].field
+    if field == "poll_grant_us":
         return sc._replace(poll_grant_us=value)
-    if key in _PHASE_KEYS:
-        return sc._replace(superframe=sf._replace(phase_slots={**sf.phase_slots, _PHASE_KEYS[key]: value}))
+    if isinstance(field, PhaseKind):
+        return sc._replace(superframe=sf._replace(phase_slots={**sf.phase_slots, field: value}))
     if field in MacTimingConstants._fields:
         return sc._replace(timing=sc.timing._replace(**{field: value}))
     return sc._replace(superframe=sf._replace(**{field: value}))
@@ -549,7 +554,7 @@ class TestOneGate:
     FLOORS = [
         ("superframe", "slot_length_us", 1), ("superframe", "slots", 1),
         ("superframe", "beacon_period_multiplier", 1), ("superframe", "poll_grant_us", 1),
-        *[("superframe", key, 0) for key in _PHASE_KEYS],
+        *[("superframe", key, 0) for key in PHASE_KEYS],
         ("csma", "psifs_us", 0), ("csma", "slot_us", 1), ("csma", "gtn_us", 0),
     ]
 
@@ -604,6 +609,123 @@ class TestOneGate:
         # Only a file's duration_ms keeps the whole-millisecond floor.
         sc = scn(BASIC)
         assert Simulation(sc._replace(run=sc.run._replace(duration_us=1))).run().elapsed_us == 1
+
+
+def with_field(sc: Scenario, section: str, key: str, value) -> Scenario:
+    """`sc` with the field that `key` of `section` sets changed to `value`: in
+    its first node, in that node's security entry, or in its run."""
+    field = KEYS[section][key].field
+    if section == "nodes":
+        return sc._replace(nodes=(sc.nodes[0]._replace(**{field: value}), *sc.nodes[1:]))
+    if section == "security":
+        return sc._replace(security={sc.nodes[0].node_id: SecuritySpec()._replace(**{field: value})})
+    if section == "run":
+        return sc._replace(run=sc.run._replace(**{field: value}))
+    return with_value(sc, key, value)
+
+
+# Each int field of a record a scenario builds; [phy] values are PhyConfig's to check.
+INT_FIELDS = [
+    (section, key) for section in ("superframe", "csma", "nodes", "security", "run")
+    for key, row in KEYS[section].items() if row.kind.fault is INT.fault
+]
+BEACONLESS = {PhaseKind.RAP1: 128, PhaseKind.CAP: 128}  # BASIC's slots with no beacon phase
+
+
+class TestBuiltRecords:
+    """A record built in code meets its rows: a value of the wrong type or an
+    unknown name fails as ScenarioError from Simulation, before any event,
+    with the message its key gets in a file."""
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("nodes", "access", "bogus", "access must be one of contention | polled | scheduled, got 'bogus'"),
+            ("run", "channel", "rayleigh", "channel must be one of ideal | collision, got 'rayleigh'"),
+            ("run", "seed", "x", "seed wants an integer, got 'x'"),
+            ("run", "duration_ms", -5, "duration_ms must be at least 0, got -5"),
+            ("superframe", "fill_phase_type", "III", "fill_phase_type must be one of i | ii, got 'III'"),
+            ("nodes", "priority", 2.5, "priority wants an integer, got 2.5"),
+            ("nodes", "payload", 10.5, "payload wants an integer, got 10.5"),
+            ("security", "mk", "bogus", "mk must be one of preshared | unauthenticated, got 'bogus'"),
+            ("security", "group", 3, "group wants text, got 3"),
+        ],
+        ids=["access", "channel", "seed", "duration", "fill_phase_type", "priority", "payload", "mk", "group"],
+    )
+    def test_a_wrong_type_or_name_fails_with_its_keys_message(self, section, key, value, message):
+        assert built_error(with_field(scn(BASIC), section, key, value)) == (None, message)
+
+    def test_a_node_id_that_is_not_text_is_refused(self):
+        sc = scn(BASIC)
+        message = "node id 5 must be letters, digits, '_', '-' or '.', and not 'hub'"
+        assert built_error(sc._replace(nodes=(sc.nodes[0]._replace(node_id=5),))) == (None, message)
+
+    def test_a_flag_that_is_not_one_is_refused(self):
+        # "no" is truthy, so this beacon-free layout would run as prohibited.
+        sc = scn(BASIC)
+        sc = sc._replace(superframe=sc.superframe._replace(phase_slots=BEACONLESS, beacon_prohibited="no"))
+        message = "beacon_prohibited must be one of true | yes | 1 | false | no | 0, got 'no'"
+        assert built_error(sc) == (None, message)
+        Simulation(sc._replace(superframe=sc.superframe._replace(beacon_prohibited=True)))
+
+    @pytest.mark.parametrize("value", [True, 1.5], ids=["bool", "float"])
+    @pytest.mark.parametrize("section, key", INT_FIELDS, ids=[key for _, key in INT_FIELDS])
+    def test_a_bool_or_float_in_an_int_field_is_refused(self, section, key, value):
+        assert built_error(with_field(scn(BASIC), section, key, value)) == (None, f"{key} wants an integer, got {value!r}")
+
+    def test_named_values_match_by_equality(self):
+        # A plain str equals its str Enum member, as the kernel compares them.
+        sc = parse_scenario(TestProgrammaticAllocations.SCHEDULED)
+        Simulation(sc._replace(nodes=(sc.nodes[0]._replace(access="scheduled"),))).run()
+
+
+# Each selector's values as a file names them.
+SELECTOR_NAMES = {
+    "phy": list(PHY_KEYS),
+    "superframe": [mode.value for mode in OperationalMode],
+    "nodes": [kind.value for kind in TrafficKind],
+    "security": [str(int(level)) for level in SecurityLevel],
+}
+# A file giving `key` of a section where its selector holds `name`, with the key on the last line.
+SELECTOR_TEXTS = {
+    "phy": "[phy]\nkind = {name}\n{key} = {value}\n",
+    "superframe": "[superframe]\nmode = {name}\n{key} = {value}\n",
+    "nodes": "[nodes]\nn0 = access={name}, {key}={value}\n",
+    "security": "[nodes]\nn0 =\n[security]\nn0 = level={name}, {key}={value}\n",
+}
+
+
+def unread_keys():
+    """(section, key, selector name) for each row whose reader set leaves out that selector value."""
+    for section, selector in SELECTORS.items():
+        convert = KEYS[section][selector].kind.convert
+        for key, row in KEYS[section].items():
+            for name in SELECTOR_NAMES[section]:
+                if row.applies and convert(name, 0, selector) not in row.applies:
+                    yield section, key, name
+
+
+def _converts(row, text: str) -> bool:
+    try:
+        row.kind.convert(text, 0, "")
+    except ScenarioError:
+        return False
+    return True
+
+
+class TestKeysThatDoNotApply:
+    UNREAD = list(unread_keys())
+
+    def test_every_selector_leaves_some_key_unread(self):
+        assert {section for section, _, _ in self.UNREAD} == set(SELECTORS)
+
+    @pytest.mark.parametrize("section, key, name", UNREAD, ids=[f"{key}-{name}" for _, key, name in UNREAD])
+    def test_a_key_its_entry_does_not_read_fails_at_its_line(self, section, key, name):
+        row = KEYS[section][key]
+        value = next(text for text in ("1", "i", "low", "preshared") if _converts(row, text))
+        text = SELECTOR_TEXTS[section].format(name=name, key=key, value=value)
+        line = text.count("\n")
+        assert error_line(text) == (line, f"line {line}: {key} does not apply to {SELECTORS[section]} {name}")
 
 
 class TestNodeIds:
@@ -759,12 +881,17 @@ class TestLoadScenario:
 
 class TestOneHomePerDefault:
     """Each default lives on the record a key sets, or in its PHY family's
-    factory; the key table holds only converters."""
+    factory; no row of the key table holds a default."""
 
     def test_the_key_table_holds_only_converters(self):
-        for section, table in _KEYS.items():
-            for key, convert in table.items():
-                assert callable(convert), f"[{section}] {key} holds {convert!r}, not a converter"
+        # A row holds its field, its kind, a floor or range and the values
+        # that read it: nothing that could be a default.
+        assert Key._fields == ("field", "kind", "low", "high", "applies")
+        for section, table in KEYS.items():
+            for key, row in table.items():
+                assert callable(row.kind.convert), f"[{section}] {key} holds {row.kind!r}, not a converter"
+                assert all(bound is None or type(bound) is int for bound in (row.low, row.high)), (section, key)
+                assert type(row.applies) is tuple, (section, key)
 
     def test_a_key_not_given_takes_its_record_default(self):
         sc = parse_scenario(
@@ -999,8 +1126,8 @@ def fuzzed_scenarios(draw):
     """FUZZ_BASE with one to four keys of the key table set to drawn values."""
     sections = copy.deepcopy(FUZZ_BASE)
     for _ in range(draw(st.integers(1, 4))):
-        section = draw(st.sampled_from(sorted(_KEYS)))
-        key = draw(st.sampled_from(sorted(_KEYS[section])))
+        section = draw(st.sampled_from(sorted(KEYS)))
+        key = draw(st.sampled_from(sorted(KEYS[section])))
         value = draw(st.sampled_from(FUZZ_VALUES))
         if section in ("nodes", "security"):
             sections[section].setdefault(draw(st.sampled_from(sorted(FUZZ_BASE["nodes"]))), {})[key] = value
@@ -1034,7 +1161,7 @@ class TestReadmeExample:
         block = self.README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
         sc = parse_scenario(block)
         assert [node.node_id for node in sc.nodes] == ["n0", "n1", "n2", "n3"]
-        for section, table in _KEYS.items():
+        for section, table in KEYS.items():
             separator = "=" if section in ("nodes", "security") else r"\s*="
             for key in table:
                 assert re.search(rf"\b{key}{separator}", block), f"[{section}] {key} missing from the README"

@@ -85,6 +85,13 @@ class TestBuildLayout:
                 SuperframeConfig(slots_per_superframe=0, phase_slots=dict(FULL_SLOTS))
             )
 
+    @pytest.mark.parametrize("mode", [OperationalMode.NONBEACON_BOUNDED, OperationalMode.NONBEACON_UNBOUNDED])
+    def test_zero_slots_rejected_in_the_non_beacon_modes(self, mode):
+        # The one phase fills the superframe, so 0 slots also sum right:
+        # only the slot-count rule refuses them.
+        with pytest.raises(InvalidLayoutError, match="slot count must be positive"):
+            build_layout(SuperframeConfig(slots_per_superframe=0, mode=mode))
+
     def test_beacon_mode_requires_beacon_phase(self):
         slots = dict(FULL_SLOTS)
         slots[PhaseKind.BEACON] = 0
