@@ -127,7 +127,7 @@ def build_layout(config: SuperframeConfig) -> PhaseLayout:
 
     unknown = set(slots) - set(PhaseKind)
     if unknown:
-        raise InvalidLayoutError(f"unknown phases: {sorted(k.value for k in unknown)}")
+        raise InvalidLayoutError(f"unknown phases: {', '.join(sorted(map(repr, unknown)))}")
     if any(n < 0 for n in slots.values()):
         raise InvalidLayoutError("phase lengths must be >= 0")
 

@@ -427,7 +427,7 @@ class Simulation:
         for node in participants:
             state = node.backoff
             if state.counter == 0:
-                if not node.backlog or state.locked:
+                if not node.backlog:
                     can_act = True
                     continue
                 draw_backoff(state, node.rng)

@@ -27,7 +27,6 @@ from bansim.mac.superframe import (
     OperationalMode,
     PhaseKind,
     PhaseLayout,
-    ScheduledAllocation,
     SuperframeConfig,
     TrafficKind,
     admissible,
@@ -62,11 +61,6 @@ class NodeSpec(NamedTuple):
     slot_len: int | None = None
     period: int = 1
     offset: int = 0
-
-    def allocation(self) -> ScheduledAllocation:
-        return ScheduledAllocation(
-            self.node_id, self.slot_start, self.slot_len, self.period, self.offset
-        )
 
 
 class SecuritySpec(NamedTuple):
@@ -281,6 +275,7 @@ KEYS = {
 }
 # The key whose value decides which of its section's keys an entry reads.
 SELECTORS = {"phy": "kind", "superframe": "mode", "nodes": "access", "security": "level"}
+_DUPLICATE = {"nodes": "node", "security": "security entry"}  # what a repeated key is, if not "key"
 # A field whose record default is None may be None: its key was not given.
 _MAY_BE_NONE = {name for record in (Scenario, NodeSpec, SecuritySpec)
                 for name, default in record._field_defaults.items() if default is None}
@@ -305,20 +300,23 @@ def _refuse(section: str, fields: dict[str, tuple[str, int]], selected) -> None:
             raise _fail(line, f"{key} does not apply to {SELECTORS[section]} {getattr(selected, 'value', selected)}")
 
 
-def _check(section: str, values: dict, line_of: Callable[[str], int | None], entry: str = "") -> None:
+def _check(section: str, values: dict, lines: dict, entry: str | None = None) -> None:
     """Refuse the first of `section`'s fields in `values` that is not of
-    its row's kind or lies past its floor or range, at `line_of(key)`."""
+    its row's kind or lies past its floor or range, at the line `lines`
+    holds for (section, key), or for (section, entry) if a node id is given."""
+    label = "" if entry is None else f"{entry}: {'security ' if section == 'security' else ''}"
     for key, row in KEYS[section].items():
         value = values[row.field]
         if value is None and row.field in _MAY_BE_NONE:
             continue
-        fault = row.kind.fault(value, key, entry)
+        line = lines.get((section, key if entry is None else entry))
+        fault = row.kind.fault(value, key, label)
         if fault is None and row.high is not None and not row.low <= value <= row.high:
-            fault = f"{entry}{key} {value!r} outside {row.low}..{row.high}"
+            fault = f"{label}{key} {value!r} outside {row.low}..{row.high}"
         if fault is not None:
-            raise _fail(line_of(key), fault)
+            raise _fail(line, fault)
         if row.low is not None:
-            _at_least(line_of(key), key, value, row.low)
+            _at_least(line, key, value, row.low)
 
 
 def _split_assignments(raw: str, line: int) -> dict[str, tuple[str, int]]:
@@ -348,22 +346,19 @@ def _phy(fields: dict[str, tuple[str, int]], section_line: int | None) -> PhyCon
         # kind and rate are checked by their converters, so the fault lies
         # with the family's first key.
         raise _fail(fields.get(PHY_KEYS[kind][0], (None, section_line))[1], str(exc)) from None
-    if override is not None:
-        line = fields["rate_override_kbps"][1]
-        try:
-            cfg = cfg._replace(rate_override_kbps=override)
-        except ConfigError as exc:
-            raise _fail(line, f"rate_override_kbps: {exc}") from None
-        if not math.isfinite(frame_airtime_us(cfg, MAX_BODY_LEN)):
-            raise _fail(line, f"rate_override_kbps {override:g} leaves no finite airtime")
-    return cfg
+    if override is None:
+        return cfg
+    try:
+        return cfg._replace(rate_override_kbps=override)
+    except ConfigError as exc:
+        raise _fail(fields["rate_override_kbps"][1], f"rate_override_kbps: {exc}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and compile scenario text; raises ScenarioError with the
     offending line number."""
     section = None
-    lines: dict = {}  # section, given [superframe]/[csma]/[run] key, or (section, id) -> line
+    lines: dict = {}  # section -> its header's line; (section, key or entry id) -> the line giving it
     # The [phy], [superframe], [csma] and [run] entries: key -> (raw, line).
     fields: dict[str, dict[str, tuple[str, int]]] = {name: {} for name in ("phy", "superframe", "csma", "run")}
     entries: dict[str, dict] = {"nodes": {}, "security": {}}  # id -> NodeSpec | SecuritySpec
@@ -387,20 +382,16 @@ def parse_scenario(text: str) -> Scenario:
             raise _fail(lineno, f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if (section, key) in lines:
+            raise _fail(lineno, f"duplicate {_DUPLICATE.get(section, 'key')} {key!r}")
+        lines[section, key] = lineno
         if section in entries:
-            if key in entries[section]:
-                raise _fail(lineno, f"duplicate {'node' if section == 'nodes' else 'security entry'} {key!r}")
-            lines[section, key] = lineno
             given = _split_assignments(value, lineno)
             values = _read(section, given)
             spec = entries[section][key] = NodeSpec(key, **values) if section == "nodes" else SecuritySpec(**values)
             _refuse(section, given, getattr(spec, SELECTORS[section]))
         else:
-            if key in fields[section]:
-                raise _fail(lineno, f"duplicate key {key!r}")
             fields[section][key] = (value, lineno)
-            if section != "phy":
-                lines[key] = lineno
 
     phy = _phy(fields["phy"], lines.get("phy"))
     sf = _read("superframe", fields["superframe"])
@@ -464,16 +455,35 @@ class Plan(NamedTuple):
     schedule: tuple[tuple[int, int, int, EventKind, tuple], ...]
 
 
+def _refuse_shapes(sc: Scenario) -> None:
+    """Refuse a built scenario whose parts, nodes or security entries are
+    not the records they stand for."""
+    parts = [("phy", sc.phy, PhyConfig), ("superframe", sc.superframe, SuperframeConfig),
+             ("timing", sc.timing, MacTimingConstants), ("run", sc.run, RunSpec)]
+    parts += [("node", node, NodeSpec) for node in sc.nodes]
+    parts += [(f"security entry {node_id!r}", spec, SecuritySpec) for node_id, spec in sc.security.items()]
+    for name, value, record in parts:
+        if not isinstance(value, record):
+            raise _fail(None, f"{name} must be a {record.__name__}, got {value!r}")
+
+
 def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
     """Check every value and static rule and derive the run's Plan, or raise
     ScenarioError at the line that `lines`, parse_scenario's map, holds for
-    the key or ("nodes" | "security", id) entry at fault, else its section's."""
+    the fault: it keys each given key as (section, key), each [nodes] and
+    [security] entry as (section, id) and each header by its name. A built
+    scenario meets every rule a parsed one does, the finite airtime of the
+    longest frame under a rate override included."""
     lines = lines or {}
+    _refuse_shapes(sc)
+    if not math.isfinite(frame_airtime_us(sc.phy, MAX_BODY_LEN)):
+        override = sc.phy.rate_override_kbps
+        raise _fail(lines.get(("phy", "rate_override_kbps")), f"rate_override_kbps {override:g} leaves no finite airtime")
     sf, timing = sc.superframe, sc.timing
     phases = {kind: sf.phase_slots.get(kind, 0) for kind in PhaseKind}
-    _check("superframe", {**sc._asdict(), **sf._asdict(), **phases}, lines.get)
-    _check("csma", timing._asdict(), lines.get)
-    _check("run", sc.run._asdict(), lines.get)
+    _check("superframe", {**sc._asdict(), **sf._asdict(), **phases}, lines)
+    _check("csma", timing._asdict(), lines)
+    _check("run", sc.run._asdict(), lines)
     try:
         layout = build_layout(sf)
     except InvalidLayoutError as exc:
@@ -491,21 +501,23 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
     psdu_kbps = info_data_rate(sc.phy, "psdu")
     airtime, payload, exchange = {}, {}, {}
     polled: list[str] = []
-    scheduled: list[ScheduledAllocation] = []
+    scheduled: list[NodeSpec] = []
     taken: set[PhaseKind] = set()  # shared phases a scheduled allocation covers
     alloc_grants: dict[str, tuple] = {}  # each allocation's schedule entry
     arrivals = 0.0  # expected arrivals of the nodes so far
     for node in sc.nodes:
         node_id = node.node_id
-        node_line = lines.get(("nodes", node_id))
         if not isinstance(node_id, str) or not _NODE_ID.fullmatch(node_id) or node_id == HUB_ID:
             raise _fail(
-                node_line,
+                lines.get(("nodes", node_id)) if isinstance(node_id, str) else None,  # a built id may not hash
                 f"node id {node_id!r} must be letters, digits, '_', '-' or '.', and not {HUB_ID!r}",
             )
-        _check("nodes", node._asdict(), lambda key: node_line, f"{node_id}: ")
+        node_line = lines.get(("nodes", node_id))
+        if node_id in airtime:  # an earlier node's
+            raise _fail(node_line, f"duplicate node {node_id!r}")
+        _check("nodes", node._asdict(), lines, node_id)
         spec = sc.security.get(node_id, SecuritySpec())
-        _check("security", spec._asdict(), lambda key: lines.get(("security", node_id)), f"{node_id}: security ")
+        _check("security", spec._asdict(), lines, node_id)
         overhead = SECURITY_WIRE_OVERHEAD[spec.level]
         if not 1 <= node.payload_bytes + overhead <= MAX_BODY_LEN:
             raise _fail(
@@ -531,7 +543,7 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
             polled.append(node_id)
             if sc.poll_grant_us is not None and sc.poll_grant_us < need_us:
                 raise _fail(
-                    lines.get("poll_grant_us"),
+                    lines.get(("superframe", "poll_grant_us")),
                     f"poll_grant_us {sc.poll_grant_us} is shorter than the {need_us} us "
                     f"frame exchange of polled node {node_id}",
                 )
@@ -539,21 +551,20 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
             continue
         if node.slot_start is None or node.slot_len is None:
             raise _fail(node_line, f"{node_id}: scheduled access needs slot_start and slot_len")
-        alloc = node.allocation()
-        end = alloc.start_slot + alloc.length_slots
+        end = node.slot_start + node.slot_len
         if end > layout.slots_per_superframe:
             raise _fail(node_line, f"{node_id}: allocation runs past the superframe")
-        span_us = alloc.length_slots * layout.slot_length_us
+        span_us = node.slot_len * layout.slot_length_us
         if span_us < need_us:
             raise _fail(
                 node_line,
-                f"{node_id}: {alloc.length_slots}-slot allocation ({span_us} us) "
+                f"{node_id}: {node.slot_len}-slot allocation ({span_us} us) "
                 f"is shorter than one {need_us} us frame exchange",
             )
-        covered = phases_covered(layout, alloc.start_slot, alloc.length_slots)
+        covered = phases_covered(layout, node.slot_start, node.slot_len)
         for kind in covered:
             if not admissible(kind, node.priority, TrafficKind.SCHEDULED):
-                slot = max(alloc.start_slot, layout.span(kind).start_slot)
+                slot = max(node.slot_start, layout.span(kind).start_slot)
                 raise _fail(
                     node_line,
                     f"{node_id}: slot {slot} falls in {kind.value}, which takes no scheduled traffic",
@@ -563,20 +574,19 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
         # slots overlap and their offsets agree modulo the gcd of their
         # periods (the two residue classes of indices then share a member).
         for other in scheduled:
-            first = max(alloc.start_slot, other.start_slot)
+            first = max(node.slot_start, other.slot_start)
             if (
-                other.node_id != node_id
-                and first < min(end, other.start_slot + other.length_slots)
-                and (alloc.offset - other.offset) % math.gcd(alloc.periodicity, other.periodicity) == 0
+                first < min(end, other.slot_start + other.slot_len)
+                and (node.offset - other.offset) % math.gcd(node.period, other.period) == 0
             ):
                 raise _fail(
                     node_line,
                     f"slot {first} of the superframes both use: {other.node_id} vs {node_id}",
                 )
-        scheduled.append(alloc)
-        start_us, period = alloc.start_slot * layout.slot_length_us, alloc.periodicity
+        scheduled.append(node)
+        start_us, period = node.slot_start * layout.slot_length_us, node.period
         entry = (node_id, span_us, span_us, covered[0])
-        alloc_grants[node_id] = (start_us, period, alloc.offset % period, EventKind.POLL_GRANT, entry)
+        alloc_grants[node_id] = (start_us, period, node.offset % period, EventKind.POLL_GRANT, entry)
 
     contention = sum(node.access == TrafficKind.CONTENTION for node in sc.nodes)
     if sc.run.channel == "ideal" and contention > 1:
@@ -611,7 +621,7 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
     schedule += [alloc_grants[node_id] for node_id in sorted(alloc_grants)]
     for node_id in polled:
         if not granted:
-            line = lines.get("poll_grant_us", lines.get(("nodes", node_id)))
+            line = lines.get(("superframe", "poll_grant_us"), lines.get(("nodes", node_id)))
             raise _fail(line, f"{node_id}: never polled, as no poll phase holds a {grant_us} us grant")
         if node_id not in granted:
             raise _fail(

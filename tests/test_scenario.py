@@ -673,6 +673,39 @@ class TestBuiltRecords:
     def test_a_bool_or_float_in_an_int_field_is_refused(self, section, key, value):
         assert built_error(with_field(scn(BASIC), section, key, value)) == (None, f"{key} wants an integer, got {value!r}")
 
+    PAIR = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "contention_pair.scn")
+    ALICE = PAIR.nodes[0]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"security": {"alice": 1}}, "security entry 'alice' must be a SecuritySpec, got 1"),
+            ({"nodes": (tuple(ALICE), PAIR.nodes[1])}, f"node must be a NodeSpec, got {tuple(ALICE)!r}"),
+            ({"phy": "nb"}, "phy must be a PhyConfig, got 'nb'"),
+            ({"timing": (50, 125, 85)}, "timing must be a MacTimingConstants, got (50, 125, 85)"),
+            ({"run": (1, 1000, "ideal")}, "run must be a RunSpec, got (1, 1000, 'ideal')"),
+            ({"superframe": None}, "superframe must be a SuperframeConfig, got None"),
+            ({"nodes": (ALICE._replace(node_id=["alice"]),)},
+             "node id ['alice'] must be letters, digits, '_', '-' or '.', and not 'hub'"),
+            ({"nodes": (ALICE, ALICE)}, "duplicate node 'alice'"),
+            ({"superframe": PAIR.superframe._replace(phase_slots={**PAIR.superframe.phase_slots, "bogus": 0})},
+             "unknown phases: 'bogus'"),
+        ],
+        ids=["security-entry", "tuple-node", "phy", "timing", "run", "superframe", "list-id", "duplicate-id",
+             "unknown-phase"],
+    )
+    def test_a_part_of_the_wrong_shape_is_refused(self, fields, message):
+        assert built_error(self.PAIR._replace(**fields)) == (None, message)
+
+    def test_a_rate_override_with_no_finite_airtime_is_refused_when_built(self):
+        # The text's rule, at the record: the longest frame must have a finite airtime.
+        sc = Scenario(
+            nb_config()._replace(rate_override_kbps=1e-320),
+            SuperframeConfig(mode=OperationalMode.NONBEACON_UNBOUNDED),
+            nodes=(NodeSpec("n0", payload_bytes=10),),
+        )
+        assert built_error(sc) == (None, "rate_override_kbps 9.99989e-321 leaves no finite airtime")
+
     def test_named_values_match_by_equality(self):
         # A plain str equals its str Enum member, as the kernel compares them.
         sc = parse_scenario(TestProgrammaticAllocations.SCHEDULED)

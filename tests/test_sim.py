@@ -35,7 +35,7 @@ from bansim.mac.csma import (
     trace_storm,
     trace_unlocks,
 )
-from bansim.mac.superframe import SHARED_PHASES, PhaseKind, phases_covered, schedule_polls
+from bansim.mac.superframe import SHARED_PHASES, PhaseKind, ScheduledAllocation, phases_covered, schedule_polls
 from bansim.phy.rates import Band, frame_airtime_us, frame_airtimes_us, nb_config
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
@@ -1170,7 +1170,11 @@ class TestBacklog:
 
 def scheduled_allocations(sc):
     """The scenario's allocations, by node id."""
-    return sorted((node.allocation() for node in sc.nodes if node.access == "scheduled"), key=lambda a: a.node_id)
+    return sorted(
+        (ScheduledAllocation(node.node_id, node.slot_start, node.slot_len, node.period, node.offset)
+         for node in sc.nodes if node.access == "scheduled"),
+        key=lambda a: a.node_id,
+    )
 
 
 def reference_superframe(sim, index):

@@ -70,6 +70,10 @@ class TestBuildLayout:
         with pytest.raises(InvalidLayoutError):
             build_layout(SuperframeConfig(phase_slots=slots))
 
+    def test_an_unknown_phase_is_named_by_its_repr(self):
+        with pytest.raises(InvalidLayoutError, match="unknown phases: 'bogus'"):
+            build_layout(SuperframeConfig(phase_slots={**FULL_SLOTS, "bogus": 0}))
+
     def test_negative_phase_length_rejected(self):
         slots = dict(FULL_SLOTS)
         slots[PhaseKind.CAP] = -2
