@@ -4,8 +4,15 @@ The stats CSV and event trace of both bundled scenarios and of stress
 scenarios, and the bit images of seeded frames of every signal family,
 must stay byte-identical: a faster or refactored path has to reproduce
 them exactly, not only agree with itself within one process.
+
+The bytes of the bundled and edge scenarios are also stored, gzipped, in
+tests/data/golden, so a run that departs from them names its first
+differing line. `python tests/test_golden.py` writes those files from
+the current code; the digests below say whether they are the pinned ones.
 """
 
+import difflib
+import gzip
 import hashlib
 import random
 from pathlib import Path
@@ -20,6 +27,7 @@ from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import compile_scenario, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
 
 # (stats CSV, event trace) digests of each bundled scenario on its stored seed.
 SCENARIO_DIGESTS = {
@@ -276,8 +284,40 @@ def _lone_node(duration_ms: int) -> str:
             f"[nodes]\na = priority=7, traffic=saturated, payload=40\n[run]\nduration_ms = {duration_ms}\n")
 
 
-# name -> (scenario, stats digest, trace digest), recorded before a clean
-# exchange became one heap event.
+def _short_beside_long(duration_ms: int) -> str:
+    # A 10-byte and a 100-byte frame (670 and 2152 us) that collide end
+    # 1482 us apart, and a timeout comes 640 us after its data end, so the
+    # short frame's timeout comes before the long frame's data end. 9 ms
+    # falls after such a data end (8644 us) and before its timeout (9284 us).
+    return (f"{_NB}[superframe]\nbeacon_slots = 4\nrap1_slots = 120\ncap_slots = 132\n[nodes]\n"
+            "a = priority=6, traffic=saturated, payload=10\nb = priority=6, traffic=saturated, payload=100\n"
+            f"[run]\nseed = 4\nduration_ms = {duration_ms}\nchannel = collision\n")
+
+
+def _exact_fit(superframe: str, csma: str, seed: int, duration_ms: int) -> str:
+    # Two priority 7 nodes, a 10-byte and a 150-byte frame, in a RAP1 and a CAP.
+    return (f"{_NB}[superframe]\nslot_length_us = 1000\n{superframe}[csma]\n{csma}[nodes]\n"
+            "a = priority=7, traffic=saturated, payload=10\nb = priority=7, traffic=saturated, payload=150\n"
+            f"[run]\nseed = {seed}\nduration_ms = {duration_ms}\nchannel = collision\n")
+
+
+# With no pSIFS and no guard time, a collided exchange begun at 23520 us
+# ends at b's timeout on the RAP1 end (27000 us), where the CAP's
+# contenders enter; a's timeout (24695 us) comes before b's data end.
+_LAST_TIMEOUT_ON_A_PHASE_START = _exact_fit(
+    "slots = 38\nbeacon_slots = 4\nrap1_slots = 23\ncap_slots = 11\n", "psifs_us = 0\nslot_us = 100\ngtn_us = 0\n", 86, 30
+)
+# A collided exchange begun at 200470 us ends at b's timeout on the CAP
+# end, 204000 us, where the fifth superframe's beacon goes out; a's timeout
+# (201695 us) comes before b's data end.
+_LAST_TIMEOUT_ON_A_BEACON = _exact_fit(
+    "slots = 51\nbeacon_slots = 4\nrap1_slots = 22\ncap_slots = 25\n", "psifs_us = 0\nslot_us = 25\ngtn_us = 50\n", 9, 205
+)
+
+
+# name -> (scenario, stats digest, trace digest). The first six were
+# recorded before a clean exchange became one heap event, the last four
+# before a collided exchange became one heap event per transmitter.
 EDGE_DIGESTS = {
     "zero_spacing": (
         _ZERO_SPACING,
@@ -308,6 +348,26 @@ EDGE_DIGESTS = {
         _lone_node(9),
         "fd5870df48e78deb26bf1edaeda991653dcd81e488909f73f9cf22cd9939b6de",
         "29bcc984d57fd0ac47fbeaa369b59853743245a04d9706e262de89bf3dd7d4c5",
+    ),
+    "timeout_before_a_data_end": (
+        _short_beside_long(128),
+        "11782f3203dbf37a07b2f526234efd85bfc2566d1325580d7b89ccf3791f7d1a",
+        "bb2277ff1d1fb11dd1dc8b40e83bcc0c1ae5d81103a78c4d96caf831bc1f71c3",
+    ),
+    "last_timeout_on_a_phase_start": (
+        _LAST_TIMEOUT_ON_A_PHASE_START,
+        "753d8c7655e2de4631d1d2863f7494e0e13deaffc6df26a3744dac1a26e96704",
+        "94062a9efefca8e0bb442bc3fdd02b09f6172e5a7f2be57a9153f5310bbc94fb",
+    ),
+    "last_timeout_on_a_beacon": (
+        _LAST_TIMEOUT_ON_A_BEACON,
+        "48166ecf0ca84b137362722153df11fcbbadb9685049ae5ea7a48b0cef491579",
+        "4e4a6d9b15ddbbd463fd14093db7dd31e6d42add3f71866e91acca2cd2258705",
+    ),
+    "ends_before_a_timeout": (
+        _short_beside_long(9),
+        "21f1d6203ba7d4ef4fb90e2a398ae6bbf09f92bc448e5389deb50689655d99e7",
+        "921e5eb783e23f9be1c93a34b2c49893a2b55d5f15bf024f166b92fea3f3dfa0",
     ),
 }
 
@@ -359,11 +419,64 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def first_difference(label: str, got: bytes, want: bytes, context: int = 3) -> str:
+    """The first line at which `got` departs from `want`, with `context`
+    common lines before it and up to `context` more of each after."""
+    got_lines, want_lines = got.decode().splitlines(True), want.decode().splitlines(True)
+    i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    out = [f"{label}: first difference at line {i + 1}"]
+    out += [f"  {n + 1:>7} | {line!r}" for n, line in enumerate(want_lines[max(0, i - context):i], max(0, i - context))]
+    for sign, lines in (("-", want_lines), ("+", got_lines)):
+        out += [f"{sign} {n + 1:>7} | {line!r}" for n, line in enumerate(lines[i:i + context + 1], i)]
+    return "\n".join(out)
+
+
+def assert_pinned(produced: Path, stored: str, digest: str) -> None:
+    """`produced` holds the bytes stored as tests/data/golden/<stored>.gz,
+    which hash to `digest`; a mismatch names its first differing line."""
+    want = gzip.decompress((GOLDEN_DIR / f"{stored}.gz").read_bytes())
+    assert hashlib.sha256(want).hexdigest() == digest, f"{stored}.gz does not hold the pinned bytes"
+    got = produced.read_bytes()
+    if got != want:
+        pytest.fail(first_difference(stored, got, want), pytrace=False)
+    assert _sha256(produced) == digest
+
+
+def _stored_runs():
+    """(name, scenario, stats digest, trace digest) of each run whose bytes are stored."""
+    for name, digests in SCENARIO_DIGESTS.items():
+        yield name, load_scenario(SCENARIO_DIR / f"{name}.scn"), *digests
+    for name, (text, *digests) in EDGE_DIGESTS.items():
+        yield name, parse_scenario(text), *digests
+
+
+def _assert_run_pinned(name, sc, stats_digest, trace_digest, tmp_path):
+    stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
+    run_to_files(sc, stats, trace)
+    assert_pinned(stats, f"{name}.stats.csv", stats_digest)
+    assert_pinned(trace, f"{name}.trace.txt", trace_digest)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
 def test_bundled_scenario_bytes_are_pinned(name, tmp_path):
-    stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
-    run_to_files(load_scenario(SCENARIO_DIR / f"{name}.scn"), stats, trace)
-    assert (_sha256(stats), _sha256(trace)) == SCENARIO_DIGESTS[name]
+    _assert_run_pinned(name, load_scenario(SCENARIO_DIR / f"{name}.scn"), *SCENARIO_DIGESTS[name], tmp_path)
+
+
+def test_a_departure_names_its_first_line():
+    want = b"".join(f"{t},a,count\n".encode() for t in range(10))
+    got = want.replace(b"5,a,count", b"5,a,draw")
+    message = first_difference("x.trace.txt", got, want)
+    assert message.splitlines() == [
+        "x.trace.txt: first difference at line 6",
+        "        3 | '2,a,count\\n'", "        4 | '3,a,count\\n'", "        5 | '4,a,count\\n'",
+        "-       6 | '5,a,count\\n'", "-       7 | '6,a,count\\n'", "-       8 | '7,a,count\\n'",
+        "-       9 | '8,a,count\\n'",
+        "+       6 | '5,a,draw\\n'", "+       7 | '6,a,count\\n'", "+       8 | '7,a,count\\n'",
+        "+       9 | '8,a,count\\n'",
+    ]
+    # A run cut short departs where it ends.
+    assert first_difference("x", want[:20], want).splitlines()[0] == "x: first difference at line 3"
 
 
 @pytest.mark.parametrize("name", list(STRESS_DIGESTS))
@@ -379,9 +492,7 @@ def test_stress_scenario_bytes_are_pinned(name, tmp_path):
 @pytest.mark.parametrize("name", list(EDGE_DIGESTS))
 def test_exchange_edge_bytes_are_pinned(name, tmp_path):
     text, stats_digest, trace_digest = EDGE_DIGESTS[name]
-    stats, trace = tmp_path / "stats.csv", tmp_path / "trace.txt"
-    run_to_files(parse_scenario(text), stats, trace)
-    assert (_sha256(stats), _sha256(trace)) == (stats_digest, trace_digest)
+    _assert_run_pinned(name, parse_scenario(text), stats_digest, trace_digest, tmp_path)
 
 
 def test_overloaded_run_bytes_are_pinned(tmp_path):
@@ -431,6 +542,35 @@ def test_the_edge_scenarios_reach_their_edges(tmp_path):
     for name, cut in (("ends_before_the_ack", "tx_end"), ("ends_before_the_delivery", "ack")):
         _, _, lines = runs[name]
         assert lines[-1].split(",")[2] == cut, name
+
+    # A collided frame ends after another's timeout; then the last timeout
+    # lands on a phase entry, on a beacon, or past the run's end.
+    assert _late_data_ends(runs["timeout_before_a_data_end"][2])
+    for name, landing in (("last_timeout_on_a_phase_start", "enter"), ("last_timeout_on_a_beacon", "tx_start")):
+        lines = [line.split(",") for line in runs[name][2]]
+        fails = {(t, n) for t, n, e, *_ in lines if e == "fail"}
+        assert any(
+            lines[i + 1][2] == landing and (lines[i + 1][0], lines[i][1]) in fails
+            for i in _late_data_ends(runs[name][2])
+        ), name
+    lines = runs["ends_before_a_timeout"][2]
+    assert _late_data_ends(lines)[-1] == len(lines) - 1
+
+
+def _late_data_ends(lines):
+    """The indexes of the node tx_end lines that follow a fail line of
+    their exchange: data ends after the exchange's first timeout."""
+    late, failed = [], False
+    for i, line in enumerate(lines):
+        _, node, event, *_ = line.split(",")
+        if node != "hub":
+            if event == "tx_start":
+                failed = False
+            elif event == "fail":
+                failed = True
+            elif event == "tx_end" and failed:
+                late.append(i)
+    return late
 
 
 def lock_breaks(lines: list[str]) -> list[str]:
@@ -538,3 +678,21 @@ def test_spreading_2_images_and_outcomes_are_pinned():
     cfg = nb_config(Band.NB_402_405, "low")
     assert cfg.spreading == 2
     assert (_images_digest([cfg]), _outcomes_digest([cfg])) == SPREAD2_DIGESTS
+
+
+def record_stored_runs(tmp_dir: Path) -> None:
+    """Write tests/data/golden from the current code: each stored run's
+    stats and trace, gzipped without a timestamp."""
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, sc, _, _ in _stored_runs():
+        stats, trace = tmp_dir / "stats.csv", tmp_dir / "trace.txt"
+        run_to_files(sc, stats, trace)
+        for path, part in ((stats, "stats.csv"), (trace, "trace.txt")):
+            (GOLDEN_DIR / f"{name}.{part}.gz").write_bytes(gzip.compress(path.read_bytes(), 9, mtime=0))
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record_stored_runs(Path(tmp))
