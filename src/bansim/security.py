@@ -29,6 +29,13 @@ the framed counter, block index, level and body. The bytes are those of
 `_digest`, so the wire format is unchanged. A hash state cannot be
 pickled, and neither can a PairwiseKey; sessions live inside one run.
 
+A PairwiseKey also keeps the last (counter, keystream) pair it derived,
+and `_keystream` returns that keystream for the same counter and length.
+A delivered level-2 frame is masked and unmasked under one counter, so
+admit_frame unmasks it with the keystream secure_frame derived; the tag
+is still recomputed and compared on every admit, before the replay floor
+moves.
+
 Wire format of a secured frame body:
     [level: 1 byte][counter: 4 bytes big-endian][body][tag: 8 bytes]
 where the body is XOR-masked at level 2 and the tag covers the level,
@@ -105,7 +112,7 @@ def default_kdf(mk: bytes, ordinal: int) -> bytes:
 
 
 class PairwiseKey:
-    __slots__ = ("key_id", "key", "stream_state", "tag_state")
+    __slots__ = ("key_id", "key", "stream_state", "tag_state", "last_stream")
 
     def __init__(self, key_id: str, key: bytes):
         self.key_id = key_id  # short public identifier
@@ -115,6 +122,7 @@ class PairwiseKey:
         # and equality.
         self.stream_state = hashlib.sha256(_framed(b"stream", key))
         self.tag_state = hashlib.sha256(_framed(b"tag", key))
+        self.last_stream = (None, b"")  # (nonce, keystream) _keystream derived last
 
     def __eq__(self, other):
         return type(other) is PairwiseKey and (self.key_id, self.key) == (other.key_id, other.key)
@@ -236,7 +244,12 @@ _LEN4 = (4).to_bytes(4, "big")
 
 def _keystream(ptk: PairwiseKey, nonce: bytes, length: int) -> bytes:
     """Block i is _digest(b"stream", key, nonce, i), one per 32 bytes; the
-    nonce is the frame counter as COUNTER_LEN big-endian bytes."""
+    nonce is the frame counter as COUNTER_LEN big-endian bytes. The last
+    keystream derived is kept and given again for the same nonce and
+    length."""
+    last_nonce, stream = ptk.last_stream
+    if last_nonce == nonce and len(stream) == length:
+        return stream
     nonced = ptk.stream_state.copy()
     nonced.update(_LEN4 + nonce + _LEN4)
     blocks = []
@@ -244,7 +257,9 @@ def _keystream(ptk: PairwiseKey, nonce: bytes, length: int) -> bytes:
         h = nonced.copy()
         h.update(block.to_bytes(4, "big"))
         blocks.append(h.digest())
-    return b"".join(blocks)[:length]
+    stream = b"".join(blocks)[:length]
+    ptk.last_stream = (nonce, stream)
+    return stream
 
 
 def _mask(body: bytes, ptk: PairwiseKey, nonce: bytes) -> bytes:

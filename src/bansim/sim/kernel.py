@@ -22,27 +22,39 @@ up front.
 The heap holds only instants that something can observe: the start of a
 phase that some node may contend in (a phase that none may use has no
 event), each beacon, grant and superframe start, each traffic arrival,
-and the hops of frame exchanges. A clean exchange (a grant's, or one
+and the end of each frame exchange. A clean exchange (a grant's, or one
 lone contender's) is one event at its delivery, data + pSIFS + ack after
 it begins; its earlier hops are applied when it begins, each only if its
 instant comes before the run's end: the data end's airtime and phase
 check, then the acknowledgement's airtime, added in the order their
 events added them, and in a traced run their tx_end and ack lines right
-after the lines of the slot end that starts it. The guard keeps every
-exchange inside its phase, so while the channel is held no other event
-adds busy time or traces a line, and a delivery draws no random number
-and commutes with an arrival at its instant. One order differs from
-hop-by-hop events: the delivery takes its place in the heap when the
-exchange begins, so a Poisson arrival pushed onto the delivery instant
-after that and before the acknowledgement's instant runs after the
-delivery rather than before. The two commute, but what they push next
-(that arrival's successor, the resume tick) swaps order; if those two
-also fall on one microsecond, the resume can draw the arrival's node a
-counter before the successor takes its gap off that node's stream
-(tests/test_sim.py pins such a run). A collided exchange keeps one
-event per transmitter's data end and one per its timeout: a timeout
-draws a new counter from its node's stream, which must stay behind that
-node's arrivals at the same instant.
+after the lines of the slot end that starts it. A collided exchange is
+one event per transmitter, its timeout. Its data ends are applied when
+it begins, in time order (ties in transmitter order) up to the run's
+end: each adds its airtime, meets the phase check and pushes its
+timeout at data end + pSIFS + ack + gTN. A traced run writes a data
+end's tx_end line then if it is not after the exchange's first timeout;
+a later one is held and written just before the first line traced at or
+after its instant: a later timeout's fail line, a phase entry or beacon
+that meets an exact-fit exchange's last timeout, or the run's end. The
+guard keeps every exchange inside its phase, so while the channel is
+held no other event adds busy time or traces a line, and a delivery
+draws no random number and commutes with an arrival at its instant.
+
+Two orders differ from hop-by-hop events. First, the delivery takes its
+place in the heap when the exchange begins, so a Poisson arrival pushed
+onto the delivery instant after that and before the acknowledgement's
+instant runs after the delivery rather than before. The two commute, but
+what they push next (that arrival's successor, the resume tick) swaps
+order; if those two also fall on one microsecond, the resume can draw
+the arrival's node a counter before the successor takes its gap off that
+node's stream. Second, a collided transmitter's timeout takes its place
+when the exchange begins, so a Poisson arrival pushed during the data
+frame onto the timeout instant runs after the timeout rather than before.
+A timeout draws a new counter from its node's stream, so when the
+arrival is that node's own, the counter is drawn before the arrival's
+successor takes its gap off the stream. tests/test_sim.py pins a run of
+each (TestArrivalOnADelivery, TestArrivalOnATimeout).
 
 Contention runs on one global slot grid per access phase. The grid
 starts one interframe space after phase entry, pauses while a frame
@@ -106,6 +118,7 @@ import os
 import random
 from contextlib import nullcontext
 from itertools import groupby
+from operator import attrgetter
 from types import SimpleNamespace
 
 from bansim.errors import ConfigError, SimulationError
@@ -131,9 +144,7 @@ __all__ = ["Simulation", "run", "run_to_files", "write_trace"]
 # The event kinds, bound once: CPython 3.11 reads a member off its enum
 # class through the metaclass's __getattr__ hook, at about 0.1 us a read,
 # and the loop reads one or more per event.
-_PHASE_START, _TX_END, _ACK_TIMEOUT, _DELIVERY = (
-    EventKind.PHASE_START, EventKind.TX_END, EventKind.ACK_TIMEOUT, EventKind.DELIVERY
-)
+_PHASE_START, _ACK_TIMEOUT, _DELIVERY = EventKind.PHASE_START, EventKind.ACK_TIMEOUT, EventKind.DELIVERY
 _POLL_GRANT, _BEACON_TX, _TRAFFIC_ARRIVAL, _SUPERFRAME = (
     EventKind.POLL_GRANT, EventKind.BEACON_TX, EventKind.TRAFFIC_ARRIVAL, EventKind.SUPERFRAME
 )
@@ -146,6 +157,8 @@ _HUB_FIELDS = SimpleNamespace(counter=0, cw=0, consecutive_failures=0)
 # the two, and unlocking changes no traced field.
 _ENTRY = ("enter", "sifs")
 _ENTRY_UNLOCK = ("enter", "unlock", "sifs")
+
+_AIRTIME = attrgetter("airtime_int")  # orders a collided exchange's data ends
 
 
 class _Node:
@@ -233,6 +246,9 @@ class Simulation:
         # The pending grid tick: (time, 2, seq, phase kind, phase end, the
         # nodes its slot end counts, the exchange it resumes after or None).
         self._tick: tuple | None = None
+        # A traced collided exchange's tx_end lines not yet written: (data
+        # end, phase, node) of each data end after its first timeout.
+        self._late: list[tuple[int, PhaseKind, _Node]] = []
 
         self.ack_airtime_us = ack_airtime_us
         self.ack_int = clock_us(ack_airtime_us)
@@ -342,9 +358,7 @@ class Simulation:
             time_us, _, _, kind, data = heapq.heappop(heap)
             self.now = time_us
             # The most frequent kinds first.
-            if kind is _TX_END:
-                self._on_tx_end(*data)
-            elif kind is _ACK_TIMEOUT:
+            if kind is _ACK_TIMEOUT:
                 self._on_timeout(*data)
             elif kind is _TRAFFIC_ARRIVAL:
                 self._on_arrival(*data)
@@ -359,6 +373,8 @@ class Simulation:
             elif kind is _SUPERFRAME:
                 self._flush_trace()
                 self._schedule_superframe(*data)
+        if self._late:
+            self._trace_late(self.end_time)
         self._flush_trace()
         for node in self.nodes.values():
             node.stats.queued = node.backlog
@@ -373,6 +389,8 @@ class Simulation:
             return
         start, end = self.now, self.now + length_us
         if self.collect_trace:
+            if self._late:  # an exchange that ends exactly here
+                self._trace_late(start)
             # Contenders in a row that are alike in being locked are traced
             # as one batch; unlocking changes no traced field, so they are
             # traced before the unlocks below.
@@ -503,9 +521,10 @@ class Simulation:
     ) -> None:
         """Occupy the channel from t. Of `counting`, the contenders that
         counted the slot ending at t (none for a grant), those above zero
-        are busy-locked until the exchange ends. A collided exchange pushes
-        its data ends; a clean one has its data end and acknowledgement
-        applied here and pushes its delivery."""
+        are busy-locked until the exchange ends. A collided exchange has
+        its data ends applied here and pushes their timeouts; a clean one
+        has its data end and acknowledgement applied here and pushes its
+        delivery."""
         if len(transmitters) > 1 and self.sc.run.channel == "ideal":
             raise SimulationError(
                 f"{len(transmitters)} overlapping transmissions on an ideal channel at t={t}"
@@ -530,8 +549,7 @@ class Simulation:
                 self._emit_batch(t, kind, ("tx_start",), transmitters)
         if collided:
             exchange.pending = len(transmitters)
-            for node in transmitters:
-                self._push(t + node.airtime_int, _TX_END, (node.node_id,))
+            self._collide(transmitters, t, kind, phase_end)
             return
         (node,) = transmitters
         data_end = t + node.airtime_int
@@ -552,22 +570,41 @@ class Simulation:
                 trace_event(self.trace, ack_start, kind, "ack", node.node_id, node.backoff)
             self._push(ack_start + self.ack_int, _DELIVERY, (node.node_id,))
 
-    def _on_tx_end(self, node_id: str) -> None:
-        """A data end in a collided exchange: its airtime, and the timeout
-        that follows the missing acknowledgement."""
-        exchange = self.exchange
-        if exchange is None:
-            raise SimulationError("transmission ended outside an exchange")
-        node = self.nodes[node_id]
-        t = self.now
-        if t > exchange.phase_end:
-            raise SimulationError("transmission crossed its phase boundary")
-        if self.collect_trace:
-            trace_event(self.trace, t, exchange.kind, "tx_end", node_id, node.backoff)
-        node.stats.tx_airtime_us += node.airtime_us
-        self.stats.add_busy(node.airtime_us)
-        timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
-        self._push(timeout, _ACK_TIMEOUT, (node_id,))
+    def _collide(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
+        """A collided exchange's data ends, in time order (ties in
+        transmitter order) up to the run's end: each adds its airtime and
+        pushes the timeout that follows the missing acknowledgement. A
+        traced run writes the tx_end lines up to the first timeout now and
+        holds the later ones for _trace_late."""
+        end_time = self.end_time
+        wait = self.timing.psifs_us + self.ack_int + self.timing.gtn_us
+        add_busy, tracing = self.stats.add_busy, self.collect_trace
+        first_timeout = None
+        for node in sorted(transmitters, key=_AIRTIME):
+            data_end = t + node.airtime_int
+            if data_end >= end_time:
+                break
+            if data_end > phase_end:
+                raise SimulationError("transmission crossed its phase boundary")
+            node.stats.tx_airtime_us += node.airtime_us
+            add_busy(node.airtime_us)
+            self._push(data_end + wait, _ACK_TIMEOUT, (node.node_id,))
+            if tracing:
+                if first_timeout is None:
+                    first_timeout = data_end + wait
+                if data_end <= first_timeout:
+                    trace_event(self.trace, data_end, kind, "tx_end", node.node_id, node.backoff)
+                else:
+                    self._late.append((data_end, kind, node))
+
+    def _trace_late(self, t: int) -> None:
+        """Write the held tx_end lines of data ends at or before t: before
+        the first line traced at or after each, and before its node's fail
+        line changes the state it shows."""
+        late = self._late
+        while late and late[0][0] <= t:
+            data_end, kind, node = late.pop(0)
+            trace_event(self.trace, data_end, kind, "tx_end", node.node_id, node.backoff)
 
     def _on_timeout(self, node_id: str) -> None:
         exchange = self.exchange
@@ -575,6 +612,8 @@ class Simulation:
             raise SimulationError("acknowledgement timeout outside an exchange")
         node = self.nodes[node_id]
         t = self.now
+        if self._late:
+            self._trace_late(t)
         node.stats.failed += 1
         node.stats.collided += 1
         on_failure(node.backoff)
@@ -641,6 +680,8 @@ class Simulation:
     def _on_beacon(self) -> None:
         t, end = self.now, self.now + clock_us(self.plan.beacon_us)
         if self.collect_trace:
+            if self._late:  # an exchange that ends exactly here
+                self._trace_late(t)
             trace_event(self.trace, t, PhaseKind.BEACON, "tx_start", HUB_ID, _HUB_FIELDS)
         if end < self.end_time:
             self.stats.add_busy(self.plan.beacon_us)

@@ -428,8 +428,7 @@ _NODE_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 class EventKind(Enum):
     PHASE_START = auto()
-    TX_END = auto()  # one transmitter's data end in a collided exchange
-    ACK_TIMEOUT = auto()  # its missed acknowledgement
+    ACK_TIMEOUT = auto()  # a collided transmitter's missed acknowledgement
     DELIVERY = auto()  # the acknowledged end of a clean exchange
     POLL_GRANT = auto()
     BEACON_TX = auto()
@@ -456,13 +455,20 @@ class Plan(NamedTuple):
 
 
 def _refuse_shapes(sc: Scenario) -> None:
-    """Refuse a built scenario whose parts, nodes or security entries are
-    not the records they stand for."""
-    parts = [("phy", sc.phy, PhyConfig), ("superframe", sc.superframe, SuperframeConfig),
-             ("timing", sc.timing, MacTimingConstants), ("run", sc.run, RunSpec)]
-    parts += [("node", node, NodeSpec) for node in sc.nodes]
-    parts += [(f"security entry {node_id!r}", spec, SecuritySpec) for node_id, spec in sc.security.items()]
-    for name, value, record in parts:
+    """Refuse a built scenario that is not a Scenario, or whose parts,
+    containers, nodes or security entries are not what they stand for.
+    Each part is read only once the parts it sits in have passed."""
+
+    def parts():
+        yield "scenario", sc, Scenario
+        yield from (("phy", sc.phy, PhyConfig), ("superframe", sc.superframe, SuperframeConfig),
+                    ("timing", sc.timing, MacTimingConstants), ("run", sc.run, RunSpec),
+                    ("nodes", sc.nodes, tuple), ("security", sc.security, dict))
+        yield "phase_slots", sc.superframe.phase_slots, dict
+        yield from (("node", node, NodeSpec) for node in sc.nodes)
+        yield from ((f"security entry {node_id!r}", spec, SecuritySpec) for node_id, spec in sc.security.items())
+
+    for name, value, record in parts():
         if not isinstance(value, record):
             raise _fail(None, f"{name} must be a {record.__name__}, got {value!r}")
 

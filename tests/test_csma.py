@@ -360,6 +360,8 @@ class ScriptedReplay(Simulation):
 
     def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         if not self._contenders[kind]:
+            if self._late:  # a collided exchange's held tx_end lines go first, as in the kernel
+                self._trace_late(self.now)
             trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
         super()._on_phase_start(kind, length_us)
 

@@ -294,6 +294,27 @@ def _short_beside_long(duration_ms: int) -> str:
             f"[run]\nseed = 4\nduration_ms = {duration_ms}\nchannel = collision\n")
 
 
+# With a 598 us guard time a timeout comes 1153 us after its data end. When
+# a (10 B, 670 us), c (30 B, 999 us) and b (100 B, 2152 us) collide, as they
+# do at 3575 us, a's timeout comes first and c's falls on b's data end.
+_DATA_END_ON_A_TIMEOUT = f"""\
+{_NB}[superframe]
+beacon_slots = 4
+rap1_slots = 120
+cap_slots = 132
+[csma]
+gtn_us = 598
+[nodes]
+a = priority=6, traffic=saturated, payload=10
+b = priority=6, traffic=saturated, payload=100
+c = priority=6, traffic=saturated, payload=30
+[run]
+seed = 1
+duration_ms = 8
+channel = collision
+"""
+
+
 def _exact_fit(superframe: str, csma: str, seed: int, duration_ms: int) -> str:
     # Two priority 7 nodes, a 10-byte and a 150-byte frame, in a RAP1 and a CAP.
     return (f"{_NB}[superframe]\nslot_length_us = 1000\n{superframe}[csma]\n{csma}[nodes]\n"
@@ -316,7 +337,7 @@ _LAST_TIMEOUT_ON_A_BEACON = _exact_fit(
 
 
 # name -> (scenario, stats digest, trace digest). The first six were
-# recorded before a clean exchange became one heap event, the last four
+# recorded before a clean exchange became one heap event, the last five
 # before a collided exchange became one heap event per transmitter.
 EDGE_DIGESTS = {
     "zero_spacing": (
@@ -363,6 +384,11 @@ EDGE_DIGESTS = {
         _LAST_TIMEOUT_ON_A_BEACON,
         "48166ecf0ca84b137362722153df11fcbbadb9685049ae5ea7a48b0cef491579",
         "4e4a6d9b15ddbbd463fd14093db7dd31e6d42add3f71866e91acca2cd2258705",
+    ),
+    "data_end_on_a_timeout": (
+        _DATA_END_ON_A_TIMEOUT,
+        "e4cb8097eabf5be005f43e9d17d1905f4ca835afd889a57eaebe1fe440bda956",
+        "9b18ad2d293b91631c94b28966f4821f800d65ce0885952a6a9c0e753b42accc",
     ),
     "ends_before_a_timeout": (
         _short_beside_long(9),
@@ -425,7 +451,7 @@ def first_difference(label: str, got: bytes, want: bytes, context: int = 3) -> s
     got_lines, want_lines = got.decode().splitlines(True), want.decode().splitlines(True)
     i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
              min(len(got_lines), len(want_lines)))
-    out = [f"{label}: first difference at line {i + 1}"]
+    out = [f"{label}: first difference at line {i + 1} (- pinned, + produced)"]
     out += [f"  {n + 1:>7} | {line!r}" for n, line in enumerate(want_lines[max(0, i - context):i], max(0, i - context))]
     for sign, lines in (("-", want_lines), ("+", got_lines)):
         out += [f"{sign} {n + 1:>7} | {line!r}" for n, line in enumerate(lines[i:i + context + 1], i)]
@@ -468,7 +494,7 @@ def test_a_departure_names_its_first_line():
     got = want.replace(b"5,a,count", b"5,a,draw")
     message = first_difference("x.trace.txt", got, want)
     assert message.splitlines() == [
-        "x.trace.txt: first difference at line 6",
+        "x.trace.txt: first difference at line 6 (- pinned, + produced)",
         "        3 | '2,a,count\\n'", "        4 | '3,a,count\\n'", "        5 | '4,a,count\\n'",
         "-       6 | '5,a,count\\n'", "-       7 | '6,a,count\\n'", "-       8 | '7,a,count\\n'",
         "-       9 | '8,a,count\\n'",
@@ -476,7 +502,7 @@ def test_a_departure_names_its_first_line():
         "+       9 | '8,a,count\\n'",
     ]
     # A run cut short departs where it ends.
-    assert first_difference("x", want[:20], want).splitlines()[0] == "x: first difference at line 3"
+    assert first_difference("x", want[:20], want).splitlines()[0] == "x: first difference at line 3 (- pinned, + produced)"
 
 
 @pytest.mark.parametrize("name", list(STRESS_DIGESTS))
@@ -555,6 +581,9 @@ def test_the_edge_scenarios_reach_their_edges(tmp_path):
         ), name
     lines = runs["ends_before_a_timeout"][2]
     assert _late_data_ends(lines)[-1] == len(lines) - 1
+    # A held data end on another transmitter's timeout comes before its fail line.
+    lines = [line.split(",") for line in runs["data_end_on_a_timeout"][2]]
+    assert any(lines[i + 1][:3] == [lines[i][0], "c", "fail"] for i in _late_data_ends(runs["data_end_on_a_timeout"][2]))
 
 
 def _late_data_ends(lines):

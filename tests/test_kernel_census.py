@@ -1,7 +1,8 @@
 """The kernel's heap holds only instants that something can observe: a
-clean frame exchange is one event, its delivery, and a phase that no node
-contends in pushes no start. Counted push by push, by event kind, on the
-bundled mixed_access scenario and on the benchmark's ward."""
+clean frame exchange is one event, its delivery, a collided one is one
+event per transmitter, its timeout, and a phase that no node contends in
+pushes no start. Counted push by push, by event kind, on the bundled
+mixed_access scenario and on the benchmark's ward."""
 
 import heapq
 from collections import Counter
@@ -11,7 +12,8 @@ import pytest
 
 import bansim.sim.kernel as kernel
 from bansim.mac.superframe import TrafficKind, admissible
-from bansim.sim.scenario import EventKind, compile_scenario, load_scenario, parse_scenario
+from bansim.security import HUB_ID
+from bansim.sim.scenario import EventKind, clock_us, compile_scenario, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -77,17 +79,34 @@ def _scenario(name):
 
 
 def heap_census(sc, monkeypatch):
-    """The run's stats and its heap pushes counted by event kind."""
-    counts = Counter()
-    push = heapq.heappush
+    """The run's stats and trace, the events it asked to push and those its
+    heap took (an event at or past the run's end is dropped), each counted
+    by event kind."""
+    asked, counts = Counter(), Counter()
+    push, push_event = heapq.heappush, kernel.Simulation._push
 
     def counted(heap, entry):
         counts[entry[3]] += 1
         push(heap, entry)
 
+    def asked_for(self, time_us, kind, data=()):
+        asked[kind] += 1
+        push_event(self, time_us, kind, data)
+
     monkeypatch.setattr(kernel.heapq, "heappush", counted)
-    stats, _ = kernel.run(sc)
-    return stats, counts
+    monkeypatch.setattr(kernel.Simulation, "_push", asked_for)
+    stats, lines = kernel.run(sc, collect_trace=True)
+    return stats, lines, asked, counts
+
+
+def collided_data_ends(sc, lines) -> list[int]:
+    """The data end of each node's transmission that the trace shows begun
+    at the instant of another: a collided one."""
+    airtime = compile_scenario(sc).airtime_us
+    starts = [(int(t), node) for t, node, event, *_ in (line.split(",") for line in lines)
+              if event == "tx_start" and node != HUB_ID]
+    shared = Counter(t for t, _ in starts)
+    return [t + clock_us(airtime[node]) for t, node in starts if shared[t] > 1]
 
 
 def contended_phase_starts(sc) -> int:
@@ -106,20 +125,29 @@ def contended_phase_starts(sc) -> int:
     return sum(base + start < end for base in range(0, end, layout.duration_us) for start in contended)
 
 
-# The most heap pushes each run may make. While each hop of a clean
-# exchange and each phase start was an event, they made 816 and 60,512.
-MOST_PUSHES = {"mixed_access": 500, "ward": 47_500}
+# The most heap pushes each run may make. While each hop of an exchange
+# and each phase start was an event, they made 816 and 60,512; while each
+# collided data end was one, 47,424 on the ward.
+MOST_PUSHES = {"mixed_access": 500, "ward": 34_000}
 
 
 @pytest.mark.parametrize("name", list(MOST_PUSHES))
 def test_the_heap_holds_only_observable_instants(name, monkeypatch):
     sc = _scenario(name)
-    stats, counts = heap_census(sc, monkeypatch)
+    stats, lines, asked, counts = heap_census(sc, monkeypatch)
     contention = sum(node.access == TrafficKind.CONTENTION for node in sc.nodes)
     assert stats.delivered > 0 and stats.failed > 0  # both kinds of exchange occur
-    # Only a collided exchange pushes data ends and timeouts: one each per
-    # failed attempt, but for those still in flight at the run's end.
-    assert 0 <= counts[EventKind.TX_END] - stats.failed <= contention
+    # No data end is an event. A collided exchange pushes one timeout per
+    # transmission whose data end falls inside the run; the heap takes
+    # those inside it too, one per failed attempt but for those still in
+    # flight at the run's end.
+    assert {kind.name for kind in asked} | {kind.name for kind in counts} <= {
+        "PHASE_START", "ACK_TIMEOUT", "DELIVERY", "POLL_GRANT", "BEACON_TX", "TRAFFIC_ARRIVAL", "SUPERFRAME"
+    }
+    end, wait = sc.run.duration_us, sc.timing.psifs_us + clock_us(compile_scenario(sc).ack_us) + sc.timing.gtn_us
+    data_ends = [t for t in collided_data_ends(sc, lines) if t < end]
+    assert asked[EventKind.ACK_TIMEOUT] == len(data_ends) > 0
+    assert counts[EventKind.ACK_TIMEOUT] == sum(t + wait < end for t in data_ends)
     assert 0 <= counts[EventKind.ACK_TIMEOUT] - stats.failed <= contention
     # A clean exchange pushes only its delivery.
     assert counts[EventKind.DELIVERY] - stats.delivered in (0, 1)

@@ -697,6 +697,22 @@ class TestBuiltRecords:
     def test_a_part_of_the_wrong_shape_is_refused(self, fields, message):
         assert built_error(self.PAIR._replace(**fields)) == (None, message)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda sc: "text", "scenario must be a Scenario, got 'text'"),
+            (lambda sc: sc._replace(nodes=5), "nodes must be a tuple, got 5"),
+            (lambda sc: sc._replace(nodes=None), "nodes must be a tuple, got None"),
+            (lambda sc: sc._replace(security=[]), "security must be a dict, got []"),
+            (lambda sc: sc._replace(security=None), "security must be a dict, got None"),
+            (lambda sc: sc._replace(superframe=sc.superframe._replace(phase_slots=None)),
+             "phase_slots must be a dict, got None"),
+        ],
+        ids=["text", "nodes-int", "nodes-none", "security-list", "security-none", "phase-slots-none"],
+    )
+    def test_a_container_of_the_wrong_type_is_refused(self, build, message):
+        assert built_error(build(self.PAIR)) == (None, message)
+
     def test_a_rate_override_with_no_finite_airtime_is_refused_when_built(self):
         # The text's rule, at the record: the longest frame must have a finite airtime.
         sc = Scenario(

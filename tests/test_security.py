@@ -24,6 +24,7 @@ from bansim.security import (
     SecurityManager,
     SecuritySession,
     _digest,
+    _keystream,
     admit_frame,
     default_kdf,
     secure_frame,
@@ -297,6 +298,51 @@ class TestKeyedStates:
         assert a.stream_state is not b.stream_state
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "PairwiseKey(key_id='id', key=" + repr(b"k" * 32) + ")"
+
+
+class _CountedState:
+    """A keystream hash state that counts the frames derived from it."""
+
+    def __init__(self, state):
+        self.state, self.copies = state, 0
+
+    def copy(self):
+        self.copies += 1
+        return self.state.copy()
+
+
+class TestKeystreamReuse:
+    """A PairwiseKey gives its last keystream again for the same counter and
+    length, so a delivered level-2 frame derives its keystream once."""
+
+    def test_admit_unmasks_with_the_keystream_secure_derived(self):
+        _, s = paired(SecurityLevel.ENCRYPTED)
+        s.ptk.stream_state = counted = _CountedState(s.ptk.stream_state)
+        body = bytes(range(100))
+        for frame in (1, 2):  # each counter derives once
+            wire = secure_frame(body, s)
+            assert admit_frame(wire, s) == body
+            assert counted.copies == frame
+
+    def test_the_tag_is_still_checked_and_the_floor_still_moves(self):
+        _, s = paired(SecurityLevel.ENCRYPTED)
+        body = b"x" * 40
+        wire = secure_frame(body, s)
+        with pytest.raises(TagFailure):
+            admit_frame(wire[:-1] + bytes([wire[-1] ^ 1]), s)
+        assert s.rx_counter == 0
+        assert admit_frame(wire, s) == body
+        assert s.rx_counter == 1
+        with pytest.raises(ReplayRejection):
+            admit_frame(wire, s)
+
+    def test_a_kept_keystream_serves_only_its_counter_and_length(self):
+        key, fresh = PairwiseKey("id", b"k" * 32), PairwiseKey("id", b"k" * 32)
+        one, two = (1).to_bytes(COUNTER_LEN, "big"), (2).to_bytes(COUNTER_LEN, "big")
+        stream = _keystream(key, one, 40)
+        assert _keystream(key, one, 40) is stream
+        assert _keystream(key, one, 10) == stream[:10]
+        assert _keystream(key, two, 40) == _keystream(fresh, two, 40) != stream
 
 
 class TestRejection:

@@ -507,17 +507,18 @@ class TestKernelInvariants:
         "from bansim.errors import SimulationError\n"
         "from bansim.sim.kernel import Simulation\n"
         "from bansim.sim.scenario import parse_scenario\n"
+        "from bansim.mac.superframe import PhaseKind\n"
         "sim = Simulation(parse_scenario({text!r}))\n"
         "try:\n"
-        "    sim._on_tx_end('n0')\n"
+        "    sim._collide([sim.nodes['n0']], 0, PhaseKind.RAP1, 10)\n"
         "except SimulationError as exc:\n"
         "    print(__debug__, exc)\n"
     )
 
-    def test_tx_end_outside_an_exchange_raises(self):
+    def test_a_collided_data_end_past_its_phase_raises(self):
         sim = Simulation(parse_scenario(OPEN_RAP.format(payload=50, seed=1, duration_ms=10)))
-        with pytest.raises(SimulationError, match="transmission ended outside an exchange"):
-            sim._on_tx_end("n0")
+        with pytest.raises(SimulationError, match="^transmission crossed its phase boundary$"):
+            sim._collide([sim.nodes["n0"]], 0, PhaseKind.RAP1, 10)
 
     def test_a_grid_tick_during_an_exchange_raises(self):
         # Every exchange ends by its phase's end, where the grid stops, and
@@ -535,7 +536,7 @@ class TestKernelInvariants:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False transmission ended outside an exchange\n"
+        assert proc.stdout == "False transmission crossed its phase boundary\n"
 
     # A grant shorter than its node's exchange (the scenario check refuses
     # such grants), a second pending grid tick, a delivery and a timeout
@@ -676,6 +677,7 @@ class TestLeanLoop:
 # ------------------------------------------- the grid against its reference
 
 SLOT_TICK = "slot tick"  # the reference grid's heap event kinds
+DATA_END = "data end"
 ACK_HOP = "ack hop"
 
 
@@ -688,26 +690,34 @@ class SlotBySlot(Simulation):
     through trace_lines; an exchange, begun by the base class from this
     grid's own scan, traces its lines and the count lines of the slot end
     that starts it. Every exchange runs hop by hop, as before a clean one
-    became one heap event: each data end is an event, and a clean one's
-    acknowledgement is an event that pushes its delivery. Kept as the
-    reference that the kernel's stats and trace must match byte for byte."""
+    became one heap event and a collided one one event per transmitter:
+    each data end is an event, which pushes a collided transmitter's
+    timeout or a clean exchange's acknowledgement, an event that pushes its
+    delivery. Kept as the reference that the kernel's stats and trace must
+    match byte for byte, but for the two ties that TestArrivalOnADelivery
+    and TestArrivalOnATimeout pin."""
 
     def _collides(self, transmitters):
-        # Every exchange pushes its data ends; _on_tx_end tells them apart.
+        # Every exchange goes to _collide, which pushes its data ends;
+        # _on_data_end tells a collided exchange from a clean one.
         return True
 
-    def _on_tx_end(self, node_id):
-        exchange = self.exchange
-        if exchange is None or len(exchange.wires) > 1:
-            super()._on_tx_end(node_id)
-            return
-        node, t = self.nodes[node_id], self.now
+    def _collide(self, transmitters, t, kind, phase_end):
+        for node in transmitters:
+            self._push(t + node.airtime_int, DATA_END, (node.node_id,))
+
+    def _on_data_end(self, node_id):
+        exchange, node, t = self.exchange, self.nodes[node_id], self.now
         if t > exchange.phase_end:
             raise SimulationError("transmission crossed its phase boundary")
         self._emit_entries(t, exchange.kind, [(node_id, "tx_end", node.backoff)])
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
-        self._push(t + self.timing.psifs_us, ACK_HOP, (node_id,))
+        if len(exchange.wires) > 1:
+            timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
+            self._push(timeout, EventKind.ACK_TIMEOUT, (node_id,))
+        else:
+            self._push(t + self.timing.psifs_us, ACK_HOP, (node_id,))
 
     def _on_ack_hop(self, node_id):
         self.stats.add_busy(self.ack_airtime_us)
@@ -731,7 +741,7 @@ class SlotBySlot(Simulation):
         handlers = {
             SLOT_TICK: self._on_slot_tick,
             ACK_HOP: self._on_ack_hop,
-            EventKind.TX_END: self._on_tx_end,
+            DATA_END: self._on_data_end,
             EventKind.ACK_TIMEOUT: self._on_timeout,
             EventKind.DELIVERY: self._on_delivery,
             EventKind.PHASE_START: self._on_phase_start,
@@ -948,6 +958,15 @@ class _GapScript(random.Random):
         return super().randrange(*args)
 
 
+def _gap_run(cls, text, gaps_us):
+    """A traced run of `text` with node b's arrival gaps scripted: b's
+    stream's calls, the stats, the trace and the digest of both."""
+    sim = cls(parse_scenario(text), collect_trace=True)
+    stream = sim.nodes["b"].rng = _GapScript(f"{sim.sc.run.seed}:b", gaps_us)
+    stats, trace = stats_and_trace(sim)
+    return stream.calls, stats, trace, hashlib.sha256((stats + "\n".join(trace)).encode()).hexdigest()
+
+
 class TestArrivalOnADelivery:
     """The one order in which the kernel departs from hop-by-hop events. A
     clean exchange's delivery takes its heap place when the exchange
@@ -972,14 +991,8 @@ class TestArrivalOnADelivery:
     DIGEST = "2729ba7d506e6b8447e164db0f6632adb2e2ab7801606f3e76d9600095b6ea14"
     HOP_BY_HOP_DIGEST = "9338aafbe1e6d0bee761b27d81c0761c5a20dc28b86c04d4767bcbacac6a97fe"
 
-    def _run(self, cls):
-        sim = cls(parse_scenario(self.TEXT), collect_trace=True)
-        stream = sim.nodes["b"].rng = _GapScript(f"{sim.sc.run.seed}:b", self.GAPS_US)
-        stats, trace = stats_and_trace(sim)
-        return stream.calls, stats, trace, hashlib.sha256((stats + "\n".join(trace)).encode()).hexdigest()
-
     def test_the_resume_draws_before_the_arrival_takes_its_gap(self):
-        calls, _, trace, digest = self._run(Simulation)
+        calls, _, trace, digest = _gap_run(Simulation, self.TEXT, self.GAPS_US)
         lines = parse_trace(trace)
         arrivals = [sum(self.GAPS_US[:i + 1]) for i in range(len(self.GAPS_US))]
         starts = [t for t, node, event, *_ in lines if (node, event) == ("a", "tx_start")]
@@ -990,8 +1003,47 @@ class TestArrivalOnADelivery:
         assert arrivals[2] == arrivals[1] + parse_scenario(self.TEXT).timing.psifs_us
         assert calls[:5] == ["gap", "gap", "gap", "draw", "gap"]
         assert digest == self.DIGEST
-        reference_calls, _, _, reference_digest = self._run(SlotBySlot)
+        reference_calls, _, _, reference_digest = _gap_run(SlotBySlot, self.TEXT, self.GAPS_US)
         assert reference_calls[:5] == ["gap", "gap", "gap", "gap", "draw"]
+        assert reference_digest == self.HOP_BY_HOP_DIGEST
+
+
+class TestArrivalOnATimeout:
+    """The collided exchange's counterpart of TestArrivalOnADelivery. A
+    collided transmitter's timeout takes its heap place when the exchange
+    begins, where the hop-by-hop run gave it one at its data end. An
+    arrival pushed during that data frame onto the timeout instant thus
+    runs after the timeout, so when the arrival is the transmitter's own,
+    the timeout draws its counter before the arrival takes the next gap off
+    the same stream."""
+
+    # a (40 B) and b (30 B) collide at 2069 us; b's data end is 3068 and
+    # its timeout 3708. b's gaps put its arrivals at 100, 2500 (inside its
+    # own data frame) and 3708.
+    TEXT = (
+        "[phy]\nkind = nb\nband = 2400-2483.5\nrate = high\n"
+        "[superframe]\nslots = 100\nbeacon_prohibited = true\nrap1_slots = 100\n"
+        "[nodes]\na = priority=6, traffic=saturated, payload=40\nb = priority=6, traffic=poisson:50, payload=30\n"
+        "[run]\nseed = 1\nduration_ms = 40\nchannel = collision\n"
+    )
+    GAPS_US = (100, 2400, 1208)
+    # Stats and trace bytes in the kernel's order, and in the hop-by-hop
+    # order (the kernel's own before a collided exchange became one event
+    # per transmitter).
+    DIGEST = "5fbcaa1e543f1693aa71eb4a28b79beb07ff43689cde3f149c62ac5169a738ca"
+    HOP_BY_HOP_DIGEST = "2f1b927b6d2d38e5503ce938ad9f43020840807b37e2db8d7bc5dad575bebf44"
+
+    def test_the_timeout_draws_before_the_arrival_takes_its_gap(self):
+        calls, _, trace, digest = _gap_run(Simulation, self.TEXT, self.GAPS_US)
+        lines = {tuple(line[:3]) for line in parse_trace(trace)}
+        arrivals = [sum(self.GAPS_US[:i + 1]) for i in range(len(self.GAPS_US))]
+        assert {(2069, "a", "tx_start"), (2069, "b", "tx_start"), (3068, "b", "tx_end")} <= lines
+        assert 2069 < arrivals[1] < 3068
+        assert (arrivals[2], "b", "fail") in lines
+        assert calls[:6] == ["gap", "gap", "draw", "gap", "draw", "gap"]
+        assert digest == self.DIGEST
+        reference_calls, _, _, reference_digest = _gap_run(SlotBySlot, self.TEXT, self.GAPS_US)
+        assert reference_calls[:6] == ["gap", "gap", "draw", "gap", "gap", "draw"]
         assert reference_digest == self.HOP_BY_HOP_DIGEST
 
 
