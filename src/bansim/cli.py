@@ -15,10 +15,10 @@ import sys
 from pathlib import Path
 
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
-from bansim.errors import BansimError, ConfigError, SimulationError
+from bansim.errors import BansimError, ConfigError
 from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, NB_RATES, PHY_KEYS, builtin_rate_table,
                               frame_airtime_us, phy_config, write_rate_csv)
-from bansim.sim.kernel import run_to_files
+from bansim.sim.kernel import fork_jobs, run_to_files
 from bansim.sim.scenario import load_scenario
 from bansim.sim.stats import write_stats_csv
 from bansim.textio import text_stream
@@ -87,70 +87,29 @@ def _seeded_path(path, seed: int, multi: bool):
 
 def _sweep_forked(tasks, workers: int) -> list:
     """The stats of each task run through run_to_files, in task order, by
-    `workers` forked children: child j runs tasks j, j + workers, ... and
-    sends their outcomes back pickled over its own pipe. As under a pool's
-    map, every task runs and then the first failing one's exception is
-    raised; a child that ends without sending fails each of its tasks
-    with a SimulationError. Every child is reaped before this returns or
-    raises, also when it is interrupted."""
-    # Loaded here, its one use: at the top, pickle would cost every other
-    # command start-up time.
-    import pickle
+    `workers` children forked by fork_jobs: child j runs tasks j, j +
+    workers, ... As under a pool's map, every task runs and then the first
+    failing one's exception is raised; a child that ends without sending
+    fails each of its tasks with its SimulationError."""
 
-    read_fds, pids = [], []
-    try:
-        for j in range(workers):
-            read_fd, write_fd = os.pipe()
-            read_fds.append(read_fd)
+    def worker(share):
+        outcomes = []
+        for task in share:
             try:
-                pid = os.fork()
-                if pid == 0:
-                    # The child never returns into its caller: whatever
-                    # happens, it leaves through os._exit, flushing nothing
-                    # the parent still holds in its buffers.
-                    status = 1
-                    try:
-                        for fd in read_fds:
-                            os.close(fd)
-                        outcomes = []
-                        for task in tasks[j::workers]:
-                            try:
-                                outcomes.append((True, run_to_files(*task)))
-                            except Exception as exc:  # the parent raises it
-                                outcomes.append((False, exc))
-                        unsent = memoryview(pickle.dumps(outcomes))
-                        while unsent:
-                            unsent = unsent[os.write(write_fd, unsent):]
-                        status = 0
-                    finally:
-                        os._exit(status)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        sent = []
-        for fd in read_fds:
-            chunks = []
-            while chunk := os.read(fd, 1 << 16):
-                chunks.append(chunk)
-            sent.append(b"".join(chunks))
-    finally:
-        for fd in read_fds:
-            os.close(fd)  # a child still writing gets a broken pipe, not a block
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+                outcomes.append((True, run_to_files(*task)))
+            except Exception as exc:  # the parent raises it
+                outcomes.append((False, exc))
+        return outcomes
 
+    shares = [tasks[j::workers] for j in range(workers)]
+    jobs = []
+    for share in shares:
+        seeds = [str(sc.run.seed) for sc, _, _ in share]
+        name = f"the sweep worker for seed{'s' * (len(seeds) > 1)} {', '.join(seeds)}"
+        jobs.append((name, lambda share=share: worker(share)))
     outcomes = [None] * len(tasks)
-    for j, (data, status) in enumerate(zip(sent, statuses)):
-        if status == 0:
-            outcomes[j::workers] = pickle.loads(data)
-            continue
-        code = os.waitstatus_to_exitcode(status)
-        ended = f"by signal {-code}" if code < 0 else f"with exit status {code}"
-        seeds = [str(sc.run.seed) for sc, _, _ in tasks[j::workers]]
-        error = SimulationError(
-            f"the sweep worker for seed{'s' * (len(seeds) > 1)} {', '.join(seeds)} ended {ended}"
-            " before sending its stats"
-        )
-        outcomes[j::workers] = [(False, error)] * len(seeds)
+    for j, (ok, value) in enumerate(fork_jobs(jobs)):
+        outcomes[j::workers] = value if ok else [(False, value)] * len(shares[j])
     for ok, value in outcomes:
         if not ok:
             raise value

@@ -103,6 +103,23 @@ A run given an open trace file streams its trace: the line list is a
 buffer that write_trace empties into the file at each superframe start and
 at the end of the run, so a traced run's memory stays flat in run length.
 
+run() splits such a run across two processes where it can (os.fork, two
+usable CPUs, a process fork_jobs did not fork, two or more superframes):
+a child forked at the start runs the whole scenario, untraced up to a cut
+and traced after it into a scratch file, while the calling process traces
+up to the cut straight into the caller's file, then appends the child's
+lines. The cut is the first superframe start whose index is at least half
+the run's superframe count, rounded up, with no exchange in flight. It is
+exact because the trace only observes the run: at such an instant no grid
+tick is pending (the grid never ticks at a phase end), no unlock text or
+tx_end line is held (they live only as long as their exchange), and
+tracing draws no random number and pushes no event, so a traced and an
+untraced run hold the same state there and both processes find the same
+cut. If no superframe start qualifies, the calling process traces the
+whole run and the child's half is empty. The stats returned are the
+child's, from its full run, which is where check_conservation runs; the
+calling process stops at the cut without them.
+
 Every transmission passes the security gate: a secured node's payload
 goes out through secure_frame, which refuses it without an active
 pairwise key (association always establishes one), and the hub admits it
@@ -137,9 +154,9 @@ from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
 from bansim.security import HUB_ID, SecurityLevel, SecurityManager, admit_frame, secure_frame
 from bansim.sim.scenario import EventKind, NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
-from bansim.textio import text_stream
+from bansim.textio import scratch_text, text_stream
 
-__all__ = ["Simulation", "run", "run_to_files", "write_trace"]
+__all__ = ["Simulation", "fork_jobs", "run", "run_to_files", "write_trace"]
 
 # The event kinds, bound once: CPython 3.11 reads a member off its enum
 # class through the metaclass's __getattr__ hook, at about 0.1 us a read,
@@ -159,6 +176,9 @@ _ENTRY = ("enter", "sifs")
 _ENTRY_UNLOCK = ("enter", "unlock", "sifs")
 
 _AIRTIME = attrgetter("airtime_int")  # orders a collided exchange's data ends
+
+# Set in each process fork_jobs forks, which then runs a traced run unsplit.
+_forked = False
 
 
 class _Node:
@@ -239,6 +259,11 @@ class Simulation:
         self.collect_trace = collect_trace or trace_file is not None
         self.trace: list[str] = []
         self._trace_file = trace_file  # where _flush_trace empties self.trace
+        # A split run's cut (see _at_cut): the superframe index from which a
+        # start with no exchange in flight is the cut, and, in the child, the
+        # scratch file that its traced half goes to.
+        self._cut = math.inf
+        self._rest = None
 
         self.now = 0
         self._heap: list[tuple[int, int, int, EventKind, tuple]] = []
@@ -341,7 +366,9 @@ class Simulation:
 
     # ----------------------------------------------------------- main loop
 
-    def run(self) -> RunStats:
+    def run(self) -> RunStats | None:
+        """Run to the end and return the checked stats; the calling side of
+        a split run returns None at its cut instead."""
         self._schedule_superframe(0)
         self._seed_traffic()
         heap = self._heap
@@ -371,6 +398,8 @@ class Simulation:
             elif kind is _BEACON_TX:
                 self._on_beacon()
             elif kind is _SUPERFRAME:
+                if data[0] >= self._cut and self.exchange is None and self._at_cut():
+                    return None
                 self._flush_trace()
                 self._schedule_superframe(*data)
         if self._late:
@@ -380,6 +409,16 @@ class Simulation:
             node.stats.queued = node.backlog
         self.stats.check_conservation()
         return self.stats
+
+    def _at_cut(self) -> bool:
+        """At a split run's cut: the calling side writes out its lines and
+        stops (True); the child traces on from here into its scratch file."""
+        if self._rest is None:
+            self._flush_trace()
+            return True
+        self._cut = math.inf
+        self.collect_trace, self._trace_file = True, self._rest
+        return False
 
     # ------------------------------------------------------------- phases
 
@@ -704,10 +743,123 @@ class Simulation:
 def run(scenario: Scenario, collect_trace: bool = False, trace_file=None) -> tuple[RunStats, list[str]]:
     """Run one scenario to completion; returns the stats and, when asked
     for, the event trace lines. Given `trace_file`, an open text handle,
-    the lines are streamed to it and the returned list is empty."""
+    the lines are streamed to it and the returned list is empty; such a
+    run is split across two processes where it can (see the module
+    docstring), with the bytes of one process."""
     sim = Simulation(scenario, collect_trace=collect_trace, trace_file=trace_file)
-    stats = sim.run()
+    superframes = -(-sim.end_time // sim.plan.layout.duration_us)
+    if trace_file is not None and superframes > 1 and _may_split():
+        stats = _run_split(sim, trace_file, (superframes + 1) // 2)
+    else:
+        stats = sim.run()
     return stats, sim.trace
+
+
+def _may_split() -> bool:
+    """Whether this process can trace a run's second half in a child: it
+    has os.fork and two usable CPUs, and fork_jobs did not fork it."""
+    return (
+        not _forked and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+    )
+
+
+def _run_split(sim: Simulation, trace_file, cut: int) -> RunStats:
+    """Run `sim`, whose trace streams to `trace_file`, in two processes cut
+    at the first superframe start from index `cut` with no exchange in
+    flight; returns the child's stats. A child that raises fails the run
+    with its exception, after this process has traced up to the cut."""
+    sim._cut = cut
+    with scratch_text() as rest:
+
+        def second_half() -> RunStats:
+            sim.collect_trace, sim._trace_file, sim._rest = False, None, rest
+            stats = sim.run()
+            rest.flush()
+            return stats
+
+        [(ok, value)] = fork_jobs([("the process tracing the run's second half", second_half)], sim.run)
+        if not ok:
+            raise value
+        rest.seek(0)
+        while chunk := rest.read(1 << 16):
+            trace_file.write(chunk)
+    return value
+
+
+def fork_jobs(jobs, meanwhile=None):
+    """Run each of `jobs`, (name, function of no arguments) pairs, in a
+    child forked for it, and `meanwhile` (if given) here while they run.
+    Returns each job's outcome in job order: (True, what it returned) or
+    (False, the exception it raised). A child sends its outcome back
+    pickled over its own pipe; one that ends without sending it has the
+    outcome (False, SimulationError) that names the job and how its
+    process ended. If this process raises or is interrupted before every
+    outcome is in, the children are killed. Every child is reaped before
+    this returns or raises, and no child forks again: a traced run in it
+    is not split."""
+    # Loaded here, on the one path that forks: at the top, pickle would
+    # cost every run start-up time.
+    import pickle
+
+    global _forked
+    read_fds, pids = [], []
+    try:
+        for _, job in jobs:
+            read_fd, write_fd = os.pipe()
+            read_fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    # The child never returns into its caller: whatever
+                    # happens, it leaves through os._exit, flushing nothing
+                    # the parent still holds in its buffers.
+                    status = 1
+                    try:
+                        _forked = True
+                        for fd in read_fds:
+                            os.close(fd)
+                        try:
+                            outcome = (True, job())
+                        except Exception as exc:  # the parent raises it
+                            outcome = (False, exc)
+                        unsent = memoryview(pickle.dumps(outcome))
+                        while unsent:
+                            unsent = unsent[os.write(write_fd, unsent):]
+                        status = 0
+                    finally:
+                        os._exit(status)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        if meanwhile is not None:
+            meanwhile()
+        sent = []
+        for fd in read_fds:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            sent.append(b"".join(chunks))
+    except BaseException:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # not reaped yet, so the pid is still the child's
+        raise
+    finally:
+        for fd in read_fds:
+            os.close(fd)  # a child still writing gets a broken pipe, not a block
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+
+    outcomes = []
+    for (name, _), data, status in zip(jobs, sent, statuses):
+        if status == 0:
+            outcomes.append(pickle.loads(data))
+            continue
+        code = os.waitstatus_to_exitcode(status)
+        ended = f"by signal {-code}" if code < 0 else f"with exit status {code}"
+        outcomes.append((False, SimulationError(f"{name} ended {ended} before sending its stats")))
+    return outcomes
 
 
 def write_trace(lines: list[str], out) -> None:

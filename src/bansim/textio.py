@@ -7,7 +7,8 @@ has finished without an exception and is removed otherwise, so a write
 that fails leaves no file (and an existing one as it was). A symlink is
 followed: the file it names is the one replaced. A replaced target is a
 new file, so its old permissions and hard links are not kept. Other
-paths (devices, pipes) are written directly.
+paths (devices, pipes) are written directly. A scratch file has no name
+and is gone once closed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-__all__ = ["text_stream"]
+__all__ = ["scratch_text", "text_stream"]
 
 
 @contextmanager
@@ -48,3 +49,13 @@ def text_stream(target, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def scratch_text():
+    """An unnamed temporary text file, open for writing and reading back
+    and removed when closed. Its handle survives a fork, so a child can
+    write what its parent then reads."""
+    # Loaded here: only a traced run split in two needs a scratch file.
+    import tempfile
+
+    return tempfile.TemporaryFile("w+", newline="")

@@ -18,7 +18,8 @@ from bansim.cli import main
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import ConfigError
 from bansim.phy.rates import builtin_rate_table, write_rate_csv
-from bansim.sim.kernel import run_to_files
+from bansim.sim.kernel import run, run_to_files
+from bansim.sim.scenario import load_scenario
 
 SCENARIO = """\
 [phy]
@@ -297,27 +298,41 @@ class TestSimulate:
     def worker_pids(self, tmp_path, monkeypatch):
         """Reads, and then forgets, each seed run since the last read and
         the pid of the process that ran it, as (seed, pid) in the order the
-        runs ended; the runs themselves go on."""
-        log = tmp_path / "pids.log"
-        real = cli.run_to_files
+        runs ended; the runs themselves go on. Its `forks` reads, and then
+        forgets, the pid of the process that made each os.fork call since
+        its last read."""
+        log, fork_log = tmp_path / "pids.log", tmp_path / "forks.log"
+        real, real_fork = cli.run_to_files, os.fork
+
+        def append(path, line):
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{line}\n".encode())
+            finally:
+                os.close(fd)
 
         def recorded(sc, *paths):
             stats = real(sc, *paths)
-            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-            try:
-                os.write(fd, f"{sc.run.seed} {os.getpid()}\n".encode())
-            finally:
-                os.close(fd)
+            append(log, f"{sc.run.seed} {os.getpid()}")
             return stats
 
-        def read():
-            if not log.exists():
-                return []
-            runs = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-            log.unlink()
-            return runs
+        def counted_fork():
+            append(fork_log, os.getpid())
+            return real_fork()
 
+        def drain(path):
+            if not path.exists():
+                return []
+            rows = [tuple(map(int, line.split())) for line in path.read_text().splitlines()]
+            path.unlink()
+            return rows
+
+        def read():
+            return drain(log)
+
+        read.forks = lambda: [pid for (pid,) in drain(fork_log)]
         monkeypatch.setattr(cli, "run_to_files", recorded)
+        monkeypatch.setattr(os, "fork", counted_fork)
         return read
 
     def test_sweep_workers_never_outnumber_the_seeds(self, tmp_path, worker_pids, capsys):
@@ -334,6 +349,23 @@ class TestSimulate:
             assert len(pids) == 2 and os.getpid() not in pids
             assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == [
                 f"seed={seed}" for seed in range(1, seeds + 1)]
+
+    def test_a_traced_sweep_worker_runs_its_seed_unsplit(self, tmp_path, worker_pids, monkeypatch):
+        # Each seed spans two superframes, so a worker that could fork would
+        # trace its second half in a child of its own.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        scn = tmp_path / "one.scn"
+        scn.write_text(SCENARIO)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["simulate", str(scn), "--seed", "1", "2", "--sweep-parallel", "2",
+                     "--out", str(out / "stats.csv"), "--trace", str(out / "trace.csv")]) == 0
+        assert worker_pids.forks() == [os.getpid(), os.getpid()]
+        assert len({pid for _, pid in worker_pids()}) == 2
+        sc = load_scenario(scn)
+        for seed in (1, 2):
+            _, lines = run(sc._replace(run=sc.run._replace(seed=seed)), collect_trace=True)
+            assert (out / f"trace.s{seed}.csv").read_text() == "".join(f"{line}\n" for line in lines)
 
     def test_negative_sweep_parallel_rejected(self, tmp_path, worker_pids, capsys):
         scn = tmp_path / "one.scn"

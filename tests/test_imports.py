@@ -275,10 +275,13 @@ CODEC = (
     " command 70-105 ms of start-up and 13 MB of peak RSS (after `import bansim.cli`, 5 runs)"
 )
 NESTED_KEPT = {
-    "cli.py: import pickle": (
-        "only a multi-seed --sweep-parallel run sends its workers' stats back pickled; at the top of cli.py"
-        " pickle would cost every other command 2.0-3.1 ms of start-up (after `import bansim.cli`, 5 runs)"
+    "sim/kernel.py: import pickle": (
+        "only fork_jobs (a --sweep-parallel sweep, a traced run split in two) sends its children's outcomes"
+        " back pickled; at the top of the kernel pickle would cost every run 2.0-3.1 ms of start-up (after"
+        " `import bansim.cli`, 5 runs)"
     ),
+    "sim/kernel.py: import signal": "only fork_jobs kills its children, and only when it raises or is interrupted",
+    "textio.py: import tempfile": "only a traced run split in two writes its second half to a scratch file",
     "cli.py: from bansim.phy.bitfields import padded_bytes": CODEC,
     "cli.py: from bansim.phy.ppdu import build_ppdu, hexdump": CODEC,
     "cli.py: from bansim.phy.bitfields import bytes_to_bits": CODEC,

@@ -9,10 +9,12 @@ import math
 import os
 import random
 import re
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -1189,6 +1191,168 @@ class TestStreamedTrace:
         assert not reader.is_alive()
         assert got == [whole_trace(sc, tmp_path / "whole.csv")]
         assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+
+# CROWD over five 128 ms superframes: a split run cuts at superframe 3 or
+# later.
+SPLIT_MS = 640
+
+
+# Three saturated nodes in 8 ms superframes of one beacon slot and a
+# seven-slot random access phase. When superframe 19 starts, a collided
+# exchange that fits the phase exactly is still in flight: the longer data
+# frame's tx_end line is held, and so is the unlock text of the node it
+# busy-locked. This run of 38 superframes is cut at superframe 20.
+EXACT_FIT = """\
+[phy]
+kind = nb
+band = 2400-2483.5
+rate = high
+
+[superframe]
+slot_length_us = 1000
+slots = 8
+beacon_slots = 1
+rap1_slots = 7
+
+[nodes]
+a = priority=6, traffic=saturated, payload=10
+b = priority=6, traffic=saturated, payload=150
+c = priority=6, traffic=saturated, payload=10
+
+[run]
+seed = 1
+duration_ms = 304
+channel = collision
+"""
+
+
+def stats_bytes(stats, path):
+    write_stats_csv(stats, path)
+    return path.read_bytes()
+
+
+class TestSplitRun:
+    """A traced run streamed to a file of two or more superframes runs in
+    two processes, with the bytes of one; every other run stays in one."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pid that made each os.fork call in this process, on a host
+        that shows two usable CPUs."""
+        calls, real = [], os.fork
+
+        def counted():
+            calls.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return calls
+
+    def test_a_long_traced_run_forks_once_with_the_bytes_of_one(self, forks, tmp_path):
+        sc = parse_scenario(CROWD.format(duration_ms=SPLIT_MS))
+        stats, lines = run(sc, collect_trace=True)
+        got = run_to_files(sc, tmp_path / "stats.csv", tmp_path / "trace.csv")
+        assert forks == [os.getpid()]
+        write_trace(lines, tmp_path / "whole.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (tmp_path / "stats.csv").read_bytes() == stats_bytes(stats, tmp_path / "want.csv")
+        assert stats_bytes(got, tmp_path / "got.csv") == stats_bytes(stats, tmp_path / "want.csv")
+
+    def test_the_cut_skips_a_superframe_start_with_an_exchange_in_flight(self, forks, monkeypatch, tmp_path):
+        sc = parse_scenario(EXACT_FIT)
+        want = whole_trace(sc, tmp_path / "whole.csv")
+        schedule, seen = Simulation._schedule_superframe, []
+
+        def note(self, index):
+            if self.exchange is not None:
+                seen.append((index, len(self._late), len(self.exchange.held)))
+            seen.append(index)
+            schedule(self, index)
+
+        monkeypatch.setattr(Simulation, "_schedule_superframe", note)
+        run_to_files(sc, trace_path=tmp_path / "trace.csv")
+        assert forks == [os.getpid()]
+        assert (tmp_path / "trace.csv").read_bytes() == want
+        # This process traced up to superframe 20, over the one exchange in flight.
+        assert seen == [*range(19), (19, 1, 1), 19]
+
+    @pytest.mark.parametrize("case", ["one usable CPU", "no os.fork", "one superframe", "collect_trace"])
+    def test_every_other_run_stays_in_one_process(self, case, forks, monkeypatch, tmp_path):
+        sc = parse_scenario(CROWD.format(duration_ms=100 if case == "one superframe" else SPLIT_MS))
+        want = whole_trace(sc, tmp_path / "whole.csv")
+        if case == "one usable CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "no os.fork":
+            monkeypatch.delattr(os, "fork")
+        if case == "collect_trace":
+            write_trace(run(sc, collect_trace=True)[1], tmp_path / "trace.csv")
+        else:
+            run_to_files(sc, trace_path=tmp_path / "trace.csv")
+        assert forks == []
+        assert (tmp_path / "trace.csv").read_bytes() == want
+
+    def test_a_child_killed_by_a_signal_is_named_and_writes_nothing(self, forks, monkeypatch, tmp_path):
+        parent, schedule = os.getpid(), Simulation._schedule_superframe
+
+        def die_in_the_child(self, index):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            schedule(self, index)
+
+        monkeypatch.setattr(Simulation, "_schedule_superframe", die_in_the_child)
+        sc = parse_scenario(CROWD.format(duration_ms=SPLIT_MS))
+        with pytest.raises(SimulationError) as raised:
+            run_to_files(sc, tmp_path / "stats.csv", tmp_path / "trace.csv")
+        assert str(raised.value) == (
+            "the process tracing the run's second half ended by signal 9 before sending its stats"
+        )
+        assert forks == [parent]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_error_after_the_cut_is_the_one_process_error(self, forks, monkeypatch, tmp_path):
+        sc = parse_scenario(CROWD.format(duration_ms=SPLIT_MS))
+        schedule, seen = Simulation._schedule_superframe, []
+
+        def fail_at_the_last(self, index):
+            seen.append(index)
+            if index == 4:
+                raise SimulationError(f"stop at superframe {index}")
+            schedule(self, index)
+
+        monkeypatch.setattr(Simulation, "_schedule_superframe", fail_at_the_last)
+        with pytest.raises(SimulationError) as split:
+            run_to_files(sc, tmp_path / "stats.csv", tmp_path / "trace.csv")
+        assert forks == [os.getpid()] and 4 not in seen  # the child raised it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(SimulationError) as single:
+            run_to_files(sc, tmp_path / "stats.csv", tmp_path / "trace.csv")
+        assert forks == [os.getpid()] and 4 in seen
+        assert (type(split.value), str(split.value)) == (type(single.value), str(single.value))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, SimulationError])
+    def test_an_error_in_the_calling_process_kills_and_reaps_the_child(self, error, forks, monkeypatch, tmp_path):
+        parent, schedule = os.getpid(), Simulation._schedule_superframe
+
+        def stall_the_child_fail_the_parent(self, index):
+            if os.getpid() != parent:
+                time.sleep(60)
+            elif index == 2:
+                raise error("stop")
+            schedule(self, index)
+
+        monkeypatch.setattr(Simulation, "_schedule_superframe", stall_the_child_fail_the_parent)
+        sc = parse_scenario(CROWD.format(duration_ms=SPLIT_MS))
+        start = time.monotonic()
+        with pytest.raises(error):
+            run_to_files(sc, tmp_path / "stats.csv", tmp_path / "trace.csv")
+        assert time.monotonic() - start < 30  # the child was killed, not waited for
+        assert forks == [parent]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert list(tmp_path.iterdir()) == []
 
 
 class _PeakLog(Simulation):
