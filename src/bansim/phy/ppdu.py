@@ -192,28 +192,34 @@ def _psdu_image(cfg: PhyConfig, info: np.ndarray) -> bytes:
 
 def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) -> bytes:
     """The PSDU of the frame region bits[start:], accepted when rebuilding
-    the region from its information bits gives its bytes back."""
+    the region from its information bits gives its bytes back. The bits
+    before `start` are bits: sync and header bytes matched exactly, or
+    values `_bit_image` checked."""
     (n, k), s = PSDU_CODE, cfg.spreading
     region, rows = bits[start:], -(-8 * psdu_len // k)
-    if len(region) == rows * n * s:
+    image, size = region.tobytes(), rows * n * s
+    if len(image) == size:
         info = region.reshape(rows, n * s)[:, : k * s : s] & 1  # contiguous rows; a stray value rebuilds unequal
         rebuilt = _psdu_image(cfg, info)
-        if rebuilt == region.tobytes():
+        if rebuilt == image:
             psdu = np.packbits(info).tobytes()  # the pad bits fill the bytes past psdu_len
             if any(psdu[psdu_len:]):
                 raise CodewordError("nonzero pad bits in final codeword")
             return psdu[:psdu_len]
-    region = _bit_image(bits)[start:]  # the reject path: name the first failed check
-    if len(region) < rows * n * s:
-        raise TruncatedFrame(f"frame region holds {len(region)} bits, needs {rows * n * s}")
-    if len(region) > rows * n * s:
-        raise TrailingBitsError(f"{len(region) - rows * n * s} bits past end of frame")
+    # The reject path names the first failed check from the bytes at hand.
+    stray = image.translate(None, b"\x00\x01")  # the values that are not bits, in order
+    if stray:
+        raise ValueError(f"image position {start + image.index(stray[0])} holds {stray[0]}, not a bit")
+    if len(image) < size:
+        raise TruncatedFrame(f"frame region holds {len(image)} bits, needs {size}")
+    if len(image) > size:
+        raise TrailingBitsError(f"{len(image) - size} bits past end of frame")
     if s > 1:
-        copies = np.ascontiguousarray(region).view(f"<u{s}")
+        copies = np.frombuffer(image, f"<u{s}")
         if np.count_nonzero(copies) != np.count_nonzero(copies == _COPIES[s]):  # a word neither 0 nor 0x01..01
             raise DespreadError("repetition copies disagree")
     # The copies agree, so the first codeword that differs differs in its parity.
-    first = (np.frombuffer(rebuilt, dtype=np.uint8) != region).argmax()
+    first = (np.frombuffer(rebuilt, np.uint8) != region).argmax()
     raise CodewordError(f"parity mismatch in codeword {first // (n * s)}")
 
 
@@ -346,14 +352,16 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
         bits = _bit_image(bits)
     off, n_hdr = len(fmt.sync), fmt.coded_bits
     headers = _INVERSE.get((kind, cfg.rate_index), _NO_HEADERS)
-    head = bits[: off + n_hdr].tobytes()
+    head = bits[: off + n_hdr].tobytes()  # a uint8 image's bytes: the miss path's sync checks read it too
     header = headers.get(head[off:]) if head[:off] == fmt.sync_bytes else None
     if header is None:
         bits = _bit_image(bits)  # a value not a bit is named before any check
-        if bits[:off].tobytes() != fmt.sync_bytes:
+        if head[:off] != fmt.sync_bytes:
             unit = len(fmt.unit)
             for rep in range(fmt.reps):
-                if not np.array_equal(_take(bits, rep * unit, unit, "preamble"), fmt.unit):
+                lo = rep * unit
+                _take(bits, lo, unit, "preamble")
+                if head[lo : lo + unit] != fmt.sync_bytes[lo : lo + unit]:  # the sync opens with its units
                     raise PreambleMismatch(f"{_preamble_label(fmt, rep)} mismatch")
             _take(bits, fmt.reps * unit, len(fmt.sfd), "start-frame delimiter")
             raise SfdMismatch("start-frame delimiter mismatch")

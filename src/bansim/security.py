@@ -14,6 +14,14 @@ pairing's session ordinal (how many PTKs it has consumed, kept across
 teardown) and each group's `GroupKeyState`. A session holds only its own
 level, keys and frame counters.
 
+Every outgoing frame of a secured session passes one gate,
+`spend_counter`: it refuses the frame without an active PTK or once the
+4-byte counter is exhausted, and spends the next counter. `secure_frame`
+passes it and then seals the body. A frame lost on the air before it
+reaches the receiver (the simulator's collided frames) passes the gate
+alone and is never sealed: its counter is spent all the same, so the
+sender never reuses one, and the receiver's replay floor skips it.
+
 Cryptography here is interface-only. Key derivation is a keyed hash of
 the master key and a session ordinal, and the cipher is a reversible
 keyed stream built from the same hash. The testable contract is the
@@ -65,6 +73,7 @@ __all__ = [
     "SecuritySession",
     "GroupKeyState",
     "SecurityManager",
+    "spend_counter",
     "secure_frame",
     "admit_frame",
 ]
@@ -240,6 +249,10 @@ class SecurityManager:
 # Length prefixes of the fixed-size parts after the key.
 _LEN1 = (1).to_bytes(4, "big")
 _LEN4 = (4).to_bytes(4, "big")
+# Indexed by level: a secured wire's first byte, and the framed level and
+# counter length that _tag feeds after the key.
+_LEVEL_BYTE = tuple(bytes([level]) for level in SecurityLevel)
+_TAG_LEAD = tuple(_LEN1 + bytes([level]) + _LEN4 for level in SecurityLevel)
 
 
 def _keystream(ptk: PairwiseKey, nonce: bytes, length: int) -> bytes:
@@ -271,14 +284,15 @@ def _mask(body: bytes, ptk: PairwiseKey, nonce: bytes) -> bytes:
 def _tag(ptk: PairwiseKey, level: int, nonce: bytes, body: bytes) -> bytes:
     """The first TAG_LEN bytes of _digest(b"tag", key, level, nonce, body)."""
     h = ptk.tag_state.copy()
-    h.update(_LEN1 + bytes([level]) + _LEN4 + nonce + len(body).to_bytes(4, "big") + body)
+    h.update(_TAG_LEAD[level] + nonce + len(body).to_bytes(4, "big") + body)
     return h.digest()[:TAG_LEN]
 
 
-def secure_frame(body: bytes, session: SecuritySession) -> bytes:
-    """Apply the session's level to an outgoing body."""
-    if session.level == _UNSECURED:
-        return bytes(body)
+def spend_counter(session: SecuritySession) -> bytes:
+    """The gate every outgoing frame of a secured session passes, sealed or
+    not: it refuses the frame without an active pairwise key or once the
+    counter is exhausted, else stamps the next counter; returns it as the
+    frame's COUNTER_LEN-byte nonce."""
     if not session.ptk_active:
         raise KeyStateError(f"{session.node_id}: secured frame without an active pairwise key")
     counter = session.tx_counter + 1
@@ -287,11 +301,20 @@ def secure_frame(body: bytes, session: SecuritySession) -> bytes:
     except OverflowError:
         raise KeyStateError(f"{session.node_id}: frame counter exhausted; re-key the session") from None
     session.tx_counter = counter
+    return nonce
+
+
+def secure_frame(body: bytes, session: SecuritySession) -> bytes:
+    """Apply the session's level to an outgoing body; a secured level passes
+    the gate (spend_counter) first."""
+    level = session.level
+    if level == _UNSECURED:
+        return bytes(body)
+    nonce = spend_counter(session)
     sent = bytes(body)
-    if session.level == _ENCRYPTED:
+    if level == _ENCRYPTED:
         sent = _mask(sent, session.ptk, nonce)
-    tag = _tag(session.ptk, session.level, nonce, sent)
-    return bytes([session.level]) + nonce + sent + tag
+    return _LEVEL_BYTE[level] + nonce + sent + _tag(session.ptk, level, nonce, sent)
 
 
 def admit_frame(wire: bytes, session: SecuritySession) -> bytes:

@@ -120,11 +120,14 @@ whole run and the child's half is empty. The stats returned are the
 child's, from its full run, which is where check_conservation runs; the
 calling process stops at the cut without them.
 
-Every transmission passes the security gate: a secured node's payload
-goes out through secure_frame, which refuses it without an active
-pairwise key (association always establishes one), and the hub admits it
-on delivery, so counter and tag handling are exercised on every
-simulated frame.
+Every transmission by a secured node passes the security gate,
+spend_counter, which refuses it without an active pairwise key
+(association always establishes one) or with its counter exhausted, and
+spends one counter. Only a clean exchange's frame is sealed: secure_frame
+passes the gate and stamps, tags and (at level 2) masks the payload, and
+the hub admits it on delivery, checking its level, tag and replay floor.
+A collided exchange's frames never reach the hub, so each passes the gate
+alone and its wire is None; the receiver's counter trails by them.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ from bansim.mac.csma import (
     trace_unlocks,
 )
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
-from bansim.security import HUB_ID, SecurityLevel, SecurityManager, admit_frame, secure_frame
+from bansim.security import HUB_ID, SecurityLevel, SecurityManager, admit_frame, secure_frame, spend_counter
 from bansim.sim.scenario import EventKind, NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import scratch_text, text_stream
@@ -183,7 +186,7 @@ _forked = False
 
 class _Node:
     __slots__ = ("spec", "backoff", "rng", "stats", "airtime_us", "payload_airtime_us", "exchange_us",
-                 "backlog", "service_start", "session", "node_id", "airtime_int")
+                 "backlog", "service_start", "session", "node_id", "airtime_int", "payload")
 
     def __init__(self, spec: NodeSpec, backoff: BackoffState, rng: random.Random, stats: NodeStats,
                  airtime_us: float, payload_airtime_us: float, exchange_us: int):
@@ -199,11 +202,14 @@ class _Node:
         self.session = None  # SecuritySession when level >= 1
         self.node_id = spec.node_id
         self.airtime_int = clock_us(airtime_us)  # the data frame on the clock
+        self.payload = bytes(spec.payload_bytes)  # the body every frame carries
 
 
 class _Exchange:
     """One channel occupation: a set of simultaneous data transmissions
     and the acknowledgement cycle that follows."""
+
+    __slots__ = ("kind", "phase_end", "frozen", "held", "wires", "pending")
 
     def __init__(self, kind: PhaseKind, phase_end: int, frozen: list[_Node]):
         self.kind = kind
@@ -574,11 +580,16 @@ class Simulation:
             node.backoff.locked = "busy"
         exchange = _Exchange(kind, phase_end, frozen)
         self.exchange = exchange
+        wires = exchange.wires
         for node in transmitters:
             session = node.session
-            exchange.wires[node.node_id] = (
-                None if session is None else secure_frame(bytes(node.spec.payload_bytes), session)
-            )
+            if session is None:
+                wires[node.node_id] = None
+            elif collided:  # never reaches the hub: spent, not sealed
+                spend_counter(session)
+                wires[node.node_id] = None
+            else:
+                wires[node.node_id] = secure_frame(node.payload, session)
         tracing = self.collect_trace
         if tracing:
             if counting:
@@ -676,7 +687,7 @@ class Simulation:
         wire = exchange.wires.get(node_id)
         if wire is not None:
             body = admit_frame(wire, node.session)
-            if body != bytes(node.spec.payload_bytes):
+            if body != node.payload:
                 raise SimulationError("secured round trip altered the body")
         stats = node.stats
         stats.delivered += 1

@@ -68,8 +68,6 @@ EQUIVALENT = {
         "and nothing is traced between the exchange's start and it",
     ("src/bansim/phy/ppdu.py", "parse_ppdu", "bits.ndim == 1"):
         "a fast-path guard: any other image goes through _bit_image, which gives the same array",
-    ("src/bansim/phy/ppdu.py", "parse_ppdu", "bits.dtype == np.uint8"):
-        "a fast-path guard: any other image goes through _bit_image, which gives the same array",
 }
 
 

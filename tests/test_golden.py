@@ -15,6 +15,8 @@ import difflib
 import gzip
 import hashlib
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from bansim.phy.ppdu import _FORMATS, build_ppdu, parse_ppdu
 from bansim.phy.rates import Band, hbc_config, nb_config, uwb_config
 from bansim.sim.kernel import run_to_files
 from bansim.sim.scenario import compile_scenario, load_scenario, parse_scenario
+from test_cli import cli_env
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "golden"
@@ -487,6 +490,30 @@ def _assert_run_pinned(name, sc, stats_digest, trace_digest, tmp_path):
 @pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
 def test_bundled_scenario_bytes_are_pinned(name, tmp_path):
     _assert_run_pinned(name, load_scenario(SCENARIO_DIR / f"{name}.scn"), *SCENARIO_DIGESTS[name], tmp_path)
+
+
+def test_command_line_bytes_do_not_rest_on_the_hash_seed(tmp_path):
+    """`python -m bansim simulate` writes the stored mixed_access bytes under
+    two string-hash seeds, run side by side: no output order rests on the
+    order of a set or dict of strings."""
+    runs = []
+    try:
+        for seed in ("0", "4242"):
+            out, trace = tmp_path / f"stats-{seed}.csv", tmp_path / f"trace-{seed}.txt"
+            command = [sys.executable, "-m", "bansim", "simulate", str(SCENARIO_DIR / "mixed_access.scn"),
+                       "--out", str(out), "--trace", str(trace)]
+            proc = subprocess.Popen(command, env=dict(cli_env(), PYTHONHASHSEED=seed),
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            runs.append((proc, out, trace))
+        for proc, out, trace in runs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert_pinned(out, "mixed_access.stats.csv", SCENARIO_DIGESTS["mixed_access"][0])
+            assert_pinned(trace, "mixed_access.trace.txt", SCENARIO_DIGESTS["mixed_access"][1])
+    finally:
+        for proc, _, _ in runs:
+            proc.kill()  # no-op for a process already reaped
+            proc.wait()
 
 
 def test_a_departure_names_its_first_line():

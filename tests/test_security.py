@@ -28,6 +28,7 @@ from bansim.security import (
     admit_frame,
     default_kdf,
     secure_frame,
+    spend_counter,
 )
 
 
@@ -156,6 +157,22 @@ class TestFraming:
         with pytest.raises(KeyStateError):
             secure_frame(b"no key yet", bare)
 
+    def test_the_gate_alone_requires_an_active_ptk(self):
+        # A frame lost on the air (a collided one in the simulator) passes
+        # the gate without being sealed, under the same refusal.
+        bare = SecuritySession("n0", SecurityLevel.AUTHENTICATED)
+        with pytest.raises(KeyStateError, match="secured frame without an active pairwise key"):
+            spend_counter(bare)
+        assert bare.tx_counter == 0
+
+    def test_a_counter_spent_by_the_gate_is_never_reused(self):
+        _, s = paired(2)
+        assert spend_counter(s) == (1).to_bytes(COUNTER_LEN, "big")
+        wire = secure_frame(b"after a lost frame", s)
+        assert int.from_bytes(wire[1 : 1 + COUNTER_LEN], "big") == 2
+        assert admit_frame(wire, s) == b"after a lost frame"
+        assert (s.tx_counter, s.rx_counter) == (2, 2)
+
 
 class TestCounterExhaustion:
     """The 4-byte frame counter runs out after 2**32 - 1 frames; the next
@@ -177,6 +194,14 @@ class TestCounterExhaustion:
         s.tx_counter = self.LAST
         with pytest.raises(KeyStateError, match="re-key"):
             secure_frame(b"one too many", s)
+        assert s.tx_counter == self.LAST
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_the_gate_alone_asks_for_a_new_key(self, level):
+        _, s = paired(level)
+        s.tx_counter = self.LAST
+        with pytest.raises(KeyStateError, match="frame counter exhausted; re-key the session"):
+            spend_counter(s)
         assert s.tx_counter == self.LAST
 
     def test_a_new_pairwise_key_sends_from_counter_one(self):

@@ -37,7 +37,8 @@ from bansim.mac.csma import (
     trace_storm,
     trace_unlocks,
 )
-from bansim.mac.superframe import SHARED_PHASES, PhaseKind, ScheduledAllocation, phases_covered, schedule_polls
+from bansim.mac.superframe import (SHARED_PHASES, PhaseKind, ScheduledAllocation, TrafficKind, phases_covered,
+                                   schedule_polls)
 from bansim.phy.rates import Band, frame_airtime_us, frame_airtimes_us, nb_config
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
@@ -396,6 +397,44 @@ duration_ms = 500
         stats, _ = run(sc)
         assert stats.nodes["a"].delivered > 0
         assert stats.nodes["b"].delivered > 0
+
+    CONTENDED = """
+[superframe]
+beacon_slots = 4
+rap1_slots = 120
+type_a_slots = 132
+
+[nodes]
+a = priority=3, traffic=saturated, payload=50, access=contention
+b = priority=3, traffic=saturated, payload=80, access=contention
+p = traffic=saturated, payload=40, access=polled
+
+[security]
+a = level=1
+b = level=2
+p = level=2
+
+[run]
+seed = 11
+duration_ms = 300
+channel = collision
+"""
+
+    @pytest.mark.parametrize("sc", [load_scenario(SCENARIO_DIR / "mixed_access.scn"), parse_scenario(CONTENDED)],
+                             ids=["mixed_access", "contended"])
+    def test_every_transmission_spends_one_counter(self, sc):
+        # A collided frame spends its sender's counter unsealed and never
+        # reaches the hub; a delivered one is admitted, so the replay floor
+        # reaches its counter. At most one exchange is cut by the run's end.
+        sim = Simulation(sc)
+        stats = sim.run()
+        assert sum(node.collided for node in stats.nodes.values()) > 0
+        for node_id, session in sim.security.sessions.items():
+            node = stats.nodes[node_id]
+            assert session.tx_counter - (node.delivered + node.failed) in (0, 1), node_id
+            assert node.delivered <= session.rx_counter <= session.tx_counter, node_id
+            if sim.nodes[node_id].spec.access != TrafficKind.CONTENTION:
+                assert session.rx_counter == session.tx_counter == node.delivered, node_id
 
 
 class TestBeacons:
