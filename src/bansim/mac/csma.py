@@ -11,14 +11,15 @@ and a draw or a success clears it. CW doubles only on every second
 consecutive failure, capped at CW_max, and resets to CW_min on success.
 
 Trace lines are rendered here and nowhere else. trace_batch appends the
-lines of one instant of one phase straight from node ids and backoff
-states: one event for many nodes (a slot's counts, a tick's draws or
-guard locks) or a few events per node (a phase entry). At a slot end that
-starts an exchange, trace_storm renders each counting node's state text
-(counter, window, failures, phase) once for its count line and its
-tx_start or lock line; trace_unlocks reuses a locked node's text for its
-unlock line, as a busy-locked state cannot change before its unlock.
-trace_event appends one node's one event. The decimal text of counters,
+lines of one instant of one phase straight from the nodes it is given,
+reading each one's node_id and backoff state: one event for many nodes (a
+slot's counts, a tick's draws or guard locks) or a few events per node (a
+phase entry). At a slot end that starts an exchange, trace_storm renders
+each counting node's state text (counter, window, failures, phase) once
+for its count line and its tx_start or lock line; trace_unlocks reuses a
+locked node's text for its unlock line, as a busy-locked state cannot
+change before its unlock. trace_event appends one event of one node id
+and state, as a hub line has no node. The decimal text of counters,
 windows and failure counts comes from a cache that fills on first use,
 so each line is one f-string. trace_line renders one (node id, event,
 state) entry through trace_event.
@@ -194,21 +195,20 @@ def _learn(missing: KeyError) -> None:
     _DECIMAL[number] = str(number)
 
 
-def trace_batch(
-    lines: list[str], time_us: int, phase: PhaseKind, events: tuple[str, ...], node_ids, states
-) -> None:
+def trace_batch(lines: list[str], time_us: int, phase: PhaseKind, events: tuple[str, ...], nodes) -> None:
     """Append the canonical trace lines of one instant in one phase to
-    `lines`: for each node id and its backoff state (two sequences of one
-    length), in order, one line per event in `events`. Fields are read from
-    each state as it is now."""
+    `lines`: for each of `nodes` (a sequence of objects with a node_id and
+    a backoff state), in order, one line per event in `events`. Fields are
+    read from each state as it is now."""
     head, tail, text = f"{time_us},", _PHASE_TAILS[phase], _DECIMAL
     start, add = len(lines), lines.append
     while True:
         try:
-            for node, s in zip(node_ids, states):
+            for node in nodes:
+                name, s = node.node_id, node.backoff
                 for event in events:
                     add(
-                        f"{head}{node},{event},{text[s.counter]},{text[s.cw]},"
+                        f"{head}{name},{event},{text[s.counter]},{text[s.cw]},"
                         f"{text[s.consecutive_failures]}{tail}"
                     )
             return
@@ -235,12 +235,13 @@ def trace_event(
             _learn(missing)
 
 
-def trace_storm(lines: list[str], time_us: int, phase: PhaseKind, node_ids, states) -> list[tuple[str, str]]:
+def trace_storm(lines: list[str], time_us: int, phase: PhaseKind, nodes) -> list[tuple[str, str]]:
     """Append the lines of a slot end that starts an exchange to `lines`:
-    for the nodes that counted it (ids and states, in order) a count line
-    each, a tx_start line for each at zero, a lock line for each other,
-    all from one text per state. Returns (node id, text) per locked node."""
+    for the nodes that counted it, in order, a count line each, a tx_start
+    line for each at zero, a lock line for each other, all from one text
+    per backoff state. Returns (node id, text) per locked node."""
     head, tail, text = f"{time_us},", _PHASE_TAILS[phase], _DECIMAL
+    states = [node.backoff for node in nodes]
     while True:
         try:
             texts = [f"{text[s.counter]},{text[s.cw]},{text[s.consecutive_failures]}{tail}" for s in states]
@@ -248,9 +249,9 @@ def trace_storm(lines: list[str], time_us: int, phase: PhaseKind, node_ids, stat
         except KeyError as missing:
             _learn(missing)
     sent, held = [], []
-    for node, s, state_text in zip(node_ids, states, texts):
-        lines.append(f"{head}{node},count,{state_text}")
-        (held if s.counter else sent).append((node, state_text))
+    for node, s, state_text in zip(nodes, states, texts):
+        lines.append(f"{head}{node.node_id},count,{state_text}")
+        (held if s.counter else sent).append((node.node_id, state_text))
     lines += [f"{head}{node},tx_start,{state_text}" for node, state_text in sent]
     lines += [f"{head}{node},lock,{state_text}" for node, state_text in held]
     return held

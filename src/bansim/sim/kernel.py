@@ -32,11 +32,10 @@ after the lines of the slot end that starts it. A collided exchange is
 one event per transmitter, its timeout. Its data ends are applied when
 it begins, in time order (ties in transmitter order) up to the run's
 end: each adds its airtime, meets the phase check and pushes its
-timeout at data end + pSIFS + ack + gTN. A traced run writes a data
-end's tx_end line then if it is not after the exchange's first timeout;
-a later one is held and written just before the first line traced at or
-after its instant: a later timeout's fail line, a phase entry or beacon
-that meets an exact-fit exchange's last timeout, or the run's end. The
+timeout, its node's planned frame exchange (data + pSIFS + ack + gTN)
+after the start. A traced run holds each tx_end line until the first
+line traced at or after its instant (a fail line, or a phase entry or
+beacon at an exact-fit exchange's last timeout) or the run's end. The
 guard keeps every exchange inside its phase, so while the channel is
 held no other event adds busy time or traces a line, and a delivery
 draws no random number and commutes with an arrival at its instant.
@@ -94,10 +93,10 @@ its tx_start or lock line, and the exchange keeps the locked ones' texts
 for their unlock lines on its resume. Any other storm (one event for many
 contenders at one instant: a slot's counts, a tick's draws and guard
 locks, a phase entry's enter/unlock/sifs lines) goes to csma.trace_batch
-as node ids and states, and each other exchange line to csma.trace_event.
-Each place that traces tests the run's trace flag once, so an untraced
-run makes no trace call at all (no _emit_batch and no trace_* renderer)
-and collects no list of nodes to trace.
+as the nodes themselves, and each other exchange line to
+csma.trace_event. Each place that traces tests the run's trace flag
+once, so an untraced run makes no trace_* call at all and collects no
+list of nodes to trace.
 
 A run given an open trace file streams its trace: the line list is a
 buffer that write_trace empties into the file at each superframe start and
@@ -124,10 +123,11 @@ Every transmission by a secured node passes the security gate,
 spend_counter, which refuses it without an active pairwise key
 (association always establishes one) or with its counter exhausted, and
 spends one counter. Only a clean exchange's frame is sealed: secure_frame
-passes the gate and stamps, tags and (at level 2) masks the payload, and
-the hub admits it on delivery, checking its level, tag and replay floor.
-A collided exchange's frames never reach the hub, so each passes the gate
-alone and its wire is None; the receiver's counter trails by them.
+passes the gate and stamps, tags and (at level 2) masks the payload into
+the exchange's one wire, and the hub admits it on delivery, checking its
+level, tag and replay floor. A collided exchange's frames never reach the
+hub, so each only passes the gate and the exchange has no wire; the
+receiver's counter trails by them.
 """
 
 from __future__ import annotations
@@ -209,14 +209,14 @@ class _Exchange:
     """One channel occupation: a set of simultaneous data transmissions
     and the acknowledgement cycle that follows."""
 
-    __slots__ = ("kind", "phase_end", "frozen", "held", "wires", "pending")
+    __slots__ = ("kind", "phase_end", "frozen", "held", "wire", "pending")
 
     def __init__(self, kind: PhaseKind, phase_end: int, frozen: list[_Node]):
         self.kind = kind
         self.phase_end = phase_end
         self.frozen = frozen  # the contenders it holds busy-locked
         self.held: list[tuple[str, str]] = []  # a traced run's (node id, state text) per frozen one
-        self.wires: dict[str, bytes | None] = {}
+        self.wire: bytes | None = None  # a clean exchange's sealed frame
         self.pending = 0  # a collided exchange's timeouts to come
 
 
@@ -278,7 +278,7 @@ class Simulation:
         # nodes its slot end counts, the exchange it resumes after or None).
         self._tick: tuple | None = None
         # A traced collided exchange's tx_end lines not yet written: (data
-        # end, phase, node) of each data end after its first timeout.
+        # end, phase, node) per data end, in time order.
         self._late: list[tuple[int, PhaseKind, _Node]] = []
 
         self.ack_airtime_us = ack_airtime_us
@@ -323,13 +323,6 @@ class Simulation:
                 raise SimulationError(f"a second grid tick pending at t={time_us}")
             self._seq += 1
             self._tick = (time_us, 2, self._seq, kind, phase_end, counting, ended)
-
-    def _emit_batch(self, time_us: int, kind: PhaseKind, events: tuple[str, ...], nodes: list[_Node]) -> None:
-        """Trace each event in `events` for each node, node by node; called
-        only by a traced run."""
-        if nodes:
-            ids, states = [n.node_id for n in nodes], [n.backoff for n in nodes]
-            trace_batch(self.trace, time_us, kind, events, ids, states)
 
     def _flush_trace(self) -> None:
         """Write the buffered lines to the trace file, if there is one."""
@@ -430,8 +423,6 @@ class Simulation:
 
     def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         participants = self._contenders[kind]
-        if not participants:
-            return
         start, end = self.now, self.now + length_us
         if self.collect_trace:
             if self._late:  # an exchange that ends exactly here
@@ -440,7 +431,7 @@ class Simulation:
             # as one batch; unlocking changes no traced field, so they are
             # traced before the unlocks below.
             for locked, run in groupby(participants, key=lambda n: n.backoff.locked is not None):
-                self._emit_batch(start, kind, _ENTRY_UNLOCK if locked else _ENTRY, list(run))
+                trace_batch(self.trace, start, kind, _ENTRY_UNLOCK if locked else _ENTRY, list(run))
         for node in participants:
             node.backoff.locked = None
         if start + self.timing.psifs_us < end:
@@ -465,7 +456,7 @@ class Simulation:
             self._begin_exchange(transmitters, t, kind, phase_end, counting)
             return
         if tracing:
-            self._emit_batch(t, kind, ("count",), counting)
+            trace_batch(self.trace, t, kind, ("count",), counting)
         if ended is not None:
             for node in ended.frozen:
                 node.backoff.locked = None
@@ -511,8 +502,8 @@ class Simulation:
                     if node.exchange_us > widest:
                         widest = node.exchange_us
         if tracing:
-            self._emit_batch(t, kind, ("draw",), draws)
-            self._emit_batch(t, kind, ("lock",), locks)
+            trace_batch(self.trace, t, kind, ("draw",), draws)
+            trace_batch(self.trace, t, kind, ("lock",), locks)
         if can_act:
             self._next_slots(t, kind, phase_end, running, low, widest)
 
@@ -543,11 +534,10 @@ class Simulation:
             if running:
                 states = [node.backoff for node in running]
                 if self.collect_trace:
-                    ids = [node.node_id for node in running]
                     for j in range(k):
                         for state in states:
                             state.counter -= 1
-                        trace_batch(self.trace, t + j * slot_us, kind, ("count",), ids, states)
+                        trace_batch(self.trace, t + j * slot_us, kind, ("count",), running)
                 else:
                     for state in states:
                         state.counter -= k
@@ -580,23 +570,19 @@ class Simulation:
             node.backoff.locked = "busy"
         exchange = _Exchange(kind, phase_end, frozen)
         self.exchange = exchange
-        wires = exchange.wires
         for node in transmitters:
-            session = node.session
-            if session is None:
-                wires[node.node_id] = None
-            elif collided:  # never reaches the hub: spent, not sealed
-                spend_counter(session)
-                wires[node.node_id] = None
+            if node.session is None:
+                continue
+            if collided:  # never reaches the hub: spent, not sealed
+                spend_counter(node.session)
             else:
-                wires[node.node_id] = secure_frame(node.payload, session)
+                exchange.wire = secure_frame(node.payload, node.session)
         tracing = self.collect_trace
         if tracing:
             if counting:
-                ids, states = [n.node_id for n in counting], [n.backoff for n in counting]
-                exchange.held = trace_storm(self.trace, t, kind, ids, states)
+                exchange.held = trace_storm(self.trace, t, kind, counting)
             else:
-                self._emit_batch(t, kind, ("tx_start",), transmitters)
+                trace_batch(self.trace, t, kind, ("tx_start",), transmitters)
         if collided:
             exchange.pending = len(transmitters)
             self._collide(transmitters, t, kind, phase_end)
@@ -623,13 +609,11 @@ class Simulation:
     def _collide(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
         """A collided exchange's data ends, in time order (ties in
         transmitter order) up to the run's end: each adds its airtime and
-        pushes the timeout that follows the missing acknowledgement. A
-        traced run writes the tx_end lines up to the first timeout now and
-        holds the later ones for _trace_late."""
+        pushes the timeout that follows the missing acknowledgement, one
+        frame exchange after t. A traced run holds each one's tx_end line
+        for _trace_late."""
         end_time = self.end_time
-        wait = self.timing.psifs_us + self.ack_int + self.timing.gtn_us
         add_busy, tracing = self.stats.add_busy, self.collect_trace
-        first_timeout = None
         for node in sorted(transmitters, key=_AIRTIME):
             data_end = t + node.airtime_int
             if data_end >= end_time:
@@ -638,14 +622,9 @@ class Simulation:
                 raise SimulationError("transmission crossed its phase boundary")
             node.stats.tx_airtime_us += node.airtime_us
             add_busy(node.airtime_us)
-            self._push(data_end + wait, _ACK_TIMEOUT, (node.node_id,))
+            self._push(t + node.exchange_us, _ACK_TIMEOUT, (node.node_id,))
             if tracing:
-                if first_timeout is None:
-                    first_timeout = data_end + wait
-                if data_end <= first_timeout:
-                    trace_event(self.trace, data_end, kind, "tx_end", node.node_id, node.backoff)
-                else:
-                    self._late.append((data_end, kind, node))
+                self._late.append((data_end, kind, node))
 
     def _trace_late(self, t: int) -> None:
         """Write the held tx_end lines of data ends at or before t: before
@@ -684,7 +663,7 @@ class Simulation:
             raise SimulationError("delivery outside an exchange")
         node = self.nodes[node_id]
         t = self.now
-        wire = exchange.wires.get(node_id)
+        wire = exchange.wire
         if wire is not None:
             body = admit_frame(wire, node.session)
             if body != node.payload:

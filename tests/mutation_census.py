@@ -63,9 +63,6 @@ EQUIVALENT = {
         "the guard never starts an exchange whose data ends at or past the phase end",
     ("src/bansim/sim/kernel.py", "Simulation._collide", "data_end > phase_end"):
         "the guard never starts an exchange that ends past its phase",
-    ("src/bansim/sim/kernel.py", "Simulation._collide", "data_end <= first_timeout"):
-        "a held line of a data end on the first timeout is written first thing at that timeout, "
-        "and nothing is traced between the exchange's start and it",
     ("src/bansim/phy/ppdu.py", "parse_ppdu", "bits.ndim == 1"):
         "a fast-path guard: any other image goes through _bit_image, which gives the same array",
 }

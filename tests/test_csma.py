@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -359,11 +360,14 @@ class ScriptedReplay(Simulation):
             self._push_schedule(start, EventKind.PHASE_START, (kind, end - start))
 
     def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
-        if not self._contenders[kind]:
-            if self._late:  # a collided exchange's held tx_end lines go first, as in the kernel
-                self._trace_late(self.now)
-            trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
-        super()._on_phase_start(kind, length_us)
+        """An inadmissible phase, whose start the kernel's own schedule
+        never holds, gets its enter line and nothing else."""
+        if self._contenders[kind]:
+            super()._on_phase_start(kind, length_us)
+            return
+        if self._late:  # a collided exchange's held tx_end lines go first, as in the kernel
+            self._trace_late(self.now)
+        trace_event(self.trace, self.now, kind, "enter", self._node.node_id, self._node.backoff)
 
     def _collides(self, transmitters: list[_Node]) -> bool:
         """The script's verdict on this attempt."""
@@ -595,9 +599,10 @@ def joined_line(time_us, node, event, state, phase):
 @st.composite
 def trace_instants(draw):
     """One instant of one phase: a few events for up to six nodes (none for
-    an empty batch) whose windows come from custom priority classes up to
-    10**6, with failure counts up to 10**4."""
-    node_ids, states = [], []
+    an empty batch), each a node id and a backoff state, whose windows come
+    from custom priority classes up to 10**6, with failure counts up to
+    10**4."""
+    nodes = []
     for i in range(draw(st.integers(0, 6))):
         cw_min = draw(st.integers(1, 10**6))
         cw_max = draw(st.integers(cw_min, 10**6))
@@ -605,45 +610,41 @@ def trace_instants(draw):
         state.cw = draw(st.integers(cw_min, cw_max))
         state.counter = draw(st.integers(0, state.cw))
         state.consecutive_failures = draw(st.integers(0, 10**4))
-        node_ids.append(draw(st.sampled_from(["n0", "hub", "s03", "pump"])) + str(i))
-        states.append(state)
+        nodes.append(SimpleNamespace(node_id=draw(st.sampled_from(["n0", "hub", "s03", "pump"])) + str(i),
+                                     backoff=state))
     events = draw(st.lists(st.sampled_from(["enter", "unlock", "sifs", "count", "lock", "draw", "fail"]),
                            min_size=1, max_size=3))
-    return draw(st.integers(0, 10**12)), draw(st.sampled_from(list(PhaseKind))), tuple(events), node_ids, states
+    return draw(st.integers(0, 10**12)), draw(st.sampled_from(list(PhaseKind))), tuple(events), nodes
 
 
 class TestTraceRendering:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(trace_instants())
     def test_cached_renderers_match_the_joined_fields(self, instant):
-        time_us, phase, events, node_ids, states = instant
-        want = [
-            joined_line(time_us, node, event, state, phase)
-            for node, state in zip(node_ids, states)
-            for event in events
-        ]
+        time_us, phase, events, nodes = instant
+        entries = [(node.node_id, event, node.backoff) for node in nodes for event in events]
+        want = [joined_line(time_us, node, event, state, phase) for node, event, state in entries]
         # The batch appends after what the list holds, even when it meets
         # a number it has not shown before and starts again.
         lines = ["kept"]
-        trace_batch(lines, time_us, phase, events, node_ids, states)
+        trace_batch(lines, time_us, phase, events, nodes)
         assert lines == ["kept"] + want
 
-        entries = [(node, event, state) for node, state in zip(node_ids, states) for event in events]
         assert trace_lines(time_us, phase, entries) == want
         assert [trace_line(time_us, node, event, state, phase) for node, event, state in entries] == want
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(trace_instants())
     def test_storm_and_unlock_lines_match_the_joined_fields(self, instant):
-        time_us, phase, _, node_ids, states = instant
-        pairs = list(zip(node_ids, states))
+        time_us, phase, _, nodes = instant
+        pairs = [(node.node_id, node.backoff) for node in nodes]
         want = (
             [joined_line(time_us, node, "count", state, phase) for node, state in pairs]
             + [joined_line(time_us, node, "tx_start", state, phase) for node, state in pairs if not state.counter]
             + [joined_line(time_us, node, "lock", state, phase) for node, state in pairs if state.counter]
         )
         lines = ["kept"]
-        held = trace_storm(lines, time_us, phase, node_ids, states)
+        held = trace_storm(lines, time_us, phase, nodes)
         assert lines == ["kept"] + want
         assert [node for node, _ in held] == [node for node, state in pairs if state.counter]
         lines = ["kept"]
@@ -659,7 +660,8 @@ class TestTraceRendering:
         state.cw = state.counter = fresh
         sent = BackoffState(PRIORITY_TABLE[0])
         lines = ["kept"]
-        held = trace_storm(lines, 9, PhaseKind.RAP1, ["a", "b"], [sent, state])
+        held = trace_storm(lines, 9, PhaseKind.RAP1, [SimpleNamespace(node_id="a", backoff=sent),
+                                                      SimpleNamespace(node_id="b", backoff=state)])
         assert lines == ["kept"] + [
             joined_line(9, "a", "count", sent, PhaseKind.RAP1),
             joined_line(9, "b", "count", state, PhaseKind.RAP1),
@@ -674,7 +676,8 @@ class TestTraceRendering:
         state = BackoffState(PRIORITY_TABLE[0])
         for phase in PhaseKind:
             lines: list[str] = []
-            trace_batch(lines, 7, phase, ("enter", "sifs"), ["a", "b"], [state, state])
+            nodes = [SimpleNamespace(node_id=node, backoff=state) for node in "ab"]
+            trace_batch(lines, 7, phase, ("enter", "sifs"), nodes)
             assert lines == [joined_line(7, node, event, state, phase) for node in "ab" for event in ("enter", "sifs")]
 
 

@@ -34,6 +34,7 @@ from bansim.mac.csma import (
     exchange_us,
     guard_check,
     on_idle_slot,
+    trace_batch,
     trace_storm,
     trace_unlocks,
 )
@@ -653,8 +654,8 @@ class _HeapWatch(Simulation):
 class _LockReasons(Simulation):
     """Records the reason each node holds on every traced lock line, and
     the reason each node held before a resume tick unlocked it. A guard
-    lock is traced through _emit_batch; a busy lock and a resume's unlock
-    are rendered by kernel.trace_storm and kernel.trace_unlocks, which
+    lock is rendered by kernel.trace_batch, a busy lock and a resume's
+    unlock by kernel.trace_storm and kernel.trace_unlocks, which `batch`,
     `storm` and `unlocks` stand in for."""
 
     def __init__(self, *args, **kwargs):
@@ -665,10 +666,10 @@ class _LockReasons(Simulation):
         self._before = {n.node_id: n.backoff.locked for n in self._contenders[kind]}
         super()._on_slot_tick(kind, phase_end, *tick)
 
-    def _emit_batch(self, time_us, kind, events, nodes):
+    def batch(self, lines, time_us, kind, events, nodes):
         if events == ("lock",):
             self.locks += [n.backoff.locked for n in nodes]
-        super()._emit_batch(time_us, kind, events, nodes)
+        trace_batch(lines, time_us, kind, events, nodes)
 
     def storm(self, *args):
         held = trace_storm(*args)
@@ -684,6 +685,7 @@ class TestLockReasons:
     @pytest.mark.parametrize("name", ["contention_pair", "mixed_access"])
     def test_every_lock_has_a_reason_and_a_resume_lifts_only_busy(self, name, monkeypatch):
         sim = _LockReasons(load_scenario(SCENARIO_DIR / f"{name}.scn"), collect_trace=True)
+        monkeypatch.setattr(kernel, "trace_batch", sim.batch)
         monkeypatch.setattr(kernel, "trace_storm", sim.storm)
         monkeypatch.setattr(kernel, "trace_unlocks", sim.unlocks)
         sim.run()
@@ -739,11 +741,12 @@ class SlotBySlot(Simulation):
     and TestArrivalOnATimeout pin."""
 
     def _collides(self, transmitters):
-        # Every exchange goes to _collide, which pushes its data ends;
-        # _on_data_end tells a collided exchange from a clean one.
+        # Every exchange goes to _collide, which pushes its data ends and
+        # notes for _on_data_end whether the exchange collided.
         return True
 
     def _collide(self, transmitters, t, kind, phase_end):
+        self._collided = len(transmitters) > 1
         for node in transmitters:
             self._push(t + node.airtime_int, DATA_END, (node.node_id,))
 
@@ -754,7 +757,7 @@ class SlotBySlot(Simulation):
         self._emit_entries(t, exchange.kind, [(node_id, "tx_end", node.backoff)])
         node.stats.tx_airtime_us += node.airtime_us
         self.stats.add_busy(node.airtime_us)
-        if len(exchange.wires) > 1:
+        if self._collided:
             timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
             self._push(timeout, EventKind.ACK_TIMEOUT, (node_id,))
         else:
@@ -1553,10 +1556,10 @@ class TestCompiledSchedule:
 
 class TestUntracedRunsDoNoTraceWork:
     """A run without a trace never reaches the trace helpers: with each of
-    them (every trace_* callable the kernel binds, and _emit_batch)
-    replaced by a stub that raises, both bundled scenarios and a
-    secured scenario with Poisson, polled and scheduled nodes still write
-    their golden stats, and a traced run still writes the golden trace."""
+    them (every trace_* callable the kernel binds) replaced by a stub that
+    raises, both bundled scenarios and a secured scenario with Poisson,
+    polled and scheduled nodes still write their golden stats, and a
+    traced run still writes the golden trace."""
 
     SCENARIOS = ["contention_pair", "mixed_access", "every_access_mode"]
 
@@ -1580,7 +1583,6 @@ class TestUntracedRunsDoNoTraceWork:
         with monkeypatch.context() as m:
             for name in renderers:
                 m.setattr(kernel, name, self._refuse)
-            m.setattr(Simulation, "_emit_batch", self._refuse)
             run_to_files(sc, stats)
         assert hashlib.sha256(stats.read_bytes()).hexdigest() == stats_digest
         run_to_files(sc, stats, trace)
