@@ -85,6 +85,10 @@ delivered (zero bit errors). Polled and scheduled traffic runs inside
 the shared phases on the schedule's grants, one frame exchange per
 grant. A grant's exchange begins as a contention transmission does, but
 a shared phase has no contenders, so no grid pauses or resumes around it.
+A grant, a schedule event, sorts before the end of an exchange on its
+instant (with no guard time, a grant's exchange ends on the next grant),
+so a grant that meets an exchange runs once more at its instant as a
+dynamic event, after that end.
 
 The kernel decides which lines a run traces and in what order; csma
 renders them. At a slot end that starts an exchange, csma.trace_storm
@@ -693,11 +697,16 @@ class Simulation:
 
     # ------------------------------------------------- grants and beacons
 
-    def _on_poll_grant(self, node_id: str, duration: int, window_us: int, kind: PhaseKind) -> None:
+    def _on_poll_grant(self, node_id: str, duration: int, window_us: int, kind: PhaseKind, deferred=False) -> None:
         node = self.nodes[node_id]
-        if not node.backlog or self.exchange is not None:
+        if not node.backlog:
             return
         t = self.now
+        if self.exchange is not None:
+            if deferred:  # the guard and grant sizing leave only an exchange ending at t
+                raise SimulationError(f"{node_id}: a grant deferred to t={t} met an exchange in flight")
+            self._push(t, _POLL_GRANT, (node_id, duration, window_us, kind, True))
+            return
         if node.exchange_us > duration:
             raise SimulationError(
                 f"{node_id}: a {node.exchange_us} us frame exchange does not fit its {duration} us grant"

@@ -341,17 +341,19 @@ _LAST_TIMEOUT_ON_A_BEACON = _exact_fit(
 
 # name -> (scenario, stats digest, trace digest). The first six were
 # recorded before a clean exchange became one heap event, the last five
-# before a collided exchange became one heap event per transmitter.
+# before a collided exchange became one heap event per transmitter. The
+# first two were recorded again when a grant that meets an exchange ending
+# on its instant began to run after that end rather than drop.
 EDGE_DIGESTS = {
     "zero_spacing": (
         _ZERO_SPACING,
-        "c5bda1f394c61a386f7054872637d0d168da16bb93a1eae0d323cfe119a0be20",
-        "f2c99a97ddb1a3cb4955996556ec795dc5e800ce24b9880a95f26e278769b648",
+        "2f140168c150b3b9b41925a11094c946b2442f9596c1df2ea7d59c424a2d3f58",
+        "047915776e866460602edf8d715b36d08a0908824c15c9293551779b0d4a3469",
     ),
     "grant_on_phase_end": (
         _GRANT_ON_PHASE_END,
-        "bbe1c8eb139875400a659f031fadc4053f5db7fc3459d331e867e124eb55c088",
-        "3f44e9e144b198064a369811729b14495ee3ce547e08a99f06c23296bdb2f5d4",
+        "1295708f5af220ad6fd1f2ec9ad9c507f6480d9bd5906185c9b0eaca91d86ded",
+        "37cb2c70e8a26a11f1b18268ab75476a406bbf179d4bf63029ccaac469c86d5b",
     ),
     "arrivals_on_edges": (
         _ARRIVALS_ON_EDGES,

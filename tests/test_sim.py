@@ -582,8 +582,9 @@ class TestKernelInvariants:
 
     # A grant shorter than its node's exchange (the scenario check refuses
     # such grants), a second pending grid tick, a delivery and a timeout
-    # with no exchange in flight, and a grant window that ends inside the
-    # data frame of a clean exchange.
+    # with no exchange in flight, a grant window that ends inside the data
+    # frame of a clean exchange, and a deferred grant that meets that
+    # exchange still in flight.
     GRID_AND_GRANT = (
         "from bansim.errors import SimulationError\n"
         "from bansim.mac.superframe import PhaseKind\n"
@@ -596,7 +597,8 @@ class TestKernelInvariants:
         "    sim._push_tick(200, PhaseKind.RAP1, 9000, [], None)\n"
         "for check in (lambda: sim._on_poll_grant('n0', 99, 99, PhaseKind.TYPE_A), second_tick,\n"
         "              lambda: sim._on_delivery('n0'), lambda: sim._on_timeout('n0'),\n"
-        "              lambda: sim._on_poll_grant('n0', 10**6, 5, PhaseKind.TYPE_A)):\n"
+        "              lambda: sim._on_poll_grant('n0', 10**6, 5, PhaseKind.TYPE_A),\n"
+        "              lambda: sim._on_poll_grant('n0', 10**6, 10**6, PhaseKind.TYPE_A, True)):\n"
         "    try:\n"
         "        check()\n"
         "    except SimulationError as exc:\n"
@@ -619,6 +621,7 @@ class TestKernelInvariants:
             "False delivery outside an exchange",
             "False acknowledgement timeout outside an exchange",
             "False transmission crossed its phase boundary",
+            "False n0: a grant deferred to t=0 met an exchange in flight",
         ]
 
 
@@ -1552,6 +1555,54 @@ class TestCompiledSchedule:
             for index in indices:
                 sim._schedule_superframe(index)
             assert sim.pushed == expected
+
+
+def granted_deliveries(sc) -> dict[str, int]:
+    """Each polled or scheduled node's grants in the replayed schedule whose
+    exchange's delivery, its frame exchange less the guard time after the
+    grant, comes before the run's end: its deliveries when it is
+    saturated."""
+    sim = Simulation(sc)
+    superframe_us, end = sim.plan.layout.duration_us, sim.end_time
+    counts = dict.fromkeys((n.node_id for n in sc.nodes if n.access != TrafficKind.CONTENTION), 0)
+    for index in range(-(-end // superframe_us)):
+        for offset, period, residue, kind, data in sim._schedule:
+            if kind is EventKind.POLL_GRANT and index % period == residue:
+                node_id = data[0]
+                deliver = index * superframe_us + offset + sim.nodes[node_id].exchange_us - sc.timing.gtn_us
+                counts[node_id] += deliver < end
+    return counts
+
+
+class TestAllocatedService:
+    """A saturated polled or scheduled node is served once per grant that
+    its exchange fits before the run's end, also when the guard time is 0
+    and each grant's exchange ends on the next grant."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(scheduled_scenarios(), st.sampled_from([0, 1, 85]))
+    def test_each_fitting_grant_delivers_one_frame(self, text, gtn_us):
+        # Every node line names its access mode.
+        text = re.sub(r"(?m)^(\w+ = )(?:traffic=poisson:20, )?(?=.*access=)", r"\1traffic=saturated, ", text)
+        text = text.replace("[nodes]", f"[csma]\ngtn_us = {gtn_us}\n[nodes]").replace(
+            "duration_ms = 20", "duration_ms = 200")
+        try:
+            sc = parse_scenario(text)
+        except ScenarioError as exc:
+            assert "never polled" in str(exc)
+            assume(False)
+        stats, _ = run(sc)
+        assert {node_id: stats.nodes[node_id].delivered for node_id in stats.nodes} == granted_deliveries(sc)
+
+    @pytest.mark.parametrize("name, delivered", [("zero_spacing", 45), ("grant_on_phase_end", 54)])
+    def test_the_edge_scenarios_serve_every_grant(self, name, delivered):
+        from test_golden import EDGE_DIGESTS
+
+        sc = parse_scenario(re.sub(r"(?m)^p = priority=5, traffic=poisson:\d+", "p = priority=5, traffic=saturated",
+                                   EDGE_DIGESTS[name][0]))
+        stats, _ = run(sc)
+        assert stats.nodes["p"].delivered == granted_deliveries(sc)["p"] == delivered
 
 
 class TestUntracedRunsDoNoTraceWork:
