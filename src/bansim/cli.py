@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
-from bansim.errors import BansimError, ConfigError
+from bansim.errors import BansimError, ConfigError, FrameTooLong
 from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, NB_RATES, PHY_KEYS, builtin_rate_table,
                               frame_airtime_us, phy_config, write_rate_csv)
 from bansim.sim.kernel import fork_jobs, run_to_files
@@ -219,6 +219,8 @@ def cmd_frame_build(args) -> int:
         body = _hex_bytes(args.body, "--body")
     elif args.body_len < 0:
         raise ConfigError(f"--body-len must not be negative, got {args.body_len}")
+    elif args.body_len > MAX_BODY_LEN:  # refused before a huge body is built
+        raise FrameTooLong(f"body of {args.body_len} bytes exceeds {MAX_BODY_LEN}")
     else:
         body = bytes(i % 256 for i in range(args.body_len))
     ppdu = build_ppdu(cfg, mac_header, body)

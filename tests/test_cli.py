@@ -5,12 +5,16 @@ named diagnostic."""
 import hashlib
 import io
 import os
+import re
 import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bansim
 from bansim import cli
@@ -204,6 +208,12 @@ class TestFrame:
         assert captured.err.startswith("error: ConfigError: --body-len")
         assert captured.out == ""
 
+    def test_an_oversized_body_length_is_refused_before_the_body_is_built(self):
+        # The body was built first, in time and memory that grew with the length.
+        proc = run_cli("frame", "build", "--body-len", "1000000000000", timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: FrameTooLong: body of 1000000000000 bytes exceeds 255\n"
+
     def test_negative_bit_count_rejected(self, capsys):
         _, image, _ = self.build(capsys, "--body-len", "4")
         assert main(["frame", "parse", "--bits", "-8", image]) == 1
@@ -244,6 +254,55 @@ class TestFrame:
         assert captured.err == f"error: ConfigError: {flags[2][2:]} does not apply to kind {flags[1]}\n"
         assert captured.out == ""
         assert not out.exists()
+
+
+_HEX = st.text("0123456789abcdefg", max_size=24)
+_INT = st.integers(-10**13, 10**13).map(str) | st.sampled_from(["0", "255", "256", "x", ""])
+_BANDS = st.sampled_from(["402-405", "420-450", "2400-2483.5", "24", "junk"])
+_PHY_FLAGS = {"--phy": st.sampled_from(["nb", "uwb", "hbc", "wifi"]), "--band": _BANDS,
+              "--rate": st.sampled_from(["low", "high", "mid"]), "--channel": _INT, "--center": _INT}
+_FORMATS = st.sampled_from(["csv", "table", "xml"])
+# Each fuzzed command and the flags it may get, each with its values.
+_COMMANDS = {
+    ("frame", "build"): {**_PHY_FLAGS, "--mac-header": _HEX, "--body": _HEX, "--body-len": _INT},
+    ("frame", "parse"): {**_PHY_FLAGS, "--bits": _INT},
+    ("efficiency",): {"--payloads": st.text("0123456789:,-a", max_size=12), "--band": _BANDS, "--format": _FORMATS},
+    ("rates",): {"--format": _FORMATS},
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A fuzzed argv: a command, some of its flags with drawn values, a hex
+    image for `frame parse` and, now and then, a token no command takes."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = _COMMANDS[command]
+    argv = list(command)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        argv += [flag, draw(flags[flag])]
+    if command == ("frame", "parse"):
+        argv.append(draw(_HEX))
+    if not draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-x"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_a_fuzzed_command_line_succeeds_or_fails_by_name(argv):
+    """Every call returns 0, returns 1 with a named error, or is refused
+    by argparse; no other exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    if status == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert status == 1 and re.match(r"error: \w+: ", err.getvalue()), (argv, err.getvalue())
 
 
 def _die_at_seed_2(sc, *paths):
