@@ -9,8 +9,10 @@ For each module named, every comparison operator in the set `<`<->`<=`,
 `>`<->`>=`, `==`<->`!=` is a site. Each mutant flips one site in a copy of
 the checkout, made once in a temporary directory; the checkout itself is
 never written. The mutant then runs tier-1, or the test files given after
-`--tests`, stopping at the first failure. A mutant that a test fails, or
-that runs past TIMEOUT_S, is killed; one that passes survives.
+`--tests`, stopping at the first failure. A mutant that a test fails, that
+runs past TIMEOUT_S, or whose run ends without pytest's summary line (a
+process that left early through os._exit, say in a forked branch, with
+status 0) is killed; one that passes survives.
 
 A site is keyed by its module, its enclosing function and the text of its
 comparison (with `#n` for the n-th equal text in that function), never by
@@ -63,6 +65,8 @@ EQUIVALENT = {
         "the guard never starts an exchange whose data ends at or past the phase end",
     ("src/bansim/sim/kernel.py", "Simulation._collide", "data_end > phase_end"):
         "the guard never starts an exchange that ends past its phase",
+    ("src/bansim/sim/kernel.py", "fork_jobs", "code < 0"):
+        "the status is not 0 there, so neither is the exit code it gives",
     ("src/bansim/phy/ppdu.py", "parse_ppdu", "bits.ndim == 1"):
         "a fast-path guard: any other image goes through _bit_image, which gives the same array",
 }
@@ -126,11 +130,11 @@ def run_tests(copy: Path, tests: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=TIMEOUT_S)
+        done = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return "timeout"
-    return "pass" if done.returncode == 0 else "fail"
+    return "pass" if done.returncode == 0 and re.search(r"(?m)^\d+ passed", done.stdout) else "fail"
 
 
 def main(argv=None) -> int:

@@ -697,9 +697,17 @@ class TestLockReasons:
         assert set(sim.resume_unlocks) == {"busy"}
 
 
+# contention_pair with a random access phase exactly one pSIFS long, so
+# that its grid's first instant would be its end.
+PSIFS_LONG_RAP1 = (SCENARIO_DIR / "contention_pair.scn").read_text().replace(
+    "rap1_slots = 56", "rap1_slots = 1").replace("slots = 256", "slots = 201") + "\n[csma]\npsifs_us = 500\n"
+
+
 class TestLeanLoop:
-    def test_no_tick_at_or_past_the_phase_end(self):
-        sim = _TickCounter(load_scenario(SCENARIO_DIR / "contention_pair.scn"))
+    @pytest.mark.parametrize("text", [(SCENARIO_DIR / "contention_pair.scn").read_text(), PSIFS_LONG_RAP1],
+                             ids=["contention_pair", "psifs_long_rap1"])
+    def test_no_tick_at_or_past_the_phase_end(self, text):
+        sim = _TickCounter(parse_scenario(text))
         sim.run()
         assert sim.ticks > 0
         assert sim.past_end == 0
@@ -1295,11 +1303,19 @@ class TestSplitRun:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         return calls
 
-    def test_a_long_traced_run_forks_once_with_the_bytes_of_one(self, forks, tmp_path):
+    def test_a_long_traced_run_forks_once_with_the_bytes_of_one(self, forks, monkeypatch, tmp_path):
         sc = parse_scenario(CROWD.format(duration_ms=SPLIT_MS))
         stats, lines = run(sc, collect_trace=True)
+        schedule, seen = Simulation._schedule_superframe, []
+
+        def note(self, index):
+            seen.append(index)
+            schedule(self, index)
+
+        monkeypatch.setattr(Simulation, "_schedule_superframe", note)
         got = run_to_files(sc, tmp_path / "stats.csv", tmp_path / "trace.csv")
         assert forks == [os.getpid()]
+        assert seen == [0, 1, 2]  # this process stops at superframe 3, (5 + 1) // 2, with none in flight
         write_trace(lines, tmp_path / "whole.csv")
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
         assert (tmp_path / "stats.csv").read_bytes() == stats_bytes(stats, tmp_path / "want.csv")
