@@ -403,6 +403,63 @@ EDGE_DIGESTS = {
 }
 
 
+def _nonbeacon(mode: str, nodes: str) -> str:
+    # 20 ms superframes with no beacon: one shared phase fills each.
+    return f"{_NB}[superframe]\nslots = 40\n{mode}[nodes]\n{nodes}[run]\nseed = 3\nduration_ms = 300\n"
+
+
+# Each non-beacon mode's layout, with the shared phase that fills it: fill
+# type I a type I phase, fill type II and unbounded a type II phase.
+NONBEACON_MODES = {
+    "nonbeacon_i": "mode = nonbeacon\nfill_phase_type = I\n",
+    "nonbeacon_ii": "mode = nonbeacon\nfill_phase_type = II\n",
+    "unbounded": "mode = unbounded\n",
+}
+# A scheduled allocation takes the mode's one shared phase, which then holds
+# no polls, so each allocated access kind runs alone: two polled nodes (a
+# secured Poisson one and a saturated one), or two scheduled ones (a
+# saturated one every other superframe and a secured Poisson one).
+_ALLOCATED = {
+    "polled": "p = traffic=poisson:300, payload=60, access=polled\nq = traffic=saturated, payload=20, access=polled\n"
+              "[security]\np = level=2\n",
+    "scheduled": "s = traffic=saturated, payload=40, access=scheduled, slot_start=4, slot_len=6, period=2, offset=1\n"
+                 "t = traffic=poisson:60, payload=90, access=scheduled, slot_start=20, slot_len=8\n"
+                 "[security]\nt = level=1\n",
+}
+# Recorded before each heap event became the handler it runs. Fill type II
+# and unbounded give the same bytes.
+_NONBEACON_DIGESTS = {
+    ("nonbeacon_i", "polled"): (
+        "d13a8ae6281b644446d54f6d751852a4c1fbb65443c22d93aadccb84efd849e6",
+        "028fcc27edf477b0a050bafb862d51503d49f70b52782f31c5c4ae9bf3bfeb75",
+    ),
+    ("nonbeacon_i", "scheduled"): (
+        "fe78c8a23715d45b5cc5a67fc8e715edf61f567b98b242f7eaa132be1affec3d",
+        "a9af76b8083d32576e98ed27219d506b28e69db4f0d3f59ba7276d30d53cfb1d",
+    ),
+    ("nonbeacon_ii", "polled"): (
+        "d13a8ae6281b644446d54f6d751852a4c1fbb65443c22d93aadccb84efd849e6",
+        "cffd0da2be3b07964fa6c43f0129fd58fe5a76f37e81949debed7943585ac2f5",
+    ),
+    ("nonbeacon_ii", "scheduled"): (
+        "fe78c8a23715d45b5cc5a67fc8e715edf61f567b98b242f7eaa132be1affec3d",
+        "5572172c42b0c46d2bb03e8a3830431daa3e12efd9a10b9b0f0350274bbb6299",
+    ),
+    ("unbounded", "polled"): (
+        "d13a8ae6281b644446d54f6d751852a4c1fbb65443c22d93aadccb84efd849e6",
+        "cffd0da2be3b07964fa6c43f0129fd58fe5a76f37e81949debed7943585ac2f5",
+    ),
+    ("unbounded", "scheduled"): (
+        "fe78c8a23715d45b5cc5a67fc8e715edf61f567b98b242f7eaa132be1affec3d",
+        "5572172c42b0c46d2bb03e8a3830431daa3e12efd9a10b9b0f0350274bbb6299",
+    ),
+}
+EDGE_DIGESTS.update(
+    (f"{mode}_{access}", (_nonbeacon(NONBEACON_MODES[mode], _ALLOCATED[access]), *digests))
+    for (mode, access), digests in _NONBEACON_DIGESTS.items()
+)
+
+
 def overloaded(duration_ms: int) -> str:
     """One node offered 50,000 frames/s in a lone RAP1. It delivers one
     frame per 1.9 ms or so, so nearly every arrival stays queued: about
@@ -613,6 +670,18 @@ def test_the_edge_scenarios_reach_their_edges(tmp_path):
     # A held data end on another transmitter's timeout comes before its fail line.
     lines = [line.split(",") for line in runs["data_end_on_a_timeout"][2]]
     assert any(lines[i + 1][:3] == [lines[i][0], "c", "fail"] for i in _late_data_ends(runs["data_end_on_a_timeout"][2]))
+
+    # A non-beacon run serves its allocated nodes in its one shared phase
+    # and traces no beacon; fill type II and unbounded lay out one phase.
+    for mode in NONBEACON_MODES:
+        for access in _ALLOCATED:
+            _, stats, lines = runs[f"{mode}_{access}"]
+            phase = "TypeI_II_a" if mode == "nonbeacon_i" else "TypeI_II_b"
+            assert stats.delivered > 0 and {line.rsplit(",", 1)[1] for line in lines} == {phase}, (mode, access)
+            assert not _times(lines, "tx_start", "hub")
+    for access in _ALLOCATED:
+        assert runs[f"nonbeacon_ii_{access}"][2] == runs[f"unbounded_{access}"][2]
+        assert EDGE_DIGESTS[f"nonbeacon_ii_{access}"][1:] == EDGE_DIGESTS[f"unbounded_{access}"][1:]
 
 
 def _late_data_ends(lines):
