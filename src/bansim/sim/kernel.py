@@ -6,18 +6,22 @@ sim.scenario.compile_scenario, which checks every value and static rule
 frame exchange and one superframe's schedule of phase starts, beacons
 and grants; the kernel only replays it and joins it with the CSMA engine
 and the security sessions. A broken invariant of its own raises
-SimulationError. Time is a 64-bit microsecond clock; events dispatch in
-(time, class, insertion order), so a run is a pure function of
-(scenario, seed). A run covers [0, end): an event at its end instant does
-not happen, while an exchange that fits its phase exactly does. A beacon
-traces its start, but its airtime, count and tx_end line only if it ends
-before the run's end, as a clean exchange's data end does. At one
-instant phase starts come first, then the rest of the schedule (beacons,
-grants), then dynamic events (grid ticks, transmissions, arrivals). The
-schedule is replayed one superframe ahead: superframe i+1 is pushed when
-the run reaches its start, which keeps the heap small and, thanks to the
-class order, gives the same order as a schedule filled for the whole run
-up front.
+SimulationError. Time is a 64-bit microsecond clock. An event is the
+handler it runs: a heap entry is (time, rank, seq, handler, args), and
+run() pops the first and calls handler(*args), so events run in (time,
+rank, insertion order) and a run is a pure function of (scenario, seed).
+A run covers [0, end): an event at its end instant does not happen, while
+an exchange that fits its phase exactly does. A beacon traces its start,
+but its airtime, count and tx_end line only if it ends before the run's
+end, as a clean exchange's data end does. At one instant phase starts
+come first (rank 0), then the rest of the schedule (beacons, grants and
+superframe starts, rank 1), then dynamic events (grid ticks,
+transmissions, arrivals, rank 2). Each entry of the plan's schedule is
+bound to its handler and rank once, when the run is set up. The schedule
+is replayed one superframe ahead: _on_superframe pushes superframe i+1
+when the run reaches its start, which keeps the heap small and, thanks
+to the rank order, gives the same order as a schedule filled for the
+whole run up front.
 
 The heap holds only instants that something can observe: the start of a
 phase that some node may contend in (a phase that none may use has no
@@ -118,10 +122,13 @@ tick is pending (the grid never ticks at a phase end), no unlock text or
 tx_end line is held (they live only as long as their exchange), and
 tracing draws no random number and pushes no event, so a traced and an
 untraced run hold the same state there and both processes find the same
-cut. If no superframe start qualifies, the calling process traces the
-whole run and the child's half is empty. The stats returned are the
-child's, from its full run, which is where check_conservation runs; the
-calling process stops at the cut without them.
+cut. _on_superframe, which runs once per superframe, holds the cut test;
+at the cut the calling process writes out its lines and empties its heap,
+so the loop ends and run() returns None. If no superframe start
+qualifies, the calling process traces the whole run and the child's half
+is empty. The stats returned are the child's, from its full run, which
+is where check_conservation runs; the calling process stops at the cut
+without them.
 
 Every transmission by a secured node passes the security gate,
 spend_counter, which refuses it without an active pairwise key
@@ -164,14 +171,6 @@ from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import scratch_text, text_stream
 
 __all__ = ["Simulation", "fork_jobs", "run", "run_to_files", "write_trace"]
-
-# The event kinds, bound once: CPython 3.11 reads a member off its enum
-# class through the metaclass's __getattr__ hook, at about 0.1 us a read,
-# and the loop reads one or more per event.
-_PHASE_START, _ACK_TIMEOUT, _DELIVERY = EventKind.PHASE_START, EventKind.ACK_TIMEOUT, EventKind.DELIVERY
-_POLL_GRANT, _BEACON_TX, _TRAFFIC_ARRIVAL, _SUPERFRAME = (
-    EventKind.POLL_GRANT, EventKind.BEACON_TX, EventKind.TRAFFIC_ARRIVAL, EventKind.SUPERFRAME
-)
 
 # Hub trace lines borrow the node line format with zeroed contention
 # fields; the renderers read nothing else of a state.
@@ -249,10 +248,15 @@ class Simulation:
                 node.session = self.security.associate(spec.node_id, sec.level, sec.mk)
             nodes.append(node)
         self._init_engine(scenario.timing, scenario.run.duration_us, plan.ack_us, nodes, collect_trace, trace_file)
-        # A phase that no node contends in needs no event at its start.
+        # Each schedule entry is bound once to its handler and its rank at an
+        # instant, as (offset, period, residue, handler, args, rank). A phase
+        # that no node contends in needs no event at its start.
+        bound = {EventKind.PHASE_START: (self._on_phase_start, 0), EventKind.BEACON_TX: (self._on_beacon, 1),
+                 EventKind.POLL_GRANT: (self._on_poll_grant, 1)}
         self._schedule = tuple(
-            entry for entry in plan.schedule
-            if entry[3] is not _PHASE_START or self._contenders[entry[4][0]]
+            (offset, period, residue, bound[kind][0], args, bound[kind][1])
+            for offset, period, residue, kind, args in plan.schedule
+            if kind is not EventKind.PHASE_START or self._contenders[args[0]]
         )
         groups: dict[str, list[str]] = {}
         for node_id, sec in scenario.security.items():
@@ -269,14 +273,16 @@ class Simulation:
         self.collect_trace = collect_trace or trace_file is not None
         self.trace: list[str] = []
         self._trace_file = trace_file  # where _flush_trace empties self.trace
-        # A split run's cut (see _at_cut): the superframe index from which a
-        # start with no exchange in flight is the cut, and, in the child, the
-        # scratch file that its traced half goes to.
-        self._cut = math.inf
+        # A split run's cut (see _on_superframe): the superframe index from
+        # which a start with no exchange in flight is the cut (None once the
+        # calling side has stopped there), and, in the child, the scratch
+        # file that its traced half goes to.
+        self._cut: float | None = math.inf
         self._rest = None
 
         self.now = 0
-        self._heap: list[tuple[int, int, int, EventKind, tuple]] = []
+        # (time, rank, seq, handler, args): run() calls handler(*args).
+        self._heap: list[tuple[int, int, int, object, tuple]] = []
         self._seq = 0
         # The pending grid tick: (time, 2, seq, phase kind, phase end, the
         # nodes its slot end counts, the exchange it resumes after or None).
@@ -303,21 +309,13 @@ class Simulation:
 
     # ------------------------------------------------------------ plumbing
 
-    def _push(self, time_us: int, kind: EventKind, data: tuple = ()) -> None:
-        """Queue a dynamic event; it sorts after every schedule event at
-        its instant."""
+    def _push(self, time_us: int, handler, args: tuple = (), rank: int = 2) -> None:
+        """Queue handler(*args) at time_us, after the events of its rank and
+        lower at that instant: rank 0 for a phase start, 1 for the rest of
+        the schedule, 2 for a dynamic event."""
         if time_us < self.end_time:
             self._seq += 1
-            heapq.heappush(self._heap, (time_us, 2, self._seq, kind, data))
-
-    def _push_schedule(self, time_us: int, kind: EventKind, data: tuple) -> None:
-        """Queue a schedule event. Phase starts sort first at their instant,
-        then the other schedule events, then dynamic events: the order that
-        generating the whole run's schedule before the first event gives."""
-        if time_us < self.end_time:
-            self._seq += 1
-            rank = 0 if kind is _PHASE_START else 1
-            heapq.heappush(self._heap, (time_us, rank, self._seq, kind, data))
+            heapq.heappush(self._heap, (time_us, rank, self._seq, handler, args))
 
     def _push_tick(self, time_us: int, kind: PhaseKind, phase_end: int, counting, ended) -> None:
         """Hold the grid's next instant. It draws the seq a dynamic event
@@ -341,10 +339,10 @@ class Simulation:
         event that replays the next superframe at its start."""
         superframe_us = self.plan.layout.duration_us
         base = index * superframe_us
-        for offset, period, residue, kind, data in self._schedule:
+        for offset, period, residue, *event in self._schedule:
             if index % period == residue:
-                self._push_schedule(base + offset, kind, data)
-        self._push_schedule(base + superframe_us, _SUPERFRAME, (index + 1,))
+                self._push(base + offset, *event)
+        self._push(base + superframe_us, self._on_superframe, (index + 1,), 1)
 
     def _seed_traffic(self) -> None:
         for node_id in sorted(self.nodes):
@@ -357,7 +355,7 @@ class Simulation:
                 self._push_arrival(node, 0)
             else:  # scripted
                 for t in node.spec.traffic[1]:
-                    self._push(t, _TRAFFIC_ARRIVAL, (node_id,))
+                    self._push(t, self._on_arrival, (node_id,))
 
     def _push_arrival(self, node: _Node, after_us: int) -> None:
         rate_per_s = node.spec.traffic[1]
@@ -365,7 +363,7 @@ class Simulation:
         # A gap that reaches the run end pushes nothing either way; dropping
         # it before rounding keeps an infinite gap (a tiny rate) off the clock.
         if gap < self.end_time - after_us:
-            self._push(after_us + clock_us(gap), _TRAFFIC_ARRIVAL, (node.node_id,))
+            self._push(after_us + clock_us(gap), self._on_arrival, (node.node_id,))
 
     # ----------------------------------------------------------- main loop
 
@@ -379,32 +377,15 @@ class Simulation:
             tick = self._tick
             if tick is not None and (not heap or tick < heap[0]):
                 self._tick = None
-                time_us, _, _, kind, phase_end, counting, ended = tick
-                self.now = time_us
+                self.now, _, _, kind, phase_end, counting, ended = tick
                 self._on_slot_tick(kind, phase_end, counting, ended)
                 continue
             if not heap:
                 break
-            time_us, _, _, kind, data = heapq.heappop(heap)
-            self.now = time_us
-            # The most frequent kinds first.
-            if kind is _ACK_TIMEOUT:
-                self._on_timeout(*data)
-            elif kind is _TRAFFIC_ARRIVAL:
-                self._on_arrival(*data)
-            elif kind is _DELIVERY:
-                self._on_delivery(*data)
-            elif kind is _POLL_GRANT:
-                self._on_poll_grant(*data)
-            elif kind is _PHASE_START:
-                self._on_phase_start(*data)
-            elif kind is _BEACON_TX:
-                self._on_beacon()
-            elif kind is _SUPERFRAME:
-                if data[0] >= self._cut and self.exchange is None and self._at_cut():
-                    return None
-                self._flush_trace()
-                self._schedule_superframe(*data)
+            self.now, _, _, handler, args = heapq.heappop(heap)
+            handler(*args)
+        if self._cut is None:  # the calling side of a split run, stopped at its cut
+            return None
         if self._late:
             self._trace_late(self.end_time)
         self._flush_trace()
@@ -413,15 +394,21 @@ class Simulation:
         self.stats.check_conservation()
         return self.stats
 
-    def _at_cut(self) -> bool:
-        """At a split run's cut: the calling side writes out its lines and
-        stops (True); the child traces on from here into its scratch file."""
-        if self._rest is None:
-            self._flush_trace()
-            return True
-        self._cut = math.inf
-        self.collect_trace, self._trace_file = True, self._rest
-        return False
+    def _on_superframe(self, index: int) -> None:
+        """Superframe `index` starts: write out the buffered lines and push
+        its schedule. At a split run's cut the calling side writes out its
+        lines and stops, with an empty heap, and the child traces on from
+        here into its scratch file."""
+        if index >= self._cut and self.exchange is None:
+            if self._rest is None:
+                self._flush_trace()
+                self._heap.clear()
+                self._cut = None
+                return
+            self._cut = math.inf
+            self.collect_trace, self._trace_file = True, self._rest
+        self._flush_trace()
+        self._schedule_superframe(index)
 
     # ------------------------------------------------------------- phases
 
@@ -608,7 +595,7 @@ class Simulation:
             stats.ack_airtime_us += self.ack_airtime_us
             if tracing:
                 trace_event(self.trace, ack_start, kind, "ack", node.node_id, node.backoff)
-            self._push(ack_start + self.ack_int, _DELIVERY, (node.node_id,))
+            self._push(ack_start + self.ack_int, self._on_delivery, (node.node_id,))
 
     def _collide(self, transmitters: list[_Node], t: int, kind: PhaseKind, phase_end: int) -> None:
         """A collided exchange's data ends, in time order (ties in
@@ -626,7 +613,7 @@ class Simulation:
                 raise SimulationError("transmission crossed its phase boundary")
             node.stats.tx_airtime_us += node.airtime_us
             add_busy(node.airtime_us)
-            self._push(t + node.exchange_us, _ACK_TIMEOUT, (node.node_id,))
+            self._push(t + node.exchange_us, self._on_timeout, (node.node_id,))
             if tracing:
                 self._late.append((data_end, kind, node))
 
@@ -705,7 +692,7 @@ class Simulation:
         if self.exchange is not None:
             if deferred:  # the guard and grant sizing leave only an exchange ending at t
                 raise SimulationError(f"{node_id}: a grant deferred to t={t} met an exchange in flight")
-            self._push(t, _POLL_GRANT, (node_id, duration, window_us, kind, True))
+            self._push(t, self._on_poll_grant, (node_id, duration, window_us, kind, True))
             return
         if node.exchange_us > duration:
             raise SimulationError(

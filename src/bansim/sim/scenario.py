@@ -426,14 +426,10 @@ BEACON_BODY_LEN = 17
 _NODE_ID = re.compile(r"[A-Za-z0-9_.-]+")
 
 
-class EventKind(Enum):
+class EventKind(Enum):  # a schedule entry's kind, which the kernel binds to its handler
     PHASE_START = auto()
-    ACK_TIMEOUT = auto()  # a collided transmitter's missed acknowledgement
-    DELIVERY = auto()  # the acknowledged end of a clean exchange
     POLL_GRANT = auto()
     BEACON_TX = auto()
-    TRAFFIC_ARRIVAL = auto()
-    SUPERFRAME = auto()  # generate the schedule of the next superframe
 
 
 class Plan(NamedTuple):

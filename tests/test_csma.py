@@ -38,7 +38,7 @@ from bansim.mac.csma import (
 from bansim.mac import csma
 from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
 from bansim.sim.kernel import Simulation, _Node
-from bansim.sim.scenario import EventKind, NodeSpec
+from bansim.sim.scenario import NodeSpec
 from bansim.sim.stats import NodeStats
 
 GOLDEN = Path(__file__).parent / "data" / "contention_replay.csv"
@@ -357,7 +357,7 @@ class ScriptedReplay(Simulation):
     def _schedule_superframe(self, index: int) -> None:
         """All scripted phases at once, in place of the plan's schedule."""
         for kind, start, end in self._phases:
-            self._push_schedule(start, EventKind.PHASE_START, (kind, end - start))
+            self._push(start, self._on_phase_start, (kind, end - start), 0)
 
     def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         """An inadmissible phase, whose start the kernel's own schedule

@@ -13,7 +13,7 @@ import pytest
 import bansim.sim.kernel as kernel
 from bansim.mac.superframe import TrafficKind, admissible
 from bansim.security import HUB_ID
-from bansim.sim.scenario import EventKind, clock_us, compile_scenario, load_scenario, parse_scenario
+from bansim.sim.scenario import clock_us, compile_scenario, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -81,17 +81,17 @@ def _scenario(name):
 def heap_census(sc, monkeypatch):
     """The run's stats and trace, the events it asked to push and those its
     heap took (an event at or past the run's end is dropped), each counted
-    by event kind."""
+    by the name of its handler."""
     asked, counts = Counter(), Counter()
     push, push_event = heapq.heappush, kernel.Simulation._push
 
     def counted(heap, entry):
-        counts[entry[3]] += 1
+        counts[entry[3].__name__] += 1
         push(heap, entry)
 
-    def asked_for(self, time_us, kind, data=()):
-        asked[kind] += 1
-        push_event(self, time_us, kind, data)
+    def asked_for(self, time_us, handler, args=(), rank=2):
+        asked[handler.__name__] += 1
+        push_event(self, time_us, handler, args, rank)
 
     monkeypatch.setattr(kernel.heapq, "heappush", counted)
     monkeypatch.setattr(kernel.Simulation, "_push", asked_for)
@@ -141,16 +141,17 @@ def test_the_heap_holds_only_observable_instants(name, monkeypatch):
     # transmission whose data end falls inside the run; the heap takes
     # those inside it too, one per failed attempt but for those still in
     # flight at the run's end.
-    assert {kind.name for kind in asked} | {kind.name for kind in counts} <= {
-        "PHASE_START", "ACK_TIMEOUT", "DELIVERY", "POLL_GRANT", "BEACON_TX", "TRAFFIC_ARRIVAL", "SUPERFRAME"
+    assert set(asked) | set(counts) <= {
+        "_on_phase_start", "_on_timeout", "_on_delivery", "_on_poll_grant", "_on_beacon", "_on_arrival",
+        "_on_superframe",
     }
     end, wait = sc.run.duration_us, sc.timing.psifs_us + clock_us(compile_scenario(sc).ack_us) + sc.timing.gtn_us
     data_ends = [t for t in collided_data_ends(sc, lines) if t < end]
-    assert asked[EventKind.ACK_TIMEOUT] == len(data_ends) > 0
-    assert counts[EventKind.ACK_TIMEOUT] == sum(t + wait < end for t in data_ends)
-    assert 0 <= counts[EventKind.ACK_TIMEOUT] - stats.failed <= contention
+    assert asked["_on_timeout"] == len(data_ends) > 0
+    assert counts["_on_timeout"] == sum(t + wait < end for t in data_ends)
+    assert 0 <= counts["_on_timeout"] - stats.failed <= contention
     # A clean exchange pushes only its delivery.
-    assert counts[EventKind.DELIVERY] - stats.delivered in (0, 1)
-    assert counts[EventKind.PHASE_START] == contended_phase_starts(sc)
-    assert counts[EventKind.PHASE_START] > 0
+    assert counts["_on_delivery"] - stats.delivered in (0, 1)
+    assert counts["_on_phase_start"] == contended_phase_starts(sc)
+    assert counts["_on_phase_start"] > 0
     assert sum(counts.values()) <= MOST_PUSHES[name]

@@ -3,7 +3,6 @@ phase containment, all three access kinds, security on the wire, and the
 lazy slot grid against a slot-by-slot reference."""
 
 import hashlib
-import heapq
 import io
 import math
 import os
@@ -649,10 +648,6 @@ class _HeapWatch(Simulation):
         super()._push(*args)
         self.largest = max(self.largest, len(self._heap))
 
-    def _push_schedule(self, *args):
-        super()._push_schedule(*args)
-        self.largest = max(self.largest, len(self._heap))
-
 
 class _LockReasons(Simulation):
     """Records the reason each node holds on every traced lock line, and
@@ -730,10 +725,6 @@ class TestLeanLoop:
 
 # ------------------------------------------- the grid against its reference
 
-SLOT_TICK = "slot tick"  # the reference grid's heap event kinds
-DATA_END = "data end"
-ACK_HOP = "ack hop"
-
 
 class SlotBySlot(Simulation):
     """The slot grid as it ran before it became a lazy event stream: every
@@ -759,7 +750,7 @@ class SlotBySlot(Simulation):
     def _collide(self, transmitters, t, kind, phase_end):
         self._collided = len(transmitters) > 1
         for node in transmitters:
-            self._push(t + node.airtime_int, DATA_END, (node.node_id,))
+            self._push(t + node.airtime_int, self._on_data_end, (node.node_id,))
 
     def _on_data_end(self, node_id):
         exchange, node, t = self.exchange, self.nodes[node_id], self.now
@@ -770,15 +761,15 @@ class SlotBySlot(Simulation):
         self.stats.add_busy(node.airtime_us)
         if self._collided:
             timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
-            self._push(timeout, EventKind.ACK_TIMEOUT, (node_id,))
+            self._push(timeout, self._on_timeout, (node_id,))
         else:
-            self._push(t + self.timing.psifs_us, ACK_HOP, (node_id,))
+            self._push(t + self.timing.psifs_us, self._on_ack_hop, (node_id,))
 
     def _on_ack_hop(self, node_id):
         self.stats.add_busy(self.ack_airtime_us)
         self.stats.ack_airtime_us += self.ack_airtime_us
         self._emit_entries(self.now, self.exchange.kind, [(node_id, "ack", self.nodes[node_id].backoff)])
-        self._push(self.now + self.ack_int, EventKind.DELIVERY, (node_id,))
+        self._push(self.now + self.ack_int, self._on_delivery, (node_id,))
 
     def _emit_entries(self, t, kind, entries):
         if self.collect_trace:
@@ -788,31 +779,7 @@ class SlotBySlot(Simulation):
         # The base class pushes a slot end with the counters it expects to
         # count, and a resume with the exchange that ended; this grid scans
         # for both itself.
-        self._push(time_us, SLOT_TICK, (kind, phase_end, bool(counting), ended is not None))
-
-    def run(self):
-        self._schedule_superframe(0)
-        self._seed_traffic()
-        handlers = {
-            SLOT_TICK: self._on_slot_tick,
-            ACK_HOP: self._on_ack_hop,
-            DATA_END: self._on_data_end,
-            EventKind.ACK_TIMEOUT: self._on_timeout,
-            EventKind.DELIVERY: self._on_delivery,
-            EventKind.PHASE_START: self._on_phase_start,
-            EventKind.TRAFFIC_ARRIVAL: self._on_arrival,
-            EventKind.POLL_GRANT: self._on_poll_grant,
-            EventKind.BEACON_TX: self._on_beacon,
-            EventKind.SUPERFRAME: self._schedule_superframe,
-        }
-        while self._heap:
-            time_us, _, _, kind, data = heapq.heappop(self._heap)
-            self.now = time_us
-            handlers[kind](*data)
-        for node in self.nodes.values():
-            node.stats.queued = node.backlog
-        self.stats.check_conservation()
-        return self.stats
+        self._push(time_us, self._on_slot_tick, (kind, phase_end, bool(counting), ended is not None))
 
     def _on_slot_tick(self, kind, phase_end, slot_ends, unlock):
         if self.exchange is not None:
@@ -869,7 +836,7 @@ class SlotBySlot(Simulation):
         self._emit_entries(t, kind, entries)
 
         if can_act and t + self.timing.csma_slot_us < phase_end:
-            self._push(t + self.timing.csma_slot_us, SLOT_TICK, (kind, phase_end, True, False))
+            self._push(t + self.timing.csma_slot_us, self._on_slot_tick, (kind, phase_end, True, False))
 
 
 def stats_and_trace(sim):
@@ -1484,15 +1451,26 @@ def reference_superframe(sim, index):
             start = base + alloc.start_slot * layout.slot_length_us
             length = alloc.length_slots * layout.slot_length_us
             events.append((start, EventKind.POLL_GRANT, (alloc.node_id, length, start + length, covered[alloc.node_id][0])))
-    events.append((base + layout.duration_us, EventKind.SUPERFRAME, (index + 1,)))
+    events.append((base + layout.duration_us, "superframe", (index + 1,)))
     return events
 
 
 class _ScheduleLog(Simulation):
-    """Logs each schedule event the kernel pushes, with the durations in
-    its data turned into absolute times, and queues nothing."""
+    """Logs each schedule event the kernel pushes as (time, kind, data),
+    with the durations in its data turned into absolute times, and queues
+    nothing. A bound entry names its kind by its handler, and its rank must
+    put phase starts first; a plan entry pushed as it stands names it
+    itself."""
 
-    def _push_schedule(self, time_us, kind, data):
+    KINDS = {"_on_phase_start": (EventKind.PHASE_START, 0), "_on_beacon": (EventKind.BEACON_TX, 1),
+             "_on_poll_grant": (EventKind.POLL_GRANT, 1), "_on_superframe": ("superframe", 1)}
+
+    def _push(self, time_us, handler, data=(), rank=2):
+        if isinstance(handler, EventKind):
+            kind = handler
+        else:
+            kind, want_rank = self.KINDS[handler.__name__]
+            assert rank == want_rank, (kind, rank)
         if kind is EventKind.PHASE_START:
             data = (data[0], time_us, time_us + data[1])
         elif kind is EventKind.POLL_GRANT:
@@ -1574,15 +1552,15 @@ class TestCompiledSchedule:
 
 
 def granted_deliveries(sc) -> dict[str, int]:
-    """Each polled or scheduled node's grants in the replayed schedule whose
-    exchange's delivery, its frame exchange less the guard time after the
-    grant, comes before the run's end: its deliveries when it is
-    saturated."""
+    """Each polled or scheduled node's grants in the plan's schedule, all of
+    which the kernel replays, whose exchange's delivery, its frame exchange
+    less the guard time after the grant, comes before the run's end: its
+    deliveries when it is saturated."""
     sim = Simulation(sc)
     superframe_us, end = sim.plan.layout.duration_us, sim.end_time
     counts = dict.fromkeys((n.node_id for n in sc.nodes if n.access != TrafficKind.CONTENTION), 0)
     for index in range(-(-end // superframe_us)):
-        for offset, period, residue, kind, data in sim._schedule:
+        for offset, period, residue, kind, data in sim.plan.schedule:
             if kind is EventKind.POLL_GRANT and index % period == residue:
                 node_id = data[0]
                 deliver = index * superframe_us + offset + sim.nodes[node_id].exchange_us - sc.timing.gtn_us
