@@ -66,9 +66,12 @@ def _parse_payloads(spec: str) -> list[int]:
             out.extend(range(start, stop + 1, step))
         else:
             try:
-                out.append(int(part))
+                size = int(part)
             except ValueError:
                 raise ConfigError(f"bad payload size {part!r} in {spec!r}") from None
+            if not 1 <= size <= MAX_BODY_LEN:
+                raise ConfigError(f"payload size {part!r} outside 1..{MAX_BODY_LEN}")
+            out.append(size)
     if not out:
         raise ConfigError(f"no payload sizes in {spec!r}")
     return out

@@ -118,6 +118,12 @@ class TestEfficiency:
         part = spec.split(",")[-1]
         assert capsys.readouterr().err == f"error: ConfigError: payload range {part!r} outside 1..255\n"
 
+    @pytest.mark.parametrize("spec", ["5,-3", "0", "256", "10, 300"])
+    def test_a_size_past_the_body_bounds_is_refused_by_name(self, spec, capsys):
+        assert main(["efficiency", "--payloads", spec]) == 1
+        part = spec.split(",")[-1].strip()
+        assert capsys.readouterr().err == f"error: ConfigError: payload size {part!r} outside 1..255\n"
+
 
 class TestPublishedBytes:
     """The paper's numbers pinned as stored bytes, not only recomputed:
