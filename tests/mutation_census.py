@@ -1,4 +1,4 @@
-"""Mutation census: flip one comparison at a time and see whether a test fails.
+"""Mutation census: flip one comparison or off-by-one at a time and see whether a test fails.
 
 Run by hand, from the root of a checkout, with the standard library only:
 
@@ -6,7 +6,8 @@ Run by hand, from the root of a checkout, with the standard library only:
     python tests/mutation_census.py src/bansim/sim/kernel.py --tests tests/test_sim.py tests/test_golden.py
 
 For each module named, every comparison operator in the set `<`<->`<=`,
-`>`<->`>=`, `==`<->`!=` is a site. Each mutant flips one site in a copy of
+`>`<->`>=`, `==`<->`!=` is a site, and so is every literal 1 added or
+subtracted (`x + 1`<->`x - 1`, `x += 1`<->`x -= 1`). Each mutant flips one site in a copy of
 the checkout, made once in a temporary directory; the checkout itself is
 never written. The mutant then runs tier-1, or the test files given after
 `--tests`, stopping at the first failure. A mutant that a test fails, that
@@ -15,8 +16,8 @@ process that left early through os._exit, say in a forked branch, with
 status 0) is killed; one that passes survives.
 
 A site is keyed by its module, its enclosing function and the text of its
-comparison (with `#n` for the n-th equal text in that function), never by
-its line. `EQUIVALENT` lists the sites whose flip changes no behaviour,
+comparison or sum (with `#n` for the n-th equal text in that function),
+never by its line. `EQUIVALENT` lists the sites whose flip changes no behaviour,
 each with its reason: a survivor there is expected. Any other survivor is
 a rule no test holds at its edge, and the census exits 1.
 
@@ -32,6 +33,7 @@ import argparse
 import ast
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -45,9 +47,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # takes about 35 s.
 TIMEOUT_S = 600
 
+# The most address space a mutant's test run may map: a mutant that makes a
+# traced run endless fails with a MemoryError instead of filling the host.
+MEMORY_BYTES = 3 << 30
+
 # Each operator and the one it flips to.
 FLIPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
 _OPERATOR = re.compile(rb"<=|>=|==|!=|<|>")
+# The sign before a literal 1 and the one it flips to.
+SIGNS = {ast.Add: "-", ast.Sub: "+"}
+_SIGN = re.compile(rb"[+-]")
 
 # (module, function, comparison) -> why flipping it changes no behaviour.
 EQUIVALENT = {
@@ -61,6 +70,8 @@ EQUIVALENT = {
         "a running maximum: an equal value leaves it the same",
     ("src/bansim/sim/kernel.py", "Simulation._next_slots", "k > 0"):
         "k = 0 steps no slot, so its loop does nothing",
+    ("src/bansim/sim/kernel.py", "Simulation._next_slots", "(phase_end - slot_us - widest - t) // slot_us + 1"):
+        "a shorter batch only splits a step: the slot ends it leaves out tick one by one, with the same bytes",
     ("src/bansim/sim/kernel.py", "Simulation._begin_exchange", "data_end > phase_end"):
         "the guard never starts an exchange whose data ends at or past the phase end",
     ("src/bansim/sim/kernel.py", "Simulation._collide", "data_end > phase_end"):
@@ -85,7 +96,7 @@ class Site:
 
 
 def sites(module: str, source: bytes) -> list[Site]:
-    """Every flippable comparison of `module`, in source order."""
+    """Every flippable comparison and off-by-one of `module`, in source order."""
     tree = ast.parse(source)
     line_starts = [0]
     for line in source.splitlines(keepends=True):
@@ -96,23 +107,28 @@ def sites(module: str, source: bytes) -> list[Site]:
 
     found: list[Site] = []
 
+    def add(scope, left, right, operator, flipped):
+        """The site of the first `operator` match between `left` and `right`."""
+        gap_start = offset(left.end_lineno, left.end_col_offset)
+        match = operator.search(source[gap_start : offset(right.lineno, right.col_offset)])
+        text = source[offset(left.lineno, left.col_offset) : offset(right.end_lineno, right.end_col_offset)]
+        found.append(Site(
+            module, scope or "<module>", " ".join(text.decode().split()),
+            gap_start + match.start(), gap_start + match.end(), flipped.encode(), left.lineno,
+        ))
+
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             for i, op in enumerate(node.ops):
-                if type(op) not in FLIPS:
-                    continue
-                left, right = operands[i], operands[i + 1]
-                gap_start = offset(left.end_lineno, left.end_col_offset)
-                gap = source[gap_start : offset(right.lineno, right.col_offset)]
-                match = _OPERATOR.search(gap)
-                text = source[offset(left.lineno, left.col_offset) : offset(right.end_lineno, right.end_col_offset)]
-                found.append(Site(
-                    module, scope or "<module>", " ".join(text.decode().split()),
-                    gap_start + match.start(), gap_start + match.end(), FLIPS[type(op)].encode(), left.lineno,
-                ))
+                if type(op) in FLIPS:
+                    add(scope, operands[i], operands[i + 1], _OPERATOR, FLIPS[type(op)])
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SIGNS:
+            left, right = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+            if isinstance(right, ast.Constant) and type(right.value) is int and right.value == 1:
+                add(scope, left, right, _SIGN, SIGNS[type(node.op)])
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -125,13 +141,17 @@ def sites(module: str, source: bytes) -> list[Site]:
     return found
 
 
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
 def run_tests(copy: Path, tests: list[str]) -> str:
     """'pass', 'fail' or 'timeout' for the tests in `copy`."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                              text=True, timeout=TIMEOUT_S)
+                              text=True, timeout=TIMEOUT_S, preexec_fn=_cap_memory)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 and re.search(r"(?m)^\d+ passed", done.stdout) else "fail"

@@ -53,10 +53,35 @@ def test_mseq_is_balanced():
 
 
 def test_index_out_of_range_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^code index 8 outside 0\.\.7$"):
         kasami63(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^code index -1 outside 0\.\.7$"):
         kasami63(-1)
+
+
+@pytest.mark.parametrize("seed", [0, 1 << 6, (1 << 6) + 1])
+def test_a_seed_that_is_no_nonzero_register_state_is_refused(seed):
+    with pytest.raises(ValueError, match="^seed must be a nonzero state of the register$"):
+        mseq(seed=seed)
+
+
+def test_every_register_state_seeds_a_shift_of_one_sequence():
+    u = "".join(map(str, mseq().tolist()))
+    for seed in (1, (1 << 6) - 1):
+        assert "".join(map(str, mseq(seed=seed).tolist())) in u + u
+
+
+# Each code's 63 bits as one word, first bit most significant: which shift
+# of the short sequence each index names is part of the signal.
+CODE_WORDS = [
+    0x7EACDDA4E2F28C20, 0x0C491633CCAE3552, 0x47DE386F75DCD099, 0x2215AF412965A27C,
+    0x50F064D607391B0E, 0x6982811D901747B7, 0x353BF3F85B8069EB, 0x1B674A8ABE4BFEC5,
+]
+
+
+def test_each_index_names_its_pinned_code():
+    for idx, word in enumerate(CODE_WORDS):
+        assert int("".join(map(str, kasami63_bits(idx).tolist())), 2) == word, idx
 
 
 def test_full_set_correlations_are_three_valued():
