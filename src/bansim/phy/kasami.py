@@ -25,9 +25,9 @@ def mseq(degree: int = _DEGREE, taps: tuple[int, ...] = _TAPS, seed: int = _SEED
     """Maximal-length sequence from a Fibonacci LFSR, as 0/1 values.
 
     `taps` lists the exponents of the feedback polynomial. The register
-    must never be all-zero, so seed != 0 is required.
+    must never be all-zero, so the seed must be a state in 1..2**degree - 1.
     """
-    if seed == 0 or seed >= (1 << degree):
+    if not 0 < seed < (1 << degree):
         raise ValueError("seed must be a nonzero state of the register")
     length = (1 << degree) - 1
     state = [(seed >> i) & 1 for i in range(degree)]

@@ -59,7 +59,7 @@ def test_index_out_of_range_rejected():
         kasami63(-1)
 
 
-@pytest.mark.parametrize("seed", [0, 1 << 6, (1 << 6) + 1])
+@pytest.mark.parametrize("seed", [0, 1 << 6, (1 << 6) + 1, -1, -(1 << 6)])
 def test_a_seed_that_is_no_nonzero_register_state_is_refused(seed):
     with pytest.raises(ValueError, match="^seed must be a nonzero state of the register$"):
         mseq(seed=seed)
