@@ -7,19 +7,20 @@ Run by hand, from the root of a checkout, with the standard library only:
 
 For each module named, every comparison operator in the set `<`<->`<=`,
 `>`<->`>=`, `==`<->`!=` is a site, and so is every literal 1 added or
-subtracted (`x + 1`<->`x - 1`, `x += 1`<->`x -= 1`). Each mutant flips one site in a copy of
-the checkout, made once in a temporary directory; the checkout itself is
-never written. The mutant then runs tier-1, or the test files given after
-`--tests`, stopping at the first failure. A mutant that a test fails, that
-runs past TIMEOUT_S, or whose run ends without pytest's summary line (a
-process that left early through os._exit, say in a forked branch, with
-status 0) is killed; one that passes survives.
+subtracted (`x + 1`<->`x - 1`, `x += 1`<->`x -= 1`). Each mutant flips one
+site in a copy of the checkout, made once in a temporary directory; the
+checkout itself is never written. The mutant then runs tier-1, or the test
+files given after `--tests`, stopping at the first failure, with at most
+MEMORY_BYTES of address space. A mutant that a test fails, that runs past
+TIMEOUT_S, or whose run ends without pytest's summary line (a process that
+left early through os._exit, say in a forked branch, with status 0) is
+killed; one that passes survives.
 
 A site is keyed by its module, its enclosing function and the text of its
 comparison or sum (with `#n` for the n-th equal text in that function),
-never by its line. `EQUIVALENT` lists the sites whose flip changes no behaviour,
-each with its reason: a survivor there is expected. Any other survivor is
-a rule no test holds at its edge, and the census exits 1.
+never by its line. `EQUIVALENT` lists the sites whose flip changes no
+behaviour, each with its reason: a survivor there is expected. Any other
+survivor is a rule no test holds at its edge, and the census exits 1.
 
 Its name keeps it out of the test collection. On a 2-core host the 62
 sites of sim/scenario.py and mac/superframe.py took 14 minutes against
