@@ -8,14 +8,13 @@ to a configuration.
 """
 
 from bansim.phy.rates import (
+    BITS_PER_SYMBOL,
     PSDU_CODE,
     Band,
     builtin_rate_table,
     info_data_rate,
     nb_config,
 )
-
-BITS_PER_SYMBOL = {"pi/2-DBPSK": 1, "pi/4-DQPSK": 2, "pi/8-D8PSK": 3, "GMSK": 1}
 
 
 def print_table():
@@ -38,7 +37,7 @@ def rebuild_low_band():
     print("rebuilding the 402-405 MHz entries from raw symbol arithmetic")
     for rate in ("low", "high"):
         cfg = nb_config(Band.NB_402_405, rate)
-        bits = BITS_PER_SYMBOL[cfg.modulation.value]
+        bits = BITS_PER_SYMBOL[cfg.modulation]
         n, k = PSDU_CODE
         by_hand = cfg.symbol_rate * bits * k / n / cfg.spreading
         engine = info_data_rate(cfg, "psdu")

@@ -1,4 +1,4 @@
-"""Exception taxonomy for the whole package.
+"""Exception taxonomy for the whole package, and its one bytes-like check.
 
 Frame parsing reports each failure mode as a distinct class so callers can
 branch on what went wrong, not on message text.
@@ -29,6 +29,7 @@ __all__ = [
     "LevelMismatch",
     "TagFailure",
     "ReplayRejection",
+    "frame_bytes",
 ]
 
 
@@ -124,3 +125,17 @@ class TagFailure(SecurityError):
 
 class ReplayRejection(SecurityError):
     """Frame counter not strictly greater than the last accepted one."""
+
+
+def frame_bytes(value, name: str) -> bytes:
+    """`value` as bytes; a TypeError naming `name` unless it is bytes-like
+    (single-byte items). Frame builders and the security gate share it."""
+    if type(value) is bytes:
+        return value
+    try:
+        view = memoryview(value)
+    except TypeError:
+        view = None
+    if view is None or view.itemsize != 1:
+        raise TypeError(f"{name} must be bytes-like (single-byte items), got {type(value).__name__}")
+    return view.tobytes()

@@ -91,6 +91,7 @@ from bansim.errors import (
     SfdMismatch,
     TrailingBitsError,
     TruncatedFrame,
+    frame_bytes,
 )
 from bansim.phy import fec
 from bansim.phy.bitfields import bits_to_int, padded_bytes
@@ -309,23 +310,10 @@ def _decode_header(fmt: _Format, cfg: PhyConfig, coded: np.ndarray):
     return fmt.header(**values)
 
 
-def _frame_bytes(value, name: str) -> bytes:
-    """`value` as bytes; a TypeError naming `name` unless it is bytes-like."""
-    if type(value) is bytes:
-        return value
-    try:
-        view = memoryview(value)
-    except TypeError:
-        view = None
-    if view is None or view.itemsize != 1:
-        raise TypeError(f"{name} must be bytes-like (single-byte items), got {type(value).__name__}")
-    return view.tobytes()
-
-
 def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
     """The frame of `cfg`'s family. `mac_header` and `body` are bytes-like,
     kept as bytes. The image is a read-only view of immutable bytes."""
-    mac_header, body = _frame_bytes(mac_header, "mac_header"), _frame_bytes(body, "body")
+    mac_header, body = frame_bytes(mac_header, "mac_header"), frame_bytes(body, "body")
     if len(mac_header) != MAC_HEADER_LEN:
         raise ValueError(f"mac header must be {MAC_HEADER_LEN} bytes, got {len(mac_header)}")
     if len(body) > MAX_BODY_LEN:

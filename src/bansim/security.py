@@ -63,6 +63,7 @@ from bansim.errors import (
     ReplayRejection,
     SecurityError,
     TagFailure,
+    frame_bytes,
 )
 
 __all__ = [
@@ -305,28 +306,30 @@ def spend_counter(session: SecuritySession) -> bytes:
 
 
 def secure_frame(body: bytes, session: SecuritySession) -> bytes:
-    """Apply the session's level to an outgoing body; a secured level passes
-    the gate (spend_counter) first."""
+    """Apply the session's level to an outgoing bytes-like body; a secured
+    level passes the gate (spend_counter) first."""
+    sent = frame_bytes(body, "body")
     level = session.level
     if level == _UNSECURED:
-        return bytes(body)
+        return sent
     nonce = spend_counter(session)
-    sent = bytes(body)
     if level == _ENCRYPTED:
         sent = _mask(sent, session.ptk, nonce)
     return _LEVEL_BYTE[level] + nonce + sent + _tag(session.ptk, level, nonce, sent)
 
 
 def admit_frame(wire: bytes, session: SecuritySession) -> bytes:
-    """Validate an incoming wire body against the session; return the body.
+    """Validate an incoming bytes-like wire body against the session;
+    return the body.
 
     Rejections: a frame at a different level than negotiated, a tag that
     does not verify under the session keys, and a counter at or below the
     last admitted one (replay). The replay floor moves only after the tag
     verifies.
     """
+    wire = frame_bytes(wire, "wire")
     if session.level == _UNSECURED:
-        return bytes(wire)
+        return wire
     overhead = SECURITY_WIRE_OVERHEAD[session.level]
     if len(wire) < overhead:
         raise TagFailure("frame shorter than the secured envelope")

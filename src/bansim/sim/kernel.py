@@ -585,14 +585,11 @@ class Simulation:
         if data_end > phase_end:
             raise SimulationError("transmission crossed its phase boundary")
         node.stats.tx_airtime_us += node.airtime_us
-        stats = self.stats
-        stats.add_busy(node.airtime_us)
         if tracing:
             trace_event(self.trace, data_end, kind, "tx_end", node.node_id, node.backoff)
         ack_start = data_end + self.timing.psifs_us
         if ack_start < self.end_time:
-            stats.add_busy(self.ack_airtime_us)
-            stats.ack_airtime_us += self.ack_airtime_us
+            self.stats.ack_airtime_us += self.ack_airtime_us
             if tracing:
                 trace_event(self.trace, ack_start, kind, "ack", node.node_id, node.backoff)
             self._push(ack_start + self.ack_int, self._on_delivery, (node.node_id,))
@@ -603,8 +600,7 @@ class Simulation:
         pushes the timeout that follows the missing acknowledgement, one
         frame exchange after t. A traced run holds each one's tx_end line
         for _trace_late."""
-        end_time = self.end_time
-        add_busy, tracing = self.stats.add_busy, self.collect_trace
+        end_time, tracing = self.end_time, self.collect_trace
         for node in sorted(transmitters, key=_AIRTIME):
             data_end = t + node.airtime_int
             if data_end >= end_time:
@@ -612,7 +608,6 @@ class Simulation:
             if data_end > phase_end:
                 raise SimulationError("transmission crossed its phase boundary")
             node.stats.tx_airtime_us += node.airtime_us
-            add_busy(node.airtime_us)
             self._push(t + node.exchange_us, self._on_timeout, (node.node_id,))
             if tracing:
                 self._late.append((data_end, kind, node))
@@ -709,7 +704,6 @@ class Simulation:
                 self._trace_late(t)
             trace_event(self.trace, t, PhaseKind.BEACON, "tx_start", HUB_ID, _HUB_FIELDS)
         if end < self.end_time:
-            self.stats.add_busy(self.plan.beacon_us)
             self.stats.beacon_airtime_us += self.plan.beacon_us
             self.stats.beacons += 1
             if self.collect_trace:

@@ -11,10 +11,11 @@ subtracted (`x + 1`<->`x - 1`, `x += 1`<->`x -= 1`). Each mutant flips one
 site in a copy of the checkout, made once in a temporary directory; the
 checkout itself is never written. The mutant then runs tier-1, or the test
 files given after `--tests`, stopping at the first failure, with at most
-MEMORY_BYTES of address space. A mutant that a test fails, that runs past
-TIMEOUT_S, or whose run ends without pytest's summary line (a process that
-left early through os._exit, say in a forked branch, with status 0) is
-killed; one that passes survives.
+MEMORY_BYTES of address space and CPU_S seconds of CPU. A mutant that a
+test fails, that runs past TIMEOUT_S, or whose run ends without pytest's
+summary line (a process that left early through os._exit, say in a forked
+branch, with status 0, or one the CPU cap ended) is killed; one that passes
+survives.
 
 A site is keyed by its module, its enclosing function and the text of its
 comparison or sum (with `#n` for the n-th equal text in that function),
@@ -52,6 +53,11 @@ TIMEOUT_S = 600
 # traced run endless fails with a MemoryError instead of filling the host.
 MEMORY_BYTES = 3 << 30
 
+# The most CPU seconds a mutant's pytest process may use: a mutant that loops
+# forever without growing is ended here, long before TIMEOUT_S. A full tier-1
+# run used 25.7 s of CPU, its child processes included, on a 2-core x86-64 host.
+CPU_S = 120
+
 # Each operator and the one it flips to.
 FLIPS = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">", ast.Eq: "!=", ast.NotEq: "=="}
 _OPERATOR = re.compile(rb"<=|>=|==|!=|<|>")
@@ -81,6 +87,8 @@ EQUIVALENT = {
         "the status is not 0 there, so neither is the exit code it gives",
     ("src/bansim/phy/ppdu.py", "parse_ppdu", "bits.ndim == 1"):
         "a fast-path guard: any other image goes through _bit_image, which gives the same array",
+    ("src/bansim/phy/fec.py", "decode_blocks", "n > k"):
+        "an uncoded word (n == k) is its own information bits, so its parity check finds no mismatch",
 }
 
 
@@ -142,8 +150,9 @@ def sites(module: str, source: bytes) -> list[Site]:
     return found
 
 
-def _cap_memory() -> None:
+def _cap_resources() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+    resource.setrlimit(resource.RLIMIT_CPU, (CPU_S, CPU_S))
 
 
 def run_tests(copy: Path, tests: list[str]) -> str:
@@ -152,7 +161,7 @@ def run_tests(copy: Path, tests: list[str]) -> str:
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(command, cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                              text=True, timeout=TIMEOUT_S, preexec_fn=_cap_memory)
+                              text=True, timeout=TIMEOUT_S, preexec_fn=_cap_resources)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 and re.search(r"(?m)^\d+ passed", done.stdout) else "fail"

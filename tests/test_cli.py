@@ -105,7 +105,7 @@ class TestEfficiency:
         assert main(["efficiency", "--payloads", "10,x"]) == 1
         assert capsys.readouterr().err == "error: ConfigError: bad payload size 'x' in '10,x'\n"
 
-    @pytest.mark.parametrize("spec", ["1:a", "10,a:5", "1:5:x", "1:2:3:4", "1:"])
+    @pytest.mark.parametrize("spec", ["1:a", "10,a:5", "1:5:x", "1:2:3:4", "1:", "1:5:0"])
     def test_bad_range_is_a_config_error_naming_the_list(self, spec, capsys):
         assert main(["efficiency", "--payloads", spec]) == 1
         part = spec.split(",")[-1]
@@ -117,6 +117,13 @@ class TestEfficiency:
         assert main(["efficiency", "--payloads", spec]) == 1
         part = spec.split(",")[-1]
         assert capsys.readouterr().err == f"error: ConfigError: payload range {part!r} outside 1..255\n"
+
+    @pytest.mark.parametrize("spec, sizes", [("1", [1]), ("7:7", [7]), ("5:5:3", [5])])
+    def test_the_bounds_of_a_size_and_a_range_are_inclusive(self, spec, sizes, capsys):
+        assert main(["efficiency", "--payloads", spec]) == 0
+        want = io.StringIO()
+        write_efficiency_csv(sweep(sweep_configs(), sizes), want)
+        assert capsys.readouterr().out == want.getvalue()
 
     @pytest.mark.parametrize("spec", ["5,-3", "0", "256", "10, 300"])
     def test_a_size_past_the_body_bounds_is_refused_by_name(self, spec, capsys):
@@ -219,6 +226,23 @@ class TestFrame:
         proc = run_cli("frame", "build", "--body-len", "1000000000000", timeout=20)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: FrameTooLong: body of 1000000000000 bytes exceeds 255\n"
+
+    @pytest.mark.parametrize("length", ["0", "255"])
+    def test_the_body_length_bounds_are_inclusive(self, length, capsys):
+        out, _, _ = self.build(capsys, "--body-len", length)
+        assert f"length={length}\n" in out
+
+    def test_a_bit_count_of_the_whole_image_parses(self, capsys):
+        flags = ["--phy", "uwb"]
+        _, image, bits = self.build(capsys, *flags, "--body", "abcd")
+        assert int(bits) == 4 * len(image)  # no pad bits in the last byte
+        assert main(["frame", "parse", *flags, "--bits", bits, image]) == 0
+        assert "body=abcd" in capsys.readouterr().out
+
+    def test_a_zero_bit_count_parses_nothing(self, capsys):
+        _, image, _ = self.build(capsys, "--body-len", "4")
+        assert main(["frame", "parse", "--bits", "0", image]) == 1
+        assert capsys.readouterr().err == "error: TruncatedFrame: image ends inside preamble\n"
 
     def test_negative_bit_count_rejected(self, capsys):
         _, image, _ = self.build(capsys, "--body-len", "4")
@@ -547,7 +571,7 @@ class TestSimulate:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["one.scn"]
 
-    @pytest.mark.parametrize("seeds", [["1", "1"], ["1", "2", "1"]])
+    @pytest.mark.parametrize("seeds", [["1", "1"], ["1", "2", "1"], ["2", "1", "1"]])
     def test_a_repeated_seed_fails_before_the_run(self, seeds, tmp_path, monkeypatch, capsys):
         scn = tmp_path / "one.scn"
         scn.write_text(SCENARIO)

@@ -222,6 +222,15 @@ def test_bad_geometry_is_a_config_error_even_without_data(code):
         decode_blocks(np.zeros(0, dtype=np.uint8), code, 0)
 
 
+@pytest.mark.parametrize("code", [(13, 1), (1, 1)])
+def test_one_information_bit_per_codeword_is_a_code(code):
+    # k = 1 is the edge of the k >= 1 rule.
+    bits = np.array([1, 0, 1], dtype=np.uint8)
+    image = encode_blocks(bits, code)
+    assert len(image) == 3 * code[0]
+    assert np.array_equal(decode_blocks(image, code, 3), bits)
+
+
 @pytest.mark.parametrize("code", [(31.0, 19.0), (31, 19.0), (True, True)], ids=["floats", "float-k", "bools"])
 def test_a_code_of_other_than_ints_is_refused(code):
     # 12.0 parity bits pass the geometry rule, but the coder sizes arrays with n and k.

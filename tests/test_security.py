@@ -174,6 +174,40 @@ class TestFraming:
         assert (s.tx_counter, s.rx_counter) == (2, 2)
 
 
+class TestBytesLike:
+    """A body or wire is bytes-like (single-byte items); anything else is a
+    TypeError naming it, raised before a counter is spent."""
+
+    NOT_BYTES = [(5, "int"), ("text", "str"), (None, "NoneType"), ([1, 2], "list"),
+                 (memoryview(b"ab").cast("H"), "memoryview")]  # 2-byte items
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("convert", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+    def test_a_bytes_like_value_frames_as_its_bytes(self, level, convert):
+        _, s = paired(level)
+        wire = secure_frame(convert(b"vitals"), s)
+        assert type(wire) is bytes
+        assert admit_frame(convert(wire), s) == b"vitals"
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("value, kind", NOT_BYTES)
+    def test_secure_frame_refuses_anything_else_by_name(self, level, value, kind):
+        # 5 once sealed five zero bytes, and "text" failed after spending counter 1.
+        _, s = paired(level)
+        with pytest.raises(TypeError, match=f"^body must be bytes-like \\(single-byte items\\), got {kind}$"):
+            secure_frame(value, s)
+        assert s.tx_counter == 0
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("value, kind", NOT_BYTES + [("x" * 20, "str")])
+    def test_admit_frame_refuses_anything_else_by_name(self, level, value, kind):
+        # "x" * 20 once read as a frame of level "x".
+        _, s = paired(level)
+        with pytest.raises(TypeError, match=f"^wire must be bytes-like \\(single-byte items\\), got {kind}$"):
+            admit_frame(value, s)
+        assert (s.tx_counter, s.rx_counter) == (0, 0)
+
+
 class TestCounterExhaustion:
     """The 4-byte frame counter runs out after 2**32 - 1 frames; the next
     frame is refused before the counter moves, and a new key starts over."""

@@ -43,6 +43,7 @@ from bansim.phy.rates import Band, frame_airtime_us, frame_airtimes_us, nb_confi
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
 from bansim.sim.stats import RunStats, write_stats_csv
+from test_conservation import count_one_arrival_twice
 from test_csma import trace_lines
 from test_golden import SCENARIO_DIGESTS, STRESS_DIGESTS, overloaded
 from test_superframe import beacon_in
@@ -758,7 +759,6 @@ class SlotBySlot(Simulation):
             raise SimulationError("transmission crossed its phase boundary")
         self._emit_entries(t, exchange.kind, [(node_id, "tx_end", node.backoff)])
         node.stats.tx_airtime_us += node.airtime_us
-        self.stats.add_busy(node.airtime_us)
         if self._collided:
             timeout = t + self.timing.psifs_us + self.ack_int + self.timing.gtn_us
             self._push(timeout, self._on_timeout, (node_id,))
@@ -766,7 +766,6 @@ class SlotBySlot(Simulation):
             self._push(t + self.timing.psifs_us, self._on_ack_hop, (node_id,))
 
     def _on_ack_hop(self, node_id):
-        self.stats.add_busy(self.ack_airtime_us)
         self.stats.ack_airtime_us += self.ack_airtime_us
         self._emit_entries(self.now, self.exchange.kind, [(node_id, "ack", self.nodes[node_id].backoff)])
         self._push(self.now + self.ack_int, self._on_delivery, (node_id,))
@@ -1163,8 +1162,7 @@ class TestStreamedTrace:
 
             monkeypatch.setattr(Simulation, "_schedule_superframe", fail_at_third)
         else:
-            add_busy = RunStats.add_busy
-            monkeypatch.setattr(RunStats, "add_busy", lambda self, us: add_busy(self, us if self.transmissions else 0.0))
+            count_one_arrival_twice(monkeypatch)
         sc = load_scenario(SCENARIO_DIR / "contention_pair.scn")
         fresh, kept = tmp_path / "fresh.csv", tmp_path / "kept.csv"
         kept_stats = tmp_path / "kept_stats.csv"
