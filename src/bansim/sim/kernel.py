@@ -2,30 +2,30 @@
 
 The kernel runs a compiled plan. Simulation hands its scenario to
 sim.scenario.compile_scenario, which checks every value and static rule
-(a ScenarioError before any event) and derives the airtimes, each node's
-frame exchange and one superframe's schedule of phase starts, beacons
-and grants; the kernel only replays it and joins it with the CSMA engine
-and the security sessions. A broken invariant of its own raises
-SimulationError. Time is a 64-bit microsecond clock. An event is the
-handler it runs: a heap entry is (time, rank, seq, handler, args), and
-run() pops the first and calls handler(*args), so events run in (time,
-rank, insertion order) and a run is a pure function of (scenario, seed).
-A run covers [0, end): an event at its end instant does not happen, while
-an exchange that fits its phase exactly does. A beacon traces its start,
-but its airtime, count and tx_end line only if it ends before the run's
-end, as a clean exchange's data end does. At one instant phase starts
-come first (rank 0), then the rest of the schedule (beacons, grants and
-superframe starts, rank 1), then dynamic events (grid ticks,
-transmissions, arrivals, rank 2). Each entry of the plan's schedule is
-bound to its handler and rank once, when the run is set up. The schedule
-is replayed one superframe ahead: _on_superframe pushes superframe i+1
-when the run reaches its start, which keeps the heap small and, thanks
-to the rank order, gives the same order as a schedule filled for the
-whole run up front.
+(a ScenarioError before any event) and derives the airtimes, each phase's
+contenders, each node's frame exchange and one superframe's schedule of
+phase starts, beacons and grants; the kernel only replays it and joins it
+with the CSMA engine and the security sessions. A broken invariant of its
+own raises SimulationError. Time is a 64-bit microsecond clock. An event
+is the handler it runs: a heap entry is (time, rank, seq, handler, args),
+and run() pops the first and calls handler(*args), so events run in
+(time, rank, insertion order) and a run is a pure function of (scenario,
+seed). A run covers [0, end): an event at its end instant does not
+happen, while an exchange that fits its phase exactly does. A beacon
+traces its start, but its airtime, count and tx_end line only if it ends
+before the run's end, as a clean exchange's data end does. At one instant
+the schedule (the plan's entries and the superframe starts, rank 1) runs
+before dynamic events (grid ticks, transmissions, arrivals, rank 2), in
+push order, which is plan order and so puts a phase start first. Each
+entry of the plan's schedule is bound to its handler once, when the run
+is set up. The schedule is replayed one superframe ahead: _on_superframe
+pushes superframe i+1 when the run reaches its start, which keeps the
+heap small and, thanks to the rank order, gives the same order as a
+schedule filled for the whole run up front.
 
 The heap holds only instants that something can observe: the start of a
-phase that some node may contend in (a phase that none may use has no
-event), each beacon, grant and superframe start, each traffic arrival,
+phase that some node may contend in (the plan schedules no other phase
+start), each beacon, grant and superframe start, each traffic arrival,
 and the end of each frame exchange. A clean exchange (a grant's, or one
 lone contender's) is one event at its delivery, data + pSIFS + ack after
 it begins; its earlier hops are applied when it begins, each only if its
@@ -164,7 +164,7 @@ from bansim.mac.csma import (
     trace_storm,
     trace_unlocks,
 )
-from bansim.mac.superframe import PhaseKind, TrafficKind, admissible
+from bansim.mac.superframe import PhaseKind, admissible  # admissible: bound only for bench/test_bench.py
 from bansim.security import HUB_ID, SecurityLevel, SecurityManager, admit_frame, secure_frame, spend_counter
 from bansim.sim.scenario import EventKind, NodeSpec, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
@@ -231,6 +231,7 @@ class Simulation:
     def __init__(self, scenario: Scenario, collect_trace: bool = False, trace_file=None):
         self.sc = scenario
         self.plan = plan = compile_scenario(scenario)
+        self.beacon_int = clock_us(plan.beacon_us)  # the beacon on the clock
         self.security = SecurityManager()
         nodes: list[_Node] = []
         for spec in scenario.nodes:
@@ -247,16 +248,13 @@ class Simulation:
             if sec is not None and sec.level >= SecurityLevel.AUTHENTICATED:
                 node.session = self.security.associate(spec.node_id, sec.level, sec.mk)
             nodes.append(node)
-        self._init_engine(scenario.timing, scenario.run.duration_us, plan.ack_us, nodes, collect_trace, trace_file)
-        # Each schedule entry is bound once to its handler and its rank at an
-        # instant, as (offset, period, residue, handler, args, rank). A phase
-        # that no node contends in needs no event at its start.
-        bound = {EventKind.PHASE_START: (self._on_phase_start, 0), EventKind.BEACON_TX: (self._on_beacon, 1),
-                 EventKind.POLL_GRANT: (self._on_poll_grant, 1)}
+        self._init_engine(scenario.timing, scenario.run.duration_us, plan.ack_us, nodes, plan.contenders,
+                          collect_trace, trace_file)
+        # Each schedule entry, bound once: (offset, period, residue, handler, args).
+        bound = {EventKind.PHASE_START: self._on_phase_start, EventKind.BEACON_TX: self._on_beacon,
+                 EventKind.POLL_GRANT: self._on_poll_grant}
         self._schedule = tuple(
-            (offset, period, residue, bound[kind][0], args, bound[kind][1])
-            for offset, period, residue, kind, args in plan.schedule
-            if kind is not EventKind.PHASE_START or self._contenders[args[0]]
+            (offset, period, residue, bound[kind], args) for offset, period, residue, kind, args in plan.schedule
         )
         groups: dict[str, list[str]] = {}
         for node_id, sec in scenario.security.items():
@@ -265,9 +263,11 @@ class Simulation:
         for group_id in sorted(groups):
             self.security.distribute_gtk(group_id, sorted(groups[group_id]))
 
-    def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], collect_trace, trace_file=None) -> None:
-        """Event loop, channel and contention state, shared by scenario
-        runs and the test subclasses that drive the engine without one."""
+    def _init_engine(self, timing, end_time, ack_airtime_us, nodes: list[_Node], contenders, collect_trace,
+                     trace_file=None) -> None:
+        """Event loop, channel and contention state (`contenders` as in
+        Plan.contenders), shared by scenario runs and the test subclasses
+        that drive the engine without one."""
         self.timing = timing
         self.end_time = end_time
         self.collect_trace = collect_trace or trace_file is not None
@@ -298,21 +298,13 @@ class Simulation:
         self.stats = RunStats(elapsed_us=end_time)
         for node_id, node in self.nodes.items():
             self.stats.nodes[node_id] = node.stats
-
-        # Priorities and access modes never change during a run, so each
-        # phase's contenders are found once.
-        contention = [n for _, n in sorted(self.nodes.items()) if n.spec.access == TrafficKind.CONTENTION]
-        self._contenders = {
-            kind: [n for n in contention if admissible(kind, n.spec.priority, TrafficKind.CONTENTION)]
-            for kind in PhaseKind
-        }
+        self._contenders = {kind: [self.nodes[node_id] for node_id in ids] for kind, ids in contenders.items()}
 
     # ------------------------------------------------------------ plumbing
 
     def _push(self, time_us: int, handler, args: tuple = (), rank: int = 2) -> None:
         """Queue handler(*args) at time_us, after the events of its rank and
-        lower at that instant: rank 0 for a phase start, 1 for the rest of
-        the schedule, 2 for a dynamic event."""
+        lower at that instant: 1 for the schedule, 2 for a dynamic event."""
         if time_us < self.end_time:
             self._seq += 1
             heapq.heappush(self._heap, (time_us, rank, self._seq, handler, args))
@@ -339,9 +331,9 @@ class Simulation:
         event that replays the next superframe at its start."""
         superframe_us = self.plan.layout.duration_us
         base = index * superframe_us
-        for offset, period, residue, *event in self._schedule:
+        for offset, period, residue, handler, args in self._schedule:
             if index % period == residue:
-                self._push(base + offset, *event)
+                self._push(base + offset, handler, args, 1)
         self._push(base + superframe_us, self._on_superframe, (index + 1,), 1)
 
     def _seed_traffic(self) -> None:
@@ -630,7 +622,6 @@ class Simulation:
         if self._late:
             self._trace_late(t)
         node.stats.failed += 1
-        node.stats.collided += 1
         on_failure(node.backoff)
         if self.collect_trace:
             trace_event(self.trace, t, exchange.kind, "fail", node_id, node.backoff)
@@ -698,7 +689,7 @@ class Simulation:
         self._begin_exchange([node], t, kind, t + window_us)
 
     def _on_beacon(self) -> None:
-        t, end = self.now, self.now + clock_us(self.plan.beacon_us)
+        t, end = self.now, self.now + self.beacon_int
         if self.collect_trace:
             if self._late:  # an exchange that ends exactly here
                 self._trace_late(t)

@@ -436,10 +436,11 @@ class Plan(NamedTuple):
     """What a run needs of a legal scenario, derived once. Airtimes are
     exact microseconds, frame exchanges are on the 1 us clock, and the
     per-node maps are keyed by node id. `schedule` holds one superframe's
-    events in push order (each phase start with its beacon and poll grants,
-    then the allocation grants by node id) as (offset_us, period, residue,
-    kind, data): the event happens offset_us into each superframe whose
-    index is `residue` modulo `period`, and its data holds no absolute time."""
+    events in push order (each phase's start if it has contenders, its
+    beacon and poll grants, then the allocation grants by node id) as
+    (offset_us, period, residue, kind, data): the event happens offset_us
+    into each superframe whose index is `residue` modulo `period`, and its
+    data holds no absolute time."""
 
     layout: PhaseLayout
     ack_us: float
@@ -447,6 +448,7 @@ class Plan(NamedTuple):
     airtime_us: dict[str, float]  # data frame, security bytes included
     payload_us: dict[str, float]  # the user-payload share of it
     exchange_us: dict[str, int]  # data, interframe space, ack and guard time
+    contenders: dict[PhaseKind, tuple[str, ...]]  # each phase kind's contention node ids, in id order
     schedule: tuple[tuple[int, int, int, EventKind, tuple], ...]
 
 
@@ -590,12 +592,14 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
         entry = (node_id, span_us, span_us, covered[0])
         alloc_grants[node_id] = (start_us, period, node.offset % period, EventKind.POLL_GRANT, entry)
 
-    contention = sum(node.access == TrafficKind.CONTENTION for node in sc.nodes)
-    if sc.run.channel == "ideal" and contention > 1:
+    contention = sorted((node.node_id, node.priority) for node in sc.nodes if node.access == TrafficKind.CONTENTION)
+    if sc.run.channel == "ideal" and len(contention) > 1:
         raise _fail(
             lines.get("run"),
-            f"ideal channel admits at most one contention node; scenario has {contention}",
+            f"ideal channel admits at most one contention node; scenario has {len(contention)}",
         )
+    contenders = {kind: tuple(node_id for node_id, priority in contention
+                              if admissible(kind, priority, TrafficKind.CONTENTION)) for kind in PhaseKind}
 
     known = {n.node_id for n in sc.nodes}
     for node_id, spec in sc.security.items():
@@ -612,7 +616,8 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
         if span.length_slots == 0:
             continue
         start, length = span.start_slot * layout.slot_length_us, span.length_slots * layout.slot_length_us
-        schedule.append((start, 1, 0, EventKind.PHASE_START, (span.kind, length)))
+        if contenders[span.kind]:
+            schedule.append((start, 1, 0, EventKind.PHASE_START, (span.kind, length)))
         if span.kind == PhaseKind.BEACON:
             schedule.append((start, sf.beacon_period_multiplier, 0, EventKind.BEACON_TX, ()))
         if polled and span.kind in SHARED_PHASES - taken:
@@ -637,8 +642,7 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
     for node in sc.nodes:
         need_us = lead_us + exchange[node.node_id]
         if node.access == TrafficKind.CONTENTION and not any(
-            span.length_slots * layout.slot_length_us >= need_us
-            and admissible(span.kind, node.priority, TrafficKind.CONTENTION)
+            span.length_slots * layout.slot_length_us >= need_us and node.node_id in contenders[span.kind]
             for span in layout.phases
         ):
             raise _fail(
@@ -654,5 +658,6 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
         airtime_us=airtime,
         payload_us=payload,
         exchange_us=exchange,
+        contenders=contenders,
         schedule=tuple(schedule),
     )

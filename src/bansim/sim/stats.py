@@ -12,22 +12,25 @@ __all__ = ["NodeStats", "RunStats", "STATS_FIELDS", "write_stats_csv"]
 
 class NodeStats:
     # The id, then the counters in argument order, which RunStats.total sums.
-    __slots__ = ("node_id", "offered", "delivered", "failed", "collided", "payload_bits",
+    __slots__ = ("node_id", "offered", "delivered", "failed", "payload_bits",
                  "payload_airtime_us", "tx_airtime_us", "access_delay_sum_us", "queued")
 
-    def __init__(self, node_id: str, offered: int = 0, delivered: int = 0, failed: int = 0, collided: int = 0,
+    def __init__(self, node_id: str, offered: int = 0, delivered: int = 0, failed: int = 0,
                  payload_bits: int = 0, payload_airtime_us: float = 0.0, tx_airtime_us: float = 0.0,
                  access_delay_sum_us: int = 0, queued: int = 0):
         self.node_id = node_id
         self.offered = offered  # frames that entered the queue
         self.delivered = delivered  # frames acknowledged
         self.failed = failed  # transmission attempts without an acknowledgement
-        self.collided = collided  # failed attempts that overlapped another frame
         self.payload_bits = payload_bits  # user payload bits delivered
         self.payload_airtime_us = payload_airtime_us  # channel time those bits occupied
         self.tx_airtime_us = tx_airtime_us  # all data airtime, failed attempts included
         self.access_delay_sum_us = access_delay_sum_us  # head-of-line to acknowledgement, delivered only
         self.queued = queued  # frames still waiting at the end of the run
+
+    @property
+    def collided(self) -> int:  # every failed attempt, as a lone transmission is always delivered
+        return self.failed
 
     @property
     def mean_access_delay_us(self) -> float:

@@ -350,14 +350,16 @@ class ScriptedReplay(Simulation):
         self._node = _Node(spec, BackoffState(priority), ScriptedDraws(draws), NodeStats(node_id),
                            airtime_us=data_tx_us, payload_airtime_us=0.0,
                            exchange_us=exchange_us(data_tx_us, ack_tx_us, timing))
-        self._init_engine(timing, math.inf, ack_tx_us, [self._node], collect_trace=True)
+        contenders = {kind: (node_id,) if admissible(kind, spec.priority, TrafficKind.CONTENTION) else ()
+                      for kind in PhaseKind}
+        self._init_engine(timing, math.inf, ack_tx_us, [self._node], contenders, collect_trace=True)
         self._phases = phases
         self._acks = list(ack_outcomes)
 
     def _schedule_superframe(self, index: int) -> None:
         """All scripted phases at once, in place of the plan's schedule."""
         for kind, start, end in self._phases:
-            self._push(start, self._on_phase_start, (kind, end - start), 0)
+            self._push(start, self._on_phase_start, (kind, end - start), 1)
 
     def _on_phase_start(self, kind: PhaseKind, length_us: int) -> None:
         """An inadmissible phase, whose start the kernel's own schedule

@@ -101,6 +101,11 @@ def test_unknown_modulation_rejected():
             cfg._replace(modulation="qam-4096")
 
 
+def test_an_unknown_narrowband_rate_is_refused_by_name():
+    with pytest.raises(ConfigError, match="^rate must be 'low' or 'high', got 'mid'$"):
+        nb_config(Band.NB_2400_2483, rate="mid")
+
+
 def test_component_name_validated():
     with pytest.raises(ValueError):
         info_data_rate(nb_config(Band.NB_402_405), "payload")

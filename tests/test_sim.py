@@ -37,8 +37,8 @@ from bansim.mac.csma import (
     trace_storm,
     trace_unlocks,
 )
-from bansim.mac.superframe import (SHARED_PHASES, PhaseKind, ScheduledAllocation, TrafficKind, phases_covered,
-                                   schedule_polls)
+from bansim.mac.superframe import (HIGHEST_PRIORITY, SHARED_PHASES, PhaseKind, ScheduledAllocation, TrafficKind,
+                                   phases_covered, schedule_polls)
 from bansim.phy.rates import Band, frame_airtime_us, frame_airtimes_us, nb_config
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
 from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
@@ -1456,19 +1456,16 @@ def reference_superframe(sim, index):
 class _ScheduleLog(Simulation):
     """Logs each schedule event the kernel pushes as (time, kind, data),
     with the durations in its data turned into absolute times, and queues
-    nothing. A bound entry names its kind by its handler, and its rank must
-    put phase starts first; a plan entry pushed as it stands names it
-    itself."""
+    nothing. A bound entry names its kind by its handler, a plan entry
+    pushed as it stands names it itself, and each is pushed at the
+    schedule's one rank, so at an instant they run in push order."""
 
-    KINDS = {"_on_phase_start": (EventKind.PHASE_START, 0), "_on_beacon": (EventKind.BEACON_TX, 1),
-             "_on_poll_grant": (EventKind.POLL_GRANT, 1), "_on_superframe": ("superframe", 1)}
+    KINDS = {"_on_phase_start": EventKind.PHASE_START, "_on_beacon": EventKind.BEACON_TX,
+             "_on_poll_grant": EventKind.POLL_GRANT, "_on_superframe": "superframe"}
 
     def _push(self, time_us, handler, data=(), rank=2):
-        if isinstance(handler, EventKind):
-            kind = handler
-        else:
-            kind, want_rank = self.KINDS[handler.__name__]
-            assert rank == want_rank, (kind, rank)
+        kind = handler if isinstance(handler, EventKind) else self.KINDS[handler.__name__]
+        assert rank == 1, (kind, rank)
         if kind is EventKind.PHASE_START:
             data = (data[0], time_us, time_us + data[1])
         elif kind is EventKind.POLL_GRANT:
@@ -1492,14 +1489,17 @@ def _shared_phase(draw, name):
 
 
 @st.composite
-def scheduled_scenarios(draw):
+def scheduled_scenarios(draw, contention=False):
     """A beacon or non-beacon layout with zero to two poll phases, 0-3
     polled nodes listed in any id order (none when no shared phase is
     free to poll in), scheduled nodes in the shared phases and, in beacon
-    mode, a beacon period multiplier of 1-3."""
+    mode, a beacon period multiplier of 1-3. With `contention`, the layout
+    is a beacon one that may also hold EAP1, EAP2 and CAP, and 1-3
+    contention nodes of any priority, listed in any id order, share a
+    collision channel; without it, no draw is made for any of these."""
     multiplier = draw(st.integers(1, 3))  # drawn in every mode, so the examples keep their draws
     superframe = draw(st.sampled_from(["", "poll_grant_us = 2200\n", "poll_grant_us = 4000\n"]))
-    if draw(st.booleans()):
+    if not contention and draw(st.booleans()):
         slots, alloc = _shared_phase(draw, draw(st.sampled_from(["sa", "sz"])))
         slots = max(slots, 8)
         superframe += f"mode = nonbeacon\nslots = {slots}\n"
@@ -1507,10 +1507,13 @@ def scheduled_scenarios(draw):
     else:
         (a_slots, alloc_a), (b_slots, alloc_b) = _shared_phase(draw, "sb"), _shared_phase(draw, "sa")
         rap1, rap2 = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+        eap1, eap2, cap = (draw(st.sampled_from([0, 6, 12])) for _ in range(3)) if contention else (0, 0, 0)
         superframe += (f"beacon_period_multiplier = {multiplier}\n"
-                       f"slots = {4 + rap1 + a_slots + rap2 + b_slots}\nbeacon_slots = 4\nrap1_slots = {rap1}\n"
-                       f"type_a_slots = {a_slots}\nrap2_slots = {rap2}\ntype_b_slots = {b_slots}\n")
-        phases = [(a_slots, alloc_a, 4 + rap1), (b_slots, alloc_b, 4 + rap1 + a_slots + rap2)]
+                       f"slots = {4 + eap1 + rap1 + a_slots + eap2 + rap2 + b_slots + cap}\nbeacon_slots = 4\n"
+                       f"rap1_slots = {rap1}\ntype_a_slots = {a_slots}\nrap2_slots = {rap2}\ntype_b_slots = {b_slots}\n")
+        if contention:
+            superframe += f"eap1_slots = {eap1}\neap2_slots = {eap2}\ncap_slots = {cap}\n"
+        phases = [(a_slots, alloc_a, 4 + eap1 + rap1), (b_slots, alloc_b, 4 + eap1 + rap1 + a_slots + eap2 + rap2)]
     polled = []
     if any(slots and alloc is None for slots, alloc, _ in phases):
         polled = draw(st.permutations(["pa", "pb", "pc"]))[: draw(st.integers(0, 3))]
@@ -1520,33 +1523,72 @@ def scheduled_scenarios(draw):
             name, length, start, period, offset = alloc
             nodes.append(f"{name} = payload=10, access=scheduled, slot_start={phase_start + start}, "
                          f"slot_len={length}, period={period}, offset={offset}")
+    run_keys = "duration_ms = 20\n"
+    if contention:
+        for node_id in draw(st.permutations(["ca", "cb", "cc"]))[: draw(st.integers(1, 3))]:
+            nodes.append(f"{node_id} = priority={draw(st.sampled_from([0, 4, 6, 7]))}, traffic=poisson:20, "
+                         f"payload={draw(st.integers(1, 20))}")
+        run_keys += "channel = collision\n"
     return ("[phy]\nband = 2400-2483.5\nrate = high\n[superframe]\n" + superframe
-            + "[nodes]\n" + "\n".join(nodes) + "\n[run]\nduration_ms = 20\n")
+            + "[nodes]\n" + "\n".join(nodes) + "\n[run]\n" + run_keys)
+
+
+def reference_contenders(sc):
+    """Each phase kind's contention node ids in id order, by the paper's
+    rule: an exclusive phase admits only the highest priority, a random or
+    contention access phase every priority, and the beacon and shared
+    phases none."""
+    contention = sorted((node.node_id, node.priority) for node in sc.nodes if node.access == "contention")
+    exclusive, open_to_all = {PhaseKind.EAP1, PhaseKind.EAP2}, {PhaseKind.RAP1, PhaseKind.RAP2, PhaseKind.CAP}
+    return {
+        kind: tuple(node_id for node_id, priority in contention
+                    if kind in open_to_all or kind in exclusive and priority == HIGHEST_PRIORITY)
+        for kind in PhaseKind
+    }
 
 
 class TestCompiledSchedule:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
-    @given(scheduled_scenarios())
-    def test_matches_the_generator_it_replaced(self, text):
+    @staticmethod
+    def check_schedule(text):
         try:
             sc = parse_scenario(text)
         except ScenarioError as exc:
-            assert "never polled" in str(exc)
+            assert "never polled" in str(exc) or "never transmits" in str(exc)
             assume(False)
         sim = _ScheduleLog(sc)
         periods = [alloc.periodicity for alloc in scheduled_allocations(sc)]
         indices = range(math.lcm(sc.superframe.beacon_period_multiplier, *periods))
-        want = [event for index in indices for event in reference_superframe(sim, index)]
-        # The plan's whole schedule; the kernel replays it without the
-        # starts of phases that no node contends in.
-        replayed = sim._schedule
-        contended = [e for e in want if e[1] is not EventKind.PHASE_START or sim._contenders[e[2][0]]]
-        for schedule, expected in ((sim.plan.schedule, want), (replayed, contended)):
+        contenders = reference_contenders(sc)
+        assert sim.plan.contenders == contenders
+        # The plan holds, and the kernel replays as it stands, only the
+        # starts of phases that some node contends in.
+        want = [event for index in indices for event in reference_superframe(sim, index)
+                if event[1] is not EventKind.PHASE_START or contenders[event[2][0]]]
+        for schedule in (sim.plan.schedule, sim._schedule):
             sim._schedule, sim.pushed = schedule, []
             for index in indices:
                 sim._schedule_superframe(index)
-            assert sim.pushed == expected
+            assert sim.pushed == want
+        # One rank holds the schedule, so at each instant a phase start is
+        # pushed before every other plan entry there.
+        first = {}
+        for time_us, kind, _ in want:
+            if kind != "superframe":
+                first.setdefault(time_us, kind)
+        assert all(first[time_us] is kind for time_us, kind, _ in want if kind is EventKind.PHASE_START)
+        return want
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(scheduled_scenarios())
+    def test_matches_the_generator_it_replaced(self, text):
+        assert not any(kind is EventKind.PHASE_START for _, kind, _ in self.check_schedule(text))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(scheduled_scenarios(contention=True))
+    def test_replays_the_contended_phase_starts(self, text):
+        self.check_schedule(text)
 
 
 def granted_deliveries(sc) -> dict[str, int]:

@@ -96,6 +96,11 @@ class TestBuildLayout:
         with pytest.raises(InvalidLayoutError, match="slot count must be positive"):
             build_layout(SuperframeConfig(slots_per_superframe=0, mode=mode))
 
+    @pytest.mark.parametrize("multiplier", [0, -1])
+    def test_a_beacon_period_multiplier_below_1_is_refused(self, multiplier):
+        with pytest.raises(InvalidLayoutError, match="^beacon period multiplier must be >= 1$"):
+            build_layout(SuperframeConfig(phase_slots=dict(FULL_SLOTS), beacon_period_multiplier=multiplier))
+
     def test_beacon_mode_requires_beacon_phase(self):
         slots = dict(FULL_SLOTS)
         slots[PhaseKind.BEACON] = 0
