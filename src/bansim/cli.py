@@ -19,7 +19,7 @@ from bansim.errors import BansimError, ConfigError, FrameTooLong
 from bansim.phy.rates import (MAC_HEADER_LEN, MAX_BODY_LEN, NB_RATES, PHY_KEYS, builtin_rate_table,
                               frame_airtime_us, phy_config, write_rate_csv)
 from bansim.sim.kernel import fork_jobs, run_to_files
-from bansim.sim.scenario import load_scenario
+from bansim.sim.scenario import load_plan
 from bansim.sim.stats import write_stats_csv
 from bansim.textio import text_stream
 
@@ -107,7 +107,7 @@ def _sweep_forked(tasks, workers: int) -> list:
     shares = [tasks[j::workers] for j in range(workers)]
     jobs = []
     for share in shares:
-        seeds = [str(sc.run.seed) for sc, _, _ in share]
+        seeds = [str(plan.scenario.run.seed) for plan, _, _ in share]
         name = f"the sweep worker for seed{'s' * (len(seeds) > 1)} {', '.join(seeds)}"
         jobs.append((name, lambda share=share: worker(share)))
     outcomes = [None] * len(tasks)
@@ -122,8 +122,8 @@ def _sweep_forked(tasks, workers: int) -> list:
 def cmd_simulate(args) -> int:
     if args.sweep_parallel < 0:
         raise ConfigError(f"--sweep-parallel must not be negative, got {args.sweep_parallel}")
-    scenario = load_scenario(args.scenario)
-    seeds = args.seed if args.seed is not None else [scenario.run.seed]
+    plan = load_plan(args.scenario)
+    seeds = args.seed if args.seed is not None else [plan.scenario.run.seed]
     if len(set(seeds)) < len(seeds):  # each seed's files would be written twice
         raise ConfigError(f"--seed {next(seed for seed in seeds if seeds.count(seed) > 1)} given twice")
     multi = len(seeds) > 1
@@ -135,9 +135,9 @@ def cmd_simulate(args) -> int:
         if args.sweep_parallel and not hasattr(os, "fork"):
             raise ConfigError("--sweep-parallel forks its workers, and this platform has no os.fork")
     tasks = []
-    for seed in seeds:
-        sc = scenario._replace(run=scenario.run._replace(seed=seed))
-        tasks.append((sc, _seeded_path(args.out, seed, multi), _seeded_path(args.trace, seed, multi)))
+    for seed in seeds:  # one compile serves every seed, which only the Plan's scenario holds
+        task = plan._replace(scenario=plan.scenario._replace(run=plan.scenario.run._replace(seed=seed)))
+        tasks.append((task, _seeded_path(args.out, seed, multi), _seeded_path(args.trace, seed, multi)))
 
     if args.sweep_parallel and multi:
         # Each worker is forked directly: a process pool's start-up and
@@ -146,13 +146,13 @@ def cmd_simulate(args) -> int:
     else:
         results = [run_to_files(*task) for task in tasks]
 
-    for (sc, stats_path, trace_path), stats in zip(tasks, results):
+    for (task, stats_path, trace_path), stats in zip(tasks, results):
         if stats_path is None:
             # No --out: the stats CSV is the standard output.
             write_stats_csv(stats, sys.stdout)
             continue
         line = (
-            f"seed={sc.run.seed} elapsed_us={stats.elapsed_us} offered={stats.offered}"
+            f"seed={task.scenario.run.seed} elapsed_us={stats.elapsed_us} offered={stats.offered}"
             f" delivered={stats.delivered} failed={stats.failed}"
             f" collided={stats.collided} efficiency={stats.efficiency:.6f}"
             f" stats={stats_path}"

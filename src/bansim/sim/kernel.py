@@ -1,12 +1,13 @@
 """Deterministic discrete-event kernel.
 
-The kernel runs a compiled plan. Simulation hands its scenario to
-sim.scenario.compile_scenario, which checks every value and static rule
-(a ScenarioError before any event) and derives the airtimes, each phase's
-contenders, each node's frame exchange and one superframe's schedule of
-phase starts, beacons and grants; the kernel only replays it and joins it
-with the CSMA engine and the security sessions. A broken invariant of its
-own raises SimulationError. Time is a 64-bit microsecond clock. An event
+The kernel runs a compiled Plan. sim.scenario.compile_scenario checks
+every value and static rule of a scenario (a ScenarioError before any
+event) and derives its Plan: the airtimes, each phase's contenders, each
+node's frame exchange and one superframe's schedule of phase starts,
+beacons and grants, with the scenario itself. Simulation takes a Plan, or
+compiles a Scenario; the kernel only replays the plan and joins it with
+the CSMA engine and the security sessions. A broken invariant of its own
+raises SimulationError. Time is a 64-bit microsecond clock. An event
 is the handler it runs: a heap entry is (time, rank, seq, handler, args),
 and run() pops the first and calls handler(*args), so events run in
 (time, rank, insertion order) and a run is a pure function of (scenario,
@@ -166,7 +167,7 @@ from bansim.mac.csma import (
 )
 from bansim.mac.superframe import PhaseKind, admissible  # admissible: bound only for bench/test_bench.py
 from bansim.security import HUB_ID, SecurityLevel, SecurityManager, admit_frame, secure_frame, spend_counter
-from bansim.sim.scenario import EventKind, NodeSpec, Scenario, clock_us, compile_scenario
+from bansim.sim.scenario import EventKind, NodeSpec, Plan, Scenario, clock_us, compile_scenario
 from bansim.sim.stats import NodeStats, RunStats, write_stats_csv
 from bansim.textio import scratch_text, text_stream
 
@@ -224,13 +225,13 @@ class _Exchange:
 
 
 class Simulation:
-    """One run of a scenario. With `collect_trace` the trace lines gather
-    in `self.trace`; with `trace_file`, an open text handle, they are
-    streamed to it instead and `self.trace` ends empty."""
+    """One run of a Plan (a Scenario is compiled first). With `collect_trace`
+    the trace lines gather in `self.trace`; with `trace_file`, an open text
+    handle, they are streamed to it instead and `self.trace` ends empty."""
 
-    def __init__(self, scenario: Scenario, collect_trace: bool = False, trace_file=None):
-        self.sc = scenario
-        self.plan = plan = compile_scenario(scenario)
+    def __init__(self, plan: Plan | Scenario, collect_trace: bool = False, trace_file=None):
+        self.plan = plan = plan if isinstance(plan, Plan) else compile_scenario(plan)
+        scenario = plan.scenario
         self.beacon_int = clock_us(plan.beacon_us)  # the beacon on the clock
         self.security = SecurityManager()
         nodes: list[_Node] = []
@@ -543,7 +544,7 @@ class Simulation:
         its data ends applied here and pushes their timeouts; a clean one
         has its data end and acknowledgement applied here and pushes its
         delivery."""
-        if len(transmitters) > 1 and self.sc.run.channel == "ideal":
+        if len(transmitters) > 1 and self.plan.scenario.run.channel == "ideal":
             raise SimulationError(
                 f"{len(transmitters)} overlapping transmissions on an ideal channel at t={t}"
             )
@@ -711,13 +712,13 @@ class Simulation:
 # ------------------------------------------------------------- front door
 
 
-def run(scenario: Scenario, collect_trace: bool = False, trace_file=None) -> tuple[RunStats, list[str]]:
-    """Run one scenario to completion; returns the stats and, when asked
-    for, the event trace lines. Given `trace_file`, an open text handle,
-    the lines are streamed to it and the returned list is empty; such a
-    run is split across two processes where it can (see the module
+def run(plan: Plan | Scenario, collect_trace: bool = False, trace_file=None) -> tuple[RunStats, list[str]]:
+    """Run one plan (or scenario) to completion; returns the stats and,
+    when asked for, the event trace lines. Given `trace_file`, an open text
+    handle, the lines are streamed to it and the returned list is empty;
+    such a run is split across two processes where it can (see the module
     docstring), with the bytes of one process."""
-    sim = Simulation(scenario, collect_trace=collect_trace, trace_file=trace_file)
+    sim = Simulation(plan, collect_trace=collect_trace, trace_file=trace_file)
     superframes = -(-sim.end_time // sim.plan.layout.duration_us)
     if trace_file is not None and superframes > 1 and _may_split():
         stats = _run_split(sim, trace_file, (superframes + 1) // 2)
@@ -842,7 +843,7 @@ def write_trace(lines: list[str], out) -> None:
             fh.write("\n")
 
 
-def run_to_files(scenario: Scenario, stats_path=None, trace_path=None) -> RunStats:
+def run_to_files(plan: Plan | Scenario, stats_path=None, trace_path=None) -> RunStats:
     """Run and write the stats CSV and optional trace to the paths given;
     a scenario names no output. Both files are opened before the run and
     put in place after it, so a run that raises writes neither. The two
@@ -853,7 +854,7 @@ def run_to_files(scenario: Scenario, stats_path=None, trace_path=None) -> RunSta
         (text_stream(stats_path) if stats_path else nullcontext()) as stats_file,
         (text_stream(trace_path) if trace_path else nullcontext()) as trace_file,
     ):
-        stats, _ = run(scenario, trace_file=trace_file)
+        stats, _ = run(plan, trace_file=trace_file)
         if stats_file is not None:
             write_stats_csv(stats, stats_file)
     return stats

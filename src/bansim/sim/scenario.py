@@ -6,7 +6,8 @@ in `n0 = priority=5, access=polled`. KEYS holds one row per key: the field
 it sets, its kind, its floor or range and the selector values that read it.
 The reader converts each value by its row, at its line; compile_scenario
 checks every field of a parsed or built scenario by the same rows, then the
-rules that join fields, and derives the Plan a run reads.
+rules that join fields, and derives the Plan a run reads: read_plan gives
+a file's Plan, with its scenario in it, so a file is compiled once.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "SecuritySpec",
     "RunSpec",
     "Scenario",
+    "read_plan",
+    "load_plan",
     "parse_scenario",
     "load_scenario",
     "EventKind",
@@ -354,9 +357,9 @@ def _phy(fields: dict[str, tuple[str, int]], section_line: int | None) -> PhyCon
         raise _fail(fields["rate_override_kbps"][1], f"rate_override_kbps: {exc}") from None
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and compile scenario text; raises ScenarioError with the
-    offending line number."""
+def read_plan(text: str) -> Plan:
+    """Parse and compile scenario text into its Plan; raises ScenarioError
+    with the offending line number."""
     section = None
     lines: dict = {}  # section -> its header's line; (section, key or entry id) -> the line giving it
     # The [phy], [superframe], [csma] and [run] entries: key -> (raw, line).
@@ -409,13 +412,20 @@ def parse_scenario(text: str) -> Scenario:
         run=RunSpec(**_read("run", fields["run"])),
         **grant,
     )
-    compile_scenario(scenario, lines)
-    return scenario
+    return compile_scenario(scenario, lines)
+
+
+def load_plan(path) -> Plan:
+    with text_stream(path, "r") as fh:
+        return read_plan(fh.read())
+
+
+def parse_scenario(text: str) -> Scenario:
+    return read_plan(text).scenario
 
 
 def load_scenario(path) -> Scenario:
-    with text_stream(path, "r") as fh:
-        return parse_scenario(fh.read())
+    return load_plan(path).scenario
 
 
 # ------------------------------------------------------------- compiling
@@ -433,15 +443,17 @@ class EventKind(Enum):  # a schedule entry's kind, which the kernel binds to its
 
 
 class Plan(NamedTuple):
-    """What a run needs of a legal scenario, derived once. Airtimes are
-    exact microseconds, frame exchanges are on the 1 us clock, and the
-    per-node maps are keyed by node id. `schedule` holds one superframe's
-    events in push order (each phase's start if it has contenders, its
-    beacon and poll grants, then the allocation grants by node id) as
-    (offset_us, period, residue, kind, data): the event happens offset_us
-    into each superframe whose index is `residue` modulo `period`, and its
-    data holds no absolute time."""
+    """A legal scenario and what a run needs of it, derived once; no field
+    but `scenario` depends on its seed, and the kernel reads the scenario
+    through the Plan. Airtimes are exact microseconds, frame exchanges are
+    on the 1 us clock, and the per-node maps are keyed by node id.
+    `schedule` holds one superframe's events in push order (each phase's
+    start if it has contenders, its beacon and poll grants, then the
+    allocation grants by node id) as (offset_us, period, residue, kind,
+    data): the event happens offset_us into each superframe whose index is
+    `residue` modulo `period`, and its data holds no absolute time."""
 
+    scenario: Scenario
     layout: PhaseLayout
     ack_us: float
     beacon_us: float
@@ -652,6 +664,7 @@ def compile_scenario(sc: Scenario, lines: dict | None = None) -> Plan:
                 f"and its frame exchange",
             )
     return Plan(
+        scenario=sc,
         layout=layout,
         ack_us=ack_us,
         beacon_us=beacon_us,

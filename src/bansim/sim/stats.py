@@ -25,7 +25,7 @@ class NodeStats:
         self.payload_bits = payload_bits  # user payload bits delivered
         self.payload_airtime_us = payload_airtime_us  # channel time those bits occupied
         self.tx_airtime_us = tx_airtime_us  # all data airtime, failed attempts included
-        self.access_delay_sum_us = access_delay_sum_us  # head-of-line to acknowledgement, delivered only
+        self.access_delay_sum_us = access_delay_sum_us  # first draw (contention) or grant to ack, delivered only
         self.queued = queued  # frames still waiting at the end of the run
 
     @property

@@ -22,6 +22,8 @@ from bansim.cli import main
 from bansim.efficiency import sweep, sweep_configs, write_efficiency_csv
 from bansim.errors import ConfigError
 from bansim.phy.rates import builtin_rate_table, write_rate_csv
+from bansim.sim import kernel as kernel_mod
+from bansim.sim import scenario as scenario_mod
 from bansim.sim.kernel import run, run_to_files
 from bansim.sim.scenario import load_scenario
 
@@ -335,9 +337,19 @@ def test_a_fuzzed_command_line_succeeds_or_fails_by_name(argv):
         assert status == 1 and re.match(r"error: \w+: ", err.getvalue()), (argv, err.getvalue())
 
 
+def append(path, line):
+    """Append one line to `path` in a single write, so the lines of forked
+    processes never interleave."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
+
+
 def _die_at_seed_2(sc, *paths):
     """run_to_files, but the process running seed 2 is killed."""
-    if sc.run.seed == 2:
+    if sc.scenario.run.seed == 2:
         os.kill(os.getpid(), signal.SIGKILL)
     return run_to_files(sc, *paths)
 
@@ -393,16 +405,9 @@ class TestSimulate:
         log, fork_log = tmp_path / "pids.log", tmp_path / "forks.log"
         real, real_fork = cli.run_to_files, os.fork
 
-        def append(path, line):
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-            try:
-                os.write(fd, f"{line}\n".encode())
-            finally:
-                os.close(fd)
-
         def recorded(sc, *paths):
             stats = real(sc, *paths)
-            append(log, f"{sc.run.seed} {os.getpid()}")
+            append(log, f"{sc.scenario.run.seed} {os.getpid()}")
             return stats
 
         def counted_fork():
@@ -502,8 +507,8 @@ class TestSimulate:
         real = cli.run_to_files
 
         def fail_some(sc, *paths):
-            if sc.run.seed in failing:
-                raise ConfigError(f"seed {sc.run.seed} refused")
+            if sc.scenario.run.seed in failing:
+                raise ConfigError(f"seed {sc.scenario.run.seed} refused")
             return real(sc, *paths)
 
         monkeypatch.setattr(cli, "run_to_files", fail_some)
@@ -514,6 +519,46 @@ class TestSimulate:
         assert captured.out == ""
         for seed in (1, 2, 3):
             assert (tmp_path / f"stats.s{seed}.csv").exists() == (seed not in failing)
+
+    @pytest.fixture
+    def compiles(self, tmp_path, monkeypatch):
+        """Reads, and then forgets, the compile_scenario calls made since its
+        last read, in this process and in every child it forked."""
+        log = tmp_path / "compiles.log"
+        real = scenario_mod.compile_scenario
+
+        def counted(*args):
+            append(log, os.getpid())
+            return real(*args)
+
+        def read():
+            calls = len(log.read_text().splitlines()) if log.exists() else 0
+            log.unlink(missing_ok=True)
+            return calls
+
+        monkeypatch.setattr(scenario_mod, "compile_scenario", counted)
+        monkeypatch.setattr(kernel_mod, "compile_scenario", counted)
+        return read
+
+    def test_a_scenario_file_is_compiled_once_per_command(self, tmp_path, compiles, monkeypatch, capsys):
+        scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+        mixed, pair = str(scenarios / "mixed_access.scn"), str(scenarios / "contention_pair.scn")
+        assert main(["simulate", mixed, "--out", str(tmp_path / "mixed.csv")]) == 0
+        assert compiles() == 1
+        # Traced to a file on a host that shows two usable CPUs, the run is
+        # split: a forked child traces its second half.
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or real_fork())
+        assert main(["simulate", pair, "--out", str(tmp_path / "pair.csv"), "--trace", str(tmp_path / "pair.txt")]) == 0
+        assert (compiles(), forks) == (1, [os.getpid()])
+        for parallel in ([], ["--sweep-parallel", "2"]):
+            out = tmp_path / f"sweep{len(parallel)}" / "stats.csv"
+            out.parent.mkdir()
+            assert main(["simulate", mixed, "--seed", "1", "2", "3", "4", "--out", str(out), *parallel]) == 0
+            assert compiles() == 1
+            assert sorted(path.name for path in out.parent.iterdir()) == [f"stats.s{seed}.csv" for seed in (1, 2, 3, 4)]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_a_multi_seed_output_on_a_pipe_is_refused(self, flag, tmp_path, worker_pids, capsys):
@@ -713,3 +758,20 @@ def test_a_reader_that_stops_early_ends_the_run_quietly(command):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_a_reader_that_stops_after_one_line_ends_the_run_quietly():
+    """`bansim efficiency | head -1`: the sweep's CSV is far longer than a
+    pipe holds, so the writer is still writing when the reader goes."""
+    proc = subprocess.Popen([sys.executable, "-m", "bansim", "efficiency"], env=cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first == b"band,rate_kbps,payload_bytes,efficiency\r\n"

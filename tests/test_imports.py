@@ -66,6 +66,8 @@ KEPT_FOR_CALLERS = {
     "analytic_efficiency": "the public efficiency model, which the demos call",
     "reference_configs": "the public efficiency model's operating points, which the demos call",
     "SecurityManager.teardown": "the end of the key lifecycle that the acceptance gate walks",
+    "parse_scenario": "read_plan's scenario alone, which the tests and bench/worker.py call",
+    "load_scenario": "load_plan's scenario alone, which the tests and bench/worker.py call",
     "guard_check": "a counter of bench/tracing.py TARGETS",
     "on_busy": "a counter of bench/tracing.py TARGETS",
     "on_idle_slot": "a counter of bench/tracing.py TARGETS",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bansim import security
 from bansim.errors import (
     KeyStateError,
     LevelMismatch,
@@ -97,6 +98,14 @@ class TestPtkLifecycle:
         mgr, s = paired(1)
         with pytest.raises(KeyStateError):
             mgr.establish_ptk(s)
+
+    def test_a_repeated_key_id_is_refused(self, monkeypatch):
+        # A derivation that gave one key twice would hand two sessions one
+        # key id; the manager refuses the second.
+        monkeypatch.setattr(security, "default_kdf", lambda mk, ordinal: bytes(32))
+        mgr, first = paired(1)
+        with pytest.raises(KeyStateError, match=f"^key derivation repeated id {first.ptk.key_id}$"):
+            mgr.associate("n1", 1)
 
     def test_thousand_sessions_never_repeat_a_key(self):
         mgr = SecurityManager()

@@ -41,7 +41,8 @@ from bansim.mac.superframe import (HIGHEST_PRIORITY, SHARED_PHASES, PhaseKind, S
                                    phases_covered, schedule_polls)
 from bansim.phy.rates import Band, frame_airtime_us, frame_airtimes_us, nb_config
 from bansim.sim.kernel import Simulation, run, run_to_files, write_trace
-from bansim.sim.scenario import BEACON_BODY_LEN, EventKind, clock_us, load_scenario, parse_scenario
+from bansim.sim.scenario import (BEACON_BODY_LEN, EventKind, clock_us, compile_scenario, load_plan, load_scenario,
+                                 parse_scenario)
 from bansim.sim.stats import RunStats, write_stats_csv
 from test_conservation import count_one_arrival_twice
 from test_csma import trace_lines
@@ -625,6 +626,25 @@ class TestKernelInvariants:
         ]
 
 
+    def test_overlap_on_an_ideal_channel_raises(self):
+        # The compile refuses a second contender on an ideal channel; a Plan
+        # whose scenario was changed after its compile is not compiled
+        # again, so the kernel's own check is what catches the overlap.
+        plan = load_plan(SCENARIO_DIR / "contention_pair.scn")
+        sc = plan.scenario
+        ideal = plan._replace(scenario=sc._replace(run=sc.run._replace(channel="ideal")))
+        with pytest.raises(ScenarioError, match="at most one contention node"):
+            compile_scenario(ideal.scenario)
+        with pytest.raises(SimulationError, match="^2 overlapping transmissions on an ideal channel at t=30166$"):
+            Simulation(ideal).run()
+
+    def test_a_secured_body_that_comes_back_altered_raises(self, monkeypatch):
+        monkeypatch.setattr(kernel, "admit_frame", lambda wire, session: b"altered")
+        sim = Simulation(load_plan(SCENARIO_DIR / "mixed_access.scn"))
+        with pytest.raises(SimulationError, match="^secured round trip altered the body$"):
+            sim.run()
+
+
 class _TickCounter(Simulation):
     """Counts slot ticks, those at or past their phase's end, and those
     run while every contender of the phase is guard-locked."""
@@ -983,7 +1003,7 @@ def _gap_run(cls, text, gaps_us):
     """A traced run of `text` with node b's arrival gaps scripted: b's
     stream's calls, the stats, the trace and the digest of both."""
     sim = cls(parse_scenario(text), collect_trace=True)
-    stream = sim.nodes["b"].rng = _GapScript(f"{sim.sc.run.seed}:b", gaps_us)
+    stream = sim.nodes["b"].rng = _GapScript(f"{sim.plan.scenario.run.seed}:b", gaps_us)
     stats, trace = stats_and_trace(sim)
     return stream.calls, stats, trace, hashlib.sha256((stats + "\n".join(trace)).encode()).hexdigest()
 
@@ -1427,9 +1447,10 @@ def reference_superframe(sim, index):
     phases and allocation phases are derived from the scenario as the plan
     derived them. Kept as the reference for the compiled schedule."""
     plan, layout, events = sim.plan, sim.plan.layout, []
-    allocations = scheduled_allocations(sim.sc)
-    polled = sorted(node.node_id for node in sim.sc.nodes if node.access == "polled")
-    poll_grant_us = sim.sc.poll_grant_us or max((plan.exchange_us[node_id] for node_id in polled), default=0)
+    sc = sim.plan.scenario
+    allocations = scheduled_allocations(sc)
+    polled = sorted(node.node_id for node in sc.nodes if node.access == "polled")
+    poll_grant_us = sc.poll_grant_us or max((plan.exchange_us[node_id] for node_id in polled), default=0)
     covered = {a.node_id: phases_covered(layout, a.start_slot, a.length_slots) for a in allocations}
     poll_phases = SHARED_PHASES - {kind for kinds in covered.values() for kind in kinds} if polled else set()
     base = index * layout.duration_us
@@ -1439,7 +1460,7 @@ def reference_superframe(sim, index):
         start = base + span.start_slot * layout.slot_length_us
         end = start + span.length_slots * layout.slot_length_us
         events.append((start, EventKind.PHASE_START, (span.kind, start, end)))
-        if span.kind == PhaseKind.BEACON and beacon_in(layout, index, sim.sc.superframe.beacon_period_multiplier):
+        if span.kind == PhaseKind.BEACON and beacon_in(layout, index, sc.superframe.beacon_period_multiplier):
             events.append((start, EventKind.BEACON_TX, ()))  # it carried (end,), which nothing read
         if span.kind in poll_phases:
             for node_id, offset in schedule_polls(layout, polled, span.kind, poll_grant_us):
@@ -1589,6 +1610,30 @@ class TestCompiledSchedule:
     @given(scheduled_scenarios(contention=True))
     def test_replays_the_contended_phase_starts(self, text):
         self.check_schedule(text)
+
+
+class TestOnePlanPerSweep:
+    """A sweep runs one compiled Plan under each seed, with only its
+    scenario's seed replaced: no other field may depend on the seed."""
+
+    SEEDS = (1, 2, 99, 10**6 + 7)
+
+    def check(self, sc):
+        plans = [compile_scenario(sc._replace(run=sc.run._replace(seed=seed))) for seed in self.SEEDS]
+        assert [plan.scenario.run.seed for plan in plans] == list(self.SEEDS)
+        first = plans[0]._replace(scenario=None)
+        for plan in plans[1:]:
+            assert plan._replace(scenario=None) == first
+
+    @pytest.mark.parametrize("name", ["contention_pair", "mixed_access"])
+    def test_bundled_scenarios(self, name):
+        self.check(load_scenario(SCENARIO_DIR / f"{name}.scn"))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_scenarios())
+    def test_small_scenarios(self, sc):
+        self.check(sc)
 
 
 def granted_deliveries(sc) -> dict[str, int]:
