@@ -12,11 +12,14 @@ That checksum has init 0 and no final XOR, so it is linear over GF(2): the
 parity of information row u is u @ G mod 2, where row i of the k x 12
 parity matrix G (`parity_matrix`) is the checksum of unit vector i. Only
 the parity columns take a product: `encode_rows` turns information rows
-into codewords [info | info @ G mod 2], mod 2 being the low bit of int32
-sums, and it is the one coder behind the header tables (`encode_blocks`),
-the miss path (`decode_blocks`) and the frame codec's PSDU build and parse
-rebuild. `decode_blocks` accepts codewords that their own information
-bits code back to, and names the first that does not.
+into codewords [info | info @ G mod 2], each sum of at most k ones cast
+straight to uint8 (wider for k >= 256) and masked to its low bit. It is
+the one coder behind the header tables (`encode_blocks`), the miss path
+(`decode_blocks`) and the frame codec's PSDU build. `decode_blocks`
+accepts codewords that their own information bits code back to, and
+names the first that does not. The PSDU parse rebuilds nothing: a
+codeword's product with [G; I] (`check_matrix`) has only even sums
+exactly when its own parity columns are its information's parity.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from bansim.errors import CodewordError, ConfigError, TruncatedFrame
 from bansim.phy.bitfields import int_to_bits
 from bansim.phy.checksums import crc12_bits
 
-__all__ = ["BlockCode", "check_code", "parity_matrix", "encode_rows", "encode_blocks", "decode_blocks", "coded_length"]
+__all__ = ["BlockCode", "check_code", "parity_matrix", "check_matrix", "encode_rows", "encode_blocks", "decode_blocks",
+           "coded_length"]
 
 BlockCode = tuple[int, int]  # (n, k)
 PARITY_BITS = 12  # per codeword: the width of the checksum
@@ -59,15 +63,24 @@ def parity_matrix(k: int) -> np.ndarray:
     return matrix
 
 
+@functools.cache
+def check_matrix(k: int) -> np.ndarray:
+    """[G; I], (k + 12) x 12, read-only: a codeword's product with it has only even sums when its parity holds."""
+    matrix = np.vstack([parity_matrix(k), np.eye(PARITY_BITS, dtype=np.float32)])
+    matrix.flags.writeable = False
+    return matrix
+
+
 def encode_rows(info: np.ndarray, code: BlockCode) -> np.ndarray:
     """The codewords [info | info @ G mod 2] (blocks x n, uint8) of the
-    information rows `info` (blocks x k, each bit 0 or 1) of a checked code."""
+    uint8 information rows `info` (blocks x k, each bit 0 or 1) of a
+    checked code."""
     n, k = code
     if n == k:
         return info.astype(np.uint8)
-    parity = np.dot(info, parity_matrix(k)).astype(np.int32)
+    parity = np.dot(info, parity_matrix(k)).astype(np.uint8 if k < 256 else np.int32)  # sums of at most k ones
     parity &= 1
-    return np.concatenate([info, parity], axis=1, dtype=np.uint8, casting="unsafe")
+    return np.concatenate([info, parity.astype(np.uint8, copy=False)], axis=1)
 
 
 def coded_length(info_bit_count: int, code: BlockCode) -> int:

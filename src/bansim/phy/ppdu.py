@@ -10,15 +10,17 @@ parser given the operating config can recover every field and validate
 the frame end to end. Decoding is detect-only: any inconsistency raises a
 distinct FrameError subclass.
 The MAC frame is coded by `fec.encode_rows`, one product of its
-information rows with the 12 parity columns, then spread. Parse accepts a
-frame by rebuilding it: with the sync matched and the coded header in a
-table, the frame region's information bits (each spread bit's first copy)
-are gathered once into contiguous rows, which are coded and spread again,
-and equal bytes prove that every copy agrees, every parity holds and
-every value is 0 or 1; the same rows give the PSDU bytes. Anything else
-takes the reject path, which names the first failed check: a value not 0
-or 1 (ValueError), sync, header, length, copies, parity. A non-1-D image
-is a ValueError first.
+information rows with the 12 parity columns, then spread. Parse rebuilds
+nothing: with the sync matched and the coded header in a table, it checks
+the frame region in order, each check on the bytes or rows the last one
+left. Every value is 0 or 1; the length is the header's; each spread
+bit's copies agree (each s-byte word is 0 or 0x01..01, which also shows
+its values are bits); and one product of the codewords with [G; I]
+(`fec.check_matrix`) gives only even sums, so each codeword's own parity
+columns are the parity of its information columns. Those information
+columns give the PSDU bytes. A reject names the first failed check: a
+value not 0 or 1 (ValueError), sync, header, length, copies, parity. A
+non-1-D image is a ValueError first.
 
 A frame (`Ppdu`) is an immutable record, built in one step, whose image
 is a read-only view of immutable bytes: build assembles the image as
@@ -178,50 +180,49 @@ NbPlcpHeader, UwbPhr, HbcPhyHeader = (fmt.header for fmt in _FORMATS.values())
 
 # Spreading sends each coded bit s times (s is 1, 2 or 4). Read as one
 # s-byte word, the s copies of a bit are 0 or 0x01..01 (`_COPIES[s]`), so
-# spreading is one multiply and the despread check one compare.
+# spreading is one multiply and despreading one compare, true for a 1.
 _COPIES = {2: 0x0101, 4: 0x01010101}
+_EVEN = bytes(range(0, 256, 2))  # deleted by bytes.translate, they leave the odd sums
 
 
-def _psdu_image(cfg: PhyConfig, info: np.ndarray) -> bytes:
-    """The frame region of information rows `info`, one per codeword, as image bytes."""
-    words, s = fec.encode_rows(info, PSDU_CODE), cfg.spreading
-    if s > 1:
-        words = words.astype(f"<u{s}")
-        words *= _COPIES[s]
-    return words.tobytes()
-
-
-def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) -> bytes:
-    """The PSDU of the frame region bits[start:], accepted when rebuilding
-    the region from its information bits gives its bytes back. The bits
-    before `start` are bits: sync and header bytes matched exactly, or
-    values `_bit_image` checked."""
-    (n, k), s = PSDU_CODE, cfg.spreading
-    region, rows = bits[start:], -(-8 * psdu_len // k)
-    image, size = region.tobytes(), rows * n * s
-    if len(image) == size:
-        info = region.reshape(rows, n * s)[:, : k * s : s] & 1  # contiguous rows; a stray value rebuilds unequal
-        rebuilt = _psdu_image(cfg, info)
-        if rebuilt == image:
-            psdu = np.packbits(info).tobytes()  # the pad bits fill the bytes past psdu_len
-            if any(psdu[psdu_len:]):
-                raise CodewordError("nonzero pad bits in final codeword")
-            return psdu[:psdu_len]
-    # The reject path names the first failed check from the bytes at hand.
+def _refuse_stray(image: bytes, start: int) -> None:
+    """ValueError at the first value of `image` (image position `start`) that is not a bit."""
     stray = image.translate(None, b"\x00\x01")  # the values that are not bits, in order
     if stray:
         raise ValueError(f"image position {start + image.index(stray[0])} holds {stray[0]}, not a bit")
+
+
+def _decode_psdu(cfg: PhyConfig, bits: np.ndarray, start: int, psdu_len: int) -> bytes:
+    """The PSDU of the frame region bits[start:], checked in the module's
+    order. The bits before `start` are bits: sync and header bytes matched
+    exactly, or values `_bit_image` checked. Spread words of the right
+    length have their values checked with their copies."""
+    (n, k), s = PSDU_CODE, cfg.spreading
+    region, rows = bits[start:], -(-8 * psdu_len // k)
+    image, size = region.tobytes(), rows * n * s
+    if s == 1 or len(image) != size:
+        _refuse_stray(image, start)
     if len(image) < size:
         raise TruncatedFrame(f"frame region holds {len(image)} bits, needs {size}")
     if len(image) > size:
         raise TrailingBitsError(f"{len(image) - size} bits past end of frame")
     if s > 1:
         copies = np.frombuffer(image, f"<u{s}")
-        if np.count_nonzero(copies) != np.count_nonzero(copies == _COPIES[s]):  # a word neither 0 nor 0x01..01
+        coded = copies == _COPIES[s]  # each coded bit, if its copies agree
+        if np.count_nonzero(copies) != np.count_nonzero(coded):  # a word neither 0 nor 0x01..01
+            _refuse_stray(image, start)
             raise DespreadError("repetition copies disagree")
-    # The copies agree, so the first codeword that differs differs in its parity.
-    first = (np.frombuffer(rebuilt, np.uint8) != region).argmax()
-    raise CodewordError(f"parity mismatch in codeword {first // (n * s)}")
+        words = coded.view(np.uint8).reshape(rows, n)
+    else:
+        words = region.reshape(rows, n)
+    sums = np.dot(words, fec.check_matrix(k)).astype(np.uint8).tobytes()  # n < 256 ones at most: exact
+    if sums.translate(None, _EVEN):  # an odd sum: a parity column is not its information's parity
+        odd = np.frombuffer(sums, np.uint8) & 1
+        raise CodewordError(f"parity mismatch in codeword {odd.argmax() // (n - k)}")
+    psdu = np.packbits(words[:, :k]).tobytes()  # the pad bits fill the bytes past psdu_len
+    if any(psdu[psdu_len:]):
+        raise CodewordError("nonzero pad bits in final codeword")
+    return psdu[:psdu_len]
 
 
 def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
@@ -238,6 +239,8 @@ def _bit_image(bits: np.ndarray) -> np.ndarray:
     raw = np.asarray(bits)
     if raw.ndim != 1:
         raise ValueError(f"image must be one-dimensional, got {raw.ndim} dimensions ({type(bits).__name__})")
+    if raw.dtype.kind == "V":  # records or raw bytes compare with no number
+        raise TypeError(f"image must hold numbers, got dtype {raw.dtype}")
     if raw.dtype == np.uint8 and np.bitwise_or.reduce(raw, axis=None) < 2:
         return raw
     stray = (raw != 0) & (raw != 1)
@@ -326,7 +329,11 @@ def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
     psdu = frame + fcs.to_bytes(FCS_LEN, "big")
     k = PSDU_CODE[1]
     info = np.unpackbits(np.frombuffer(psdu, np.uint8), count=-(-8 * len(psdu) // k) * k)
-    image = fmt.sync_bytes + header_bits.tobytes() + _psdu_image(cfg, info.reshape(-1, k))
+    words, s = fec.encode_rows(info.reshape(-1, k), PSDU_CODE), cfg.spreading
+    if s > 1:
+        words = words.astype(f"<u{s}")
+        words *= _COPIES[s]
+    image = fmt.sync_bytes + header_bits.tobytes() + words.tobytes()
     return Ppdu(kind, header, mac_header, body, fcs, np.frombuffer(image, np.uint8))
 
 

@@ -187,10 +187,10 @@ class SecurityManager:
         if mk not in MK_MODES:
             raise SecurityError(f"unknown master-key mode {mk!r}")
         session = SecuritySession(node_id, level)
-        self.sessions[node_id] = session
         if level >= SecurityLevel.AUTHENTICATED:
             self._activate_mk(session, mk)
             self.establish_ptk(session)
+        self.sessions[node_id] = session  # only once its keys are in place
         return session
 
     def _activate_mk(self, session: SecuritySession, mode: str) -> None:

@@ -200,6 +200,21 @@ def test_long_codes_equal_the_loop_on_dense_words(code):
         assert outcome(decode_blocks, late, code, len(bits)) == outcome(reference_decode, late, code, len(bits))
 
 
+@pytest.mark.parametrize("code", [(267, 255), (268, 256), (300, 288)])
+def test_codes_either_side_of_the_uint8_sum_cast_equal_the_loop(code):
+    # The coder casts parity sums of at most k ones straight to uint8 up to
+    # k = 255 and to a wider type from k = 256 on.
+    n, k = code
+    rng = random.Random(f"ref-cast-{code}")
+    for bits in (np.ones(3 * k - 5, dtype=np.uint8), random_bits(rng, 3 * k - 5)):
+        assert outcome(encode_blocks, bits, code) == outcome(reference_encode, bits, code)
+        image = reference_encode(bits, code)
+        flipped = image.copy()
+        flipped[n + rng.randrange(n)] ^= 1
+        for case in (image, flipped):
+            assert outcome(decode_blocks, case, code, len(bits)) == outcome(reference_decode, case, code, len(bits))
+
+
 def test_pad_check_runs_after_every_parity_check():
     # A forged final word with valid parity but set pad bits, and a corrupt
     # first word: the parity failure is reported, as the loop did.

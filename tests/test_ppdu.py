@@ -308,6 +308,22 @@ def test_hexdump_shows_every_region():
     assert first_offset == 0
 
 
+@pytest.mark.parametrize("cfg", [NB, UWB, HBC], ids=["nb", "uwb", "hbc"])
+def test_hexdump_regions_tile_the_image_in_order(cfg):
+    # Each region's first line names its bit count, starts where the last
+    # region ended and shows the region's own first bytes.
+    frame = build_ppdu(cfg, b"\x13" * 7, b"uv")
+    offset = 0
+    for line in hexdump(frame).splitlines():
+        count = re.search(r"\((\d+) bits\)$", line)
+        if count:
+            assert int(line[:7]) == offset
+            region = frame.bits[offset : offset + int(count.group(1))]
+            assert bytes.fromhex(line[9:56]) == np.packbits(region).tobytes()[:16]
+            offset += len(region)
+    assert offset == len(frame.bits)
+
+
 # Each family's header record, as its layout makes it: (name, fields).
 HEADER_RECORDS = {
     PhyKind.NB: (NbPlcpHeader, "NbPlcpHeader", ("rate_index", "length", "scrambler", "burst_mode", "hcs")),
@@ -541,6 +557,27 @@ class TestNonBitImages:
         with pytest.raises(ValueError, match="image position 3 holds 255, not a bit"):
             parse_ppdu(bits, cfg)
 
+    @pytest.mark.parametrize("column", ["info", "parity"])
+    def test_a_255_in_a_frame_region_column_is_named_before_the_parity_product(self, column):
+        # Parse casts the product's sums to uint8, exact only for sums of
+        # bits (a cast past 255 is undefined), so the value comes first.
+        frame = build_ppdu(UWB, b"\x08" * 7, b"abcd")
+        pos = region_positions(UWB, frame)[column][-1]
+        bits = frame.bits.copy()
+        bits[pos] = 255
+        with pytest.raises(ValueError, match=f"^image position {pos} holds 255, not a bit$"):
+            parse_ppdu(bits, UWB)
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_a_stray_value_in_a_spread_region_of_the_wrong_length_is_named_first(self, extra):
+        # A spread region of the right length has its values checked with
+        # its copies; one of another length must have them checked first.
+        bits = build_ppdu(HBC, b"\x08" * 7, b"abcd").bits
+        bits = np.concatenate([bits, np.zeros(extra, np.uint8)]) if extra > 0 else bits[:extra].copy()
+        bits[-5] = 2
+        with pytest.raises(ValueError, match=f"^image position {len(bits) - 5} holds 2, not a bit$"):
+            parse_ppdu(bits, HBC)
+
     def test_an_image_of_only_zeros_and_twos_is_refused_at_position_0(self):
         # Every value ORs to 2, which the check of a uint8 image of bits must not pass.
         bits = (build_ppdu(NB, b"\x08" * 7, b"abcd").bits * 2).astype(np.uint8)
@@ -578,19 +615,20 @@ class TestNonBitImages:
             parse_ppdu(convert(bits), NB)
 
 
-# ------------------------------------------------------- accept by rebuild
+# ------------------------------------------------------- accept by parity
 #
-# Parse accepts a frame when rebuilding its frame region from the region's
-# information bits gives the region back. The reference below is the parse
-# that came before: every value checked up front, then the despread pass,
-# then each codeword's parity (`test_fec.reference_decode`, the
-# per-codeword loop). The header goes through the shared miss path, which
-# `test_parse_maps_every_table_header_back` holds to the header tables.
+# Parse accepts a frame region when its values are bits, its copies agree
+# and each codeword's own parity columns are the parity of its
+# information columns. The reference below is a plain parse: every value
+# checked up front, then the despread pass, then each codeword's parity
+# (`test_fec.reference_decode`, the per-codeword loop). The header goes
+# through the shared miss path, which `test_parse_maps_every_table_header_back`
+# holds to the header tables.
 
 
 def reference_parse(bits, cfg):
-    """(header, mac_header, body, fcs) of an image, or the error the parse
-    before rebuilding raised first."""
+    """(header, mac_header, body, fcs) of an image, or the error the plain
+    parse raised first."""
     fmt = _FORMATS[cfg.kind]
     raw = np.asarray(bits)
     stray = (raw != 0) & (raw != 1)
@@ -715,6 +753,45 @@ def test_the_damaged_images_reach_every_region():
     positions = region_positions(NB_SPREAD, frame)
     assert sorted(name for name, pos in positions.items() if pos) == ["copy", "header", "info", "pad", "parity", "sync"]
     assert sorted(sum(positions.values(), [])) == list(range(len(frame.bits)))
+
+
+# ------------------------------------------------------- misfit images
+#
+# An image of another family or config, cut or extended anywhere, or held
+# in another dtype is the caller's mistake. Parse returns, raises a
+# FrameError, or raises a ValueError or TypeError that names the image;
+# it never fails inside numpy, as a reshape of a region of the wrong
+# length would.
+
+MISFIT_DTYPES = [np.uint8, np.int8, np.int64, ">u2", np.float16, np.float64, np.complex128, bool, object,
+                 "U1", "S1", "M8[s]", "m8[s]", "V1", [("bit", "u1")]]
+
+
+@st.composite
+def misfit_images(draw):
+    """(config, image): a frame built under one config of ALL, parsed under
+    any, cut to any length or extended by up to 70 bits, in any of
+    MISFIT_DTYPES."""
+    built, cfg = draw(st.sampled_from(ALL)), draw(st.sampled_from(ALL))
+    bits = build_ppdu(built, draw(st.binary(min_size=7, max_size=7)), draw(st.binary(max_size=40))).bits
+    if draw(st.booleans()):
+        bits = bits[: draw(st.integers(0, len(bits)))]
+    else:
+        bits = np.concatenate([bits, np.array(draw(st.lists(st.integers(0, 1), max_size=70)), np.uint8)])
+    return cfg, bits.astype(draw(st.sampled_from(MISFIT_DTYPES)))
+
+
+@pytest.mark.filterwarnings("ignore:Casting complex values to real")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(misfit_images())
+def test_a_misfit_image_is_refused_by_name(case):
+    cfg, bits = case
+    try:
+        parse_ppdu(bits, cfg)
+    except FrameError:
+        pass
+    except (ValueError, TypeError) as exc:
+        assert str(exc).startswith("image "), f"{type(exc).__name__}: {exc}"
 
 
 # ------------------------------------------------------- header tables

@@ -102,10 +102,15 @@ class TestPtkLifecycle:
     def test_a_repeated_key_id_is_refused(self, monkeypatch):
         # A derivation that gave one key twice would hand two sessions one
         # key id; the manager refuses the second.
+        kdf = security.default_kdf
         monkeypatch.setattr(security, "default_kdf", lambda mk, ordinal: bytes(32))
         mgr, first = paired(1)
         with pytest.raises(KeyStateError, match=f"^key derivation repeated id {first.ptk.key_id}$"):
             mgr.associate("n1", 1)
+        # The refused association leaves no session behind, so a retry runs.
+        assert "n1" not in mgr.sessions
+        monkeypatch.setattr(security, "default_kdf", kdf)
+        assert mgr.associate("n1", 1).ptk_active
 
     def test_thousand_sessions_never_repeat_a_key(self):
         mgr = SecurityManager()
