@@ -318,18 +318,24 @@ channel = collision
 """
 
 
-def _exact_fit(superframe: str, csma: str, seed: int, duration_ms: int) -> str:
-    # Two priority 7 nodes, a 10-byte and a 150-byte frame, in a RAP1 and a CAP.
+def _exact_fit(superframe: str, csma: str, seed: int, duration_ms: int, more: str = "") -> str:
+    # Two priority 7 nodes, a 10-byte and a 150-byte frame, and `more`, in a RAP1 and a CAP.
     return (f"{_NB}[superframe]\nslot_length_us = 1000\n{superframe}[csma]\n{csma}[nodes]\n"
-            "a = priority=7, traffic=saturated, payload=10\nb = priority=7, traffic=saturated, payload=150\n"
+            f"a = priority=7, traffic=saturated, payload=10\nb = priority=7, traffic=saturated, payload=150\n{more}"
             f"[run]\nseed = {seed}\nduration_ms = {duration_ms}\nchannel = collision\n")
 
 
 # With no pSIFS and no guard time, a collided exchange begun at 23520 us
 # ends at b's timeout on the RAP1 end (27000 us), where the CAP's
 # contenders enter; a's timeout (24695 us) comes before b's data end.
-_LAST_TIMEOUT_ON_A_PHASE_START = _exact_fit(
-    "slots = 38\nbeacon_slots = 4\nrap1_slots = 23\ncap_slots = 11\n", "psifs_us = 0\nslot_us = 100\ngtn_us = 0\n", 86, 30
+_ON_A_PHASE_START = ("slots = 38\nbeacon_slots = 4\nrap1_slots = 23\ncap_slots = 11\n",
+                     "psifs_us = 0\nslot_us = 100\ngtn_us = 0\n")
+_LAST_TIMEOUT_ON_A_PHASE_START = _exact_fit(*_ON_A_PHASE_START, 86, 30)
+# The same layout and timing with a third node, c (60 B): the exchange that
+# ends on the CAP entry at 27000 us holds c busy-locked there, so the entry
+# lifts that lock (enter, unlock, sifs) where no resume tick did.
+_HELD_OVER_A_PHASE_START = _exact_fit(
+    *_ON_A_PHASE_START, 75, 200, "c = priority=7, traffic=saturated, payload=60\n"
 )
 # A collided exchange begun at 200470 us ends at b's timeout on the CAP
 # end, 204000 us, where the fifth superframe's beacon goes out; a's timeout
@@ -340,8 +346,9 @@ _LAST_TIMEOUT_ON_A_BEACON = _exact_fit(
 
 
 # name -> (scenario, stats digest, trace digest). The first six were
-# recorded before a clean exchange became one heap event, the last five
-# before a collided exchange became one heap event per transmitter. The
+# recorded before a clean exchange became one heap event, the next five
+# before a collided exchange became one heap event per transmitter, and the
+# last while every run still marked the counters an exchange holds. The
 # first two were recorded again when a grant that meets an exchange ending
 # on its instant began to run after that end rather than drop.
 EDGE_DIGESTS = {
@@ -399,6 +406,11 @@ EDGE_DIGESTS = {
         _short_beside_long(9),
         "21f1d6203ba7d4ef4fb90e2a398ae6bbf09f92bc448e5389deb50689655d99e7",
         "921e5eb783e23f9be1c93a34b2c49893a2b55d5f15bf024f166b92fea3f3dfa0",
+    ),
+    "held_over_a_phase_start": (
+        _HELD_OVER_A_PHASE_START,
+        "d53e95619616a72264a7cdb3a79109e0edd9a08ceffab6478d1881fc0c743017",
+        "c21b0aa457da1a11ab3c81fbd5ee144db9dcdb3452a9f07f5766100396681dc4",
     ),
 }
 
@@ -658,6 +670,12 @@ def test_the_edge_scenarios_reach_their_edges(tmp_path):
     # A collided frame ends after another's timeout; then the last timeout
     # lands on a phase entry, on a beacon, or past the run's end.
     assert _late_data_ends(runs["timeout_before_a_data_end"][2])
+    # An exchange that ends on a phase entry still holds c there, so the
+    # entry itself lifts c's busy lock.
+    lines = runs["held_over_a_phase_start"][2]
+    assert ["27000,c,enter,1,4,4,CAP", "27000,c,unlock,1,4,4,CAP", "27000,c,sifs,1,4,4,CAP"] == [
+        line for line in lines if line.startswith("27000,c,")
+    ]
     for name, landing in (("last_timeout_on_a_phase_start", "enter"), ("last_timeout_on_a_beacon", "tx_start")):
         lines = [line.split(",") for line in runs[name][2]]
         fails = {(t, n) for t, n, e, *_ in lines if e == "fail"}
