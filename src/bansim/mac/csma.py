@@ -7,8 +7,9 @@ counter locks (value preserved, never redrawn) while the channel is busy
 ("busy") and whenever the time left in the current access phase cannot
 fit one more slot plus a full frame exchange and the nominal guard time
 ("guard"). The state's `locked` holds that reason, None when unlocked,
-and a draw or a success clears it. CW doubles only on every second
-consecutive failure, capped at CW_max, and resets to CW_min on success.
+and a draw or a success clears it (the kernel sets "busy" only for a
+trace to read). CW doubles only on every second consecutive failure,
+capped at CW_max, and resets to CW_min on success.
 
 Trace lines are rendered here and nowhere else. trace_batch appends the
 lines of one instant of one phase straight from the nodes it is given,
@@ -16,13 +17,13 @@ reading each one's node_id and backoff state: one event for many nodes (a
 slot's counts, a tick's draws or guard locks) or a few events per node (a
 phase entry). At a slot end that starts an exchange, trace_storm renders
 each counting node's state text (counter, window, failures, phase) once
-for its count line and its tx_start or lock line; trace_unlocks reuses a
-locked node's text for its unlock line, as a busy-locked state cannot
-change before its unlock. trace_event appends one event of one node id
-and state, as a hub line has no node. The decimal text of counters,
-windows and failure counts comes from a cache that fills on first use,
-so each line is one f-string. trace_line renders one (node id, event,
-state) entry through trace_event.
+for its count line and its tx_start or lock line, and returns each locked
+node with its text; trace_unlocks reuses that text for its unlock line,
+as a busy-locked state cannot change before its unlock. trace_event
+appends one event of one node id and state, as a hub line has no node.
+The decimal text of counters, windows and failure counts comes from a
+cache that fills on first use, so each line is one f-string. trace_line
+renders one (node id, event, state) entry through trace_event.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class BackoffState:
     def __init__(self, priority: PriorityClass):
         self.priority = priority
         self.counter = 0
-        self.locked: str | None = None  # why the counter is frozen: "busy" | "guard"
+        self.locked: str | None = None  # why the counter is frozen: "busy" (set in traced runs) | "guard"
         self.consecutive_failures = 0
         self.cw = priority.cw_min
 
@@ -235,11 +236,11 @@ def trace_event(
             _learn(missing)
 
 
-def trace_storm(lines: list[str], time_us: int, phase: PhaseKind, nodes) -> list[tuple[str, str]]:
+def trace_storm(lines: list[str], time_us: int, phase: PhaseKind, nodes) -> list[tuple[object, str]]:
     """Append the lines of a slot end that starts an exchange to `lines`:
     for the nodes that counted it, in order, a count line each, a tx_start
     line for each at zero, a lock line for each other, all from one text
-    per backoff state. Returns (node id, text) per locked node."""
+    per backoff state. Returns (node, text) per locked node."""
     head, tail, text = f"{time_us},", _PHASE_TAILS[phase], _DECIMAL
     states = [node.backoff for node in nodes]
     while True:
@@ -251,21 +252,19 @@ def trace_storm(lines: list[str], time_us: int, phase: PhaseKind, nodes) -> list
     sent, held = [], []
     for node, s, state_text in zip(nodes, states, texts):
         lines.append(f"{head}{node.node_id},count,{state_text}")
-        (held if s.counter else sent).append((node.node_id, state_text))
-    lines += [f"{head}{node},tx_start,{state_text}" for node, state_text in sent]
-    lines += [f"{head}{node},lock,{state_text}" for node, state_text in held]
+        (held if s.counter else sent).append((node, state_text))
+    lines += [f"{head}{node.node_id},tx_start,{state_text}" for node, state_text in sent]
+    lines += [f"{head}{node.node_id},lock,{state_text}" for node, state_text in held]
     return held
 
 
-def trace_unlocks(lines: list[str], time_us: int, held: list[tuple[str, str]]) -> None:
-    """Append the unlock line of each (node id, text) from trace_storm."""
+def trace_unlocks(lines: list[str], time_us: int, held: list[tuple[object, str]]) -> None:
+    """Append the unlock line of each (node, text) from trace_storm."""
     head = f"{time_us},"
-    lines += [f"{head}{node},unlock,{state_text}" for node, state_text in held]
+    lines += [f"{head}{node.node_id},unlock,{state_text}" for node, state_text in held]
 
 
-def trace_line(
-    time_us: int, node: str, event: str, state: BackoffState, phase: PhaseKind
-) -> str:
+def trace_line(time_us: int, node: str, event: str, state: BackoffState, phase: PhaseKind) -> str:
     lines: list[str] = []
     trace_event(lines, time_us, phase, event, node, state)
     return lines[0]

@@ -235,19 +235,33 @@ def _take(bits: np.ndarray, offset: int, count: int, what: str) -> np.ndarray:
 
 
 def _bit_image(bits: np.ndarray) -> np.ndarray:
-    """`bits` as a 1-D uint8 array; ValueError if not 1-D, or at the first value not 0 or 1."""
-    raw = np.asarray(bits)
+    """`bits` as a 1-D uint8 array; ValueError if not 1-D (or ragged), or at
+    the first value not 0 or 1, and TypeError if it holds no real numbers."""
+    try:
+        raw = np.asarray(bits)
+    except ValueError:  # rows of unequal length
+        raise ValueError(f"image must be one-dimensional, got a ragged {type(bits).__name__}") from None
     if raw.ndim != 1:
         raise ValueError(f"image must be one-dimensional, got {raw.ndim} dimensions ({type(bits).__name__})")
-    if raw.dtype.kind == "V":  # records or raw bytes compare with no number
-        raise TypeError(f"image must hold numbers, got dtype {raw.dtype}")
+    if raw.dtype.kind in "Vc":  # records and raw bytes compare with no number, complex ones cast with a warning
+        raise TypeError(f"image must hold real numbers, got dtype {raw.dtype}")
     if raw.dtype == np.uint8 and np.bitwise_or.reduce(raw, axis=None) < 2:
         return raw
     stray = (raw != 0) & (raw != 1)
     if stray.any():
         pos = int(stray.argmax())
         raise ValueError(f"image position {pos} holds {raw.flat[pos]}, not a bit")
-    return raw.astype(np.uint8)
+    try:
+        return raw.astype(np.uint8)
+    except TypeError:  # a complex 0 or 1 among objects has no int()
+        raise TypeError(f"image must hold real numbers, got dtype {raw.dtype}") from None
+
+
+def _family(cfg: PhyConfig) -> tuple[PhyKind, _Format]:
+    """`cfg`'s signal family and its frame format; TypeError if `cfg` is not a PhyConfig."""
+    if not isinstance(cfg, PhyConfig):
+        raise TypeError(f"cfg must be a PhyConfig, got {type(cfg).__name__}")
+    return cfg.kind, _FORMATS[cfg.kind]
 
 
 def _preamble_label(fmt: _Format, rep: int) -> str:
@@ -321,8 +335,7 @@ def build_ppdu(cfg: PhyConfig, mac_header: bytes, body: bytes) -> Ppdu:
         raise ValueError(f"mac header must be {MAC_HEADER_LEN} bytes, got {len(mac_header)}")
     if len(body) > MAX_BODY_LEN:
         raise FrameTooLong(f"body of {len(body)} bytes exceeds {MAX_BODY_LEN}")
-    kind = cfg.kind
-    fmt = _FORMATS[kind]
+    kind, fmt = _family(cfg)
     header, header_bits = _header_table(kind, fmt, cfg.rate_index)[len(body)]
     frame = mac_header + body
     fcs = crc16(frame)
@@ -341,8 +354,7 @@ def parse_ppdu(bits: np.ndarray, cfg: PhyConfig) -> Ppdu:
     """The frame in an image of `cfg`'s family; a FrameError names the first
     failed check. The frame keeps `bits` if immutable bytes back it (a built
     image or a slice of one), a read-only copy over bytes otherwise."""
-    kind = cfg.kind
-    fmt = _FORMATS[kind]
+    kind, fmt = _family(cfg)
     if not (isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.dtype == np.uint8):
         bits = _bit_image(bits)
     off, n_hdr = len(fmt.sync), fmt.coded_bits

@@ -161,9 +161,14 @@ HEADER_INFO_BITS = {kind: sum(w for _, w in layout) + 4 * crc4 for kind, (layout
 RATE_INDEX_BITS = {kind: dict(layout)["rate_index"] for kind, (layout, _) in HEADER_LAYOUTS.items()}
 
 
+def _real(value) -> bool:
+    """A real number, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive_finite(value) -> bool:
-    """A real number, not a bool, in (0, inf); NaN fails every comparison."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value < math.inf
+    """A real number in (0, inf); NaN fails every comparison."""
+    return _real(value) and 0 < value < math.inf
 
 
 class PhyConfig:
@@ -205,6 +210,8 @@ class PhyConfig:
                 raise ConfigError(f"{name} must be 1, 2, or 4, got {value!r}")
         if not _positive_finite(symbol_rate):
             raise ConfigError(f"symbol rate must be positive and finite, got {symbol_rate!r}")
+        if not (_real(center_freq) and 0 <= center_freq < math.inf):
+            raise ConfigError(f"center frequency must be 0 (the band's) or positive and finite, got {center_freq!r}")
         if rate_override_kbps is not None and not _positive_finite(rate_override_kbps):
             raise ConfigError(f"rate override must be None or positive and finite, got {rate_override_kbps!r}")
         info = _BAND_INFO[band_id]

@@ -181,7 +181,12 @@ class SecurityManager:
         self, node_id: str, level: SecurityLevel | int, mk: str = "preshared"
     ) -> SecuritySession:
         """Negotiate a session; secured levels come up with an active PTK."""
-        level = SecurityLevel(level)
+        if not isinstance(node_id, str):
+            raise TypeError(f"node_id must be a string, got {node_id!r}")
+        try:
+            level = SecurityLevel(level)
+        except (TypeError, ValueError):
+            raise ValueError(f"level must be 0, 1 or 2, got {level!r}") from None
         if node_id in self.sessions:
             raise ProtocolOrderError(f"{node_id} is already associated")
         if mk not in MK_MODES:

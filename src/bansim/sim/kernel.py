@@ -60,22 +60,23 @@ arrival is that node's own, the counter is drawn before the arrival's
 successor takes its gap off the stream. tests/test_sim.py pins a run of
 each (TestArrivalOnADelivery, TestArrivalOnATimeout).
 
-Contention runs on one global slot grid per access phase. The grid
-starts one interframe space after phase entry, pauses while a frame
-exchange occupies the channel, and resumes one interframe space after an
+Contention runs on one global slot grid per access phase. The grid starts
+one interframe space after phase entry, pauses while a frame exchange
+occupies the channel, and resumes one interframe space after an
 acknowledgement (immediately after a timeout, whose guard time already
 covers the gap). At every grid instant pending draws happen first, then
 each contender checks the phase-fit guard. A slot end counts down exactly
 the running counters the tick before it found, and one reaching zero
-transmits at once: the exchange holds the others, busy-locked, and its
-resume tick lifts exactly those. A contender locks
-at t exactly when t + slot + its frame exchange passes the phase end.
-The grid never ticks at or past the phase end, and it stops once every
-contender of the phase has drawn and is locked: nothing can count, draw
-or unlock until the next phase start, and an arrival only grows a drawn
-node's backlog. A node keeps no flag for either: outside an exchange its
-counter is positive exactly when it has drawn, and its backoff state
-holds why it is locked.
+transmits at once: the exchange holds the others, as the grid does not
+tick until its resume. A traced run marks them busy-locked for its lines,
+and the resume (or the phase's next entry) lifts exactly those. A
+contender locks at t exactly when t + slot + its frame exchange passes
+the phase end. The grid never ticks at or past the phase end, and it
+stops once every contender of the phase has drawn and is locked: nothing
+can count, draw or unlock until the next phase start, and an arrival only
+grows a drawn node's backlog. A node keeps no flag for either: outside an
+exchange its counter is positive exactly when it has drawn, and its
+backoff state holds why it is locked.
 
 The grid is a second event stream beside the heap: at most one pending
 tick, keyed like a dynamic event, and run() takes whichever of it and the
@@ -120,16 +121,16 @@ lines. The cut is the first superframe start whose index is at least half
 the run's superframe count, rounded up, with no exchange in flight. It is
 exact because the trace only observes the run: at such an instant no grid
 tick is pending (the grid never ticks at a phase end), no unlock text or
-tx_end line is held (they live only as long as their exchange), and
-tracing draws no random number and pushes no event, so a traced and an
-untraced run hold the same state there and both processes find the same
-cut. _on_superframe, which runs once per superframe, holds the cut test;
-at the cut the calling process writes out its lines and empties its heap,
-so the loop ends and run() returns None. If no superframe start
-qualifies, the calling process traces the whole run and the child's half
-is empty. The stats returned are the child's, from its full run, which
-is where check_conservation runs; the calling process stops at the cut
-without them.
+tx_end line is held (they live only as long as their exchange), tracing
+draws no random number and pushes no event, and the child marks held
+counters as a traced run does, so both processes hold the same state
+there and find the same cut. _on_superframe, which runs once per
+superframe, holds the cut test; at the cut the calling process writes out
+its lines and empties its heap, so the loop ends and run() returns None.
+If no superframe start qualifies, the calling process traces the whole
+run and the child's half is empty. The stats returned are the child's,
+from its full run, which is where check_conservation runs; the calling
+process stops at the cut without them.
 
 Every transmission by a secured node passes the security gate,
 spend_counter, which refuses it without an active pairwise key
@@ -213,13 +214,12 @@ class _Exchange:
     """One channel occupation: a set of simultaneous data transmissions
     and the acknowledgement cycle that follows."""
 
-    __slots__ = ("kind", "phase_end", "frozen", "held", "wire", "pending")
+    __slots__ = ("kind", "phase_end", "held", "wire", "pending")
 
-    def __init__(self, kind: PhaseKind, phase_end: int, frozen: list[_Node]):
+    def __init__(self, kind: PhaseKind, phase_end: int):
         self.kind = kind
         self.phase_end = phase_end
-        self.frozen = frozen  # the contenders it holds busy-locked
-        self.held: list[tuple[str, str]] = []  # a traced run's (node id, state text) per frozen one
+        self.held: tuple | list[tuple[_Node, str]] = ()  # a traced run's (node, state text) per held contender
         self.wire: bytes | None = None  # a clean exchange's sealed frame
         self.pending = 0  # a collided exchange's timeouts to come
 
@@ -442,7 +442,7 @@ class Simulation:
         if tracing:
             trace_batch(self.trace, t, kind, ("count",), counting)
         if ended is not None:
-            for node in ended.frozen:
+            for node, _ in ended.held:
                 node.backoff.locked = None
             if tracing:
                 trace_unlocks(self.trace, t, ended.held)
@@ -549,10 +549,7 @@ class Simulation:
                 f"{len(transmitters)} overlapping transmissions on an ideal channel at t={t}"
             )
         collided = self._collides(transmitters)
-        frozen = [node for node in counting if node.backoff.counter]
-        for node in frozen:
-            node.backoff.locked = "busy"
-        exchange = _Exchange(kind, phase_end, frozen)
+        exchange = _Exchange(kind, phase_end)
         self.exchange = exchange
         for node in transmitters:
             if node.session is None:
@@ -567,6 +564,10 @@ class Simulation:
                 exchange.held = trace_storm(self.trace, t, kind, counting)
             else:
                 trace_batch(self.trace, t, kind, ("tx_start",), transmitters)
+        elif self._rest is not None:  # a split run's child up to its cut holds them as the traced run does
+            exchange.held = [(node, "") for node in counting if node.backoff.counter]
+        for node, _ in exchange.held:
+            node.backoff.locked = "busy"
         if collided:
             exchange.pending = len(transmitters)
             self._collide(transmitters, t, kind, phase_end)

@@ -648,7 +648,7 @@ class TestTraceRendering:
         lines = ["kept"]
         held = trace_storm(lines, time_us, phase, nodes)
         assert lines == ["kept"] + want
-        assert [node for node, _ in held] == [node for node, state in pairs if state.counter]
+        assert [node.node_id for node, _ in held] == [node for node, state in pairs if state.counter]
         lines = ["kept"]
         trace_unlocks(lines, time_us + 1, held)
         assert lines == ["kept"] + [

@@ -614,6 +614,34 @@ class TestNonBitImages:
         with pytest.raises(ValueError, match=message):
             parse_ppdu(convert(bits), NB)
 
+    @pytest.mark.parametrize("ragged", [[[1, 0], [1]], [1, [0]]], ids=["rows", "row-in-bits"])
+    def test_a_ragged_image_is_named(self, ragged):
+        # Once numpy's own ValueError: "... has an inhomogeneous shape ...".
+        with pytest.raises(ValueError, match="^image must be one-dimensional, got a ragged list$"):
+            parse_ppdu(ragged, NB)
+
+    @pytest.mark.parametrize(
+        "convert",
+        [lambda b: b.astype(complex), lambda b: np.array([complex(x) for x in b], object)],
+        ids=["complex128", "complex-objects"],
+    )
+    def test_an_image_of_complex_bits_is_refused_by_name(self, convert):
+        # complex128 0s and 1s once parsed with a ComplexWarning; complex
+        # objects failed inside int().
+        bits = convert(build_ppdu(NB, b"\x08" * 7, b"abcd").bits)
+        with pytest.raises(TypeError, match="^image must hold real numbers, got dtype (complex128|object)$"):
+            parse_ppdu(bits, NB)
+
+
+@pytest.mark.parametrize("cfg", [None, "nb", Band.NB_402_405])
+def test_a_config_that_is_not_a_phyconfig_is_refused_by_name(cfg):
+    # None once failed on `cfg.kind` with an AttributeError in both.
+    bits = build_ppdu(NB, b"\x08" * 7, b"abcd").bits
+    with pytest.raises(TypeError, match="^cfg must be a PhyConfig, got "):
+        build_ppdu(cfg, b"\x08" * 7, b"abcd")
+    with pytest.raises(TypeError, match="^cfg must be a PhyConfig, got "):
+        parse_ppdu(bits, cfg)
+
 
 # ------------------------------------------------------- accept by parity
 #
@@ -781,7 +809,6 @@ def misfit_images(draw):
     return cfg, bits.astype(draw(st.sampled_from(MISFIT_DTYPES)))
 
 
-@pytest.mark.filterwarnings("ignore:Casting complex values to real")
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(misfit_images())
 def test_a_misfit_image_is_refused_by_name(case):

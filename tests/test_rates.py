@@ -164,6 +164,22 @@ def test_a_symbol_rate_that_is_not_positive_and_finite_is_refused(symbol_rate):
         nb_config(Band.NB_402_405)._replace(symbol_rate=symbol_rate)
 
 
+@pytest.mark.parametrize("center_freq", [-5, -0.5, math.inf, math.nan, "x", None, True])
+def test_a_center_freq_that_is_not_0_or_positive_and_finite_is_refused(center_freq):
+    # Each was stored as given: "x" and -5 gave configs that built frames
+    # and reported a centre frequency no band has.
+    with pytest.raises(ConfigError, match="center frequency must be 0 \\(the band's\\) or positive and finite"):
+        nb_config(Band.NB_402_405)._replace(center_freq=center_freq)
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0])
+def test_a_zero_center_freq_takes_the_bands(zero):
+    cfg = PhyConfig(band_id=Band.NB_402_405, modulation=Modulation.DBPSK, symbol_rate=187.5, center_freq=zero)
+    assert cfg.center_freq == _BAND_INFO[Band.NB_402_405].center_freq > 0
+    assert PhyConfig(band_id=Band.NB_402_405, modulation=Modulation.DBPSK, symbol_rate=187.5,
+                     center_freq=404.5).center_freq == 404.5
+
+
 @pytest.mark.parametrize("override", [0, 0.0, -5, math.inf, math.nan, "971", True])
 def test_a_rate_override_that_is_not_positive_and_finite_is_refused(override):
     # Each was taken: 0 divided by zero in every airtime, -5 gave a negative

@@ -57,6 +57,19 @@ class TestAssociation:
         with pytest.raises(ProtocolOrderError):
             mgr.associate("n0", 1)
 
+    @pytest.mark.parametrize("node_id", [7, None, b"n0"])
+    def test_a_node_id_that_is_not_a_string_is_refused_by_name(self, node_id):
+        # 7 once failed inside the key derivation: 'int' object has no attribute 'encode'.
+        mgr = SecurityManager()
+        with pytest.raises(TypeError, match="^node_id must be a string, got "):
+            mgr.associate(node_id, 1)
+        assert mgr.sessions == {}
+
+    @pytest.mark.parametrize("level", [3, -1, "1", None, 1.5])
+    def test_an_unknown_level_is_refused_by_name(self, level):
+        with pytest.raises(ValueError, match="^level must be 0, 1 or 2, got "):
+            SecurityManager().associate("n0", level)
+
     def test_unknown_mk_mode_rejected(self):
         mgr = SecurityManager()
         with pytest.raises(SecurityError):

@@ -3,6 +3,7 @@ phase containment, all three access kinds, security on the wire, and the
 lazy slot grid against a slot-by-slot reference."""
 
 import hashlib
+import importlib.util
 import io
 import math
 import os
@@ -34,7 +35,6 @@ from bansim.mac.csma import (
     guard_check,
     on_idle_slot,
     trace_batch,
-    trace_storm,
     trace_unlocks,
 )
 from bansim.mac.superframe import (HIGHEST_PRIORITY, SHARED_PHASES, PhaseKind, ScheduledAllocation, TrafficKind,
@@ -567,7 +567,7 @@ class TestKernelInvariants:
         # Every exchange ends by its phase's end, where the grid stops, and
         # the grid resumes only after the exchange clears.
         sim = Simulation(parse_scenario(OPEN_RAP.format(payload=50, seed=1, duration_ms=10)))
-        sim.now, sim.exchange = 300, kernel._Exchange(PhaseKind.RAP1, 9000, [])
+        sim.now, sim.exchange = 300, kernel._Exchange(PhaseKind.RAP1, 9000)
         with pytest.raises(SimulationError, match="^a grid tick at t=300 during an exchange$"):
             sim._on_slot_tick(PhaseKind.RAP1, 9000, [], None)
 
@@ -673,9 +673,11 @@ class _HeapWatch(Simulation):
 class _LockReasons(Simulation):
     """Records the reason each node holds on every traced lock line, and
     the reason each node held before a resume tick unlocked it. A guard
-    lock is rendered by kernel.trace_batch, a busy lock and a resume's
-    unlock by kernel.trace_storm and kernel.trace_unlocks, which `batch`,
-    `storm` and `unlocks` stand in for."""
+    lock is rendered by kernel.trace_batch and a resume's unlock by
+    kernel.trace_unlocks, which `batch` and `unlocks` stand in for; a busy
+    lock by kernel.trace_storm, whose held nodes the exchange keeps and
+    marks after it renders them, so their reasons are read once the
+    exchange has begun."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -690,13 +692,12 @@ class _LockReasons(Simulation):
             self.locks += [n.backoff.locked for n in nodes]
         trace_batch(lines, time_us, kind, events, nodes)
 
-    def storm(self, *args):
-        held = trace_storm(*args)
-        self.locks += [self.nodes[node].backoff.locked for node, _ in held]
-        return held
+    def _begin_exchange(self, *args):
+        super()._begin_exchange(*args)
+        self.locks += [node.backoff.locked for node, _ in self.exchange.held]
 
     def unlocks(self, lines, time_us, held):
-        self.resume_unlocks += [self._before[node] for node, _ in held]
+        self.resume_unlocks += [self._before[node.node_id] for node, _ in held]
         trace_unlocks(lines, time_us, held)
 
 
@@ -705,12 +706,63 @@ class TestLockReasons:
     def test_every_lock_has_a_reason_and_a_resume_lifts_only_busy(self, name, monkeypatch):
         sim = _LockReasons(load_scenario(SCENARIO_DIR / f"{name}.scn"), collect_trace=True)
         monkeypatch.setattr(kernel, "trace_batch", sim.batch)
-        monkeypatch.setattr(kernel, "trace_storm", sim.storm)
         monkeypatch.setattr(kernel, "trace_unlocks", sim.unlocks)
         sim.run()
         assert len(sim.locks) == sum(",lock," in line for line in sim.trace)
         assert set(sim.locks) == {"busy", "guard"}  # each scenario meets both
         assert set(sim.resume_unlocks) == {"busy"}
+
+
+class _BusyWatch(Simulation):
+    """Counts the nodes that read busy-locked as each slot tick and phase
+    start begins, and the exchanges begun from a slot end that held some
+    other counting node."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.looks, self.busy, self.holding = 0, 0, 0
+
+    def _look(self):
+        self.looks += 1
+        self.busy += sum(node.backoff.locked == "busy" for node in self.nodes.values())
+
+    def _on_slot_tick(self, *tick):
+        self._look()
+        super()._on_slot_tick(*tick)
+
+    def _on_phase_start(self, *args):
+        self._look()
+        super()._on_phase_start(*args)
+
+    def _begin_exchange(self, transmitters, t, kind, phase_end, counting=()):
+        self.holding += any(node.backoff.counter for node in counting if node not in transmitters)
+        super()._begin_exchange(transmitters, t, kind, phase_end, counting)
+
+
+def _bench_ward_scenario(seed: int) -> str:
+    """The ward scenario of the benchmark's sim_ward workload."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", SCENARIO_DIR.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.ward_scenario(seed)
+
+
+class TestUntracedHolds:
+    """The grid does not tick during an exchange, so an untraced run holds
+    the other contenders without marking them; only a traced run, whose
+    unlock lines read the marks, sets and lifts them."""
+
+    @pytest.mark.parametrize("name", ["contention_pair", "mixed_access", "bench_ward"])
+    def test_an_untraced_run_marks_no_counter_busy(self, name):
+        text = (_bench_ward_scenario(1) if name == "bench_ward"
+                else (SCENARIO_DIR / f"{name}.scn").read_text())
+        untraced, traced = _BusyWatch(parse_scenario(text)), _BusyWatch(parse_scenario(text), collect_trace=True)
+        untraced.run()
+        traced.run()
+        assert untraced.holding == traced.holding > 0
+        assert untraced.looks == traced.looks > 0
+        assert untraced.busy == 0
+        assert traced.busy > 0  # a resume tick begins before it lifts the marks
 
 
 # contention_pair with a random access phase exactly one pSIFS long, so
@@ -1265,6 +1317,41 @@ channel = collision
 """
 
 
+# Three saturated nodes in 38 ms superframes whose random access phase is
+# followed by a type I phase no node contends in, with no pSIFS and no
+# guard time. An exchange that ends on the RAP1 end at 103000 us holds c
+# busy-locked, no resume tick lifts it, and superframe 3, the cut of this
+# six-superframe run, starts before the next RAP1 entry does.
+HELD_PAST_ITS_PHASE = """\
+[phy]
+kind = nb
+band = 2400-2483.5
+rate = high
+
+[superframe]
+slot_length_us = 1000
+slots = 38
+beacon_slots = 4
+rap1_slots = 23
+type_a_slots = 11
+
+[csma]
+psifs_us = 0
+slot_us = 100
+gtn_us = 0
+
+[nodes]
+a = priority=7, traffic=saturated, payload=10
+b = priority=7, traffic=saturated, payload=150
+c = priority=7, traffic=saturated, payload=60
+
+[run]
+seed = 8
+duration_ms = 200
+channel = collision
+"""
+
+
 def stats_bytes(stats, path):
     write_stats_csv(stats, path)
     return path.read_bytes()
@@ -1323,6 +1410,26 @@ class TestSplitRun:
         assert (tmp_path / "trace.csv").read_bytes() == want
         # This process traced up to superframe 20, over the one exchange in flight.
         assert seen == [*range(19), (19, 1, 1), 19]
+
+    def test_a_busy_lock_that_outlives_its_exchange_crosses_the_cut(self, forks, monkeypatch, tmp_path):
+        # The child traces the second half of the run from an untraced
+        # first half, so it must reach the cut holding the marks a traced
+        # run holds there: c's entry at 118000 us lifts a busy lock.
+        sc = parse_scenario(HELD_PAST_ITS_PHASE)
+        want = whole_trace(sc, tmp_path / "whole.csv")
+        assert b"118000,c,unlock," in want
+        schedule, busy = Simulation._schedule_superframe, []
+
+        def note(self, index):
+            busy.append([node.node_id for node in self.nodes.values() if node.backoff.locked == "busy"])
+            schedule(self, index)
+
+        monkeypatch.setattr(Simulation, "_schedule_superframe", note)
+        run(sc, collect_trace=True)
+        assert busy == [[], [], [], ["c"], [], []]  # held at the cut, superframe 3
+        run_to_files(sc, trace_path=tmp_path / "trace.csv")
+        assert forks == [os.getpid()]
+        assert (tmp_path / "trace.csv").read_bytes() == want
 
     @pytest.mark.parametrize("case", ["one usable CPU", "no os.fork", "one superframe", "collect_trace"])
     def test_every_other_run_stays_in_one_process(self, case, forks, monkeypatch, tmp_path):
