@@ -264,7 +264,9 @@ def trace_unlocks(lines: list[str], time_us: int, held: list[tuple[object, str]]
     lines += [f"{head}{node.node_id},unlock,{state_text}" for node, state_text in held]
 
 
-def trace_line(time_us: int, node: str, event: str, state: BackoffState, phase: PhaseKind) -> str:
+def trace_line(
+    time_us: int, node: str, event: str, state: BackoffState, phase: PhaseKind
+) -> str:
     lines: list[str] = []
     trace_event(lines, time_us, phase, event, node, state)
     return lines[0]

@@ -735,7 +735,7 @@ class _BusyWatch(Simulation):
         super()._on_phase_start(*args)
 
     def _begin_exchange(self, transmitters, t, kind, phase_end, counting=()):
-        self.holding += any(node.backoff.counter for node in counting if node not in transmitters)
+        self.holding += any(node.backoff.counter for node in counting)  # a transmitter's is 0
         super()._begin_exchange(transmitters, t, kind, phase_end, counting)
 
 
