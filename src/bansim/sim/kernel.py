@@ -219,7 +219,7 @@ class _Exchange:
     def __init__(self, kind: PhaseKind, phase_end: int):
         self.kind = kind
         self.phase_end = phase_end
-        self.held: tuple | list[tuple[_Node, str]] = ()  # a traced run's (node, state text) per held contender
+        self.held: tuple | list[tuple[_Node, str]] = ()  # (node, state text) per held contender, if marked
         self.wire: bytes | None = None  # a clean exchange's sealed frame
         self.pending = 0  # a collided exchange's timeouts to come
 
