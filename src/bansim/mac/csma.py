@@ -97,7 +97,7 @@ class BackoffState:
     def __init__(self, priority: PriorityClass):
         self.priority = priority
         self.counter = 0
-        self.locked: str | None = None  # why the counter is frozen: "busy" (set in traced runs) | "guard"
+        self.locked: str | None = None  # why frozen: "guard" | "busy" (traced runs and a split child only)
         self.consecutive_failures = 0
         self.cw = priority.cw_min
 

@@ -68,13 +68,14 @@ covers the gap). At every grid instant pending draws happen first, then
 each contender checks the phase-fit guard. A slot end counts down exactly
 the running counters the tick before it found, and one reaching zero
 transmits at once: the exchange holds the others, as the grid does not
-tick until its resume. A traced run marks them busy-locked for its lines,
-and the resume (or the phase's next entry) lifts exactly those. A
-contender locks at t exactly when t + slot + its frame exchange passes
-the phase end. The grid never ticks at or past the phase end, and it
-stops once every contender of the phase has drawn and is locked: nothing
-can count, draw or unlock until the next phase start, and an arrival only
-grows a drawn node's backlog. A node keeps no flag for either: outside an
+tick until its resume. A traced run, and a split run's child up to its
+cut, marks them busy-locked for the lock and unlock lines, and the resume
+(or the phase's next entry) lifts exactly those marks. A contender
+locks at t exactly when t + slot + its frame exchange passes the phase
+end. The grid never ticks at or past the phase end, and it stops once
+every contender of the phase has drawn and is locked: nothing can count,
+draw or unlock until the next phase start, and an arrival only grows a
+drawn node's backlog. A node keeps no flag for either: outside an
 exchange its counter is positive exactly when it has drawn, and its
 backoff state holds why it is locked.
 
@@ -540,10 +541,11 @@ class Simulation:
     ) -> None:
         """Occupy the channel from t. Of `counting`, the contenders that
         counted the slot ending at t (none for a grant), those above zero
-        are busy-locked until the exchange ends. A collided exchange has
-        its data ends applied here and pushes their timeouts; a clean one
-        has its data end and acknowledgement applied here and pushes its
-        delivery."""
+        are held; a traced run, and a split run's child up to its cut, also
+        marks them busy-locked until the resume tick or the phase's next
+        entry. A collided exchange has its data ends applied here and pushes
+        their timeouts; a clean one has its data end and acknowledgement
+        applied here and pushes its delivery."""
         if len(transmitters) > 1 and self.plan.scenario.run.channel == "ideal":
             raise SimulationError(
                 f"{len(transmitters)} overlapping transmissions on an ideal channel at t={t}"

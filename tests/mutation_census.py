@@ -4,12 +4,10 @@ Run by hand, from the root of a checkout, with the standard library only:
 
     python tests/mutation_census.py src/bansim/sim/scenario.py src/bansim/phy/rates.py
     python tests/mutation_census.py src/bansim/sim/kernel.py --tests tests/test_sim.py tests/test_golden.py
-    python tests/mutation_census.py src/bansim/sim/kernel.py --functions Simulation._begin_exchange
 
 For each module named, every comparison operator in the set `<`<->`<=`,
 `>`<->`>=`, `==`<->`!=` is a site, and so is every literal 1 added or
-subtracted (`x + 1`<->`x - 1`, `x += 1`<->`x -= 1`); `--functions` keeps
-the sites of the functions named, as keyed below. Each mutant flips one
+subtracted (`x + 1`<->`x - 1`, `x += 1`<->`x -= 1`). Each mutant flips one
 site in a copy of the checkout, made once in a temporary directory; the
 checkout itself is never written. The mutant then runs tier-1, or the test
 files given after `--tests`, stopping at the first failure, with at most
@@ -175,8 +173,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="module paths, relative to the checkout root")
     parser.add_argument("--tests", nargs="*", default=[], help="test files to run (default: tier-1)")
-    parser.add_argument("--functions", nargs="*", default=[],
-                        help="census only these functions' sites, named as keyed (default: every site)")
     args = parser.parse_args(argv)
 
     copy = Path(tempfile.mkdtemp(prefix="mutation-census-")) / "checkout"
@@ -190,8 +186,7 @@ def main(argv=None) -> int:
         for module in args.modules:
             path = copy / module
             source = path.read_bytes()
-            module_sites = [site for site in sites(module, source)
-                            if not args.functions or site.function in args.functions]
+            module_sites = sites(module, source)
             killed = equivalent = 0
             for site in module_sites:
                 path.write_bytes(source[: site.start] + site.flipped + source[site.end :])
